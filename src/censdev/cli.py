@@ -54,10 +54,7 @@ def _fmt(x) -> str:
 
 
 def _load_config(path: str | Path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError:
-        raise
+    text = Path(path).read_text(encoding="utf-8")
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -81,7 +78,12 @@ def _resolve_output_dir(config_dir: str) -> Path:
     return path
 
 
-def _load_dataset(spec: str, base_dir: Path) -> tuple[CensoredDataset, str]:
+def _load_dataset(config: dict, base_dir: Path) -> tuple[CensoredDataset, str]:
+    spec = config.get("dataset")
+    if not isinstance(spec, str) or not spec:
+        raise ValidationError(
+            'config needs a "dataset": a file path or "bundled:aml"'
+        )
     if spec == "bundled:aml":
         return aml_dataset(), spec
     path = Path(spec)
@@ -91,14 +93,19 @@ def _load_dataset(spec: str, base_dir: Path) -> tuple[CensoredDataset, str]:
 
 
 def _chain_config(section: dict) -> ChainConfig:
+    if not isinstance(section, dict):
+        raise ValidationError('"chains" must be a JSON object')
     known = {"n_chains", "burn_in", "n_keep", "thin", "seed", "adapt_window"}
     unknown = set(section) - known
     if unknown:
         raise ValidationError(f"unknown chain settings: {sorted(unknown)}")
-    try:
-        return ChainConfig(**section)
-    except TypeError as exc:
-        raise ValidationError(f"bad chain settings: {exc}") from None
+    for key, value in section.items():
+        # bool is an int subclass; 10.0 is not an iteration count.
+        if type(value) is not int:
+            raise ValidationError(
+                f"chain setting {key!r} must be an integer, got {value!r}"
+            )
+    return ChainConfig(**section)
 
 
 def _column_index(data: CensoredDataset, name: str) -> int:
@@ -111,6 +118,8 @@ def _column_index(data: CensoredDataset, name: str) -> int:
 
 
 def _build_model(section: dict, data: CensoredDataset) -> Model:
+    if not isinstance(section, dict):
+        raise ValidationError("a model section must be a JSON object")
     family = section.get("family")
     hyper = dict(section.get("hyperparameters", {}))
     if family == "survival-exponential":
@@ -123,10 +132,10 @@ def _build_model(section: dict, data: CensoredDataset) -> Model:
         variant = section.get("variant", "A").upper()
         if variant not in AE_VARIANTS:
             raise ValidationError(f"unknown variant {variant!r}, expected one of {AE_VARIANTS}")
-        drugs = {int(o.covariates[_column_index(data, "drug")]) for o in data}
+        drugs = data.columns.codes(_column_index(data, "drug"))
         model = ae_model(
             variant,
-            n_drugs=max(drugs) + 1,
+            n_drugs=int(drugs.max()) + 1,
             n_studies=len(data),
             beta_shapes=tuple(hyper.pop("beta_shapes", (1.0, 1.0))),
             half_cauchy_scale=hyper.pop("half_cauchy_scale", 1.0),
@@ -176,8 +185,30 @@ def _read_samples_csv(path: Path) -> tuple[list[str], np.ndarray]:
     if not lines:
         raise ValidationError(f"{path}: empty samples file")
     names = lines[0].split(",")
-    rows = [[float(c) for c in line.split(",")] for line in lines[1:] if line]
-    return names, np.array(rows)
+    try:
+        rows = [[float(c) for c in line.split(",")] for line in lines[1:] if line]
+        matrix = np.array(rows)
+    except ValueError:  # a non-numeric cell, or rows of unequal length
+        matrix = None
+    if matrix is None or matrix.ndim != 2 or matrix.shape[1] != len(names):
+        raise ValidationError(f"{path}: {_samples_csv_fault(names, lines)}")
+    return names, matrix
+
+
+def _samples_csv_fault(names: list[str], lines: list[str]) -> str:
+    """Where and why a samples file failed to parse into a draws matrix."""
+    for number, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(names):
+            return f"line {number}: expected {len(names)} fields, got {len(cells)}"
+        for cell in cells:
+            try:
+                float(cell)
+            except ValueError:
+                return f"line {number}: expected a number, got {cell!r}"
+    return "no draws"
 
 
 def _write_summary_csv(path: Path, samples: PosteriorSamples) -> None:
@@ -311,8 +342,11 @@ def _fit_one(
 
 
 def cmd_fit(config: dict, config_dir: Path) -> int:
-    data, dataset_src = _load_dataset(config["dataset"], config_dir)
+    data, dataset_src = _load_dataset(config, config_dir)
     model = _build_model(config.get("model", {}), data)
+    modes = [m.value for m in LikelihoodMode]
+    if config.get("mode", "exact") not in modes:
+        raise ValidationError(f"mode must be one of {modes}, got {config['mode']!r}")
     mode = LikelihoodMode(config.get("mode", "exact"))
     chains = _chain_config(config.get("chains", {}))
     out_dir = _resolve_output_dir(config.get("output_dir", "censdev-out"))
@@ -333,7 +367,7 @@ def cmd_fit(config: dict, config_dir: Path) -> int:
 
 
 def cmd_compare(config: dict, config_dir: Path) -> int:
-    data, dataset_src = _load_dataset(config["dataset"], config_dir)
+    data, dataset_src = _load_dataset(config, config_dir)
     chains = _chain_config(config.get("chains", {}))
     out_dir = _resolve_output_dir(config.get("output_dir", "censdev-out"))
     dataset_id = dataset_fingerprint(data)

@@ -16,6 +16,14 @@ boundary carries no mass either way).
 Tail quantities are computed in log space with ``log1p``/``expm1``
 complements so that ``log(1 - F)`` survives far into the tail instead of
 rounding through probability one.
+
+Each outcome family also has a vectorized form of the same kernels, used by
+the sampler and the selection layer: ``log_contrib`` scores the rows of a
+:class:`~censdev.likelihood.DataColumns` block from per-row parameter arrays
+(broadcast over any leading axis, such as posterior draws), ``log_pdf_v``
+evaluates the density at an array of values and ``kl_v`` is the closed-form
+KL divergence.  They follow the scalar methods branch for branch, which stay
+as the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -47,6 +55,9 @@ __all__ = [
     "bernoulli_log_prob",
     "bernoulli_kl",
     "kl_divergence",
+    "clamp_probability_v",
+    "link_invert_v",
+    "bernoulli_kl_v",
     "PROB_CLAMP",
 ]
 
@@ -56,6 +67,9 @@ PROB_CLAMP = 1e-12
 
 _NEG_INF = float("-inf")
 _LOG_HALF = math.log(0.5)
+_LOG_2PI = math.log(2.0 * math.pi)
+# Below this a Binomial tail probability from betainc is summed term by term.
+_TAIL_FLOOR = 1e-290
 
 
 def clamp_probability(p: float) -> float:
@@ -65,6 +79,11 @@ def clamp_probability(p: float) -> float:
     if p > 1.0 - PROB_CLAMP:
         return 1.0 - PROB_CLAMP
     return p
+
+
+def clamp_probability_v(p):
+    """Elementwise :func:`clamp_probability`."""
+    return np.minimum(np.maximum(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -85,6 +104,17 @@ def _log_diff_from_logs(log_hi: float, log_lo: float) -> float:
         # Equal within rounding: the difference has no mass left.
         return _NEG_INF
     return log_hi + math.log(-math.expm1(delta))
+
+
+def _log_diff_from_logs_v(log_hi, log_lo):
+    """Elementwise :func:`_log_diff_from_logs`.
+
+    log_lo = -inf needs no branch of its own: expm1(-inf) = -1 adds exactly
+    0 to log_hi, and when log_hi is -inf as well the NaN difference lands
+    in the -inf branch.
+    """
+    delta = log_lo - log_hi
+    return np.where(delta < 0.0, log_hi + np.log(-np.expm1(delta)), _NEG_INF)
 
 
 class Family:
@@ -170,6 +200,58 @@ class Family:
     def _sample_truncated_impl(self, lower, upper, rng):
         raise NotImplementedError
 
+    # -- vectorized kernels ------------------------------------------------
+    # Subclasses provide ``log_pdf_v``, ``_log_cdf_v``, ``_log_sf_v`` and
+    # ``kl_v``; parameters are arrays in the dataclass field order.
+    @classmethod
+    def _points(cls, cols, params):
+        """The points ``log_contrib`` evaluates the kernels at: the observed
+        values, the upper bounds and the left limits of the lower bounds
+        (on continuous support, the lower bounds themselves)."""
+        return cols.value, cols.hi, cols.lo
+
+    @classmethod
+    def _log_cdf_sf_v(cls, y, *params):
+        """(log F(y), log(1 - F(y))); families that share work override it."""
+        return cls._log_cdf_v(y, *params), cls._log_sf_v(y, *params)
+
+    @classmethod
+    def log_contrib(cls, cols, *params) -> np.ndarray:
+        """Exact log-likelihood contribution of every row of ``cols``.
+
+        ``params`` are arrays whose last axis runs over the rows of ``cols``
+        (leading axes broadcast).  Each row takes the branch the scalar
+        ``log_pdf`` / ``log_interval_prob`` takes; only the terms that some
+        row of the block needs are evaluated.
+        """
+        value, hi, lo_left = cls._points(cols, params)
+        terms = []
+        with np.errstate(all="ignore"):
+            if cols.observed is not None:
+                terms.append((cols.observed, cls.log_pdf_v(value, *params)))
+            if cols.between is not None:
+                log_cdf_hi, log_sf_hi = cls._log_cdf_sf_v(hi, *params)
+                log_cdf_lo, log_sf_lo = cls._log_cdf_sf_v(lo_left, *params)
+                # Same conditioning switch as log_interval_prob.
+                use_cdf = log_cdf_hi <= _LOG_HALF
+                terms.append((cols.between, _log_diff_from_logs_v(
+                    np.where(use_cdf, log_cdf_hi, log_sf_lo),
+                    np.where(use_cdf, log_cdf_lo, log_sf_hi),
+                )))
+            else:
+                if cols.below is not None:
+                    log_cdf_hi = cls._log_cdf_v(hi, *params)
+                if cols.above is not None:
+                    log_sf_lo = cls._log_sf_v(lo_left, *params)
+            if cols.below is not None:
+                terms.append((cols.below, log_cdf_hi))
+            if cols.above is not None:
+                terms.append((cols.above, log_sf_lo))
+        out = terms[0][1]
+        for mask, term in terms[1:]:
+            out = np.where(mask, term, out)
+        return out
+
 
 @dataclass(frozen=True)
 class Exponential(Family):
@@ -212,6 +294,24 @@ class Exponential(Family):
             return a - math.log1p(-u) / self.rate
         width_mass = -math.expm1(-self.rate * (upper - a))
         return a - math.log1p(-u * width_mass) / self.rate
+
+    @staticmethod
+    def log_pdf_v(y, rate):
+        return np.where((y >= 0.0) & np.isfinite(y), np.log(rate) - rate * y, _NEG_INF)
+
+    @staticmethod
+    def _log_cdf_v(y, rate):
+        return np.where(y <= 0.0, _NEG_INF, np.log(-np.expm1(-rate * y)))
+
+    @staticmethod
+    def _log_sf_v(y, rate):
+        return np.where(y <= 0.0, 0.0, -rate * y)
+
+    @staticmethod
+    def kl_v(f, g):
+        (rate_f,), (rate_g,) = f, g
+        r = rate_f / rate_g
+        return np.log(r) + 1.0 / r - 1.0
 
 
 @dataclass(frozen=True)
@@ -264,6 +364,33 @@ class Normal(Family):
         beta = math.inf if upper == math.inf else (upper - self.mean) / sd
         z = _truncated_standard_normal(alpha, beta, rng)
         return self.mean + sd * z
+
+    @staticmethod
+    def log_pdf_v(y, mean, precision):
+        z = (y - mean) * np.sqrt(precision)
+        log_pdf = 0.5 * (np.log(precision) - _LOG_2PI) - 0.5 * z * z
+        return np.where(np.isfinite(y), log_pdf, _NEG_INF)
+
+    @staticmethod
+    def _log_cdf_v(y, mean, precision):
+        return sc.log_ndtr((y - mean) * np.sqrt(precision))
+
+    @staticmethod
+    def _log_sf_v(y, mean, precision):
+        return sc.log_ndtr(-((y - mean) * np.sqrt(precision)))
+
+    @staticmethod
+    def _log_cdf_sf_v(y, mean, precision):
+        z = (y - mean) * np.sqrt(precision)
+        return sc.log_ndtr(z), sc.log_ndtr(-z)
+
+    @staticmethod
+    def kl_v(f, g):
+        (mean_f, prec_f), (mean_g, prec_g) = f, g
+        var_f, var_g = 1.0 / prec_f, 1.0 / prec_g
+        return 0.5 * (
+            np.log(var_g / var_f) + (var_f + (mean_f - mean_g) ** 2) / var_g - 1.0
+        )
 
 
 def _truncated_standard_normal(alpha, beta, rng):
@@ -360,7 +487,7 @@ class Binomial(Family):
             return 0.0
         # P(X <= m) = I_{1-p}(n - m, m + 1)
         cdf = float(sc.betainc(n - m, m + 1, 1.0 - p))
-        if cdf > 1e-290:
+        if cdf > _TAIL_FLOOR:
             return math.log(min(cdf, 1.0))
         # Deep lower tail: sum the few pmf terms directly in log space.
         return self._tail_logsumexp(range(0, int(m) + 1))
@@ -376,7 +503,7 @@ class Binomial(Family):
             return _NEG_INF
         # P(X > m) = P(X >= m + 1) = I_p(m + 1, n - m)
         sf = float(sc.betainc(m + 1, n - m, p))
-        if sf > 1e-290:
+        if sf > _TAIL_FLOOR:
             return math.log(min(sf, 1.0))
         return self._tail_logsumexp(range(int(m) + 1, n + 1))
 
@@ -395,6 +522,82 @@ class Binomial(Family):
         mass = np.exp(log_mass)
         mass /= mass.sum()
         return float(rng.choice(support, p=mass))
+
+    @classmethod
+    def _points(cls, cols, params):
+        # The data-only terms at the block's points are built once per block.
+        trials = params[0]
+        return cols.memo(cls, trials, lambda: (
+            _BinomialPoints(cols.value, trials),
+            _BinomialPoints(cols.hi, trials),
+            _BinomialPoints(np.ceil(cols.lo) - 1.0, trials),
+        ))
+
+    @staticmethod
+    def log_pdf_v(y, trials, prob):
+        pts = _BinomialPoints.of(y, trials)
+        log_pmf = pts.log_comb + sc.xlogy(pts.y, prob) + sc.xlog1py(pts.n_minus_y, -prob)
+        return log_pmf if pts.all_support else np.where(pts.support, log_pmf, _NEG_INF)
+
+    @staticmethod
+    def _log_cdf_v(y, trials, prob):
+        # P(X <= m) = I_{1-p}(n - m, m + 1) strictly inside the support; at
+        # p = 0 it is I_1 = 1, the scalar kernel's special case.
+        pts = _BinomialPoints.of(y, trials)
+        cdf = sc.betainc(pts.n_minus_m, pts.m_plus_1, 1.0 - prob)
+        return pts.finish(cdf, _NEG_INF, 0.0, prob, lambda m, n: range(0, m + 1))
+
+    @staticmethod
+    def _log_sf_v(y, trials, prob):
+        # P(X > m) = I_p(m + 1, n - m) strictly inside the support.
+        pts = _BinomialPoints.of(y, trials)
+        sf = sc.betainc(pts.m_plus_1, pts.n_minus_m, prob)
+        return pts.finish(sf, 0.0, _NEG_INF, prob, lambda m, n: range(m + 1, n + 1))
+
+    @staticmethod
+    def kl_v(f, g):
+        (trials, prob_f), (_, prob_g) = f, g
+        return trials * bernoulli_kl_v(prob_f, prob_g)
+
+
+class _BinomialPoints:
+    """The terms of the vectorized Binomial kernels that depend on the points
+    ``y`` and the trial counts alone."""
+
+    def __init__(self, y, trials):
+        with np.errstate(all="ignore"):
+            self.y, self.n, self.m = y, trials, np.floor(y)
+            self.n_minus_y = trials - y
+            self.log_comb = (sc.gammaln(trials + 1) - sc.gammaln(y + 1)
+                             - sc.gammaln(self.n_minus_y + 1))
+            self.support = (y == self.m) & (y >= 0) & (y <= trials)
+            self.all_support = bool(self.support.all())
+            self.n_minus_m, self.m_plus_1 = trials - self.m, self.m + 1
+            # 0 <= m < n: where betainc gives the tail probabilities.
+            self.inside = (self.m >= 0) & (self.m < trials)
+            self.all_inside = bool(self.inside.all())
+
+    @staticmethod
+    def of(y, trials) -> "_BinomialPoints":
+        return y if isinstance(y, _BinomialPoints) else _BinomialPoints(y, trials)
+
+    def finish(self, prob_tail, below_value, above_value, prob, support):
+        """log of a betainc tail probability inside the support, the fixed
+        values below (m < 0) and above (m >= n) it, and the scalar kernel's
+        term-by-term sum where betainc underflows."""
+        out = np.log(np.minimum(prob_tail, 1.0))
+        tail = prob_tail <= _TAIL_FLOOR
+        if not self.all_inside:
+            out = np.where(self.inside, out, np.where(self.m < 0, below_value, above_value))
+            tail &= self.inside
+        if not tail.any():
+            return out
+        out = np.array(out, dtype=float)
+        m, n, prob = np.broadcast_arrays(self.m, self.n, prob)
+        for idx in zip(*np.nonzero(tail)):
+            k, trials = int(m[idx]), int(n[idx])
+            out[idx] = Binomial(trials, float(prob[idx]))._tail_logsumexp(support(k, trials))
+        return out
 
 
 @dataclass(frozen=True)
@@ -541,6 +744,18 @@ def link_invert(link: LinkFunction, eta: float) -> float:
     return clamp_probability(float(sc.ndtr(eta)))
 
 
+def link_invert_v(link: LinkFunction, eta):
+    """Elementwise :func:`link_invert`, with the same clamps."""
+    _check_link(link)
+    if link == "identity":
+        return eta
+    if link == "logit":
+        return clamp_probability_v(sc.expit(eta))
+    if link == "cloglog":
+        return clamp_probability_v(-np.expm1(-np.exp(np.minimum(eta, 700.0))))
+    return clamp_probability_v(sc.ndtr(eta))
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli helpers and predictive divergences
 # ---------------------------------------------------------------------------
@@ -559,6 +774,13 @@ def bernoulli_kl(p: float, q: float) -> float:
     return p * (math.log(p) - math.log(q)) + (1.0 - p) * (
         math.log1p(-p) - math.log1p(-q)
     )
+
+
+def bernoulli_kl_v(p, q):
+    """Elementwise :func:`bernoulli_kl`."""
+    p = clamp_probability_v(p)
+    q = clamp_probability_v(q)
+    return p * (np.log(p) - np.log(q)) + (1.0 - p) * (np.log1p(-p) - np.log1p(-q))
 
 
 def kl_divergence(f: Family, g: Family) -> float:

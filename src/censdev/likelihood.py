@@ -19,6 +19,12 @@ monitor sees only the observed rows because each censored row's indicator
 contributes a constant likelihood of one.  The monitored total is therefore
 biased low by exactly the censored terms above; ``exact_contributions``
 exposes the per-row terms so that gap can be audited row by row.
+
+Those functions take one :class:`~censdev.distributions.Family` object per
+row and are the reference.  The sampler and the selection layer read the
+dataset as columns instead (:class:`DataColumns`, built once per dataset on
+first use) and score all rows at once with the families' vectorized
+``log_contrib``.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,6 +48,7 @@ __all__ = [
     "CensorKind",
     "Observation",
     "CensoredDataset",
+    "DataColumns",
     "LikelihoodMode",
     "censoring_region",
     "exact_contribution",
@@ -104,6 +112,122 @@ class Observation:
             raise DataError(f"trials must be a positive integer, got {self.trials}")
 
 
+# Censor-kind codes of DataColumns.kind.
+KIND_OBSERVED, KIND_LEFT, KIND_RIGHT, KIND_INTERVAL = 0, 1, 2, 3
+_KIND_CODES = {Observed: KIND_OBSERVED, LeftCensored: KIND_LEFT,
+               RightCensored: KIND_RIGHT, IntervalCensored: KIND_INTERVAL}
+
+
+class DataColumns:
+    """A dataset's rows, or a subset of them, as arrays.
+
+    ``kind`` holds the censor-kind codes; ``lo``/``hi`` the censoring
+    region, ``-inf``/``inf`` on its open side and on observed rows;
+    ``value`` the observed outcome, NaN on censored rows; ``trials`` the
+    trial count, 0 where a row has none; ``covariates`` one row per
+    observation.
+
+    The masks ``observed``, ``below`` (region (-inf, hi]), ``above``
+    ((lo, inf)) and ``between`` (both bounds finite) split the rows by the
+    branch ``Family.log_interval_prob`` takes for them; a mask is None when
+    no row takes that branch, so kernels skip it.
+    """
+
+    def __init__(self, kind, lo, hi, value, trials, covariates, names=()):
+        self.kind = kind
+        self.lo = lo
+        self.hi = hi
+        self.value = value
+        self.trials = trials
+        self.covariates = covariates
+        self.names = tuple(names)
+        observed = kind == KIND_OBSERVED
+        below = ~observed & (lo == _NEG_INF)
+        above = ~observed & ~below & (hi == math.inf)
+        between = ~(observed | below | above)
+        self.observed, self.below, self.above, self.between = (
+            mask if mask.any() else None for mask in (observed, below, above, between)
+        )
+        self._checked: dict = {}  # validated views, built on first use
+
+    @classmethod
+    def from_observations(cls, observations, names=()) -> "DataColumns":
+        n = len(observations)
+        kind = np.empty(n, dtype=np.int8)
+        lo = np.full(n, _NEG_INF)
+        hi = np.full(n, math.inf)
+        value = np.full(n, math.nan)
+        trials = np.zeros(n, dtype=np.int64)
+        for i, obs in enumerate(observations):
+            outcome = obs.outcome
+            kind[i] = _KIND_CODES[type(outcome)]
+            if kind[i] == KIND_OBSERVED:
+                value[i] = outcome.value
+            else:
+                lo[i], hi[i] = censoring_region(outcome)
+            if obs.trials is not None:
+                trials[i] = obs.trials
+        width = len(observations[0].covariates) if n else 0
+        covariates = np.array(
+            [obs.covariates for obs in observations], dtype=float
+        ).reshape(n, width)
+        return cls(kind, lo, hi, value, trials, covariates, names)
+
+    def __len__(self) -> int:
+        return self.kind.shape[0]
+
+    def take(self, rows) -> "DataColumns":
+        """The block of the given rows, in the given order."""
+        return DataColumns(
+            self.kind[rows], self.lo[rows], self.hi[rows], self.value[rows],
+            self.trials[rows], self.covariates[rows], self.names,
+        )
+
+    def codes(self, col: int, n_levels: Optional[int] = None) -> np.ndarray:
+        """Covariate ``col`` as integer category codes, validated on first use.
+
+        Every entry must be a whole number in [0, n_levels) (no upper
+        bound when ``n_levels`` is None); anything else raises
+        :class:`DataError` naming the first offending row.
+        """
+        key = ("codes", col, n_levels)
+        if key not in self._checked:
+            x = self.covariates[:, col]
+            bad = ~(np.isfinite(x) & (x == np.floor(x)) & (x >= 0))
+            if n_levels is not None:
+                bad |= x >= n_levels
+            if bad.any():
+                row = int(np.flatnonzero(bad)[0])
+                name = self.names[col] if col < len(self.names) else f"#{col}"
+                levels = "0, 1, 2, ..." if n_levels is None else f"0..{n_levels - 1}"
+                raise DataError(
+                    f"covariate {name!r} must hold integer category codes "
+                    f"{levels}; row {row} has {x[row]!r}"
+                )
+            self._checked[key] = x.astype(np.intp)
+        return self._checked[key]
+
+    def memo(self, key, source, build):
+        """``build()``, cached with this block under ``key`` for as long as
+        the array it derives from is ``source`` (kernels keep data-only terms
+        here)."""
+        entry = self._checked.get(key)
+        if entry is None or entry[0] is not source:
+            entry = (source, build())
+            self._checked[key] = entry
+        return entry[1]
+
+    def positive_trials(self) -> np.ndarray:
+        """The trials column, validated on first use: every row needs a count."""
+        if "trials" not in self._checked:
+            if not self.trials.all():
+                row = int(np.flatnonzero(self.trials == 0)[0])
+                raise DataError(f"binomial outcomes need a trials count on every row; "
+                                f"row {row} has none")
+            self._checked["trials"] = self.trials
+        return self._checked["trials"]
+
+
 @dataclass(frozen=True)
 class CensoredDataset:
     """Ordered observations partitioned into observed / one-sided / interval rows."""
@@ -129,6 +253,11 @@ class CensoredDataset:
 
     def __len__(self):
         return len(self.observations)
+
+    @cached_property
+    def columns(self) -> DataColumns:
+        """The rows as arrays, built on first use."""
+        return DataColumns.from_observations(self.observations, self.covariate_names)
 
     def __iter__(self):
         return iter(self.observations)

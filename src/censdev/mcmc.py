@@ -13,6 +13,11 @@ values that are Gibbs-refreshed from their truncated outcome distribution
 every sweep, the parameter target conditions on those values, and the
 deviance monitor sums observed rows only (censored rows contribute log 1).
 
+The likelihood is kept as a per-row contribution array.  Each component
+owns a precomputed index array of the rows its value reaches and the
+columnar block of those rows, so a single-site update scores just that
+block with one vectorized kernel call.
+
 Chains are independent, each owning a child random generator spawned
 deterministically from the run seed, so results are reproducible bit for
 bit and identical whether chains execute serially or concurrently.
@@ -25,8 +30,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
-from .distributions import Family
 from .exceptions import (
     DataError,
     DegenerateDensityError,
@@ -34,13 +39,7 @@ from .exceptions import (
     InitializationError,
     NumericError,
 )
-from .likelihood import (
-    CensoredDataset,
-    LikelihoodMode,
-    Observed,
-    censoring_region,
-    exact_contribution,
-)
+from .likelihood import KIND_OBSERVED, CensoredDataset, LikelihoodMode
 from .models import Model
 
 __all__ = [
@@ -48,6 +47,8 @@ __all__ = [
     "PosteriorSamples",
     "ParamSummary",
     "run",
+    "to_unbounded",
+    "to_natural",
     "adapt_step_sizes",
     "summarize",
     "split_rhat",
@@ -76,6 +77,8 @@ class ChainConfig:
             raise DataError("n_chains, n_keep and thin must be positive")
         if self.burn_in < 0 or self.adapt_window < 1:
             raise DataError("burn_in must be >= 0 and adapt_window positive")
+        if self.seed < 0:
+            raise DataError("seed must be a non-negative integer")
 
     @property
     def total_iterations(self) -> int:
@@ -123,41 +126,41 @@ class PosteriorSamples:
 # ---------------------------------------------------------------------------
 
 
-def _to_unbounded(v: float, support: str) -> float:
-    if support == "real":
-        return v
-    if support == "positive":
-        return math.log(v)
-    return math.log(v) - math.log1p(-v)
-
-
-def _to_natural(x: float, support: str) -> float:
-    if support == "real":
-        return x
-    if support == "positive":
-        return math.exp(min(x, 700.0))
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _log_jacobian(x: float, support: str) -> float:
-    """log |dv/dx| of the natural-from-unbounded map."""
-    if support == "real":
-        return 0.0
-    if support == "positive":
-        return min(x, 700.0)
+# Per support: natural -> unbounded, unbounded -> natural, and the log
+# Jacobian log |dv/dx| of the latter.  Elementwise, so one set serves a single
+# component and whole columns of draws alike.
+_TRANSFORMS = {
+    "real": (lambda v: v, lambda x: x, lambda x: 0.0 * x),
+    "positive": (
+        np.log,
+        lambda x: np.exp(np.minimum(x, 700.0)),
+        lambda x: np.minimum(x, 700.0),
+    ),
     # logistic: log v + log(1 - v), stable in both tails
-    return -_softplus(-x) - _softplus(x)
+    "unit": (
+        special.logit,
+        special.expit,
+        lambda x: -np.logaddexp(0.0, -x) - np.logaddexp(0.0, x),
+    ),
+}
 
 
-def _softplus(t: float) -> float:
-    if t > 35.0:
-        return t
-    if t < -35.0:
-        return 0.0
-    return math.log1p(math.exp(t))
+def _columnwise(which: int, values, supports) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    for j, support in enumerate(supports):
+        out[..., j] = _TRANSFORMS[support][which](values[..., j])
+    return out
+
+
+def to_unbounded(values, supports) -> np.ndarray:
+    """Natural-scale values, shape (..., n_params), on the working scale."""
+    return _columnwise(0, values, supports)
+
+
+def to_natural(x, supports) -> np.ndarray:
+    """Working-scale values, shape (..., n_params), on the natural scale."""
+    return _columnwise(1, x, supports)
 
 
 # ---------------------------------------------------------------------------
@@ -189,62 +192,63 @@ def adapt_step_sizes(
 class _ChainState:
     """Mutable sampler state for one chain.
 
-    Keeps the per-row log-likelihood contribution cache in sync with the
-    current parameters (and latents in DINTERVAL mode) so a single-site
-    update only re-evaluates the rows its component touches.
+    Keeps the per-row log-likelihood contribution array in sync with the
+    current parameters (and latents in DINTERVAL mode).  Component ``j``
+    re-scores only ``blocks[j]``: its row index array (a slice when it
+    reaches every row) and the columnar block of those rows, None when it
+    reaches none.
     """
 
     def __init__(self, model, data, mode, rng):
         self.model = model
-        self.data = data
+        self.family = model.family
         self.mode = mode
         self.rng = rng
         self.supports = model.supports
+        self.transforms = [_TRANSFORMS[s] for s in self.supports]
         self.n_params = len(model.params)
-        self.observed_mask = np.array(
-            [isinstance(o.outcome, Observed) for o in data], dtype=bool
-        )
-        self.censored_rows = list(data.censored_indices)
-        self.regions = {
-            i: censoring_region(data.observations[i].outcome)
-            for i in self.censored_rows
-        }
-        # Row dependencies per component; None means every row.
-        self.row_deps = [
-            None if (r := model.rows_for_param(j, data)) is None else list(r)
-            for j in range(self.n_params)
-        ]
-        self.all_rows = list(range(len(data)))
+        cols = data.columns
+        self.observed_mask = cols.kind == KIND_OBSERVED
+        self.censored_rows = np.flatnonzero(~self.observed_mask)
+        self.censored_block = cols.take(self.censored_rows)
+        self.all_rows = (slice(None), cols)
+        self.blocks = []
+        for j in range(self.n_params):
+            rows = model.rows_for_param(j, data)
+            if rows is None:
+                self.blocks.append(self.all_rows)
+            else:
+                self.blocks.append((rows, cols.take(rows) if len(rows) else None))
+        # Observed outcomes, with the latents in the censored rows (DINTERVAL).
+        self.values = cols.value.copy()
 
         self.x = np.empty(self.n_params)
         self.v = np.empty(self.n_params)
         self.jac = np.empty(self.n_params)
-        self.latents: dict[int, float] = {}
-        self.contribs = np.empty(len(data))
+        self.contribs = np.empty(len(cols))
         self.log_prior = _NEG_INF
 
     # -- contribution bookkeeping ------------------------------------------
-    def _row_contribution(self, family: Family, row: int) -> float:
-        obs = self.data.observations[row]
-        if self.mode is LikelihoodMode.EXACT or isinstance(obs.outcome, Observed):
-            if self.mode is LikelihoodMode.DINTERVAL:
-                return family.log_pdf(obs.outcome.value)
-            return exact_contribution(family, obs.outcome)
-        return family.log_pdf(self.latents[row])
+    def _contributions(self, theta: np.ndarray, rows, block) -> np.ndarray:
+        params = self.model.row_params(theta, block)
+        if self.mode is LikelihoodMode.EXACT:
+            return self.family.log_contrib(block, *params)
+        return self.family.log_pdf_v(self.values[rows], *params)
 
-    def _contributions_for(self, theta: np.ndarray, rows) -> np.ndarray:
-        out = np.empty(len(rows))
-        for k, row in enumerate(rows):
-            family = self.model.outcome_family(theta, self.data.observations[row])
-            out[k] = self._row_contribution(family, row)
-        return out
+    def _draw_latents(self, theta: np.ndarray) -> np.ndarray:
+        """One truncated draw per censored row, in row order."""
+        block = self.censored_block
+        *params, _ = np.broadcast_arrays(*self.model.row_params(theta, block), block.lo)
+        return np.array([
+            self.family(*(p[k] for p in params)).sample_truncated(
+                block.lo[k], block.hi[k], self.rng
+            )
+            for k in range(len(block))
+        ])
 
     # -- initialization ------------------------------------------------------
     def initialize(self) -> None:
-        base = self.model.initial_theta()
-        x0 = np.array(
-            [_to_unbounded(v, s) for v, s in zip(base, self.supports)]
-        )
+        x0 = to_unbounded(self.model.initial_theta(), self.supports)
         for attempt in range(MAX_INIT_RETRIES + 1):
             x = x0 if attempt == 0 else x0 + self.rng.normal(size=self.n_params)
             if self._try_state(x):
@@ -254,51 +258,41 @@ class _ChainState:
         )
 
     def _try_state(self, x: np.ndarray) -> bool:
-        v = np.array([_to_natural(xi, s) for xi, s in zip(x, self.supports)])
+        v = to_natural(x, self.supports)
         lp = self.model.log_prior(v)
         if not math.isfinite(lp):
             return False
         if self.mode is LikelihoodMode.DINTERVAL:
             try:
-                latents = {}
-                for row in self.censored_rows:
-                    family = self.model.outcome_family(
-                        v, self.data.observations[row]
-                    )
-                    lo, hi = self.regions[row]
-                    latents[row] = family.sample_truncated(lo, hi, self.rng)
+                self.values[self.censored_rows] = self._draw_latents(v)
             except DegenerateRegionError:
                 return False
-            self.latents = latents
-        contribs = np.empty(len(self.data))
-        for row in self.all_rows:
-            family = self.model.outcome_family(v, self.data.observations[row])
-            contribs[row] = self._row_contribution(family, row)
+        contribs = self._contributions(v, *self.all_rows)
         if not np.isfinite(contribs.sum()):
             return False
         self.x, self.v, self.contribs, self.log_prior = x, v, contribs, lp
-        self.jac = np.array(
-            [_log_jacobian(xi, s) for xi, s in zip(x, self.supports)]
-        )
+        self.jac = np.array([jac(xi) for xi, (_, _, jac) in zip(x, self.transforms)])
         return True
 
     # -- updates --------------------------------------------------------------
     def update_component(self, j: int, scale: float) -> bool:
+        _, to_nat, log_jac = self.transforms[j]
         x_new = self.x[j] + scale * self.rng.standard_normal()
-        v_new = _to_natural(x_new, self.supports[j])
-        jac_new = _log_jacobian(x_new, self.supports[j])
+        v_new = to_nat(x_new)
+        jac_new = log_jac(x_new)
 
         theta_prop = self.v.copy()
         theta_prop[j] = v_new
         lp_new = self.model.log_prior(theta_prop)
+        rows, block = self.blocks[j]
+        new_contribs = None
         if lp_new == _NEG_INF:
             accept_logprob = _NEG_INF
-            rows = []
-            new_contribs = None
         else:
-            rows = self.row_deps[j] if self.row_deps[j] is not None else self.all_rows
-            new_contribs = self._contributions_for(theta_prop, rows)
-            delta_lik = new_contribs.sum() - self.contribs[rows].sum() if rows else 0.0
+            delta_lik = 0.0
+            if block is not None:
+                new_contribs = self._contributions(theta_prop, rows, block)
+                delta_lik = new_contribs.sum() - self.contribs[rows].sum()
             accept_logprob = (
                 (lp_new - self.log_prior) + delta_lik + (jac_new - self.jac[j])
             )
@@ -307,23 +301,21 @@ class _ChainState:
             self.v[j] = v_new
             self.jac[j] = jac_new
             self.log_prior = lp_new
-            if rows:
+            if new_contribs is not None:
                 self.contribs[rows] = new_contribs
             return True
         return False
 
     def refresh_latents(self, sweep: int) -> None:
-        for row in self.censored_rows:
-            family = self.model.outcome_family(self.v, self.data.observations[row])
-            lo, hi = self.regions[row]
-            try:
-                value = family.sample_truncated(lo, hi, self.rng)
-            except DegenerateRegionError as exc:
-                raise NumericError(
-                    f"sweep {sweep}: degenerate censoring region for row {row}: {exc}"
-                ) from exc
-            self.latents[row] = value
-            self.contribs[row] = family.log_pdf(value)
+        try:
+            latents = self._draw_latents(self.v)
+        except DegenerateRegionError as exc:
+            raise NumericError(
+                f"sweep {sweep}: degenerate censoring region: {exc}"
+            ) from exc
+        rows = self.censored_rows
+        self.values[rows] = latents
+        self.contribs[rows] = self._contributions(self.v, rows, self.censored_block)
 
     def monitored_deviance(self) -> float:
         if self.mode is LikelihoodMode.EXACT:
@@ -346,7 +338,7 @@ def _run_chain(model, data, mode, config, rng):
 
     draws = np.empty((config.n_keep, n_params))
     devs = np.empty(config.n_keep)
-    latent_rows = tuple(state.censored_rows)
+    latent_rows = tuple(int(r) for r in state.censored_rows)
     lat_trace = (
         np.empty((config.n_keep, len(latent_rows)))
         if mode is LikelihoodMode.DINTERVAL
@@ -384,7 +376,7 @@ def _run_chain(model, data, mode, config, rng):
             draws[kept] = state.v
             devs[kept] = dev
             if lat_trace is not None:
-                lat_trace[kept] = [state.latents[r] for r in latent_rows]
+                lat_trace[kept] = state.values[state.censored_rows]
             kept += 1
 
     rates = kept_accepts / max(kept_proposals, 1)

@@ -7,10 +7,20 @@ drive:
 * ``params``: ordered schema of named components with support descriptors
   ("real", "positive" or "unit");
 * ``log_prior(theta)``: joint log prior density, -inf outside support;
-* ``outcome_family(theta, obs)``: the outcome distribution of one row;
+* ``family``: the outcome :class:`~censdev.distributions.Family` class;
+* ``row_params(theta, cols)``: that family's parameters for every row of a
+  :class:`~censdev.likelihood.DataColumns` block, as arrays, for one
+  parameter vector or a stack of draws (what the sampler and the selection
+  layer evaluate);
+* ``outcome_family(theta, obs)``: the outcome distribution of one row, the
+  scalar reference ``row_params`` is tested against;
 * ``rows_for_param(j, data)``: row indices whose likelihood terms depend on
   component ``j`` (None means all rows), which lets single-site Metropolis
   updates skip untouched rows.
+
+Categorical covariates (drug, drug class, study) must hold whole-number
+codes below the number of levels the model has; anything else raises
+:class:`~censdev.exceptions.DataError` when the row indices are built.
 
 Adverse-event variants (one study-level binomial count per row, covariates
 ``drug``, ``drug_class``, ``study``):
@@ -29,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -39,11 +49,14 @@ from .distributions import (
     Family,
     Normal,
     clamp_probability,
+    clamp_probability_v,
     link_invert,
+    link_invert_v,
 )
 from .exceptions import DataError, SchemaError
 from .likelihood import (
     CensoredDataset,
+    DataColumns,
     LikelihoodMode,
     Observation,
     loglik_dinterval_style,
@@ -71,6 +84,7 @@ _NEG_INF = float("-inf")
 # wild Metropolis step is rejected by its likelihood, not by an exception.
 _MAX_RATE = 1e12
 _MIN_RATE = 1e-12
+_LOG_MAX_RATE = math.log(_MAX_RATE)
 
 
 @dataclass(frozen=True)
@@ -109,6 +123,7 @@ class Model:
     """Base class: schema bookkeeping shared by every model."""
 
     params: tuple[Param, ...]
+    family: type[Family]
     label: str = ""
 
     @property
@@ -131,10 +146,20 @@ class Model:
     def log_prior(self, theta) -> float:
         raise NotImplementedError
 
+    def row_params(self, theta, cols: DataColumns) -> tuple[np.ndarray, ...]:
+        """Outcome-family parameters of every row of ``cols``.
+
+        ``theta`` is one parameter vector or a stack of draws, shape
+        ``(..., n_params)``.  The arrays come in the family's field order,
+        with the rows on their last axis and broadcasting over the leading
+        axes of ``theta``; they carry the clamps of :meth:`outcome_family`.
+        """
+        raise NotImplementedError
+
     def outcome_family(self, theta, obs: Observation) -> Family:
         raise NotImplementedError
 
-    def rows_for_param(self, j: int, data: CensoredDataset) -> Optional[Sequence[int]]:
+    def rows_for_param(self, j: int, data: CensoredDataset) -> Optional[np.ndarray]:
         return None
 
     def initial_theta(self) -> np.ndarray:
@@ -149,6 +174,8 @@ class SurvivalExpModel(Model):
     Per-row hazard rate exp(b0 + b1 * group); independent Normal(0, tau)
     priors on both coefficients with fixed small precision.
     """
+
+    family = Exponential
 
     def __init__(self, tau0: float = 0.01, tau1: float = 0.01, group_col: int = 0):
         self.tau0 = float(tau0)
@@ -170,9 +197,20 @@ class SurvivalExpModel(Model):
         rate = math.exp(min(eta, math.log(_MAX_RATE)))
         return Exponential(rate=max(rate, _MIN_RATE))
 
+    def row_params(self, theta, cols):
+        theta = np.asarray(theta, dtype=float)
+        eta = theta[..., 0:1] + theta[..., 1:2] * cols.covariates[:, self.group_col]
+        rate = np.exp(np.minimum(eta, _LOG_MAX_RATE))
+        return (np.maximum(rate, _MIN_RATE),)
+
 
 class _BinomialModel(Model):
     """Shared helpers for the study-level adverse-event variants."""
+
+    family = Binomial
+
+    def _binomial_params(self, cols: DataColumns, p) -> tuple[np.ndarray, np.ndarray]:
+        return cols.positive_trials(), clamp_probability_v(p)
 
     def _trials(self, obs: Observation) -> int:
         if obs.trials is None:
@@ -198,6 +236,9 @@ class PooledBinomialModel(_BinomialModel):
     def outcome_family(self, theta, obs):
         return self._binomial(self._trials(obs), theta[0])
 
+    def row_params(self, theta, cols):
+        return self._binomial_params(cols, np.asarray(theta, dtype=float)[..., 0:1])
+
 
 class TwoGroupBinomialModel(_BinomialModel):
     """Variant B: independent incidences for the two drug classes."""
@@ -222,8 +263,15 @@ class TwoGroupBinomialModel(_BinomialModel):
     def outcome_family(self, theta, obs):
         return self._binomial(self._trials(obs), theta[self._class_of(obs)])
 
+    def _classes(self, cols):
+        return cols.codes(self.class_col, len(self.params))
+
+    def row_params(self, theta, cols):
+        theta = np.asarray(theta, dtype=float)
+        return self._binomial_params(cols, theta[..., self._classes(cols)])
+
     def rows_for_param(self, j, data):
-        return [i for i, o in enumerate(data) if self._class_of(o) == j]
+        return np.flatnonzero(self._classes(data.columns) == j)
 
 
 class DrugMeanBinomialModel(_BinomialModel):
@@ -269,11 +317,18 @@ class DrugMeanBinomialModel(_BinomialModel):
     def outcome_family(self, theta, obs):
         return self._binomial(self._trials(obs), theta[2 + self._drug_of(obs)])
 
+    def _drugs(self, cols):
+        return cols.codes(self.drug_col, self.n_drugs)
+
+    def row_params(self, theta, cols):
+        theta = np.asarray(theta, dtype=float)
+        return self._binomial_params(cols, theta[..., 2 + self._drugs(cols)])
+
     def rows_for_param(self, j, data):
+        drugs = self._drugs(data.columns)
         if j < 2:
-            return []  # hyperparameters touch the prior only
-        drug = j - 2
-        return [i for i, o in enumerate(data) if self._drug_of(o) == drug]
+            return np.empty(0, dtype=np.intp)  # hyperparameters touch the prior only
+        return np.flatnonzero(drugs == j - 2)
 
 
 class DrugLinkBinomialModel(_BinomialModel):
@@ -319,13 +374,21 @@ class DrugLinkBinomialModel(_BinomialModel):
         eta = theta[0] + theta[2 + self._drug_of(obs)]
         return self._binomial(self._trials(obs), link_invert(self.link, eta))
 
+    def _drugs(self, cols):
+        return cols.codes(self.drug_col, self.n_drugs)
+
+    def row_params(self, theta, cols):
+        theta = np.asarray(theta, dtype=float)
+        eta = theta[..., 0:1] + theta[..., 2 + self._drugs(cols)]
+        return self._binomial_params(cols, link_invert_v(self.link, eta))
+
     def rows_for_param(self, j, data):
+        drugs = self._drugs(data.columns)
         if j == 0:
             return None
         if j == 1:
-            return []
-        drug = j - 2
-        return [i for i, o in enumerate(data) if self._drug_of(o) == drug]
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(drugs == j - 2)
 
 
 class SaturatedBinomialModel(_BinomialModel):
@@ -353,8 +416,15 @@ class SaturatedBinomialModel(_BinomialModel):
     def outcome_family(self, theta, obs):
         return self._binomial(self._trials(obs), theta[self._study_of(obs)])
 
+    def _studies(self, cols):
+        return cols.codes(self.study_col, self.n_studies)
+
+    def row_params(self, theta, cols):
+        theta = np.asarray(theta, dtype=float)
+        return self._binomial_params(cols, theta[..., self._studies(cols)])
+
     def rows_for_param(self, j, data):
-        return [i for i, o in enumerate(data) if self._study_of(o) == j]
+        return np.flatnonzero(self._studies(data.columns) == j)
 
 
 class NormalGlmModel(Model):
@@ -364,6 +434,8 @@ class NormalGlmModel(Model):
     residual scale gets a half-Cauchy prior.  Provided for completeness,
     exercised only by smoke tests.
     """
+
+    family = Normal
 
     def __init__(
         self,
@@ -395,6 +467,12 @@ class NormalGlmModel(Model):
         mean = theta[0] + float(np.dot(theta[1:-1], obs.covariates))
         sigma = max(theta[-1], _MIN_RATE)
         return Normal(mean=mean, precision=1.0 / (sigma * sigma))
+
+    def row_params(self, theta, cols):
+        theta = np.asarray(theta, dtype=float)
+        mean = theta[..., 0:1] + theta[..., 1:-1] @ cols.covariates.T
+        sigma = np.maximum(theta[..., -1:], _MIN_RATE)
+        return mean, 1.0 / (sigma * sigma)
 
 
 AE_VARIANTS = ("A", "B", "C", "D", "E", "F", "G")

@@ -24,6 +24,10 @@ valid basis for model comparison.
   2 * pD; for weakly identified rows (one parameter per observation) the
   reweighting inflates it sharply, which is the signature of overfitting.
   A labeled ``2 * pD`` fallback is also available.  PED = Dbar + p_opt.
+
+The plug-in deviance and p_opt score all rows at once from the dataset's
+columns; p_opt runs over (draw pairs x rows) arrays in chunks of draws, so
+memory stays bounded however long the chains are.
 """
 
 from __future__ import annotations
@@ -33,24 +37,17 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .distributions import bernoulli_kl, kl_divergence
+from .distributions import bernoulli_kl_v
 from .exceptions import (
     ComparabilityError,
     DataError,
     InsufficientReplicationError,
     PluginError,
 )
-from .likelihood import (
-    CensoredDataset,
-    LikelihoodMode,
-    Observed,
-    censoring_region,
-    exact_contribution,
-)
-from .mcmc import PosteriorSamples
-from .models import Model, outcome_families
+from .likelihood import KIND_OBSERVED, CensoredDataset, LikelihoodMode
+from .mcmc import PosteriorSamples, to_natural, to_unbounded
+from .models import Model
 
 __all__ = [
     "SelectionReport",
@@ -65,6 +62,9 @@ __all__ = [
 # A model is flagged as overfitting when optimism dwarfs the plug-in
 # parameter count by this factor.
 OVERFIT_RATIO = 5.0
+
+# Draw pairs x rows evaluated at once by the optimism estimator.
+POPT_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -111,29 +111,15 @@ def compute_dbar(deviance_trace: np.ndarray) -> float:
     return float(trace.mean())
 
 
-def _transformed_scale_mean(draws: np.ndarray, supports: Sequence[str]) -> np.ndarray:
-    """Component-wise posterior means taken on the unbounded working scale."""
-    theta_bar = np.empty(draws.shape[1])
-    for j, support in enumerate(supports):
-        col = draws[:, j]
-        if support == "positive":
-            theta_bar[j] = math.exp(float(np.log(col).mean()))
-        elif support == "unit":
-            logits = np.log(col) - np.log1p(-col)
-            m = float(logits.mean())
-            theta_bar[j] = 1.0 / (1.0 + math.exp(-m))
-        else:
-            theta_bar[j] = float(col.mean())
-    return theta_bar
-
-
 def plugin_deviance(model: Model, data: CensoredDataset, draws: np.ndarray) -> float:
     """Exact deviance at the transformed-scale posterior mean."""
-    from .likelihood import loglik_exact
-
-    theta_bar = _transformed_scale_mean(draws, model.supports)
+    supports = model.supports
+    theta_bar = to_natural(to_unbounded(draws, supports).mean(axis=0), supports)
+    cols = data.columns
     try:
-        value = -2.0 * loglik_exact(data, outcome_families(model, theta_bar, data))
+        value = -2.0 * float(model.family.log_contrib(
+            cols, *model.row_params(theta_bar, cols)
+        ).sum())
     except Exception as exc:  # parameter/domain failures at the plug-in point
         raise PluginError(f"plug-in deviance failed at posterior mean: {exc}") from exc
     if not math.isfinite(value):
@@ -151,22 +137,21 @@ def compute_pd(
     return compute_dbar(deviance_trace) - plugin_deviance(model, data, draws)
 
 
-def _row_penalty_terms(model, theta_a, theta_b, obs) -> tuple[float, float]:
-    """(symmetric predictive KL, log importance weight) for one row at a draw pair."""
-    fam_a = model.outcome_family(theta_a, obs)
-    fam_b = model.outcome_family(theta_b, obs)
-    if isinstance(obs.outcome, Observed):
-        ksym = kl_divergence(fam_a, fam_b) + kl_divergence(fam_b, fam_a)
-    else:
-        lo, hi = censoring_region(obs.outcome)
-        p_a = math.exp(fam_a.log_interval_prob(lo, hi))
-        p_b = math.exp(fam_b.log_interval_prob(lo, hi))
-        ksym = bernoulli_kl(p_a, p_b) + bernoulli_kl(p_b, p_a)
-    log_w = -(
-        exact_contribution(fam_a, obs.outcome)
-        + exact_contribution(fam_b, obs.outcome)
-    )
-    return ksym, log_w
+def _penalty_terms(family, censored, params_a, params_b, contrib_a, contrib_b):
+    """(symmetric predictive KL, log importance weight) per draw pair and row.
+
+    Observed rows compare the outcome distributions at the two draws; a
+    censored row compares its Bernoulli indicator, whose success
+    probability is the row's likelihood term.
+    """
+    with np.errstate(all="ignore"):
+        p_a, p_b = np.exp(contrib_a), np.exp(contrib_b)
+        ksym = np.where(
+            censored,
+            bernoulli_kl_v(p_a, p_b) + bernoulli_kl_v(p_b, p_a),
+            family.kl_v(params_a, params_b) + family.kl_v(params_b, params_a),
+        )
+    return ksym, -(contrib_a + contrib_b)
 
 
 def compute_popt_ped(
@@ -202,16 +187,31 @@ def compute_popt_ped(
     n = min(samples_a.draws.shape[0], samples_b.draws.shape[0])
     if n == 0:
         raise InsufficientReplicationError("no draws to pair")
-    p_opt = 0.0
-    ksym = np.empty(n)
-    log_w = np.empty(n)
-    for obs in data:
-        for t in range(n):
-            ksym[t], log_w[t] = _row_penalty_terms(
-                model, samples_a.draws[t], samples_b.draws[t], obs
-            )
-        log_w -= logsumexp(log_w)
-        p_opt += float(np.exp(log_w) @ ksym)
+    cols = data.columns
+    family = model.family
+    censored = cols.kind != KIND_OBSERVED
+    # Per row, over the pairs seen so far: the largest log weight, and the
+    # sums of weights and of weighted penalties scaled by its exponential.
+    log_w_max = np.full(len(cols), -np.inf)
+    weight_sum = np.zeros(len(cols))
+    penalty_sum = np.zeros(len(cols))
+    chunk = max(1, POPT_CHUNK_ELEMENTS // len(cols))
+    for start in range(0, n, chunk):
+        stop = min(n, start + chunk)
+        params_a = model.row_params(samples_a.draws[start:stop], cols)
+        params_b = model.row_params(samples_b.draws[start:stop], cols)
+        contrib_a = family.log_contrib(cols, *params_a)
+        contrib_b = family.log_contrib(cols, *params_b)
+        ksym, log_w = _penalty_terms(
+            family, censored, params_a, params_b, contrib_a, contrib_b
+        )
+        new_max = np.maximum(log_w_max, log_w.max(axis=0))
+        rescale = np.exp(log_w_max - new_max)
+        weights = np.exp(log_w - new_max)
+        weight_sum = weight_sum * rescale + weights.sum(axis=0)
+        penalty_sum = penalty_sum * rescale + (weights * ksym).sum(axis=0)
+        log_w_max = new_max
+    p_opt = float((penalty_sum / weight_sum).sum())
     dbar = compute_dbar(
         np.concatenate([samples_a.deviance_trace[:n], samples_b.deviance_trace[:n]])
     )

@@ -83,6 +83,11 @@ class GammaExponentialModel(Model):
             - self.rate * lam
         )
 
+    family = Exponential
+
+    def row_params(self, theta, cols):
+        return (np.maximum(np.asarray(theta, dtype=float)[..., 0:1], 1e-300),)
+
     def outcome_family(self, theta, obs):
         return Exponential(rate=max(float(theta[0]), 1e-300))
 

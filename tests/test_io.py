@@ -309,6 +309,107 @@ class TestCliErrors:
         assert main(["fit", "--config", str(path)]) == 2
 
 
+def _write_config(tmp_path, config, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+def _ae_fit_config(tmp_path, variant, edit_row):
+    """A variant fit on a small AE dataset whose row 0 covariates are edited."""
+    rows = serialize(synthetic_ae_dataset(n_studies=10, seed=6)).splitlines()
+    cells = rows[1].split(",")
+    for column, value in edit_row.items():
+        cells[5 + ("drug", "drug_class", "study").index(column)] = value
+    rows[1] = ",".join(cells)
+    dataset = tmp_path / "ae.csv"
+    dataset.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return _write_config(tmp_path, {
+        "dataset": str(dataset),
+        "model": {"family": "censored-binomial", "variant": variant},
+        "chains": {"n_chains": 1, "burn_in": 10, "n_keep": 10, "seed": 1},
+        "output_dir": str(tmp_path / "out"),
+    })
+
+
+class TestCliConfigAndCodes:
+    def test_drug_class_out_of_range_is_validation_error(self, tmp_path, capsys):
+        path = _ae_fit_config(tmp_path, "B", {"drug_class": "2.0"})
+        assert main(["fit", "--config", str(path)]) == 2
+        assert "drug_class" in capsys.readouterr().err
+
+    def test_fractional_drug_code_is_validation_error(self, tmp_path, capsys):
+        path = _ae_fit_config(tmp_path, "C", {"drug": "1.5"})
+        assert main(["fit", "--config", str(path)]) == 2
+        assert "drug" in capsys.readouterr().err
+
+    def test_study_code_beyond_study_count_is_validation_error(self, tmp_path, capsys):
+        path = _ae_fit_config(tmp_path, "G", {"study": "10.0"})
+        assert main(["fit", "--config", str(path)]) == 2
+        assert "study" in capsys.readouterr().err
+
+    def test_negative_drug_code_is_validation_error(self, tmp_path):
+        path = _ae_fit_config(tmp_path, "D", {"drug": "-1.0"})
+        assert main(["fit", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_missing_dataset_is_validation_error(self, tmp_path, capsys, command):
+        path = _write_config(tmp_path, {
+            "model": {"family": "survival-exponential"},
+            "chains": {"seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main([command, "--config", str(path)]) == 2
+        assert "dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chains", [
+        {"n_keep": 10.0},
+        {"burn_in": True},
+        {"seed": "1"},
+        {"seed": -1},
+    ])
+    def test_non_integer_chain_setting_is_validation_error(self, tmp_path, chains):
+        path = _write_config(tmp_path, {
+            "dataset": "bundled:aml",
+            "model": {"family": "survival-exponential"},
+            "chains": chains,
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 2
+
+    def test_unknown_mode_is_validation_error(self, tmp_path):
+        path = _write_config(tmp_path, {
+            "dataset": "bundled:aml",
+            "model": {"family": "survival-exponential"},
+            "mode": "latent",
+            "chains": {"seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 2
+
+
+class TestCliSamplesReader:
+    @pytest.mark.parametrize("row,fragment", [
+        ("0,1.5,oops,101.2", "line 3: expected a number, got 'oops'"),
+        ("0,1.5,101.2", "line 3: expected 4 fields, got 3"),
+        ("0,1.5,0.2,101.2,7", "line 3: expected 4 fields, got 5"),
+    ])
+    def test_malformed_trace_names_the_line(self, tmp_path, capsys, row, fragment):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "chain,alpha,sigma,deviance\n0,1.4,0.3,100.5\n" + row + "\n",
+            encoding="utf-8",
+        )
+        code = main(["export-density", "--trace", str(trace), "--param", "alpha"])
+        assert code == 2
+        assert fragment in capsys.readouterr().err
+
+    def test_trace_without_draws_is_validation_error(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("chain,alpha,deviance\n", encoding="utf-8")
+        assert main(["export-density", "--trace", str(trace), "--param", "alpha"]) == 2
+
+
 class TestCliCompareAndDensity:
     def test_compare_two_models(self, tmp_path):
         dataset = tmp_path / "ae.csv"

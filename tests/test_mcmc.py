@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from censdev import ChainConfig, LikelihoodMode, run
+from censdev.distributions import Normal
 from censdev.exceptions import (
     DataError,
     DegenerateDensityError,
@@ -174,13 +175,15 @@ class TestLatentImputation:
 class _HopelessModel(Model):
     """Prior is -inf everywhere; initialization must give up cleanly."""
 
+    family = Normal
+
     def __init__(self):
         self.params = (Param("x", "real"),)
 
     def log_prior(self, theta):
         return -math.inf
 
-    def outcome_family(self, theta, obs):
+    def row_params(self, theta, cols):
         raise AssertionError("never reached")
 
 

@@ -163,11 +163,18 @@ class TestReports:
         from censdev.distributions import Normal
 
         class ProductMeanModel(Model):
+            family = Normal
+
             def __init__(self):
                 self.params = (Param("a", "real"), Param("b", "real"))
 
             def log_prior(self, theta):
                 return 0.0
+
+            def row_params(self, theta, cols):
+                theta = np.asarray(theta, dtype=float)
+                mean = theta[..., 0:1] * theta[..., 1:2]
+                return mean, np.ones_like(mean)
 
             def outcome_family(self, theta, obs):
                 return Normal(mean=float(theta[0] * theta[1]), precision=1.0)

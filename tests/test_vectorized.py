@@ -1,0 +1,284 @@
+"""Differential tests: the vectorized likelihood core against the scalar
+``Family`` kernels it replaced in the sampler and the selection layer.
+
+* ``Family.log_contrib`` over a dataset's columns equals the per-row
+  ``exact_contribution`` on randomized rows of every outcome family and
+  censor kind.
+* Each model's ``row_params`` equals its ``outcome_family`` at extreme
+  parameter values, where the rate, probability and link clamps act.
+* ``compute_popt_ped`` equals a per-row, per-draw-pair reference built from
+  ``kl_divergence`` and ``bernoulli_kl``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from censdev import ChainConfig, LikelihoodMode, selection
+from censdev.distributions import Binomial, Exponential, Normal, bernoulli_kl, kl_divergence
+from censdev.likelihood import (
+    CensoredDataset,
+    IntervalCensored,
+    LeftCensored,
+    Observation,
+    Observed,
+    RightCensored,
+    censoring_region,
+    exact_contribution,
+)
+from censdev.mcmc import PosteriorSamples
+from censdev.models import NormalGlmModel, SurvivalExpModel, ae_model
+from censdev.selection import compute_popt_ped
+from conftest import random_dataset
+
+KERNEL_RTOL = 1e-12
+POPT_RTOL = 1e-10
+
+FIELDS = {Exponential: ("rate",), Normal: ("mean", "precision"), Binomial: ("trials", "prob")}
+
+
+def _assert_close(vector, scalar, rtol):
+    vector = np.asarray(vector, dtype=float)
+    scalar = np.asarray(scalar, dtype=float)
+    assert vector.shape == scalar.shape
+    same_inf = np.isinf(scalar) & (vector == scalar)
+    close = np.abs(vector - scalar) <= rtol * np.abs(scalar)
+    assert (same_inf | close).all(), (vector, scalar)
+
+
+def _family_params(families):
+    cls = type(families[0])
+    return tuple(np.array([getattr(f, name) for f in families]) for name in FIELDS[cls])
+
+
+class TestLogContribMatchesScalarKernels:
+    @given(seed=st.integers(min_value=0, max_value=100_000))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_random_rows_every_family_and_censor_kind(self, seed):
+        rng = np.random.default_rng(seed)
+        data, families = random_dataset(rng, max_rows=12)
+        for cls in FIELDS:
+            rows = [i for i, f in enumerate(families) if type(f) is cls]
+            if not rows:
+                continue
+            subset = CensoredDataset(tuple(data.observations[i] for i in rows))
+            fams = [families[i] for i in rows]
+            scalar = [exact_contribution(f, o.outcome) for f, o in zip(fams, subset)]
+            vector = cls.log_contrib(subset.columns, *_family_params(fams))
+            _assert_close(vector, scalar, KERNEL_RTOL)
+            # A block taken in another order scores the same rows the same way.
+            order = rng.permutation(len(rows))
+            block = subset.columns.take(order)
+            params = tuple(p[order] for p in _family_params(fams))
+            _assert_close(cls.log_contrib(block, *params), np.array(scalar)[order],
+                          KERNEL_RTOL)
+
+    def test_all_four_censor_kinds_are_generated(self):
+        rng = np.random.default_rng(0)
+        kinds = set()
+        for _ in range(200):
+            data, _ = random_dataset(rng)
+            kinds |= {type(o.outcome) for o in data}
+        assert kinds == {Observed, LeftCensored, RightCensored, IntervalCensored}
+
+    def test_draws_axis_broadcasts(self):
+        data = CensoredDataset((
+            Observation(Observed(1.5)),
+            Observation(LeftCensored(0.2)),
+            Observation(RightCensored(2.0)),
+            Observation(IntervalCensored(0.5, 3.0)),
+        ))
+        rates = np.array([[0.3], [1.0], [4.0]])
+        vector = Exponential.log_contrib(data.columns, rates)
+        assert vector.shape == (3, 4)
+        for d, rate in enumerate(rates[:, 0]):
+            scalar = [exact_contribution(Exponential(rate), o.outcome) for o in data]
+            _assert_close(vector[d], scalar, KERNEL_RTOL)
+
+
+# ---------------------------------------------------------------------------
+# Model parameter maps at extreme parameter values
+# ---------------------------------------------------------------------------
+
+
+def _ae_dataset():
+    """Rows of every censor kind, with Binomial tails deep enough that
+    betainc underflows and the kernels sum terms instead."""
+    rows = (
+        (Observed(3.0), 50, 0, 0),
+        (LeftCensored(4.0), 800, 1, 0),
+        (RightCensored(300.0), 800, 2, 1),
+        (IntervalCensored(2.0, 6.0), 100, 3, 1),
+        (Observed(0.0), 30, 4, 1),
+        (LeftCensored(1.0), 200, 0, 0),
+    )
+    return CensoredDataset(
+        tuple(
+            Observation(outcome, covariates=(float(drug), float(cls), float(study)),
+                        trials=trials)
+            for study, (outcome, trials, drug, cls) in enumerate(rows)
+        ),
+        ("drug", "drug_class", "study"),
+    )
+
+
+def _check_model_at(model, data, theta):
+    cols = data.columns
+    params = np.broadcast_arrays(*model.row_params(theta, cols), cols.lo)[:-1]
+    fields = FIELDS[model.family]
+    scalar_contribs = []
+    for i, obs in enumerate(data):
+        family = model.outcome_family(np.asarray(theta, dtype=float), obs)
+        assert type(family) is model.family
+        for name, array in zip(fields, params):
+            _assert_close(array[i], getattr(family, name), KERNEL_RTOL)
+        scalar_contribs.append(exact_contribution(family, obs.outcome))
+    vector = model.family.log_contrib(cols, *model.row_params(theta, cols))
+    _assert_close(vector, scalar_contribs, KERNEL_RTOL)
+
+
+EXTREMES = (-800.0, -40.0, 0.0, 3.0, 800.0)
+
+
+class TestParameterMapsAtExtremes:
+    @pytest.mark.parametrize("b0", EXTREMES)
+    @pytest.mark.parametrize("b1", EXTREMES)
+    def test_survival_rate_clamps(self, aml, b0, b1):
+        _check_model_at(SurvivalExpModel(), aml, np.array([b0, b1]))
+
+    @pytest.mark.parametrize("eta", EXTREMES)
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-6, 1.0, 1e6])
+    def test_normal_glm_mean_and_sigma_clamp(self, eta, sigma):
+        rng = np.random.default_rng(3)
+        outcomes = (Observed(0.3), LeftCensored(-1.0), RightCensored(2.0),
+                    IntervalCensored(-0.5, 0.5), Observed(-2.0))
+        data = CensoredDataset(
+            tuple(Observation(o, covariates=tuple(rng.normal(size=2))) for o in outcomes),
+            ("x1", "x2"),
+        )
+        _check_model_at(NormalGlmModel(n_covariates=2), data,
+                        np.array([eta, 0.5 * eta, -1.0, sigma]))
+
+    @pytest.mark.parametrize("variant", ["D", "E", "F"])
+    @pytest.mark.parametrize("mu", EXTREMES)
+    def test_link_variants(self, variant, mu):
+        model = ae_model(variant, n_drugs=5)
+        deltas = np.array([0.0, 800.0, -800.0, 2.0, -2.0])
+        _check_model_at(model, _ae_dataset(), np.concatenate([[mu, 1.0], deltas]))
+
+    @pytest.mark.parametrize("p", [0.0, 1e-300, 1e-12, 0.3, 1.0 - 1e-12, 1.0])
+    def test_probability_variants_deep_tails(self, p):
+        data = _ae_dataset()
+        thetas = {
+            "A": [p],
+            "B": [p, 1.0 - p],
+            "C": [0.5, 0.3, p, 1.0 - p, p, 0.02, p],
+            "G": [p, 1.0 - p, p, 1.0 - p, p, 0.5],
+        }
+        for variant, theta in thetas.items():
+            model = ae_model(variant, n_drugs=5, n_studies=len(data))
+            _check_model_at(model, data, np.array(theta))
+
+    def test_deep_tail_fallback_is_exercised(self):
+        data = _ae_dataset()
+        model = ae_model("A")
+        for p in (1e-12, 1.0 - 1e-12):
+            fams = [model.outcome_family(np.array([p]), o) for o in data]
+            cdf_args = [
+                (f, o.outcome) for f, o in zip(fams, data)
+                if not isinstance(o.outcome, Observed)
+            ]
+            # At least one censored row sits beyond betainc's range.
+            assert any(
+                exact_contribution(f, outcome) < math.log(1e-290)
+                for f, outcome in cdf_args
+            )
+
+
+# ---------------------------------------------------------------------------
+# Paired optimism against the per-row, per-pair scalar reference
+# ---------------------------------------------------------------------------
+
+
+def _samples(draws, model, seed):
+    draws = np.asarray(draws, dtype=float)
+    n = draws.shape[0]
+    return PosteriorSamples(
+        param_names=model.param_names,
+        supports=model.supports,
+        draws=draws,
+        deviance_trace=np.zeros(n),
+        chain_ids=np.zeros(n, dtype=int),
+        acceptance_rates=np.full((1, draws.shape[1]), 0.44),
+        mode=LikelihoodMode.EXACT,
+        config=ChainConfig(n_chains=1, burn_in=0, n_keep=n, seed=seed),
+    )
+
+
+def _popt_reference(model, data, draws_a, draws_b):
+    p_opt = 0.0
+    for obs in data:
+        ksym, log_w = [], []
+        for theta_a, theta_b in zip(draws_a, draws_b):
+            fam_a = model.outcome_family(theta_a, obs)
+            fam_b = model.outcome_family(theta_b, obs)
+            if isinstance(obs.outcome, Observed):
+                ksym.append(kl_divergence(fam_a, fam_b) + kl_divergence(fam_b, fam_a))
+            else:
+                lo, hi = censoring_region(obs.outcome)
+                p_a = math.exp(fam_a.log_interval_prob(lo, hi))
+                p_b = math.exp(fam_b.log_interval_prob(lo, hi))
+                ksym.append(bernoulli_kl(p_a, p_b) + bernoulli_kl(p_b, p_a))
+            log_w.append(-(exact_contribution(fam_a, obs.outcome)
+                           + exact_contribution(fam_b, obs.outcome)))
+        log_w = np.array(log_w)
+        weights = np.exp(log_w - log_w.max())
+        p_opt += float(weights @ np.array(ksym) / weights.sum())
+    return p_opt
+
+
+def _popt_cases():
+    rng = np.random.default_rng(11)
+    rows = []
+    for _ in range(12):
+        x = rng.normal(size=2)
+        y = 1.0 + x @ [0.8, -0.5] + 1.2 * rng.normal()
+        kind = rng.integers(4)
+        outcome = (Observed(y), LeftCensored(y + 0.5), RightCensored(y - 0.5),
+                   IntervalCensored(y - 0.4, y + 0.3))[kind]
+        rows.append(Observation(outcome, covariates=tuple(x)))
+    tobit = CensoredDataset(tuple(rows), ("x1", "x2"))
+    glm = NormalGlmModel(n_covariates=2)
+    glm_draws = lambda: np.column_stack([
+        rng.normal([1.0, 0.8, -0.5], 0.2, size=(40, 3)),
+        np.exp(rng.normal(0.2, 0.2, size=40)),
+    ])
+    survival = SurvivalExpModel()
+    surv_draws = lambda: rng.normal([-3.2, -0.9], [0.3, 0.4], size=(40, 2))
+    ae = _ae_dataset()
+    link = ae_model("D", n_drugs=5)
+    link_draws = lambda: np.column_stack([
+        rng.normal(-3.5, 0.5, size=40), np.exp(rng.normal(size=40)),
+        rng.normal(0.0, 0.7, size=(40, 5)),
+    ])
+    return [
+        ("tobit", glm, tobit, glm_draws(), glm_draws()),
+        ("survival", survival, None, surv_draws(), surv_draws()),
+        ("ae-logit", link, ae, link_draws(), link_draws()),
+    ]
+
+
+class TestPairedOptimism:
+    @pytest.mark.parametrize("chunk_elements", [selection.POPT_CHUNK_ELEMENTS, 30])
+    @pytest.mark.parametrize("case", _popt_cases(), ids=lambda c: c[0])
+    def test_matches_scalar_reference(self, aml, monkeypatch, chunk_elements, case):
+        _, model, data, draws_a, draws_b = case
+        data = aml if data is None else data
+        monkeypatch.setattr(selection, "POPT_CHUNK_ELEMENTS", chunk_elements)
+        p_opt, _ = compute_popt_ped(_samples(draws_a, model, 1), _samples(draws_b, model, 2),
+                                    model, data)
+        reference = _popt_reference(model, data, draws_a, draws_b)
+        assert abs(p_opt - reference) <= POPT_RTOL * abs(reference)
