@@ -26,6 +26,7 @@ from .datasets import (
     aml_dataset,
     dataset_fingerprint,
     ingest,
+    read_utf8,
     serialize,
     synthetic_ae_dataset,
 )
@@ -54,7 +55,7 @@ def _fmt(x) -> str:
 
 
 def _load_config(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -71,7 +72,7 @@ def _config_hash(config: dict) -> str:
 
 def _resolve_output_dir(config_dir: str) -> Path:
     root = os.environ.get(OUTPUT_ROOT_ENV)
-    path = Path(config_dir)
+    path = Path(_string('"output_dir"', config_dir))
     if root and not path.is_absolute():
         path = Path(root) / path
     path.mkdir(parents=True, exist_ok=True)
@@ -117,29 +118,73 @@ def _column_index(data: CensoredDataset, name: str) -> int:
     return data.covariate_names.index(name)
 
 
+# Hyperparameters each model family takes; unset ones keep the model default.
+HYPERPARAMETERS = {
+    "survival-exponential": ("tau0", "tau1"),
+    "censored-binomial": ("beta_shapes", "half_cauchy_scale", "mean_precision"),
+    "censored-normal-glm": ("coef_precision", "half_cauchy_scale"),
+}
+
+
+def _positive_real(name: str, value) -> float:
+    # bool is an int subclass; NaN fails both comparisons.
+    if type(value) not in (int, float) or not 0.0 < value <= sys.float_info.max:
+        raise ValidationError(
+            f"hyperparameter {name!r} must be a finite positive number, got {value!r}"
+        )
+    return float(value)
+
+
+def _hyperparameters(section: dict, family: str) -> dict:
+    """The section's validated hyperparameters, as model keyword arguments."""
+    given = section.get("hyperparameters", {})
+    if not isinstance(given, dict):
+        raise ValidationError('"hyperparameters" must be a JSON object')
+    known = HYPERPARAMETERS[family]
+    unknown = set(given) - set(known)
+    if unknown:
+        raise ValidationError(
+            f"unknown hyperparameters for {family}: {sorted(unknown)}; "
+            f"known: {sorted(known)}"
+        )
+    hyper = {}
+    for key, value in given.items():
+        if key == "beta_shapes":
+            if not isinstance(value, list) or len(value) != 2:
+                raise ValidationError(
+                    f"hyperparameter 'beta_shapes' must be a pair of numbers, got {value!r}"
+                )
+            hyper[key] = tuple(_positive_real(key, v) for v in value)
+        else:
+            hyper[key] = _positive_real(key, value)
+    return hyper
+
+
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _build_model(section: dict, data: CensoredDataset) -> Model:
     if not isinstance(section, dict):
         raise ValidationError("a model section must be a JSON object")
     family = section.get("family")
-    hyper = dict(section.get("hyperparameters", {}))
+    if not (isinstance(family, str) and family in HYPERPARAMETERS):
+        raise ValidationError(f"unknown model family {family!r}")
+    hyper = _hyperparameters(section, family)
     if family == "survival-exponential":
         return SurvivalExpModel(
-            tau0=hyper.pop("tau0", 0.01),
-            tau1=hyper.pop("tau1", 0.01),
+            **hyper,
             group_col=_column_index(data, section.get("group_column", "group")),
         )
     if family == "censored-binomial":
-        variant = section.get("variant", "A").upper()
+        variant = _string('"variant"', section.get("variant", "A")).upper()
         if variant not in AE_VARIANTS:
             raise ValidationError(f"unknown variant {variant!r}, expected one of {AE_VARIANTS}")
         drugs = data.columns.codes(_column_index(data, "drug"))
         model = ae_model(
-            variant,
-            n_drugs=int(drugs.max()) + 1,
-            n_studies=len(data),
-            beta_shapes=tuple(hyper.pop("beta_shapes", (1.0, 1.0))),
-            half_cauchy_scale=hyper.pop("half_cauchy_scale", 1.0),
-            mean_precision=hyper.pop("mean_precision", 0.01),
+            variant, n_drugs=int(drugs.max()) + 1, n_studies=len(data), **hyper
         )
         # Re-point covariate columns by header name.
         if hasattr(model, "drug_col"):
@@ -149,13 +194,7 @@ def _build_model(section: dict, data: CensoredDataset) -> Model:
         if hasattr(model, "study_col"):
             model.study_col = _column_index(data, "study")
         return model
-    if family == "censored-normal-glm":
-        return NormalGlmModel(
-            n_covariates=len(data.covariate_names),
-            coef_precision=hyper.pop("coef_precision", 0.01),
-            half_cauchy_scale=hyper.pop("half_cauchy_scale", 1.0),
-        )
-    raise ValidationError(f"unknown model family {family!r}")
+    return NormalGlmModel(n_covariates=len(data.covariate_names), **hyper)
 
 
 def _derive_run_seeds(seed: int, n_pairs: int) -> list[tuple[int, int]]:
@@ -181,7 +220,7 @@ def _write_samples_csv(path: Path, samples: PosteriorSamples) -> None:
 
 
 def _read_samples_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     if not lines:
         raise ValidationError(f"{path}: empty samples file")
     names = lines[0].split(",")
@@ -212,12 +251,12 @@ def _samples_csv_fault(names: list[str], lines: list[str]) -> str:
 
 
 def _write_summary_csv(path: Path, samples: PosteriorSamples) -> None:
-    lines = ["param,mean,sd,q2.5,q50,q97.5,rhat"]
+    lines = ["param,mean,sd,q2.5,q50,q97.5,rhat,accept"]
     for s in summarize(samples):
         lines.append(
             ",".join(
                 [s.name, _fmt(s.mean), _fmt(s.sd), _fmt(s.q025), _fmt(s.q500),
-                 _fmt(s.q975), _fmt(s.rhat)]
+                 _fmt(s.q975), _fmt(s.rhat), _fmt(s.accept)]
             )
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -349,8 +388,8 @@ def cmd_fit(config: dict, config_dir: Path) -> int:
         raise ValidationError(f"mode must be one of {modes}, got {config['mode']!r}")
     mode = LikelihoodMode(config.get("mode", "exact"))
     chains = _chain_config(config.get("chains", {}))
+    label = _string('"label"', config.get("label", model.label))
     out_dir = _resolve_output_dir(config.get("output_dir", "censdev-out"))
-    label = config.get("label", model.label)
     dataset_id = dataset_fingerprint(data)
 
     report, outputs = _fit_one(model, data, mode, chains, out_dir, label, dataset_id)
@@ -366,28 +405,38 @@ def cmd_fit(config: dict, config_dir: Path) -> int:
     return 0
 
 
-def cmd_compare(config: dict, config_dir: Path) -> int:
-    data, dataset_src = _load_dataset(config, config_dir)
-    chains = _chain_config(config.get("chains", {}))
-    out_dir = _resolve_output_dir(config.get("output_dir", "censdev-out"))
-    dataset_id = dataset_fingerprint(data)
-
-    model_sections = config.get("models")
-    if not model_sections:
+def _model_sections(config: dict) -> list[dict]:
+    """The compare config's model sections: "models", else one per variant."""
+    sections = config.get("models", [])
+    if not isinstance(sections, list) or not all(isinstance(s, dict) for s in sections):
+        raise ValidationError('"models" must be a list of model objects')
+    if not sections:
         variants = config.get("variants", list(AE_VARIANTS))
-        model_sections = [
+        if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
+            raise ValidationError('"variants" must be a list of variant names')
+        sections = [
             {"label": v, "family": "censored-binomial", "variant": v}
             for v in variants
         ]
-    if len(model_sections) < 2:
+    if len(sections) < 2:
         raise ValidationError("compare needs at least two models")
+    return sections
 
-    seed_pairs = _derive_run_seeds(chains.seed, len(model_sections))
+
+def cmd_compare(config: dict, config_dir: Path) -> int:
+    data, dataset_src = _load_dataset(config, config_dir)
+    chains = _chain_config(config.get("chains", {}))
+    models = []
+    for section in _model_sections(config):
+        model = _build_model(section, data)
+        models.append((model, _string('"label"', section.get("label", model.label))))
+    out_dir = _resolve_output_dir(config.get("output_dir", "censdev-out"))
+    dataset_id = dataset_fingerprint(data)
+
+    seed_pairs = _derive_run_seeds(chains.seed, len(models))
     reports = []
     outputs = []
-    for section, (seed_a, seed_b) in zip(model_sections, seed_pairs):
-        model = _build_model(section, data)
-        label = section.get("label", model.label)
+    for (model, label), (seed_a, seed_b) in zip(models, seed_pairs):
         cfg_a = dataclasses.replace(chains, seed=seed_a)
         cfg_b = dataclasses.replace(chains, seed=seed_b)
         samples_a = run(model, data, LikelihoodMode.EXACT, cfg_a)

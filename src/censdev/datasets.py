@@ -162,9 +162,19 @@ def parse_dataset(text: str) -> CensoredDataset:
     return CensoredDataset(tuple(observations), covariate_names)
 
 
+def read_utf8(path: str | Path) -> str:
+    """The text of a UTF-8 file; ParseError naming the file when it is not."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def ingest(path: str | Path) -> CensoredDataset:
     """Read a dataset file from disk, preserving row order."""
-    return parse_dataset(Path(path).read_text(encoding="utf-8"))
+    return parse_dataset(read_utf8(path))
 
 
 def _fmt(x: Optional[float]) -> str:

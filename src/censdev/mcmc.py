@@ -13,10 +13,18 @@ values that are Gibbs-refreshed from their truncated outcome distribution
 every sweep, the parameter target conditions on those values, and the
 deviance monitor sums observed rows only (censored rows contribute log 1).
 
-The likelihood is kept as a per-row contribution array.  Each component
-owns a precomputed index array of the rows its value reaches and the
-columnar block of those rows, so a single-site update scores just that
-block with one vectorized kernel call.
+The likelihood is kept as a per-row contribution array.  A sweep visits
+the components in order, in Metropolis blocks.  A model's levels (one
+parameter per level of a categorical index column, e.g. one incidence per
+study) form one block: given the other components their priors factorize
+and their row sets are disjoint, so each level keeps its own Metropolis
+accept and the block has the stationary law of the level-by-level
+single-site updates it replaces (the chromatic Gibbs argument).  The block
+draws one proposal vector, scores the union of its rows with one
+vectorized kernel call and sums the change per level.  Every other
+component is a block of one that scores the precomputed row block its
+value reaches.  Acceptance rates, and so the adaptation, stay per
+component.
 
 Chains are independent, each owning a child random generator spawned
 deterministically from the run seed, so results are reproducible bit for
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy import special
@@ -38,8 +46,9 @@ from .exceptions import (
     DegenerateRegionError,
     InitializationError,
     NumericError,
+    SchemaError,
 )
-from .likelihood import KIND_OBSERVED, CensoredDataset, LikelihoodMode
+from .likelihood import KIND_OBSERVED, CensoredDataset, DataColumns, LikelihoodMode
 from .models import Model
 
 __all__ = [
@@ -189,14 +198,33 @@ def adapt_step_sizes(
 # ---------------------------------------------------------------------------
 
 
+class _Block(NamedTuple):
+    """Components that one Metropolis step moves, each with its own accept.
+
+    ``comps`` is a component index, for a block of one, or the slice of a
+    model's levels; numpy indexing then hands the update scalars or vectors
+    alike.  ``transform`` is their working-scale transform triple.
+    ``rows`` are the rows they reach (a slice when that is every row) and
+    ``cols`` the columnar block of those rows, None when there are none.
+    ``owner`` is None for a single component; for levels it maps each row
+    of the block to the position of its level in ``comps``.
+    """
+
+    comps: int | slice
+    transform: tuple
+    rows: slice | np.ndarray
+    cols: Optional[DataColumns]
+    owner: Optional[np.ndarray]
+
+
 class _ChainState:
     """Mutable sampler state for one chain.
 
     Keeps the per-row log-likelihood contribution array in sync with the
-    current parameters (and latents in DINTERVAL mode).  Component ``j``
-    re-scores only ``blocks[j]``: its row index array (a slice when it
-    reaches every row) and the columnar block of those rows, None when it
-    reaches none.
+    current parameters (and latents in DINTERVAL mode).  ``blocks`` lists
+    the Metropolis blocks of a sweep in component order: the model's levels
+    form one block at the position of the first level, every other
+    component is a block of its own.
     """
 
     def __init__(self, model, data, mode, rng):
@@ -205,20 +233,19 @@ class _ChainState:
         self.mode = mode
         self.rng = rng
         self.supports = model.supports
-        self.transforms = [_TRANSFORMS[s] for s in self.supports]
         self.n_params = len(model.params)
         cols = data.columns
         self.observed_mask = cols.kind == KIND_OBSERVED
         self.censored_rows = np.flatnonzero(~self.observed_mask)
         self.censored_block = cols.take(self.censored_rows)
         self.all_rows = (slice(None), cols)
+        levels = tuple(model.levels)
         self.blocks = []
         for j in range(self.n_params):
-            rows = model.rows_for_param(j, data)
-            if rows is None:
-                self.blocks.append(self.all_rows)
-            else:
-                self.blocks.append((rows, cols.take(rows) if len(rows) else None))
+            if j not in levels:
+                self.blocks.append(self._single_block(j, data))
+            elif j == levels[0]:
+                self.blocks.append(self._level_block(levels, data))
         # Observed outcomes, with the latents in the censored rows (DINTERVAL).
         self.values = cols.value.copy()
 
@@ -227,6 +254,35 @@ class _ChainState:
         self.jac = np.empty(self.n_params)
         self.contribs = np.empty(len(cols))
         self.log_prior = _NEG_INF
+
+    def _single_block(self, j: int, data) -> _Block:
+        rows = self.model.rows_for_param(j, data)
+        if rows is None:
+            rows, cols = self.all_rows
+        else:
+            cols = data.columns.take(rows) if len(rows) else None
+        transform = _TRANSFORMS[self.supports[j]]
+        return _Block(j, transform, rows, cols, None)
+
+    def _level_block(self, levels: tuple[int, ...], data) -> _Block:
+        """One block for the model's levels.  Moving them together keeps the
+        target only if, given the other components, their priors factorize
+        (``level_log_prior``) and no row depends on two of them."""
+        name = type(self.model).__name__
+        if levels != tuple(range(levels[0], levels[0] + len(levels))):
+            raise SchemaError(f"{name}: levels must be consecutive components")
+        if len({self.supports[j] for j in levels}) != 1:
+            raise SchemaError(f"{name}: levels must share one support")
+        n_rows = len(data.columns)
+        level_rows = [self.model.rows_for_param(j, data) for j in levels]
+        level_rows = [np.arange(n_rows) if r is None else r for r in level_rows]
+        rows = np.concatenate(level_rows)
+        if len(np.unique(rows)) != len(rows):
+            raise SchemaError(f"{name}: levels share rows, so they cannot move as a block")
+        owner = np.repeat(np.arange(len(levels)), [len(r) for r in level_rows])
+        cols = data.columns.take(rows) if len(rows) else None
+        comps = slice(levels[0], levels[0] + len(levels))
+        return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], rows, cols, owner)
 
     # -- contribution bookkeeping ------------------------------------------
     def _contributions(self, theta: np.ndarray, rows, block) -> np.ndarray:
@@ -271,40 +327,68 @@ class _ChainState:
         if not np.isfinite(contribs.sum()):
             return False
         self.x, self.v, self.contribs, self.log_prior = x, v, contribs, lp
-        self.jac = np.array([jac(xi) for xi, (_, _, jac) in zip(x, self.transforms)])
+        self.jac = _columnwise(2, x, self.supports)
         return True
 
     # -- updates --------------------------------------------------------------
-    def update_component(self, j: int, scale: float) -> bool:
-        _, to_nat, log_jac = self.transforms[j]
-        x_new = self.x[j] + scale * self.rng.standard_normal()
+    def update_block(self, block: _Block, scales):
+        """One random-walk Metropolis step for each component of ``block``,
+        accepted or rejected on its own; returns the accept flag(s).
+
+        A single component is scored by the joint log prior and the summed
+        contributions of its rows.  Levels are scored per level, from one
+        proposal vector and one likelihood call: their ``level_log_prior``
+        terms plus their rows' contributions summed by owner.  Uniforms are
+        drawn only when some log ratio is below 0.  A proposal outside the
+        prior's support has log ratio -inf (or NaN) and is rejected.
+        """
+        comps, (_, to_nat, log_jac), rows, cols, owner = block
+        size = None if owner is None else len(scales)
+        x_new = self.x[comps] + scales * self.rng.standard_normal(size)
         v_new = to_nat(x_new)
         jac_new = log_jac(x_new)
 
         theta_prop = self.v.copy()
-        theta_prop[j] = v_new
-        lp_new = self.model.log_prior(theta_prop)
-        rows, block = self.blocks[j]
-        new_contribs = None
-        if lp_new == _NEG_INF:
-            accept_logprob = _NEG_INF
+        theta_prop[comps] = v_new
+        if owner is None:
+            lp_new = self.model.log_prior(theta_prop)
+            delta_prior = lp_new - self.log_prior
         else:
-            delta_lik = 0.0
-            if block is not None:
-                new_contribs = self._contributions(theta_prop, rows, block)
-                delta_lik = new_contribs.sum() - self.contribs[rows].sum()
-            accept_logprob = (
-                (lp_new - self.log_prior) + delta_lik + (jac_new - self.jac[j])
-            )
-        if accept_logprob >= 0.0 or math.log(self.rng.uniform()) < accept_logprob:
-            self.x[j] = x_new
-            self.v[j] = v_new
-            self.jac[j] = jac_new
-            self.log_prior = lp_new
-            if new_contribs is not None:
-                self.contribs[rows] = new_contribs
-            return True
-        return False
+            level_log_prior = self.model.level_log_prior
+            delta_prior = level_log_prior(theta_prop) - level_log_prior(self.v)
+        log_ratio = delta_prior
+        if cols is not None:
+            new_contribs = self._contributions(theta_prop, rows, cols)
+            old_contribs = self.contribs[rows]
+            if owner is None:
+                log_ratio = log_ratio + (new_contribs.sum() - old_contribs.sum())
+            else:
+                log_ratio = log_ratio + (
+                    np.bincount(owner, new_contribs, size)
+                    - np.bincount(owner, old_contribs, size)
+                )
+        log_ratio = log_ratio + (jac_new - self.jac[comps])
+
+        accept = log_ratio >= 0.0
+        # A single site's flag is a numpy scalar, whose .all() is slow.
+        if not (accept if size is None else accept.all()):
+            # log u < 0 <= log_ratio keeps every level accepted above.
+            accept = np.log(self.rng.uniform(size=size)) < log_ratio
+        if owner is None:
+            if accept:
+                self.x[comps], self.v[comps], self.jac[comps] = x_new, v_new, jac_new
+                self.log_prior = lp_new
+                if cols is not None:
+                    self.contribs[rows] = new_contribs
+        elif accept.any():
+            np.copyto(self.x[comps], x_new, where=accept)
+            np.copyto(self.v[comps], v_new, where=accept)
+            np.copyto(self.jac[comps], jac_new, where=accept)
+            self.log_prior += float(delta_prior[accept].sum())
+            if cols is not None:
+                moved = accept[owner]
+                self.contribs[rows[moved]] = new_contribs[moved]
+        return accept
 
     def refresh_latents(self, sweep: int) -> None:
         try:
@@ -348,12 +432,9 @@ def _run_chain(model, data, mode, config, rng):
     kept = 0
     for sweep in range(config.total_iterations):
         in_burn = sweep < config.burn_in
-        for j in range(n_params):
-            accepted = state.update_component(j, scales[j])
-            if in_burn:
-                window_accepts[j] += accepted
-            else:
-                kept_accepts[j] += accepted
+        accepts = window_accepts if in_burn else kept_accepts
+        for block in state.blocks:
+            accepts[block.comps] += state.update_block(block, scales[block.comps])
         if not in_burn:
             kept_proposals += 1
         if mode is LikelihoodMode.DINTERVAL:
@@ -436,6 +517,7 @@ class ParamSummary:
     q500: float
     q975: float
     rhat: float  # NaN when the trace is degenerate
+    accept: float  # kept-phase acceptance rate, averaged over chains
 
 
 def split_rhat(traces: np.ndarray) -> float:
@@ -485,6 +567,7 @@ def summarize(samples: PosteriorSamples) -> list[ParamSummary]:
                 q500=float(q[1]),
                 q975=float(q[2]),
                 rhat=split_rhat(per_chain),
+                accept=float(samples.acceptance_rates[:, j].mean()),
             )
         )
     return out

@@ -16,7 +16,14 @@ drive:
   scalar reference ``row_params`` is tested against;
 * ``rows_for_param(j, data)``: row indices whose likelihood terms depend on
   component ``j`` (None means all rows), which lets single-site Metropolis
-  updates skip untouched rows.
+  updates skip untouched rows;
+* ``levels`` and ``level_log_prior(theta)``: a model with a categorical
+  index column has one parameter per level of it (B: the class incidences,
+  C: the drug incidences, D/E/F: the drug effects, G: the study
+  incidences).  Given the other components these are independent a priori
+  and reach disjoint rows, so the sampler moves them as one block;
+  ``level_log_prior`` returns each level's prior term, and ``log_prior``
+  is the other components' terms plus their sum.
 
 Categorical covariates (drug, drug class, study) must hold whole-number
 codes below the number of levels the model has; anything else raises
@@ -112,6 +119,15 @@ def _beta_logpdf(x: float, a: float, b: float) -> float:
     return log_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
 
 
+def _beta_logpdf_v(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Elementwise Beta(a, b) log density; -inf outside (0, 1)."""
+    inside = (x > 0.0) & (x < 1.0)
+    x = np.where(inside, x, 0.5)
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    out = log_norm + (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
+    return np.where(inside, out, _NEG_INF)
+
+
 def _half_cauchy_logpdf(x: float, scale: float) -> float:
     if x < 0.0 or not math.isfinite(x):
         return _NEG_INF
@@ -125,6 +141,7 @@ class Model:
     params: tuple[Param, ...]
     family: type[Family]
     label: str = ""
+    levels: tuple[int, ...] = ()  # component indices of the per-level parameters
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -144,6 +161,12 @@ class Model:
         return theta
 
     def log_prior(self, theta) -> float:
+        raise NotImplementedError
+
+    def level_log_prior(self, theta) -> np.ndarray:
+        """Prior term of each component in ``levels``, in that order, given
+        the other components of ``theta``; -inf for a level outside its
+        support."""
         raise NotImplementedError
 
     def row_params(self, theta, cols: DataColumns) -> tuple[np.ndarray, ...]:
@@ -251,11 +274,14 @@ class TwoGroupBinomialModel(_BinomialModel):
         self.beta_shapes = beta_shapes
         self.class_col = class_col
         self.params = (Param("p_class0", "unit"), Param("p_class1", "unit"))
+        self.levels = (0, 1)
         self.label = "B"
 
+    def level_log_prior(self, theta):
+        return _beta_logpdf_v(theta, *self.beta_shapes)
+
     def log_prior(self, theta):
-        theta = self.check_theta(theta)
-        return sum(_beta_logpdf(p, *self.beta_shapes) for p in theta)
+        return float(self.level_log_prior(self.check_theta(theta)).sum())
 
     def _class_of(self, obs):
         return int(obs.covariates[self.class_col])
@@ -297,19 +323,22 @@ class DrugMeanBinomialModel(_BinomialModel):
             Param("spread", "positive"),
             *(Param(f"p_drug{d}", "unit") for d in range(n_drugs)),
         )
+        self.levels = tuple(range(2, 2 + n_drugs))
         self.label = "C"
+
+    def level_log_prior(self, theta):
+        mu, spread = theta[0], theta[1]
+        kappa = 1.0 / (spread * spread)
+        return _beta_logpdf_v(theta[2:], mu * kappa, (1.0 - mu) * kappa)
 
     def log_prior(self, theta):
         theta = self.check_theta(theta)
         mu, spread = theta[0], theta[1]
         if not 0.0 < mu < 1.0 or spread <= 0.0:
             return _NEG_INF
-        kappa = 1.0 / (spread * spread)
         total = _beta_logpdf(mu, *self.beta_shapes)
         total += _half_cauchy_logpdf(spread, self.half_cauchy_scale)
-        for p in theta[2:]:
-            total += _beta_logpdf(p, mu * kappa, (1.0 - mu) * kappa)
-        return total
+        return total + float(self.level_log_prior(theta).sum())
 
     def _drug_of(self, obs):
         return int(obs.covariates[self.drug_col])
@@ -353,7 +382,12 @@ class DrugLinkBinomialModel(_BinomialModel):
             Param("sigma", "positive"),
             *(Param(f"delta_drug{d}", "real") for d in range(n_drugs)),
         )
+        self.levels = tuple(range(2, 2 + n_drugs))
         self.label = label or {"logit": "D", "cloglog": "E", "probit": "F"}[link]
+
+    def level_log_prior(self, theta):
+        sigma = theta[1]
+        return Normal.log_pdf_v(theta[2:], 0.0, 1.0 / (sigma * sigma))
 
     def log_prior(self, theta):
         theta = self.check_theta(theta)
@@ -362,10 +396,7 @@ class DrugLinkBinomialModel(_BinomialModel):
             return _NEG_INF
         total = _normal_logpdf_prec(mu, 0.0, self.mean_precision)
         total += _half_cauchy_logpdf(sigma, self.half_cauchy_scale)
-        prec = 1.0 / (sigma * sigma)
-        for delta in theta[2:]:
-            total += _normal_logpdf_prec(delta, 0.0, prec)
-        return total
+        return total + float(self.level_log_prior(theta).sum())
 
     def _drug_of(self, obs):
         return int(obs.covariates[self.drug_col])
@@ -404,11 +435,14 @@ class SaturatedBinomialModel(_BinomialModel):
         self.beta_shapes = beta_shapes
         self.study_col = study_col
         self.params = tuple(Param(f"p_study{s}", "unit") for s in range(n_studies))
+        self.levels = tuple(range(n_studies))
         self.label = "G"
 
+    def level_log_prior(self, theta):
+        return _beta_logpdf_v(theta, *self.beta_shapes)
+
     def log_prior(self, theta):
-        theta = self.check_theta(theta)
-        return sum(_beta_logpdf(p, *self.beta_shapes) for p in theta)
+        return float(self.level_log_prior(self.check_theta(theta)).sum())
 
     def _study_of(self, obs):
         return int(obs.covariates[self.study_col])
@@ -502,7 +536,7 @@ def ae_model(
     if variant == "G":
         if n_studies is None:
             raise SchemaError("variant G needs the number of studies")
-        return SaturatedBinomialModel(n_studies)
+        return SaturatedBinomialModel(n_studies, beta_shapes)
     raise SchemaError(f"unknown adverse-event variant {variant!r}")
 
 

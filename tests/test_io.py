@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from censdev import __version__
 from censdev.cli import main
@@ -208,6 +210,14 @@ class TestCliFit:
         header = (out_dir / "report.csv").read_text().splitlines()[0]
         assert header == "model,Dbar,pD,DIC,p_opt,PED"
 
+    def test_summary_reports_acceptance_rates(self, fit_config):
+        config_path, out_dir, _ = fit_config
+        main(["fit", "--config", str(config_path)])
+        lines = (out_dir / "summary.csv").read_text().splitlines()
+        assert lines[0] == "param,mean,sd,q2.5,q50,q97.5,rhat,accept"
+        for line in lines[1:]:
+            assert 0.0 < float(line.split(",")[7]) < 1.0
+
     def test_manifest_records_provenance(self, fit_config):
         config_path, out_dir, config = fit_config
         main(["fit", "--config", str(config_path)])
@@ -386,6 +396,159 @@ class TestCliConfigAndCodes:
             "output_dir": str(tmp_path / "out"),
         })
         assert main(["fit", "--config", str(path)]) == 2
+
+
+class TestCliHyperparametersAndEntries:
+    @pytest.mark.parametrize("hyper", [
+        {"tau0": "x"},
+        {"tau0": -1.0},
+        {"tau_0": 5},
+        {"tau1": float("nan")},
+        {"tau1": True},
+    ])
+    def test_bad_survival_hyperparameter_is_validation_error(self, tmp_path, capsys,
+                                                             hyper):
+        path = _write_config(tmp_path, {
+            "dataset": "bundled:aml",
+            "model": {"family": "survival-exponential", "hyperparameters": hyper},
+            "chains": {"n_chains": 1, "burn_in": 10, "n_keep": 10, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 2
+        assert "hyperparameter" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("shapes", [[1.0], [1.0, "a"], [0.0, 1.0], 2.0])
+    def test_beta_shapes_must_be_a_positive_pair(self, tmp_path, shapes):
+        path = _ae_fit_config(tmp_path, "G", {})
+        config = json.loads(path.read_text())
+        config["model"]["hyperparameters"] = {"beta_shapes": shapes}
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["fit", "--config", str(path)]) == 2
+
+    def test_known_hyperparameters_are_used(self, tmp_path):
+        path = _write_config(tmp_path, {
+            "dataset": "bundled:aml",
+            "model": {"family": "survival-exponential",
+                      "hyperparameters": {"tau0": 1, "tau1": 0.5}},
+            "chains": {"n_chains": 1, "burn_in": 20, "n_keep": 20, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("entries", [
+        {"variants": [1, 2]},
+        {"variants": "AB"},
+        {"models": [1, 2]},
+        {"models": [{"family": "censored-binomial", "variant": 1},
+                    {"family": "censored-binomial", "variant": "B"}]},
+        {"models": [{"family": "censored-binomial", "variant": "A", "label": 7},
+                    {"family": "censored-binomial", "variant": "B"}]},
+    ])
+    def test_bad_compare_entries_are_validation_errors(self, tmp_path, entries):
+        dataset = tmp_path / "ae.csv"
+        dataset.write_text(
+            serialize(synthetic_ae_dataset(n_studies=10, seed=6)), encoding="utf-8"
+        )
+        path = _write_config(tmp_path, {
+            "dataset": str(dataset),
+            **entries,
+            "chains": {"n_chains": 1, "burn_in": 10, "n_keep": 10, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["compare", "--config", str(path)]) == 2
+
+
+class TestCliUndecodableInput:
+    def test_config(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"dataset": "bundled:aml"\xff}')
+        assert main(["fit", "--config", str(path)]) == 2
+        assert "cfg.json" in capsys.readouterr().err
+
+    def test_dataset(self, tmp_path, capsys):
+        dataset = tmp_path / "d.csv"
+        dataset.write_bytes(HEADER.encode() + b",group\n4,none,,,,\xff\n")
+        path = _write_config(tmp_path, {
+            "dataset": str(dataset),
+            "model": {"family": "survival-exponential"},
+            "chains": {"seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 2
+        assert "d.csv" in capsys.readouterr().err
+
+    def test_samples_csv(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_bytes(b"chain,alpha,deviance\n0,\xff,1.0\n")
+        assert main(["export-density", "--trace", str(trace), "--param", "alpha"]) == 2
+        assert "trace.csv" in capsys.readouterr().err
+
+
+_ODD = [None, True, -1, 0, 1, 2.5, float("nan"), float("inf"), 1e308, 1e-300,
+        10**400, "", "x", "A", "dinterval", [], [1, 2], ["A", "B"], [0.5, "a"],
+        [1.0, 2.0], {}, {"a": 1}]
+# Chain settings stay small: a huge iteration count is valid input, not a fault.
+_ODD_CHAIN = [None, True, -1, 0, 1, 2, 2.5, "x", [], {}]
+_TOP_KEYS = ["dataset", "model", "mode", "chains", "output_dir", "label",
+             "variants", "models"]
+_SECTION_KEYS = ["family", "variant", "hyperparameters", "group_column", "label"]
+_HYPER_KEYS = ["tau0", "tau1", "beta_shapes", "half_cauchy_scale",
+               "mean_precision", "coef_precision", "tau_0"]
+_CHAIN_KEYS = ["n_chains", "burn_in", "n_keep", "thin", "seed", "adapt_window", "steps"]
+
+_EDITS = st.lists(
+    st.one_of(
+        st.tuples(st.just("top"), st.sampled_from(_TOP_KEYS), st.sampled_from(_ODD)),
+        st.tuples(st.just("section"), st.sampled_from(_SECTION_KEYS),
+                  st.sampled_from(_ODD)),
+        st.tuples(st.just("hyper"), st.sampled_from(_HYPER_KEYS), st.sampled_from(_ODD)),
+        st.tuples(st.just("chains"), st.sampled_from(_CHAIN_KEYS),
+                  st.sampled_from(_ODD_CHAIN)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestCliFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["fit", "compare"]),
+           family=st.sampled_from(["survival-exponential", "censored-binomial"]),
+           edits=_EDITS)
+    def test_malformed_configs_exit_cleanly(self, tmp_path, monkeypatch, command,
+                                            family, edits):
+        """Any config edit ends in exit code 0, 2, 3 or 4, never a traceback."""
+        monkeypatch.setenv("CENSDEV_OUTPUT_ROOT", str(tmp_path / "root"))
+        dataset = tmp_path / "ae.csv"
+        if not dataset.exists():
+            dataset.write_text(serialize(synthetic_ae_dataset(n_studies=10, seed=6)),
+                               encoding="utf-8")
+        section = {"family": family, "variant": "G"}
+        config = {
+            "dataset": "bundled:aml" if family == "survival-exponential" else "ae.csv",
+            "chains": {"n_chains": 1, "burn_in": 8, "n_keep": 8, "seed": 3},
+            "output_dir": "out",
+        }
+        if command == "fit":
+            config["model"] = section
+        else:
+            config["models"] = [section, {"family": family, "variant": "A"}]
+        for where, key, value in edits:
+            if where == "top":
+                config[key] = value
+            elif where == "section" and isinstance(config.get("model"), dict):
+                config["model"][key] = value
+            elif where == "section" and isinstance(config.get("models"), list):
+                config["models"][0][key] = value
+            elif where == "hyper" and isinstance(section.get("hyperparameters", {}), dict):
+                section.setdefault("hyperparameters", {})[key] = value
+            elif where == "chains" and isinstance(config.get("chains"), dict):
+                config["chains"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([command, "--config", str(path)]) in (0, 2, 3, 4)
 
 
 class TestCliSamplesReader:

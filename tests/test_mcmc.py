@@ -1,17 +1,21 @@
 """Sampler tests: conjugate oracles, determinism, adaptation, deviance
 monitors, latent imputation, summaries and density export."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 from censdev import ChainConfig, LikelihoodMode, run
-from censdev.distributions import Normal
+from censdev.datasets import synthetic_ae_dataset
+from censdev.distributions import Binomial, Normal
 from censdev.exceptions import (
     DataError,
     DegenerateDensityError,
     InitializationError,
+    SchemaError,
 )
 from censdev.likelihood import (
     CensoredDataset,
@@ -24,13 +28,21 @@ from censdev.likelihood import (
 )
 from censdev.mcmc import (
     PosteriorSamples,
+    _ChainState,
     adapt_step_sizes,
     export_density,
     mcse,
     split_rhat,
     summarize,
 )
-from censdev.models import Model, Param, PooledBinomialModel, outcome_families
+from censdev.models import (
+    Model,
+    Param,
+    PooledBinomialModel,
+    SaturatedBinomialModel,
+    ae_model,
+    outcome_families,
+)
 from conftest import single_binomial_dataset
 
 
@@ -193,6 +205,114 @@ class TestInitialization:
         with pytest.raises(InitializationError):
             run(_HopelessModel(), data, LikelihoodMode.EXACT,
                 ChainConfig(n_chains=1, burn_in=10, n_keep=10, seed=0))
+
+
+class _Feed:
+    """Stand-in generator that hands out preset normals and uniforms."""
+
+    def __init__(self, normals, uniforms):
+        self.normals = list(normals)
+        self.uniforms = list(uniforms)
+
+    @staticmethod
+    def _take(pool, size):
+        if size is None:
+            return pool.pop(0)
+        drawn, pool[:size] = np.array(pool[:size]), []
+        return drawn
+
+    def standard_normal(self, size=None):
+        return self._take(self.normals, size)
+
+    def uniform(self, size=None):
+        return self._take(self.uniforms, size)
+
+
+class _SharedLevels(Model):
+    """Two levels that both reach every row: not a valid block."""
+
+    family = Binomial
+    levels = (0, 1)
+
+    def __init__(self):
+        self.params = (Param("p0", "unit"), Param("p1", "unit"))
+
+    def log_prior(self, theta):
+        return 0.0
+
+    def level_log_prior(self, theta):
+        return np.zeros(2)
+
+    def row_params(self, theta, cols):
+        theta = np.asarray(theta, dtype=float)
+        return cols.positive_trials(), theta[..., 0:1] * theta[..., 1:2]
+
+
+class TestLevelBlocks:
+    @pytest.fixture(scope="class")
+    def ae(self):
+        return synthetic_ae_dataset(seed=11)
+
+    @pytest.mark.parametrize("variant", ["D", "G"])
+    def test_block_step_equals_single_site_steps(self, ae, variant):
+        """One blocked step and the level-by-level single-site steps, fed the
+        same increments and uniforms, take the same decisions and states."""
+        model = ae_model(variant, n_drugs=5, n_studies=len(ae))
+        state = _ChainState(model, ae, LikelihoodMode.EXACT, np.random.default_rng(3))
+        state.initialize()
+        (block,) = [b for b in state.blocks if b.owner is not None]
+        levels = model.levels
+        rng = np.random.default_rng(21)
+        z = rng.standard_normal(len(levels))
+        u = rng.uniform(size=len(levels))
+        scales = rng.uniform(0.2, 1.5, size=len(model.params))
+
+        blocked = copy.deepcopy(state)
+        blocked.rng = _Feed(z, u)
+        accept = blocked.update_block(block, scales[block.comps])
+
+        single = copy.deepcopy(state)
+        decisions = []
+        for k, j in enumerate(levels):
+            single.rng = _Feed([z[k]], [u[k]])
+            decisions.append(bool(single.update_block(single._single_block(j, ae), scales[j])))
+
+        assert accept.tolist() == decisions
+        assert 0 < sum(decisions) < len(levels)
+        for name in ("x", "v", "jac", "contribs"):
+            np.testing.assert_allclose(
+                getattr(blocked, name), getattr(single, name), rtol=1e-12, err_msg=name
+            )
+        assert blocked.log_prior == pytest.approx(single.log_prior, rel=1e-12)
+
+    def test_saturated_posterior_means_match_closed_form(self, ae):
+        """G's study incidences against Beta(1+y, 1+n-y) on observed rows and
+        the quadrature of Beta(1,1) x P(region) on censored rows."""
+        model = SaturatedBinomialModel(n_studies=len(ae))
+        samples = run(model, ae, LikelihoodMode.EXACT,
+                      ChainConfig(n_chains=3, burn_in=1000, n_keep=5000, seed=404))
+        cols = ae.columns
+        for s in range(len(ae)):
+            n = int(cols.trials[s])
+            if np.isfinite(cols.value[s]):
+                y = cols.value[s]
+                oracle = (1.0 + y) / (2.0 + n)
+            else:
+                lo, hi = cols.lo[s], cols.hi[s]
+                region = lambda p: (stats.binom.cdf(hi, n, p)
+                                    - stats.binom.cdf(np.ceil(lo) - 1.0, n, p))
+                mass = integrate.quad(region, 0.0, 1.0, epsabs=0, epsrel=1e-10)[0]
+                first = integrate.quad(lambda p: p * region(p), 0.0, 1.0,
+                                       epsabs=0, epsrel=1e-10)[0]
+                oracle = first / mass
+            trace = samples.param(f"p_study{s}")
+            assert abs(trace.mean() - oracle) < 5 * mcse(trace), s
+
+    def test_levels_sharing_a_row_are_rejected(self):
+        data = CensoredDataset((Observation(Observed(3.0), trials=10),))
+        with pytest.raises(SchemaError):
+            run(_SharedLevels(), data, LikelihoodMode.EXACT,
+                ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
 
 
 def _manual_samples(values, n_chains=1):
