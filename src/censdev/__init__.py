@@ -39,7 +39,7 @@ from .likelihood import (
     loglik_dinterval_style,
     loglik_exact,
 )
-from .mcmc import ChainConfig, PosteriorSamples, export_density, run, summarize
+from .mcmc import ChainConfig, PosteriorSamples, export_density, run, run_batch, summarize
 from .models import (
     NormalGlmModel,
     SurvivalExpModel,
@@ -88,6 +88,7 @@ __all__ = [
     "PosteriorSamples",
     "export_density",
     "run",
+    "run_batch",
     "summarize",
     "NormalGlmModel",
     "SurvivalExpModel",

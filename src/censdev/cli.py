@@ -32,7 +32,7 @@ from .datasets import (
 )
 from .exceptions import NumericError, ValidationError
 from .likelihood import CensoredDataset, LikelihoodMode
-from .mcmc import ChainConfig, PosteriorSamples, export_density, run, summarize
+from .mcmc import ChainConfig, PosteriorSamples, export_density, run_batch, summarize
 from .models import AE_VARIANTS, Model, NormalGlmModel, SurvivalExpModel, ae_model
 from .selection import SelectionReport, compare, make_selection_report
 
@@ -336,11 +336,18 @@ def _fit_one(
     out_dir: Path,
     label: str,
     dataset_id: str,
-) -> tuple[SelectionReport | None, list[str]]:
-    """Run the sampler (twice in exact mode) and write fit artifacts."""
+) -> tuple[SelectionReport | float, list[str]]:
+    """Run the sampler and write fit artifacts; returns the headline (the
+    selection report in exact mode, else the mean monitored deviance) and
+    the artifact names.
+
+    Exact mode samples the two replicate runs as one batch.
+    """
     (seed_a, seed_b) = _derive_run_seeds(chains.seed, 1)[0]
-    cfg_a = dataclasses.replace(chains, seed=seed_a)
-    samples_a = run(model, data, mode, cfg_a)
+    configs = [dataclasses.replace(chains, seed=seed_a)]
+    if mode is LikelihoodMode.EXACT:
+        configs.append(dataclasses.replace(chains, seed=seed_b))
+    samples_a, *replicate = run_batch(model, data, mode, configs)
     outputs = []
     _write_samples_csv(out_dir / "samples_a.csv", samples_a)
     outputs.append("samples_a.csv")
@@ -349,8 +356,7 @@ def _fit_one(
     outputs += _write_density_files(out_dir, samples_a, mode.value)
 
     if mode is LikelihoodMode.EXACT:
-        cfg_b = dataclasses.replace(chains, seed=seed_b)
-        samples_b = run(model, data, mode, cfg_b)
+        (samples_b,) = replicate
         _write_samples_csv(out_dir / "samples_b.csv", samples_b)
         outputs.append("samples_b.csv")
         report = make_selection_report(
@@ -377,7 +383,7 @@ def _fit_one(
         },
     )
     outputs.append("report.json")
-    return None, outputs
+    return mean_monitored, outputs
 
 
 def cmd_fit(config: dict, config_dir: Path) -> int:
@@ -392,15 +398,13 @@ def cmd_fit(config: dict, config_dir: Path) -> int:
     out_dir = _resolve_output_dir(config.get("output_dir", "censdev-out"))
     dataset_id = dataset_fingerprint(data)
 
-    report, outputs = _fit_one(model, data, mode, chains, out_dir, label, dataset_id)
+    headline, outputs = _fit_one(model, data, mode, chains, out_dir, label, dataset_id)
     _write_manifest(out_dir, config, dataset_src, data, outputs + ["manifest.json"])
-    if report is not None:
-        print(f"[{label}] Dbar={report.dbar:.3f} pD={report.pd:.3f} "
-              f"DIC={report.dic:.3f} p_opt={report.p_opt:.3f} PED={report.ped:.3f}")
+    if isinstance(headline, SelectionReport):
+        print(f"[{label}] Dbar={headline.dbar:.3f} pD={headline.pd:.3f} "
+              f"DIC={headline.dic:.3f} p_opt={headline.p_opt:.3f} PED={headline.ped:.3f}")
     else:
-        payload = json.loads((out_dir / "report.json").read_text())
-        print(f"[{label}] mean monitored deviance "
-              f"{payload['mean_monitored_deviance']:.3f} ({mode.value} mode)")
+        print(f"[{label}] mean monitored deviance {headline:.3f} ({mode.value} mode)")
     print(f"artifacts in {out_dir}")
     return 0
 
@@ -437,10 +441,8 @@ def cmd_compare(config: dict, config_dir: Path) -> int:
     reports = []
     outputs = []
     for (model, label), (seed_a, seed_b) in zip(models, seed_pairs):
-        cfg_a = dataclasses.replace(chains, seed=seed_a)
-        cfg_b = dataclasses.replace(chains, seed=seed_b)
-        samples_a = run(model, data, LikelihoodMode.EXACT, cfg_a)
-        samples_b = run(model, data, LikelihoodMode.EXACT, cfg_b)
+        configs = [dataclasses.replace(chains, seed=seed) for seed in (seed_a, seed_b)]
+        samples_a, samples_b = run_batch(model, data, LikelihoodMode.EXACT, configs)
         report = make_selection_report(
             label, model, data, samples_a, samples_b, dataset_id=dataset_id
         )
@@ -535,15 +537,12 @@ def _demo_survival(out_root: Path, seed: int, quick: bool) -> int:
             "chains": dataclasses.asdict(chains),
             "output_dir": str(out_dir),
         }
-        _, outputs = _fit_one(
+        result, outputs = _fit_one(
             model, data, mode, chains, out_dir, config["label"], dataset_id
         )
         _write_manifest(out_dir, config, "bundled:aml", data,
                         outputs + ["manifest.json"])
-        payload = json.loads((out_dir / "report.json").read_text())
-        headline[mode] = (
-            payload["Dbar"] if "Dbar" in payload else payload["mean_monitored_deviance"]
-        )
+        headline[mode] = result.dbar if isinstance(result, SelectionReport) else result
     gap = headline[LikelihoodMode.EXACT] - headline[LikelihoodMode.DINTERVAL]
     print()
     print(f"exact-mode mean deviance:              {headline[LikelihoodMode.EXACT]:.3f}")

@@ -23,7 +23,9 @@ the sampler and the selection layer: ``log_contrib`` scores the rows of a
 (broadcast over any leading axis, such as posterior draws), ``log_pdf_v``
 evaluates the density at an array of values and ``kl_v`` is the closed-form
 KL divergence.  They follow the scalar methods branch for branch, which stay
-as the reference they are tested against.
+as the reference they are tested against.  ``Beta`` and ``HalfCauchy``
+serve as priors only and have ``log_pdf_v`` alone; the model priors
+evaluate it for one parameter vector or a stack of them alike.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ PROB_CLAMP = 1e-12
 _NEG_INF = float("-inf")
 _LOG_HALF = math.log(0.5)
 _LOG_2PI = math.log(2.0 * math.pi)
+_LOG_2_OVER_PI = math.log(2.0 / math.pi)
 # Below this a Binomial tail probability from betainc is summed term by term.
 _TAIL_FLOOR = 1e-290
 
@@ -223,30 +226,34 @@ class Family:
         (leading axes broadcast).  Each row takes the branch the scalar
         ``log_pdf`` / ``log_interval_prob`` takes; only the terms that some
         row of the block needs are evaluated.
+
+        Callers own the floating-point error state: the kernels meet
+        overflow, log(0) and inf - inf at extreme parameters by design, so
+        the sampler and the selection layer enter ``np.errstate(all="ignore")``
+        once around their work rather than once per call here.
         """
         value, hi, lo_left = cls._points(cols, params)
         terms = []
-        with np.errstate(all="ignore"):
-            if cols.observed is not None:
-                terms.append((cols.observed, cls.log_pdf_v(value, *params)))
-            if cols.between is not None:
-                log_cdf_hi, log_sf_hi = cls._log_cdf_sf_v(hi, *params)
-                log_cdf_lo, log_sf_lo = cls._log_cdf_sf_v(lo_left, *params)
-                # Same conditioning switch as log_interval_prob.
-                use_cdf = log_cdf_hi <= _LOG_HALF
-                terms.append((cols.between, _log_diff_from_logs_v(
-                    np.where(use_cdf, log_cdf_hi, log_sf_lo),
-                    np.where(use_cdf, log_cdf_lo, log_sf_hi),
-                )))
-            else:
-                if cols.below is not None:
-                    log_cdf_hi = cls._log_cdf_v(hi, *params)
-                if cols.above is not None:
-                    log_sf_lo = cls._log_sf_v(lo_left, *params)
+        if cols.observed is not None:
+            terms.append((cols.observed, cls.log_pdf_v(value, *params)))
+        if cols.between is not None:
+            log_cdf_hi, log_sf_hi = cls._log_cdf_sf_v(hi, *params)
+            log_cdf_lo, log_sf_lo = cls._log_cdf_sf_v(lo_left, *params)
+            # Same conditioning switch as log_interval_prob.
+            use_cdf = log_cdf_hi <= _LOG_HALF
+            terms.append((cols.between, _log_diff_from_logs_v(
+                np.where(use_cdf, log_cdf_hi, log_sf_lo),
+                np.where(use_cdf, log_cdf_lo, log_sf_hi),
+            )))
+        else:
             if cols.below is not None:
-                terms.append((cols.below, log_cdf_hi))
+                log_cdf_hi = cls._log_cdf_v(hi, *params)
             if cols.above is not None:
-                terms.append((cols.above, log_sf_lo))
+                log_sf_lo = cls._log_sf_v(lo_left, *params)
+        if cols.below is not None:
+            terms.append((cols.below, log_cdf_hi))
+        if cols.above is not None:
+            terms.append((cols.above, log_sf_lo))
         out = terms[0][1]
         for mask, term in terms[1:]:
             out = np.where(mask, term, out)
@@ -289,7 +296,7 @@ class Exponential(Family):
         # Memoryless shift keeps the inverse CDF stable however far out the
         # region sits: Y = a + Exp(rate) conditioned on Y - a <= b - a.
         a = max(lower, 0.0)
-        u = rng.uniform()
+        u = rng.random()  # uniform on [0, 1), as uniform() but faster
         if upper == math.inf:
             return a - math.log1p(-u) / self.rate
         width_mass = -math.expm1(-self.rate * (upper - a))
@@ -424,7 +431,7 @@ def _truncated_standard_normal(alpha, beta, rng):
         c = min(alpha * alpha, beta * beta)
     while True:
         z = rng.uniform(alpha, beta)
-        if math.log(rng.uniform()) <= 0.5 * (c - z * z):
+        if math.log(rng.random()) <= 0.5 * (c - z * z):
             return z
 
 
@@ -433,7 +440,7 @@ def _normal_tail(a, rng):
     rate = 0.5 * (a + math.sqrt(a * a + 4.0))
     while True:
         z = a + rng.exponential(1.0 / rate)
-        if math.log(rng.uniform()) <= -0.5 * (z - rate) ** 2:
+        if math.log(rng.random()) <= -0.5 * (z - rate) ** 2:
             return z
 
 
@@ -647,6 +654,13 @@ class Beta(Family):
     def sample(self, rng):
         return rng.beta(self.alpha, self.beta)
 
+    @staticmethod
+    def log_pdf_v(y, alpha, beta):
+        """Elementwise :meth:`log_pdf`; the shapes broadcast against ``y``."""
+        inside = (y > 0.0) & (y < 1.0)
+        out = sc.xlogy(alpha - 1.0, y) + sc.xlog1py(beta - 1.0, -y) - sc.betaln(alpha, beta)
+        return np.where(inside, out, _NEG_INF)
+
     def _sample_truncated_impl(self, lower, upper, rng):
         lo = 0.0 if lower == _NEG_INF else max(0.0, min(lower, 1.0))
         hi = 1.0 if upper == math.inf else max(0.0, min(upper, 1.0))
@@ -690,6 +704,13 @@ class HalfCauchy(Family):
 
     def sample(self, rng):
         return self.scale * abs(rng.standard_cauchy())
+
+    @staticmethod
+    def log_pdf_v(y, scale):
+        """Elementwise :meth:`log_pdf` (at y = inf the density term is -inf
+        already)."""
+        r = y / scale
+        return np.where(y >= 0.0, (_LOG_2_OVER_PI - np.log(scale)) - np.log1p(r * r), _NEG_INF)
 
     def _sample_truncated_impl(self, lower, upper, rng):
         lo = max(lower, 0.0)

@@ -26,9 +26,19 @@ component is a block of one that scores the precomputed row block its
 value reaches.  Acceptance rates, and so the adaptation, stay per
 component.
 
-Chains are independent, each owning a child random generator spawned
-deterministically from the run seed, so results are reproducible bit for
-bit and identical whether chains execute serially or concurrently.
+All chains of a call advance together as one array state: ``run_batch``
+takes several run configs (the replicate runs A and B of a fit, say) and
+keeps parameters, working-scale values, Jacobians and proposal scales as
+(chains, params) arrays and the per-row contributions and latent values as
+(chains, rows) arrays, so each block scores every chain's proposal with one
+``row_params``/``log_contrib`` call.  Chains stay independent: each owns a
+child generator spawned deterministically from its run's seed and draws its
+normals, its uniforms (only when a log ratio of its own is below 0), its
+jittered restarts and its latents from it in the order a chain run alone
+would, and its terms depend on its own row of the state only.  So a chain's
+draws are bit for bit the same whichever chains share its batch, and
+``run`` is the one-config case of ``run_batch``; ``TestBatching`` in
+``tests/test_mcmc.py`` checks both against each other.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ __all__ = [
     "PosteriorSamples",
     "ParamSummary",
     "run",
+    "run_batch",
     "to_unbounded",
     "to_natural",
     "adapt_step_sizes",
@@ -194,7 +205,7 @@ def adapt_step_sizes(
 
 
 # ---------------------------------------------------------------------------
-# Single-chain state
+# Batched chain state
 # ---------------------------------------------------------------------------
 
 
@@ -202,42 +213,71 @@ class _Block(NamedTuple):
     """Components that one Metropolis step moves, each with its own accept.
 
     ``comps`` is a component index, for a block of one, or the slice of a
-    model's levels; numpy indexing then hands the update scalars or vectors
-    alike.  ``transform`` is their working-scale transform triple.
-    ``rows`` are the rows they reach (a slice when that is every row) and
-    ``cols`` the columnar block of those rows, None when there are none.
-    ``owner`` is None for a single component; for levels it maps each row
-    of the block to the position of its level in ``comps``.
+    model's levels; numpy indexing then hands the update a column or a
+    (chains, levels) array alike.  ``to_natural`` and ``log_jac`` are their
+    working-scale transform and its log Jacobian, None on the real line,
+    where the term is 0.  ``rows`` are the rows they reach (a slice when
+    that is every row) and ``cols`` the columnar block of those rows, None
+    when there are none.  ``owner`` is None for a single component; for
+    levels it maps each row of the block to the position of its level in
+    ``comps``.
     """
 
     comps: int | slice
-    transform: tuple
+    to_natural: object
+    log_jac: object
     rows: slice | np.ndarray
     cols: Optional[DataColumns]
     owner: Optional[np.ndarray]
 
 
-class _ChainState:
-    """Mutable sampler state for one chain.
+def _block_transform(support: str) -> tuple:
+    _, to_natural, log_jac = _TRANSFORMS[support]
+    return to_natural, (None if support == "real" else log_jac)
 
-    Keeps the per-row log-likelihood contribution array in sync with the
-    current parameters (and latents in DINTERVAL mode).  ``blocks`` lists
-    the Metropolis blocks of a sweep in component order: the model's levels
-    form one block at the position of the first level, every other
-    component is a block of its own.
+
+def _take(a: np.ndarray, rows) -> np.ndarray:
+    """The (chains, rows) block of ``a``, C-contiguous.
+
+    A chain's row of a C-contiguous array sums in the order its own 1-D
+    array would (``a[:, index]`` comes out Fortran-ordered, and its row sums
+    would not).
+    """
+    return a[:, rows] if isinstance(rows, slice) else np.take(a, rows, axis=1)
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Per-chain sums of a (chains, rows) array, in one chain's order."""
+    return np.ascontiguousarray(a).sum(axis=1)
+
+
+class _ChainBatch:
+    """Mutable sampler state of every chain of a batch, as arrays.
+
+    ``x``, ``v`` and ``jac`` are (chains, params), ``log_prior`` has one
+    entry per chain, and ``contribs`` and ``values`` (the observed outcomes,
+    with the latents in the censored rows in DINTERVAL mode) are
+    (chains, rows).  The per-row contributions stay in sync with the
+    current parameters and latents.  ``rngs`` holds one generator per chain.
+    ``blocks`` lists the Metropolis blocks of a sweep in component order:
+    the model's levels form one block at the position of the first level,
+    every other component is a block of its own.
     """
 
-    def __init__(self, model, data, mode, rng):
+    def __init__(self, model, data, mode, rngs):
         self.model = model
         self.family = model.family
         self.mode = mode
-        self.rng = rng
+        self.rngs = rngs
         self.supports = model.supports
         self.n_params = len(model.params)
         cols = data.columns
-        self.observed_mask = cols.kind == KIND_OBSERVED
-        self.censored_rows = np.flatnonzero(~self.observed_mask)
+        observed = cols.kind == KIND_OBSERVED
+        self.observed_rows = np.flatnonzero(observed)
+        self.censored_rows = np.flatnonzero(~observed)
         self.censored_block = cols.take(self.censored_rows)
+        self.censored_bounds = (self.censored_block.lo.tolist(),
+                                self.censored_block.hi.tolist())
         self.all_rows = (slice(None), cols)
         levels = tuple(model.levels)
         self.blocks = []
@@ -246,14 +286,15 @@ class _ChainState:
                 self.blocks.append(self._single_block(j, data))
             elif j == levels[0]:
                 self.blocks.append(self._level_block(levels, data))
-        # Observed outcomes, with the latents in the censored rows (DINTERVAL).
-        self.values = cols.value.copy()
 
-        self.x = np.empty(self.n_params)
-        self.v = np.empty(self.n_params)
-        self.jac = np.empty(self.n_params)
-        self.contribs = np.empty(len(cols))
-        self.log_prior = _NEG_INF
+        n_chains = len(rngs)
+        self._chain_index = np.arange(n_chains)[:, None]
+        self.values = np.tile(cols.value, (n_chains, 1))
+        self.x = np.empty((n_chains, self.n_params))
+        self.v = np.empty((n_chains, self.n_params))
+        self.jac = np.empty((n_chains, self.n_params))
+        self.contribs = np.empty((n_chains, len(cols)))
+        self.log_prior = np.full(n_chains, _NEG_INF)
 
     def _single_block(self, j: int, data) -> _Block:
         rows = self.model.rows_for_param(j, data)
@@ -261,8 +302,7 @@ class _ChainState:
             rows, cols = self.all_rows
         else:
             cols = data.columns.take(rows) if len(rows) else None
-        transform = _TRANSFORMS[self.supports[j]]
-        return _Block(j, transform, rows, cols, None)
+        return _Block(j, *_block_transform(self.supports[j]), rows, cols, None)
 
     def _level_block(self, levels: tuple[int, ...], data) -> _Block:
         """One block for the model's levels.  Moving them together keeps the
@@ -282,74 +322,117 @@ class _ChainState:
         owner = np.repeat(np.arange(len(levels)), [len(r) for r in level_rows])
         cols = data.columns.take(rows) if len(rows) else None
         comps = slice(levels[0], levels[0] + len(levels))
-        return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], rows, cols, owner)
+        transform = _block_transform(self.supports[levels[0]])
+        return _Block(comps, *transform, rows, cols, owner)
 
     # -- contribution bookkeeping ------------------------------------------
-    def _contributions(self, theta: np.ndarray, rows, block) -> np.ndarray:
-        params = self.model.row_params(theta, block)
-        if self.mode is LikelihoodMode.EXACT:
-            return self.family.log_contrib(block, *params)
-        return self.family.log_pdf_v(self.values[rows], *params)
+    def _row_params(self, theta, block) -> tuple[np.ndarray, ...]:
+        """Family parameters of ``block`` at each parameter row of ``theta``,
+        (chains, 1, rows) arrays (or broadcastable to them).  Each chain
+        enters ``row_params`` as a stack of one, so a model's matrix
+        products are matrix-vector products per chain and a chain's terms do
+        not depend on which chains share the batch."""
+        return self.model.row_params(theta[:, None, :], block)
 
-    def _draw_latents(self, theta: np.ndarray) -> np.ndarray:
-        """One truncated draw per censored row, in row order."""
-        block = self.censored_block
-        *params, _ = np.broadcast_arrays(*self.model.row_params(theta, block), block.lo)
-        return np.array([
-            self.family(*(p[k] for p in params)).sample_truncated(
-                block.lo[k], block.hi[k], self.rng
-            )
-            for k in range(len(block))
-        ])
+    def _contributions(self, params, rows, block, chains=slice(None)) -> np.ndarray:
+        """(chains, rows) contributions of ``block`` from its ``params`` at
+        the current parameters of ``chains``."""
+        if self.mode is LikelihoodMode.EXACT:
+            out = self.family.log_contrib(block, *params)
+        else:
+            values = _take(self.values[chains], rows)
+            out = self.family.log_pdf_v(values[:, None, :], *params)
+        return out[:, 0]
+
+    def _latent_args(self, params, n_chains: int) -> list[list[tuple]]:
+        """Per chain, the censored rows' family parameters as Python numbers
+        (the scalar kernels run faster on them and round alike)."""
+        shape = (n_chains, 1, len(self.censored_block))
+        columns = [np.broadcast_to(p, shape)[:, 0].tolist() for p in params]
+        return [list(zip(*chain)) for chain in zip(*columns)]
+
+    def _draw_latents(self, rng, row_args) -> list[float]:
+        """One chain's truncated draw per censored row, in row order, from
+        its own generator; ``row_args`` are that chain's from
+        :meth:`_latent_args`."""
+        family = self.family
+        return [
+            family(*params).sample_truncated(lo, hi, rng)
+            for params, lo, hi in zip(row_args, *self.censored_bounds)
+        ]
 
     # -- initialization ------------------------------------------------------
     def initialize(self) -> None:
+        """Start every chain at the model's initial point; a chain whose
+        posterior is not finite there retries from jittered points drawn
+        from its own generator."""
         x0 = to_unbounded(self.model.initial_theta(), self.supports)
+        pending = np.arange(len(self.rngs))
         for attempt in range(MAX_INIT_RETRIES + 1):
-            x = x0 if attempt == 0 else x0 + self.rng.normal(size=self.n_params)
-            if self._try_state(x):
+            if attempt == 0:
+                x = np.tile(x0, (len(pending), 1))
+            else:
+                x = x0 + np.array([self.rngs[c].normal(size=self.n_params) for c in pending])
+            pending = pending[~self._try_states(pending, x)]
+            if not len(pending):
                 return
         raise InitializationError(
             f"no finite posterior found after {MAX_INIT_RETRIES} jittered restarts"
         )
 
-    def _try_state(self, x: np.ndarray) -> bool:
+    def _try_states(self, chains: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Adopt the working-scale points ``x`` for ``chains`` where the
+        posterior is finite; returns which were adopted."""
         v = to_natural(x, self.supports)
         lp = self.model.log_prior(v)
-        if not math.isfinite(lp):
-            return False
-        if self.mode is LikelihoodMode.DINTERVAL:
-            try:
-                self.values[self.censored_rows] = self._draw_latents(v)
-            except DegenerateRegionError:
-                return False
-        contribs = self._contributions(v, *self.all_rows)
-        if not np.isfinite(contribs.sum()):
-            return False
-        self.x, self.v, self.contribs, self.log_prior = x, v, contribs, lp
-        self.jac = _columnwise(2, x, self.supports)
-        return True
+        ok = np.isfinite(lp)
+        if self.mode is LikelihoodMode.DINTERVAL and ok.any():
+            live = np.flatnonzero(ok)
+            params = self._row_params(v[live], self.censored_block)
+            for i, row_args in zip(live, self._latent_args(params, len(live))):
+                try:
+                    latents = self._draw_latents(self.rngs[chains[i]], row_args)
+                except DegenerateRegionError:
+                    ok[i] = False
+                else:
+                    self.values[chains[i], self.censored_rows] = latents
+        if ok.any():
+            live = np.flatnonzero(ok)
+            rows, cols = self.all_rows
+            params = self._row_params(v[live], cols)
+            contribs = self._contributions(params, rows, cols, chains[live])
+            finite = np.isfinite(_row_sums(contribs))
+            ok[live] = finite
+            live, contribs = live[finite], contribs[finite]
+            adopted = chains[live]
+            self.x[adopted], self.v[adopted] = x[live], v[live]
+            self.contribs[adopted] = contribs
+            self.log_prior[adopted] = lp[live]
+            self.jac[adopted] = _columnwise(2, x[live], self.supports)
+        return ok
 
     # -- updates --------------------------------------------------------------
     def update_block(self, block: _Block, scales):
-        """One random-walk Metropolis step for each component of ``block``,
-        accepted or rejected on its own; returns the accept flag(s).
+        """One random-walk Metropolis step of every chain for each component
+        of ``block``, accepted or rejected on its own; returns the accept
+        flags, (chains,) for a single component, (chains, levels) for levels.
 
         A single component is scored by the joint log prior and the summed
         contributions of its rows.  Levels are scored per level, from one
-        proposal vector and one likelihood call: their ``level_log_prior``
-        terms plus their rows' contributions summed by owner.  Uniforms are
-        drawn only when some log ratio is below 0.  A proposal outside the
-        prior's support has log ratio -inf (or NaN) and is rejected.
+        proposal per level and one likelihood call: their ``level_log_prior``
+        terms plus their rows' contributions summed by owner.  A chain draws
+        its normals from its own generator, and its uniforms only when some
+        log ratio of its own is below 0.  A proposal outside the prior's
+        support has log ratio -inf (or NaN) and is rejected.
         """
-        comps, (_, to_nat, log_jac), rows, cols, owner = block
-        size = None if owner is None else len(scales)
-        x_new = self.x[comps] + scales * self.rng.standard_normal(size)
+        comps, to_nat, log_jac, rows, cols, owner = block
+        size = None if owner is None else scales.shape[-1]
+        z = np.array([rng.standard_normal(size) for rng in self.rngs])
+        x_new = self.x[:, comps] + scales * z
         v_new = to_nat(x_new)
-        jac_new = log_jac(x_new)
 
         theta_prop = self.v.copy()
-        theta_prop[comps] = v_new
+        theta_prop[:, comps] = v_new
         if owner is None:
             lp_new = self.model.log_prior(theta_prop)
             delta_prior = lp_new - self.log_prior
@@ -358,110 +441,181 @@ class _ChainState:
             delta_prior = level_log_prior(theta_prop) - level_log_prior(self.v)
         log_ratio = delta_prior
         if cols is not None:
-            new_contribs = self._contributions(theta_prop, rows, cols)
-            old_contribs = self.contribs[rows]
+            new_contribs = self._contributions(self._row_params(theta_prop, cols), rows, cols)
+            old_contribs = _take(self.contribs, rows)
+            change = new_contribs - old_contribs
             if owner is None:
-                log_ratio = log_ratio + (new_contribs.sum() - old_contribs.sum())
+                log_ratio = log_ratio + _row_sums(change)
             else:
-                log_ratio = log_ratio + (
-                    np.bincount(owner, new_contribs, size)
-                    - np.bincount(owner, old_contribs, size)
-                )
-        log_ratio = log_ratio + (jac_new - self.jac[comps])
+                log_ratio = log_ratio + self._level_sums(owner, change, size)
+        if log_jac is not None:
+            jac_new = log_jac(x_new)
+            log_ratio = log_ratio + (jac_new - self.jac[:, comps])
 
         accept = log_ratio >= 0.0
-        # A single site's flag is a numpy scalar, whose .all() is slow.
-        if not (accept if size is None else accept.all()):
+        undecided = np.flatnonzero(~accept if owner is None else ~accept.all(axis=1))
+        if len(undecided):
             # log u < 0 <= log_ratio keeps every level accepted above.
-            accept = np.log(self.rng.uniform(size=size)) < log_ratio
+            u = np.array([self.rngs[c].random(size) for c in undecided])
+            accept[undecided] = np.log(u) < log_ratio[undecided]
+        np.copyto(self.x[:, comps], x_new, where=accept)
+        np.copyto(self.v[:, comps], v_new, where=accept)
+        if log_jac is not None:
+            np.copyto(self.jac[:, comps], jac_new, where=accept)
         if owner is None:
-            if accept:
-                self.x[comps], self.v[comps], self.jac[comps] = x_new, v_new, jac_new
-                self.log_prior = lp_new
-                if cols is not None:
-                    self.contribs[rows] = new_contribs
-        elif accept.any():
-            np.copyto(self.x[comps], x_new, where=accept)
-            np.copyto(self.v[comps], v_new, where=accept)
-            np.copyto(self.jac[comps], jac_new, where=accept)
-            self.log_prior += float(delta_prior[accept].sum())
-            if cols is not None:
-                moved = accept[owner]
-                self.contribs[rows[moved]] = new_contribs[moved]
+            np.copyto(self.log_prior, lp_new, where=accept)
+            moved = accept[:, None]
+        else:
+            self.log_prior += _row_sums(np.where(accept, delta_prior, 0.0))
+            moved = accept[:, owner]
+        if cols is not None:
+            if isinstance(rows, slice):  # a view: write the moved chains in place
+                np.copyto(self.contribs[:, rows], new_contribs, where=moved)
+            else:
+                self.contribs[:, rows] = np.where(moved, new_contribs, old_contribs)
         return accept
 
+    def _level_sums(self, owner, contribs, n_levels) -> np.ndarray:
+        """(chains, levels) sums of each chain's contributions by owner level,
+        each bin added in row order as in a one-chain ``np.bincount``."""
+        n_chains = len(self.rngs)
+        bins = owner + n_levels * self._chain_index
+        return np.bincount(
+            bins.ravel(), contribs.ravel(), n_chains * n_levels
+        ).reshape(n_chains, n_levels)
+
     def refresh_latents(self, sweep: int) -> None:
-        try:
-            latents = self._draw_latents(self.v)
-        except DegenerateRegionError as exc:
-            raise NumericError(
-                f"sweep {sweep}: degenerate censoring region: {exc}"
-            ) from exc
-        rows = self.censored_rows
-        self.values[rows] = latents
-        self.contribs[rows] = self._contributions(self.v, rows, self.censored_block)
-
-    def monitored_deviance(self) -> float:
-        if self.mode is LikelihoodMode.EXACT:
-            return -2.0 * float(self.contribs.sum())
-        return -2.0 * float(self.contribs[self.observed_mask].sum())
-
-
-def _run_chain(model, data, mode, config, rng):
-    state = _ChainState(model, data, mode, rng)
-    state.initialize()
-    n_params = state.n_params
-
-    scales = np.full(n_params, 0.5)
-    window_accepts = np.zeros(n_params)
-    window_count = 0
-    adapt_round = 0
-
-    kept_accepts = np.zeros(n_params)
-    kept_proposals = 0
-
-    draws = np.empty((config.n_keep, n_params))
-    devs = np.empty(config.n_keep)
-    latent_rows = tuple(int(r) for r in state.censored_rows)
-    lat_trace = (
-        np.empty((config.n_keep, len(latent_rows)))
-        if mode is LikelihoodMode.DINTERVAL
-        else None
-    )
-
-    kept = 0
-    for sweep in range(config.total_iterations):
-        in_burn = sweep < config.burn_in
-        accepts = window_accepts if in_burn else kept_accepts
-        for block in state.blocks:
-            accepts[block.comps] += state.update_block(block, scales[block.comps])
-        if not in_burn:
-            kept_proposals += 1
-        if mode is LikelihoodMode.DINTERVAL:
-            state.refresh_latents(sweep)
-
-        if in_burn:
-            window_count += 1
-            if window_count == config.adapt_window:
-                adapt_round += 1
-                rates = window_accepts / config.adapt_window
-                scales = adapt_step_sizes(scales, rates, adapt_round)
-                window_accepts[:] = 0.0
-                window_count = 0
-        elif (sweep - config.burn_in + 1) % config.thin == 0:
-            dev = state.monitored_deviance()
-            if not math.isfinite(dev):
+        rows, block = self.censored_rows, self.censored_block
+        params = self._row_params(self.v, block)
+        for c, row_args in enumerate(self._latent_args(params, len(self.rngs))):
+            try:
+                latents = self._draw_latents(self.rngs[c], row_args)
+            except DegenerateRegionError as exc:
                 raise NumericError(
-                    f"sweep {sweep}: non-finite monitored deviance {dev}"
-                )
-            draws[kept] = state.v
-            devs[kept] = dev
-            if lat_trace is not None:
-                lat_trace[kept] = state.values[state.censored_rows]
-            kept += 1
+                    f"sweep {sweep}: degenerate censoring region: {exc}"
+                ) from exc
+            self.values[c, rows] = latents
+        self.contribs[:, rows] = self._contributions(params, rows, block)
 
-    rates = kept_accepts / max(kept_proposals, 1)
-    return draws, devs, rates, latent_rows, lat_trace
+    def monitored_deviance(self) -> np.ndarray:
+        if self.mode is LikelihoodMode.EXACT:
+            return -2.0 * _row_sums(self.contribs)
+        return -2.0 * _take(self.contribs, self.observed_rows).sum(axis=1)
+
+    # -- sampling --------------------------------------------------------------
+    def sample(self, config: ChainConfig):
+        """Burn-in with adaptation, then the kept sweeps, for every chain.
+
+        Returns the kept draws (chains, n_keep, params), deviances
+        (chains, n_keep), kept-phase acceptance rates (chains, params) and,
+        in DINTERVAL mode, the latent trace (chains, n_keep, censored rows).
+        """
+        n_chains = len(self.rngs)
+        shape = (n_chains, self.n_params)
+        scales = np.full(shape, 0.5)
+        window_accepts = np.zeros(shape)
+        window_count = 0
+        adapt_round = 0
+
+        kept_accepts = np.zeros(shape)
+        kept_proposals = 0
+
+        draws = np.empty((n_chains, config.n_keep, self.n_params))
+        devs = np.empty((n_chains, config.n_keep))
+        lat_trace = (
+            np.empty((n_chains, config.n_keep, len(self.censored_rows)))
+            if self.mode is LikelihoodMode.DINTERVAL
+            else None
+        )
+
+        kept = 0
+        for sweep in range(config.total_iterations):
+            in_burn = sweep < config.burn_in
+            accepts = window_accepts if in_burn else kept_accepts
+            for block in self.blocks:
+                accepts[:, block.comps] += self.update_block(block, scales[:, block.comps])
+            if not in_burn:
+                kept_proposals += 1
+            if self.mode is LikelihoodMode.DINTERVAL:
+                self.refresh_latents(sweep)
+
+            if in_burn:
+                window_count += 1
+                if window_count == config.adapt_window:
+                    adapt_round += 1
+                    rates = window_accepts / config.adapt_window
+                    scales = adapt_step_sizes(scales, rates, adapt_round)
+                    window_accepts[:] = 0.0
+                    window_count = 0
+            elif (sweep - config.burn_in + 1) % config.thin == 0:
+                dev = self.monitored_deviance()
+                finite = np.isfinite(dev)
+                if not finite.all():
+                    raise NumericError(
+                        f"sweep {sweep}: non-finite monitored deviance "
+                        f"{dev[~finite][0]}"
+                    )
+                draws[:, kept] = self.v
+                devs[:, kept] = dev
+                if lat_trace is not None:
+                    lat_trace[:, kept] = _take(self.values, self.censored_rows)
+                kept += 1
+
+        rates = kept_accepts / max(kept_proposals, 1)
+        return draws, devs, rates, lat_trace
+
+
+def run_batch(
+    model: Model,
+    data: CensoredDataset,
+    mode: LikelihoodMode,
+    configs,
+) -> list[PosteriorSamples]:
+    """Sample the model's posterior on ``data`` once per config, advancing
+    every chain of every config together.
+
+    Deterministic per config: chain c of a config uses the c-th child of
+    that config's seed sequence, and its results are bit for bit those of
+    ``run`` with that config alone.
+    """
+    configs = list(configs)
+    # Chains of one batch sweep in lockstep; chain counts and seeds may differ.
+    geometry = {(c.burn_in, c.n_keep, c.thin, c.adapt_window) for c in configs}
+    if len(geometry) != 1:
+        raise DataError(
+            "run_batch needs configs that share burn_in, n_keep, thin and "
+            f"adapt_window; got {sorted(geometry)}"
+        )
+    rngs = [
+        np.random.default_rng(child)
+        for config in configs
+        for child in np.random.SeedSequence(config.seed).spawn(config.n_chains)
+    ]
+    state = _ChainBatch(model, data, mode, rngs)
+    with np.errstate(all="ignore"):
+        state.initialize()
+        draws, devs, rates, lat_trace = state.sample(configs[0])
+
+    latent_rows = tuple(int(r) for r in state.censored_rows)
+    out, start = [], 0
+    for config in configs:
+        chains = slice(start, start + config.n_chains)
+        start = chains.stop
+        n_draws = config.n_chains * config.n_keep
+        out.append(PosteriorSamples(
+            param_names=model.param_names,
+            supports=model.supports,
+            draws=draws[chains].reshape(n_draws, state.n_params),
+            deviance_trace=devs[chains].reshape(n_draws),
+            chain_ids=np.repeat(np.arange(config.n_chains), config.n_keep),
+            acceptance_rates=rates[chains],
+            mode=mode,
+            config=config,
+            latent_rows=latent_rows,
+            latent_trace=(None if lat_trace is None
+                          else lat_trace[chains].reshape(n_draws, len(latent_rows))),
+        ))
+    return out
 
 
 def run(
@@ -470,37 +624,9 @@ def run(
     mode: LikelihoodMode,
     config: ChainConfig,
 ) -> PosteriorSamples:
-    """Sample the model's posterior on ``data`` under the given mode.
-
-    Deterministic for a fixed config: chain c uses the c-th child of the
-    seed sequence regardless of execution order.
-    """
-    children = np.random.SeedSequence(config.seed).spawn(config.n_chains)
-    all_draws, all_devs, all_rates, all_lat = [], [], [], []
-    latent_rows: tuple[int, ...] = ()
-    for c in range(config.n_chains):
-        rng = np.random.default_rng(children[c])
-        draws, devs, rates, latent_rows, lat = _run_chain(
-            model, data, mode, config, rng
-        )
-        all_draws.append(draws)
-        all_devs.append(devs)
-        all_rates.append(rates)
-        if lat is not None:
-            all_lat.append(lat)
-    chain_ids = np.repeat(np.arange(config.n_chains), config.n_keep)
-    return PosteriorSamples(
-        param_names=model.param_names,
-        supports=model.supports,
-        draws=np.vstack(all_draws),
-        deviance_trace=np.concatenate(all_devs),
-        chain_ids=chain_ids,
-        acceptance_rates=np.vstack(all_rates),
-        mode=mode,
-        config=config,
-        latent_rows=latent_rows,
-        latent_trace=np.vstack(all_lat) if all_lat else None,
-    )
+    """Sample the model's posterior on ``data`` under the given mode: the
+    one-config case of :func:`run_batch`."""
+    return run_batch(model, data, mode, [config])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ drive:
 
 * ``params``: ordered schema of named components with support descriptors
   ("real", "positive" or "unit");
-* ``log_prior(theta)``: joint log prior density, -inf outside support;
+* ``log_prior(theta)``: joint log prior density, -inf outside support, of
+  one parameter vector (a float) or of each row of a (K, n_params) stack
+  (an array of K), by the same float operations either way;
 * ``family``: the outcome :class:`~censdev.distributions.Family` class;
 * ``row_params(theta, cols)``: that family's parameters for every row of a
   :class:`~censdev.likelihood.DataColumns` block, as arrays, for one
@@ -22,8 +24,9 @@ drive:
   C: the drug incidences, D/E/F: the drug effects, G: the study
   incidences).  Given the other components these are independent a priori
   and reach disjoint rows, so the sampler moves them as one block;
-  ``level_log_prior`` returns each level's prior term, and ``log_prior``
-  is the other components' terms plus their sum.
+  ``level_log_prior`` returns each level's prior term (on the last axis,
+  for a vector or a stack), and ``log_prior`` is the other components'
+  terms plus their sum.
 
 Categorical covariates (drug, drug class, study) must hold whole-number
 codes below the number of levels the model has; anything else raises
@@ -51,9 +54,11 @@ from typing import Optional
 import numpy as np
 
 from .distributions import (
+    Beta,
     Binomial,
     Exponential,
     Family,
+    HalfCauchy,
     Normal,
     clamp_probability,
     clamp_probability_v,
@@ -92,6 +97,7 @@ _NEG_INF = float("-inf")
 _MAX_RATE = 1e12
 _MIN_RATE = 1e-12
 _LOG_MAX_RATE = math.log(_MAX_RATE)
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -106,33 +112,19 @@ class Param:
             raise SchemaError(f"unknown support {self.support!r} for {self.name!r}")
 
 
-def _normal_logpdf_prec(x: float, mean: float, precision: float) -> float:
-    return 0.5 * (math.log(precision) - math.log(2.0 * math.pi)) - 0.5 * precision * (
-        x - mean
-    ) ** 2
+def _prior_value(total):
+    """A float for one parameter vector, the array of values for a stack."""
+    return float(total) if np.ndim(total) == 0 else total
 
 
-def _beta_logpdf(x: float, a: float, b: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return _NEG_INF
-    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    return log_norm + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
+def _normal_log_prior(x, precision):
+    """Normal(0, 1/precision) log density at ``x``, elementwise.
 
-
-def _beta_logpdf_v(x: np.ndarray, a: float, b: float) -> np.ndarray:
-    """Elementwise Beta(a, b) log density; -inf outside (0, 1)."""
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.where(inside, x, 0.5)
-    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    out = log_norm + (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
-    return np.where(inside, out, _NEG_INF)
-
-
-def _half_cauchy_logpdf(x: float, scale: float) -> float:
-    if x < 0.0 or not math.isfinite(x):
-        return _NEG_INF
-    r = x / scale
-    return math.log(2.0 / math.pi) - math.log(scale) - math.log1p(r * r)
+    The zero-mean case of :meth:`Normal.log_pdf_v` without its guard for
+    non-finite ``x`` (parameters are finite), at a third of its cost: the
+    sampler evaluates a prior once per proposal, on a handful of values.
+    """
+    return 0.5 * (np.log(precision) - _LOG_2PI) - 0.5 * precision * (x * x)
 
 
 class Model:
@@ -152,21 +144,24 @@ class Model:
         return tuple(p.support for p in self.params)
 
     def check_theta(self, theta) -> np.ndarray:
+        """``theta`` as floats: one parameter vector or a (K, n_params) stack."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (len(self.params),):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != len(self.params):
             raise SchemaError(
                 f"{type(self).__name__} expects {len(self.params)} parameters, "
                 f"got shape {theta.shape}"
             )
         return theta
 
-    def log_prior(self, theta) -> float:
+    def log_prior(self, theta):
+        """Joint log prior of one parameter vector (a float) or of each row
+        of a (K, n_params) stack (an array); -inf outside the support."""
         raise NotImplementedError
 
     def level_log_prior(self, theta) -> np.ndarray:
-        """Prior term of each component in ``levels``, in that order, given
-        the other components of ``theta``; -inf for a level outside its
-        support."""
+        """Prior term of each component in ``levels``, in that order on the
+        last axis, given the other components of ``theta`` (a vector or a
+        stack); -inf for a level outside its support."""
         raise NotImplementedError
 
     def row_params(self, theta, cols: DataColumns) -> tuple[np.ndarray, ...]:
@@ -208,10 +203,9 @@ class SurvivalExpModel(Model):
         self.label = "survival-exponential"
 
     def log_prior(self, theta):
-        b0, b1 = self.check_theta(theta)
-        return _normal_logpdf_prec(b0, 0.0, self.tau0) + _normal_logpdf_prec(
-            b1, 0.0, self.tau1
-        )
+        theta = self.check_theta(theta)
+        return _prior_value(_normal_log_prior(theta[..., 0], self.tau0)
+                            + _normal_log_prior(theta[..., 1], self.tau1))
 
     def outcome_family(self, theta, obs):
         b0, b1 = theta
@@ -253,8 +247,8 @@ class PooledBinomialModel(_BinomialModel):
         self.label = "A"
 
     def log_prior(self, theta):
-        (p,) = self.check_theta(theta)
-        return _beta_logpdf(p, *self.beta_shapes)
+        theta = self.check_theta(theta)
+        return _prior_value(Beta.log_pdf_v(theta[..., 0], *self.beta_shapes))
 
     def outcome_family(self, theta, obs):
         return self._binomial(self._trials(obs), theta[0])
@@ -278,10 +272,10 @@ class TwoGroupBinomialModel(_BinomialModel):
         self.label = "B"
 
     def level_log_prior(self, theta):
-        return _beta_logpdf_v(theta, *self.beta_shapes)
+        return Beta.log_pdf_v(theta, *self.beta_shapes)
 
     def log_prior(self, theta):
-        return float(self.level_log_prior(self.check_theta(theta)).sum())
+        return _prior_value(self.level_log_prior(self.check_theta(theta)).sum(axis=-1))
 
     def _class_of(self, obs):
         return int(obs.covariates[self.class_col])
@@ -327,18 +321,18 @@ class DrugMeanBinomialModel(_BinomialModel):
         self.label = "C"
 
     def level_log_prior(self, theta):
-        mu, spread = theta[0], theta[1]
+        mu, spread = theta[..., 0:1], theta[..., 1:2]
         kappa = 1.0 / (spread * spread)
-        return _beta_logpdf_v(theta[2:], mu * kappa, (1.0 - mu) * kappa)
+        return Beta.log_pdf_v(theta[..., 2:], mu * kappa, (1.0 - mu) * kappa)
 
     def log_prior(self, theta):
         theta = self.check_theta(theta)
-        mu, spread = theta[0], theta[1]
-        if not 0.0 < mu < 1.0 or spread <= 0.0:
-            return _NEG_INF
-        total = _beta_logpdf(mu, *self.beta_shapes)
-        total += _half_cauchy_logpdf(spread, self.half_cauchy_scale)
-        return total + float(self.level_log_prior(theta).sum())
+        mu, spread = theta[..., 0], theta[..., 1]
+        total = Beta.log_pdf_v(mu, *self.beta_shapes)
+        total = total + HalfCauchy.log_pdf_v(spread, self.half_cauchy_scale)
+        total = total + self.level_log_prior(theta).sum(axis=-1)
+        inside = (mu > 0.0) & (mu < 1.0) & (spread > 0.0)
+        return _prior_value(np.where(inside, total, _NEG_INF))
 
     def _drug_of(self, obs):
         return int(obs.covariates[self.drug_col])
@@ -386,17 +380,16 @@ class DrugLinkBinomialModel(_BinomialModel):
         self.label = label or {"logit": "D", "cloglog": "E", "probit": "F"}[link]
 
     def level_log_prior(self, theta):
-        sigma = theta[1]
-        return Normal.log_pdf_v(theta[2:], 0.0, 1.0 / (sigma * sigma))
+        sigma = theta[..., 1:2]
+        return _normal_log_prior(theta[..., 2:], 1.0 / (sigma * sigma))
 
     def log_prior(self, theta):
         theta = self.check_theta(theta)
-        mu, sigma = theta[0], theta[1]
-        if sigma <= 0.0:
-            return _NEG_INF
-        total = _normal_logpdf_prec(mu, 0.0, self.mean_precision)
-        total += _half_cauchy_logpdf(sigma, self.half_cauchy_scale)
-        return total + float(self.level_log_prior(theta).sum())
+        mu, sigma = theta[..., 0], theta[..., 1]
+        total = _normal_log_prior(mu, self.mean_precision)
+        total = total + HalfCauchy.log_pdf_v(sigma, self.half_cauchy_scale)
+        total = total + self.level_log_prior(theta).sum(axis=-1)
+        return _prior_value(np.where(sigma > 0.0, total, _NEG_INF))
 
     def _drug_of(self, obs):
         return int(obs.covariates[self.drug_col])
@@ -439,10 +432,10 @@ class SaturatedBinomialModel(_BinomialModel):
         self.label = "G"
 
     def level_log_prior(self, theta):
-        return _beta_logpdf_v(theta, *self.beta_shapes)
+        return Beta.log_pdf_v(theta, *self.beta_shapes)
 
     def log_prior(self, theta):
-        return float(self.level_log_prior(self.check_theta(theta)).sum())
+        return _prior_value(self.level_log_prior(self.check_theta(theta)).sum(axis=-1))
 
     def _study_of(self, obs):
         return int(obs.covariates[self.study_col])
@@ -489,13 +482,11 @@ class NormalGlmModel(Model):
 
     def log_prior(self, theta):
         theta = self.check_theta(theta)
-        sigma = theta[-1]
-        if sigma <= 0.0:
-            return _NEG_INF
-        total = _half_cauchy_logpdf(sigma, self.half_cauchy_scale)
-        for coef in theta[:-1]:
-            total += _normal_logpdf_prec(coef, 0.0, self.coef_precision)
-        return total
+        sigma = theta[..., -1]
+        total = HalfCauchy.log_pdf_v(sigma, self.half_cauchy_scale)
+        for k in range(len(self.params) - 1):
+            total = total + _normal_log_prior(theta[..., k], self.coef_precision)
+        return _prior_value(np.where(sigma > 0.0, total, _NEG_INF))
 
     def outcome_family(self, theta, obs):
         mean = theta[0] + float(np.dot(theta[1:-1], obs.covariates))

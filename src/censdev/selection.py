@@ -27,7 +27,10 @@ valid basis for model comparison.
 
 The plug-in deviance and p_opt score all rows at once from the dataset's
 columns; p_opt runs over (draw pairs x rows) arrays in chunks of draws, so
-memory stays bounded however long the chains are.
+memory stays bounded however long the chains are.  Each of the two enters
+``np.errstate(all="ignore")`` once around its kernel calls (extreme draws
+meet overflow and log(0) by design), so a report raises no floating-point
+warnings.
 """
 
 from __future__ import annotations
@@ -117,9 +120,10 @@ def plugin_deviance(model: Model, data: CensoredDataset, draws: np.ndarray) -> f
     theta_bar = to_natural(to_unbounded(draws, supports).mean(axis=0), supports)
     cols = data.columns
     try:
-        value = -2.0 * float(model.family.log_contrib(
-            cols, *model.row_params(theta_bar, cols)
-        ).sum())
+        with np.errstate(all="ignore"):
+            value = -2.0 * float(model.family.log_contrib(
+                cols, *model.row_params(theta_bar, cols)
+            ).sum())
     except Exception as exc:  # parameter/domain failures at the plug-in point
         raise PluginError(f"plug-in deviance failed at posterior mean: {exc}") from exc
     if not math.isfinite(value):
@@ -144,13 +148,12 @@ def _penalty_terms(family, censored, params_a, params_b, contrib_a, contrib_b):
     censored row compares its Bernoulli indicator, whose success
     probability is the row's likelihood term.
     """
-    with np.errstate(all="ignore"):
-        p_a, p_b = np.exp(contrib_a), np.exp(contrib_b)
-        ksym = np.where(
-            censored,
-            bernoulli_kl_v(p_a, p_b) + bernoulli_kl_v(p_b, p_a),
-            family.kl_v(params_a, params_b) + family.kl_v(params_b, params_a),
-        )
+    p_a, p_b = np.exp(contrib_a), np.exp(contrib_b)
+    ksym = np.where(
+        censored,
+        bernoulli_kl_v(p_a, p_b) + bernoulli_kl_v(p_b, p_a),
+        family.kl_v(params_a, params_b) + family.kl_v(params_b, params_a),
+    )
     return ksym, -(contrib_a + contrib_b)
 
 
@@ -196,21 +199,22 @@ def compute_popt_ped(
     weight_sum = np.zeros(len(cols))
     penalty_sum = np.zeros(len(cols))
     chunk = max(1, POPT_CHUNK_ELEMENTS // len(cols))
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        params_a = model.row_params(samples_a.draws[start:stop], cols)
-        params_b = model.row_params(samples_b.draws[start:stop], cols)
-        contrib_a = family.log_contrib(cols, *params_a)
-        contrib_b = family.log_contrib(cols, *params_b)
-        ksym, log_w = _penalty_terms(
-            family, censored, params_a, params_b, contrib_a, contrib_b
-        )
-        new_max = np.maximum(log_w_max, log_w.max(axis=0))
-        rescale = np.exp(log_w_max - new_max)
-        weights = np.exp(log_w - new_max)
-        weight_sum = weight_sum * rescale + weights.sum(axis=0)
-        penalty_sum = penalty_sum * rescale + (weights * ksym).sum(axis=0)
-        log_w_max = new_max
+    with np.errstate(all="ignore"):
+        for start in range(0, n, chunk):
+            stop = min(n, start + chunk)
+            params_a = model.row_params(samples_a.draws[start:stop], cols)
+            params_b = model.row_params(samples_b.draws[start:stop], cols)
+            contrib_a = family.log_contrib(cols, *params_a)
+            contrib_b = family.log_contrib(cols, *params_b)
+            ksym, log_w = _penalty_terms(
+                family, censored, params_a, params_b, contrib_a, contrib_b
+            )
+            new_max = np.maximum(log_w_max, log_w.max(axis=0))
+            rescale = np.exp(log_w_max - new_max)
+            weights = np.exp(log_w - new_max)
+            weight_sum = weight_sum * rescale + weights.sum(axis=0)
+            penalty_sum = penalty_sum * rescale + (weights * ksym).sum(axis=0)
+            log_w_max = new_max
     p_opt = float((penalty_sum / weight_sum).sum())
     dbar = compute_dbar(
         np.concatenate([samples_a.deviance_trace[:n], samples_b.deviance_trace[:n]])

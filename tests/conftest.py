@@ -73,15 +73,16 @@ class GammaExponentialModel(Model):
         self.label = "gamma-exponential"
 
     def log_prior(self, theta):
-        (lam,) = self.check_theta(theta)
-        if lam <= 0.0:
-            return -math.inf
-        return (
+        lam = self.check_theta(theta)[..., 0]
+        positive = lam > 0.0
+        safe = np.where(positive, lam, 1.0)
+        total = (
             self.shape * math.log(self.rate)
             - math.lgamma(self.shape)
-            + (self.shape - 1.0) * math.log(lam)
-            - self.rate * lam
+            + (self.shape - 1.0) * np.log(safe)
+            - self.rate * safe
         )
+        return np.where(positive, total, -math.inf)
 
     family = Exponential
 
@@ -90,6 +91,30 @@ class GammaExponentialModel(Model):
 
     def outcome_family(self, theta, obs):
         return Exponential(rate=max(float(theta[0]), 1e-300))
+
+
+def tobit_dataset(n=40, seed=8):
+    """Censored normal regression rows (intercept 1, slopes 0.8 and -0.5,
+    sd 1.2) with every censor kind: the lowest and highest fifths left- and
+    right-censored at their quantile cutoffs, every third middle row coarsened
+    to a half-unit interval, the rest observed."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 2))
+    y = 1.0 + x @ np.array([0.8, -0.5]) + 1.2 * rng.standard_normal(n)
+    lo_cut, hi_cut = np.quantile(y, [0.2, 0.8])
+    rows = []
+    for i in range(n):
+        if y[i] < lo_cut:
+            outcome = LeftCensored(float(lo_cut))
+        elif y[i] > hi_cut:
+            outcome = RightCensored(float(hi_cut))
+        elif i % 3 == 0:
+            lo = math.floor(2.0 * y[i]) / 2.0
+            outcome = IntervalCensored(lo, lo + 0.5)
+        else:
+            outcome = Observed(float(y[i]))
+        rows.append(Observation(outcome, covariates=tuple(float(v) for v in x[i])))
+    return CensoredDataset(tuple(rows))
 
 
 def single_binomial_dataset(successes=7, trials=20):

@@ -260,6 +260,24 @@ class TestCliFit:
         assert math.isfinite(report["mean_monitored_deviance"])
 
 
+    @pytest.mark.parametrize("mode", ["exact", "dinterval"])
+    def test_printed_headline_is_the_reported_value(self, fit_config, tmp_path, capsys, mode):
+        config_path, _, config = fit_config
+        config.update(mode=mode, output_dir=str(tmp_path / f"out-{mode}"))
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["fit", "--config", str(config_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        report = json.loads((tmp_path / f"out-{mode}" / "report.json").read_text())
+        if mode == "exact":
+            assert printed == (
+                f"[toy] Dbar={report['Dbar']:.3f} pD={report['pD']:.3f} "
+                f"DIC={report['DIC']:.3f} p_opt={report['p_opt']:.3f} PED={report['PED']:.3f}"
+            )
+        else:
+            assert printed == (f"[toy] mean monitored deviance "
+                               f"{report['mean_monitored_deviance']:.3f} (dinterval mode)")
+
+
 class TestCliErrors:
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         config = {
@@ -650,6 +668,18 @@ class TestCliDemo:
         for mode in ("exact", "dinterval"):
             for param in ("b0", "b1"):
                 assert (out / f"survival-{mode}" / f"density_{mode}_{param}.csv").exists()
+
+    def test_survival_demo_headline_is_the_reported_values(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        assert main(["demo", "survival", "--quick", "--output-dir", str(out)]) == 0
+        printed = capsys.readouterr().out
+        dbar = json.loads((out / "survival-exact" / "report.json").read_text())["Dbar"]
+        monitored = json.loads(
+            (out / "survival-dinterval" / "report.json").read_text()
+        )["mean_monitored_deviance"]
+        assert f"exact-mode mean deviance:              {dbar:.3f}" in printed
+        assert f"latent-imputation monitored deviance:  {monitored:.3f}" in printed
+        assert f"understated by the default monitor: {dbar - monitored:.3f}" in printed
 
     def test_survival_demo_rerun_identical(self, tmp_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"

@@ -1,26 +1,36 @@
-"""Sampler tests: conjugate oracles, determinism, adaptation, deviance
-monitors, latent imputation, summaries and density export."""
+"""Sampler tests: conjugate oracles, determinism, batching, adaptation,
+deviance monitors, latent imputation, summaries and density export."""
 
 import copy
+import dataclasses
+import itertools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from censdev import ChainConfig, LikelihoodMode, run
+from censdev import ChainConfig, LikelihoodMode, aml_dataset, run
+from censdev.cli import main
 from censdev.datasets import synthetic_ae_dataset
-from censdev.distributions import Binomial, Normal
+from censdev.distributions import Binomial, Exponential, Normal
 from censdev.exceptions import (
     DataError,
     DegenerateDensityError,
+    DegenerateRegionError,
     InitializationError,
+    NumericError,
     SchemaError,
 )
 from censdev.likelihood import (
     CensoredDataset,
+    IntervalCensored,
+    LeftCensored,
     Observation,
     Observed,
+    RightCensored,
     censoring_region,
     deviance,
     loglik_dinterval_style,
@@ -28,22 +38,26 @@ from censdev.likelihood import (
 )
 from censdev.mcmc import (
     PosteriorSamples,
-    _ChainState,
+    _ChainBatch,
     adapt_step_sizes,
     export_density,
     mcse,
+    run_batch,
     split_rhat,
     summarize,
 )
 from censdev.models import (
     Model,
+    NormalGlmModel,
     Param,
     PooledBinomialModel,
     SaturatedBinomialModel,
+    SurvivalExpModel,
     ae_model,
     outcome_families,
 )
-from conftest import single_binomial_dataset
+from censdev.selection import make_selection_report
+from conftest import single_binomial_dataset, tobit_dataset
 
 
 class TestConjugateOracles:
@@ -105,6 +119,129 @@ class TestDeterminism:
         samples = run(model, data, LikelihoodMode.EXACT, config)
         assert samples.draws.shape == (80, 1)
         assert config.total_iterations == 50 + 40 * 5
+
+
+def _batch_case(name):
+    """(model, data, mode) of one batching case."""
+    if name.startswith("survival"):
+        mode = LikelihoodMode.DINTERVAL if name.endswith("dinterval") else LikelihoodMode.EXACT
+        return SurvivalExpModel(), aml_dataset(), mode
+    if name == "glm":
+        return NormalGlmModel(n_covariates=2), tobit_dataset(), LikelihoodMode.EXACT
+    ae = synthetic_ae_dataset(seed=11)
+    return ae_model(name[-1], n_drugs=5, n_studies=len(ae)), ae, LikelihoodMode.EXACT
+
+
+class TestBatching:
+    """Chains of a batch advance as one array state but never interact: each
+    owns its generator, so a batch of configs reproduces the configs run
+    one by one, bit for bit."""
+
+    GEOMETRY = {"burn_in": 60, "n_keep": 40, "adapt_window": 20}
+
+    @pytest.mark.parametrize(
+        "case", ["survival-exact", "survival-dinterval", "glm", "ae-D", "ae-G"]
+    )
+    def test_batch_equals_separate_runs(self, case):
+        model, data, mode = _batch_case(case)
+        configs = [ChainConfig(n_chains=2, seed=31, **self.GEOMETRY),
+                   ChainConfig(n_chains=1, seed=32, **self.GEOMETRY)]
+        batched = run_batch(model, data, mode, configs)
+        for alone, together in zip([run(model, data, mode, c) for c in configs], batched):
+            for field in ("draws", "deviance_trace", "acceptance_rates", "chain_ids"):
+                assert np.array_equal(getattr(alone, field), getattr(together, field)), field
+            if mode is LikelihoodMode.DINTERVAL:
+                assert np.array_equal(alone.latent_trace, together.latent_trace)
+                assert alone.latent_rows == together.latent_rows
+            else:
+                assert alone.latent_trace is together.latent_trace is None
+
+    @pytest.mark.parametrize("field", ["burn_in", "n_keep", "thin", "adapt_window"])
+    def test_configs_must_share_geometry(self, field):
+        data = single_binomial_dataset()
+        base = ChainConfig(n_chains=1, burn_in=20, n_keep=20, thin=1, adapt_window=10)
+        other = dataclasses.replace(base, **{field: getattr(base, field) + 1}, seed=5)
+        with pytest.raises(DataError):
+            run_batch(PooledBinomialModel(), data, LikelihoodMode.EXACT, [base, other])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(DataError):
+            run_batch(PooledBinomialModel(), single_binomial_dataset(),
+                      LikelihoodMode.EXACT, [])
+
+    def test_failing_initialization_raises_initialization_error(self):
+        data = CensoredDataset((Observation(Observed(1.0)),))
+        configs = [ChainConfig(n_chains=2, burn_in=5, n_keep=5, seed=s) for s in (1, 2)]
+        with pytest.raises(InitializationError):
+            run_batch(_HopelessModel(), data, LikelihoodMode.EXACT, configs)
+
+    def test_failing_latent_refresh_surfaces_as_numeric_error(self, monkeypatch, aml):
+        _degenerate_after(monkeypatch, 40)
+        configs = [ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=s) for s in (1, 2)]
+        with pytest.raises(NumericError, match="degenerate censoring region"):
+            run_batch(SurvivalExpModel(), aml, LikelihoodMode.DINTERVAL, configs)
+
+    @pytest.mark.parametrize("failure", ["initialization", "latent-refresh"])
+    def test_cli_exit_code_for_numeric_failures(self, monkeypatch, tmp_path, capsys, failure):
+        if failure == "initialization":
+            monkeypatch.setattr(SurvivalExpModel, "log_prior",
+                                lambda self, theta: np.full(len(theta), -math.inf))
+        else:
+            _degenerate_after(monkeypatch, 40)
+        config = {
+            "dataset": "bundled:aml",
+            "model": {"family": "survival-exponential"},
+            "mode": "dinterval",
+            "chains": {"n_chains": 2, "burn_in": 20, "n_keep": 20, "seed": 4},
+            "output_dir": str(tmp_path / "out"),
+        }
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["fit", "--config", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("numeric error:")
+
+
+def _degenerate_after(monkeypatch, n_draws):
+    """Make every truncated Exponential draw after the first ``n_draws``
+    find its region degenerate."""
+    draws = itertools.count()
+    original = Exponential.sample_truncated
+
+    def sample_truncated(self, lower, upper, rng):
+        if next(draws) >= n_draws:
+            raise DegenerateRegionError("forced")
+        return original(self, lower, upper, rng)
+
+    monkeypatch.setattr(Exponential, "sample_truncated", sample_truncated)
+
+
+def _four_kind_survival_dataset():
+    """Survival rows of every censor kind; the interval from 0 and the
+    left-censored row take the exponential kernels through log(0)."""
+    rows = [(Observed(2.0), 0.0), (Observed(0.7), 1.0), (LeftCensored(1.0), 0.0),
+            (RightCensored(5.0), 1.0), (IntervalCensored(0.0, 3.0), 0.0),
+            (IntervalCensored(1.0, 4.0), 1.0), (Observed(3.5), 1.0)]
+    return CensoredDataset(tuple(Observation(o, covariates=(g,)) for o, g in rows))
+
+
+class TestFloatingPointState:
+    """The kernels meet overflow and log(0) at some rows and proposals by
+    design; the sampler and the selection layer own the error state, so no
+    floating-point warning leaks out of a run or a report."""
+
+    @pytest.mark.parametrize("case", ["aml", "four-kinds", "tobit"])
+    def test_runs_and_reports_raise_no_runtime_warning(self, case, aml):
+        if case == "tobit":
+            model, data = NormalGlmModel(n_covariates=2), tobit_dataset()
+        else:
+            model = SurvivalExpModel()
+            data = aml if case == "aml" else _four_kind_survival_dataset()
+        configs = [ChainConfig(n_chains=2, burn_in=60, n_keep=40, seed=s) for s in (6, 7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            samples_a, samples_b = run_batch(model, data, LikelihoodMode.EXACT, configs)
+            make_selection_report(case, model, data, samples_a, samples_b)
+            run(model, data, LikelihoodMode.DINTERVAL, configs[0])
 
 
 class TestAdaptation:
@@ -193,7 +330,7 @@ class _HopelessModel(Model):
         self.params = (Param("x", "real"),)
 
     def log_prior(self, theta):
-        return -math.inf
+        return np.full(self.check_theta(theta).shape[:-1], -math.inf)
 
     def row_params(self, theta, cols):
         raise AssertionError("never reached")
@@ -224,7 +361,7 @@ class _Feed:
     def standard_normal(self, size=None):
         return self._take(self.normals, size)
 
-    def uniform(self, size=None):
+    def random(self, size=None):
         return self._take(self.uniforms, size)
 
 
@@ -238,10 +375,10 @@ class _SharedLevels(Model):
         self.params = (Param("p0", "unit"), Param("p1", "unit"))
 
     def log_prior(self, theta):
-        return 0.0
+        return np.zeros(self.check_theta(theta).shape[:-1])
 
     def level_log_prior(self, theta):
-        return np.zeros(2)
+        return np.zeros(np.shape(theta))
 
     def row_params(self, theta, cols):
         theta = np.asarray(theta, dtype=float)
@@ -258,7 +395,7 @@ class TestLevelBlocks:
         """One blocked step and the level-by-level single-site steps, fed the
         same increments and uniforms, take the same decisions and states."""
         model = ae_model(variant, n_drugs=5, n_studies=len(ae))
-        state = _ChainState(model, ae, LikelihoodMode.EXACT, np.random.default_rng(3))
+        state = _ChainBatch(model, ae, LikelihoodMode.EXACT, [np.random.default_rng(3)])
         state.initialize()
         (block,) = [b for b in state.blocks if b.owner is not None]
         levels = model.levels
@@ -268,14 +405,15 @@ class TestLevelBlocks:
         scales = rng.uniform(0.2, 1.5, size=len(model.params))
 
         blocked = copy.deepcopy(state)
-        blocked.rng = _Feed(z, u)
-        accept = blocked.update_block(block, scales[block.comps])
+        blocked.rngs = [_Feed(z, u)]
+        (accept,) = blocked.update_block(block, scales[block.comps])
 
         single = copy.deepcopy(state)
         decisions = []
         for k, j in enumerate(levels):
-            single.rng = _Feed([z[k]], [u[k]])
-            decisions.append(bool(single.update_block(single._single_block(j, ae), scales[j])))
+            single.rngs = [_Feed([z[k]], [u[k]])]
+            (flag,) = single.update_block(single._single_block(j, ae), scales[j])
+            decisions.append(bool(flag))
 
         assert accept.tolist() == decisions
         assert 0 < sum(decisions) < len(levels)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.stats import norm
 
 from censdev import ChainConfig, LikelihoodMode, run
@@ -22,6 +23,7 @@ from censdev.likelihood import (
 )
 from censdev.models import (
     DrugLinkBinomialModel,
+    DrugMeanBinomialModel,
     NormalGlmModel,
     PooledBinomialModel,
     SaturatedBinomialModel,
@@ -66,6 +68,129 @@ class TestPriors:
     def test_schema_mismatch(self):
         with pytest.raises(SchemaError):
             SurvivalExpModel().log_prior(np.zeros(3))
+        with pytest.raises(SchemaError):
+            SurvivalExpModel().log_prior(np.zeros((2, 3)))
+        with pytest.raises(SchemaError):
+            SurvivalExpModel().log_prior(np.zeros((2, 2, 2)))
+
+
+# Per model: a builder, a scipy.stats oracle of the joint log prior, and
+# parameter vectors inside the support and outside it (sigma <= 0, a
+# probability outside (0, 1)).  Non-flat Beta shapes keep the values away
+# from 0, where a relative comparison means nothing.
+def _hc(x, scale=1.0):
+    return stats.halfcauchy.logpdf(x, scale=scale)
+
+
+def _beta(x, a, b):
+    return stats.beta.logpdf(x, a, b)
+
+
+def _normal(x, precision):
+    return stats.norm.logpdf(x, 0.0, 1.0 / math.sqrt(precision))
+
+
+def _c_oracle(t):
+    kappa = 1.0 / t[1] ** 2
+    return (_beta(t[0], 2.0, 3.0) + _hc(t[1], 0.7)
+            + _beta(t[2:], t[0] * kappa, (1.0 - t[0]) * kappa).sum())
+
+
+PRIOR_CASES = {
+    "survival": (
+        lambda: SurvivalExpModel(tau0=0.5, tau1=2.0),
+        lambda t: _normal(t[0], 0.5) + _normal(t[1], 2.0),
+        [[0.3, -1.2], [-4.0, 0.7], [2.5, 0.0]],
+        [],
+    ),
+    "A": (
+        lambda: ae_model("A", beta_shapes=(2.0, 3.0)),
+        lambda t: _beta(t[0], 2.0, 3.0),
+        [[0.2], [0.73], [0.999]],
+        [[0.0], [1.0], [1.5], [-0.2]],
+    ),
+    "B": (
+        lambda: ae_model("B", beta_shapes=(2.0, 3.0)),
+        lambda t: _beta(t, 2.0, 3.0).sum(),
+        [[0.2, 0.6], [0.05, 0.9]],
+        [[0.2, 1.0], [-0.1, 0.5]],
+    ),
+    "C": (
+        lambda: DrugMeanBinomialModel(n_drugs=3, beta_shapes=(2.0, 3.0), half_cauchy_scale=0.7),
+        _c_oracle,
+        [[0.3, 0.5, 0.2, 0.4, 0.35], [0.6, 1.3, 0.7, 0.5, 0.9]],
+        [[0.3, -0.5, 0.2, 0.4, 0.35], [1.2, 0.5, 0.2, 0.4, 0.35],
+         [0.3, 0.5, 0.2, 1.4, 0.35]],
+    ),
+    **{
+        variant: (
+            lambda v=variant: ae_model(v, n_drugs=3, mean_precision=0.2, half_cauchy_scale=0.7),
+            lambda t: (_normal(t[0], 0.2) + _hc(t[1], 0.7)
+                       + _normal(t[2:], 1.0 / t[1] ** 2).sum()),
+            [[-1.5, 0.8, 0.3, -0.6, 1.1], [0.4, 2.5, -3.0, 0.1, 0.9]],
+            [[-1.5, -0.8, 0.3, -0.6, 1.1]],
+        )
+        for variant in "DEF"
+    },
+    "G": (
+        lambda: ae_model("G", n_studies=4, beta_shapes=(2.0, 3.0)),
+        lambda t: _beta(t, 2.0, 3.0).sum(),
+        [[0.2, 0.6, 0.4, 0.1], [0.9, 0.3, 0.5, 0.05]],
+        [[0.2, 0.6, 1.0, 0.1]],
+    ),
+    "glm": (
+        lambda: NormalGlmModel(n_covariates=2, coef_precision=0.3, half_cauchy_scale=0.7),
+        lambda t: _hc(t[-1], 0.7) + _normal(t[:-1], 0.3).sum(),
+        [[0.5, -1.0, 2.0, 1.3], [-2.0, 0.1, 0.3, 0.2]],
+        [[0.5, -1.0, 2.0, -1.3]],
+    ),
+}
+
+
+# Per model with levels: scipy.stats terms of its levels, given the rest.
+LEVEL_ORACLES = {
+    "B": lambda t: _beta(t, 2.0, 3.0),
+    "C": lambda t: _beta(t[2:], t[0] / t[1] ** 2, (1.0 - t[0]) / t[1] ** 2),
+    "D": lambda t: _normal(t[2:], 1.0 / t[1] ** 2),
+    "G": lambda t: _beta(t, 2.0, 3.0),
+}
+
+
+class TestStackedPriors:
+    """``log_prior`` and ``level_log_prior`` take one parameter vector or a
+    (K, n_params) stack, by the same float operations: a stack's values are
+    exactly those of its rows."""
+
+    @pytest.mark.parametrize("name", sorted(PRIOR_CASES))
+    def test_stack_equals_rows_and_scipy(self, name):
+        build, oracle, inside, outside = PRIOR_CASES[name]
+        model = build()
+        stack = np.array(inside + outside, dtype=float)
+        rows = [model.log_prior(theta) for theta in stack]
+        assert all(type(value) is float for value in rows)
+        stacked = model.log_prior(stack)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (len(stack),)
+        assert np.array_equal(stacked, rows)
+        for theta, value in zip(inside, rows):
+            assert value == pytest.approx(oracle(np.array(theta)), rel=1e-12)
+        assert all(value == -math.inf for value in rows[len(inside):])
+
+    @pytest.mark.parametrize("name", sorted(LEVEL_ORACLES))
+    def test_level_priors_stack_equals_rows_and_scipy(self, name):
+        model = PRIOR_CASES[name][0]()
+        stack = np.array(PRIOR_CASES[name][2], dtype=float)
+        rows = [model.level_log_prior(theta) for theta in stack]
+        stacked = model.level_log_prior(stack)
+        assert stacked.shape == (len(stack), len(model.levels))
+        assert np.array_equal(stacked, rows)
+        for theta, levels in zip(stack, rows):
+            np.testing.assert_allclose(levels, LEVEL_ORACLES[name](theta), rtol=1e-12)
+
+    def test_zero_scale_is_outside_the_support(self):
+        with np.errstate(all="ignore"):
+            assert ae_model("D", n_drugs=2).log_prior(np.array([0.0, 0.0, 0.1, 0.2])) == -math.inf
+            assert NormalGlmModel(1).log_prior(np.array([0.0, 0.0, 0.0])) == -math.inf
+            assert ae_model("C", n_drugs=1).log_prior(np.array([0.5, 0.0, 0.5])) == -math.inf
 
 
 class TestOutcomeConstruction:

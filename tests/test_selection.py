@@ -169,7 +169,7 @@ class TestReports:
                 self.params = (Param("a", "real"), Param("b", "real"))
 
             def log_prior(self, theta):
-                return 0.0
+                return np.zeros(self.check_theta(theta).shape[:-1])
 
             def row_params(self, theta, cols):
                 theta = np.asarray(theta, dtype=float)

@@ -40,6 +40,15 @@ POPT_RTOL = 1e-10
 FIELDS = {Exponential: ("rate",), Normal: ("mean", "precision"), Binomial: ("trials", "prob")}
 
 
+@pytest.fixture(autouse=True)
+def _kernel_error_state():
+    """Callers of the vectorized kernels own the floating-point error state,
+    as the sampler and the selection layer do: extreme parameters meet
+    overflow and log(0) by design."""
+    with np.errstate(all="ignore"):
+        yield
+
+
 def _assert_close(vector, scalar, rtol):
     vector = np.asarray(vector, dtype=float)
     scalar = np.asarray(scalar, dtype=float)
