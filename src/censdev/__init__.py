@@ -39,7 +39,14 @@ from .likelihood import (
     loglik_dinterval_style,
     loglik_exact,
 )
-from .mcmc import ChainConfig, PosteriorSamples, export_density, run, run_batch, summarize
+from .mcmc import (
+    ChainBatch,
+    ChainConfig,
+    PosteriorSamples,
+    export_density,
+    run,
+    summarize,
+)
 from .models import (
     NormalGlmModel,
     SurvivalExpModel,
@@ -85,10 +92,10 @@ __all__ = [
     "loglik_dinterval_style",
     "loglik_exact",
     "ChainConfig",
+    "ChainBatch",
     "PosteriorSamples",
     "export_density",
     "run",
-    "run_batch",
     "summarize",
     "NormalGlmModel",
     "SurvivalExpModel",

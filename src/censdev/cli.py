@@ -32,7 +32,7 @@ from .datasets import (
 )
 from .exceptions import NumericError, ValidationError
 from .likelihood import CensoredDataset, LikelihoodMode
-from .mcmc import ChainConfig, PosteriorSamples, export_density, run_batch, summarize
+from .mcmc import ChainBatch, ChainConfig, PosteriorSamples, export_density, run, summarize
 from .models import AE_VARIANTS, Model, NormalGlmModel, SurvivalExpModel, ae_model
 from .selection import SelectionReport, compare, make_selection_report
 
@@ -344,10 +344,9 @@ def _fit_one(
     Exact mode samples the two replicate runs as one batch.
     """
     (seed_a, seed_b) = _derive_run_seeds(chains.seed, 1)[0]
-    configs = [dataclasses.replace(chains, seed=seed_a)]
-    if mode is LikelihoodMode.EXACT:
-        configs.append(dataclasses.replace(chains, seed=seed_b))
-    samples_a, *replicate = run_batch(model, data, mode, configs)
+    seeds = (seed_a, seed_b) if mode is LikelihoodMode.EXACT else (seed_a,)
+    batch = ChainBatch(tuple(dataclasses.replace(chains, seed=seed) for seed in seeds))
+    samples_a, *replicate = run(model, data, mode, batch)
     outputs = []
     _write_samples_csv(out_dir / "samples_a.csv", samples_a)
     outputs.append("samples_a.csv")
@@ -441,8 +440,10 @@ def cmd_compare(config: dict, config_dir: Path) -> int:
     reports = []
     outputs = []
     for (model, label), (seed_a, seed_b) in zip(models, seed_pairs):
-        configs = [dataclasses.replace(chains, seed=seed) for seed in (seed_a, seed_b)]
-        samples_a, samples_b = run_batch(model, data, LikelihoodMode.EXACT, configs)
+        batch = ChainBatch(tuple(
+            dataclasses.replace(chains, seed=seed) for seed in (seed_a, seed_b)
+        ))
+        samples_a, samples_b = run(model, data, LikelihoodMode.EXACT, batch)
         report = make_selection_report(
             label, model, data, samples_a, samples_b, dataset_id=dataset_id
         )

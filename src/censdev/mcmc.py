@@ -26,19 +26,20 @@ component is a block of one that scores the precomputed row block its
 value reaches.  Acceptance rates, and so the adaptation, stay per
 component.
 
-All chains of a call advance together as one array state: ``run_batch``
-takes several run configs (the replicate runs A and B of a fit, say) and
-keeps parameters, working-scale values, Jacobians and proposal scales as
-(chains, params) arrays and the per-row contributions and latent values as
-(chains, rows) arrays, so each block scores every chain's proposal with one
-``row_params``/``log_contrib`` call.  Chains stay independent: each owns a
-child generator spawned deterministically from its run's seed and draws its
-normals, its uniforms (only when a log ratio of its own is below 0), its
-jittered restarts and its latents from it in the order a chain run alone
-would, and its terms depend on its own row of the state only.  So a chain's
-draws are bit for bit the same whichever chains share its batch, and
-``run`` is the one-config case of ``run_batch``; ``TestBatching`` in
-``tests/test_mcmc.py`` checks both against each other.
+All chains of a call advance together as one array state.  ``run`` takes
+one run config or a ``ChainBatch`` of several (the replicate runs A and B
+of a fit, say) and keeps parameters, working-scale values, Jacobians and
+proposal scales as (chains, params) arrays and the per-row contributions
+and latent values as (chains, rows) arrays, so each block scores every
+chain's proposal with one ``row_params``/``log_contrib`` call.  Chains stay
+independent: each owns a child generator spawned deterministically from its
+run's seed and draws its normals, its uniforms (only when a log ratio of
+its own is below 0), its jittered restarts and its latents from it in the
+order a chain run alone would, and its terms depend on its own row of the
+state only.  So a chain's draws are bit for bit the same whichever chains
+share its batch; ``TestBatching`` in ``tests/test_mcmc.py`` checks a batch
+against its configs run one at a time.  Every sampling call, batched or
+not, goes through ``run``.
 """
 
 from __future__ import annotations
@@ -63,10 +64,10 @@ from .models import Model
 
 __all__ = [
     "ChainConfig",
+    "ChainBatch",
     "PosteriorSamples",
     "ParamSummary",
     "run",
-    "run_batch",
     "to_unbounded",
     "to_natural",
     "adapt_step_sizes",
@@ -103,6 +104,34 @@ class ChainConfig:
     @property
     def total_iterations(self) -> int:
         return self.burn_in + self.n_keep * self.thin
+
+
+@dataclass(frozen=True)
+class ChainBatch:
+    """Run configs sampled together as one state.
+
+    Their chains sweep in lockstep, so the configs must share burn-in, kept
+    draws, thinning and adaptation window; chain counts and seeds may
+    differ.  ``n_chains`` counts the chains of every config.
+    """
+
+    configs: tuple[ChainConfig, ...]
+
+    def __post_init__(self):
+        geometry = {(c.burn_in, c.n_keep, c.thin, c.adapt_window) for c in self.configs}
+        if len(geometry) != 1:
+            raise DataError(
+                "a chain batch needs configs that share burn_in, n_keep, thin "
+                f"and adapt_window; got {sorted(geometry)}"
+            )
+
+    @property
+    def n_chains(self) -> int:
+        return sum(c.n_chains for c in self.configs)
+
+    @property
+    def total_iterations(self) -> int:
+        return self.configs[0].total_iterations
 
 
 @dataclass
@@ -214,9 +243,8 @@ class _Block(NamedTuple):
 
     ``comps`` is a component index, for a block of one, or the slice of a
     model's levels; numpy indexing then hands the update a column or a
-    (chains, levels) array alike.  ``to_natural`` and ``log_jac`` are their
-    working-scale transform and its log Jacobian, None on the real line,
-    where the term is 0.  ``rows`` are the rows they reach (a slice when
+    (chains, levels) array alike.  ``transform`` is their support's
+    ``_TRANSFORMS`` entry.  ``rows`` are the rows they reach (a slice when
     that is every row) and ``cols`` the columnar block of those rows, None
     when there are none.  ``owner`` is None for a single component; for
     levels it maps each row of the block to the position of its level in
@@ -224,16 +252,10 @@ class _Block(NamedTuple):
     """
 
     comps: int | slice
-    to_natural: object
-    log_jac: object
+    transform: tuple
     rows: slice | np.ndarray
     cols: Optional[DataColumns]
     owner: Optional[np.ndarray]
-
-
-def _block_transform(support: str) -> tuple:
-    _, to_natural, log_jac = _TRANSFORMS[support]
-    return to_natural, (None if support == "real" else log_jac)
 
 
 def _take(a: np.ndarray, rows) -> np.ndarray:
@@ -302,7 +324,7 @@ class _ChainBatch:
             rows, cols = self.all_rows
         else:
             cols = data.columns.take(rows) if len(rows) else None
-        return _Block(j, *_block_transform(self.supports[j]), rows, cols, None)
+        return _Block(j, _TRANSFORMS[self.supports[j]], rows, cols, None)
 
     def _level_block(self, levels: tuple[int, ...], data) -> _Block:
         """One block for the model's levels.  Moving them together keeps the
@@ -322,8 +344,7 @@ class _ChainBatch:
         owner = np.repeat(np.arange(len(levels)), [len(r) for r in level_rows])
         cols = data.columns.take(rows) if len(rows) else None
         comps = slice(levels[0], levels[0] + len(levels))
-        transform = _block_transform(self.supports[levels[0]])
-        return _Block(comps, *transform, rows, cols, owner)
+        return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], rows, cols, owner)
 
     # -- contribution bookkeeping ------------------------------------------
     def _row_params(self, theta, block) -> tuple[np.ndarray, ...]:
@@ -425,11 +446,12 @@ class _ChainBatch:
         log ratio of its own is below 0.  A proposal outside the prior's
         support has log ratio -inf (or NaN) and is rejected.
         """
-        comps, to_nat, log_jac, rows, cols, owner = block
+        comps, (_, to_nat, log_jac), rows, cols, owner = block
         size = None if owner is None else scales.shape[-1]
         z = np.array([rng.standard_normal(size) for rng in self.rngs])
         x_new = self.x[:, comps] + scales * z
         v_new = to_nat(x_new)
+        jac_new = log_jac(x_new)
 
         theta_prop = self.v.copy()
         theta_prop[:, comps] = v_new
@@ -448,9 +470,7 @@ class _ChainBatch:
                 log_ratio = log_ratio + _row_sums(change)
             else:
                 log_ratio = log_ratio + self._level_sums(owner, change, size)
-        if log_jac is not None:
-            jac_new = log_jac(x_new)
-            log_ratio = log_ratio + (jac_new - self.jac[:, comps])
+        log_ratio = log_ratio + (jac_new - self.jac[:, comps])
 
         accept = log_ratio >= 0.0
         undecided = np.flatnonzero(~accept if owner is None else ~accept.all(axis=1))
@@ -460,8 +480,7 @@ class _ChainBatch:
             accept[undecided] = np.log(u) < log_ratio[undecided]
         np.copyto(self.x[:, comps], x_new, where=accept)
         np.copyto(self.v[:, comps], v_new, where=accept)
-        if log_jac is not None:
-            np.copyto(self.jac[:, comps], jac_new, where=accept)
+        np.copyto(self.jac[:, comps], jac_new, where=accept)
         if owner is None:
             np.copyto(self.log_prior, lp_new, where=accept)
             moved = accept[:, None]
@@ -565,68 +584,52 @@ class _ChainBatch:
         return draws, devs, rates, lat_trace
 
 
-def run_batch(
+def run(
     model: Model,
     data: CensoredDataset,
     mode: LikelihoodMode,
-    configs,
-) -> list[PosteriorSamples]:
-    """Sample the model's posterior on ``data`` once per config, advancing
-    every chain of every config together.
+    config: ChainConfig | ChainBatch,
+):
+    """Sample the model's posterior on ``data`` under the given mode.
 
-    Deterministic per config: chain c of a config uses the c-th child of
-    that config's seed sequence, and its results are bit for bit those of
-    ``run`` with that config alone.
+    ``config`` is one :class:`ChainConfig`, for which the result is its
+    :class:`PosteriorSamples`, or a :class:`ChainBatch`, whose configs are
+    sampled as one state, for which it is the list of their samples in
+    order.  Deterministic per config: chain c of a config uses the c-th
+    child of that config's seed sequence, and its results are bit for bit
+    those of that config run alone.
     """
-    configs = list(configs)
-    # Chains of one batch sweep in lockstep; chain counts and seeds may differ.
-    geometry = {(c.burn_in, c.n_keep, c.thin, c.adapt_window) for c in configs}
-    if len(geometry) != 1:
-        raise DataError(
-            "run_batch needs configs that share burn_in, n_keep, thin and "
-            f"adapt_window; got {sorted(geometry)}"
-        )
+    batch = config if isinstance(config, ChainBatch) else ChainBatch((config,))
     rngs = [
         np.random.default_rng(child)
-        for config in configs
-        for child in np.random.SeedSequence(config.seed).spawn(config.n_chains)
+        for cfg in batch.configs
+        for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)
     ]
     state = _ChainBatch(model, data, mode, rngs)
     with np.errstate(all="ignore"):
         state.initialize()
-        draws, devs, rates, lat_trace = state.sample(configs[0])
+        draws, devs, rates, lat_trace = state.sample(batch.configs[0])
 
     latent_rows = tuple(int(r) for r in state.censored_rows)
     out, start = [], 0
-    for config in configs:
-        chains = slice(start, start + config.n_chains)
+    for cfg in batch.configs:
+        chains = slice(start, start + cfg.n_chains)
         start = chains.stop
-        n_draws = config.n_chains * config.n_keep
+        n_draws = cfg.n_chains * cfg.n_keep
         out.append(PosteriorSamples(
             param_names=model.param_names,
             supports=model.supports,
             draws=draws[chains].reshape(n_draws, state.n_params),
             deviance_trace=devs[chains].reshape(n_draws),
-            chain_ids=np.repeat(np.arange(config.n_chains), config.n_keep),
+            chain_ids=np.repeat(np.arange(cfg.n_chains), cfg.n_keep),
             acceptance_rates=rates[chains],
             mode=mode,
-            config=config,
+            config=cfg,
             latent_rows=latent_rows,
             latent_trace=(None if lat_trace is None
                           else lat_trace[chains].reshape(n_draws, len(latent_rows))),
         ))
-    return out
-
-
-def run(
-    model: Model,
-    data: CensoredDataset,
-    mode: LikelihoodMode,
-    config: ChainConfig,
-) -> PosteriorSamples:
-    """Sample the model's posterior on ``data`` under the given mode: the
-    one-config case of :func:`run_batch`."""
-    return run_batch(model, data, mode, [config])[0]
+    return out if batch is config else out[0]
 
 
 # ---------------------------------------------------------------------------

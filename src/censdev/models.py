@@ -120,9 +120,9 @@ def _prior_value(total):
 def _normal_log_prior(x, precision):
     """Normal(0, 1/precision) log density at ``x``, elementwise.
 
-    The zero-mean case of :meth:`Normal.log_pdf_v` without its guard for
-    non-finite ``x`` (parameters are finite), at a third of its cost: the
-    sampler evaluates a prior once per proposal, on a handful of values.
+    The arithmetic of the scalar normal priors, precision * x^2, which
+    rounds differently from :meth:`Normal.log_pdf_v`'s (x sqrt(precision))^2;
+    the survival, GLM and D/E/F mean priors keep it.
     """
     return 0.5 * (np.log(precision) - _LOG_2PI) - 0.5 * precision * (x * x)
 
@@ -321,17 +321,25 @@ class DrugMeanBinomialModel(_BinomialModel):
         self.label = "C"
 
     def level_log_prior(self, theta):
-        mu, spread = theta[..., 0:1], theta[..., 1:2]
+        return self._drug_terms(theta[..., 2:], theta[..., 0:1], theta[..., 1:2])
+
+    @staticmethod
+    def _drug_terms(p, mu, spread):
         kappa = 1.0 / (spread * spread)
-        return Beta.log_pdf_v(theta[..., 2:], mu * kappa, (1.0 - mu) * kappa)
+        return Beta.log_pdf_v(p, mu * kappa, (1.0 - mu) * kappa)
 
     def log_prior(self, theta):
         theta = self.check_theta(theta)
         mu, spread = theta[..., 0], theta[..., 1]
         total = Beta.log_pdf_v(mu, *self.beta_shapes)
         total = total + HalfCauchy.log_pdf_v(spread, self.half_cauchy_scale)
-        total = total + self.level_log_prior(theta).sum(axis=-1)
-        inside = (mu > 0.0) & (mu < 1.0) & (spread > 0.0)
+        # A zero spread would divide by zero in the drug terms; a stand-in
+        # keeps them quiet and the mask below makes the prior -inf.
+        positive = spread > 0.0
+        spread = np.where(positive, spread, 1.0)
+        drugs = self._drug_terms(theta[..., 2:], mu[..., None], spread[..., None])
+        total = total + drugs.sum(axis=-1)
+        inside = (mu > 0.0) & (mu < 1.0) & positive
         return _prior_value(np.where(inside, total, _NEG_INF))
 
     def _drug_of(self, obs):
@@ -380,16 +388,23 @@ class DrugLinkBinomialModel(_BinomialModel):
         self.label = label or {"logit": "D", "cloglog": "E", "probit": "F"}[link]
 
     def level_log_prior(self, theta):
-        sigma = theta[..., 1:2]
-        return _normal_log_prior(theta[..., 2:], 1.0 / (sigma * sigma))
+        return self._effect_terms(theta[..., 2:], theta[..., 1:2])
+
+    @staticmethod
+    def _effect_terms(delta, sigma):
+        return Normal.log_pdf_v(delta, 0.0, 1.0 / (sigma * sigma))
 
     def log_prior(self, theta):
         theta = self.check_theta(theta)
         mu, sigma = theta[..., 0], theta[..., 1]
         total = _normal_log_prior(mu, self.mean_precision)
         total = total + HalfCauchy.log_pdf_v(sigma, self.half_cauchy_scale)
-        total = total + self.level_log_prior(theta).sum(axis=-1)
-        return _prior_value(np.where(sigma > 0.0, total, _NEG_INF))
+        # A zero sigma would divide by zero in the effect terms; a stand-in
+        # keeps them quiet and the mask below makes the prior -inf.
+        positive = sigma > 0.0
+        sigma = np.where(positive, sigma, 1.0)
+        total = total + self._effect_terms(theta[..., 2:], sigma[..., None]).sum(axis=-1)
+        return _prior_value(np.where(positive, total, _NEG_INF))
 
     def _drug_of(self, obs):
         return int(obs.covariates[self.drug_col])
@@ -549,6 +564,8 @@ def log_posterior_unnorm(
     values; they are required there and rejected elsewhere.
     """
     theta = model.check_theta(theta)
+    if theta.ndim != 1:
+        raise SchemaError(f"expected one parameter vector, got shape {theta.shape}")
     lp = model.log_prior(theta)
     if lp == _NEG_INF:
         return _NEG_INF

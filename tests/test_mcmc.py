@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from censdev import ChainConfig, LikelihoodMode, aml_dataset, run
+from censdev import ChainConfig, LikelihoodMode, aml_dataset, cli, run
 from censdev.cli import main
 from censdev.datasets import synthetic_ae_dataset
 from censdev.distributions import Binomial, Exponential, Normal
@@ -37,12 +37,12 @@ from censdev.likelihood import (
     loglik_exact,
 )
 from censdev.mcmc import (
+    ChainBatch,
     PosteriorSamples,
     _ChainBatch,
     adapt_step_sizes,
     export_density,
     mcse,
-    run_batch,
     split_rhat,
     summarize,
 )
@@ -146,7 +146,7 @@ class TestBatching:
         model, data, mode = _batch_case(case)
         configs = [ChainConfig(n_chains=2, seed=31, **self.GEOMETRY),
                    ChainConfig(n_chains=1, seed=32, **self.GEOMETRY)]
-        batched = run_batch(model, data, mode, configs)
+        batched = run(model, data, mode, ChainBatch(tuple(configs)))
         for alone, together in zip([run(model, data, mode, c) for c in configs], batched):
             for field in ("draws", "deviance_trace", "acceptance_rates", "chain_ids"):
                 assert np.array_equal(getattr(alone, field), getattr(together, field)), field
@@ -156,30 +156,70 @@ class TestBatching:
             else:
                 assert alone.latent_trace is together.latent_trace is None
 
+    def test_batch_geometry_counts_every_chain(self):
+        configs = (ChainConfig(n_chains=2, seed=31, **self.GEOMETRY),
+                   ChainConfig(n_chains=1, seed=32, **self.GEOMETRY))
+        batch = ChainBatch(configs)
+        assert batch.n_chains == 3
+        assert batch.total_iterations == configs[0].total_iterations
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_cli_samples_both_replicate_runs_in_one_run_call(
+        self, monkeypatch, tmp_path, command
+    ):
+        """Fit and compare sample through ``run``, one call per model over
+        runs A and B."""
+        calls = []
+
+        def recording_run(model, data, mode, config):
+            calls.append(config)
+            return run(model, data, mode, config)
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        config = {
+            "dataset": "bundled:aml",
+            "chains": {"n_chains": 2, "burn_in": 20, "n_keep": 20, "seed": 4},
+            "output_dir": str(tmp_path / "out"),
+        }
+        if command == "fit":
+            config["model"] = {"family": "survival-exponential"}
+        else:
+            config["models"] = [
+                {"label": label, "family": "survival-exponential",
+                 "hyperparameters": {"tau0": tau0}}
+                for label, tau0 in (("wide", 1e-4), ("narrow", 1e-2))
+            ]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 0
+        assert len(calls) == (1 if command == "fit" else 2)
+        for batch in calls:
+            assert isinstance(batch, ChainBatch) and len(batch.configs) == 2
+            assert batch.n_chains == 4
+
     @pytest.mark.parametrize("field", ["burn_in", "n_keep", "thin", "adapt_window"])
     def test_configs_must_share_geometry(self, field):
         data = single_binomial_dataset()
         base = ChainConfig(n_chains=1, burn_in=20, n_keep=20, thin=1, adapt_window=10)
         other = dataclasses.replace(base, **{field: getattr(base, field) + 1}, seed=5)
         with pytest.raises(DataError):
-            run_batch(PooledBinomialModel(), data, LikelihoodMode.EXACT, [base, other])
+            ChainBatch((base, other))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DataError):
-            run_batch(PooledBinomialModel(), single_binomial_dataset(),
-                      LikelihoodMode.EXACT, [])
+            ChainBatch(())
 
     def test_failing_initialization_raises_initialization_error(self):
         data = CensoredDataset((Observation(Observed(1.0)),))
-        configs = [ChainConfig(n_chains=2, burn_in=5, n_keep=5, seed=s) for s in (1, 2)]
+        configs = tuple(ChainConfig(n_chains=2, burn_in=5, n_keep=5, seed=s) for s in (1, 2))
         with pytest.raises(InitializationError):
-            run_batch(_HopelessModel(), data, LikelihoodMode.EXACT, configs)
+            run(_HopelessModel(), data, LikelihoodMode.EXACT, ChainBatch(configs))
 
     def test_failing_latent_refresh_surfaces_as_numeric_error(self, monkeypatch, aml):
         _degenerate_after(monkeypatch, 40)
-        configs = [ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=s) for s in (1, 2)]
+        configs = tuple(ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=s) for s in (1, 2))
         with pytest.raises(NumericError, match="degenerate censoring region"):
-            run_batch(SurvivalExpModel(), aml, LikelihoodMode.DINTERVAL, configs)
+            run(SurvivalExpModel(), aml, LikelihoodMode.DINTERVAL, ChainBatch(configs))
 
     @pytest.mark.parametrize("failure", ["initialization", "latent-refresh"])
     def test_cli_exit_code_for_numeric_failures(self, monkeypatch, tmp_path, capsys, failure):
@@ -236,10 +276,10 @@ class TestFloatingPointState:
         else:
             model = SurvivalExpModel()
             data = aml if case == "aml" else _four_kind_survival_dataset()
-        configs = [ChainConfig(n_chains=2, burn_in=60, n_keep=40, seed=s) for s in (6, 7)]
+        configs = tuple(ChainConfig(n_chains=2, burn_in=60, n_keep=40, seed=s) for s in (6, 7))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            samples_a, samples_b = run_batch(model, data, LikelihoodMode.EXACT, configs)
+            samples_a, samples_b = run(model, data, LikelihoodMode.EXACT, ChainBatch(configs))
             make_selection_report(case, model, data, samples_a, samples_b)
             run(model, data, LikelihoodMode.DINTERVAL, configs[0])
 

@@ -3,6 +3,7 @@ composition, and the slower identifiability properties (MLE recovery with
 flat priors, hierarchical collapse when the spread prior vanishes)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,10 +188,14 @@ class TestStackedPriors:
             np.testing.assert_allclose(levels, LEVEL_ORACLES[name](theta), rtol=1e-12)
 
     def test_zero_scale_is_outside_the_support(self):
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert ae_model("D", n_drugs=2).log_prior(np.array([0.0, 0.0, 0.1, 0.2])) == -math.inf
             assert NormalGlmModel(1).log_prior(np.array([0.0, 0.0, 0.0])) == -math.inf
             assert ae_model("C", n_drugs=1).log_prior(np.array([0.5, 0.0, 0.5])) == -math.inf
+            stack = np.array([[0.0, 0.0, 0.1, 0.2], [0.0, 0.5, 0.1, 0.2]])
+            lp = ae_model("D", n_drugs=2).log_prior(stack)
+            assert lp[0] == -math.inf and np.isfinite(lp[1])
 
 
 class TestOutcomeConstruction:
@@ -266,6 +271,13 @@ class TestLogPosterior:
         model = PooledBinomialModel()
         data = CensoredDataset((_binomial_obs(4, 10, 0, 0),))
         assert log_posterior_unnorm(model, np.array([1.2]), data) == -math.inf
+
+    def test_a_stack_of_parameter_vectors_is_rejected(self):
+        """The priors take stacks; the scalar posterior takes one vector."""
+        model = PooledBinomialModel()
+        data = CensoredDataset((_binomial_obs(4, 10, 0, 0),))
+        with pytest.raises(SchemaError):
+            log_posterior_unnorm(model, np.array([[0.3], [0.4]]), data)
 
     def test_mode_difference_is_censored_contribution_sum(self, aml):
         """Exact and latent-imputation targets differ by the censored terms
