@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -224,14 +225,16 @@ def _read_samples_csv(path: Path) -> tuple[list[str], np.ndarray]:
     if not lines:
         raise ValidationError(f"{path}: empty samples file")
     names = lines[0].split(",")
-    try:
-        rows = [[float(c) for c in line.split(",")] for line in lines[1:] if line]
-        matrix = np.array(rows)
-    except ValueError:  # a non-numeric cell, or rows of unequal length
-        matrix = None
-    if matrix is None or matrix.ndim != 2 or matrix.shape[1] != len(names):
+    rows = list(filter(None, lines[1:]))
+    matrix = None
+    if rows and set(map(str.count, rows, itertools.repeat(","))) == {len(names) - 1}:
+        try:  # numpy parses each str cell with Python's float()
+            matrix = np.array(",".join(rows).split(","), dtype=float)
+        except ValueError:  # a non-numeric cell
+            pass
+    if matrix is None:
         raise ValidationError(f"{path}: {_samples_csv_fault(names, lines)}")
-    return names, matrix
+    return names, matrix.reshape(len(rows), len(names))
 
 
 def _samples_csv_fault(names: list[str], lines: list[str]) -> str:

@@ -78,6 +78,11 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+# exp(-z * z / 2) rounds to exactly 0.0 in binary64 for |z| > 38.604; the
+# density window reaches a little further.
+_KDE_REACH = 38.61
+# Kernel terms evaluated per chunk of density grid rows (2 MiB of float64).
+_KDE_CHUNK = 1 << 18
 TARGET_ACCEPTANCE = 0.44
 MAX_INIT_RETRIES = 100
 
@@ -711,33 +716,81 @@ def export_density(
 
     The grid spans [min - 3h, max + 3h]; the trapezoid integral of the
     result is 1 within 1e-3 for any non-degenerate trace.
+
+    The density is the exact kernel sum, taken over exact-support windows:
+    exp(-z * z / 2) with z = (g - x) / h is exactly 0.0 in binary64 once
+    |z| > 38.61, so each grid point g sums only the draws of the sorted
+    trace within ``_KDE_REACH`` = 38.61 bandwidths of it, found by
+    ``searchsorted``.  Each term it sums is bit for bit the one a full
+    grid-by-draws matrix would hold; only the summation order differs.
+    Grid rows are evaluated in chunks of at most ``_KDE_CHUNK`` = 2^18
+    terms (a single row longer than that is its own chunk) in one reused
+    buffer, so memory does not grow with the grid, and no term is formed
+    outside a window, so none overflows whatever the bandwidth.
+
+    Raises DataError for an empty trace, a non-finite draw, grid_size < 2,
+    an unknown rule, a bandwidth that is not a finite positive number and a
+    grid whose endpoints are not finite; DegenerateDensityError for a
+    zero-variance trace.
     """
     trace = np.asarray(trace, dtype=float)
     if trace.size == 0:
         raise DataError("cannot estimate a density from an empty trace")
-    sd = float(trace.std(ddof=1)) if trace.size > 1 else 0.0
-    if sd == 0.0:
-        raise DegenerateDensityError("zero-variance trace has no density estimate")
-    if isinstance(bandwidth_rule, str):
-        iqr = float(np.subtract(*np.percentile(trace, [75, 25])))
-        spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-        n_fac = trace.size ** -0.2
-        if bandwidth_rule == "scott":
-            h = 1.06 * spread * n_fac
-        elif bandwidth_rule == "silverman":
-            h = 0.9 * spread * n_fac
+    if grid_size < 2:
+        raise DataError(f"density grid needs at least 2 points, got {grid_size}")
+    if not np.isfinite(trace).all():
+        raise DataError("cannot estimate a density from a trace with non-finite draws")
+    with np.errstate(over="ignore", invalid="ignore"):  # huge draws: h is checked below
+        sd = float(trace.std(ddof=1)) if trace.size > 1 else 0.0
+        if sd == 0.0:
+            raise DegenerateDensityError("zero-variance trace has no density estimate")
+        if isinstance(bandwidth_rule, str):
+            iqr = float(np.subtract(*np.percentile(trace, [75, 25])))
+            spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
+            n_fac = trace.size ** -0.2
+            if bandwidth_rule == "scott":
+                h = 1.06 * spread * n_fac
+            elif bandwidth_rule == "silverman":
+                h = 0.9 * spread * n_fac
+            else:
+                raise DataError(f"unknown bandwidth rule {bandwidth_rule!r}")
         else:
-            raise DataError(f"unknown bandwidth rule {bandwidth_rule!r}")
-    else:
-        h = float(bandwidth_rule)
-        if h <= 0.0:
-            raise DataError("bandwidth must be positive")
-    grid = np.linspace(trace.min() - 3.0 * h, trace.max() + 3.0 * h, grid_size)
-    density = np.empty(grid_size)
+            h = float(bandwidth_rule)
+    if not (math.isfinite(h) and h > 0.0):
+        raise DataError(f"bandwidth must be a finite positive number, got {h!r}")
+    xs = np.sort(trace)
+    start, stop = float(xs[0]) - 3.0 * h, float(xs[-1]) + 3.0 * h
+    if not math.isfinite(stop - start):
+        raise DataError(f"density grid [{start!r}, {stop!r}] is not finite; "
+                        f"bandwidth {h!r} is too wide for the trace")
     norm = 1.0 / (trace.size * h * math.sqrt(2.0 * math.pi))
-    chunk = max(1, int(2_000_000 // max(trace.size, 1)))
-    for start in range(0, grid_size, chunk):
-        g = grid[start : start + chunk, None]
-        z = (g - trace[None, :]) / h
-        density[start : start + chunk] = norm * np.exp(-0.5 * z * z).sum(axis=1)
-    return grid, density
+    if not math.isfinite(norm * trace.size):
+        raise DataError(f"bandwidth {h!r} is too narrow: the density overflows")
+    grid = np.linspace(start, stop, grid_size)
+    with np.errstate(over="ignore"):  # a window reaching past +-max is unbounded
+        lo = np.searchsorted(xs, grid - _KDE_REACH * h, side="left")
+        hi = np.searchsorted(xs, grid + _KDE_REACH * h, side="right")
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    buf = np.empty(min(int(ends[-1]), max(_KDE_CHUNK, int(counts.max()))))
+    points, lo, hi = grid.tolist(), lo.tolist(), hi.tolist()
+    sums = np.zeros(grid_size)
+    first = 0
+    while first < grid_size:
+        done = int(ends[first - 1]) if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, done + _KDE_CHUNK, side="right")))
+        rows, starts, filled = [], [], 0
+        for i in range(first, last):
+            if hi[i] > lo[i]:
+                rows.append(i)
+                starts.append(filled)
+                filled += hi[i] - lo[i]
+                np.subtract(points[i], xs[lo[i]:hi[i]], out=buf[starts[-1]:filled])
+        z = buf[:filled]
+        np.divide(z, h, out=z)
+        np.multiply(z, z, out=z)
+        np.multiply(z, -0.5, out=z)
+        np.exp(z, out=z)
+        sums[rows] = np.add.reduceat(z, starts)
+        first = last
+    return grid, norm * sums

@@ -9,17 +9,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from censdev import __version__
+from censdev import __version__, cli
 from censdev.cli import main
 from censdev.datasets import (
     aml_dataset,
     dataset_fingerprint,
     ingest,
     parse_dataset,
+    read_utf8,
     serialize,
     synthetic_ae_dataset,
 )
-from censdev.exceptions import ParseError
+from censdev.exceptions import ParseError, ValidationError
 from censdev.likelihood import (
     IntervalCensored,
     LeftCensored,
@@ -529,7 +530,99 @@ _EDITS = st.lists(
 )
 
 
+_ODD_CELLS = (" 3 ", "1_0", "nan", "inf", "１")
+_BAD_CELLS = ("", "x")
+
+
+@st.composite
+def _samples_files(draw, min_width=1):
+    """Samples-CSV text: blank lines, short or long rows, odd and bad cells."""
+    finite = st.one_of(st.floats(-1e3, 1e3),
+                       st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+    cells = draw(st.sampled_from([
+        finite,
+        finite,
+        st.one_of(finite, st.sampled_from(_ODD_CELLS)),
+        st.one_of(finite, st.sampled_from(_ODD_CELLS + _BAD_CELLS)),
+    ]))
+    width = draw(st.integers(min_width, 4))
+    sizes = st.just(width)
+    if draw(st.booleans()):
+        sizes = st.sampled_from([width] * 8 + [width - 1, width + 1, 0])
+    lines = [",".join(["chain", "alpha", "sigma", "deviance"][:width])]
+    for _ in range(draw(st.integers(0, 30))):
+        size = draw(sizes)
+        lines.append(",".join(draw(st.lists(cells, min_size=size, max_size=size))))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _per_cell_samples_csv(path):
+    """Oracle: the samples reader that parses one cell at a time."""
+    lines = read_utf8(path).splitlines()
+    if not lines:
+        raise ValidationError(f"{path}: empty samples file")
+    names = lines[0].split(",")
+    try:
+        rows = [[float(c) for c in line.split(",")] for line in lines[1:] if line]
+        matrix = np.array(rows)
+    except ValueError:  # a non-numeric cell, or rows of unequal length
+        matrix = None
+    if matrix is None or matrix.ndim != 2 or matrix.shape[1] != len(names):
+        raise ValidationError(f"{path}: {cli._samples_csv_fault(names, lines)}")
+    return names, matrix
+
+
+def _read_or_error(reader, path):
+    try:
+        return reader(path)
+    except ValidationError as exc:
+        return str(exc)
+
+
 class TestCliFuzz:
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_samples_files())
+    def test_columnar_reader_matches_per_cell_reader(self, tmp_path, text):
+        """Same matrix, bit for bit and NaN-aware, or the same error message."""
+        path = tmp_path / "trace.csv"
+        path.write_text(text, encoding="utf-8")
+        got = _read_or_error(cli._read_samples_csv, path)
+        want = _read_or_error(_per_cell_samples_csv, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1], equal_nan=True)
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_samples_files(min_width=2),
+           grid_size=st.integers(-3, 600),
+           bandwidth=st.one_of(
+               st.sampled_from(["scott", "silverman", "1e-300", "0.3"]),
+               st.sampled_from(["scott", "silverman", "plugin", "nan", "inf", "-1",
+                                "0", "1e-300", "1e308", "0.3", "x"])))
+    def test_export_density_on_any_trace_exits_cleanly(self, tmp_path, text,
+                                                        grid_size, bandwidth):
+        """Exit 0, 2, 3 or 4 and no traceback; exit 0 writes grid-size rows of
+        finite, non-negative densities."""
+        trace = tmp_path / "trace.csv"
+        trace.write_text(text, encoding="utf-8")
+        out = tmp_path / "density.csv"
+        out.unlink(missing_ok=True)
+        code = main(["export-density", "--trace", str(trace), "--param", "alpha",
+                     "--grid-size", str(grid_size), "--bandwidth", bandwidth,
+                     "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            lines = out.read_text(encoding="utf-8").splitlines()
+            assert lines[0] == "grid,density"
+            density = np.array([float(line.split(",")[1]) for line in lines[1:]])
+            assert density.size == grid_size
+            assert np.isfinite(density).all() and (density >= 0.0).all()
+
     @settings(max_examples=100, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(command=st.sampled_from(["fit", "compare"]),
@@ -589,6 +682,64 @@ class TestCliSamplesReader:
         trace = tmp_path / "trace.csv"
         trace.write_text("chain,alpha,deviance\n", encoding="utf-8")
         assert main(["export-density", "--trace", str(trace), "--param", "alpha"]) == 2
+
+
+class TestCliExportDensityContract:
+    """Inputs with no density estimate exit 2 with a message, never a
+    traceback and never a file of NaNs or of one point."""
+
+    @pytest.fixture()
+    def trace(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        draws = np.random.default_rng(4).standard_normal(200)
+        path.write_text("chain,alpha\n" + "\n".join(f"0,{x!r}" for x in draws.tolist())
+                        + "\n", encoding="utf-8")
+        return path
+
+    def _export(self, trace, *options):
+        out = trace.with_name("density.csv")
+        code = main(["export-density", "--trace", str(trace), "--param", "alpha",
+                     "--out", str(out), *options])
+        return code, out
+
+    @pytest.mark.parametrize("grid_size", ["-3", "0", "1"])
+    def test_grid_of_fewer_than_two_points(self, trace, capsys, grid_size):
+        code, out = self._export(trace, "--grid-size", grid_size)
+        assert code == 2
+        assert "at least 2 points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_point_grid_is_accepted(self, trace):
+        code, out = self._export(trace, "--grid-size", "2")
+        assert code == 0
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 3
+
+    @pytest.mark.parametrize("draw", ["nan", "inf", "-inf"])
+    def test_non_finite_draw(self, trace, capsys, draw):
+        trace.write_text(trace.read_text(encoding="utf-8") + f"1,{draw}\n", encoding="utf-8")
+        code, out = self._export(trace)
+        assert code == 2
+        assert "non-finite draws" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "-inf", "-1", "0"])
+    def test_bandwidth_not_finite_positive(self, trace, capsys, bandwidth):
+        code, out = self._export(trace, f"--bandwidth={bandwidth}")
+        assert code == 2
+        assert "finite positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_grid_endpoint(self, trace, capsys):
+        code, out = self._export(trace, "--bandwidth", "1e308")
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bandwidth_too_narrow_for_a_finite_density(self, trace, capsys):
+        code, out = self._export(trace, "--bandwidth", "1e-320")
+        assert code == 2
+        assert "too narrow" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCliCompareAndDensity:

@@ -6,13 +6,16 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from censdev import ChainConfig, LikelihoodMode, aml_dataset, cli, run
+from censdev import ChainConfig, LikelihoodMode, aml_dataset, cli, mcmc, run
 from censdev.cli import main
 from censdev.datasets import synthetic_ae_dataset
 from censdev.distributions import Binomial, Exponential, Normal
@@ -283,6 +286,26 @@ class TestFloatingPointState:
             make_selection_report(case, model, data, samples_a, samples_b)
             run(model, data, LikelihoodMode.DINTERVAL, configs[0])
 
+    @pytest.mark.parametrize("case", ["h=1e-300", "h=1e3*sd", "cauchy"])
+    def test_density_export_raises_no_floating_point_warning(self, case, tmp_path):
+        """The windows keep |z| <= 38.61, so no kernel term overflows, however
+        narrow or wide the bandwidth and however heavy the tails."""
+        rng = np.random.default_rng(8)
+        if case == "cauchy":
+            trace, bandwidth = rng.standard_cauchy(5000), "scott"
+        else:
+            trace = rng.standard_normal(2000)
+            bandwidth = 1e-300 if case == "h=1e-300" else 1e3 * float(trace.std(ddof=1))
+        path = tmp_path / "trace.csv"
+        path.write_text("alpha\n" + "\n".join(map(repr, trace.tolist())) + "\n", encoding="utf-8")
+        out = tmp_path / "density.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            export_density(trace, grid_size=400, bandwidth_rule=bandwidth)
+            code = main(["export-density", "--trace", str(path), "--param", "alpha",
+                         "--bandwidth", str(bandwidth), "--out", str(out)])
+        assert code == 0
+
 
 class TestAdaptation:
     def test_full_acceptance_increases_scale(self):
@@ -542,7 +565,86 @@ class TestSummaries:
         assert est == pytest.approx(1.0 / math.sqrt(40000), rel=0.3)
 
 
+def _full_matrix_density(trace, grid_size=512, bandwidth_rule="scott"):
+    """Oracle: the Gaussian KDE summed over the whole grid-by-draws matrix."""
+    trace = np.asarray(trace, dtype=float)
+    sd = float(trace.std(ddof=1))
+    if isinstance(bandwidth_rule, str):
+        iqr = float(np.subtract(*np.percentile(trace, [75, 25])))
+        spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
+        factor = {"scott": 1.06, "silverman": 0.9}[bandwidth_rule]
+        h = factor * spread * trace.size ** -0.2
+    else:
+        h = float(bandwidth_rule)
+    grid = np.linspace(trace.min() - 3.0 * h, trace.max() + 3.0 * h, grid_size)
+    density = np.empty(grid_size)
+    norm = 1.0 / (trace.size * h * math.sqrt(2.0 * math.pi))
+    chunk = max(1, int(2_000_000 // max(trace.size, 1)))
+    for start in range(0, grid_size, chunk):
+        g = grid[start : start + chunk, None]
+        z = (g - trace[None, :]) / h
+        density[start : start + chunk] = norm * np.exp(-0.5 * z * z).sum(axis=1)
+    return grid, density
+
+
+def _kde_trace(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return 1.5 + 0.3 * rng.standard_normal(n)
+    if kind == "cauchy":
+        return rng.standard_cauchy(n)
+    if kind == "ties":
+        trace = rng.poisson(2.0, n).astype(float)
+    else:
+        trace = rng.choice([-4.0, 11.0], n)
+    trace[:2] = [0.0, 3.0] if kind == "ties" else [-4.0, 11.0]  # never zero variance
+    return trace
+
+
 class TestExportDensity:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @example(kind="cauchy", n=50_000, grid_size=700, rule="scott", seed=1)
+    @given(kind=st.sampled_from(["normal", "cauchy", "ties", "two-point"]),
+           n=st.one_of(st.integers(2, 2000), st.integers(2, 50000)),
+           grid_size=st.integers(2, 700),
+           rule=st.one_of(st.sampled_from(["scott", "silverman"]),
+                          st.floats(1e-3, 10.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_windowed_sum_matches_full_matrix(self, kind, n, grid_size, rule, seed):
+        """Only the summation order differs from the full kernel matrix."""
+        trace = _kde_trace(kind, n, seed)
+        grid, density = export_density(trace, grid_size=grid_size, bandwidth_rule=rule)
+        grid_ref, density_ref = _full_matrix_density(trace, grid_size, rule)
+        assert np.array_equal(grid, grid_ref)
+        np.testing.assert_allclose(density, density_ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["normal", "two-point"])
+    def test_chunks_smaller_than_a_window(self, monkeypatch, kind):
+        """Rows longer than the chunk budget and chunks of empty rows alone."""
+        monkeypatch.setattr(mcmc, "_KDE_CHUNK", 7)
+        trace = _kde_trace(kind, 300, 10)
+        grid, density = export_density(trace, grid_size=90, bandwidth_rule=0.05)
+        grid_ref, density_ref = _full_matrix_density(trace, 90, 0.05)
+        assert np.array_equal(grid, grid_ref)
+        np.testing.assert_allclose(density, density_ref, rtol=1e-12, atol=0.0)
+        if kind == "two-point":
+            assert (density == 0.0).sum() > 60
+
+    def test_memory_stays_flat_in_the_trace_length(self):
+        trace = np.random.default_rng(9).standard_normal(100_000)
+        tracemalloc.start()
+        try:
+            export_density(trace, grid_size=512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_window_reach_bounds_the_nonzero_kernel_terms(self):
+        reach = mcmc._KDE_REACH
+        assert np.exp(-0.5 * np.float64(reach) ** 2) == 0.0
+        assert np.exp(-0.5 * np.float64(38.6) ** 2) > 0.0
+
     def test_standard_normal_peak(self):
         rng = np.random.default_rng(3)
         grid, density = export_density(rng.standard_normal(30000))
