@@ -45,6 +45,9 @@ REPORT_COLUMNS = ("model", "Dbar", "pD", "DIC", "p_opt", "PED")
 
 DEMO_SEEDS = {"survival": 20260810, "ae-synthetic": 20260801}
 
+# Characters of samples-CSV text parsed per block (a few thousand rows).
+_CSV_BLOCK = 1 << 18
+
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -221,20 +224,52 @@ def _write_samples_csv(path: Path, samples: PosteriorSamples) -> None:
 
 
 def _read_samples_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    lines = read_utf8(path).splitlines()
-    if not lines:
+    """Column names and draws matrix of a samples file.
+
+    The text is parsed in blocks of about ``_CSV_BLOCK`` characters, so the
+    per-line and per-cell strings never outgrow one block.  A block ends just
+    after a "\\n": every ``str.splitlines`` separator, "\\r\\n" included, then
+    stays inside one block, and the blocks' lines are the file's lines.
+    """
+    text = read_utf8(path)
+    if not text:
         raise ValidationError(f"{path}: empty samples file")
-    names = lines[0].split(",")
-    rows = list(filter(None, lines[1:]))
-    matrix = None
-    if rows and set(map(str.count, rows, itertools.repeat(","))) == {len(names) - 1}:
+    names = None
+    parts = []
+    n_rows = start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CSV_BLOCK) + 1 or len(text)
+        lines = text[start:end].splitlines()
+        start = end
+        if names is None:
+            names = _samples_csv_header(path, lines.pop(0))
+        rows = list(filter(None, lines))
+        if not rows:
+            continue
+        if set(map(str.count, rows, itertools.repeat(","))) != {len(names) - 1}:
+            break
         try:  # numpy parses each str cell with Python's float()
-            matrix = np.array(",".join(rows).split(","), dtype=float)
+            parts.append(np.array(",".join(rows).split(","), dtype=float))
         except ValueError:  # a non-numeric cell
-            pass
-    if matrix is None:
-        raise ValidationError(f"{path}: {_samples_csv_fault(names, lines)}")
-    return names, matrix.reshape(len(rows), len(names))
+            break
+        n_rows += len(rows)
+    else:
+        if parts:
+            return names, np.concatenate(parts).reshape(n_rows, len(names))
+    # A fault, or no draws: name the file's first bad line.
+    raise ValidationError(f"{path}: {_samples_csv_fault(names, text.splitlines())}")
+
+
+def _samples_csv_header(path: Path, header: str) -> list[str]:
+    names = header.split(",")
+    seen = set()
+    for position, name in enumerate(names, start=1):
+        if not name:
+            raise ValidationError(f"{path}: header: column {position} has no name")
+        if name in seen:
+            raise ValidationError(f"{path}: header: duplicate column name {name!r}")
+        seen.add(name)
+    return names
 
 
 def _samples_csv_fault(names: list[str], lines: list[str]) -> str:

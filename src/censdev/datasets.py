@@ -61,9 +61,19 @@ DRUG_CLASSES = (0, 0, 1, 1, 1)
 
 def _num(cell: str, line: int, column: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
-        raise ParseError(f"expected a number, got {cell!r}", line, column) from None
+        value = math.nan  # reported below, as a NaN cell is
+    if math.isnan(value):
+        raise ParseError(f"expected a number, got {cell!r}", line, column)
+    return value
+
+
+def _finite(cell: str, line: int, column: str) -> float:
+    value = _num(cell, line, column)
+    if not math.isfinite(value):
+        raise ParseError(f"expected a finite number, got {cell!r}", line, column)
+    return value
 
 
 def _opt_num(cell: str, line: int, column: str) -> Optional[float]:
@@ -88,7 +98,7 @@ def _parse_row(cells: list[str], names: tuple[str, ...], line: int) -> Observati
             raise ParseError(
                 "censor=none requires empty cut columns", line, "cut1"
             )
-        kind: CensorKind = Observed(_num(outcome_cell, line, "outcome"))
+        kind: CensorKind = Observed(_finite(outcome_cell, line, "outcome"))
     else:
         if outcome_cell != "":
             raise ParseError(
@@ -99,10 +109,18 @@ def _parse_row(cells: list[str], names: tuple[str, ...], line: int) -> Observati
         if censor == "left":
             if cut2 is not None:
                 raise ParseError("censor=left takes no cut2", line, "cut2")
+            if cut1 == -math.inf:
+                raise ParseError(
+                    "censor=left cutoff -inf leaves an empty region", line, "cut1"
+                )
             kind = LeftCensored(cut1)
         elif censor == "right":
             if cut2 is not None:
                 raise ParseError("censor=right takes no cut2", line, "cut2")
+            if cut1 == math.inf:
+                raise ParseError(
+                    "censor=right cutoff inf leaves an empty region", line, "cut1"
+                )
             kind = RightCensored(cut1)
         else:
             if cut2 is None:
@@ -117,16 +135,18 @@ def _parse_row(cells: list[str], names: tuple[str, ...], line: int) -> Observati
     trials = None
     if trials_cell != "":
         value = _num(trials_cell, line, "trials")
-        if value != int(value) or value < 1:
+        # The range test goes first: int() of inf raises.  Trial counts are
+        # stored as int64.
+        if not (1 <= value < 2**63 and value == int(value)):
             raise ParseError(
-                f"trials must be a positive integer, got {trials_cell!r}",
+                f"trials must be a positive integer below 2**63, got {trials_cell!r}",
                 line,
                 "trials",
             )
         trials = int(value)
 
     covariates = tuple(
-        _num(cell, line, name) for cell, name in zip(cells[5:], names)
+        _finite(cell, line, name) for cell, name in zip(cells[5:], names)
     )
     return Observation(outcome=kind, covariates=covariates, trials=trials)
 

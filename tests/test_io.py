@@ -1,8 +1,10 @@
 """Dataset file format, bundled data, synthetic generation, and the CLI
 workflows with their exit codes and determinism guarantees."""
 
+import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +80,45 @@ class TestParsing:
             _parse_rows("1,none,,,,", row)
         assert "line 3" in str(err.value)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize(
+        "row,column",
+        [
+            ("13,none,,,inf,0.5", "trials"),
+            ("13,none,,,-inf,0.5", "trials"),
+            ("13,none,,,1e400,0.5", "trials"),
+            ("13,none,,,nan,0.5", "trials"),
+            ("13,none,,,1e20,0.5", "trials"),
+            ("nan,none,,,,0.5", "outcome"),
+            ("inf,none,,,,0.5", "outcome"),
+            ("-1e400,none,,,,0.5", "outcome"),
+            (",left,nan,,,0.5", "cut1"),
+            (",left,-inf,,,0.5", "cut1"),
+            (",right,inf,,,0.5", "cut1"),
+            (",right,1e400,,,0.5", "cut1"),
+            (",interval,nan,5,,0.5", "cut1"),
+            (",interval,1,nan,,0.5", "cut2"),
+            ("1,none,,,,nan", "dose"),
+            ("1,none,,,,-inf", "dose"),
+            ("1,none,,,,1e400", "dose"),
+        ],
+    )
+    def test_non_finite_cells_name_line_and_column(self, row, column):
+        with pytest.raises(ParseError) as err:
+            _parse_rows("1,none,,,,0.5", row, header=HEADER + ",dose")
+        assert str(err.value).startswith(f"line 3, column {column!r}: ")
+
+    @pytest.mark.parametrize(
+        "row,outcome",
+        [
+            (",interval,-inf,5,", IntervalCensored(-math.inf, 5.0)),
+            (",interval,1,inf,", IntervalCensored(1.0, math.inf)),
+            (",left,inf,,", LeftCensored(math.inf)),
+            (",right,-inf,,", RightCensored(-math.inf)),
+        ],
+    )
+    def test_infinite_bounds_of_a_non_empty_region_are_kept(self, row, outcome):
+        assert _parse_rows(row).observations[0].outcome == outcome
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
@@ -324,6 +365,33 @@ class TestCliErrors:
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["fit", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("mode", ["exact", "dinterval"])
+    @pytest.mark.parametrize("row,column", [
+        ("9.0,none,,,inf,1.0", "trials"),
+        ("9.0,none,,,-inf,1.0", "trials"),
+        ("9.0,none,,,1e400,1.0", "trials"),
+        ("9.0,none,,,nan,1.0", "trials"),
+        ("nan,none,,,,1.0", "outcome"),
+        ("9.0,none,,,,nan", "group"),
+        (",right,inf,,,1.0", "cut1"),
+    ])
+    def test_non_finite_dataset_cell_is_validation_error(self, tmp_path, capsys,
+                                                         mode, row, column):
+        lines = serialize(aml_dataset()).splitlines()
+        lines[3] = row
+        dataset = tmp_path / "d.csv"
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path = _write_config(tmp_path, {
+            "dataset": str(dataset),
+            "model": {"family": "survival-exponential"},
+            "mode": mode,
+            "chains": {"n_chains": 1, "burn_in": 10, "n_keep": 10, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 2
+        assert f"line 4, column {column!r}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_dataset_is_validation_error(self, tmp_path):
         dataset = tmp_path / "d.csv"
         dataset.write_text(HEADER + ",group\noops,none,,,,1\n", encoding="utf-8")
@@ -534,8 +602,13 @@ _ODD_CELLS = (" 3 ", "1_0", "nan", "inf", "１")
 _BAD_CELLS = ("", "x")
 
 
+# Every line boundary str.splitlines knows; "\r\n" is one boundary.
+_LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029")
+
+
 @st.composite
-def _samples_files(draw, min_width=1):
+def _samples_files(draw, min_width=1, line_breaks=("\n",)):
     """Samples-CSV text: blank lines, short or long rows, odd and bad cells."""
     finite = st.one_of(st.floats(-1e3, 1e3),
                        st.floats(allow_nan=False, allow_infinity=False)).map(repr)
@@ -553,12 +626,15 @@ def _samples_files(draw, min_width=1):
     for _ in range(draw(st.integers(0, 30))):
         size = draw(sizes)
         lines.append(",".join(draw(st.lists(cells, min_size=size, max_size=size))))
-    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    breaks = [draw(st.sampled_from(line_breaks)) for _ in lines]
+    if draw(st.booleans()):  # no line break after the last line
+        breaks[-1] = ""
+    return "".join(map(str.__add__, lines, breaks))
 
 
-def _per_cell_samples_csv(path):
+def _per_cell_samples_csv(path, read=read_utf8):
     """Oracle: the samples reader that parses one cell at a time."""
-    lines = read_utf8(path).splitlines()
+    lines = read(path).splitlines()
     if not lines:
         raise ValidationError(f"{path}: empty samples file")
     names = lines[0].split(",")
@@ -589,6 +665,33 @@ class TestCliFuzz:
         path.write_text(text, encoding="utf-8")
         got = _read_or_error(cli._read_samples_csv, path)
         want = _read_or_error(_per_cell_samples_csv, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str), got
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1], equal_nan=True)
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=_samples_files(line_breaks=_LINE_BREAKS), block=st.integers(1, 40),
+           untranslated=st.booleans())
+    def test_reader_blocks_match_per_cell_reader(self, tmp_path, text, block,
+                                                 untranslated):
+        """Blocks of a few characters split every file into many; the matrix
+        is still the per-cell reader's, bit for bit, or the error its message.
+
+        Reading a file translates "\r\n" and "\r" to "\n"; ``untranslated``
+        hands the readers the text as written, so those reach the blocks too.
+        """
+        path = tmp_path / "trace.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        read = (lambda _: text) if untranslated else read_utf8
+        want = _read_or_error(functools.partial(_per_cell_samples_csv, read=read), path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_CSV_BLOCK", block)
+            patch.setattr(cli, "read_utf8", read)
+            got = _read_or_error(cli._read_samples_csv, path)
         if isinstance(want, str):
             assert got == want
         else:
@@ -662,6 +765,67 @@ class TestCliFuzz:
         assert main([command, "--config", str(path)]) in (0, 2, 3, 4)
 
 
+_DATASET_CELLS = ("nan", "inf", "-inf", "1e400", "1_0", "１", "", " 4 ", "-3", "2.5",
+                  "0", "1e20", "x")
+_CENSOR_CELLS = ("none", "left", "right", "interval", " right ", "NONE", "sometimes",
+                 "")
+_FIXED_COLUMNS = ("outcome", "censor", "cut1", "cut2", "trials")
+
+
+@st.composite
+def _dataset_edits(draw):
+    """Row edits of a dataset file: odd cells, bad censor kinds, wrong field
+    counts.  Each edit is (row, column or None, cell); a None column drops the
+    row's last cell, or appends ``cell`` when it is not empty."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.integers(1, 9))
+        column = draw(st.sampled_from(_FIXED_COLUMNS + ("trials", "covariate", None)))
+        cells = _CENSOR_CELLS if column == "censor" else _DATASET_CELLS
+        edits.append((row, column, draw(st.sampled_from(cells))))
+    return edits
+
+
+class TestCliDatasetFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(command=st.sampled_from(["fit exact", "fit dinterval", "compare"]),
+           family=st.sampled_from(["survival-exponential", "censored-binomial",
+                                   "censored-normal-glm"]),
+           edits=_dataset_edits())
+    def test_malformed_datasets_exit_cleanly(self, tmp_path, monkeypatch, command,
+                                             family, edits):
+        """Any dataset edit ends in exit code 0, 2, 3 or 4, never a traceback."""
+        monkeypatch.setenv("CENSDEV_OUTPUT_ROOT", str(tmp_path / "root"))
+        data = (synthetic_ae_dataset(n_studies=10, seed=6)
+                if family == "censored-binomial" else aml_dataset())
+        lines = serialize(data).splitlines()
+        for row, column, cell in edits:
+            cells = lines[row].split(",")
+            if column is None and cell:
+                cells.append(cell)
+            elif column is None:
+                cells.pop()
+            else:
+                cells[_FIXED_COLUMNS.index(column) if column in _FIXED_COLUMNS
+                      else len(cells) - 1] = cell
+            lines[row] = ",".join(cells)
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        command, _, mode = command.partition(" ")
+        config = {
+            "dataset": "data.csv",
+            "chains": {"n_chains": 1, "burn_in": 8, "n_keep": 8, "seed": 3},
+            "output_dir": "out",
+        }
+        section = {"family": family, "variant": "G"}
+        if command == "fit":
+            config.update(model=section, mode=mode)
+        else:
+            config["models"] = [section, {**section, "variant": "A"}]
+        path = _write_config(tmp_path, config)
+        assert main([command, "--config", str(path)]) in (0, 2, 3, 4)
+
+
 class TestCliSamplesReader:
     @pytest.mark.parametrize("row,fragment", [
         ("0,1.5,oops,101.2", "line 3: expected a number, got 'oops'"),
@@ -682,6 +846,63 @@ class TestCliSamplesReader:
         trace = tmp_path / "trace.csv"
         trace.write_text("chain,alpha,deviance\n", encoding="utf-8")
         assert main(["export-density", "--trace", str(trace), "--param", "alpha"]) == 2
+
+    @pytest.mark.parametrize("header,fragment", [
+        ("chain,alpha,alpha,deviance", "header: duplicate column name 'alpha'"),
+        ("chain,alpha,,deviance", "header: column 3 has no name"),
+        ("chain,alpha,deviance,", "header: column 4 has no name"),
+    ])
+    def test_ambiguous_header_is_validation_error(self, tmp_path, capsys, header,
+                                                  fragment):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(header + "\n0,1.4,0.3,100.5\n1,1.6,0.2,101.5\n",
+                         encoding="utf-8")
+        out = tmp_path / "density.csv"
+        code = main(["export-density", "--trace", str(trace), "--param", "alpha",
+                     "--out", str(out)])
+        assert code == 2
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_memory_is_bounded_by_a_block(self, tmp_path):
+        """A 40 000-row trace in the layout the benchmark writes (3 MiB of
+        text) reads in well under the 20 MiB a whole-file parse takes."""
+        rng = np.random.default_rng(1)
+        n = 40_000
+        columns = [np.repeat(np.arange(4), n // 4),
+                   1.5 + 0.3 * rng.standard_normal(n),
+                   np.exp(0.2 + 0.25 * rng.standard_normal(n)),
+                   rng.beta(3.0, 7.0, n),
+                   100.0 + rng.chisquare(3.0, n)]
+        trace = tmp_path / "trace.csv"
+        np.savetxt(trace, np.column_stack(columns), delimiter=",",
+                   header="chain,alpha,sigma,p,deviance", comments="",
+                   fmt=["%d"] + ["%.17g"] * 4)
+        tracemalloc.start()
+        try:
+            names, matrix = cli._read_samples_csv(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert names == ["chain", "alpha", "sigma", "p", "deviance"]
+        assert np.array_equal(matrix, np.column_stack(columns))
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("bad,message", [
+        ("0,1.5,oops,101.2", "line 183: expected a number, got 'oops'"),
+        ("0,1.5,101.2", "line 183: expected 4 fields, got 3"),
+    ])
+    def test_fault_in_a_late_block_names_its_line(self, tmp_path, monkeypatch, bad,
+                                                  message):
+        rows = [f"{i % 4},{i / 7!r},{i / 9!r},{100 + i!r}" for i in range(200)]
+        rows[180] = bad
+        trace = tmp_path / "trace.csv"
+        trace.write_text("chain,alpha,sigma,deviance\n\n" + "\r\n".join(rows),
+                         encoding="utf-8")
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 64)
+        want = _read_or_error(_per_cell_samples_csv, trace)
+        assert want == f"{trace}: {message}"
+        assert _read_or_error(cli._read_samples_csv, trace) == want
 
 
 class TestCliExportDensityContract:
