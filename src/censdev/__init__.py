@@ -47,13 +47,7 @@ from .mcmc import (
     run,
     summarize,
 )
-from .models import (
-    NormalGlmModel,
-    SurvivalExpModel,
-    ae_model,
-    log_posterior_unnorm,
-    outcome_families,
-)
+from .models import MODELS, Model, ModelSpec
 from .selection import (
     SelectionReport,
     compare,
@@ -97,11 +91,9 @@ __all__ = [
     "export_density",
     "run",
     "summarize",
-    "NormalGlmModel",
-    "SurvivalExpModel",
-    "ae_model",
-    "log_posterior_unnorm",
-    "outcome_families",
+    "MODELS",
+    "Model",
+    "ModelSpec",
     "SelectionReport",
     "compare",
     "compute_dbar",

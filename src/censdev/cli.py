@@ -34,7 +34,7 @@ from .datasets import (
 from .exceptions import NumericError, ValidationError
 from .likelihood import CensoredDataset, LikelihoodMode
 from .mcmc import ChainBatch, ChainConfig, PosteriorSamples, export_density, run, summarize
-from .models import AE_VARIANTS, Model, NormalGlmModel, SurvivalExpModel, ae_model
+from .models import AE_VARIANTS, MODELS, Model, ModelSpec
 from .selection import SelectionReport, compare, make_selection_report
 
 __all__ = ["main", "cmd_fit", "cmd_compare", "cmd_export_density", "cmd_demo"]
@@ -113,23 +113,6 @@ def _chain_config(section: dict) -> ChainConfig:
     return ChainConfig(**section)
 
 
-def _column_index(data: CensoredDataset, name: str) -> int:
-    if name not in data.covariate_names:
-        raise ValidationError(
-            f"dataset has no covariate column {name!r}; "
-            f"available: {list(data.covariate_names)}"
-        )
-    return data.covariate_names.index(name)
-
-
-# Hyperparameters each model family takes; unset ones keep the model default.
-HYPERPARAMETERS = {
-    "survival-exponential": ("tau0", "tau1"),
-    "censored-binomial": ("beta_shapes", "half_cauchy_scale", "mean_precision"),
-    "censored-normal-glm": ("coef_precision", "half_cauchy_scale"),
-}
-
-
 def _positive_real(name: str, value) -> float:
     # bool is an int subclass; NaN fails both comparisons.
     if type(value) not in (int, float) or not 0.0 < value <= sys.float_info.max:
@@ -139,16 +122,16 @@ def _positive_real(name: str, value) -> float:
     return float(value)
 
 
-def _hyperparameters(section: dict, family: str) -> dict:
+def _hyperparameters(section: dict, spec: ModelSpec) -> dict:
     """The section's validated hyperparameters, as model keyword arguments."""
     given = section.get("hyperparameters", {})
     if not isinstance(given, dict):
         raise ValidationError('"hyperparameters" must be a JSON object')
-    known = HYPERPARAMETERS[family]
+    known = spec.hyperparameters
     unknown = set(given) - set(known)
     if unknown:
         raise ValidationError(
-            f"unknown hyperparameters for {family}: {sorted(unknown)}; "
+            f"unknown hyperparameters for {spec.section}: {sorted(unknown)}; "
             f"known: {sorted(known)}"
         )
     hyper = {}
@@ -171,34 +154,31 @@ def _string(name: str, value) -> str:
 
 
 def _build_model(section: dict, data: CensoredDataset) -> Model:
+    """Validate a model section against its entries of the model table, then
+    build the model on ``data``."""
     if not isinstance(section, dict):
         raise ValidationError("a model section must be a JSON object")
     family = section.get("family")
-    if not (isinstance(family, str) and family in HYPERPARAMETERS):
+    specs = {spec.name: spec for spec in MODELS.values() if spec.section == family}
+    if not specs:
         raise ValidationError(f"unknown model family {family!r}")
-    hyper = _hyperparameters(section, family)
-    if family == "survival-exponential":
-        return SurvivalExpModel(
-            **hyper,
-            group_col=_column_index(data, section.get("group_column", "group")),
+    spec = next(iter(specs.values()))
+    allowed = {"family", "label", "hyperparameters", *spec.keys}
+    unknown = set(section) - allowed
+    if unknown:
+        raise ValidationError(
+            f"unknown keys in a {family} model section: {sorted(unknown)}; "
+            f"allowed: {sorted(allowed)}"
         )
-    if family == "censored-binomial":
-        variant = _string('"variant"', section.get("variant", "A")).upper()
-        if variant not in AE_VARIANTS:
-            raise ValidationError(f"unknown variant {variant!r}, expected one of {AE_VARIANTS}")
-        drugs = data.columns.codes(_column_index(data, "drug"))
-        model = ae_model(
-            variant, n_drugs=int(drugs.max()) + 1, n_studies=len(data), **hyper
-        )
-        # Re-point covariate columns by header name.
-        if hasattr(model, "drug_col"):
-            model.drug_col = _column_index(data, "drug")
-        if hasattr(model, "class_col"):
-            model.class_col = _column_index(data, "drug_class")
-        if hasattr(model, "study_col"):
-            model.study_col = _column_index(data, "study")
-        return model
-    return NormalGlmModel(n_covariates=len(data.covariate_names), **hyper)
+    if "variant" in spec.keys:
+        variant = _string('"variant"', section.get("variant", spec.name)).upper()
+        if variant not in specs:
+            raise ValidationError(f"unknown variant {variant!r}, expected one of {tuple(specs)}")
+        spec = specs[variant]
+    if "group_column" in section:
+        group = _string('"group_column"', section["group_column"])
+        spec = dataclasses.replace(spec, covariates=(group,))
+    return Model(spec, data, **_hyperparameters(section, spec))
 
 
 def _derive_run_seeds(seed: int, n_pairs: int) -> list[tuple[int, int]]:
@@ -565,7 +545,7 @@ def _demo_survival(out_root: Path, seed: int, quick: bool) -> int:
     chains = _demo_chains(quick, seed, survival=True)
     headline = {}
     for mode in (LikelihoodMode.EXACT, LikelihoodMode.DINTERVAL):
-        model = SurvivalExpModel()
+        model = Model(MODELS["survival-exponential"], data)
         out_dir = out_root / f"survival-{mode.value}"
         out_dir.mkdir(parents=True, exist_ok=True)
         config = {

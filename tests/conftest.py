@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from censdev import (
+    MODELS,
     ChainConfig,
     LikelihoodMode,
-    SurvivalExpModel,
+    Model,
     aml_dataset,
     run,
 )
@@ -29,7 +30,7 @@ from censdev.likelihood import (
     Observed,
     RightCensored,
 )
-from censdev.models import Model, Param, PooledBinomialModel
+from censdev.models import Param
 
 SURVIVAL_DEMO_SEED = 20260810
 
@@ -40,8 +41,8 @@ def aml():
 
 
 @pytest.fixture(scope="session")
-def survival_model():
-    return SurvivalExpModel()
+def survival_model(aml):
+    return Model(MODELS["survival-exponential"], aml)
 
 
 @pytest.fixture(scope="session")
@@ -59,7 +60,37 @@ def survival_runs(aml, survival_model):
 # ---------------------------------------------------------------------------
 
 
-class GammaExponentialModel(Model):
+class DuckModel:
+    """The model surface the sampler and the selection layer drive, for
+    hand-written test models: a subclass sets ``family`` and ``params`` and
+    provides ``log_prior`` and ``row_params`` (and, with ``levels``,
+    ``level_log_prior``)."""
+
+    label = ""
+    levels: tuple[int, ...] = ()
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(p.name for p in self.params)
+
+    @property
+    def supports(self) -> tuple[str, ...]:
+        return tuple(p.support for p in self.params)
+
+    def check_theta(self, theta) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        assert theta.ndim in (1, 2) and theta.shape[-1] == len(self.params), theta.shape
+        return theta
+
+    def rows_for_param(self, j, data):
+        return None
+
+    def initial_theta(self) -> np.ndarray:
+        defaults = {"real": 0.0, "positive": 1.0, "unit": 0.5}
+        return np.array([defaults[s] for s in self.supports])
+
+
+class GammaExponentialModel(DuckModel):
     """Exponential outcome with a Gamma(shape, rate) prior on its rate.
 
     Fully observed data give the closed-form posterior
@@ -141,7 +172,7 @@ def exponential_dataset(n=40, rate=0.8, seed=123):
 def conjugate_bb_runs():
     """Two independent runs of the single-row Beta-Binomial conjugate model."""
     data = single_binomial_dataset()
-    model = PooledBinomialModel(beta_shapes=(1.0, 1.0))
+    model = Model(MODELS["A"], data, beta_shapes=(1.0, 1.0))
     make = lambda seed: run(
         model,
         data,
@@ -155,7 +186,7 @@ def conjugate_bb_runs():
 def conjugate_multirow_runs():
     """Two runs of a 20-row shared-incidence Binomial model (pd/p_opt bands)."""
     data = multirow_binomial_dataset()
-    model = PooledBinomialModel(beta_shapes=(1.0, 1.0))
+    model = Model(MODELS["A"], data, beta_shapes=(1.0, 1.0))
     make = lambda seed: run(
         model,
         data,

@@ -28,8 +28,8 @@ from censdev.cli import main
 from censdev.datasets import serialize, synthetic_ae_dataset
 from censdev.likelihood import censoring_region, exact_contributions
 from censdev.mcmc import mcse, summarize
-from censdev.models import outcome_families
 from conftest import random_dataset
+from oracle import outcome_families
 
 # Expected exact-minus-monitored mean deviance gap on the bundled survival
 # data, derived independently of the sampler: with near-flat coefficient

@@ -4,14 +4,16 @@ workflows with their exit codes and determinism guarantees."""
 import functools
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from censdev import __version__, cli
+from censdev import MODELS, __version__, cli
 from censdev.cli import main
 from censdev.datasets import (
     aml_dataset,
@@ -270,15 +272,19 @@ class TestCliFit:
         assert manifest["dataset_fingerprint"] == dataset_fingerprint(aml_dataset())
         assert "samples_a.csv" in manifest["outputs"]
 
-    def test_rerun_byte_identical(self, fit_config):
-        config_path, out_dir, _ = fit_config
-        main(["fit", "--config", str(config_path)])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_rerun_byte_identical(self, tmp_path, name):
+        """Every entry of the model table: the same config twice writes the
+        same bytes."""
+        path = _entry_fit_config(tmp_path, name)
+        out_dir = tmp_path / "out"
+        assert main(["fit", "--config", str(path)]) == 0
         first = {
             p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()
         }
-        main(["fit", "--config", str(config_path)])
-        for name, blob in first.items():
-            assert (out_dir / name).read_bytes() == blob, name
+        assert main(["fit", "--config", str(path)]) == 0
+        for file_name, blob in first.items():
+            assert (out_dir / file_name).read_bytes() == blob, file_name
 
     def test_density_files_well_formed(self, fit_config):
         config_path, out_dir, _ = fit_config
@@ -350,20 +356,26 @@ class TestCliErrors:
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["fit", "--config", str(path)]) == 2
 
-    def test_missing_covariate_column_is_validation_error(self, tmp_path):
+    @pytest.mark.parametrize("section,column", [
+        ({"family": "survival-exponential"}, "group"),
+        ({"family": "censored-binomial", "variant": "G"}, "study"),
+    ])
+    def test_missing_covariate_column_is_validation_error(self, tmp_path, capsys,
+                                                          section, column):
         dataset = tmp_path / "d.csv"
         dataset.write_text(
             "outcome,censor,cut1,cut2,trials,arm\n4,none,,,,1\n", encoding="utf-8"
         )
         config = {
             "dataset": str(dataset),
-            "model": {"family": "survival-exponential"},
+            "model": section,
             "chains": {"seed": 1},
             "output_dir": str(tmp_path / "out"),
         }
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["fit", "--config", str(path)]) == 2
+        assert repr(column) in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["exact", "dinterval"])
     @pytest.mark.parametrize("row,column", [
@@ -406,6 +418,22 @@ class TestCliErrors:
         assert main(["fit", "--config", str(path)]) == 2
 
 
+def _entry_fit_config(tmp_path, name, **section):
+    """A tiny fit of model-table entry ``name`` on data it accepts: the AML
+    data for the survival and GLM entries, synthetic AE data otherwise."""
+    spec = MODELS[name]
+    binomial = spec.section == "censored-binomial"
+    data = synthetic_ae_dataset(n_studies=10, seed=6) if binomial else aml_dataset()
+    dataset = tmp_path / "data.csv"
+    dataset.write_text(serialize(data), encoding="utf-8")
+    return _write_config(tmp_path, {
+        "dataset": str(dataset),
+        "model": {**_section(spec.section, name), **section},
+        "chains": {"n_chains": 2, "burn_in": 30, "n_keep": 30, "seed": 5},
+        "output_dir": str(tmp_path / "out"),
+    })
+
+
 def _write_config(tmp_path, config, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -431,7 +459,8 @@ def _ae_fit_config(tmp_path, variant, edit_row):
 
 class TestCliConfigAndCodes:
     def test_drug_class_out_of_range_is_validation_error(self, tmp_path, capsys):
-        path = _ae_fit_config(tmp_path, "B", {"drug_class": "2.0"})
+        # B takes its class count from the codes, so 3 leaves class 2 empty.
+        path = _ae_fit_config(tmp_path, "B", {"drug_class": "3.0"})
         assert main(["fit", "--config", str(path)]) == 2
         assert "drug_class" in capsys.readouterr().err
 
@@ -531,6 +560,11 @@ class TestCliHyperparametersAndEntries:
                     {"family": "censored-binomial", "variant": "B"}]},
         {"models": [{"family": "censored-binomial", "variant": "A", "label": 7},
                     {"family": "censored-binomial", "variant": "B"}]},
+        {"models": [{"family": "censored-binomial", "variant": "Z"},
+                    {"family": "censored-binomial", "variant": "B"}]},
+        {"variants": ["A", "Z"]},
+        {"models": [{"family": "censored-binomial", "variant": "A", "seed": 3},
+                    {"family": "censored-binomial", "variant": "B"}]},
     ])
     def test_bad_compare_entries_are_validation_errors(self, tmp_path, entries):
         dataset = tmp_path / "ae.csv"
@@ -544,6 +578,140 @@ class TestCliHyperparametersAndEntries:
             "output_dir": str(tmp_path / "out"),
         })
         assert main(["compare", "--config", str(path)]) == 2
+
+
+def _readme_model_families():
+    """Family -> (section keys, {hyperparameter: default}) from the README's
+    model-family table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    families = {}
+    for line in text.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and re.fullmatch(r"`[a-z-]+`", cells[0]):
+            keys = set(re.findall(r"`(\w+)`", cells[1]))
+            hyper = {k: json.loads(v) for k, v in re.findall(r"`(\w+)` \(([^)]*)\)", cells[3])}
+            families[cells[0].strip("`")] = (keys, hyper)
+    return families
+
+
+def _edited_dataset(tmp_path, data, row, cells):
+    """``data`` as a file whose ``row`` (0-based) has the outcome ``cells``
+    (an observed row unless they say otherwise)."""
+    lines = serialize(data).splitlines()
+    header = lines[0].split(",")
+    fields = lines[row + 1].split(",")
+    cells = {"outcome": "", "censor": "none", "cut1": "", "cut2": "", **cells}
+    for column, value in cells.items():
+        fields[header.index(column)] = value
+    lines[row + 1] = ",".join(fields)
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestCliModelSections:
+    def test_every_entry_is_reachable_and_documented(self):
+        families = _readme_model_families()
+        data = {"censored-binomial": synthetic_ae_dataset(n_studies=10, seed=6)}
+        for name, spec in MODELS.items():
+            section = _section(spec.section, name)
+            model = cli._build_model(section, data.get(spec.section, aml_dataset()))
+            assert model.spec is spec
+            keys, hyper = families[spec.section]
+            assert keys == set(spec.keys), name
+            assert hyper == {k: list(v) if isinstance(v, tuple) else v
+                             for k, v in spec.hyperparameters.items()}, name
+
+    @pytest.mark.parametrize("name,section", [
+        ("A", {"varaint": "G"}),
+        ("survival-exponential", {"variant": "G"}),
+        ("censored-normal-glm", {"group_column": "group"}),
+        ("G", {"hyperparameter": {"beta_shapes": [2, 2]}}),
+    ])
+    def test_unknown_section_key_is_validation_error(self, tmp_path, capsys, name, section):
+        path = _entry_fit_config(tmp_path, name)
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config["model"].update(section)
+        if name == "A":
+            del config["model"]["variant"]
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["fit", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert repr(next(iter(section))) in err and "allowed" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant,column,missing", [
+        ("C", "drug", 1),
+        ("D", "drug", 1),
+        ("B", "drug_class", 0),
+        ("G", "study", 3),
+    ])
+    def test_category_codes_with_a_gap_are_validation_errors(self, tmp_path, capsys,
+                                                             variant, column, missing):
+        """No parameter may stand for a code that no row carries."""
+        data = synthetic_ae_dataset(n_studies=10, seed=6)
+        lines = serialize(data).splitlines()
+        index = lines[0].split(",").index(column)
+        for number, line in enumerate(lines[1:], start=1):
+            fields = line.split(",")
+            if float(fields[index]) == missing:
+                fields[index] = repr(float(missing + 1))
+            lines[number] = ",".join(fields)
+        path = _entry_fit_config(tmp_path, variant)
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["fit", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{column!r}" in err and f"none equal to {missing}" in err
+
+
+class TestCliOutOfSupport:
+    """Rows no parameter value can explain exit 2 in both modes, naming the
+    row and the column, instead of failing the sampler's initialization."""
+
+    @pytest.mark.parametrize("mode", ["exact", "dinterval"])
+    @pytest.mark.parametrize("cells,column", [
+        ({"outcome": "-5.0"}, "outcome"),
+        ({"outcome": "", "censor": "left", "cut1": "-1.0"}, "cut1"),
+        ({"outcome": "", "censor": "left", "cut1": "0.0"}, "cut1"),
+        ({"outcome": "", "censor": "interval", "cut1": "-3.0", "cut2": "-1.0"}, "cut2"),
+    ])
+    def test_survival(self, tmp_path, capsys, mode, cells, column):
+        dataset = _edited_dataset(tmp_path, aml_dataset(), 2, cells)
+        path = _write_config(tmp_path, {
+            "dataset": str(dataset),
+            "model": {"family": "survival-exponential"},
+            "mode": mode,
+            "chains": {"n_chains": 1, "burn_in": 10, "n_keep": 10, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "row 2" in err and f"'{column}'" in err
+
+    @pytest.mark.parametrize("mode", ["exact", "dinterval"])
+    @pytest.mark.parametrize("cells,column", [
+        ({"outcome": "-1.0"}, "outcome"),
+        ({"outcome": "2.5"}, "outcome"),
+        ({"outcome": "{trials_plus_1}"}, "outcome"),
+        ({"outcome": "", "censor": "left", "cut1": "-3.0"}, "cut1"),
+        ({"outcome": "", "censor": "right", "cut1": "{trials_plus_1}"}, "cut1"),
+        ({"outcome": "", "censor": "interval", "cut1": "2.2", "cut2": "2.8"}, "cut2"),
+    ])
+    def test_binomial(self, tmp_path, capsys, mode, cells, column):
+        data = synthetic_ae_dataset(n_studies=10, seed=6)
+        above = repr(float(data.observations[4].trials + 1))
+        cells = {k: v.replace("{trials_plus_1}", above) for k, v in cells.items()}
+        dataset = _edited_dataset(tmp_path, data, 4, cells)
+        path = _write_config(tmp_path, {
+            "dataset": str(dataset),
+            "model": {"family": "censored-binomial", "variant": "A"},
+            "mode": mode,
+            "chains": {"n_chains": 1, "burn_in": 10, "n_keep": 10, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "row 4" in err and f"'{column}'" in err
 
 
 class TestCliUndecodableInput:
@@ -570,6 +738,13 @@ class TestCliUndecodableInput:
         trace.write_bytes(b"chain,alpha,deviance\n0,\xff,1.0\n")
         assert main(["export-density", "--trace", str(trace), "--param", "alpha"]) == 2
         assert "trace.csv" in capsys.readouterr().err
+
+
+def _section(family, variant):
+    """A model section of ``family``; binomial sections name ``variant``."""
+    if family == "censored-binomial":
+        return {"family": family, "variant": variant}
+    return {"family": family}
 
 
 _ODD = [None, True, -1, 0, 1, 2.5, float("nan"), float("inf"), 1e308, 1e-300,
@@ -739,7 +914,7 @@ class TestCliFuzz:
         if not dataset.exists():
             dataset.write_text(serialize(synthetic_ae_dataset(n_studies=10, seed=6)),
                                encoding="utf-8")
-        section = {"family": family, "variant": "G"}
+        section = _section(family, "G")
         config = {
             "dataset": "bundled:aml" if family == "survival-exponential" else "ae.csv",
             "chains": {"n_chains": 1, "burn_in": 8, "n_keep": 8, "seed": 3},
@@ -748,7 +923,7 @@ class TestCliFuzz:
         if command == "fit":
             config["model"] = section
         else:
-            config["models"] = [section, {"family": family, "variant": "A"}]
+            config["models"] = [section, _section(family, "A")]
         for where, key, value in edits:
             if where == "top":
                 config[key] = value
@@ -817,11 +992,11 @@ class TestCliDatasetFuzz:
             "chains": {"n_chains": 1, "burn_in": 8, "n_keep": 8, "seed": 3},
             "output_dir": "out",
         }
-        section = {"family": family, "variant": "G"}
+        section = _section(family, "G")
         if command == "fit":
             config.update(model=section, mode=mode)
         else:
-            config["models"] = [section, {**section, "variant": "A"}]
+            config["models"] = [section, _section(family, "A")]
         path = _write_config(tmp_path, config)
         assert main([command, "--config", str(path)]) in (0, 2, 3, 4)
 

@@ -49,18 +49,10 @@ from censdev.mcmc import (
     split_rhat,
     summarize,
 )
-from censdev.models import (
-    Model,
-    NormalGlmModel,
-    Param,
-    PooledBinomialModel,
-    SaturatedBinomialModel,
-    SurvivalExpModel,
-    ae_model,
-    outcome_families,
-)
+from censdev.models import MODELS, Model, Param
 from censdev.selection import make_selection_report
-from conftest import single_binomial_dataset, tobit_dataset
+from conftest import DuckModel, single_binomial_dataset, tobit_dataset
+from oracle import outcome_families
 
 
 class TestConjugateOracles:
@@ -98,7 +90,7 @@ class TestConjugateOracles:
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
         data = single_binomial_dataset()
-        model = PooledBinomialModel()
+        model = Model(MODELS["A"], data)
         config = ChainConfig(n_chains=2, burn_in=200, n_keep=300, seed=77)
         a = run(model, data, LikelihoodMode.EXACT, config)
         b = run(model, data, LikelihoodMode.EXACT, config)
@@ -108,7 +100,7 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         data = single_binomial_dataset()
-        model = PooledBinomialModel()
+        model = Model(MODELS["A"], data)
         a = run(model, data, LikelihoodMode.EXACT,
                 ChainConfig(n_chains=1, burn_in=100, n_keep=200, seed=1))
         b = run(model, data, LikelihoodMode.EXACT,
@@ -117,7 +109,7 @@ class TestDeterminism:
 
     def test_thinning_geometry(self):
         data = single_binomial_dataset()
-        model = PooledBinomialModel()
+        model = Model(MODELS["A"], data)
         config = ChainConfig(n_chains=2, burn_in=50, n_keep=40, thin=5, seed=9)
         samples = run(model, data, LikelihoodMode.EXACT, config)
         assert samples.draws.shape == (80, 1)
@@ -128,11 +120,13 @@ def _batch_case(name):
     """(model, data, mode) of one batching case."""
     if name.startswith("survival"):
         mode = LikelihoodMode.DINTERVAL if name.endswith("dinterval") else LikelihoodMode.EXACT
-        return SurvivalExpModel(), aml_dataset(), mode
+        aml = aml_dataset()
+        return Model(MODELS["survival-exponential"], aml), aml, mode
     if name == "glm":
-        return NormalGlmModel(n_covariates=2), tobit_dataset(), LikelihoodMode.EXACT
+        tobit = tobit_dataset()
+        return Model(MODELS["censored-normal-glm"], tobit), tobit, LikelihoodMode.EXACT
     ae = synthetic_ae_dataset(seed=11)
-    return ae_model(name[-1], n_drugs=5, n_studies=len(ae)), ae, LikelihoodMode.EXACT
+    return Model(MODELS[name[-1]], ae), ae, LikelihoodMode.EXACT
 
 
 class TestBatching:
@@ -222,12 +216,13 @@ class TestBatching:
         _degenerate_after(monkeypatch, 40)
         configs = tuple(ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=s) for s in (1, 2))
         with pytest.raises(NumericError, match="degenerate censoring region"):
-            run(SurvivalExpModel(), aml, LikelihoodMode.DINTERVAL, ChainBatch(configs))
+            run(Model(MODELS["survival-exponential"], aml), aml, LikelihoodMode.DINTERVAL,
+                ChainBatch(configs))
 
     @pytest.mark.parametrize("failure", ["initialization", "latent-refresh"])
     def test_cli_exit_code_for_numeric_failures(self, monkeypatch, tmp_path, capsys, failure):
         if failure == "initialization":
-            monkeypatch.setattr(SurvivalExpModel, "log_prior",
+            monkeypatch.setattr(Model, "log_prior",
                                 lambda self, theta: np.full(len(theta), -math.inf))
         else:
             _degenerate_after(monkeypatch, 40)
@@ -264,7 +259,7 @@ def _four_kind_survival_dataset():
     rows = [(Observed(2.0), 0.0), (Observed(0.7), 1.0), (LeftCensored(1.0), 0.0),
             (RightCensored(5.0), 1.0), (IntervalCensored(0.0, 3.0), 0.0),
             (IntervalCensored(1.0, 4.0), 1.0), (Observed(3.5), 1.0)]
-    return CensoredDataset(tuple(Observation(o, covariates=(g,)) for o, g in rows))
+    return CensoredDataset(tuple(Observation(o, covariates=(g,)) for o, g in rows), ("group",))
 
 
 class TestFloatingPointState:
@@ -275,10 +270,11 @@ class TestFloatingPointState:
     @pytest.mark.parametrize("case", ["aml", "four-kinds", "tobit"])
     def test_runs_and_reports_raise_no_runtime_warning(self, case, aml):
         if case == "tobit":
-            model, data = NormalGlmModel(n_covariates=2), tobit_dataset()
+            data = tobit_dataset()
+            model = Model(MODELS["censored-normal-glm"], data)
         else:
-            model = SurvivalExpModel()
             data = aml if case == "aml" else _four_kind_survival_dataset()
+            model = Model(MODELS["survival-exponential"], data)
         configs = tuple(ChainConfig(n_chains=2, burn_in=60, n_keep=40, seed=s) for s in (6, 7))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -384,7 +380,7 @@ class TestLatentImputation:
         assert exact.latent_trace is None
 
 
-class _HopelessModel(Model):
+class _HopelessModel(DuckModel):
     """Prior is -inf everywhere; initialization must give up cleanly."""
 
     family = Normal
@@ -428,7 +424,7 @@ class _Feed:
         return self._take(self.uniforms, size)
 
 
-class _SharedLevels(Model):
+class _SharedLevels(DuckModel):
     """Two levels that both reach every row: not a valid block."""
 
     family = Binomial
@@ -457,7 +453,7 @@ class TestLevelBlocks:
     def test_block_step_equals_single_site_steps(self, ae, variant):
         """One blocked step and the level-by-level single-site steps, fed the
         same increments and uniforms, take the same decisions and states."""
-        model = ae_model(variant, n_drugs=5, n_studies=len(ae))
+        model = Model(MODELS[variant], ae)
         state = _ChainBatch(model, ae, LikelihoodMode.EXACT, [np.random.default_rng(3)])
         state.initialize()
         (block,) = [b for b in state.blocks if b.owner is not None]
@@ -489,7 +485,7 @@ class TestLevelBlocks:
     def test_saturated_posterior_means_match_closed_form(self, ae):
         """G's study incidences against Beta(1+y, 1+n-y) on observed rows and
         the quadrature of Beta(1,1) x P(region) on censored rows."""
-        model = SaturatedBinomialModel(n_studies=len(ae))
+        model = Model(MODELS["G"], ae)
         samples = run(model, ae, LikelihoodMode.EXACT,
                       ChainConfig(n_chains=3, burn_in=1000, n_keep=5000, seed=404))
         cols = ae.columns

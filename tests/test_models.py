@@ -10,8 +10,8 @@ import pytest
 from scipy import stats
 from scipy.stats import norm
 
-from censdev import ChainConfig, LikelihoodMode, run
-from censdev.datasets import synthetic_ae_dataset
+from censdev import ChainConfig, LikelihoodMode, aml_dataset, run
+from censdev.datasets import AE_COVARIATES, synthetic_ae_dataset
 from censdev.distributions import Binomial, Exponential, Normal
 from censdev.exceptions import SchemaError
 from censdev.likelihood import (
@@ -22,17 +22,8 @@ from censdev.likelihood import (
     exact_contributions,
     loglik_exact,
 )
-from censdev.models import (
-    DrugLinkBinomialModel,
-    DrugMeanBinomialModel,
-    NormalGlmModel,
-    PooledBinomialModel,
-    SaturatedBinomialModel,
-    SurvivalExpModel,
-    ae_model,
-    log_posterior_unnorm,
-    outcome_families,
-)
+from censdev.models import MODELS, Model
+from oracle import log_posterior_unnorm, outcome_families, outcome_family
 
 
 def _binomial_obs(count, trials, drug, study):
@@ -50,29 +41,55 @@ def ae_data():
     return synthetic_ae_dataset(seed=99)
 
 
+def _ae_rows(n_drugs=5, n_studies=None):
+    """A small adverse-event dataset: drug codes 0..n_drugs-1, both drug
+    classes, study codes 0..n_studies-1 (one per row when None)."""
+    n = max(n_drugs, n_studies or 2, 2)
+    return CensoredDataset(
+        tuple(
+            Observation(Observed(1.0), trials=10, covariates=(
+                float(i % n_drugs), float(i % 2), float(i % (n_studies or n))))
+            for i in range(n)
+        ),
+        AE_COVARIATES,
+    )
+
+
+def _glm_rows(n_covariates):
+    return CensoredDataset((Observation(Observed(0.0), covariates=(0.0,) * n_covariates),))
+
+
+def _model(name, data, **hyperparameters):
+    return Model(MODELS[name], data, **hyperparameters)
+
+
+def _survival(**hyperparameters):
+    return _model("survival-exponential", aml_dataset(), **hyperparameters)
+
+
 class TestPriors:
     def test_survival_prior_at_origin(self):
-        model = SurvivalExpModel(tau0=0.01, tau1=0.01)
+        model = _survival(tau0=0.01, tau1=0.01)
         oracle = 2.0 * norm.logpdf(0.0, loc=0.0, scale=10.0)
         assert model.log_prior(np.zeros(2)) == pytest.approx(oracle, rel=1e-12)
 
     def test_half_cauchy_support(self):
-        model = DrugLinkBinomialModel("logit", n_drugs=2)
+        model = _model("D", _ae_rows(n_drugs=2))
         theta = np.array([0.0, -0.5, 0.0, 0.0])  # sigma < 0
         assert model.log_prior(theta) == -math.inf
 
     def test_uniform_beta_prior_is_flat(self):
-        model = PooledBinomialModel(beta_shapes=(1.0, 1.0))
+        model = _model("A", _ae_rows(), beta_shapes=(1.0, 1.0))
         assert model.log_prior(np.array([0.5])) == 0.0
         assert model.log_prior(np.array([1.5])) == -math.inf
 
     def test_schema_mismatch(self):
         with pytest.raises(SchemaError):
-            SurvivalExpModel().log_prior(np.zeros(3))
+            _survival().log_prior(np.zeros(3))
         with pytest.raises(SchemaError):
-            SurvivalExpModel().log_prior(np.zeros((2, 3)))
+            _survival().log_prior(np.zeros((2, 3)))
         with pytest.raises(SchemaError):
-            SurvivalExpModel().log_prior(np.zeros((2, 2, 2)))
+            _survival().log_prior(np.zeros((2, 2, 2)))
 
 
 # Per model: a builder, a scipy.stats oracle of the joint log prior, and
@@ -99,25 +116,26 @@ def _c_oracle(t):
 
 PRIOR_CASES = {
     "survival": (
-        lambda: SurvivalExpModel(tau0=0.5, tau1=2.0),
+        lambda: _survival(tau0=0.5, tau1=2.0),
         lambda t: _normal(t[0], 0.5) + _normal(t[1], 2.0),
         [[0.3, -1.2], [-4.0, 0.7], [2.5, 0.0]],
         [],
     ),
     "A": (
-        lambda: ae_model("A", beta_shapes=(2.0, 3.0)),
+        lambda: _model("A", _ae_rows(), beta_shapes=(2.0, 3.0)),
         lambda t: _beta(t[0], 2.0, 3.0),
         [[0.2], [0.73], [0.999]],
         [[0.0], [1.0], [1.5], [-0.2]],
     ),
     "B": (
-        lambda: ae_model("B", beta_shapes=(2.0, 3.0)),
+        lambda: _model("B", _ae_rows(), beta_shapes=(2.0, 3.0)),
         lambda t: _beta(t, 2.0, 3.0).sum(),
         [[0.2, 0.6], [0.05, 0.9]],
         [[0.2, 1.0], [-0.1, 0.5]],
     ),
     "C": (
-        lambda: DrugMeanBinomialModel(n_drugs=3, beta_shapes=(2.0, 3.0), half_cauchy_scale=0.7),
+        lambda: _model("C", _ae_rows(n_drugs=3), beta_shapes=(2.0, 3.0),
+                       half_cauchy_scale=0.7),
         _c_oracle,
         [[0.3, 0.5, 0.2, 0.4, 0.35], [0.6, 1.3, 0.7, 0.5, 0.9]],
         [[0.3, -0.5, 0.2, 0.4, 0.35], [1.2, 0.5, 0.2, 0.4, 0.35],
@@ -125,7 +143,8 @@ PRIOR_CASES = {
     ),
     **{
         variant: (
-            lambda v=variant: ae_model(v, n_drugs=3, mean_precision=0.2, half_cauchy_scale=0.7),
+            lambda v=variant: _model(v, _ae_rows(n_drugs=3), mean_precision=0.2,
+                                     half_cauchy_scale=0.7),
             lambda t: (_normal(t[0], 0.2) + _hc(t[1], 0.7)
                        + _normal(t[2:], 1.0 / t[1] ** 2).sum()),
             [[-1.5, 0.8, 0.3, -0.6, 1.1], [0.4, 2.5, -3.0, 0.1, 0.9]],
@@ -134,13 +153,14 @@ PRIOR_CASES = {
         for variant in "DEF"
     },
     "G": (
-        lambda: ae_model("G", n_studies=4, beta_shapes=(2.0, 3.0)),
+        lambda: _model("G", _ae_rows(n_studies=4), beta_shapes=(2.0, 3.0)),
         lambda t: _beta(t, 2.0, 3.0).sum(),
         [[0.2, 0.6, 0.4, 0.1], [0.9, 0.3, 0.5, 0.05]],
         [[0.2, 0.6, 1.0, 0.1]],
     ),
     "glm": (
-        lambda: NormalGlmModel(n_covariates=2, coef_precision=0.3, half_cauchy_scale=0.7),
+        lambda: _model("censored-normal-glm", _glm_rows(2), coef_precision=0.3,
+                       half_cauchy_scale=0.7),
         lambda t: _hc(t[-1], 0.7) + _normal(t[:-1], 0.3).sum(),
         [[0.5, -1.0, 2.0, 1.3], [-2.0, 0.1, 0.3, 0.2]],
         [[0.5, -1.0, 2.0, -1.3]],
@@ -190,47 +210,50 @@ class TestStackedPriors:
     def test_zero_scale_is_outside_the_support(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert ae_model("D", n_drugs=2).log_prior(np.array([0.0, 0.0, 0.1, 0.2])) == -math.inf
-            assert NormalGlmModel(1).log_prior(np.array([0.0, 0.0, 0.0])) == -math.inf
-            assert ae_model("C", n_drugs=1).log_prior(np.array([0.5, 0.0, 0.5])) == -math.inf
+            assert _model("D", _ae_rows(n_drugs=2)).log_prior(
+                np.array([0.0, 0.0, 0.1, 0.2])) == -math.inf
+            assert _model("censored-normal-glm", _glm_rows(1)).log_prior(
+                np.array([0.0, 0.0, 0.0])) == -math.inf
+            assert _model("C", _ae_rows(n_drugs=1)).log_prior(
+                np.array([0.5, 0.0, 0.5])) == -math.inf
             stack = np.array([[0.0, 0.0, 0.1, 0.2], [0.0, 0.5, 0.1, 0.2]])
-            lp = ae_model("D", n_drugs=2).log_prior(stack)
+            lp = _model("D", _ae_rows(n_drugs=2)).log_prior(stack)
             assert lp[0] == -math.inf and np.isfinite(lp[1])
 
 
 class TestOutcomeConstruction:
     def test_survival_identity_rate(self):
-        model = SurvivalExpModel()
+        model = _survival()
         obs = Observation(Observed(1.0), covariates=(1.0,))
-        fam = model.outcome_family(np.zeros(2), obs)
+        fam = outcome_family(model, np.zeros(2), obs)
         assert isinstance(fam, Exponential)
         assert fam.rate == pytest.approx(1.0)
 
     def test_survival_group_rate(self):
-        model = SurvivalExpModel()
+        model = _survival()
         obs = Observation(Observed(1.0), covariates=(1.0,))
-        fam = model.outcome_family(np.array([0.3, -1.2]), obs)
+        fam = outcome_family(model, np.array([0.3, -1.2]), obs)
         assert fam.rate == pytest.approx(math.exp(0.3 - 1.2), rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["D", "F"])
     def test_zero_linear_predictor_gives_half(self, variant):
-        model = ae_model(variant, n_drugs=5)
+        model = _model(variant, _ae_rows())
         theta = np.zeros(len(model.params))
         obs = _binomial_obs(3, 20, drug=2, study=0)
-        fam = model.outcome_family(theta, obs)
+        fam = outcome_family(model, theta, obs)
         assert isinstance(fam, Binomial)
         assert fam.prob == pytest.approx(0.5)
 
     def test_cloglog_variant_uses_its_link(self):
-        model = ae_model("E", n_drugs=5)
+        model = _model("E", _ae_rows())
         theta = np.zeros(len(model.params))
-        fam = model.outcome_family(theta, _binomial_obs(3, 20, 1, 0))
+        fam = outcome_family(model, theta, _binomial_obs(3, 20, 1, 0))
         assert fam.prob == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
 
     def test_normal_glm_mean(self):
-        model = NormalGlmModel(n_covariates=2)
+        model = _model("censored-normal-glm", _glm_rows(2))
         obs = Observation(Observed(0.0), covariates=(2.0, -1.0))
-        fam = model.outcome_family(np.array([0.5, 1.0, 2.0, 0.5]), obs)
+        fam = outcome_family(model, np.array([0.5, 1.0, 2.0, 0.5]), obs)
         assert isinstance(fam, Normal)
         assert fam.mean == pytest.approx(0.5 + 2.0 - 2.0)
         assert fam.precision == pytest.approx(4.0)
@@ -238,29 +261,21 @@ class TestOutcomeConstruction:
 
 class TestSchemas:
     def test_pooled_has_one_parameter(self):
-        assert len(PooledBinomialModel().params) == 1
+        assert len(_model("A", _ae_rows()).params) == 1
 
     def test_saturated_parameter_count_is_study_count(self):
         for n in (3, 25):
-            assert len(SaturatedBinomialModel(n_studies=n).params) == n
+            assert len(_model("G", _ae_rows(n_studies=n)).params) == n
 
     def test_variant_aliases(self):
-        labels = [ae_model(v, n_studies=4).label for v in "ABCDEFG"]
+        labels = [_model(v, _ae_rows(n_studies=4)).label for v in "ABCDEFG"]
         assert labels == list("ABCDEFG")
-
-    def test_variant_g_requires_study_count(self):
-        with pytest.raises(SchemaError):
-            ae_model("G")
-
-    def test_unknown_variant(self):
-        with pytest.raises(SchemaError):
-            ae_model("Z")
 
 
 class TestLogPosterior:
     def test_flat_prior_equals_loglik(self):
-        model = PooledBinomialModel(beta_shapes=(1.0, 1.0))
         data = CensoredDataset((_binomial_obs(4, 10, 0, 0),))
+        model = _model("A", data, beta_shapes=(1.0, 1.0))
         theta = np.array([0.37])
         expected = loglik_exact(data, outcome_families(model, theta, data))
         assert log_posterior_unnorm(model, theta, data) == pytest.approx(
@@ -268,21 +283,21 @@ class TestLogPosterior:
         )
 
     def test_outside_support_is_neg_inf(self):
-        model = PooledBinomialModel()
         data = CensoredDataset((_binomial_obs(4, 10, 0, 0),))
+        model = _model("A", data)
         assert log_posterior_unnorm(model, np.array([1.2]), data) == -math.inf
 
     def test_a_stack_of_parameter_vectors_is_rejected(self):
         """The priors take stacks; the scalar posterior takes one vector."""
-        model = PooledBinomialModel()
         data = CensoredDataset((_binomial_obs(4, 10, 0, 0),))
+        model = _model("A", data)
         with pytest.raises(SchemaError):
             log_posterior_unnorm(model, np.array([[0.3], [0.4]]), data)
 
     def test_mode_difference_is_censored_contribution_sum(self, aml):
         """Exact and latent-imputation targets differ by the censored terms
         whenever every latent value sits exactly at its censoring cutoff."""
-        model = SurvivalExpModel()
+        model = _model("survival-exponential", aml)
         theta = np.array([-3.1, -0.9])
         dists = outcome_families(model, theta, aml)
         contribs = exact_contributions(aml, dists)
@@ -300,7 +315,7 @@ class TestLogPosterior:
         assert exact - dint == pytest.approx(censored_sum - latent_sum, rel=1e-10)
 
     def test_latents_required_iff_dinterval(self, aml):
-        model = SurvivalExpModel()
+        model = _model("survival-exponential", aml)
         theta = np.zeros(2)
         with pytest.raises(SchemaError):
             log_posterior_unnorm(model, theta, aml, LikelihoodMode.DINTERVAL)
@@ -326,7 +341,7 @@ class TestIdentifiability:
             g: (groups == g).sum() / times[groups == g].sum() for g in (0.0, 1.0)
         }
 
-        model = SurvivalExpModel(tau0=1e-8, tau1=1e-8)
+        model = _model("survival-exponential", data, tau0=1e-8, tau1=1e-8)
         config = ChainConfig(n_chains=1, burn_in=4000, n_keep=100_000, seed=11)
         samples = run(model, data, LikelihoodMode.EXACT, config)
 
@@ -343,7 +358,7 @@ class TestIdentifiability:
         data = synthetic_ae_dataset(
             n_studies=15, seed=5, drug_effects=(0.0, 0.0, 0.0, 0.0, 0.0)
         )
-        model = DrugLinkBinomialModel("logit", n_drugs=5, half_cauchy_scale=1e-4)
+        model = _model("D", data, half_cauchy_scale=1e-4)
         config = ChainConfig(n_chains=2, burn_in=2000, n_keep=2000, seed=3)
         samples = run(model, data, LikelihoodMode.EXACT, config)
         mu = samples.param("mu")
@@ -363,7 +378,7 @@ class TestIdentifiability:
             outcome = RightCensored(2.0) if y > 2.0 else Observed(y)
             rows.append(Observation(outcome, covariates=(x,)))
         data = CensoredDataset(tuple(rows), ("x",))
-        model = NormalGlmModel(n_covariates=1)
+        model = _model("censored-normal-glm", data)
         config = ChainConfig(n_chains=1, burn_in=1500, n_keep=1500, seed=4)
         samples = run(model, data, LikelihoodMode.EXACT, config)
         assert np.isfinite(samples.deviance_trace).all()

@@ -14,7 +14,9 @@ from censdev.exceptions import (
 )
 from censdev.likelihood import CensoredDataset, Observation, Observed, deviance
 from censdev.mcmc import PosteriorSamples
-from censdev.models import PooledBinomialModel, outcome_families
+from censdev.models import MODELS, Model
+from conftest import DuckModel
+from oracle import outcome_families, outcome_family
 from censdev.selection import (
     SelectionReport,
     compare,
@@ -72,8 +74,8 @@ class TestDbar:
 class TestPd:
     def test_degenerate_posterior_gives_zero(self):
         """All draws identical: Dbar equals the plug-in deviance exactly."""
-        model = PooledBinomialModel()
         data = CensoredDataset((Observation(Observed(7.0), trials=20),))
+        model = Model(MODELS["A"], data)
         p = 0.35
         dev = deviance(
             sum(
@@ -93,8 +95,8 @@ class TestPd:
 
 class TestPopt:
     def test_degenerate_posterior_gives_zero(self):
-        model = PooledBinomialModel()
         data = CensoredDataset((Observation(Observed(7.0), trials=20),))
+        model = Model(MODELS["A"], data)
         draws = np.full((40, 1), 0.35)
         trace = np.full(40, 1.0)
         a = _samples_from_draws(draws, trace, seed=1)
@@ -128,8 +130,8 @@ class TestPopt:
             compute_popt_ped(samples_a, samples_a, model, data)
 
     def test_same_seed_runs_rejected(self):
-        model = PooledBinomialModel()
         data = CensoredDataset((Observation(Observed(7.0), trials=20),))
+        model = Model(MODELS["A"], data)
         a = _samples_from_draws(np.full((10, 1), 0.3), np.ones(10), seed=5)
         b = _samples_from_draws(np.full((10, 1), 0.3), np.ones(10), seed=5)
         with pytest.raises(InsufficientReplicationError):
@@ -159,10 +161,10 @@ class TestReports:
         """Componentwise posterior means land off a ridge-shaped posterior,
         the plug-in deviance exceeds Dbar, and the negative pd is reported
         unclamped with a diagnostic."""
-        from censdev.models import Model, Param
+        from censdev.models import Param
         from censdev.distributions import Normal
 
-        class ProductMeanModel(Model):
+        class ProductMeanModel(DuckModel):
             family = Normal
 
             def __init__(self):
@@ -216,10 +218,10 @@ class TestMonotoneDataEffect:
     def test_adding_observed_row_adds_pointwise_deviance(self):
         """At fixed draws, Dbar is additive over rows; discrete rows can only
         increase it because their pointwise deviance is nonnegative."""
-        model = PooledBinomialModel()
         base = CensoredDataset(
             tuple(Observation(Observed(float(y)), trials=30) for y in (3, 5, 2))
         )
+        model = Model(MODELS["A"], base)
         extended = CensoredDataset(base.observations +
                                    (Observation(Observed(4.0), trials=30),))
         rng = np.random.default_rng(0)
@@ -238,7 +240,7 @@ class TestMonotoneDataEffect:
             return compute_dbar(np.array(devs))
 
         def pointwise_new(p):
-            fam = model.outcome_family([p], extended.observations[-1])
+            fam = outcome_family(model, [p], extended.observations[-1])
             return deviance(fam.log_pdf(4.0))
 
         added = np.mean([pointwise_new(p) for p in draws])

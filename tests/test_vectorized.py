@@ -4,8 +4,9 @@
 * ``Family.log_contrib`` over a dataset's columns equals the per-row
   ``exact_contribution`` on randomized rows of every outcome family and
   censor kind.
-* Each model's ``row_params`` equals its ``outcome_family`` at extreme
-  parameter values, where the rate, probability and link clamps act.
+* Each model's ``row_params`` equals the scalar ``oracle.outcome_family``
+  at extreme parameter values, where the rate, probability and link clamps
+  act.
 * ``compute_popt_ped`` equals a per-row, per-draw-pair reference built from
   ``kl_divergence`` and ``bernoulli_kl``.
 """
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from censdev import ChainConfig, LikelihoodMode, selection
+from censdev import ChainConfig, LikelihoodMode, aml_dataset, selection
 from censdev.distributions import Binomial, Exponential, Normal, bernoulli_kl, kl_divergence
 from censdev.likelihood import (
     CensoredDataset,
@@ -30,9 +31,10 @@ from censdev.likelihood import (
     exact_contribution,
 )
 from censdev.mcmc import PosteriorSamples
-from censdev.models import NormalGlmModel, SurvivalExpModel, ae_model
+from censdev.models import MODELS, Model
 from censdev.selection import compute_popt_ped
 from conftest import random_dataset
+from oracle import outcome_family
 
 KERNEL_RTOL = 1e-12
 POPT_RTOL = 1e-10
@@ -140,7 +142,7 @@ def _check_model_at(model, data, theta):
     fields = FIELDS[model.family]
     scalar_contribs = []
     for i, obs in enumerate(data):
-        family = model.outcome_family(np.asarray(theta, dtype=float), obs)
+        family = outcome_family(model, np.asarray(theta, dtype=float), obs)
         assert type(family) is model.family
         for name, array in zip(fields, params):
             _assert_close(array[i], getattr(family, name), KERNEL_RTOL)
@@ -156,7 +158,7 @@ class TestParameterMapsAtExtremes:
     @pytest.mark.parametrize("b0", EXTREMES)
     @pytest.mark.parametrize("b1", EXTREMES)
     def test_survival_rate_clamps(self, aml, b0, b1):
-        _check_model_at(SurvivalExpModel(), aml, np.array([b0, b1]))
+        _check_model_at(Model(MODELS["survival-exponential"], aml), aml, np.array([b0, b1]))
 
     @pytest.mark.parametrize("eta", EXTREMES)
     @pytest.mark.parametrize("sigma", [1e-300, 1e-6, 1.0, 1e6])
@@ -168,15 +170,16 @@ class TestParameterMapsAtExtremes:
             tuple(Observation(o, covariates=tuple(rng.normal(size=2))) for o in outcomes),
             ("x1", "x2"),
         )
-        _check_model_at(NormalGlmModel(n_covariates=2), data,
+        _check_model_at(Model(MODELS["censored-normal-glm"], data), data,
                         np.array([eta, 0.5 * eta, -1.0, sigma]))
 
     @pytest.mark.parametrize("variant", ["D", "E", "F"])
     @pytest.mark.parametrize("mu", EXTREMES)
     def test_link_variants(self, variant, mu):
-        model = ae_model(variant, n_drugs=5)
+        data = _ae_dataset()
+        model = Model(MODELS[variant], data)
         deltas = np.array([0.0, 800.0, -800.0, 2.0, -2.0])
-        _check_model_at(model, _ae_dataset(), np.concatenate([[mu, 1.0], deltas]))
+        _check_model_at(model, data, np.concatenate([[mu, 1.0], deltas]))
 
     @pytest.mark.parametrize("p", [0.0, 1e-300, 1e-12, 0.3, 1.0 - 1e-12, 1.0])
     def test_probability_variants_deep_tails(self, p):
@@ -188,14 +191,14 @@ class TestParameterMapsAtExtremes:
             "G": [p, 1.0 - p, p, 1.0 - p, p, 0.5],
         }
         for variant, theta in thetas.items():
-            model = ae_model(variant, n_drugs=5, n_studies=len(data))
+            model = Model(MODELS[variant], data)
             _check_model_at(model, data, np.array(theta))
 
     def test_deep_tail_fallback_is_exercised(self):
         data = _ae_dataset()
-        model = ae_model("A")
+        model = Model(MODELS["A"], data)
         for p in (1e-12, 1.0 - 1e-12):
-            fams = [model.outcome_family(np.array([p]), o) for o in data]
+            fams = [outcome_family(model, np.array([p]), o) for o in data]
             cdf_args = [
                 (f, o.outcome) for f, o in zip(fams, data)
                 if not isinstance(o.outcome, Observed)
@@ -232,8 +235,8 @@ def _popt_reference(model, data, draws_a, draws_b):
     for obs in data:
         ksym, log_w = [], []
         for theta_a, theta_b in zip(draws_a, draws_b):
-            fam_a = model.outcome_family(theta_a, obs)
-            fam_b = model.outcome_family(theta_b, obs)
+            fam_a = outcome_family(model, theta_a, obs)
+            fam_b = outcome_family(model, theta_b, obs)
             if isinstance(obs.outcome, Observed):
                 ksym.append(kl_divergence(fam_a, fam_b) + kl_divergence(fam_b, fam_a))
             else:
@@ -260,22 +263,23 @@ def _popt_cases():
                    IntervalCensored(y - 0.4, y + 0.3))[kind]
         rows.append(Observation(outcome, covariates=tuple(x)))
     tobit = CensoredDataset(tuple(rows), ("x1", "x2"))
-    glm = NormalGlmModel(n_covariates=2)
+    glm = Model(MODELS["censored-normal-glm"], tobit)
     glm_draws = lambda: np.column_stack([
         rng.normal([1.0, 0.8, -0.5], 0.2, size=(40, 3)),
         np.exp(rng.normal(0.2, 0.2, size=40)),
     ])
-    survival = SurvivalExpModel()
+    aml = aml_dataset()
+    survival = Model(MODELS["survival-exponential"], aml)
     surv_draws = lambda: rng.normal([-3.2, -0.9], [0.3, 0.4], size=(40, 2))
     ae = _ae_dataset()
-    link = ae_model("D", n_drugs=5)
+    link = Model(MODELS["D"], ae)
     link_draws = lambda: np.column_stack([
         rng.normal(-3.5, 0.5, size=40), np.exp(rng.normal(size=40)),
         rng.normal(0.0, 0.7, size=(40, 5)),
     ])
     return [
         ("tobit", glm, tobit, glm_draws(), glm_draws()),
-        ("survival", survival, None, surv_draws(), surv_draws()),
+        ("survival", survival, aml, surv_draws(), surv_draws()),
         ("ae-logit", link, ae, link_draws(), link_draws()),
     ]
 
@@ -283,9 +287,8 @@ def _popt_cases():
 class TestPairedOptimism:
     @pytest.mark.parametrize("chunk_elements", [selection.POPT_CHUNK_ELEMENTS, 30])
     @pytest.mark.parametrize("case", _popt_cases(), ids=lambda c: c[0])
-    def test_matches_scalar_reference(self, aml, monkeypatch, chunk_elements, case):
+    def test_matches_scalar_reference(self, monkeypatch, chunk_elements, case):
         _, model, data, draws_a, draws_b = case
-        data = aml if data is None else data
         monkeypatch.setattr(selection, "POPT_CHUNK_ELEMENTS", chunk_elements)
         p_opt, _ = compute_popt_ped(_samples(draws_a, model, 1), _samples(draws_b, model, 2),
                                     model, data)
