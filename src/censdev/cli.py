@@ -34,7 +34,7 @@ from .datasets import (
 from .exceptions import NumericError, ValidationError
 from .likelihood import CensoredDataset, LikelihoodMode
 from .mcmc import ChainBatch, ChainConfig, PosteriorSamples, export_density, run, summarize
-from .models import AE_VARIANTS, MODELS, Model, ModelSpec
+from .models import AE_VARIANTS, MODELS, Model
 from .selection import SelectionReport, compare, make_selection_report
 
 __all__ = ["main", "cmd_fit", "cmd_compare", "cmd_export_density", "cmd_demo"]
@@ -122,18 +122,12 @@ def _positive_real(name: str, value) -> float:
     return float(value)
 
 
-def _hyperparameters(section: dict, spec: ModelSpec) -> dict:
-    """The section's validated hyperparameters, as model keyword arguments."""
+def _hyperparameters(section: dict) -> dict:
+    """The section's hyperparameters, their values validated, as model
+    keyword arguments; :class:`Model` rejects the keys its entry lacks."""
     given = section.get("hyperparameters", {})
     if not isinstance(given, dict):
         raise ValidationError('"hyperparameters" must be a JSON object')
-    known = spec.hyperparameters
-    unknown = set(given) - set(known)
-    if unknown:
-        raise ValidationError(
-            f"unknown hyperparameters for {spec.section}: {sorted(unknown)}; "
-            f"known: {sorted(known)}"
-        )
     hyper = {}
     for key, value in given.items():
         if key == "beta_shapes":
@@ -153,6 +147,16 @@ def _string(name: str, value) -> str:
     return value
 
 
+def _section_keys(family: str) -> tuple[str, ...]:
+    """The keys a section of ``family`` may hold beside family, label and
+    hyperparameters: "variant" when the family has several table entries,
+    and "<name>_column" to re-point each covariate its entries name."""
+    specs = [spec for spec in MODELS.values() if spec.section == family]
+    return (("variant",) if len(specs) > 1 else ()) + tuple(
+        f"{name}_column" for name in specs[0].covariates or ()
+    )
+
+
 def _build_model(section: dict, data: CensoredDataset) -> Model:
     """Validate a model section against its entries of the model table, then
     build the model on ``data``."""
@@ -163,22 +167,24 @@ def _build_model(section: dict, data: CensoredDataset) -> Model:
     if not specs:
         raise ValidationError(f"unknown model family {family!r}")
     spec = next(iter(specs.values()))
-    allowed = {"family", "label", "hyperparameters", *spec.keys}
+    allowed = {"family", "label", "hyperparameters", *_section_keys(family)}
     unknown = set(section) - allowed
     if unknown:
         raise ValidationError(
             f"unknown keys in a {family} model section: {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}"
         )
-    if "variant" in spec.keys:
+    if len(specs) > 1:
         variant = _string('"variant"', section.get("variant", spec.name)).upper()
         if variant not in specs:
             raise ValidationError(f"unknown variant {variant!r}, expected one of {tuple(specs)}")
         spec = specs[variant]
-    if "group_column" in section:
-        group = _string('"group_column"', section["group_column"])
-        spec = dataclasses.replace(spec, covariates=(group,))
-    return Model(spec, data, **_hyperparameters(section, spec))
+    named = spec.covariates or ()
+    columns = tuple(_string(f'"{name}_column"', section.get(f"{name}_column", name))
+                    for name in named)
+    if columns != named:
+        spec = dataclasses.replace(spec, covariates=columns)
+    return Model(spec, data, **_hyperparameters(section))
 
 
 def _derive_run_seeds(seed: int, n_pairs: int) -> list[tuple[int, int]]:
@@ -405,13 +411,14 @@ def _fit_one(
 
 def cmd_fit(config: dict, config_dir: Path) -> int:
     data, dataset_src = _load_dataset(config, config_dir)
-    model = _build_model(config.get("model", {}), data)
+    section = config.get("model", {})
+    model = _build_model(section, data)
     modes = [m.value for m in LikelihoodMode]
     if config.get("mode", "exact") not in modes:
         raise ValidationError(f"mode must be one of {modes}, got {config['mode']!r}")
     mode = LikelihoodMode(config.get("mode", "exact"))
     chains = _chain_config(config.get("chains", {}))
-    label = _string('"label"', config.get("label", model.label))
+    label = _string('"label"', section.get("label", config.get("label", model.label)))
     out_dir = _resolve_output_dir(config.get("output_dir", "censdev-out"))
     dataset_id = dataset_fingerprint(data)
 

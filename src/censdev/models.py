@@ -118,13 +118,11 @@ class ModelSpec:
     index: Optional[str] = None
     pooling: str = "none"
     covariates: Optional[tuple[str, ...]] = ()  # None: every covariate column
-    keys: tuple[str, ...] = ()  # section keys beside family, label, hyperparameters
 
 
 def _binomial(name, link, params, **fields) -> ModelSpec:
     hyper = {"beta_shapes": (1.0, 1.0), "half_cauchy_scale": 1.0, "mean_precision": 0.01}
-    return ModelSpec(name, "censored-binomial", Binomial, link, params, hyper,
-                     keys=("variant",), **fields)
+    return ModelSpec(name, "censored-binomial", Binomial, link, params, hyper, **fields)
 
 
 _DRUG_EFFECTS = (Param("mu", "real"), Param("sigma", "positive"), Param("delta_drug{}", "real"))
@@ -132,7 +130,7 @@ _DRUG_EFFECTS = (Param("mu", "real"), Param("sigma", "positive"), Param("delta_d
 MODELS: dict[str, ModelSpec] = {spec.name: spec for spec in (
     ModelSpec("survival-exponential", "survival-exponential", Exponential, "log",
               (Param("b0", "real"), Param("b1", "real")), {"tau0": 0.01, "tau1": 0.01},
-              covariates=("group",), keys=("group_column",)),
+              covariates=("group",)),
     _binomial("A", "identity", (Param("p_pool", "unit"),)),
     _binomial("B", "identity", (Param("p_class{}", "unit"),), index="drug_class",
               pooling="beta"),
@@ -151,11 +149,6 @@ MODELS: dict[str, ModelSpec] = {spec.name: spec for spec in (
 AE_VARIANTS = tuple(name for name, spec in MODELS.items() if spec.section == "censored-binomial")
 
 
-def _prior_value(total):
-    """A float for one parameter vector, the array of values for a stack."""
-    return float(total) if np.ndim(total) == 0 else total
-
-
 def _normal_log_prior(x, precision):
     """Normal(0, 1/precision) log density at ``x``, elementwise.
 
@@ -172,11 +165,15 @@ class Model:
     def __init__(self, spec: ModelSpec, data: CensoredDataset, **hyperparameters):
         unknown = set(hyperparameters) - set(spec.hyperparameters)
         if unknown:
-            raise SchemaError(f"unknown hyperparameters for {spec.name}: {sorted(unknown)}")
+            raise SchemaError(f"unknown hyperparameters for {spec.section}: {sorted(unknown)}; "
+                              f"known: {sorted(spec.hyperparameters)}")
         hyper = {key: (tuple(map(float, value)) if key == "beta_shapes" else float(value))
                  for key, value in {**spec.hyperparameters, **hyperparameters}.items()}
         cols = data.columns
-        self.spec, self.label, self.family, self.link = spec, spec.name, spec.family, spec.link
+        self.spec = spec
+        self.label = spec.name
+        self.family = spec.family
+        self.link = spec.link
         self.covariate_cols = (tuple(range(cols.covariates.shape[1])) if spec.covariates is None
                                else tuple(_column(data, name) for name in spec.covariates))
         self.index_col = None if spec.index is None else _column(data, spec.index)
@@ -226,7 +223,8 @@ class Model:
     def log_prior(self, theta):
         """Joint log prior of one parameter vector (a float) or of each row
         of a (K, n_params) stack (an array); -inf outside the support."""
-        return _prior_value(self._prior(self.check_theta(theta)))
+        total = self._prior(self.check_theta(theta))
+        return float(total) if np.ndim(total) == 0 else total
 
     def level_log_prior(self, theta) -> np.ndarray:
         """Prior term of each component in ``levels``, in that order on the
@@ -336,8 +334,12 @@ def _column(data: CensoredDataset, name: str) -> int:
 
 
 def _level_count(cols: DataColumns, col: int) -> int:
-    """The levels of category column ``col``: its codes must run 0..max."""
-    seen = np.bincount(cols.codes(col))
+    """The levels of category column ``col``: its codes must run 0..max.
+
+    Gap-free codes stay below the row count, so that bounds them before
+    they are cast and counted.
+    """
+    seen = np.bincount(cols.codes(col, len(cols)))
     if not seen.all():
         raise DataError(
             f"covariate {cols.names[col]!r} has category codes up to {len(seen) - 1} "

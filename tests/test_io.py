@@ -618,7 +618,7 @@ class TestCliModelSections:
             model = cli._build_model(section, data.get(spec.section, aml_dataset()))
             assert model.spec is spec
             keys, hyper = families[spec.section]
-            assert keys == set(spec.keys), name
+            assert keys == set(cli._section_keys(spec.section)), name
             assert hyper == {k: list(v) if isinstance(v, tuple) else v
                              for k, v in spec.hyperparameters.items()}, name
 
@@ -662,6 +662,31 @@ class TestCliModelSections:
         assert main(["fit", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"{column!r}" in err and f"none equal to {missing}" in err
+
+    @pytest.mark.parametrize("code", ["1e20", "1e12", "1000000000.0"])
+    @pytest.mark.parametrize("variant,column", [
+        ("B", "drug_class"),
+        ("C", "drug"),
+        ("G", "study"),
+    ])
+    def test_huge_category_code_is_validation_error(self, tmp_path, capsys, variant,
+                                                    column, code):
+        """A whole-number code far above the row count is rejected by row
+        before any per-code array is sized from it."""
+        path = _ae_fit_config(tmp_path, variant, {column: code})
+        assert main(["fit", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{column!r}" in err and "row 0" in err
+
+    def test_fit_takes_the_section_label(self, tmp_path, capsys):
+        path = _entry_fit_config(tmp_path, "survival-exponential", label="mine")
+        config = json.loads(path.read_text(encoding="utf-8"))
+        config["label"] = "top"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["fit", "--config", str(path)]) == 0
+        assert "[mine]" in capsys.readouterr().out
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["model"] == "mine"
 
 
 class TestCliOutOfSupport:
@@ -941,7 +966,7 @@ class TestCliFuzz:
 
 
 _DATASET_CELLS = ("nan", "inf", "-inf", "1e400", "1_0", "１", "", " 4 ", "-3", "2.5",
-                  "0", "1e20", "x")
+                  "0", "1e12", "1e20", "x")
 _CENSOR_CELLS = ("none", "left", "right", "interval", " right ", "NONE", "sometimes",
                  "")
 _FIXED_COLUMNS = ("outcome", "censor", "cut1", "cut2", "trials")

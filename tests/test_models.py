@@ -91,6 +91,10 @@ class TestPriors:
         with pytest.raises(SchemaError):
             _survival().log_prior(np.zeros((2, 2, 2)))
 
+    def test_unknown_hyperparameter_names_the_known_set(self):
+        with pytest.raises(SchemaError, match=r"\['tau_0'\]; known: \['tau0', 'tau1'\]"):
+            _survival(tau_0=1.0)
+
 
 # Per model: a builder, a scipy.stats oracle of the joint log prior, and
 # parameter vectors inside the support and outside it (sigma <= 0, a
