@@ -13,23 +13,24 @@ values that are Gibbs-refreshed from their truncated outcome distribution
 every sweep, the parameter target conditions on those values, and the
 deviance monitor sums observed rows only (censored rows contribute log 1).
 
-The likelihood is kept as a per-row contribution array.  A sweep visits
-the components in order, in Metropolis blocks.  A model's levels (one
-parameter per level of a categorical index column, e.g. one incidence per
-study) form one block: given the other components their priors factorize
-and their row sets are disjoint, so each level keeps its own Metropolis
-accept and the block has the stationary law of the level-by-level
-single-site updates it replaces (the chromatic Gibbs argument).  The block
-draws one proposal vector, scores the union of its rows with one
-vectorized kernel call and sums the change per level.  Every other
-component is a block of one that scores the precomputed row block its
-value reaches.  Acceptance rates, and so the adaptation, stay per
-component.
+The likelihood is kept as a per-row contribution array and the prior as
+the values of the model's prior and level terms.  A sweep visits the
+components in order, in Metropolis blocks.  A model's levels (one parameter
+per level of a categorical index column, e.g. one incidence per study) form
+one block: given the other components their priors factorize and their row
+sets are disjoint, so each level keeps its own Metropolis accept and the
+block has the stationary law of the level-by-level single-site updates it
+replaces (the chromatic Gibbs argument).  The block draws one proposal
+vector, scores the union of its rows with one vectorized kernel call and
+sums the change per level.  Every other component is a block of one.  A
+block re-scores only the terms that read it and the rows it reaches.
+Acceptance rates, and so the adaptation, stay per component.
 
 All chains of a call advance together as one array state.  ``run`` takes
 one run config or a ``ChainBatch`` of several (the replicate runs A and B
 of a fit, say) and keeps parameters, working-scale values, Jacobians and
-proposal scales as (chains, params) arrays and the per-row contributions
+proposal scales as (chains, params) arrays, the prior term values as
+(chains, terms) and (chains, levels) arrays and the per-row contributions
 and latent values as (chains, rows) arrays, so each block scores every
 chain's proposal with one ``row_params``/``log_contrib`` call.  Chains stay
 independent: each owns a child generator spawned deterministically from its
@@ -77,7 +78,6 @@ __all__ = [
     "export_density",
 ]
 
-_NEG_INF = float("-inf")
 # exp(-z * z / 2) rounds to exactly 0.0 in binary64 for |z| > 38.604; the
 # density window reaches a little further.
 _KDE_REACH = 38.61
@@ -248,19 +248,21 @@ class _Block(NamedTuple):
 
     ``comps`` is a component index, for a block of one, or the slice of a
     model's levels; numpy indexing then hands the update a column or a
-    (chains, levels) array alike.  ``transform`` is their support's
-    ``_TRANSFORMS`` entry.  ``rows`` are the rows they reach (a slice when
-    that is every row) and ``cols`` the columnar block of those rows, None
-    when there are none.  ``owner`` is None for a single component; for
-    levels it maps each row of the block to the position of its level in
-    ``comps``.
+    (chains, levels) array alike.  ``rows`` are the rows they reach (a
+    slice when that is every row) and ``cols`` the columnar block of those
+    rows, None when there are none.  ``owner`` is None for a single
+    component; for levels it maps each row of the block to the position of
+    its level in ``comps``.  ``terms`` lists the model's prior terms that
+    read the block and ``levels`` says whether the level terms do.
     """
 
     comps: int | slice
-    transform: tuple
+    support: str
     rows: slice | np.ndarray
     cols: Optional[DataColumns]
     owner: Optional[np.ndarray]
+    terms: tuple[int, ...]
+    levels: bool
 
 
 def _take(a: np.ndarray, rows) -> np.ndarray:
@@ -275,16 +277,17 @@ def _take(a: np.ndarray, rows) -> np.ndarray:
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Per-chain sums of a (chains, rows) array, in one chain's order."""
-    return np.ascontiguousarray(a).sum(axis=1)
+    return np.add.reduce(np.ascontiguousarray(a), axis=1)
 
 
 class _ChainBatch:
     """Mutable sampler state of every chain of a batch, as arrays.
 
-    ``x``, ``v`` and ``jac`` are (chains, params), ``log_prior`` has one
-    entry per chain, and ``contribs`` and ``values`` (the observed outcomes,
-    with the latents in the censored rows in DINTERVAL mode) are
-    (chains, rows).  The per-row contributions stay in sync with the
+    ``x``, ``v`` and ``jac`` are (chains, params), ``terms`` and
+    ``level_terms`` (the values of the model's prior terms and level terms)
+    are (chains, terms) and (chains, levels), and ``contribs`` and
+    ``values`` (the observed outcomes, with the latents in the censored
+    rows in DINTERVAL mode) are (chains, rows).  All stay in sync with the
     current parameters and latents.  ``rngs`` holds one generator per chain.
     ``blocks`` lists the Metropolis blocks of a sweep in component order:
     the model's levels form one block at the position of the first level,
@@ -321,7 +324,8 @@ class _ChainBatch:
         self.v = np.empty((n_chains, self.n_params))
         self.jac = np.empty((n_chains, self.n_params))
         self.contribs = np.empty((n_chains, len(cols)))
-        self.log_prior = np.full(n_chains, _NEG_INF)
+        self.terms = np.empty((n_chains, len(model.prior_terms)))
+        self.level_terms = np.empty((n_chains, len(levels)))
 
     def _single_block(self, j: int, data) -> _Block:
         rows = self.model.rows_for_param(j, data)
@@ -329,17 +333,22 @@ class _ChainBatch:
             rows, cols = self.all_rows
         else:
             cols = data.columns.take(rows) if len(rows) else None
-        return _Block(j, _TRANSFORMS[self.supports[j]], rows, cols, None)
+        terms = tuple(k for k, term in enumerate(self.model.prior_terms) if j in term.reads)
+        levels = j in self.model.levels + self.model.level_reads
+        return _Block(j, self.supports[j], rows, cols, None, terms, levels)
 
     def _level_block(self, levels: tuple[int, ...], data) -> _Block:
         """One block for the model's levels.  Moving them together keeps the
         target only if, given the other components, their priors factorize
-        (``level_log_prior``) and no row depends on two of them."""
-        name = type(self.model).__name__
+        (``level_log_prior``), no other prior term reads them and no row
+        depends on two of them."""
+        name = self.model.label
         if levels != tuple(range(levels[0], levels[0] + len(levels))):
             raise SchemaError(f"{name}: levels must be consecutive components")
         if len({self.supports[j] for j in levels}) != 1:
             raise SchemaError(f"{name}: levels must share one support")
+        if any(set(term.reads) & set(levels) for term in self.model.prior_terms):
+            raise SchemaError(f"{name}: a prior term beside the level terms reads the levels")
         n_rows = len(data.columns)
         level_rows = [self.model.rows_for_param(j, data) for j in levels]
         level_rows = [np.arange(n_rows) if r is None else r for r in level_rows]
@@ -347,9 +356,15 @@ class _ChainBatch:
         if len(np.unique(rows)) != len(rows):
             raise SchemaError(f"{name}: levels share rows, so they cannot move as a block")
         owner = np.repeat(np.arange(len(levels)), [len(r) for r in level_rows])
-        cols = data.columns.take(rows) if len(rows) else None
+        # Rows in data order; each level's keep their order, so its sums add alike.
+        order = np.argsort(rows, kind="stable")
+        rows, owner = rows[order], owner[order]
+        if len(rows) == n_rows:
+            rows, cols = self.all_rows
+        else:
+            cols = data.columns.take(rows) if len(rows) else None
         comps = slice(levels[0], levels[0] + len(levels))
-        return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], rows, cols, owner)
+        return _Block(comps, self.supports[levels[0]], rows, cols, owner, (), True)
 
     # -- contribution bookkeeping ------------------------------------------
     def _row_params(self, theta, block) -> tuple[np.ndarray, ...]:
@@ -433,7 +448,10 @@ class _ChainBatch:
             adopted = chains[live]
             self.x[adopted], self.v[adopted] = x[live], v[live]
             self.contribs[adopted] = contribs
-            self.log_prior[adopted] = lp[live]
+            for k, term in enumerate(self.model.prior_terms):
+                self.terms[adopted, k] = term.log_density(v[live])
+            if self.model.levels:
+                self.level_terms[adopted] = self.model.level_log_prior(v[live])
             self.jac[adopted] = _columnwise(2, x[live], self.supports)
         return ok
 
@@ -443,30 +461,31 @@ class _ChainBatch:
         of ``block``, accepted or rejected on its own; returns the accept
         flags, (chains,) for a single component, (chains, levels) for levels.
 
-        A single component is scored by the joint log prior and the summed
-        contributions of its rows.  Levels are scored per level, from one
-        proposal per level and one likelihood call: their ``level_log_prior``
-        terms plus their rows' contributions summed by owner.  A chain draws
-        its normals from its own generator, and its uniforms only when some
-        log ratio of its own is below 0.  A proposal outside the prior's
-        support has log ratio -inf (or NaN) and is rejected.
+        A single component is scored by the change of the prior terms that
+        read it (the level terms summed) and of its rows' summed
+        contributions.  Levels are scored per level, from one proposal per
+        level and one likelihood call: the change of each level's term plus
+        its rows' contributions summed by owner.  A chain draws its normals
+        from its own generator, and its uniforms only when some log ratio of
+        its own is below 0.  A proposal outside the prior's support has log
+        ratio -inf (or NaN) and is rejected.
         """
-        comps, (_, to_nat, log_jac), rows, cols, owner = block
+        comps, support, rows, cols, owner, terms, levels = block
+        _, to_nat, log_jac = _TRANSFORMS[support]
         size = None if owner is None else scales.shape[-1]
         z = np.array([rng.standard_normal(size) for rng in self.rngs])
         x_new = self.x[:, comps] + scales * z
         v_new = to_nat(x_new)
-        jac_new = log_jac(x_new)
 
         theta_prop = self.v.copy()
         theta_prop[:, comps] = v_new
-        if owner is None:
-            lp_new = self.model.log_prior(theta_prop)
-            delta_prior = lp_new - self.log_prior
-        else:
-            level_log_prior = self.model.level_log_prior
-            delta_prior = level_log_prior(theta_prop) - level_log_prior(self.v)
-        log_ratio = delta_prior
+        terms_new = [self.model.prior_terms[k].log_density(theta_prop) for k in terms]
+        changes = [new - self.terms[:, k] for k, new in zip(terms, terms_new)]
+        if levels:
+            levels_new = self.model.level_log_prior(theta_prop)
+            change = levels_new - self.level_terms
+            changes.append(change if owner is not None else _row_sums(change))
+        log_ratio = sum(changes[1:], changes[0])
         if cols is not None:
             new_contribs = self._contributions(self._row_params(theta_prop, cols), rows, cols)
             old_contribs = _take(self.contribs, rows)
@@ -475,24 +494,27 @@ class _ChainBatch:
                 log_ratio = log_ratio + _row_sums(change)
             else:
                 log_ratio = log_ratio + self._level_sums(owner, change, size)
-        log_ratio = log_ratio + (jac_new - self.jac[:, comps])
+        if support != "real":  # the real line's log Jacobian is 0
+            jac_new = log_jac(x_new)
+            log_ratio = log_ratio + (jac_new - self.jac[:, comps])
 
         accept = log_ratio >= 0.0
-        undecided = np.flatnonzero(~accept if owner is None else ~accept.all(axis=1))
+        undecided = np.nonzero(~accept if owner is None else ~accept.all(axis=1))[0]
         if len(undecided):
             # log u < 0 <= log_ratio keeps every level accepted above.
             u = np.array([self.rngs[c].random(size) for c in undecided])
             accept[undecided] = np.log(u) < log_ratio[undecided]
         np.copyto(self.x[:, comps], x_new, where=accept)
         np.copyto(self.v[:, comps], v_new, where=accept)
-        np.copyto(self.jac[:, comps], jac_new, where=accept)
-        if owner is None:
-            np.copyto(self.log_prior, lp_new, where=accept)
-            moved = accept[:, None]
-        else:
-            self.log_prior += _row_sums(np.where(accept, delta_prior, 0.0))
-            moved = accept[:, owner]
+        if support != "real":
+            np.copyto(self.jac[:, comps], jac_new, where=accept)
+        for k, new in zip(terms, terms_new):
+            np.copyto(self.terms[:, k], new, where=accept)
+        kept = accept[:, None] if owner is None else accept
+        if levels:
+            np.copyto(self.level_terms, levels_new, where=kept)
         if cols is not None:
+            moved = kept if owner is None else accept[:, owner]
             if isinstance(rows, slice):  # a view: write the moved chains in place
                 np.copyto(self.contribs[:, rows], new_contribs, where=moved)
             else:

@@ -9,9 +9,18 @@ its entry, once, the surface the sampler and the selection layer drive:
 
 * ``params``, ``param_names`` and ``supports``: the ordered components with
   their support descriptors ("real", "positive" or "unit");
-* ``log_prior(theta)``: joint log prior density, -inf outside support, of
-  one parameter vector (a float) or of each row of a (K, n_params) stack
-  (an array of K), by the same float operations either way;
+* ``prior_terms``: the log prior's factors beside the level terms, each a
+  :class:`Term` naming the components it reads;
+* ``levels``, ``level_reads`` and ``level_log_prior(theta)``: a model with
+  an index column has one parameter per code of it (B: the class
+  incidences, C: the drug incidences, D/E/F: the drug effects, G: the study
+  incidences).  Given the other components these are independent a priori
+  and reach disjoint rows, so the sampler moves them as one block;
+  ``level_log_prior`` returns each level's term (on the last axis), which
+  reads the level and ``level_reads`` (C's mu and spread, D/E/F's sigma);
+* ``log_prior(theta)``: the sum of all those terms, -inf outside support,
+  of one parameter vector (a float) or of each row of a (K, n_params)
+  stack (an array of K), by the same float operations either way;
 * ``family``: the outcome :class:`~censdev.distributions.Family` class;
 * ``row_params(theta, cols)``: that family's parameters for every row of a
   :class:`~censdev.likelihood.DataColumns` block, as arrays, for one
@@ -19,13 +28,6 @@ its entry, once, the surface the sampler and the selection layer drive:
 * ``rows_for_param(j, data)``: row indices whose likelihood terms depend on
   component ``j`` (None means all rows), which lets single-site Metropolis
   updates skip untouched rows;
-* ``levels`` and ``level_log_prior(theta)``: a model with an index column
-  has one parameter per code of it (B: the class incidences, C: the drug
-  incidences, D/E/F: the drug effects, G: the study incidences).  Given the
-  other components these are independent a priori and reach disjoint rows,
-  so the sampler moves them as one block; ``level_log_prior`` returns each
-  level's prior term (on the last axis, for a vector or a stack), and
-  ``log_prior`` is the other components' terms plus their sum;
 * ``initial_theta()``: the sampler's starting point.
 
 The entries:
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -72,7 +74,7 @@ from .distributions import (
 from .exceptions import DataError, SchemaError
 from .likelihood import KIND_INTERVAL, KIND_OBSERVED, CensoredDataset, DataColumns
 
-__all__ = ["Param", "ModelSpec", "MODELS", "AE_VARIANTS", "Model"]
+__all__ = ["Param", "ModelSpec", "MODELS", "AE_VARIANTS", "Term", "Model"]
 
 _NEG_INF = float("-inf")
 
@@ -120,9 +122,13 @@ class ModelSpec:
     covariates: Optional[tuple[str, ...]] = ()  # None: every covariate column
 
 
-def _binomial(name, link, params, **fields) -> ModelSpec:
+def _binomial(name, link, params, pooling="none", **fields) -> ModelSpec:
+    """A censored-binomial entry taking the hyperparameters its pooling's terms read."""
+    keys = {"beta-hyper": ("beta_shapes", "half_cauchy_scale"),
+            "normal-hyper": ("half_cauchy_scale", "mean_precision")}.get(pooling, ("beta_shapes",))
     hyper = {"beta_shapes": (1.0, 1.0), "half_cauchy_scale": 1.0, "mean_precision": 0.01}
-    return ModelSpec(name, "censored-binomial", Binomial, link, params, hyper, **fields)
+    return ModelSpec(name, "censored-binomial", Binomial, link, params,
+                     {key: hyper[key] for key in keys}, pooling=pooling, **fields)
 
 
 _DRUG_EFFECTS = (Param("mu", "real"), Param("sigma", "positive"), Param("delta_drug{}", "real"))
@@ -159,14 +165,27 @@ def _normal_log_prior(x, precision):
     return 0.5 * (np.log(precision) - _LOG_2PI) - 0.5 * precision * (x * x)
 
 
+class Term(NamedTuple):
+    """One factor of a model's log prior: ``log_density(theta)``, of a vector
+    or of each row of a stack, depends only on the components in ``reads``."""
+
+    reads: tuple[int, ...]
+    log_density: Callable[[np.ndarray], np.ndarray]
+
+
+def _term(j: int, log_pdf, *args) -> Term:
+    """The prior term ``log_pdf(theta_j, *args)`` of component ``j`` alone."""
+    return Term((j,), lambda theta: log_pdf(theta[..., j], *args))
+
+
 class Model:
     """A table entry built against a dataset."""
 
     def __init__(self, spec: ModelSpec, data: CensoredDataset, **hyperparameters):
         unknown = set(hyperparameters) - set(spec.hyperparameters)
         if unknown:
-            raise SchemaError(f"unknown hyperparameters for {spec.section}: {sorted(unknown)}; "
-                              f"known: {sorted(spec.hyperparameters)}")
+            raise SchemaError(f"unknown hyperparameters for {spec.name}: {sorted(unknown)}; "
+                              f"allowed: {sorted(spec.hyperparameters)}")
         hyper = {key: (tuple(map(float, value)) if key == "beta_shapes" else float(value))
                  for key, value in {**spec.hyperparameters, **hyperparameters}.items()}
         cols = data.columns
@@ -189,27 +208,30 @@ class Model:
         self.supports = tuple(p.support for p in self.params)
         self._first_level = first = len(spec.params) - 1
         self.levels = tuple(range(first, len(self.params))) if spec.index else ()
-        # Components that reach no row: C's mu and spread, D/E/F's sigma.
+        # The components the level terms read beside the levels, which reach
+        # no row: C's mu and spread, D/E/F's sigma.
         hyper_pooled = spec.pooling.endswith("-hyper")
-        self._prior_only = (() if not hyper_pooled
+        self.level_reads = (() if not hyper_pooled
                             else (1,) if spec.link != "identity" else (0, 1))
 
         self._scale = hyper.get("half_cauchy_scale")
         self._shapes = hyper.get("beta_shapes")
-        self._mean_precision = hyper.get("mean_precision")
-        self._unit_mean = spec.pooling == "beta-hyper"
+        last = len(self.params) - 1
         if spec.family is Exponential:
             self._group_col = self.covariate_cols[0]
-            self._precisions = (hyper["tau0"], hyper["tau1"])
-            self._prior, self._row_params = self._regression_prior, self._rate
+            terms = [_term(j, _normal_log_prior, hyper[f"tau{j}"]) for j in (0, 1)]
+            self._row_params = self._rate
         elif spec.family is Normal:
-            self._precisions = (hyper["coef_precision"],) * (len(self.params) - 1)
-            self._prior, self._row_params = self._regression_prior, self._normal_params
-        else:
-            self._prior = self._hyper_prior if hyper_pooled else self._beta_prior
+            terms = [Term((last,), self._positive_scale)] + [
+                _term(j, _normal_log_prior, hyper["coef_precision"]) for j in range(last)]
+            self._row_params = self._normal_params
+        else:  # A: the mean's term; B, G: level terms only; C, D/E/F: mean and scale
+            mean = (_term(0, _normal_log_prior, hyper["mean_precision"])
+                    if spec.pooling == "normal-hyper" else _term(0, Beta.log_pdf_v, *self._shapes))
+            terms = ([mean, _term(1, HalfCauchy.log_pdf_v, self._scale)] if hyper_pooled
+                     else [] if spec.index else [mean])
             self._row_params = self._probability
-        self._level_terms = {"beta": self._beta_levels, "beta-hyper": self._beta_hyper_levels,
-                             "normal-hyper": self._normal_levels}.get(spec.pooling)
+        self.prior_terms = tuple(terms)
 
     def check_theta(self, theta) -> np.ndarray:
         """``theta`` as floats: one parameter vector or a (K, n_params) stack."""
@@ -222,15 +244,14 @@ class Model:
 
     def log_prior(self, theta):
         """Joint log prior of one parameter vector (a float) or of each row
-        of a (K, n_params) stack (an array); -inf outside the support."""
-        total = self._prior(self.check_theta(theta))
+        of a (K, n_params) stack (an array): the prior terms in order, then
+        the sum of the level terms; -inf outside the support."""
+        theta = self.check_theta(theta)
+        values = [term.log_density(theta) for term in self.prior_terms]
+        if self.levels:
+            values.append(self.level_log_prior(theta).sum(axis=-1))
+        total = sum(values[1:], values[0])
         return float(total) if np.ndim(total) == 0 else total
-
-    def level_log_prior(self, theta) -> np.ndarray:
-        """Prior term of each component in ``levels``, in that order on the
-        last axis, given the other components of ``theta`` (a vector or a
-        stack); -inf for a level outside its support."""
-        return self._level_terms(theta[..., self._first_level:], theta[..., 0:1], theta[..., 1:2])
 
     def row_params(self, theta, cols: DataColumns) -> tuple[np.ndarray, ...]:
         """Outcome-family parameters of every row of ``cols``.
@@ -247,7 +268,7 @@ class Model:
         if j in self.levels:
             codes = data.columns.codes(self.index_col, self.n_levels)
             return np.flatnonzero(codes == j - self._first_level)
-        if j in self._prior_only:
+        if j in self.level_reads:
             return np.empty(0, dtype=np.intp)
         return None
 
@@ -256,46 +277,31 @@ class Model:
         return np.array([_INITIAL[s] for s in self.supports])
 
     # -- priors ------------------------------------------------------------
-    def _regression_prior(self, theta):
-        """Normal coefficient priors, summed in order; the GLM's sum starts
-        from the half-Cauchy term of its scale."""
-        terms = [_normal_log_prior(theta[..., k], p) for k, p in enumerate(self._precisions)]
-        if self._scale is None:
-            return sum(terms[1:], terms[0])
+    def level_log_prior(self, theta) -> np.ndarray:
+        """Prior term of each component in ``levels``, in that order on the
+        last axis, of a vector or a stack; each reads its level and the
+        components in ``level_reads``, and is -inf where they leave the
+        support (C: mu outside (0, 1); C, D/E/F: a scale <= 0)."""
+        levels = theta[..., self._first_level:]
+        if not self.level_reads:
+            return Beta.log_pdf_v(levels, *self._shapes)
+        mu, scale = theta[..., 0:1], theta[..., 1:2]
+        # A zero scale would divide by zero; a stand-in keeps the terms
+        # quiet and the mask makes them -inf.
+        inside = scale > 0.0
+        scale = np.where(inside, scale, 1.0)
+        if self.spec.pooling == "beta-hyper":
+            kappa = 1.0 / (scale * scale)
+            out = Beta.log_pdf_v(levels, mu * kappa, (1.0 - mu) * kappa)
+            inside = inside & (mu > 0.0) & (mu < 1.0)
+        else:
+            out = Normal.log_pdf_v(levels, 0.0, 1.0 / (scale * scale))
+        return np.where(inside, out, _NEG_INF)
+
+    def _positive_scale(self, theta):
+        """The GLM's half-Cauchy term of its residual scale, -inf at <= 0."""
         sigma = theta[..., -1]
-        return np.where(sigma > 0.0, sum(terms, HalfCauchy.log_pdf_v(sigma, self._scale)), _NEG_INF)
-
-    def _beta_terms(self, p):
-        return Beta.log_pdf_v(p, *self._shapes)
-
-    def _beta_prior(self, theta):
-        return self._beta_terms(theta).sum(axis=-1)
-
-    def _hyper_prior(self, theta):
-        mu, scale = theta[..., 0], theta[..., 1]
-        mean_prior = (self._beta_terms(mu) if self._unit_mean
-                      else _normal_log_prior(mu, self._mean_precision))
-        total = mean_prior + HalfCauchy.log_pdf_v(scale, self._scale)
-        # A zero scale would divide by zero in the level terms; a stand-in
-        # keeps them quiet and the mask below makes the prior -inf.
-        positive = scale > 0.0
-        scale = np.where(positive, scale, 1.0)
-        total = total + self._level_terms(theta[..., 2:], mu[..., None],
-                                          scale[..., None]).sum(axis=-1)
-        inside = positive & (mu > 0.0) & (mu < 1.0) if self._unit_mean else positive
-        return np.where(inside, total, _NEG_INF)
-
-    def _beta_levels(self, p, mu, spread):
-        return self._beta_terms(p)
-
-    @staticmethod
-    def _beta_hyper_levels(p, mu, spread):
-        kappa = 1.0 / (spread * spread)
-        return Beta.log_pdf_v(p, mu * kappa, (1.0 - mu) * kappa)
-
-    @staticmethod
-    def _normal_levels(delta, mu, sigma):
-        return Normal.log_pdf_v(delta, 0.0, 1.0 / (sigma * sigma))
+        return np.where(sigma > 0.0, HalfCauchy.log_pdf_v(sigma, self._scale), _NEG_INF)
 
     # -- outcome parameters ----------------------------------------------------
     def _rate(self, theta, cols):
@@ -314,8 +320,8 @@ class Model:
             p = theta[..., 0:1]
         else:
             p = theta[..., self._first_level:][..., cols.codes(self.index_col, self.n_levels)]
-        if self.link != "identity":
-            p = link_invert_v(self.link, theta[..., 0:1] + p)
+        if self.link != "identity":  # link_invert_v applies the same clamp
+            return cols.positive_trials(), link_invert_v(self.link, theta[..., 0:1] + p)
         return cols.positive_trials(), clamp_probability_v(p)
 
 

@@ -30,7 +30,7 @@ from censdev.likelihood import (
     Observed,
     RightCensored,
 )
-from censdev.models import Param
+from censdev.models import Param, Term
 
 SURVIVAL_DEMO_SEED = 20260810
 
@@ -64,10 +64,16 @@ class DuckModel:
     """The model surface the sampler and the selection layer drive, for
     hand-written test models: a subclass sets ``family`` and ``params`` and
     provides ``log_prior`` and ``row_params`` (and, with ``levels``,
-    ``level_log_prior``)."""
+    ``level_log_prior``).  Its one default prior term is the whole
+    ``log_prior`` and reads every component."""
 
     label = ""
     levels: tuple[int, ...] = ()
+    level_reads: tuple[int, ...] = ()
+
+    @property
+    def prior_terms(self) -> tuple[Term, ...]:
+        return (Term(tuple(range(len(self.params))), self.log_prior),)
 
     @property
     def param_names(self) -> tuple[str, ...]:

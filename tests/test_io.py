@@ -581,16 +581,24 @@ class TestCliHyperparametersAndEntries:
 
 
 def _readme_model_families():
-    """Family -> (section keys, {hyperparameter: default}) from the README's
-    model-family table."""
+    """Family -> (section keys, {entry: {hyperparameter: default}}) from the
+    README's model-family table.  A family with several entries lists their
+    hyperparameters in "A, B: ...; C: ..." groups; a family of one entry
+    lists them without a prefix, under the family's own name."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     families = {}
     for line in text.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if len(cells) == 4 and re.fullmatch(r"`[a-z-]+`", cells[0]):
+            family = cells[0].strip("`")
             keys = set(re.findall(r"`(\w+)`", cells[1]))
-            hyper = {k: json.loads(v) for k, v in re.findall(r"`(\w+)` \(([^)]*)\)", cells[3])}
-            families[cells[0].strip("`")] = (keys, hyper)
+            hyper = {}
+            for group in cells[3].split(";"):
+                names, _, listed = group.strip().rpartition(": ")
+                defaults = {k: json.loads(v)
+                            for k, v in re.findall(r"`(\w+)` \(([^)]*)\)", listed)}
+                hyper.update(dict.fromkeys(names.split(", ") if names else [family], defaults))
+            families[family] = (keys, hyper)
     return families
 
 
@@ -619,14 +627,19 @@ class TestCliModelSections:
             assert model.spec is spec
             keys, hyper = families[spec.section]
             assert keys == set(cli._section_keys(spec.section)), name
-            assert hyper == {k: list(v) if isinstance(v, tuple) else v
-                             for k, v in spec.hyperparameters.items()}, name
+            assert hyper[name] == {k: list(v) if isinstance(v, tuple) else v
+                                   for k, v in spec.hyperparameters.items()}, name
 
     @pytest.mark.parametrize("name,section", [
         ("A", {"varaint": "G"}),
         ("survival-exponential", {"variant": "G"}),
         ("censored-normal-glm", {"group_column": "group"}),
         ("G", {"hyperparameter": {"beta_shapes": [2, 2]}}),
+        # Hyperparameters of other variants that this variant's prior never reads.
+        ("D", {"hyperparameters": {"beta_shapes": [50, 2]}}),
+        ("A", {"hyperparameters": {"half_cauchy_scale": 7}}),
+        ("G", {"hyperparameters": {"mean_precision": 3}}),
+        ("C", {"hyperparameters": {"mean_precision": 3}}),
     ])
     def test_unknown_section_key_is_validation_error(self, tmp_path, capsys, name, section):
         path = _entry_fit_config(tmp_path, name)
@@ -637,7 +650,12 @@ class TestCliModelSections:
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["fit", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert repr(next(iter(section))) in err and "allowed" in err
+        key = next(iter(section))
+        if key == "hyperparameters":
+            key = next(iter(section[key]))
+            allowed = sorted(MODELS[name].hyperparameters)
+            assert f"allowed: {allowed}" in err
+        assert repr(key) in err and "allowed" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("variant,column,missing", [

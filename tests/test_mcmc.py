@@ -428,7 +428,9 @@ class _SharedLevels(DuckModel):
     """Two levels that both reach every row: not a valid block."""
 
     family = Binomial
+    label = "shared-levels"
     levels = (0, 1)
+    prior_terms = ()
 
     def __init__(self):
         self.params = (Param("p0", "unit"), Param("p1", "unit"))
@@ -476,11 +478,10 @@ class TestLevelBlocks:
 
         assert accept.tolist() == decisions
         assert 0 < sum(decisions) < len(levels)
-        for name in ("x", "v", "jac", "contribs"):
+        for name in ("x", "v", "jac", "contribs", "terms", "level_terms"):
             np.testing.assert_allclose(
                 getattr(blocked, name), getattr(single, name), rtol=1e-12, err_msg=name
             )
-        assert blocked.log_prior == pytest.approx(single.log_prior, rel=1e-12)
 
     def test_saturated_posterior_means_match_closed_form(self, ae):
         """G's study incidences against Beta(1+y, 1+n-y) on observed rows and
@@ -507,9 +508,61 @@ class TestLevelBlocks:
 
     def test_levels_sharing_a_row_are_rejected(self):
         data = CensoredDataset((Observation(Observed(3.0), trials=10),))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="^shared-levels: levels share rows"):
             run(_SharedLevels(), data, LikelihoodMode.EXACT,
                 ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
+
+    def test_levels_read_by_another_prior_term_are_rejected(self):
+        """A joint term over the levels cannot be split into one change per
+        level, so they cannot move as a block."""
+        data = CensoredDataset((Observation(Observed(3.0), trials=10),))
+        with pytest.raises(SchemaError, match="^level-reader: a prior term beside the level"):
+            run(_LevelReader(), data, LikelihoodMode.EXACT,
+                ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
+
+
+class _LevelReader(_SharedLevels):
+    """Levels that the default prior term, which reads every component,
+    reads too."""
+
+    label = "level-reader"
+    prior_terms = DuckModel.prior_terms
+
+
+def _entry_case(name: str):
+    """(model, data) of a table entry on a dataset it fits."""
+    spec = MODELS[name]
+    if spec.section == "censored-binomial":
+        data = synthetic_ae_dataset(seed=11)
+    else:
+        data = aml_dataset() if spec.family is Exponential else tobit_dataset()
+    return Model(spec, data), data
+
+
+class TestPriorTermCache:
+    """The sampler keeps every chain's prior term values and re-scores only
+    the terms a block reads; after any number of sweeps the cache must
+    still be the terms of the current state."""
+
+    @pytest.mark.parametrize("name,mode", [
+        *[(name, LikelihoodMode.EXACT) for name in MODELS],
+        ("survival-exponential", LikelihoodMode.DINTERVAL),
+    ])
+    def test_cached_terms_equal_a_fresh_evaluation(self, name, mode):
+        model, data = _entry_case(name)
+        state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (5, 6)])
+        with np.errstate(all="ignore"):
+            state.initialize()
+            start = state.v.copy()
+            state.sample(ChainConfig(n_chains=2, burn_in=30, n_keep=20, adapt_window=10))
+        assert (state.v != start).any(axis=1).all()
+        fresh = np.array([term.log_density(state.v) for term in model.prior_terms])
+        assert np.array_equal(state.terms, fresh.T.reshape(state.terms.shape))
+        total = state.terms.sum(axis=1)
+        if model.levels:
+            assert np.array_equal(state.level_terms, model.level_log_prior(state.v))
+            total = total + state.level_terms.sum(axis=1)
+        np.testing.assert_allclose(total, model.log_prior(state.v), rtol=1e-12)
 
 
 def _manual_samples(values, n_chains=1):

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.stats import norm
 
@@ -92,7 +94,7 @@ class TestPriors:
             _survival().log_prior(np.zeros((2, 2, 2)))
 
     def test_unknown_hyperparameter_names_the_known_set(self):
-        with pytest.raises(SchemaError, match=r"\['tau_0'\]; known: \['tau0', 'tau1'\]"):
+        with pytest.raises(SchemaError, match=r"\['tau_0'\]; allowed: \['tau0', 'tau1'\]"):
             _survival(tau_0=1.0)
 
 
@@ -223,6 +225,56 @@ class TestStackedPriors:
             stack = np.array([[0.0, 0.0, 0.1, 0.2], [0.0, 0.5, 0.1, 0.2]])
             lp = _model("D", _ae_rows(n_drugs=2)).log_prior(stack)
             assert lp[0] == -math.inf and np.isfinite(lp[1])
+
+
+def _entry(name):
+    spec = MODELS[name]
+    if spec.section == "censored-binomial":
+        return _model(name, _ae_rows(n_drugs=3, n_studies=4))
+    return _survival() if spec.family is Exponential else _model(name, _glm_rows(2))
+
+
+# Values inside and outside every support: zero and negative scales,
+# probabilities at and beyond 0 and 1.
+_component = st.one_of(st.sampled_from([0.0, 1.0, -0.5, 1.5, 1e-3, 0.999]),
+                       st.floats(-3.0, 3.0))
+
+
+class TestPriorTerms:
+    """The sampler trusts each term's declared reads to skip it when other
+    components move; a term that reads an undeclared component would bias
+    the chains without any error."""
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_terms_read_only_what_they_declare(self, name, data):
+        model = _entry(name)
+        n = len(model.params)
+        k = data.draw(st.integers(1, 4), label="stack size")
+        theta = np.array(data.draw(st.lists(_component, min_size=n * k, max_size=n * k)),
+                         dtype=float).reshape(k, n)
+        j = data.draw(st.integers(0, n - 1), label="moved component")
+        moved = theta.copy()
+        moved[:, j] = data.draw(st.lists(_component, min_size=k, max_size=k))
+        with np.errstate(all="ignore"):
+            for term in model.prior_terms:
+                before, after = term.log_density(theta), term.log_density(moved)
+                assert before.shape == (k,)
+                if j not in term.reads:
+                    assert np.array_equal(before, after, equal_nan=True), term.reads
+            values = [term.log_density(theta) for term in model.prior_terms]
+            if model.levels:
+                levels, levels_moved = model.level_log_prior(theta), model.level_log_prior(moved)
+                for position, level in enumerate(model.levels):
+                    if j != level and j not in model.level_reads:
+                        assert np.array_equal(levels[:, position], levels_moved[:, position],
+                                              equal_nan=True)
+                values.append(levels.sum(axis=1))
+            lp = model.log_prior(theta)
+        total = np.sum(values, axis=0)
+        assert np.array_equal(np.isneginf(total), np.isneginf(lp))
+        np.testing.assert_allclose(total, lp, rtol=1e-12)
 
 
 class TestOutcomeConstruction:
