@@ -197,6 +197,8 @@ _TRANSFORMS = {
         lambda x: -np.logaddexp(0.0, -x) - np.logaddexp(0.0, x),
     ),
 }
+# The real line's log Jacobian is 0: a Metropolis step on it skips it.
+_ZERO_JACOBIAN = _TRANSFORMS["real"][2]
 
 
 def _columnwise(which: int, values, supports) -> np.ndarray:
@@ -248,16 +250,17 @@ class _Block(NamedTuple):
 
     ``comps`` is a component index, for a block of one, or the slice of a
     model's levels; numpy indexing then hands the update a column or a
-    (chains, levels) array alike.  ``rows`` are the rows they reach (a
-    slice when that is every row) and ``cols`` the columnar block of those
-    rows, None when there are none.  ``owner`` is None for a single
-    component; for levels it maps each row of the block to the position of
-    its level in ``comps``.  ``terms`` lists the model's prior terms that
-    read the block and ``levels`` says whether the level terms do.
+    (chains, levels) array alike.  ``transform`` is their support's
+    ``_TRANSFORMS`` entry.  ``rows`` are the rows they reach (a slice when
+    that is every row) and ``cols`` the columnar block of those rows, None
+    when there are none.  ``owner`` is None for a single component; for
+    levels it maps each row of the block to the position of its level in
+    ``comps``.  ``terms`` lists the model's prior terms that read the block
+    and ``levels`` says whether the level terms do.
     """
 
     comps: int | slice
-    support: str
+    transform: tuple
     rows: slice | np.ndarray
     cols: Optional[DataColumns]
     owner: Optional[np.ndarray]
@@ -277,7 +280,7 @@ def _take(a: np.ndarray, rows) -> np.ndarray:
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Per-chain sums of a (chains, rows) array, in one chain's order."""
-    return np.add.reduce(np.ascontiguousarray(a), axis=1)
+    return np.ascontiguousarray(a).sum(axis=1)
 
 
 class _ChainBatch:
@@ -335,7 +338,7 @@ class _ChainBatch:
             cols = data.columns.take(rows) if len(rows) else None
         terms = tuple(k for k, term in enumerate(self.model.prior_terms) if j in term.reads)
         levels = j in self.model.levels + self.model.level_reads
-        return _Block(j, self.supports[j], rows, cols, None, terms, levels)
+        return _Block(j, _TRANSFORMS[self.supports[j]], rows, cols, None, terms, levels)
 
     def _level_block(self, levels: tuple[int, ...], data) -> _Block:
         """One block for the model's levels.  Moving them together keeps the
@@ -356,15 +359,14 @@ class _ChainBatch:
         if len(np.unique(rows)) != len(rows):
             raise SchemaError(f"{name}: levels share rows, so they cannot move as a block")
         owner = np.repeat(np.arange(len(levels)), [len(r) for r in level_rows])
-        # Rows in data order; each level's keep their order, so its sums add alike.
-        order = np.argsort(rows, kind="stable")
+        order = np.argsort(rows, kind="stable")  # each level's rows keep their order
         rows, owner = rows[order], owner[order]
-        if len(rows) == n_rows:
+        if len(rows) == n_rows:  # every row: update the contributions in place
             rows, cols = self.all_rows
         else:
             cols = data.columns.take(rows) if len(rows) else None
         comps = slice(levels[0], levels[0] + len(levels))
-        return _Block(comps, self.supports[levels[0]], rows, cols, owner, (), True)
+        return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], rows, cols, owner, (), True)
 
     # -- contribution bookkeeping ------------------------------------------
     def _row_params(self, theta, block) -> tuple[np.ndarray, ...]:
@@ -470,8 +472,7 @@ class _ChainBatch:
         its own is below 0.  A proposal outside the prior's support has log
         ratio -inf (or NaN) and is rejected.
         """
-        comps, support, rows, cols, owner, terms, levels = block
-        _, to_nat, log_jac = _TRANSFORMS[support]
+        comps, (_, to_nat, log_jac), rows, cols, owner, terms, levels = block
         size = None if owner is None else scales.shape[-1]
         z = np.array([rng.standard_normal(size) for rng in self.rngs])
         x_new = self.x[:, comps] + scales * z
@@ -494,19 +495,19 @@ class _ChainBatch:
                 log_ratio = log_ratio + _row_sums(change)
             else:
                 log_ratio = log_ratio + self._level_sums(owner, change, size)
-        if support != "real":  # the real line's log Jacobian is 0
+        if log_jac is not _ZERO_JACOBIAN:
             jac_new = log_jac(x_new)
             log_ratio = log_ratio + (jac_new - self.jac[:, comps])
 
         accept = log_ratio >= 0.0
-        undecided = np.nonzero(~accept if owner is None else ~accept.all(axis=1))[0]
+        undecided = np.flatnonzero(~accept if owner is None else ~accept.all(axis=1))
         if len(undecided):
             # log u < 0 <= log_ratio keeps every level accepted above.
             u = np.array([self.rngs[c].random(size) for c in undecided])
             accept[undecided] = np.log(u) < log_ratio[undecided]
         np.copyto(self.x[:, comps], x_new, where=accept)
         np.copyto(self.v[:, comps], v_new, where=accept)
-        if support != "real":
+        if log_jac is not _ZERO_JACOBIAN:
             np.copyto(self.jac[:, comps], jac_new, where=accept)
         for k, new in zip(terms, terms_new):
             np.copyto(self.terms[:, k], new, where=accept)

@@ -3,8 +3,8 @@
 Run from the root of a checkout (the change), naming a checkout of the
 commit to compare against (the base, e.g. a ``git archive`` of it):
 
-    python3 tools/bench_sampler.py --base ../base --repeats 10 \\
-        --seeds 1 2 3 --out BENCH_sampler.json
+    python3 tools/bench_sampler.py --base ../base --base-rev 80b1be5 \\
+        --out BENCH_sampler.json
 
 It writes one JSON file with:
 
@@ -15,19 +15,20 @@ It writes one JSON file with:
   ``compare`` sample them).  Both checkouts' ``censdev`` are loaded into
   one process and each repeat samples every entry once per checkout,
   alternating which goes first, so both sides meet the same host speed;
-  the file keeps each side's minimum wall time over the repeats (raw, not
+  the file keeps each side's minimum wall time over ten repeats (raw, not
   at reference host speed: the ``perfbench/hostspeed.py`` slices come
   every 0.1 s, too seldom to rescale runs of 0.03-0.3 s);
 * ``perfbench``: ``perfbench/run.py --trace 0`` in both checkouts, one
-  pair per workload (ae-compare, survival-aml, tobit-large) and seed, the
-  side that runs first alternating from pair to pair: ``wall_s``, ``setup_s``, ``peak_rss_mb``, ``fail_rate`` and
-  the artifact digests;
-* ``traced``: ``perfbench/run.py --trace 1`` for ae-compare at the first
-  seed in both checkouts: ``models.log_prior_calls`` and
+  pair per workload and seed (ae-compare at seeds 1-10, survival-aml and
+  tobit-large at seeds 1-3), the side that runs first alternating from
+  pair to pair: ``wall_s``, ``setup_s``, ``peak_rss_mb``, ``fail_rate``
+  and the artifact digests;
+* ``traced``: ``perfbench/run.py --trace 1`` for ae-compare at seed 1 in
+  both checkouts: ``models.log_prior_calls`` and
   ``mcmc.us_per_sweep.exact``;
 * ``host``: CPU, core count and Python/numpy/scipy versions.
 
-``--seeds`` with no value skips the perfbench runs (about 35 s each).
+The 34 perfbench runs take about 25 s each, about 15 minutes in all.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-PAIRED_WORKLOADS = ("ae-compare", "survival-aml", "tobit-large")
+REPEATS = 10
+# Workload -> the seeds of its perfbench pairs.
+PAIRS = {"ae-compare": range(1, 11), "survival-aml": range(1, 4), "tobit-large": range(1, 4)}
 TRACED = ("models.log_prior_calls", "mcmc.us_per_sweep.exact")
 # The config file each workload's set-up writes beside its inputs.
 CONFIGS = {"survival-aml": "fit_exact.json", "ae-compare": "compare.json",
@@ -93,7 +96,7 @@ def _samplers(censdev, workdir: Path) -> dict:
     return jobs
 
 
-def measure(trees: dict[str, Path], repeats: int) -> dict:
+def measure(trees: dict[str, Path]) -> dict:
     """µs per chain-sweep of every entry under each tree's ``censdev``, all
     in this process: each repeat samples every entry once per tree,
     alternating which tree goes first, so both sides see the same host;
@@ -113,7 +116,7 @@ def measure(trees: dict[str, Path], repeats: int) -> dict:
     for side in trees:  # warm-up
         for sample, _ in jobs[side].values():
             sample()
-    for repeat in range(repeats):
+    for repeat in range(REPEATS):
         order = list(trees) if repeat % 2 == 0 else list(reversed(trees))
         for entry in ENTRIES:
             for side in order:
@@ -160,41 +163,36 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True,
                         help="checkout of the commit to compare against")
-    parser.add_argument("--base-label", default="base")
-    parser.add_argument("--change-label", default="change")
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3])
+    parser.add_argument("--base-rev", required=True,
+                        help="the commit the base checkout holds, recorded in the output")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sampler.json")
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "change": ROOT}
-    sweeps = measure(trees, args.repeats)
+    sweeps = measure(trees)
 
-    pairs = {workload: [] for workload in PAIRED_WORKLOADS} if args.seeds else {}
-    for seed in args.seeds:
-        for workload in PAIRED_WORKLOADS:
+    pairs = {workload: [] for workload in PAIRS}
+    for workload, seeds in PAIRS.items():
+        for seed in seeds:
             order = list(trees) if len(pairs[workload]) % 2 == 0 else list(reversed(trees))
             pair = {side: _perfbench(trees[side], workload, seed, 0) for side in order}
             pairs[workload].append({"seed": seed, "first": order[0], **pair})
     traced = {}
-    if args.seeds:
-        for side, tree in trees.items():
-            metrics = _perfbench(tree, "ae-compare", args.seeds[0], 1)
-            traced[side] = {name: metrics.get(name) for name in TRACED}
+    for side, tree in trees.items():
+        metrics = _perfbench(tree, "ae-compare", 1, 1)
+        traced[side] = {name: metrics.get(name) for name in TRACED}
 
     report = {
-        "base": args.base_label,
-        "change": args.change_label,
+        "base": args.base_rev,
         "host": _host(),
         "us_per_chain_sweep": {
             "geometry": "each entry on its benchmark workload's inputs (size full, seed 1), "
                         "both replicate runs as one batch; both trees in one process, "
                         "alternating; minimum wall time over the repeats",
-            "repeats": args.repeats,
+            "repeats": REPEATS,
             "entries": sweeps,
         },
         "perfbench": pairs,
-        "traced": {"workload": "ae-compare", "seed": args.seeds[0] if args.seeds else None,
-                   **traced},
+        "traced": {"workload": "ae-compare", "seed": 1, **traced},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
