@@ -27,12 +27,7 @@ from .distributions import (
 )
 from .likelihood import (
     CensoredDataset,
-    IntervalCensored,
-    LeftCensored,
     LikelihoodMode,
-    Observation,
-    Observed,
-    RightCensored,
     deviance,
     exact_contributions,
     loglik_bernoulli_reform,
@@ -74,12 +69,7 @@ __all__ = [
     "link_apply",
     "link_invert",
     "CensoredDataset",
-    "IntervalCensored",
-    "LeftCensored",
     "LikelihoodMode",
-    "Observation",
-    "Observed",
-    "RightCensored",
     "deviance",
     "exact_contributions",
     "loglik_bernoulli_reform",

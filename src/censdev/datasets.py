@@ -30,15 +30,7 @@ import numpy as np
 from scipy.special import expit
 
 from .exceptions import ParseError
-from .likelihood import (
-    CensoredDataset,
-    CensorKind,
-    IntervalCensored,
-    LeftCensored,
-    Observation,
-    Observed,
-    RightCensored,
-)
+from .likelihood import KIND_LEFT, KIND_OBSERVED, KIND_RIGHT, CensoredDataset
 
 __all__ = [
     "ingest",
@@ -52,6 +44,7 @@ __all__ = [
 ]
 
 FIXED_COLUMNS = ("outcome", "censor", "cut1", "cut2", "trials")
+# The censor column's words, indexed by censor-kind code.
 CENSOR_KINDS = ("none", "left", "right", "interval")
 
 AE_COVARIATES = ("drug", "drug_class", "study")
@@ -80,7 +73,8 @@ def _opt_num(cell: str, line: int, column: str) -> Optional[float]:
     return None if cell == "" else _num(cell, line, column)
 
 
-def _parse_row(cells: list[str], names: tuple[str, ...], line: int) -> Observation:
+def _parse_row(cells: list[str], names: tuple[str, ...], line: int) -> tuple:
+    """One row's (kind, lo, hi, value, trials, covariates) in the column layout."""
     fixed = dict(zip(FIXED_COLUMNS, cells[:5]))
     censor = fixed["censor"]
     if censor not in CENSOR_KINDS:
@@ -90,38 +84,28 @@ def _parse_row(cells: list[str], names: tuple[str, ...], line: int) -> Observati
     outcome_cell = fixed["outcome"]
     cut1 = _opt_num(fixed["cut1"], line, "cut1")
     cut2 = _opt_num(fixed["cut2"], line, "cut2")
+    lo, hi, value = -math.inf, math.inf, math.nan
 
     if censor == "none":
         if outcome_cell == "":
             raise ParseError("censor=none requires an outcome value", line, "outcome")
         if cut1 is not None or cut2 is not None:
-            raise ParseError(
-                "censor=none requires empty cut columns", line, "cut1"
-            )
-        kind: CensorKind = Observed(_finite(outcome_cell, line, "outcome"))
+            raise ParseError("censor=none requires empty cut columns", line, "cut1")
+        value = _finite(outcome_cell, line, "outcome")
     else:
         if outcome_cell != "":
-            raise ParseError(
-                "censored rows must leave the outcome empty", line, "outcome"
-            )
+            raise ParseError("censored rows must leave the outcome empty", line, "outcome")
         if cut1 is None:
             raise ParseError(f"censor={censor} requires cut1", line, "cut1")
-        if censor == "left":
+        if censor != "interval":
             if cut2 is not None:
-                raise ParseError("censor=left takes no cut2", line, "cut2")
-            if cut1 == -math.inf:
+                raise ParseError(f"censor={censor} takes no cut2", line, "cut2")
+            # A left cutoff of -inf or a right cutoff of inf holds no value.
+            if cut1 == (-math.inf if censor == "left" else math.inf):
                 raise ParseError(
-                    "censor=left cutoff -inf leaves an empty region", line, "cut1"
+                    f"censor={censor} cutoff {cut1} leaves an empty region", line, "cut1"
                 )
-            kind = LeftCensored(cut1)
-        elif censor == "right":
-            if cut2 is not None:
-                raise ParseError("censor=right takes no cut2", line, "cut2")
-            if cut1 == math.inf:
-                raise ParseError(
-                    "censor=right cutoff inf leaves an empty region", line, "cut1"
-                )
-            kind = RightCensored(cut1)
+            lo, hi = (lo, cut1) if censor == "left" else (cut1, hi)
         else:
             if cut2 is None:
                 raise ParseError("censor=interval requires cut2", line, "cut2")
@@ -129,26 +113,26 @@ def _parse_row(cells: list[str], names: tuple[str, ...], line: int) -> Observati
                 raise ParseError(
                     f"interval cutoffs out of order: {cut1} >= {cut2}", line, "cut1"
                 )
-            kind = IntervalCensored(cut1, cut2)
+            lo, hi = cut1, cut2
 
     trials_cell = fixed["trials"]
     trials = None
     if trials_cell != "":
-        value = _num(trials_cell, line, "trials")
+        # An integer literal is read exactly: as a float, counts above 2**53
+        # would round.
+        try:
+            count = int(trials_cell)
+        except ValueError:
+            count = _num(trials_cell, line, "trials")
         # The range test goes first: int() of inf raises.  Trial counts are
         # stored as int64.
-        if not (1 <= value < 2**63 and value == int(value)):
-            raise ParseError(
-                f"trials must be a positive integer below 2**63, got {trials_cell!r}",
-                line,
-                "trials",
-            )
-        trials = int(value)
+        if not (1 <= count < 2**63 and count == int(count)):
+            raise ParseError(f"trials must be a positive integer below 2**63, "
+                             f"got {trials_cell!r}", line, "trials")
+        trials = int(count)
 
-    covariates = tuple(
-        _finite(cell, line, name) for cell, name in zip(cells[5:], names)
-    )
-    return Observation(outcome=kind, covariates=covariates, trials=trials)
+    covariates = tuple(_finite(cell, line, name) for cell, name in zip(cells[5:], names))
+    return CENSOR_KINDS.index(censor), lo, hi, value, trials, covariates
 
 
 def parse_dataset(text: str) -> CensoredDataset:
@@ -161,10 +145,16 @@ def parse_dataset(text: str) -> CensoredDataset:
         raise ParseError(
             f"header must start with {','.join(FIXED_COLUMNS)}, got {lines[0]!r}", 1
         )
+    for position, name in enumerate(header, start=1):
+        # A model binds a covariate by name, so each name must pick one column.
+        if not name:
+            raise ParseError(f"column {position} has no name", 1)
+        if name in header[:position - 1]:
+            raise ParseError(f"duplicate column name {name!r}", 1, name)
     covariate_names = tuple(header[5:])
     n_cols = len(header)
 
-    observations = []
+    rows = []
     for offset, raw in enumerate(lines[1:], start=2):
         if raw.strip() == "":
             continue
@@ -173,13 +163,11 @@ def parse_dataset(text: str) -> CensoredDataset:
         if len(cells) == n_cols + 1 and cells[-1] == "":
             cells = cells[:-1]
         if len(cells) != n_cols:
-            raise ParseError(
-                f"expected {n_cols} fields, got {len(cells)}", offset
-            )
-        observations.append(_parse_row(cells, covariate_names, offset))
-    if not observations:
+            raise ParseError(f"expected {n_cols} fields, got {len(cells)}", offset)
+        rows.append(_parse_row(cells, covariate_names, offset))
+    if not rows:
         raise ParseError("no data rows", len(lines))
-    return CensoredDataset(tuple(observations), covariate_names)
+    return CensoredDataset(*zip(*rows), covariate_names=covariate_names)
 
 
 def read_utf8(path: str | Path) -> str:
@@ -197,25 +185,24 @@ def ingest(path: str | Path) -> CensoredDataset:
     return parse_dataset(read_utf8(path))
 
 
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else repr(float(x))
-
-
 def serialize(data: CensoredDataset) -> str:
     """Render a dataset in the file format; re-ingesting reproduces it exactly."""
+    cols = data.columns
     lines = [",".join(FIXED_COLUMNS + data.covariate_names)]
-    for obs in data:
-        outcome = obs.outcome
-        if isinstance(outcome, Observed):
-            fixed = [_fmt(outcome.value), "none", "", ""]
-        elif isinstance(outcome, LeftCensored):
-            fixed = ["", "left", _fmt(outcome.cut), ""]
-        elif isinstance(outcome, RightCensored):
-            fixed = ["", "right", _fmt(outcome.cut), ""]
+    for kind, lo, hi, value, trials, covariates in zip(
+        cols.kind.tolist(), cols.lo.tolist(), cols.hi.tolist(), cols.value.tolist(),
+        cols.trials.tolist(), cols.covariates.tolist(),
+    ):
+        if kind == KIND_OBSERVED:
+            outcome, cut1, cut2 = repr(value), "", ""
+        elif kind == KIND_LEFT:
+            outcome, cut1, cut2 = "", repr(hi), ""
+        elif kind == KIND_RIGHT:
+            outcome, cut1, cut2 = "", repr(lo), ""
         else:
-            fixed = ["", "interval", _fmt(outcome.cut1), _fmt(outcome.cut2)]
-        fixed.append("" if obs.trials is None else str(obs.trials))
-        lines.append(",".join(fixed + [_fmt(c) for c in obs.covariates]))
+            outcome, cut1, cut2 = "", repr(lo), repr(hi)
+        fixed = [outcome, CENSOR_KINDS[kind], cut1, cut2, str(trials) if trials else ""]
+        lines.append(",".join(fixed + [repr(c) for c in covariates]))
     return "\n".join(lines) + "\n"
 
 
@@ -251,18 +238,16 @@ def synthetic_ae_dataset(
     base = math.log(base_incidence) - math.log1p(-base_incidence)
     incidences = expit(base + np.asarray(drug_effects))
 
-    observations = []
+    kind, hi, value, trials, covariates = [], [], [], [], []
     for study in range(n_studies):
         drug = study % n_drugs
-        trials = int(np.clip(np.round(rng.lognormal(4.8, 0.55)), 30, 800))
-        count = int(rng.binomial(trials, incidences[drug]))
+        trials.append(int(np.clip(np.round(rng.lognormal(4.8, 0.55)), 30, 800)))
+        count = int(rng.binomial(trials[-1], incidences[drug]))
         cutoff = int(rng.integers(2, 6))
-        covariates = (float(drug), float(DRUG_CLASSES[drug]), float(study))
-        if count < cutoff:
-            outcome: CensorKind = LeftCensored(float(cutoff - 1))
-        else:
-            outcome = Observed(float(count))
-        observations.append(
-            Observation(outcome=outcome, covariates=covariates, trials=trials)
-        )
-    return CensoredDataset(tuple(observations), AE_COVARIATES)
+        covariates.append((drug, DRUG_CLASSES[drug], study))
+        censored = count < cutoff
+        kind.append(KIND_LEFT if censored else KIND_OBSERVED)
+        hi.append(cutoff - 1 if censored else math.inf)
+        value.append(math.nan if censored else count)
+    return CensoredDataset(kind, [-math.inf] * n_studies, hi, value, trials, covariates,
+                           AE_COVARIATES)

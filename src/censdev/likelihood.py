@@ -1,4 +1,5 @@
-"""Censored-data log-likelihoods under two rival bookkeeping schemes.
+"""Censored datasets as columns, and their log-likelihoods under the rival
+bookkeeping schemes.
 
 A censored dataset splits into observed rows O, one-sided censored rows C
 and interval-censored rows I.  The exact log-likelihood sums
@@ -20,38 +21,29 @@ contributes a constant likelihood of one.  The monitored total is therefore
 biased low by exactly the censored terms above; ``exact_contributions``
 exposes the per-row terms so that gap can be audited row by row.
 
-Those functions take one :class:`~censdev.distributions.Family` object per
-row and are the reference.  The sampler and the selection layer read the
-dataset as columns instead (:class:`DataColumns`, built once per dataset on
-first use) and score all rows at once with the families' vectorized
-``log_contrib``.
+A :class:`CensoredDataset` is its columns (:class:`DataColumns`), checked
+once when it is built.  Every likelihood function takes the dataset, the
+outcome :class:`~censdev.distributions.Family` class and that family's
+per-row parameters as ``Model.row_params(theta, data.columns)`` returns them
+for one parameter vector, and scores all rows at once with the family's
+vectorized kernels, as the sampler and the selection layer do.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .distributions import Family, bernoulli_log_prob, clamp_probability
+from .distributions import Family, clamp_probability_v
 from .exceptions import BoundOrderError, DataError
 
 __all__ = [
-    "Observed",
-    "LeftCensored",
-    "RightCensored",
-    "IntervalCensored",
-    "CensorKind",
-    "Observation",
     "CensoredDataset",
     "DataColumns",
     "LikelihoodMode",
-    "censoring_region",
-    "exact_contribution",
     "exact_contributions",
     "loglik_exact",
     "loglik_bernoulli_reform",
@@ -62,60 +54,8 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
-
-@dataclass(frozen=True)
-class Observed:
-    value: float
-
-
-@dataclass(frozen=True)
-class LeftCensored:
-    """Outcome known only to satisfy Y <= cut."""
-
-    cut: float
-
-
-@dataclass(frozen=True)
-class RightCensored:
-    """Outcome known only to satisfy Y >= cut."""
-
-    cut: float
-
-
-@dataclass(frozen=True)
-class IntervalCensored:
-    """Outcome known only to satisfy cut1 <= Y <= cut2."""
-
-    cut1: float
-    cut2: float
-
-    def __post_init__(self):
-        if not self.cut1 < self.cut2:
-            raise BoundOrderError(
-                f"interval censoring requires cut1 < cut2, got ({self.cut1}, {self.cut2})"
-            )
-
-
-CensorKind = Observed | LeftCensored | RightCensored | IntervalCensored
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One outcome record: exact value or censoring region, plus covariates."""
-
-    outcome: CensorKind
-    covariates: tuple[float, ...] = ()
-    trials: Optional[int] = None
-
-    def __post_init__(self):
-        if self.trials is not None and self.trials < 1:
-            raise DataError(f"trials must be a positive integer, got {self.trials}")
-
-
 # Censor-kind codes of DataColumns.kind.
 KIND_OBSERVED, KIND_LEFT, KIND_RIGHT, KIND_INTERVAL = 0, 1, 2, 3
-_KIND_CODES = {Observed: KIND_OBSERVED, LeftCensored: KIND_LEFT,
-               RightCensored: KIND_RIGHT, IntervalCensored: KIND_INTERVAL}
 
 
 class DataColumns:
@@ -149,29 +89,6 @@ class DataColumns:
             mask if mask.any() else None for mask in (observed, below, above, between)
         )
         self._checked: dict = {}  # validated views, built on first use
-
-    @classmethod
-    def from_observations(cls, observations, names=()) -> "DataColumns":
-        n = len(observations)
-        kind = np.empty(n, dtype=np.int8)
-        lo = np.full(n, _NEG_INF)
-        hi = np.full(n, math.inf)
-        value = np.full(n, math.nan)
-        trials = np.zeros(n, dtype=np.int64)
-        for i, obs in enumerate(observations):
-            outcome = obs.outcome
-            kind[i] = _KIND_CODES[type(outcome)]
-            if kind[i] == KIND_OBSERVED:
-                value[i] = outcome.value
-            else:
-                lo[i], hi[i] = censoring_region(outcome)
-            if obs.trials is not None:
-                trials[i] = obs.trials
-        width = len(observations[0].covariates) if n else 0
-        covariates = np.array(
-            [obs.covariates for obs in observations], dtype=float
-        ).reshape(n, width)
-        return cls(kind, lo, hi, value, trials, covariates, names)
 
     def __len__(self) -> int:
         return self.kind.shape[0]
@@ -228,69 +145,75 @@ class DataColumns:
         return self._checked["trials"]
 
 
-@dataclass(frozen=True)
 class CensoredDataset:
-    """Ordered observations partitioned into observed / one-sided / interval rows."""
+    """A dataset: its rows as one :class:`DataColumns` (``columns``), checked
+    when it is built.
 
-    observations: tuple[Observation, ...]
-    covariate_names: tuple[str, ...] = ()
+    ``kind``, ``lo``, ``hi`` and ``value`` are laid out as
+    :class:`DataColumns` holds them: an observed row has its outcome in
+    ``value`` and the region (-inf, inf); a censored row has NaN in
+    ``value`` and its region in ``lo``/``hi``, ``lo`` -inf if it is
+    left-censored and ``hi`` inf if it is right-censored.  ``trials`` holds
+    a count >= 1 per row, or None where a row has none (None alone: no row
+    has one); ``covariates`` is an (n, width) matrix (None: no covariates)
+    whose columns ``covariate_names`` names, or leaves unnamed.
 
-    def __post_init__(self):
-        obs = tuple(self.observations)
-        object.__setattr__(self, "observations", obs)
-        if not obs:
+    Raises :class:`BoundOrderError` for a censored row without lo < hi and
+    :class:`DataError` for anything else off that layout, or no rows.
+    """
+
+    def __init__(self, kind, lo, hi, value, trials=None, covariates=None,
+                 covariate_names: Sequence[str] = ()):
+        kind = np.asarray(kind)
+        lo, hi, value = (np.asarray(a, dtype=float) for a in (lo, hi, value))
+        n = len(kind)
+        if n == 0:
             raise DataError("dataset must contain at least one observation")
-        width = len(obs[0].covariates)
-        for i, o in enumerate(obs):
-            if len(o.covariates) != width:
-                raise DataError(
-                    f"row {i}: covariate vector length {len(o.covariates)} != {width}"
-                )
-        if self.covariate_names and len(self.covariate_names) != width:
-            raise DataError(
-                f"{len(self.covariate_names)} covariate names for width-{width} vectors"
-            )
+        if any(a.shape != (n,) for a in (kind, lo, hi, value)):
+            raise DataError(f"kind, lo, hi and value need one entry per row; got shapes "
+                            f"{[a.shape for a in (kind, lo, hi, value)]}")
+        observed, left, right, interval = (
+            kind == code for code in (KIND_OBSERVED, KIND_LEFT, KIND_RIGHT, KIND_INTERVAL))
+        layout = np.where(
+            observed, ~np.isnan(value) & (lo == _NEG_INF) & (hi == math.inf),
+            np.isnan(value) & (left | right | interval)
+            & (~left | (lo == _NEG_INF)) & (~right | (hi == math.inf)),
+        )
+        for bad, error, what in ((~layout, DataError, "is off the column layout"),
+                                 (~observed & ~(lo < hi), BoundOrderError, "needs lo < hi")):
+            if bad.any():
+                row = int(np.flatnonzero(bad)[0])
+                raise error(f"row {row}: kind {kind[row]}, value {value[row]} and "
+                            f"region [{lo[row]}, {hi[row]}] {what}")
 
-    def __len__(self):
-        return len(self.observations)
-
-    @cached_property
-    def columns(self) -> DataColumns:
-        """The rows as arrays, built on first use."""
-        return DataColumns.from_observations(self.observations, self.covariate_names)
-
-    def __iter__(self):
-        return iter(self.observations)
+        trials = [None] * n if trials is None else list(trials)
+        bad = [t for t in trials
+               if not (t is None or (1 <= t < 2**63 and float(t).is_integer()))]
+        if bad or len(trials) != n:
+            raise DataError(f"trials need a whole count in [1, 2**63) or None per row; "
+                            f"got {bad[0] if bad else f'{len(trials)} entries'}")
+        counts = np.array([t or 0 for t in trials], dtype=np.int64)
+        try:
+            covariates = np.asarray(np.zeros((n, 0)) if covariates is None else covariates,
+                                    dtype=float)
+        except ValueError:
+            raise DataError("covariate rows differ in length") from None
+        names = tuple(covariate_names)
+        if covariates.ndim != 2 or covariates.shape[0] != n or (
+                names and len(names) != covariates.shape[1]):
+            raise DataError(f"covariates of shape {covariates.shape} for {n} rows "
+                            f"and names {names}")
+        if len(set(names)) != len(names) or "" in names:
+            raise DataError(f"covariate names must be distinct and non-empty, got {names}")
+        self.columns = DataColumns(kind.astype(np.int8), lo, hi, value, counts, covariates,
+                                   names)
 
     @property
-    def observed_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i for i, o in enumerate(self.observations) if isinstance(o.outcome, Observed)
-        )
+    def covariate_names(self) -> tuple[str, ...]:
+        return self.columns.names
 
-    @property
-    def onesided_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, o in enumerate(self.observations)
-            if isinstance(o.outcome, (LeftCensored, RightCensored))
-        )
-
-    @property
-    def interval_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, o in enumerate(self.observations)
-            if isinstance(o.outcome, IntervalCensored)
-        )
-
-    @property
-    def censored_indices(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, o in enumerate(self.observations)
-            if not isinstance(o.outcome, Observed)
-        )
+    def __len__(self) -> int:
+        return len(self.columns)
 
 
 class LikelihoodMode(Enum):
@@ -298,78 +221,38 @@ class LikelihoodMode(Enum):
     DINTERVAL = "dinterval"
 
 
-def censoring_region(outcome: CensorKind) -> tuple[float, float]:
-    """Closed region [lo, hi] carrying the outcome's probability mass."""
-    if isinstance(outcome, LeftCensored):
-        return (_NEG_INF, outcome.cut)
-    if isinstance(outcome, RightCensored):
-        return (outcome.cut, math.inf)
-    if isinstance(outcome, IntervalCensored):
-        return (outcome.cut1, outcome.cut2)
-    raise DataError(f"observed outcome {outcome!r} has no censoring region")
-
-
-def _check_alignment(data: CensoredDataset, dists: Sequence[Family]) -> None:
-    if len(dists) != len(data):
-        raise DataError(
-            f"{len(dists)} outcome distributions for {len(data)} observations"
-        )
-
-
-def exact_contribution(family: Family, outcome: CensorKind) -> float:
-    """Per-row term of the exact censored log-likelihood."""
-    if isinstance(outcome, Observed):
-        return family.log_pdf(outcome.value)
-    return family.log_interval_prob(*censoring_region(outcome))
-
-
-def exact_contributions(
-    data: CensoredDataset, outcome_dists: Sequence[Family]
-) -> np.ndarray:
+def exact_contributions(data: CensoredDataset, family: type[Family], params) -> np.ndarray:
     """Vector of per-row exact log-likelihood contributions."""
-    _check_alignment(data, outcome_dists)
-    return np.array(
-        [
-            exact_contribution(fam, obs.outcome)
-            for fam, obs in zip(outcome_dists, data.observations)
-        ]
-    )
+    with np.errstate(all="ignore"):
+        return family.log_contrib(data.columns, *params)
 
 
-def loglik_exact(data: CensoredDataset, outcome_dists: Sequence[Family]) -> float:
+def loglik_exact(data: CensoredDataset, family: type[Family], params) -> float:
     """Total exact censored log-likelihood; -inf flags a zero-probability row."""
-    return float(exact_contributions(data, outcome_dists).sum())
+    return float(exact_contributions(data, family, params).sum())
 
 
-def loglik_bernoulli_reform(
-    data: CensoredDataset, outcome_dists: Sequence[Family]
-) -> float:
+def loglik_bernoulli_reform(data: CensoredDataset, family: type[Family], params) -> float:
     """Exact likelihood computed through the Bernoulli-indicator route.
 
-    Observed rows contribute log f(y).  A one-sided censored row contributes
-    a Bernoulli log-probability with success probability F(cut) (indicator 1
-    when left-censored, 0 when right-censored, using the left CDF limit).
-    Interval rows contribute Bernoulli(1; F(cut2) - F(cut1^-)).  Agrees with
-    :func:`loglik_exact` up to floating-point rounding.
+    An observed row contributes log f(y), a left-censored row
+    Bernoulli(1; F(cut)), a right-censored row Bernoulli(0; F(cut^-)) and an
+    interval row Bernoulli(1; F(cut2) - F(cut1^-)), each success probability
+    clamped to the standard band.  Agrees with :func:`loglik_exact` up to
+    floating-point rounding.
     """
-    _check_alignment(data, outcome_dists)
-    total = 0.0
-    for fam, obs in zip(outcome_dists, data.observations):
-        outcome = obs.outcome
-        if isinstance(outcome, Observed):
-            total += fam.log_pdf(outcome.value)
-        elif isinstance(outcome, LeftCensored):
-            total += bernoulli_log_prob(1, math.exp(fam.log_cdf(outcome.cut)))
-        elif isinstance(outcome, RightCensored):
-            total += bernoulli_log_prob(
-                0, math.exp(fam.log_cdf_left_limit(outcome.cut))
-            )
-        else:
-            p = math.exp(fam.log_cdf(outcome.cut2)) - math.exp(
-                fam.log_cdf_left_limit(outcome.cut1)
-            )
-            total += bernoulli_log_prob(1, clamp_probability(p))
-    return total
+    cols = data.columns
+    with np.errstate(all="ignore"):
+        value, hi, lo_left = family._points(cols, params)
+        p_hi = np.exp(family._log_cdf_v(hi, *params))
+        p_lo = np.exp(family._log_cdf_v(lo_left, *params))
+        terms = np.select(
+            [cols.kind == KIND_OBSERVED, cols.kind == KIND_LEFT, cols.kind == KIND_RIGHT],
+            [family.log_pdf_v(value, *params), np.log(clamp_probability_v(p_hi)),
+             np.log1p(-clamp_probability_v(p_lo))],
+            np.log(clamp_probability_v(p_hi - p_lo)),
+        )
+    return float(terms.sum())
 
 
 class DIntervalLogLik(NamedTuple):
@@ -377,38 +260,36 @@ class DIntervalLogLik(NamedTuple):
     monitored_loglik: float
 
 
-def loglik_dinterval_style(
-    data: CensoredDataset,
-    outcome_dists: Sequence[Family],
-    latent_values: Mapping[int, float],
-) -> DIntervalLogLik:
+def loglik_dinterval_style(data: CensoredDataset, family: type[Family], params,
+                           latent_values) -> DIntervalLogLik:
     """Log-likelihood pair under latent-imputation bookkeeping.
 
-    ``sampler_loglik`` sums log f over all rows at observed or imputed
-    values: the target a Gibbs sampler over (parameters, latents) uses.
-    ``monitored_loglik`` sums over observed rows only, which is what the
-    deviance monitor reports when censored rows contribute log 1 = 0.
+    ``latent_values`` holds one imputed value per censored row, in row
+    order (the layout of ``PosteriorSamples.latent_trace``); each must lie
+    in its row's censoring region.  ``sampler_loglik`` sums log f over all
+    rows at observed or imputed values: the target a Gibbs sampler over
+    (parameters, latents) uses.  ``monitored_loglik`` sums over observed
+    rows only, which is what the deviance monitor reports when censored
+    rows contribute log 1 = 0.
     """
-    _check_alignment(data, outcome_dists)
-    sampler = 0.0
-    monitored = 0.0
-    for i, (fam, obs) in enumerate(zip(outcome_dists, data.observations)):
-        outcome = obs.outcome
-        if isinstance(outcome, Observed):
-            term = fam.log_pdf(outcome.value)
-            sampler += term
-            monitored += term
-            continue
-        if i not in latent_values:
-            raise DataError(f"row {i}: censored row missing a latent value")
-        value = latent_values[i]
-        lo, hi = censoring_region(outcome)
-        if not lo <= value <= hi:
-            raise DataError(
-                f"row {i}: latent value {value} outside censoring region [{lo}, {hi}]"
-            )
-        sampler += fam.log_pdf(value)
-    return DIntervalLogLik(sampler_loglik=sampler, monitored_loglik=monitored)
+    cols = data.columns
+    observed = cols.kind == KIND_OBSERVED
+    rows = np.flatnonzero(~observed)
+    latents = np.asarray(latent_values, dtype=float)
+    if latents.shape != rows.shape:
+        raise DataError(f"{latents.shape} latent values for {len(rows)} censored rows")
+    lo, hi = cols.lo[rows], cols.hi[rows]
+    outside = np.flatnonzero(~((lo <= latents) & (latents <= hi)))
+    if outside.size:
+        k = outside[0]
+        raise DataError(f"row {rows[k]}: latent value {latents[k]} outside censoring "
+                        f"region [{lo[k]}, {hi[k]}]")
+    values = cols.value.copy()
+    values[rows] = latents
+    with np.errstate(all="ignore"):
+        terms = family.log_pdf_v(values, *params)
+    return DIntervalLogLik(sampler_loglik=float(terms.sum()),
+                           monitored_loglik=float(terms[observed].sum()))
 
 
 def deviance(loglik: float) -> float:

@@ -84,6 +84,9 @@ _MAX_RATE = 1e12
 _MIN_RATE = 1e-12
 _LOG_MAX_RATE = math.log(_MAX_RATE)
 _LOG_2PI = math.log(2.0 * math.pi)
+# The level priors' scales are -inf at or below this, as at zero: the
+# half-Cauchy prior puts mass below 1e-150 / half_cauchy_scale there.
+_MIN_SCALE = 1e-150
 _INITIAL = {"real": 0.0, "positive": 1.0, "unit": 0.5}
 
 
@@ -281,14 +284,16 @@ class Model:
         """Prior term of each component in ``levels``, in that order on the
         last axis, of a vector or a stack; each reads its level and the
         components in ``level_reads``, and is -inf where they leave the
-        support (C: mu outside (0, 1); C, D/E/F: a scale <= 0)."""
+        support (C: mu outside (0, 1); C, D/E/F: a scale at or below
+        _MIN_SCALE)."""
         levels = theta[..., self._first_level:]
         if not self.level_reads:
             return Beta.log_pdf_v(levels, *self._shapes)
         mu, scale = theta[..., 0:1], theta[..., 1:2]
-        # A zero scale would divide by zero; a stand-in keeps the terms
-        # quiet and the mask makes them -inf.
-        inside = scale > 0.0
+        # At or below _MIN_SCALE, 1/scale^2 is 1e300 or more (inf at zero or
+        # when the square underflows) and the terms can turn NaN; a stand-in
+        # keeps them quiet and the mask makes them -inf.
+        inside = scale > _MIN_SCALE
         scale = np.where(inside, scale, 1.0)
         if self.spec.pooling == "beta-hyper":
             kappa = 1.0 / (scale * scale)

@@ -144,7 +144,7 @@ def compute_pd(
 def _penalty_terms(family, censored, params_a, params_b, contrib_a, contrib_b):
     """(symmetric predictive KL, log importance weight) per draw pair and row.
 
-    Observed rows compare the outcome distributions at the two draws; a
+    An observed row compares the outcome distributions at the two draws; a
     censored row compares its Bernoulli indicator, whose success
     probability is the row's likelihood term.
     """

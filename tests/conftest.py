@@ -23,16 +23,70 @@ from censdev import (
 from censdev.cli import _derive_run_seeds
 from censdev.distributions import Beta, Binomial, Exponential, Normal
 from censdev.likelihood import (
+    KIND_INTERVAL,
+    KIND_LEFT,
+    KIND_OBSERVED,
+    KIND_RIGHT,
     CensoredDataset,
-    IntervalCensored,
-    LeftCensored,
-    Observation,
-    Observed,
-    RightCensored,
 )
 from censdev.models import Param, Term
 
 SURVIVAL_DEMO_SEED = 20260810
+
+
+# ---------------------------------------------------------------------------
+# Datasets from outcome specs
+# ---------------------------------------------------------------------------
+
+
+def _layout(censor, *numbers):
+    """(kind, lo, hi, value) of one outcome spec in the column layout."""
+    if censor == "none":
+        return KIND_OBSERVED, -math.inf, math.inf, numbers[0]
+    if censor == "left":
+        return KIND_LEFT, -math.inf, numbers[0], math.nan
+    if censor == "right":
+        return KIND_RIGHT, numbers[0], math.inf, math.nan
+    return KIND_INTERVAL, numbers[0], numbers[1], math.nan
+
+
+def make_dataset(outcomes, covariates=None, trials=None, names=()):
+    """A dataset from outcome specs in the file format's censor words:
+    ("none", y), ("left", cut), ("right", cut) or ("interval", lo, hi)."""
+    return CensoredDataset(*zip(*(_layout(*o) for o in outcomes)), trials, covariates, names)
+
+
+def outcome_specs(data) -> list[tuple]:
+    """Every row's outcome spec, the inverse of :func:`make_dataset`'s."""
+    cols = data.columns
+    specs = []
+    for kind, lo, hi, value in zip(cols.kind.tolist(), cols.lo.tolist(), cols.hi.tolist(),
+                                   cols.value.tolist()):
+        specs.append((("none", value), ("left", hi), ("right", lo),
+                      ("interval", lo, hi))[kind])
+    return specs
+
+
+def subset(data, rows):
+    """The dataset of the given rows of ``data``, in that order."""
+    cols = data.columns.take(rows)
+    return CensoredDataset(cols.kind, cols.lo, cols.hi, cols.value,
+                           [t or None for t in cols.trials.tolist()], cols.covariates,
+                           cols.names)
+
+
+def censored_rows(data) -> np.ndarray:
+    return np.flatnonzero(data.columns.kind != KIND_OBSERVED)
+
+
+def assert_same_columns(a, b):
+    """Two datasets hold bit-equal arrays (NaN in the same places) and names."""
+    ca, cb = a.columns, b.columns
+    assert ca.names == cb.names
+    for field in ("kind", "lo", "hi", "value", "trials", "covariates"):
+        x, y = getattr(ca, field), getattr(cb, field)
+        assert x.dtype == y.dtype and x.shape == y.shape, field
+        assert x.tobytes() == y.tobytes(), field
 
 
 @pytest.fixture(scope="session")
@@ -126,9 +180,6 @@ class GammaExponentialModel(DuckModel):
     def row_params(self, theta, cols):
         return (np.maximum(np.asarray(theta, dtype=float)[..., 0:1], 1e-300),)
 
-    def outcome_family(self, theta, obs):
-        return Exponential(rate=max(float(theta[0]), 1e-300))
-
 
 def tobit_dataset(n=40, seed=8):
     """Censored normal regression rows (intercept 1, slopes 0.8 and -0.5,
@@ -139,39 +190,32 @@ def tobit_dataset(n=40, seed=8):
     x = rng.standard_normal((n, 2))
     y = 1.0 + x @ np.array([0.8, -0.5]) + 1.2 * rng.standard_normal(n)
     lo_cut, hi_cut = np.quantile(y, [0.2, 0.8])
-    rows = []
+    outcomes = []
     for i in range(n):
         if y[i] < lo_cut:
-            outcome = LeftCensored(float(lo_cut))
+            outcomes.append(("left", float(lo_cut)))
         elif y[i] > hi_cut:
-            outcome = RightCensored(float(hi_cut))
+            outcomes.append(("right", float(hi_cut)))
         elif i % 3 == 0:
             lo = math.floor(2.0 * y[i]) / 2.0
-            outcome = IntervalCensored(lo, lo + 0.5)
+            outcomes.append(("interval", lo, lo + 0.5))
         else:
-            outcome = Observed(float(y[i]))
-        rows.append(Observation(outcome, covariates=tuple(float(v) for v in x[i])))
-    return CensoredDataset(tuple(rows))
+            outcomes.append(("none", float(y[i])))
+    return make_dataset(outcomes, covariates=x)
 
 
 def single_binomial_dataset(successes=7, trials=20):
-    return CensoredDataset(
-        (Observation(Observed(float(successes)), trials=trials),)
-    )
+    return make_dataset([("none", float(successes))], trials=[trials])
 
 
 def multirow_binomial_dataset():
     counts = (2, 1, 3, 2, 0, 1, 2, 4, 1, 2, 3, 1, 2, 1, 0, 2, 3, 1, 2, 2)
-    return CensoredDataset(
-        tuple(Observation(Observed(float(y)), trials=50) for y in counts)
-    )
+    return make_dataset([("none", float(y)) for y in counts], trials=[50] * len(counts))
 
 
 def exponential_dataset(n=40, rate=0.8, seed=123):
     rng = np.random.default_rng(seed)
-    return CensoredDataset(
-        tuple(Observation(Observed(float(rng.exponential(1.0 / rate)))) for _ in range(n))
-    )
+    return make_dataset([("none", float(rng.exponential(1.0 / rate))) for _ in range(n)])
 
 
 @pytest.fixture(scope="session")
@@ -226,8 +270,11 @@ def conjugate_ge_run():
 REGION_PROB_BAND = (1e-6, 1.0 - 1e-6)
 
 
-def random_family(rng: np.random.Generator):
-    kind = rng.integers(4)
+def random_family(rng: np.random.Generator, kind=None):
+    """An Exponential, Normal, Binomial or Beta distribution (``kind`` 0 to 3,
+    drawn when None) with random parameters."""
+    if kind is None:
+        kind = rng.integers(4)
     if kind == 0:
         return Exponential(rate=float(np.exp(rng.uniform(-2.0, 2.0))))
     if kind == 1:
@@ -250,28 +297,42 @@ def _region_ok(family, lo, hi) -> bool:
     return REGION_PROB_BAND[0] < p < REGION_PROB_BAND[1]
 
 
-def random_row(rng: np.random.Generator, family) -> Observation:
-    """One observation under ``family`` with any of the four censoring kinds."""
+def random_outcome(rng: np.random.Generator, family) -> tuple:
+    """One outcome spec under ``family`` with any of the four censoring kinds."""
     kind = rng.integers(4)
     for _ in range(50):
         if kind == 0:
-            return Observation(Observed(family.sample(rng)))
+            return ("none", family.sample(rng))
         a = family.sample(rng)
         if kind == 1 and _region_ok(family, -math.inf, a):
-            return Observation(LeftCensored(a))
+            return ("left", a)
         if kind == 2 and _region_ok(family, a, math.inf):
-            return Observation(RightCensored(a))
+            return ("right", a)
         if kind == 3:
             b = family.sample(rng)
             lo, hi = min(a, b), max(a, b)
             if lo < hi and _region_ok(family, lo, hi):
-                return Observation(IntervalCensored(lo, hi))
-    return Observation(Observed(family.sample(rng)))
+                return ("interval", lo, hi)
+    return ("none", family.sample(rng))
 
 
 def random_dataset(rng: np.random.Generator, max_rows: int = 8):
-    """(dataset, per-row families) pair with mixed censoring kinds."""
+    """(dataset, per-row families) pair: one outcome family (Beta, a prior
+    only, has no columnar kernels), its parameters drawn per row, and mixed
+    censoring kinds."""
     n = int(rng.integers(2, max_rows + 1))
-    families = [random_family(rng) for _ in range(n)]
-    rows = tuple(random_row(rng, fam) for fam in families)
-    return CensoredDataset(rows), families
+    kind = int(rng.integers(3))
+    families = [random_family(rng, kind) for _ in range(n)]
+    outcomes = [random_outcome(rng, fam) for fam in families]
+    trials = [fam.trials for fam in families] if kind == 2 else None
+    return make_dataset(outcomes, trials=trials), families
+
+
+FIELDS = {Exponential: ("rate",), Normal: ("mean", "precision"), Binomial: ("trials", "prob")}
+
+
+def family_params(families):
+    """(family class, per-row parameter arrays) of a list of one family's
+    objects: the columnar likelihoods' arguments for them."""
+    cls = type(families[0])
+    return cls, tuple(np.array([getattr(f, name) for f in families]) for name in FIELDS[cls])

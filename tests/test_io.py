@@ -25,12 +25,7 @@ from censdev.datasets import (
     synthetic_ae_dataset,
 )
 from censdev.exceptions import ParseError, ValidationError
-from censdev.likelihood import (
-    IntervalCensored,
-    LeftCensored,
-    Observed,
-    RightCensored,
-)
+from conftest import assert_same_columns, censored_rows, make_dataset, outcome_specs
 
 HEADER = "outcome,censor,cut1,cut2,trials"
 
@@ -42,23 +37,26 @@ def _parse_rows(*rows, header=HEADER):
 class TestParsing:
     def test_observed_row(self):
         data = _parse_rows("13,none,,,,")
-        assert data.observations[0].outcome == Observed(13.0)
+        assert outcome_specs(data)[0] == ("none", 13.0)
 
     def test_right_censored_row(self):
         data = _parse_rows(",right,28,,,")
-        assert data.observations[0].outcome == RightCensored(28.0)
+        assert outcome_specs(data)[0] == ("right", 28.0)
 
     def test_left_and_interval_rows(self):
         data = _parse_rows(",left,4,,,", ",interval,1,5,,")
-        assert data.observations[0].outcome == LeftCensored(4.0)
-        assert data.observations[1].outcome == IntervalCensored(1.0, 5.0)
+        assert outcome_specs(data) == [("left", 4.0), ("interval", 1.0, 5.0)]
 
     def test_covariates_and_trials(self):
         data = _parse_rows("3,none,,,25,1,0.5", header=HEADER + ",drug,dose")
-        obs = data.observations[0]
-        assert obs.trials == 25
-        assert obs.covariates == (1.0, 0.5)
+        assert data.columns.trials.tolist() == [25]
+        assert data.columns.covariates.tolist() == [[1.0, 0.5]]
         assert data.covariate_names == ("drug", "dose")
+
+    @pytest.mark.parametrize("trials", [2**53 + 1, 2**63 - 1])
+    def test_large_trial_counts_are_read_exactly(self, trials):
+        data = _parse_rows(f"3,none,,,{trials},")
+        assert data.columns.trials.tolist() == [trials]
 
     @pytest.mark.parametrize(
         "row,fragment",
@@ -113,14 +111,14 @@ class TestParsing:
     @pytest.mark.parametrize(
         "row,outcome",
         [
-            (",interval,-inf,5,", IntervalCensored(-math.inf, 5.0)),
-            (",interval,1,inf,", IntervalCensored(1.0, math.inf)),
-            (",left,inf,,", LeftCensored(math.inf)),
-            (",right,-inf,,", RightCensored(-math.inf)),
+            (",interval,-inf,5,", ("interval", -math.inf, 5.0)),
+            (",interval,1,inf,", ("interval", 1.0, math.inf)),
+            (",left,inf,,", ("left", math.inf)),
+            (",right,-inf,,", ("right", -math.inf)),
         ],
     )
     def test_infinite_bounds_of_a_non_empty_region_are_kept(self, row, outcome):
-        assert _parse_rows(row).observations[0].outcome == outcome
+        assert outcome_specs(_parse_rows(row))[0] == outcome
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
@@ -141,47 +139,87 @@ class TestBundledAml:
     def test_partition_sizes(self):
         data = aml_dataset()
         assert len(data) == 23
-        assert len(data.censored_indices) == 5
-        assert len(data.observed_indices) == 18
-        assert all(
-            isinstance(data.observations[i].outcome, RightCensored)
-            for i in data.censored_indices
-        )
+        kinds = [spec[0] for spec in outcome_specs(data)]
+        assert kinds.count("right") == 5
+        assert kinds.count("none") == 18
 
     def test_group_composition(self):
         data = aml_dataset()
-        groups = [o.covariates[0] for o in data]
+        groups = data.columns.covariates[:, 0].tolist()
         assert data.covariate_names == ("group",)
         assert groups.count(1.0) == 11 and groups.count(0.0) == 12
-        censored_groups = [
-            data.observations[i].covariates[0] for i in data.censored_indices
-        ]
+        censored_groups = data.columns.covariates[censored_rows(data), 0].tolist()
         assert censored_groups.count(1.0) == 4 and censored_groups.count(0.0) == 1
 
     def test_exposure_totals(self):
         """Events and total follow-up per arm drive every closed-form check."""
         data = aml_dataset()
-        value = lambda o: (
-            o.outcome.value if isinstance(o.outcome, Observed) else o.outcome.cut
-        )
-        maintained = [o for o in data if o.covariates[0] == 1.0]
-        control = [o for o in data if o.covariates[0] == 0.0]
-        assert sum(value(o) for o in maintained) == 423.0
-        assert sum(value(o) for o in control) == 255.0
+        cols = data.columns
+        value = np.where(np.isnan(cols.value), cols.lo, cols.value).tolist()
+        group = cols.covariates[:, 0].tolist()
+        maintained = [v for v, g in zip(value, group) if g == 1.0]
+        control = [v for v, g in zip(value, group) if g == 0.0]
+        assert sum(maintained) == 423.0
+        assert sum(control) == 255.0
+
+
+_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _valid_datasets(draw):
+    """Datasets the file format can hold: every censor kind with the
+    README's kept infinite bounds, trials present or absent per row, and
+    0-3 named covariates."""
+    n = draw(st.integers(1, 6))
+    outcomes = []
+    for _ in range(n):
+        censor = draw(st.sampled_from(["none", "left", "right", "interval"]))
+        if censor == "none":
+            outcomes.append(("none", draw(_NUMBERS)))
+        elif censor == "left":
+            outcomes.append(("left", draw(st.one_of(_NUMBERS, st.just(math.inf)))))
+        elif censor == "right":
+            outcomes.append(("right", draw(st.one_of(_NUMBERS, st.just(-math.inf)))))
+        else:
+            lo = draw(st.one_of(_NUMBERS, st.just(-math.inf)))
+            hi = draw(st.one_of(_NUMBERS, st.just(math.inf)).filter(lambda x: x > lo))
+            outcomes.append(("interval", lo, hi))
+    trials = draw(st.one_of(st.none(), st.lists(
+        st.one_of(st.none(), st.integers(1, 2**63 - 1)), min_size=n, max_size=n)))
+    names = draw(st.lists(st.text("abxyz_", min_size=1, max_size=3), max_size=3, unique=True))
+    covariates = draw(st.lists(st.lists(_NUMBERS, min_size=len(names), max_size=len(names)),
+                               min_size=n, max_size=n))
+    return make_dataset(outcomes, covariates=np.array(covariates).reshape(n, len(names)),
+                        trials=trials, names=names)
 
 
 class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(data=_valid_datasets())
+    def test_parse_of_serialize_gives_bit_equal_columns(self, data):
+        text = serialize(data)
+        again = parse_dataset(text)
+        assert_same_columns(again, data)
+        assert serialize(again) == text
+
+    def test_fingerprints_are_pinned(self):
+        assert dataset_fingerprint(aml_dataset()) == "50f8367128774ad8"
+        assert dataset_fingerprint(synthetic_ae_dataset()) == "fb8673e962d757a2"
+        assert [dataset_fingerprint(synthetic_ae_dataset(seed=s)) for s in (1, 2, 3)] == [
+            "d525ff253e327b94", "c90f5766b9f437fb", "a168aca3bdbda412"]
+
     def test_ingest_serialize_ingest_identity(self, tmp_path):
         data = aml_dataset()
         path = tmp_path / "roundtrip.csv"
         path.write_text(serialize(data), encoding="utf-8")
         again = ingest(path)
-        assert again == data
+        assert_same_columns(again, data)
         assert serialize(again) == serialize(data)
 
     def test_synthetic_round_trip(self):
         data = synthetic_ae_dataset(seed=321)
-        assert parse_dataset(serialize(data)) == data
+        assert_same_columns(parse_dataset(serialize(data)), data)
 
     def test_fingerprint_tracks_content(self):
         a = synthetic_ae_dataset(seed=1)
@@ -196,18 +234,18 @@ class TestSyntheticAe:
         data = synthetic_ae_dataset(n_studies=25, seed=7)
         assert len(data) == 25
         assert data.covariate_names == ("drug", "drug_class", "study")
-        drugs = {o.covariates[0] for o in data}
+        drugs = set(data.columns.covariates[:, 0].tolist())
         assert drugs == {0.0, 1.0, 2.0, 3.0, 4.0}
-        assert all(o.trials is not None and o.trials >= 30 for o in data)
+        assert all(trials >= 30 for trials in data.columns.trials.tolist())
 
     def test_censoring_encoding(self):
         data = synthetic_ae_dataset(n_studies=60, seed=7)
-        censored = [data.observations[i] for i in data.censored_indices]
+        censored = [spec for spec in outcome_specs(data) if spec[0] != "none"]
         assert censored, "expected some censored studies at this size"
-        for obs in censored:
-            assert isinstance(obs.outcome, LeftCensored)
+        for censor, cut in censored:
+            assert censor == "left"
             # cutoffs are 2..5, encoded as count <= cutoff - 1
-            assert obs.outcome.cut in (1.0, 2.0, 3.0, 4.0)
+            assert cut in (1.0, 2.0, 3.0, 4.0)
 
     def test_deterministic(self):
         assert serialize(synthetic_ae_dataset(seed=4)) == serialize(
@@ -376,6 +414,28 @@ class TestCliErrors:
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["fit", "--config", str(path)]) == 2
         assert repr(column) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header,fragment", [
+        ("group,group", "line 1, column 'group': duplicate column name 'group'"),
+        ("group,outcome", "line 1, column 'outcome': duplicate column name 'outcome'"),
+        (",group", "line 1: column 6 has no name"),
+    ])
+    def test_ambiguous_dataset_header_is_validation_error(self, tmp_path, capsys,
+                                                          header, fragment):
+        """The model binds a covariate by name, so each name must pick one column."""
+        dataset = tmp_path / "d.csv"
+        rows = [f"{t},none,,,,{g},{g}" for t, g in ((4, 1), (9, 0), (13, 1))]
+        dataset.write_text("\n".join([f"{HEADER},{header}", *rows]) + "\n",
+                           encoding="utf-8")
+        path = _write_config(tmp_path, {
+            "dataset": str(dataset),
+            "model": {"family": "survival-exponential"},
+            "chains": {"n_chains": 1, "burn_in": 10, "n_keep": 10, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["exact", "dinterval"])
     @pytest.mark.parametrize("row,column", [
@@ -742,7 +802,7 @@ class TestCliOutOfSupport:
     ])
     def test_binomial(self, tmp_path, capsys, mode, cells, column):
         data = synthetic_ae_dataset(n_studies=10, seed=6)
-        above = repr(float(data.observations[4].trials + 1))
+        above = repr(float(data.columns.trials[4] + 1))
         cells = {k: v.replace("{trials_plus_1}", above) for k, v in cells.items()}
         dataset = _edited_dataset(tmp_path, data, 4, cells)
         path = _write_config(tmp_path, {

@@ -27,18 +27,7 @@ from censdev.exceptions import (
     NumericError,
     SchemaError,
 )
-from censdev.likelihood import (
-    CensoredDataset,
-    IntervalCensored,
-    LeftCensored,
-    Observation,
-    Observed,
-    RightCensored,
-    censoring_region,
-    deviance,
-    loglik_dinterval_style,
-    loglik_exact,
-)
+from censdev.likelihood import deviance
 from censdev.mcmc import (
     ChainBatch,
     PosteriorSamples,
@@ -51,8 +40,8 @@ from censdev.mcmc import (
 )
 from censdev.models import MODELS, Model, Param
 from censdev.selection import make_selection_report
-from conftest import DuckModel, single_binomial_dataset, tobit_dataset
-from oracle import outcome_families
+from conftest import DuckModel, make_dataset, single_binomial_dataset, tobit_dataset
+from oracle import loglik_dinterval_style, loglik_exact, outcome_families
 
 
 class TestConjugateOracles:
@@ -66,7 +55,7 @@ class TestConjugateOracles:
     def test_gamma_exponential_posterior_mean(self, conjugate_ge_run):
         """Gamma(a,b) prior: posterior mean (a+N)/(b+sum y)."""
         model, data, samples = conjugate_ge_run
-        total = sum(o.outcome.value for o in data)
+        total = sum(data.columns.value.tolist())
         oracle = (model.shape + len(data)) / (model.rate + total)
         trace = samples.param("lambda")
         assert abs(trace.mean() - oracle) < 3 * mcse(trace)
@@ -207,7 +196,7 @@ class TestBatching:
             ChainBatch(())
 
     def test_failing_initialization_raises_initialization_error(self):
-        data = CensoredDataset((Observation(Observed(1.0)),))
+        data = make_dataset([("none", 1.0)])
         configs = tuple(ChainConfig(n_chains=2, burn_in=5, n_keep=5, seed=s) for s in (1, 2))
         with pytest.raises(InitializationError):
             run(_HopelessModel(), data, LikelihoodMode.EXACT, ChainBatch(configs))
@@ -256,10 +245,11 @@ def _degenerate_after(monkeypatch, n_draws):
 def _four_kind_survival_dataset():
     """Survival rows of every censor kind; the interval from 0 and the
     left-censored row take the exponential kernels through log(0)."""
-    rows = [(Observed(2.0), 0.0), (Observed(0.7), 1.0), (LeftCensored(1.0), 0.0),
-            (RightCensored(5.0), 1.0), (IntervalCensored(0.0, 3.0), 0.0),
-            (IntervalCensored(1.0, 4.0), 1.0), (Observed(3.5), 1.0)]
-    return CensoredDataset(tuple(Observation(o, covariates=(g,)) for o, g in rows), ("group",))
+    rows = [(("none", 2.0), 0.0), (("none", 0.7), 1.0), (("left", 1.0), 0.0),
+            (("right", 5.0), 1.0), (("interval", 0.0, 3.0), 0.0),
+            (("interval", 1.0, 4.0), 1.0), (("none", 3.5), 1.0)]
+    return make_dataset([o for o, _ in rows], covariates=[(g,) for _, g in rows],
+                        names=("group",))
 
 
 class TestFloatingPointState:
@@ -371,7 +361,7 @@ class TestLatentImputation:
     def test_every_kept_latent_in_its_region(self, aml, survival_runs):
         _, dint = survival_runs
         for k, row in enumerate(dint.latent_rows):
-            lo, hi = censoring_region(aml.observations[row].outcome)
+            lo, hi = aml.columns.lo[row], aml.columns.hi[row]
             col = dint.latent_trace[:, k]
             assert (col >= lo).all() and (col <= hi).all()
 
@@ -397,7 +387,7 @@ class _HopelessModel(DuckModel):
 
 class TestInitialization:
     def test_initialization_error_after_retries(self):
-        data = CensoredDataset((Observation(Observed(1.0)),))
+        data = make_dataset([("none", 1.0)])
         with pytest.raises(InitializationError):
             run(_HopelessModel(), data, LikelihoodMode.EXACT,
                 ChainConfig(n_chains=1, burn_in=10, n_keep=10, seed=0))
@@ -507,7 +497,7 @@ class TestLevelBlocks:
             assert abs(trace.mean() - oracle) < 5 * mcse(trace), s
 
     def test_levels_sharing_a_row_are_rejected(self):
-        data = CensoredDataset((Observation(Observed(3.0), trials=10),))
+        data = make_dataset([("none", 3.0)], trials=[10])
         with pytest.raises(SchemaError, match="^shared-levels: levels share rows"):
             run(_SharedLevels(), data, LikelihoodMode.EXACT,
                 ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
@@ -515,7 +505,7 @@ class TestLevelBlocks:
     def test_levels_read_by_another_prior_term_are_rejected(self):
         """A joint term over the levels cannot be split into one change per
         level, so they cannot move as a block."""
-        data = CensoredDataset((Observation(Observed(3.0), trials=10),))
+        data = make_dataset([("none", 3.0)], trials=[10])
         with pytest.raises(SchemaError, match="^level-reader: a prior term beside the level"):
             run(_LevelReader(), data, LikelihoodMode.EXACT,
                 ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))

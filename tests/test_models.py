@@ -16,26 +16,19 @@ from censdev import ChainConfig, LikelihoodMode, aml_dataset, run
 from censdev.datasets import AE_COVARIATES, synthetic_ae_dataset
 from censdev.distributions import Binomial, Exponential, Normal
 from censdev.exceptions import SchemaError
-from censdev.likelihood import (
-    CensoredDataset,
-    Observation,
-    Observed,
-    RightCensored,
-    exact_contributions,
-    loglik_exact,
-)
+from censdev.likelihood import exact_contributions
 from censdev.models import MODELS, Model
-from oracle import log_posterior_unnorm, outcome_families, outcome_family
+from conftest import censored_rows, make_dataset, subset
+from oracle import log_posterior_unnorm, loglik_exact, outcome_families, outcome_family
 
 
-def _binomial_obs(count, trials, drug, study):
+def _binomial_row(count, trials, drug, study):
+    """A one-row adverse-event dataset."""
     from censdev.datasets import DRUG_CLASSES
 
-    return Observation(
-        Observed(float(count)),
-        covariates=(float(drug), float(DRUG_CLASSES[drug]), float(study)),
-        trials=trials,
-    )
+    return make_dataset([("none", float(count))],
+                        covariates=[(drug, DRUG_CLASSES[drug], study)],
+                        trials=[trials], names=AE_COVARIATES)
 
 
 @pytest.fixture(scope="module")
@@ -47,18 +40,16 @@ def _ae_rows(n_drugs=5, n_studies=None):
     """A small adverse-event dataset: drug codes 0..n_drugs-1, both drug
     classes, study codes 0..n_studies-1 (one per row when None)."""
     n = max(n_drugs, n_studies or 2, 2)
-    return CensoredDataset(
-        tuple(
-            Observation(Observed(1.0), trials=10, covariates=(
-                float(i % n_drugs), float(i % 2), float(i % (n_studies or n))))
-            for i in range(n)
-        ),
-        AE_COVARIATES,
+    return make_dataset(
+        [("none", 1.0)] * n,
+        covariates=[(i % n_drugs, i % 2, i % (n_studies or n)) for i in range(n)],
+        trials=[10] * n,
+        names=AE_COVARIATES,
     )
 
 
 def _glm_rows(n_covariates):
-    return CensoredDataset((Observation(Observed(0.0), covariates=(0.0,) * n_covariates),))
+    return make_dataset([("none", 0.0)], covariates=[(0.0,) * n_covariates])
 
 
 def _model(name, data, **hyperparameters):
@@ -226,6 +217,19 @@ class TestStackedPriors:
             lp = _model("D", _ae_rows(n_drugs=2)).log_prior(stack)
             assert lp[0] == -math.inf and np.isfinite(lp[1])
 
+    @pytest.mark.parametrize("name", ["C", "D", "E", "F"])
+    def test_scale_whose_square_underflows_is_outside_the_support(self, name):
+        """At such a scale 1/scale^2 is inf; the level terms are -inf, as at
+        zero, not NaN, and no floating-point warning leaks."""
+        model = _model(name, _ae_rows(n_drugs=2))
+        theta = np.array([0.5 if name == "C" else 0.0, 4.2e-278, 0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            levels = model.level_log_prior(theta)
+            assert (levels == -math.inf).all(), levels
+            assert model.log_prior(theta) == -math.inf
+            assert (model.log_prior(np.stack([theta, theta])) == -math.inf).all()
+
 
 def _entry(name):
     spec = MODELS[name]
@@ -234,9 +238,9 @@ def _entry(name):
     return _survival() if spec.family is Exponential else _model(name, _glm_rows(2))
 
 
-# Values inside and outside every support: zero and negative scales,
-# probabilities at and beyond 0 and 1.
-_component = st.one_of(st.sampled_from([0.0, 1.0, -0.5, 1.5, 1e-3, 0.999]),
+# Values inside and outside every support: zero and negative scales, a
+# scale whose square underflows, probabilities at and beyond 0 and 1.
+_component = st.one_of(st.sampled_from([0.0, 1.0, -0.5, 1.5, 1e-3, 0.999, 4.2e-278]),
                        st.floats(-3.0, 3.0))
 
 
@@ -262,14 +266,13 @@ class TestPriorTerms:
                 before, after = term.log_density(theta), term.log_density(moved)
                 assert before.shape == (k,)
                 if j not in term.reads:
-                    assert np.array_equal(before, after, equal_nan=True), term.reads
+                    assert np.array_equal(before, after), term.reads
             values = [term.log_density(theta) for term in model.prior_terms]
             if model.levels:
                 levels, levels_moved = model.level_log_prior(theta), model.level_log_prior(moved)
                 for position, level in enumerate(model.levels):
                     if j != level and j not in model.level_reads:
-                        assert np.array_equal(levels[:, position], levels_moved[:, position],
-                                              equal_nan=True)
+                        assert np.array_equal(levels[:, position], levels_moved[:, position])
                 values.append(levels.sum(axis=1))
             lp = model.log_prior(theta)
         total = np.sum(values, axis=0)
@@ -280,36 +283,36 @@ class TestPriorTerms:
 class TestOutcomeConstruction:
     def test_survival_identity_rate(self):
         model = _survival()
-        obs = Observation(Observed(1.0), covariates=(1.0,))
-        fam = outcome_family(model, np.zeros(2), obs)
+        cols = make_dataset([("none", 1.0)], covariates=[(1.0,)]).columns
+        fam = outcome_family(model, np.zeros(2), cols, 0)
         assert isinstance(fam, Exponential)
         assert fam.rate == pytest.approx(1.0)
 
     def test_survival_group_rate(self):
         model = _survival()
-        obs = Observation(Observed(1.0), covariates=(1.0,))
-        fam = outcome_family(model, np.array([0.3, -1.2]), obs)
+        cols = make_dataset([("none", 1.0)], covariates=[(1.0,)]).columns
+        fam = outcome_family(model, np.array([0.3, -1.2]), cols, 0)
         assert fam.rate == pytest.approx(math.exp(0.3 - 1.2), rel=1e-12)
 
     @pytest.mark.parametrize("variant", ["D", "F"])
     def test_zero_linear_predictor_gives_half(self, variant):
         model = _model(variant, _ae_rows())
         theta = np.zeros(len(model.params))
-        obs = _binomial_obs(3, 20, drug=2, study=0)
-        fam = outcome_family(model, theta, obs)
+        cols = _binomial_row(3, 20, drug=2, study=0).columns
+        fam = outcome_family(model, theta, cols, 0)
         assert isinstance(fam, Binomial)
         assert fam.prob == pytest.approx(0.5)
 
     def test_cloglog_variant_uses_its_link(self):
         model = _model("E", _ae_rows())
         theta = np.zeros(len(model.params))
-        fam = outcome_family(model, theta, _binomial_obs(3, 20, 1, 0))
+        fam = outcome_family(model, theta, _binomial_row(3, 20, 1, 0).columns, 0)
         assert fam.prob == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
 
     def test_normal_glm_mean(self):
         model = _model("censored-normal-glm", _glm_rows(2))
-        obs = Observation(Observed(0.0), covariates=(2.0, -1.0))
-        fam = outcome_family(model, np.array([0.5, 1.0, 2.0, 0.5]), obs)
+        cols = make_dataset([("none", 0.0)], covariates=[(2.0, -1.0)]).columns
+        fam = outcome_family(model, np.array([0.5, 1.0, 2.0, 0.5]), cols, 0)
         assert isinstance(fam, Normal)
         assert fam.mean == pytest.approx(0.5 + 2.0 - 2.0)
         assert fam.precision == pytest.approx(4.0)
@@ -330,7 +333,7 @@ class TestSchemas:
 
 class TestLogPosterior:
     def test_flat_prior_equals_loglik(self):
-        data = CensoredDataset((_binomial_obs(4, 10, 0, 0),))
+        data = _binomial_row(4, 10, 0, 0)
         model = _model("A", data, beta_shapes=(1.0, 1.0))
         theta = np.array([0.37])
         expected = loglik_exact(data, outcome_families(model, theta, data))
@@ -339,13 +342,13 @@ class TestLogPosterior:
         )
 
     def test_outside_support_is_neg_inf(self):
-        data = CensoredDataset((_binomial_obs(4, 10, 0, 0),))
+        data = _binomial_row(4, 10, 0, 0)
         model = _model("A", data)
         assert log_posterior_unnorm(model, np.array([1.2]), data) == -math.inf
 
     def test_a_stack_of_parameter_vectors_is_rejected(self):
         """The priors take stacks; the scalar posterior takes one vector."""
-        data = CensoredDataset((_binomial_obs(4, 10, 0, 0),))
+        data = _binomial_row(4, 10, 0, 0)
         model = _model("A", data)
         with pytest.raises(SchemaError):
             log_posterior_unnorm(model, np.array([[0.3], [0.4]]), data)
@@ -356,18 +359,16 @@ class TestLogPosterior:
         model = _model("survival-exponential", aml)
         theta = np.array([-3.1, -0.9])
         dists = outcome_families(model, theta, aml)
-        contribs = exact_contributions(aml, dists)
-        latents = {
-            i: aml.observations[i].outcome.cut for i in aml.censored_indices
-        }
+        contribs = exact_contributions(aml, model.family,
+                                       model.row_params(theta, aml.columns))
+        rows = censored_rows(aml)
+        latents = {i: aml.columns.lo[i] for i in rows}
         exact = log_posterior_unnorm(model, theta, aml, LikelihoodMode.EXACT)
         dint = log_posterior_unnorm(
             model, theta, aml, LikelihoodMode.DINTERVAL, latents
         )
-        censored_sum = sum(contribs[i] for i in aml.censored_indices)
-        latent_sum = sum(
-            dists[i].log_pdf(latents[i]) for i in aml.censored_indices
-        )
+        censored_sum = contribs[rows].sum()
+        latent_sum = sum(dists[i].log_pdf(latents[i]) for i in rows)
         assert exact - dint == pytest.approx(censored_sum - latent_sum, rel=1e-10)
 
     def test_latents_required_iff_dinterval(self, aml):
@@ -387,12 +388,9 @@ class TestIdentifiability:
         the posterior mode matches events / total time within 2% at 1e5
         draws.  The mode is estimated by the highest-posterior kept draw,
         which converges much faster than a smoothed-density peak."""
-        observed_rows = tuple(
-            aml.observations[i] for i in aml.observed_indices
-        )
-        data = CensoredDataset(observed_rows, aml.covariate_names)
-        groups = np.array([o.covariates[0] for o in data])
-        times = np.array([o.outcome.value for o in data])
+        data = subset(aml, np.flatnonzero(~np.isnan(aml.columns.value)))
+        groups = data.columns.covariates[:, 0]
+        times = data.columns.value
         mle = {
             g: (groups == g).sum() / times[groups == g].sum() for g in (0.0, 1.0)
         }
@@ -427,13 +425,13 @@ class TestIdentifiability:
 
     def test_normal_glm_smoke_with_censoring(self):
         rng = np.random.default_rng(8)
-        rows = []
+        outcomes, xs = [], []
         for _ in range(30):
             x = float(rng.normal())
             y = 1.0 + 0.5 * x + rng.normal(scale=0.8)
-            outcome = RightCensored(2.0) if y > 2.0 else Observed(y)
-            rows.append(Observation(outcome, covariates=(x,)))
-        data = CensoredDataset(tuple(rows), ("x",))
+            outcomes.append(("right", 2.0) if y > 2.0 else ("none", y))
+            xs.append((x,))
+        data = make_dataset(outcomes, covariates=xs, names=("x",))
         model = _model("censored-normal-glm", data)
         config = ChainConfig(n_chains=1, burn_in=1500, n_keep=1500, seed=4)
         samples = run(model, data, LikelihoodMode.EXACT, config)

@@ -12,10 +12,10 @@ from censdev.exceptions import (
     DataError,
     InsufficientReplicationError,
 )
-from censdev.likelihood import CensoredDataset, Observation, Observed, deviance
+from censdev.likelihood import deviance
 from censdev.mcmc import PosteriorSamples
 from censdev.models import MODELS, Model
-from conftest import DuckModel
+from conftest import DuckModel, make_dataset
 from oracle import outcome_families, outcome_family
 from censdev.selection import (
     SelectionReport,
@@ -74,13 +74,13 @@ class TestDbar:
 class TestPd:
     def test_degenerate_posterior_gives_zero(self):
         """All draws identical: Dbar equals the plug-in deviance exactly."""
-        data = CensoredDataset((Observation(Observed(7.0), trials=20),))
+        data = make_dataset([("none", 7.0)], trials=[20])
         model = Model(MODELS["A"], data)
         p = 0.35
         dev = deviance(
             sum(
-                f.log_pdf(o.outcome.value)
-                for f, o in zip(outcome_families(model, [p], data), data)
+                f.log_pdf(y)
+                for f, y in zip(outcome_families(model, [p], data), data.columns.value)
             )
         )
         draws = np.full((50, 1), p)
@@ -95,7 +95,7 @@ class TestPd:
 
 class TestPopt:
     def test_degenerate_posterior_gives_zero(self):
-        data = CensoredDataset((Observation(Observed(7.0), trials=20),))
+        data = make_dataset([("none", 7.0)], trials=[20])
         model = Model(MODELS["A"], data)
         draws = np.full((40, 1), 0.35)
         trace = np.full(40, 1.0)
@@ -130,7 +130,7 @@ class TestPopt:
             compute_popt_ped(samples_a, samples_a, model, data)
 
     def test_same_seed_runs_rejected(self):
-        data = CensoredDataset((Observation(Observed(7.0), trials=20),))
+        data = make_dataset([("none", 7.0)], trials=[20])
         model = Model(MODELS["A"], data)
         a = _samples_from_draws(np.full((10, 1), 0.3), np.ones(10), seed=5)
         b = _samples_from_draws(np.full((10, 1), 0.3), np.ones(10), seed=5)
@@ -178,16 +178,16 @@ class TestReports:
                 mean = theta[..., 0:1] * theta[..., 1:2]
                 return mean, np.ones_like(mean)
 
-            def outcome_family(self, theta, obs):
+            def outcome_family(self, theta):
                 return Normal(mean=float(theta[0] * theta[1]), precision=1.0)
 
         model = ProductMeanModel()
-        data = CensoredDataset((Observation(Observed(1.0)),))
+        data = make_dataset([("none", 1.0)])
         # Every draw sits on the ridge a*b = 1; their componentwise mean does not.
         draws = np.array([[0.5, 2.0], [2.0, 0.5]] * 20)
         devs = np.array(
             [
-                deviance(model.outcome_family(theta, data.observations[0]).log_pdf(1.0))
+                deviance(model.outcome_family(theta).log_pdf(1.0))
                 for theta in draws
             ]
         )
@@ -218,12 +218,9 @@ class TestMonotoneDataEffect:
     def test_adding_observed_row_adds_pointwise_deviance(self):
         """At fixed draws, Dbar is additive over rows; discrete rows can only
         increase it because their pointwise deviance is nonnegative."""
-        base = CensoredDataset(
-            tuple(Observation(Observed(float(y)), trials=30) for y in (3, 5, 2))
-        )
+        base = make_dataset([("none", float(y)) for y in (3, 5, 2)], trials=[30] * 3)
         model = Model(MODELS["A"], base)
-        extended = CensoredDataset(base.observations +
-                                   (Observation(Observed(4.0), trials=30),))
+        extended = make_dataset([("none", float(y)) for y in (3, 5, 2, 4)], trials=[30] * 4)
         rng = np.random.default_rng(0)
         draws = rng.uniform(0.05, 0.4, size=25)
 
@@ -231,8 +228,9 @@ class TestMonotoneDataEffect:
             devs = [
                 deviance(
                     sum(
-                        f.log_pdf(o.outcome.value)
-                        for f, o in zip(outcome_families(model, [p], data), data)
+                        f.log_pdf(y)
+                        for f, y in zip(outcome_families(model, [p], data),
+                                        data.columns.value)
                     )
                 )
                 for p in draws
@@ -240,7 +238,7 @@ class TestMonotoneDataEffect:
             return compute_dbar(np.array(devs))
 
         def pointwise_new(p):
-            fam = outcome_family(model, [p], extended.observations[-1])
+            fam = outcome_family(model, [p], extended.columns, 3)
             return deviance(fam.log_pdf(4.0))
 
         added = np.mean([pointwise_new(p) for p in draws])

@@ -2,8 +2,8 @@
 ``Family`` kernels it replaced in the sampler and the selection layer.
 
 * ``Family.log_contrib`` over a dataset's columns equals the per-row
-  ``exact_contribution`` on randomized rows of every outcome family and
-  censor kind.
+  ``oracle.exact_contribution`` on randomized rows of every outcome family
+  and censor kind.
 * Each model's ``row_params`` equals the scalar ``oracle.outcome_family``
   at extreme parameter values, where the rate, probability and link clamps
   act.
@@ -19,27 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from censdev import ChainConfig, LikelihoodMode, aml_dataset, selection
-from censdev.distributions import Binomial, Exponential, Normal, bernoulli_kl, kl_divergence
-from censdev.likelihood import (
-    CensoredDataset,
-    IntervalCensored,
-    LeftCensored,
-    Observation,
-    Observed,
-    RightCensored,
-    censoring_region,
-    exact_contribution,
-)
+from censdev.distributions import Exponential, bernoulli_kl, kl_divergence
+from censdev.likelihood import KIND_OBSERVED
 from censdev.mcmc import PosteriorSamples
 from censdev.models import MODELS, Model
 from censdev.selection import compute_popt_ped
-from conftest import random_dataset
-from oracle import outcome_family
+from conftest import FIELDS, family_params, make_dataset, outcome_specs, random_dataset
+from oracle import exact_contribution, outcome_family
 
 KERNEL_RTOL = 1e-12
 POPT_RTOL = 1e-10
-
-FIELDS = {Exponential: ("rate",), Normal: ("mean", "precision"), Binomial: ("trials", "prob")}
 
 
 @pytest.fixture(autouse=True)
@@ -60,53 +49,41 @@ def _assert_close(vector, scalar, rtol):
     assert (same_inf | close).all(), (vector, scalar)
 
 
-def _family_params(families):
-    cls = type(families[0])
-    return tuple(np.array([getattr(f, name) for f in families]) for name in FIELDS[cls])
-
-
 class TestLogContribMatchesScalarKernels:
     @given(seed=st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=300, derandomize=True, deadline=None)
     def test_random_rows_every_family_and_censor_kind(self, seed):
         rng = np.random.default_rng(seed)
-        data, families = random_dataset(rng, max_rows=12)
-        for cls in FIELDS:
-            rows = [i for i, f in enumerate(families) if type(f) is cls]
-            if not rows:
-                continue
-            subset = CensoredDataset(tuple(data.observations[i] for i in rows))
-            fams = [families[i] for i in rows]
-            scalar = [exact_contribution(f, o.outcome) for f, o in zip(fams, subset)]
-            vector = cls.log_contrib(subset.columns, *_family_params(fams))
-            _assert_close(vector, scalar, KERNEL_RTOL)
-            # A block taken in another order scores the same rows the same way.
-            order = rng.permutation(len(rows))
-            block = subset.columns.take(order)
-            params = tuple(p[order] for p in _family_params(fams))
-            _assert_close(cls.log_contrib(block, *params), np.array(scalar)[order],
-                          KERNEL_RTOL)
+        data, fams = random_dataset(rng, max_rows=12)
+        cls, params = family_params(fams)
+        scalar = [exact_contribution(f, data.columns, i) for i, f in enumerate(fams)]
+        vector = cls.log_contrib(data.columns, *params)
+        _assert_close(vector, scalar, KERNEL_RTOL)
+        # A block taken in another order scores the same rows the same way.
+        order = rng.permutation(len(fams))
+        block = data.columns.take(order)
+        _assert_close(cls.log_contrib(block, *(p[order] for p in params)),
+                      np.array(scalar)[order], KERNEL_RTOL)
 
     def test_all_four_censor_kinds_are_generated(self):
         rng = np.random.default_rng(0)
-        kinds = set()
+        kinds, families = set(), set()
         for _ in range(200):
-            data, _ = random_dataset(rng)
-            kinds |= {type(o.outcome) for o in data}
-        assert kinds == {Observed, LeftCensored, RightCensored, IntervalCensored}
+            data, fams = random_dataset(rng)
+            kinds |= {spec[0] for spec in outcome_specs(data)}
+            families.add(type(fams[0]))
+        assert kinds == {"none", "left", "right", "interval"}
+        assert families == set(FIELDS)
 
     def test_draws_axis_broadcasts(self):
-        data = CensoredDataset((
-            Observation(Observed(1.5)),
-            Observation(LeftCensored(0.2)),
-            Observation(RightCensored(2.0)),
-            Observation(IntervalCensored(0.5, 3.0)),
-        ))
+        data = make_dataset([("none", 1.5), ("left", 0.2), ("right", 2.0),
+                             ("interval", 0.5, 3.0)])
         rates = np.array([[0.3], [1.0], [4.0]])
         vector = Exponential.log_contrib(data.columns, rates)
         assert vector.shape == (3, 4)
         for d, rate in enumerate(rates[:, 0]):
-            scalar = [exact_contribution(Exponential(rate), o.outcome) for o in data]
+            scalar = [exact_contribution(Exponential(rate), data.columns, i)
+                      for i in range(len(data))]
             _assert_close(vector[d], scalar, KERNEL_RTOL)
 
 
@@ -119,20 +96,18 @@ def _ae_dataset():
     """Rows of every censor kind, with Binomial tails deep enough that
     betainc underflows and the kernels sum terms instead."""
     rows = (
-        (Observed(3.0), 50, 0, 0),
-        (LeftCensored(4.0), 800, 1, 0),
-        (RightCensored(300.0), 800, 2, 1),
-        (IntervalCensored(2.0, 6.0), 100, 3, 1),
-        (Observed(0.0), 30, 4, 1),
-        (LeftCensored(1.0), 200, 0, 0),
+        (("none", 3.0), 50, 0, 0),
+        (("left", 4.0), 800, 1, 0),
+        (("right", 300.0), 800, 2, 1),
+        (("interval", 2.0, 6.0), 100, 3, 1),
+        (("none", 0.0), 30, 4, 1),
+        (("left", 1.0), 200, 0, 0),
     )
-    return CensoredDataset(
-        tuple(
-            Observation(outcome, covariates=(float(drug), float(cls), float(study)),
-                        trials=trials)
-            for study, (outcome, trials, drug, cls) in enumerate(rows)
-        ),
-        ("drug", "drug_class", "study"),
+    return make_dataset(
+        [outcome for outcome, *_ in rows],
+        covariates=[(drug, cls, study) for study, (_, _, drug, cls) in enumerate(rows)],
+        trials=[trials for _, trials, _, _ in rows],
+        names=("drug", "drug_class", "study"),
     )
 
 
@@ -141,12 +116,12 @@ def _check_model_at(model, data, theta):
     params = np.broadcast_arrays(*model.row_params(theta, cols), cols.lo)[:-1]
     fields = FIELDS[model.family]
     scalar_contribs = []
-    for i, obs in enumerate(data):
-        family = outcome_family(model, np.asarray(theta, dtype=float), obs)
+    for i in range(len(data)):
+        family = outcome_family(model, np.asarray(theta, dtype=float), cols, i)
         assert type(family) is model.family
         for name, array in zip(fields, params):
             _assert_close(array[i], getattr(family, name), KERNEL_RTOL)
-        scalar_contribs.append(exact_contribution(family, obs.outcome))
+        scalar_contribs.append(exact_contribution(family, cols, i))
     vector = model.family.log_contrib(cols, *model.row_params(theta, cols))
     _assert_close(vector, scalar_contribs, KERNEL_RTOL)
 
@@ -164,12 +139,10 @@ class TestParameterMapsAtExtremes:
     @pytest.mark.parametrize("sigma", [1e-300, 1e-6, 1.0, 1e6])
     def test_normal_glm_mean_and_sigma_clamp(self, eta, sigma):
         rng = np.random.default_rng(3)
-        outcomes = (Observed(0.3), LeftCensored(-1.0), RightCensored(2.0),
-                    IntervalCensored(-0.5, 0.5), Observed(-2.0))
-        data = CensoredDataset(
-            tuple(Observation(o, covariates=tuple(rng.normal(size=2))) for o in outcomes),
-            ("x1", "x2"),
-        )
+        outcomes = [("none", 0.3), ("left", -1.0), ("right", 2.0),
+                    ("interval", -0.5, 0.5), ("none", -2.0)]
+        data = make_dataset(outcomes, covariates=[rng.normal(size=2) for _ in outcomes],
+                            names=("x1", "x2"))
         _check_model_at(Model(MODELS["censored-normal-glm"], data), data,
                         np.array([eta, 0.5 * eta, -1.0, sigma]))
 
@@ -197,16 +170,14 @@ class TestParameterMapsAtExtremes:
     def test_deep_tail_fallback_is_exercised(self):
         data = _ae_dataset()
         model = Model(MODELS["A"], data)
+        cols = data.columns
+        censored = np.flatnonzero(cols.kind != KIND_OBSERVED)
         for p in (1e-12, 1.0 - 1e-12):
-            fams = [outcome_family(model, np.array([p]), o) for o in data]
-            cdf_args = [
-                (f, o.outcome) for f, o in zip(fams, data)
-                if not isinstance(o.outcome, Observed)
-            ]
             # At least one censored row sits beyond betainc's range.
             assert any(
-                exact_contribution(f, outcome) < math.log(1e-290)
-                for f, outcome in cdf_args
+                exact_contribution(outcome_family(model, np.array([p]), cols, i), cols, i)
+                < math.log(1e-290)
+                for i in censored
             )
 
 
@@ -232,20 +203,21 @@ def _samples(draws, model, seed):
 
 def _popt_reference(model, data, draws_a, draws_b):
     p_opt = 0.0
-    for obs in data:
+    cols = data.columns
+    for i in range(len(data)):
         ksym, log_w = [], []
         for theta_a, theta_b in zip(draws_a, draws_b):
-            fam_a = outcome_family(model, theta_a, obs)
-            fam_b = outcome_family(model, theta_b, obs)
-            if isinstance(obs.outcome, Observed):
+            fam_a = outcome_family(model, theta_a, cols, i)
+            fam_b = outcome_family(model, theta_b, cols, i)
+            if cols.kind[i] == KIND_OBSERVED:
                 ksym.append(kl_divergence(fam_a, fam_b) + kl_divergence(fam_b, fam_a))
             else:
-                lo, hi = censoring_region(obs.outcome)
+                lo, hi = float(cols.lo[i]), float(cols.hi[i])
                 p_a = math.exp(fam_a.log_interval_prob(lo, hi))
                 p_b = math.exp(fam_b.log_interval_prob(lo, hi))
                 ksym.append(bernoulli_kl(p_a, p_b) + bernoulli_kl(p_b, p_a))
-            log_w.append(-(exact_contribution(fam_a, obs.outcome)
-                           + exact_contribution(fam_b, obs.outcome)))
+            log_w.append(-(exact_contribution(fam_a, cols, i)
+                           + exact_contribution(fam_b, cols, i)))
         log_w = np.array(log_w)
         weights = np.exp(log_w - log_w.max())
         p_opt += float(weights @ np.array(ksym) / weights.sum())
@@ -254,15 +226,15 @@ def _popt_reference(model, data, draws_a, draws_b):
 
 def _popt_cases():
     rng = np.random.default_rng(11)
-    rows = []
+    outcomes, xs = [], []
     for _ in range(12):
         x = rng.normal(size=2)
         y = 1.0 + x @ [0.8, -0.5] + 1.2 * rng.normal()
         kind = rng.integers(4)
-        outcome = (Observed(y), LeftCensored(y + 0.5), RightCensored(y - 0.5),
-                   IntervalCensored(y - 0.4, y + 0.3))[kind]
-        rows.append(Observation(outcome, covariates=tuple(x)))
-    tobit = CensoredDataset(tuple(rows), ("x1", "x2"))
+        outcomes.append((("none", y), ("left", y + 0.5), ("right", y - 0.5),
+                         ("interval", y - 0.4, y + 0.3))[kind])
+        xs.append(x)
+    tobit = make_dataset(outcomes, covariates=xs, names=("x1", "x2"))
     glm = Model(MODELS["censored-normal-glm"], tobit)
     glm_draws = lambda: np.column_stack([
         rng.normal([1.0, 0.8, -0.5], 0.2, size=(40, 3)),
