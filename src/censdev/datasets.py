@@ -27,8 +27,8 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
+from . import _special
 from .exceptions import ParseError
 from .likelihood import KIND_LEFT, KIND_OBSERVED, KIND_RIGHT, CensoredDataset
 
@@ -236,7 +236,7 @@ def synthetic_ae_dataset(
     rng = np.random.default_rng(seed)
     n_drugs = len(drug_effects)
     base = math.log(base_incidence) - math.log1p(-base_incidence)
-    incidences = expit(base + np.asarray(drug_effects))
+    incidences = _special.expit(base + np.asarray(drug_effects))
 
     kind, hi, value, trials, covariates = [], [], [], [], []
     for study in range(n_studies):

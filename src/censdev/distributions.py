@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sc
 
+from . import _special as sc
 from .exceptions import (
     BoundaryError,
     BoundOrderError,
@@ -54,9 +54,6 @@ __all__ = [
     "link_apply",
     "link_invert",
     "clamp_probability",
-    "bernoulli_log_prob",
-    "bernoulli_kl",
-    "kl_divergence",
     "clamp_probability_v",
     "link_invert_v",
     "bernoulli_kl_v",
@@ -778,54 +775,12 @@ def link_invert_v(link: LinkFunction, eta):
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli helpers and predictive divergences
+# Bernoulli predictive divergence
 # ---------------------------------------------------------------------------
 
 
-def bernoulli_log_prob(z: int, p: float) -> float:
-    """log Bernoulli(z; p) with the standard probability clamp applied."""
-    p = clamp_probability(p)
-    return math.log(p) if z == 1 else math.log1p(-p)
-
-
-def bernoulli_kl(p: float, q: float) -> float:
-    """KL(Bernoulli(p) || Bernoulli(q)), both arguments clamped."""
-    p = clamp_probability(p)
-    q = clamp_probability(q)
-    return p * (math.log(p) - math.log(q)) + (1.0 - p) * (
-        math.log1p(-p) - math.log1p(-q)
-    )
-
-
 def bernoulli_kl_v(p, q):
-    """Elementwise :func:`bernoulli_kl`."""
+    """KL(Bernoulli(p) || Bernoulli(q)) elementwise, both arguments clamped."""
     p = clamp_probability_v(p)
     q = clamp_probability_v(q)
     return p * (np.log(p) - np.log(q)) + (1.0 - p) * (np.log1p(-p) - np.log1p(-q))
-
-
-def kl_divergence(f: Family, g: Family) -> float:
-    """KL(f || g) between two kernels of the same family.
-
-    Used by the optimism estimator, which cross-evaluates the per-row
-    predictive distributions at paired posterior draws.
-    """
-    if type(f) is not type(g):
-        raise ParameterError(
-            f"KL divergence requires matching families, got {type(f).__name__} vs {type(g).__name__}"
-        )
-    if isinstance(f, Exponential):
-        r = f.rate / g.rate
-        return math.log(r) + 1.0 / r - 1.0
-    if isinstance(f, Normal):
-        var_f, var_g = 1.0 / f.precision, 1.0 / g.precision
-        return 0.5 * (
-            math.log(var_g / var_f)
-            + (var_f + (f.mean - g.mean) ** 2) / var_g
-            - 1.0
-        )
-    if isinstance(f, Binomial):
-        if f.trials != g.trials:
-            raise ParameterError("binomial KL requires equal trial counts")
-        return f.trials * bernoulli_kl(f.prob, g.prob)
-    raise ParameterError(f"no closed-form KL for family {type(f).__name__}")

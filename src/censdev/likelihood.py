@@ -221,8 +221,24 @@ class LikelihoodMode(Enum):
     DINTERVAL = "dinterval"
 
 
+def _check_params(data: CensoredDataset, params) -> None:
+    """Each of ``params`` must be a scalar or hold one value, or one per row:
+    the row parameters of one parameter vector, not a stack of draws."""
+    n = len(data)
+    for p in params:
+        if np.shape(p) not in ((), (1,), (n,)):
+            raise DataError(f"row parameter of shape {np.shape(p)} for {n} rows; each "
+                            f"needs shape (), (1,) or ({n},)")
+
+
 def exact_contributions(data: CensoredDataset, family: type[Family], params) -> np.ndarray:
-    """Vector of per-row exact log-likelihood contributions."""
+    """Vector of per-row exact log-likelihood contributions.
+
+    Raises :class:`DataError` when a parameter array is not a scalar, a
+    single value or one value per row; every likelihood function here
+    checks its ``params`` this way.
+    """
+    _check_params(data, params)
     with np.errstate(all="ignore"):
         return family.log_contrib(data.columns, *params)
 
@@ -241,6 +257,7 @@ def loglik_bernoulli_reform(data: CensoredDataset, family: type[Family], params)
     clamped to the standard band.  Agrees with :func:`loglik_exact` up to
     floating-point rounding.
     """
+    _check_params(data, params)
     cols = data.columns
     with np.errstate(all="ignore"):
         value, hi, lo_left = family._points(cols, params)
@@ -272,6 +289,7 @@ def loglik_dinterval_style(data: CensoredDataset, family: type[Family], params,
     rows only, which is what the deviance monitor reports when censored
     rows contribute log 1 = 0.
     """
+    _check_params(data, params)
     cols = data.columns
     observed = cols.kind == KIND_OBSERVED
     rows = np.flatnonzero(~observed)

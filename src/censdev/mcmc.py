@@ -50,8 +50,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .exceptions import (
     DataError,
     DegenerateDensityError,
@@ -190,10 +190,11 @@ _TRANSFORMS = {
         lambda x: np.exp(np.minimum(x, 700.0)),
         lambda x: np.minimum(x, 700.0),
     ),
-    # logistic: log v + log(1 - v), stable in both tails
+    # logistic: log v + log(1 - v), stable in both tails.  logit and expit
+    # are looked up per call, so importing this module does not load scipy.
     "unit": (
-        special.logit,
-        special.expit,
+        lambda v: special.logit(v),
+        lambda x: special.expit(x),
         lambda x: -np.logaddexp(0.0, -x) - np.logaddexp(0.0, x),
     ),
 }

@@ -11,6 +11,10 @@ likelihood functions of ``censdev.likelihood``: they take one scalar
 ``Family`` object per row and score the rows one at a time, the reference
 the columnar functions are checked against.  ``log_posterior_unnorm``
 composes them with a model's prior.
+
+``bernoulli_log_prob``, ``bernoulli_kl`` and ``kl_divergence`` are the
+scalar Bernoulli and closed-form KL formulas that the vectorized kernels
+and the optimism estimator are checked against.
 """
 
 from __future__ import annotations
@@ -25,11 +29,10 @@ from censdev.distributions import (
     Exponential,
     Family,
     Normal,
-    bernoulli_log_prob,
     clamp_probability,
     link_invert,
 )
-from censdev.exceptions import DataError, SchemaError
+from censdev.exceptions import DataError, ParameterError, SchemaError
 from censdev.likelihood import (
     KIND_LEFT,
     KIND_OBSERVED,
@@ -234,3 +237,50 @@ def log_posterior_unnorm(
     if latent_values is None:
         raise SchemaError("DINTERVAL mode requires latent values for censored rows")
     return lp + loglik_dinterval_style(data, dists, latent_values).sampler_loglik
+
+
+# ---------------------------------------------------------------------------
+# Scalar Bernoulli helpers and closed-form KL divergences
+# ---------------------------------------------------------------------------
+
+
+def bernoulli_log_prob(z: int, p: float) -> float:
+    """log Bernoulli(z; p) with the standard probability clamp applied."""
+    p = clamp_probability(p)
+    return math.log(p) if z == 1 else math.log1p(-p)
+
+
+def bernoulli_kl(p: float, q: float) -> float:
+    """KL(Bernoulli(p) || Bernoulli(q)), both arguments clamped."""
+    p = clamp_probability(p)
+    q = clamp_probability(q)
+    return p * (math.log(p) - math.log(q)) + (1.0 - p) * (
+        math.log1p(-p) - math.log1p(-q)
+    )
+
+
+def kl_divergence(f: Family, g: Family) -> float:
+    """KL(f || g) between two kernels of the same family.
+
+    The scalar reference for the optimism estimator, which cross-evaluates
+    the per-row predictive distributions at paired posterior draws.
+    """
+    if type(f) is not type(g):
+        raise ParameterError(
+            f"KL divergence requires matching families, got {type(f).__name__} vs {type(g).__name__}"
+        )
+    if isinstance(f, Exponential):
+        r = f.rate / g.rate
+        return math.log(r) + 1.0 / r - 1.0
+    if isinstance(f, Normal):
+        var_f, var_g = 1.0 / f.precision, 1.0 / g.precision
+        return 0.5 * (
+            math.log(var_g / var_f)
+            + (var_f + (f.mean - g.mean) ** 2) / var_g
+            - 1.0
+        )
+    if isinstance(f, Binomial):
+        if f.trials != g.trials:
+            raise ParameterError("binomial KL requires equal trial counts")
+        return f.trials * bernoulli_kl(f.prob, g.prob)
+    raise ParameterError(f"no closed-form KL for family {type(f).__name__}")

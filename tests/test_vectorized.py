@@ -8,7 +8,7 @@
   at extreme parameter values, where the rate, probability and link clamps
   act.
 * ``compute_popt_ped`` equals a per-row, per-draw-pair reference built from
-  ``kl_divergence`` and ``bernoulli_kl``.
+  ``oracle.kl_divergence`` and ``oracle.bernoulli_kl``.
 """
 
 import math
@@ -19,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from censdev import ChainConfig, LikelihoodMode, aml_dataset, selection
-from censdev.distributions import Exponential, bernoulli_kl, kl_divergence
+from censdev.distributions import Exponential
 from censdev.likelihood import KIND_OBSERVED
 from censdev.mcmc import PosteriorSamples
 from censdev.models import MODELS, Model
 from censdev.selection import compute_popt_ped
 from conftest import FIELDS, family_params, make_dataset, outcome_specs, random_dataset
-from oracle import exact_contribution, outcome_family
+from oracle import bernoulli_kl, exact_contribution, kl_divergence, outcome_family
 
 KERNEL_RTOL = 1e-12
 POPT_RTOL = 1e-10

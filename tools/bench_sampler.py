@@ -19,16 +19,16 @@ It writes one JSON file with:
   at reference host speed: the ``perfbench/hostspeed.py`` slices come
   every 0.1 s, too seldom to rescale runs of 0.03-0.3 s);
 * ``perfbench``: ``perfbench/run.py --trace 0`` in both checkouts, one
-  pair per workload and seed (ae-compare at seeds 1-10, survival-aml and
-  tobit-large at seeds 1-3), the side that runs first alternating from
-  pair to pair: ``wall_s``, ``setup_s``, ``peak_rss_mb``, ``fail_rate``
-  and the artifact digests;
+  pair per workload and seed (ae-compare and survival-aml at seeds 1-10,
+  tobit-large and trace-export at seeds 1-3), the side that runs first
+  alternating from pair to pair: ``wall_s``, ``setup_s``, ``peak_rss_mb``,
+  ``fail_rate`` and the artifact digests;
 * ``traced``: ``perfbench/run.py --trace 1`` for ae-compare at seed 1 in
   both checkouts: ``models.log_prior_calls`` and
   ``mcmc.us_per_sweep.exact``;
 * ``host``: CPU, core count and Python/numpy/scipy versions.
 
-The 34 perfbench runs take about 25 s each, about 15 minutes in all.
+The 54 perfbench runs take about 25 s each, about 25 minutes in all.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 10
 # Workload -> the seeds of its perfbench pairs.
-PAIRS = {"ae-compare": range(1, 11), "survival-aml": range(1, 4), "tobit-large": range(1, 4)}
+PAIRS = {"ae-compare": range(1, 11), "survival-aml": range(1, 11),
+         "tobit-large": range(1, 4), "trace-export": range(1, 4)}
 TRACED = ("models.log_prior_calls", "mcmc.us_per_sweep.exact")
 # The config file each workload's set-up writes beside its inputs.
 CONFIGS = {"survival-aml": "fit_exact.json", "ae-compare": "compare.json",
