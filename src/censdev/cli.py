@@ -216,13 +216,19 @@ def _read_samples_csv(path: Path) -> tuple[list[str], np.ndarray]:
     per-line and per-cell strings never outgrow one block.  A block ends just
     after a "\\n": every ``str.splitlines`` separator, "\\r\\n" included, then
     stays inside one block, and the blocks' lines are the file's lines.
+
+    numpy's C reader parses a block's lines with the conversion ``float()``
+    uses, bit for bit.  It gets the split lines, not the text, as it takes a
+    "\\x0b" line break for whitespace, and ``comments=None``, as it would cut
+    "1#x" to 1.  A block it refuses goes through ``float()`` per cell, which
+    also takes "1_0" and non-ASCII digits.
     """
     text = read_utf8(path)
     if not text:
         raise ValidationError(f"{path}: empty samples file")
     names = None
     parts = []
-    n_rows = start = 0
+    start = 0
     while start < len(text):
         end = text.find("\n", start + _CSV_BLOCK) + 1 or len(text)
         lines = text[start:end].splitlines()
@@ -232,18 +238,33 @@ def _read_samples_csv(path: Path) -> tuple[list[str], np.ndarray]:
         rows = list(filter(None, lines))
         if not rows:
             continue
-        if set(map(str.count, rows, itertools.repeat(","))) != {len(names) - 1}:
-            break
-        try:  # numpy parses each str cell with Python's float()
-            parts.append(np.array(",".join(rows).split(","), dtype=float))
-        except ValueError:  # a non-numeric cell
-            break
-        n_rows += len(rows)
+        try:
+            block = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+        except ValueError:  # a cell it refuses, or rows of unequal length
+            block = None
+        if block is None or block.shape != (len(rows), len(names)):
+            block = _parse_csv_block_per_cell(rows, len(names))
+            if block is None:
+                break
+        parts.append(block)
     else:
         if parts:
-            return names, np.concatenate(parts).reshape(n_rows, len(names))
+            return names, np.concatenate(parts)
     # A fault, or no draws: name the file's first bad line.
     raise ValidationError(f"{path}: {_samples_csv_fault(names, text.splitlines())}")
+
+
+def _parse_csv_block_per_cell(rows: list[str], width: int) -> np.ndarray | None:
+    """The (rows, width) matrix of a block's non-empty lines, parsed with
+    Python's ``float()`` on each cell, or None when a line is not ``width``
+    numbers."""
+    if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
+        return None
+    try:  # numpy parses each str cell with Python's float()
+        cells = np.array(",".join(rows).split(","), dtype=float)
+    except ValueError:  # a non-numeric cell
+        return None
+    return cells.reshape(len(rows), width)
 
 
 def _samples_csv_header(path: Path, header: str) -> list[str]:

@@ -551,12 +551,13 @@ class _ChainBatch:
         return -2.0 * _take(self.contribs, self.observed_rows).sum(axis=1)
 
     # -- sampling --------------------------------------------------------------
-    def sample(self, config: ChainConfig):
+    def sample(self, config: ChainConfig, draws, devs, lat_trace):
         """Burn-in with adaptation, then the kept sweeps, for every chain.
 
-        Returns the kept draws (chains, n_keep, params), deviances
-        (chains, n_keep), kept-phase acceptance rates (chains, params) and,
-        in DINTERVAL mode, the latent trace (chains, n_keep, censored rows).
+        Fills the kept draws (chains, n_keep, params), deviances
+        (chains, n_keep) and, in DINTERVAL mode, the latent trace
+        (chains, n_keep, censored rows), as :func:`_kept_arrays` allocates
+        them; returns the kept-phase acceptance rates (chains, params).
         """
         n_chains = len(self.rngs)
         shape = (n_chains, self.n_params)
@@ -567,14 +568,6 @@ class _ChainBatch:
 
         kept_accepts = np.zeros(shape)
         kept_proposals = 0
-
-        draws = np.empty((n_chains, config.n_keep, self.n_params))
-        devs = np.empty((n_chains, config.n_keep))
-        lat_trace = (
-            np.empty((n_chains, config.n_keep, len(self.censored_rows)))
-            if self.mode is LikelihoodMode.DINTERVAL
-            else None
-        )
 
         kept = 0
         for sweep in range(config.total_iterations):
@@ -609,8 +602,20 @@ class _ChainBatch:
                     lat_trace[:, kept] = _take(self.values, self.censored_rows)
                 kept += 1
 
-        rates = kept_accepts / max(kept_proposals, 1)
-        return draws, devs, rates, lat_trace
+        return kept_accepts / max(kept_proposals, 1)
+
+
+def _kept_arrays(batch: ChainBatch, n_params: int, n_latent: int | None):
+    """Empty kept draws (chains, n_keep, params), deviances (chains, n_keep)
+    and latent trace (chains, n_keep, n_latent), None when ``n_latent`` is.
+    Raises DataError when numpy refuses their size."""
+    shape = (batch.n_chains, batch.configs[0].n_keep)
+    try:
+        return (np.empty((*shape, n_params)), np.empty(shape),
+                None if n_latent is None else np.empty((*shape, n_latent)))
+    except (MemoryError, ValueError):  # more than memory, or than an array, holds
+        raise DataError(f'"chains": {shape[0]} chains x {shape[1]} kept draws '
+                        "are too many to allocate") from None
 
 
 def run(
@@ -629,6 +634,9 @@ def run(
     those of that config run alone.
     """
     batch = config if isinstance(config, ChainBatch) else ChainBatch((config,))
+    n_latent = (int(np.count_nonzero(data.columns.kind != KIND_OBSERVED))
+                if mode is LikelihoodMode.DINTERVAL else None)
+    draws, devs, lat_trace = _kept_arrays(batch, len(model.params), n_latent)
     rngs = [
         np.random.default_rng(child)
         for cfg in batch.configs
@@ -637,7 +645,7 @@ def run(
     state = _ChainBatch(model, data, mode, rngs)
     with np.errstate(all="ignore"):
         state.initialize()
-        draws, devs, rates, lat_trace = state.sample(batch.configs[0])
+        rates = state.sample(batch.configs[0], draws, devs, lat_trace)
 
     latent_rows = tuple(int(r) for r in state.censored_rows)
     out, start = [], 0
@@ -752,10 +760,10 @@ def export_density(
     buffer, so memory does not grow with the grid, and no term is formed
     outside a window, so none overflows whatever the bandwidth.
 
-    Raises DataError for an empty trace, a non-finite draw, grid_size < 2,
-    an unknown rule, a bandwidth that is not a finite positive number and a
-    grid whose endpoints are not finite; DegenerateDensityError for a
-    zero-variance trace.
+    Raises DataError for an empty trace, a non-finite draw, a grid_size
+    below 2 or too large to allocate, an unknown rule, a bandwidth that is
+    not a finite positive number and a grid whose endpoints are not finite;
+    DegenerateDensityError for a zero-variance trace.
     """
     trace = np.asarray(trace, dtype=float)
     if trace.size == 0:
@@ -790,15 +798,19 @@ def export_density(
     norm = 1.0 / (trace.size * h * math.sqrt(2.0 * math.pi))
     if not math.isfinite(norm * trace.size):
         raise DataError(f"bandwidth {h!r} is too narrow: the density overflows")
-    grid = np.linspace(start, stop, grid_size)
-    with np.errstate(over="ignore"):  # a window reaching past +-max is unbounded
-        lo = np.searchsorted(xs, grid - _KDE_REACH * h, side="left")
-        hi = np.searchsorted(xs, grid + _KDE_REACH * h, side="right")
-    counts = hi - lo
-    ends = np.cumsum(counts)
+    try:  # the arrays and lists of this block are grid-sized
+        grid = np.linspace(start, stop, grid_size)
+        with np.errstate(over="ignore"):  # a window reaching past +-max is unbounded
+            lo = np.searchsorted(xs, grid - _KDE_REACH * h, side="left")
+            hi = np.searchsorted(xs, grid + _KDE_REACH * h, side="right")
+        counts = hi - lo
+        ends = np.cumsum(counts)
+        points, lo, hi = grid.tolist(), lo.tolist(), hi.tolist()
+        sums = np.zeros(grid_size)
+    except (MemoryError, ValueError):  # more than memory, or than an array, holds
+        raise DataError(f"a density grid of {grid_size} points (--grid-size) "
+                        "is too large to allocate") from None
     buf = np.empty(min(int(ends[-1]), max(_KDE_CHUNK, int(counts.max()))))
-    points, lo, hi = grid.tolist(), lo.tolist(), hi.tolist()
-    sums = np.zeros(grid_size)
     first = 0
     while first < grid_size:
         done = int(ends[first - 1]) if first else 0

@@ -4,6 +4,7 @@ workflows with their exit codes and determinism guarantees."""
 import functools
 import json
 import math
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -1166,6 +1167,55 @@ class TestCliSamplesReader:
         assert np.array_equal(matrix, np.column_stack(columns))
         assert peak <= 8 * 2**20
 
+    def test_fit_and_benchmark_layouts_never_reach_the_per_cell_parser(
+        self, tmp_path, monkeypatch
+    ):
+        """The files ``fit`` writes, and the benchmark's trace layout, parse
+        whole in numpy's reader: the per-cell fallback is never called."""
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({
+            "dataset": "bundled:aml",
+            "model": {"family": "survival-exponential"},
+            "chains": {"n_chains": 2, "burn_in": 20, "n_keep": 300, "seed": 3},
+            "output_dir": str(tmp_path / "out"),
+        }), encoding="utf-8")
+        assert main(["fit", "--config", str(config)]) == 0
+        rng = np.random.default_rng(2)
+        columns = [np.repeat(np.arange(4), 500), 1.5 + 0.3 * rng.standard_normal(2000),
+                   rng.beta(3.0, 7.0, 2000), 100.0 + rng.chisquare(3.0, 2000)]
+        trace = tmp_path / "trace.csv"
+        np.savetxt(trace, np.column_stack(columns), delimiter=",",
+                   header="chain,alpha,p,deviance", comments="",
+                   fmt=["%d"] + ["%.17g"] * 3)
+        paths = [tmp_path / "out" / "samples_a.csv", tmp_path / "out" / "samples_b.csv",
+                 trace]
+        want = [_per_cell_samples_csv(path) for path in paths]
+
+        def per_cell(rows, width):
+            raise AssertionError("numpy's reader refused a block")
+
+        monkeypatch.setattr(cli, "_parse_csv_block_per_cell", per_cell)
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 4096)  # several blocks a file
+        for path, (names, matrix) in zip(paths, want):
+            got_names, got = cli._read_samples_csv(path)
+            assert got_names == names
+            assert np.array_equal(got, matrix)
+        assert want[0][1].shape == (600, 4)
+        assert np.array_equal(want[2][1], np.column_stack(columns))
+
+    @pytest.mark.parametrize("text,message", [
+        # numpy's reader would take "\x0b" for whitespace, not a line break,
+        ("chain,a,b,c\n1,2,\x0b3,4\n", "line 2: expected 4 fields, got 3"),
+        # ... and by default cut a cell at a "#".
+        ("chain,a\n0,1.0#x\n", "line 2: expected a number, got '1.0#x'"),
+    ])
+    def test_faults_numpy_reads_as_numbers(self, tmp_path, text, message):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(text, encoding="utf-8", newline="")
+        want = _read_or_error(_per_cell_samples_csv, trace)
+        assert want == f"{trace}: {message}"
+        assert _read_or_error(cli._read_samples_csv, trace) == want
+
     @pytest.mark.parametrize("bad,message", [
         ("0,1.5,oops,101.2", "line 183: expected a number, got 'oops'"),
         ("0,1.5,101.2", "line 183: expected 4 fields, got 3"),
@@ -1239,6 +1289,65 @@ class TestCliExportDensityContract:
         assert code == 2
         assert "too narrow" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.fixture()
+def address_space_cap():
+    """Caps this process's address space at 1 GiB above its size while the
+    test runs, so a size numpy does not refuse by itself fails at once
+    instead of taking the host's memory."""
+    resource = pytest.importorskip("resource")
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("sizing the cap needs /proc/self/statm")
+    size = int(statm.read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = min(limit for limit in (size + 2**30, soft, hard)
+              if limit != resource.RLIM_INFINITY)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.usefixtures("address_space_cap")
+class TestCliOversizedSizes:
+    """A grid or chain geometry too large to allocate exits 2 with a message
+    naming the setting, not a traceback.  Only sizes numpy refuses before it
+    allocates are used: 10^12 (terabytes) and 10^19 (past the largest array
+    dimension)."""
+
+    @pytest.mark.parametrize("size", [10**12, 10**19])
+    def test_grid_size(self, tmp_path, capsys, size):
+        trace = tmp_path / "trace.csv"
+        draws = np.random.default_rng(4).standard_normal(100)
+        trace.write_text("chain,alpha\n" + "\n".join(f"0,{x!r}" for x in draws.tolist())
+                         + "\n", encoding="utf-8")
+        out = tmp_path / "density.csv"
+        code = main(["export-density", "--trace", str(trace), "--param", "alpha",
+                     "--grid-size", str(size), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"density grid of {size} points (--grid-size)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["n_keep", "n_chains"])
+    @pytest.mark.parametrize("size", [10**12, 10**19])
+    def test_chain_geometry(self, tmp_path, capsys, setting, size):
+        chains = {"n_chains": 1, "burn_in": 0, "n_keep": 1, "seed": 1, setting: size}
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({
+            "dataset": "bundled:aml",
+            "model": {"family": "survival-exponential"},
+            "mode": "dinterval",
+            "chains": chains,
+            "output_dir": str(tmp_path / "out"),
+        }), encoding="utf-8")
+        assert main(["fit", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert '"chains": ' in err and f"{size}" in err and "too many to allocate" in err
+        assert not list((tmp_path / "out").iterdir())
 
 
 class TestCliCompareAndDensity:

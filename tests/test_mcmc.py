@@ -195,6 +195,21 @@ class TestBatching:
         with pytest.raises(DataError):
             ChainBatch(())
 
+    @pytest.mark.parametrize("mode", list(LikelihoodMode))
+    def test_chain_count_numpy_refuses_stops_before_any_chain_is_seeded(
+        self, monkeypatch, aml, survival_model, mode
+    ):
+        """10^19 chains is more than an array dimension holds: numpy refuses
+        the kept-draw arrays without allocating, and ``run`` asks for them
+        before it seeds a chain."""
+        def seeded(*args, **kwargs):
+            raise AssertionError("a chain was seeded before its draws were allocated")
+
+        monkeypatch.setattr(np.random, "SeedSequence", seeded)
+        config = ChainConfig(n_chains=10**19, burn_in=0, n_keep=1, seed=1)
+        with pytest.raises(DataError, match='"chains": 10000000000000000000 chains'):
+            run(survival_model, aml, mode, config)
+
     def test_failing_initialization_raises_initialization_error(self):
         data = make_dataset([("none", 1.0)])
         configs = tuple(ChainConfig(n_chains=2, burn_in=5, n_keep=5, seed=s) for s in (1, 2))
@@ -541,10 +556,13 @@ class TestPriorTermCache:
     def test_cached_terms_equal_a_fresh_evaluation(self, name, mode):
         model, data = _entry_case(name)
         state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (5, 6)])
+        config = ChainConfig(n_chains=2, burn_in=30, n_keep=20, adapt_window=10)
+        n_latent = len(state.censored_rows) if mode is LikelihoodMode.DINTERVAL else None
+        kept = mcmc._kept_arrays(ChainBatch((config,)), state.n_params, n_latent)
         with np.errstate(all="ignore"):
             state.initialize()
             start = state.v.copy()
-            state.sample(ChainConfig(n_chains=2, burn_in=30, n_keep=20, adapt_window=10))
+            state.sample(config, *kept)
         assert (state.v != start).any(axis=1).all()
         fresh = np.array([term.log_density(state.v) for term in model.prior_terms])
         assert np.array_equal(state.terms, fresh.T.reshape(state.terms.shape))

@@ -18,9 +18,17 @@ It writes one JSON file with:
   the file keeps each side's minimum wall time over ten repeats (raw, not
   at reference host speed: the ``perfbench/hostspeed.py`` slices come
   every 0.1 s, too seldom to rescale runs of 0.03-0.3 s);
+* ``export_density_ms``: the milliseconds one ``export-density`` command of
+  the trace-export workload (size "full", seed 1) spends in each stage:
+  ``reader``, the samples-CSV reader, and ``kde``, the density of one
+  column (the mean over the workload's columns).  Measured in the same
+  process as ``us_per_chain_sweep``, the sides back to back, alternating
+  which goes first, over 30 repeats; the file keeps each side's median
+  (this host's speed shifts between phases 1.5x apart, and a minimum
+  picks whichever side once met a fast phase);
 * ``perfbench``: ``perfbench/run.py --trace 0`` in both checkouts, one
-  pair per workload and seed (ae-compare and survival-aml at seeds 1-10,
-  tobit-large and trace-export at seeds 1-3), the side that runs first
+  pair per workload and seed (ae-compare, survival-aml and trace-export at
+  seeds 1-10, tobit-large at seeds 1-3), the side that runs first
   alternating from pair to pair: ``wall_s``, ``setup_s``, ``peak_rss_mb``,
   ``fail_rate`` and the artifact digests;
 * ``traced``: ``perfbench/run.py --trace 1`` for ae-compare at seed 1 in
@@ -28,7 +36,7 @@ It writes one JSON file with:
   ``mcmc.us_per_sweep.exact``;
 * ``host``: CPU, core count and Python/numpy/scipy versions.
 
-The 54 perfbench runs take about 25 s each, about 25 minutes in all.
+The 68 perfbench runs take about 25 s each, about 30 minutes in all.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -48,9 +57,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 10
+EXPORT_REPEATS = 30
 # Workload -> the seeds of its perfbench pairs.
 PAIRS = {"ae-compare": range(1, 11), "survival-aml": range(1, 11),
-         "tobit-large": range(1, 4), "trace-export": range(1, 4)}
+         "tobit-large": range(1, 4), "trace-export": range(1, 11)}
 TRACED = ("models.log_prior_calls", "mcmc.us_per_sweep.exact")
 # The config file each workload's set-up writes beside its inputs.
 CONFIGS = {"survival-aml": "fit_exact.json", "ae-compare": "compare.json",
@@ -97,22 +107,55 @@ def _samplers(censdev, workdir: Path) -> dict:
     return jobs
 
 
-def measure(trees: dict[str, Path]) -> dict:
-    """µs per chain-sweep of every entry under each tree's ``censdev``, all
-    in this process: each repeat samples every entry once per tree,
-    alternating which tree goes first, so both sides see the same host;
-    each side keeps its minimum."""
+def _export_ms(censdev, trace: Path, grid_size: int, params) -> tuple[float, float]:
+    """Milliseconds of one ``export-density`` command per stage: reading the
+    samples file, and the density of one column (the mean over ``params``)."""
+    start = time.perf_counter()
+    names, matrix = censdev.cli._read_samples_csv(trace)
+    read = time.perf_counter() - start
+    start = time.perf_counter()
+    for param in params:
+        censdev.mcmc.export_density(matrix[:, names.index(param)], grid_size=grid_size)
+    kde = (time.perf_counter() - start) / len(params)
+    return 1e3 * read, 1e3 * kde
+
+
+def _export_medians(exporters: dict) -> dict:
+    """Stage -> side -> median ms of ``EXPORT_REPEATS`` runs of each side's
+    ``_export_ms``, the sides back to back, alternating which goes first."""
+    runs = {side: [] for side in exporters}
+    for side in exporters:  # warm-up
+        exporters[side]()
+    for repeat in range(EXPORT_REPEATS):
+        for side in list(exporters) if repeat % 2 == 0 else list(reversed(exporters)):
+            runs[side].append(exporters[side]())
+    return {stage: {side: round(statistics.median(ms[i] for ms in runs[side]), 2)
+                    for side in runs}
+            for i, stage in enumerate(("reader", "kde"))}
+
+
+def measure(trees: dict[str, Path]) -> tuple[dict, dict]:
+    """µs per chain-sweep of every entry, and ms per export-density stage,
+    under each tree's ``censdev``, all in this process: each repeat runs
+    every job once per tree, alternating which tree goes first, so both
+    sides see the same host; each side keeps its minimum µs per sweep and
+    its median ms per stage."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
-    jobs = {}
+    jobs, exporters = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for side, tree in trees.items():
             censdev = _load(tree)
             if not jobs:  # the inputs, written once with the first tree's censdev
                 for workload in set(ENTRIES.values()):
                     workloads.prepare(workload, 1, "full", Path(tmp) / workload)
+                meta = workloads.prepare("trace-export", 1, "full", Path(tmp) / "trace-export")
+                export_args = (Path(tmp) / "trace-export" / "trace.csv",
+                               meta["grid_size"], workloads.TRACE_PARAMS)
             jobs[side] = _samplers(censdev, Path(tmp))
+            exporters[side] = functools.partial(_export_ms, censdev, *export_args)
+        export = _export_medians(exporters)
     best = {entry: {side: math.inf for side in trees} for entry in ENTRIES}
     for side in trees:  # warm-up
         for sample, _ in jobs[side].values():
@@ -126,7 +169,7 @@ def measure(trees: dict[str, Path]) -> dict:
                 sample()
                 us = 1e6 * (time.perf_counter() - start) / sweeps
                 best[entry][side] = min(best[entry][side], round(us, 2))
-    return best
+    return best, export
 
 
 def _perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -169,7 +212,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sampler.json")
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "change": ROOT}
-    sweeps = measure(trees)
+    sweeps, export = measure(trees)
 
     pairs = {workload: [] for workload in PAIRS}
     for workload, seeds in PAIRS.items():
@@ -191,6 +234,13 @@ def main(argv=None) -> int:
                         "alternating; minimum wall time over the repeats",
             "repeats": REPEATS,
             "entries": sweeps,
+        },
+        "export_density_ms": {
+            "input": "the trace-export workload's trace.csv (size full, seed 1) and "
+                     "grid size; both trees in one process, alternating; median over "
+                     "the repeats",
+            "repeats": EXPORT_REPEATS,
+            **export,
         },
         "perfbench": pairs,
         "traced": {"workload": "ae-compare", "seed": 1, **traced},
