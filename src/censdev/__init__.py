@@ -16,15 +16,7 @@ from .datasets import (
     serialize,
     synthetic_ae_dataset,
 )
-from .distributions import (
-    Beta,
-    Binomial,
-    Exponential,
-    HalfCauchy,
-    Normal,
-    link_apply,
-    link_invert,
-)
+from .distributions import Binomial, Exponential, Normal
 from .likelihood import (
     CensoredDataset,
     LikelihoodMode,
@@ -61,13 +53,9 @@ __all__ = [
     "ingest",
     "serialize",
     "synthetic_ae_dataset",
-    "Beta",
     "Binomial",
     "Exponential",
-    "HalfCauchy",
     "Normal",
-    "link_apply",
-    "link_invert",
     "CensoredDataset",
     "LikelihoodMode",
     "deviance",

@@ -22,10 +22,6 @@ class BoundOrderError(ValidationError):
     """Interval bounds supplied in the wrong order."""
 
 
-class BoundaryError(ValidationError):
-    """Probability at 0 or 1 passed to a link; callers must clamp first."""
-
-
 class SchemaError(ValidationError):
     """Parameter vector does not match the model's schema."""
 

@@ -310,8 +310,6 @@ class _ChainBatch:
         self.observed_rows = np.flatnonzero(observed)
         self.censored_rows = np.flatnonzero(~observed)
         self.censored_block = cols.take(self.censored_rows)
-        self.censored_bounds = (self.censored_block.lo.tolist(),
-                                self.censored_block.hi.tolist())
         self.all_rows = (slice(None), cols)
         levels = tuple(model.levels)
         self.blocks = []
@@ -388,23 +386,6 @@ class _ChainBatch:
             out = self.family.log_pdf_v(values[:, None, :], *params)
         return out[:, 0]
 
-    def _latent_args(self, params, n_chains: int) -> list[list[tuple]]:
-        """Per chain, the censored rows' family parameters as Python numbers
-        (the scalar kernels run faster on them and round alike)."""
-        shape = (n_chains, 1, len(self.censored_block))
-        columns = [np.broadcast_to(p, shape)[:, 0].tolist() for p in params]
-        return [list(zip(*chain)) for chain in zip(*columns)]
-
-    def _draw_latents(self, rng, row_args) -> list[float]:
-        """One chain's truncated draw per censored row, in row order, from
-        its own generator; ``row_args`` are that chain's from
-        :meth:`_latent_args`."""
-        family = self.family
-        return [
-            family(*params).sample_truncated(lo, hi, rng)
-            for params, lo, hi in zip(row_args, *self.censored_bounds)
-        ]
-
     # -- initialization ------------------------------------------------------
     def initialize(self) -> None:
         """Start every chain at the model's initial point; a chain whose
@@ -432,10 +413,13 @@ class _ChainBatch:
         ok = np.isfinite(lp)
         if self.mode is LikelihoodMode.DINTERVAL and ok.any():
             live = np.flatnonzero(ok)
-            params = self._row_params(v[live], self.censored_block)
-            for i, row_args in zip(live, self._latent_args(params, len(live))):
+            block = self.censored_block
+            params = self._row_params(v[live], block)
+            # One call per chain, so a degenerate region fails only its chain.
+            for k, i in enumerate(live):
+                family = self.family(*(p[k] if np.ndim(p) > 1 else p for p in params))
                 try:
-                    latents = self._draw_latents(self.rngs[chains[i]], row_args)
+                    latents = family.sample_truncated(block.lo, block.hi, self.rngs[chains[i]])
                 except DegenerateRegionError:
                     ok[i] = False
                 else:
@@ -535,14 +519,11 @@ class _ChainBatch:
     def refresh_latents(self, sweep: int) -> None:
         rows, block = self.censored_rows, self.censored_block
         params = self._row_params(self.v, block)
-        for c, row_args in enumerate(self._latent_args(params, len(self.rngs))):
-            try:
-                latents = self._draw_latents(self.rngs[c], row_args)
-            except DegenerateRegionError as exc:
-                raise NumericError(
-                    f"sweep {sweep}: degenerate censoring region: {exc}"
-                ) from exc
-            self.values[c, rows] = latents
+        try:
+            latents = self.family(*params).sample_truncated(block.lo, block.hi, self.rngs)
+        except DegenerateRegionError as exc:
+            raise NumericError(f"sweep {sweep}: degenerate censoring region: {exc}") from exc
+        self.values[:, rows] = latents[:, 0]
         self.contribs[:, rows] = self._contributions(params, rows, block)
 
     def monitored_deviance(self) -> np.ndarray:

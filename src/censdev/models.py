@@ -61,12 +61,11 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
+from . import _special as sc
 from .distributions import (
-    Beta,
     Binomial,
     Exponential,
     Family,
-    HalfCauchy,
     Normal,
     clamp_probability_v,
     link_invert_v,
@@ -168,6 +167,20 @@ def _normal_log_prior(x, precision):
     return 0.5 * (np.log(precision) - _LOG_2PI) - 0.5 * precision * (x * x)
 
 
+def _beta_log_prior(x, alpha, beta):
+    """Beta(alpha, beta) log density at ``x``, elementwise; -inf off (0, 1)."""
+    inside = (x > 0.0) & (x < 1.0)
+    out = sc.xlogy(alpha - 1.0, x) + sc.xlog1py(beta - 1.0, -x) - sc.betaln(alpha, beta)
+    return np.where(inside, out, _NEG_INF)
+
+
+def _half_cauchy_log_prior(x, scale):
+    """Half-Cauchy(scale) log density at ``x``, elementwise; -inf below 0."""
+    r = x / scale
+    return np.where(x >= 0.0, (math.log(2.0 / math.pi) - np.log(scale)) - np.log1p(r * r),
+                    _NEG_INF)
+
+
 class Term(NamedTuple):
     """One factor of a model's log prior: ``log_density(theta)``, of a vector
     or of each row of a stack, depends only on the components in ``reads``."""
@@ -230,8 +243,9 @@ class Model:
             self._row_params = self._normal_params
         else:  # A: the mean's term; B, G: level terms only; C, D/E/F: mean and scale
             mean = (_term(0, _normal_log_prior, hyper["mean_precision"])
-                    if spec.pooling == "normal-hyper" else _term(0, Beta.log_pdf_v, *self._shapes))
-            terms = ([mean, _term(1, HalfCauchy.log_pdf_v, self._scale)] if hyper_pooled
+                    if spec.pooling == "normal-hyper"
+                    else _term(0, _beta_log_prior, *self._shapes))
+            terms = ([mean, _term(1, _half_cauchy_log_prior, self._scale)] if hyper_pooled
                      else [] if spec.index else [mean])
             self._row_params = self._probability
         self.prior_terms = tuple(terms)
@@ -288,7 +302,7 @@ class Model:
         _MIN_SCALE)."""
         levels = theta[..., self._first_level:]
         if not self.level_reads:
-            return Beta.log_pdf_v(levels, *self._shapes)
+            return _beta_log_prior(levels, *self._shapes)
         mu, scale = theta[..., 0:1], theta[..., 1:2]
         # At or below _MIN_SCALE, 1/scale^2 is 1e300 or more (inf at zero or
         # when the square underflows) and the terms can turn NaN; a stand-in
@@ -297,7 +311,7 @@ class Model:
         scale = np.where(inside, scale, 1.0)
         if self.spec.pooling == "beta-hyper":
             kappa = 1.0 / (scale * scale)
-            out = Beta.log_pdf_v(levels, mu * kappa, (1.0 - mu) * kappa)
+            out = _beta_log_prior(levels, mu * kappa, (1.0 - mu) * kappa)
             inside = inside & (mu > 0.0) & (mu < 1.0)
         else:
             out = Normal.log_pdf_v(levels, 0.0, 1.0 / (scale * scale))
@@ -306,7 +320,7 @@ class Model:
     def _positive_scale(self, theta):
         """The GLM's half-Cauchy term of its residual scale, -inf at <= 0."""
         sigma = theta[..., -1]
-        return np.where(sigma > 0.0, HalfCauchy.log_pdf_v(sigma, self._scale), _NEG_INF)
+        return np.where(sigma > 0.0, _half_cauchy_log_prior(sigma, self._scale), _NEG_INF)
 
     # -- outcome parameters ----------------------------------------------------
     def _rate(self, theta, cols):

@@ -18,10 +18,10 @@ from censdev import (
     LikelihoodMode,
     Model,
     aml_dataset,
+    distributions,
     run,
 )
 from censdev.cli import _derive_run_seeds
-from censdev.distributions import Beta, Binomial, Exponential, Normal
 from censdev.likelihood import (
     KIND_INTERVAL,
     KIND_LEFT,
@@ -30,6 +30,7 @@ from censdev.likelihood import (
     CensoredDataset,
 )
 from censdev.models import Param, Term
+from oracle import Binomial, Exponential, Normal
 
 SURVIVAL_DEMO_SEED = 20260810
 
@@ -175,7 +176,7 @@ class GammaExponentialModel(DuckModel):
         )
         return np.where(positive, total, -math.inf)
 
-    family = Exponential
+    family = distributions.Exponential
 
     def row_params(self, theta, cols):
         return (np.maximum(np.asarray(theta, dtype=float)[..., 0:1], 1e-300),)
@@ -271,10 +272,10 @@ REGION_PROB_BAND = (1e-6, 1.0 - 1e-6)
 
 
 def random_family(rng: np.random.Generator, kind=None):
-    """An Exponential, Normal, Binomial or Beta distribution (``kind`` 0 to 3,
-    drawn when None) with random parameters."""
+    """A scalar Exponential, Normal or Binomial distribution (``kind`` 0 to
+    2, drawn when None) with random parameters."""
     if kind is None:
-        kind = rng.integers(4)
+        kind = rng.integers(3)
     if kind == 0:
         return Exponential(rate=float(np.exp(rng.uniform(-2.0, 2.0))))
     if kind == 1:
@@ -282,13 +283,8 @@ def random_family(rng: np.random.Generator, kind=None):
             mean=float(rng.uniform(-3.0, 3.0)),
             precision=float(np.exp(rng.uniform(-2.0, 2.0))),
         )
-    if kind == 2:
-        return Binomial(
-            trials=int(rng.integers(1, 41)), prob=float(rng.uniform(0.05, 0.95))
-        )
-    return Beta(
-        alpha=float(np.exp(rng.uniform(-1.0, 1.5))),
-        beta=float(np.exp(rng.uniform(-1.0, 1.5))),
+    return Binomial(
+        trials=int(rng.integers(1, 41)), prob=float(rng.uniform(0.05, 0.95))
     )
 
 
@@ -317,9 +313,8 @@ def random_outcome(rng: np.random.Generator, family) -> tuple:
 
 
 def random_dataset(rng: np.random.Generator, max_rows: int = 8):
-    """(dataset, per-row families) pair: one outcome family (Beta, a prior
-    only, has no columnar kernels), its parameters drawn per row, and mixed
-    censoring kinds."""
+    """(dataset, per-row scalar families) pair: one outcome family, its
+    parameters drawn per row, and mixed censoring kinds."""
     n = int(rng.integers(2, max_rows + 1))
     kind = int(rng.integers(3))
     families = [random_family(rng, kind) for _ in range(n)]
@@ -333,6 +328,7 @@ FIELDS = {Exponential: ("rate",), Normal: ("mean", "precision"), Binomial: ("tri
 
 def family_params(families):
     """(family class, per-row parameter arrays) of a list of one family's
-    objects: the columnar likelihoods' arguments for them."""
+    scalar objects: the columnar likelihoods' arguments for them."""
     cls = type(families[0])
-    return cls, tuple(np.array([getattr(f, name) for f in families]) for name in FIELDS[cls])
+    return cls.kernel, tuple(np.array([getattr(f, name) for f in families])
+                             for name in FIELDS[cls])

@@ -1349,6 +1349,27 @@ class TestCliOversizedSizes:
         assert '"chains": ' in err and f"{size}" in err and "too many to allocate" in err
         assert not list((tmp_path / "out").iterdir())
 
+    def test_latent_draws_of_a_huge_trial_count(self, tmp_path):
+        """A right-censored row of 10^12 trials in dinterval mode: its latent
+        count is drawn by bisection on the region's mass, never by listing
+        the region's support.  The latent pins the incidence to within about
+        1e-6, so the proposal scale adapts every sweep until moves are
+        accepted and the kept trace has a density."""
+        dataset = tmp_path / "ae.csv"
+        dataset.write_text(HEADER + "\n3,none,,,20\n5,none,,,30\n,right,4,,1000000000000\n"
+                           "2,none,,,10\n", encoding="utf-8")
+        path = _write_config(tmp_path, {
+            "dataset": str(dataset),
+            "model": {"family": "censored-binomial", "variant": "A"},
+            "mode": "dinterval",
+            "chains": {"n_chains": 1, "burn_in": 150, "n_keep": 20, "seed": 1,
+                       "adapt_window": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 0
+        samples = np.loadtxt(tmp_path / "out" / "samples_a.csv", delimiter=",", skiprows=1)
+        assert samples.shape == (20, 3) and ((0.0 < samples[:, 1]) & (samples[:, 1] < 1.0)).all()
+
 
 class TestCliCompareAndDensity:
     def test_compare_two_models(self, tmp_path):

@@ -107,15 +107,15 @@ class TestDeterminism:
 
 def _batch_case(name):
     """(model, data, mode) of one batching case."""
+    mode = LikelihoodMode.DINTERVAL if name.endswith("dinterval") else LikelihoodMode.EXACT
     if name.startswith("survival"):
-        mode = LikelihoodMode.DINTERVAL if name.endswith("dinterval") else LikelihoodMode.EXACT
         aml = aml_dataset()
         return Model(MODELS["survival-exponential"], aml), aml, mode
-    if name == "glm":
+    if name.startswith("glm"):
         tobit = tobit_dataset()
-        return Model(MODELS["censored-normal-glm"], tobit), tobit, LikelihoodMode.EXACT
+        return Model(MODELS["censored-normal-glm"], tobit), tobit, mode
     ae = synthetic_ae_dataset(seed=11)
-    return Model(MODELS[name[-1]], ae), ae, LikelihoodMode.EXACT
+    return Model(MODELS[name[3]], ae), ae, mode
 
 
 class TestBatching:
@@ -126,7 +126,8 @@ class TestBatching:
     GEOMETRY = {"burn_in": 60, "n_keep": 40, "adapt_window": 20}
 
     @pytest.mark.parametrize(
-        "case", ["survival-exact", "survival-dinterval", "glm", "ae-D", "ae-G"]
+        "case", ["survival-exact", "survival-dinterval", "glm", "glm-dinterval", "ae-D", "ae-G",
+                 "ae-G-dinterval"]
     )
     def test_batch_equals_separate_runs(self, case):
         model, data, mode = _batch_case(case)
@@ -244,8 +245,9 @@ class TestBatching:
 
 
 def _degenerate_after(monkeypatch, n_draws):
-    """Make every truncated Exponential draw after the first ``n_draws``
-    find its region degenerate."""
+    """Make every call of ``Exponential.sample_truncated`` after the first
+    ``n_draws`` find a region degenerate (the sampler makes one call per
+    chain at initialization and one per sweep after)."""
     draws = itertools.count()
     original = Exponential.sample_truncated
 

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.stats import norm
 
+import oracle
 from censdev import ChainConfig, LikelihoodMode, aml_dataset, run
 from censdev.datasets import AE_COVARIATES, synthetic_ae_dataset
-from censdev.distributions import Binomial, Exponential, Normal
+from censdev.distributions import Exponential
 from censdev.exceptions import SchemaError
 from censdev.likelihood import exact_contributions
 from censdev.models import MODELS, Model
@@ -285,7 +286,7 @@ class TestOutcomeConstruction:
         model = _survival()
         cols = make_dataset([("none", 1.0)], covariates=[(1.0,)]).columns
         fam = outcome_family(model, np.zeros(2), cols, 0)
-        assert isinstance(fam, Exponential)
+        assert isinstance(fam, oracle.Exponential)
         assert fam.rate == pytest.approx(1.0)
 
     def test_survival_group_rate(self):
@@ -300,7 +301,7 @@ class TestOutcomeConstruction:
         theta = np.zeros(len(model.params))
         cols = _binomial_row(3, 20, drug=2, study=0).columns
         fam = outcome_family(model, theta, cols, 0)
-        assert isinstance(fam, Binomial)
+        assert isinstance(fam, oracle.Binomial)
         assert fam.prob == pytest.approx(0.5)
 
     def test_cloglog_variant_uses_its_link(self):
@@ -313,7 +314,7 @@ class TestOutcomeConstruction:
         model = _model("censored-normal-glm", _glm_rows(2))
         cols = make_dataset([("none", 0.0)], covariates=[(2.0, -1.0)]).columns
         fam = outcome_family(model, np.array([0.5, 1.0, 2.0, 0.5]), cols, 0)
-        assert isinstance(fam, Normal)
+        assert isinstance(fam, oracle.Normal)
         assert fam.mean == pytest.approx(0.5 + 2.0 - 2.0)
         assert fam.precision == pytest.approx(4.0)
 

@@ -15,9 +15,10 @@ It writes one JSON file with:
   ``compare`` sample them).  Both checkouts' ``censdev`` are loaded into
   one process and each repeat samples every entry once per checkout,
   alternating which goes first, so both sides meet the same host speed;
-  the file keeps each side's minimum wall time over ten repeats (raw, not
-  at reference host speed: the ``perfbench/hostspeed.py`` slices come
-  every 0.1 s, too seldom to rescale runs of 0.03-0.3 s);
+  the file keeps each side's median over 20 repeats (raw, not at reference
+  host speed: the ``perfbench/hostspeed.py`` slices come every 0.1 s, too
+  seldom to rescale runs of 0.03-0.3 s; and not the minimum, which picks
+  whichever side once met a fast phase of the host);
 * ``export_density_ms``: the milliseconds one ``export-density`` command of
   the trace-export workload (size "full", seed 1) spends in each stage:
   ``reader``, the samples-CSV reader, and ``kde``, the density of one
@@ -45,7 +46,6 @@ import argparse
 import functools
 import importlib
 import json
-import math
 import os
 import platform
 import statistics
@@ -56,7 +56,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-REPEATS = 10
+REPEATS = 20
 EXPORT_REPEATS = 30
 # Workload -> the seeds of its perfbench pairs.
 PAIRS = {"ae-compare": range(1, 11), "survival-aml": range(1, 11),
@@ -138,7 +138,7 @@ def measure(trees: dict[str, Path]) -> tuple[dict, dict]:
     """µs per chain-sweep of every entry, and ms per export-density stage,
     under each tree's ``censdev``, all in this process: each repeat runs
     every job once per tree, alternating which tree goes first, so both
-    sides see the same host; each side keeps its minimum µs per sweep and
+    sides see the same host; each side keeps its median µs per sweep and
     its median ms per stage."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -156,7 +156,7 @@ def measure(trees: dict[str, Path]) -> tuple[dict, dict]:
             jobs[side] = _samplers(censdev, Path(tmp))
             exporters[side] = functools.partial(_export_ms, censdev, *export_args)
         export = _export_medians(exporters)
-    best = {entry: {side: math.inf for side in trees} for entry in ENTRIES}
+    runs = {entry: {side: [] for side in trees} for entry in ENTRIES}
     for side in trees:  # warm-up
         for sample, _ in jobs[side].values():
             sample()
@@ -167,9 +167,10 @@ def measure(trees: dict[str, Path]) -> tuple[dict, dict]:
                 sample, sweeps = jobs[side][entry]
                 start = time.perf_counter()
                 sample()
-                us = 1e6 * (time.perf_counter() - start) / sweeps
-                best[entry][side] = min(best[entry][side], round(us, 2))
-    return best, export
+                runs[entry][side].append(1e6 * (time.perf_counter() - start) / sweeps)
+    medians = {entry: {side: round(statistics.median(us), 2) for side, us in sides.items()}
+               for entry, sides in runs.items()}
+    return medians, export
 
 
 def _perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
         "us_per_chain_sweep": {
             "geometry": "each entry on its benchmark workload's inputs (size full, seed 1), "
                         "both replicate runs as one batch; both trees in one process, "
-                        "alternating; minimum wall time over the repeats",
+                        "alternating; median wall time over the repeats",
             "repeats": REPEATS,
             "entries": sweeps,
         },
