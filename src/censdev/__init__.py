@@ -39,7 +39,6 @@ from .selection import (
     SelectionReport,
     compare,
     compute_dbar,
-    compute_pd,
     compute_popt_ped,
     make_selection_report,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "SelectionReport",
     "compare",
     "compute_dbar",
-    "compute_pd",
     "compute_popt_ped",
     "make_selection_report",
 ]

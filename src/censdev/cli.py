@@ -43,7 +43,15 @@ OUTPUT_ROOT_ENV = "CENSDEV_OUTPUT_ROOT"
 
 REPORT_COLUMNS = ("model", "Dbar", "pD", "DIC", "p_opt", "PED")
 
-DEMO_SEEDS = {"survival": 20260810, "ae-synthetic": 20260801}
+SUMMARY_COLUMNS = ("param", "mean", "sd", "q2.5", "q50", "q97.5", "rhat", "accept")
+
+# Each demo's chains: the full run, then the --quick one.
+DEMO_CHAINS = {
+    "survival": (ChainConfig(3, 30000, 10000, seed=20260810),
+                 ChainConfig(2, 500, 500, seed=20260810)),
+    "ae-synthetic": (ChainConfig(2, 2000, 2000, seed=20260801),
+                     ChainConfig(2, 400, 400, seed=20260801)),
+}
 
 # Characters of samples-CSV text parsed per block (a few thousand rows).
 _CSV_BLOCK = 1 << 18
@@ -74,12 +82,13 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _resolve_output_dir(config_dir: str) -> Path:
+def _output_dir(value) -> Path:
+    """The output directory ``value`` names, under $CENSDEV_OUTPUT_ROOT when
+    relative."""
     root = os.environ.get(OUTPUT_ROOT_ENV)
-    path = Path(_string('"output_dir"', config_dir))
+    path = Path(_string('"output_dir"', value))
     if root and not path.is_absolute():
         path = Path(root) / path
-    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -194,19 +203,8 @@ def _derive_run_seeds(seed: int, n_pairs: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Artifact writers
+# Artifact files
 # ---------------------------------------------------------------------------
-
-
-def _write_samples_csv(path: Path, samples: PosteriorSamples) -> None:
-    header = ["chain", *samples.param_names, "deviance"]
-    lines = [",".join(header)]
-    for i in range(samples.draws.shape[0]):
-        cells = [str(int(samples.chain_ids[i]))]
-        cells += [_fmt(v) for v in samples.draws[i]]
-        cells.append(_fmt(samples.deviance_trace[i]))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_samples_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -295,77 +293,61 @@ def _samples_csv_fault(names: list[str], lines: list[str]) -> str:
     return "no draws"
 
 
-def _write_summary_csv(path: Path, samples: PosteriorSamples) -> None:
-    lines = ["param,mean,sd,q2.5,q50,q97.5,rhat,accept"]
-    for s in summarize(samples):
-        lines.append(
-            ",".join(
-                [s.name, _fmt(s.mean), _fmt(s.sd), _fmt(s.q025), _fmt(s.q500),
-                 _fmt(s.q975), _fmt(s.rhat), _fmt(s.accept)]
-            )
-        )
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a header and rows, each a sequence of string cells."""
+    lines = [",".join(header), *map(",".join, rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_density_files(
-    out_dir: Path, samples: PosteriorSamples, tag: str, grid_size: int = 512
-) -> list[str]:
-    names = []
-    for param in samples.param_names:
-        grid, density = export_density(samples.param(param), grid_size=grid_size)
-        name = f"density_{tag}_{param}.csv"
-        _write_density_csv(out_dir / name, grid, density)
-        names.append(name)
-    return names
+def _write_artifacts(out_dir: Path, files: dict, config: dict, dataset_src: str,
+                     dataset_id: str) -> None:
+    """Write ``files`` into ``out_dir`` (name -> a JSON payload, or a CSV
+    header and rows), then the manifest that lists them."""
+    manifest = {
+        "package": "censdev",
+        "version": __version__,
+        "seed": config.get("chains", {}).get("seed"),
+        "config_sha256": _config_hash(config),
+        "dataset": dataset_src,
+        "dataset_fingerprint": dataset_id,
+        "outputs": sorted([*files, "manifest.json"]),
+    }
+    for name, content in {**files, "manifest.json": manifest}.items():
+        if isinstance(content, dict):
+            text = json.dumps(content, indent=2, sort_keys=True) + "\n"
+            (out_dir / name).write_text(text, encoding="utf-8")
+        else:
+            _write_csv(out_dir / name, *content)
 
 
-def _write_density_csv(path: Path, grid: np.ndarray, density: np.ndarray) -> None:
-    lines = ["grid,density"]
-    lines += [f"{_fmt(g)},{_fmt(d)}" for g, d in zip(grid, density)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _report_row(report: SelectionReport) -> str:
-    return ",".join(
-        [report.label, _fmt(report.dbar), _fmt(report.pd), _fmt(report.dic),
-         _fmt(report.p_opt), _fmt(report.ped)]
+def _samples_file(samples: PosteriorSamples) -> tuple:
+    """Header and rows of a samples CSV; the rows are formatted as written."""
+    rows = (
+        [str(int(chain)), *map(_fmt, draw), _fmt(dev)]
+        for chain, draw, dev in zip(samples.chain_ids, samples.draws, samples.deviance_trace)
     )
+    return ("chain", *samples.param_names, "deviance"), rows
+
+
+def _density_file(grid: np.ndarray, density: np.ndarray) -> tuple:
+    return ("grid", "density"), zip(map(_fmt, grid), map(_fmt, density))
+
+
+def _report_row(report: SelectionReport, fmt=_fmt) -> list:
+    """A report's REPORT_COLUMNS cells, its numbers passed through ``fmt``."""
+    values = (report.dbar, report.pd, report.dic, report.p_opt, report.ped)
+    return [report.label, *map(fmt, values)]
 
 
 def _report_json(report: SelectionReport) -> dict:
     return {
-        "model": report.label,
-        "Dbar": float(report.dbar),
-        "pD": float(report.pd),
-        "DIC": float(report.dic),
-        "p_opt": float(report.p_opt),
-        "PED": float(report.ped),
+        **dict(zip(REPORT_COLUMNS, _report_row(report, float))),
         "mode": report.mode.value,
         "dataset_id": report.dataset_id,
-        "popt_method": report.popt_method,
+        "popt_method": "paired-kl",
         "overfit": bool(report.overfit),
         "warnings": list(report.warnings),
     }
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
-
-
-def _write_manifest(out_dir: Path, config: dict, dataset_src: str,
-                    data: CensoredDataset, outputs: list[str]) -> None:
-    _write_json(
-        out_dir / "manifest.json",
-        {
-            "package": "censdev",
-            "version": __version__,
-            "seed": config.get("chains", {}).get("seed"),
-            "config_sha256": _config_hash(config),
-            "dataset": dataset_src,
-            "dataset_fingerprint": dataset_fingerprint(data),
-            "outputs": sorted(outputs),
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -373,64 +355,23 @@ def _write_manifest(out_dir: Path, config: dict, dataset_src: str,
 # ---------------------------------------------------------------------------
 
 
-def _fit_one(
-    model: Model,
-    data: CensoredDataset,
-    mode: LikelihoodMode,
-    chains: ChainConfig,
-    out_dir: Path,
-    label: str,
-    dataset_id: str,
-) -> tuple[SelectionReport | float, list[str]]:
-    """Run the sampler and write fit artifacts; returns the headline (the
-    selection report in exact mode, else the mean monitored deviance) and
-    the artifact names.
-
-    Exact mode samples the two replicate runs as one batch.
-    """
-    (seed_a, seed_b) = _derive_run_seeds(chains.seed, 1)[0]
-    seeds = (seed_a, seed_b) if mode is LikelihoodMode.EXACT else (seed_a,)
+def _paired_runs(model: Model, data: CensoredDataset, label: str, chains: ChainConfig,
+                 seeds: tuple[int, int], dataset_id: str):
+    """Exact-mode runs A and B, sampled as one batch, and their selection report."""
     batch = ChainBatch(tuple(dataclasses.replace(chains, seed=seed) for seed in seeds))
-    samples_a, *replicate = run(model, data, mode, batch)
-    outputs = []
-    _write_samples_csv(out_dir / "samples_a.csv", samples_a)
-    outputs.append("samples_a.csv")
-    _write_summary_csv(out_dir / "summary.csv", samples_a)
-    outputs.append("summary.csv")
-    outputs += _write_density_files(out_dir, samples_a, mode.value)
-
-    if mode is LikelihoodMode.EXACT:
-        (samples_b,) = replicate
-        _write_samples_csv(out_dir / "samples_b.csv", samples_b)
-        outputs.append("samples_b.csv")
-        report = make_selection_report(
-            label, model, data, samples_a, samples_b, dataset_id=dataset_id
-        )
-        _write_json(out_dir / "report.json", _report_json(report))
-        (out_dir / "report.csv").write_text(
-            ",".join(REPORT_COLUMNS) + "\n" + _report_row(report) + "\n", "utf-8"
-        )
-        outputs += ["report.json", "report.csv"]
-        return report, outputs
-
-    mean_monitored = float(samples_a.deviance_trace.mean())
-    _write_json(
-        out_dir / "report.json",
-        {
-            "mode": mode.value,
-            "model": label,
-            "mean_monitored_deviance": mean_monitored,
-            "note": (
-                "latent-imputation monitor: censored rows contribute log(1)=0; "
-                "not usable for DIC/PED model selection"
-            ),
-        },
-    )
-    outputs.append("report.json")
-    return mean_monitored, outputs
+    samples = run(model, data, LikelihoodMode.EXACT, batch)
+    return samples, make_selection_report(label, model, data, *samples, dataset_id=dataset_id)
 
 
-def cmd_fit(config: dict, config_dir: Path) -> int:
+def _fit(config: dict, config_dir: Path, out_dir: Path | None = None) -> tuple[dict, Path]:
+    """Fit the config's model and write its artifacts into ``out_dir``, by
+    default the config's "output_dir"; returns the report.json payload and
+    the directory.
+
+    The directory is made once the config validates.  Every result is
+    computed before the first file is written, so a fit that fails writes
+    no file.
+    """
     data, dataset_src = _load_dataset(config, config_dir)
     section = config.get("model", {})
     model = _build_model(section, data)
@@ -440,16 +381,47 @@ def cmd_fit(config: dict, config_dir: Path) -> int:
     mode = LikelihoodMode(config.get("mode", "exact"))
     chains = _chain_config(config.get("chains", {}))
     label = _string('"label"', section.get("label", config.get("label", model.label)))
-    out_dir = _resolve_output_dir(config.get("output_dir", "censdev-out"))
+    out_dir = out_dir or _output_dir(config.get("output_dir", "censdev-out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     dataset_id = dataset_fingerprint(data)
 
-    headline, outputs = _fit_one(model, data, mode, chains, out_dir, label, dataset_id)
-    _write_manifest(out_dir, config, dataset_src, data, outputs + ["manifest.json"])
-    if isinstance(headline, SelectionReport):
-        print(f"[{label}] Dbar={headline.dbar:.3f} pD={headline.pd:.3f} "
-              f"DIC={headline.dic:.3f} p_opt={headline.p_opt:.3f} PED={headline.ped:.3f}")
+    seeds = _derive_run_seeds(chains.seed, 1)[0]
+    if mode is LikelihoodMode.EXACT:
+        samples, report = _paired_runs(model, data, label, chains, seeds, dataset_id)
     else:
-        print(f"[{label}] mean monitored deviance {headline:.3f} ({mode.value} mode)")
+        batch = ChainBatch((dataclasses.replace(chains, seed=seeds[0]),))
+        samples = run(model, data, mode, batch)
+    samples_a = samples[0]
+    summary = [[s.name, *map(_fmt, dataclasses.astuple(s)[1:])] for s in summarize(samples_a)]
+    files = {"samples_a.csv": _samples_file(samples_a), "summary.csv": (SUMMARY_COLUMNS, summary)}
+    for param in samples_a.param_names:
+        grid, density = export_density(samples_a.param(param), grid_size=512)
+        files[f"density_{mode.value}_{param}.csv"] = _density_file(grid, density)
+    if mode is LikelihoodMode.EXACT:
+        files["samples_b.csv"] = _samples_file(samples[1])
+        files["report.csv"] = (REPORT_COLUMNS, [_report_row(report)])
+        payload = _report_json(report)
+    else:
+        payload = {
+            "mode": mode.value,
+            "model": label,
+            "mean_monitored_deviance": float(samples_a.deviance_trace.mean()),
+            "note": "latent-imputation monitor: censored rows contribute log(1)=0; "
+                    "not usable for DIC/PED model selection",
+        }
+    files["report.json"] = payload
+    _write_artifacts(out_dir, files, config, dataset_src, dataset_id)
+    return payload, out_dir
+
+
+def cmd_fit(config: dict, config_dir: Path) -> int:
+    report, out_dir = _fit(config, config_dir)
+    if "DIC" in report:
+        print(f"[{report['model']}] "
+              + " ".join(f"{name}={report[name]:.3f}" for name in REPORT_COLUMNS[1:]))
+    else:
+        print(f"[{report['model']}] mean monitored deviance "
+              f"{report['mean_monitored_deviance']:.3f} ({report['mode']} mode)")
     print(f"artifacts in {out_dir}")
     return 0
 
@@ -463,10 +435,7 @@ def _model_sections(config: dict) -> list[dict]:
         variants = config.get("variants", list(AE_VARIANTS))
         if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
             raise ValidationError('"variants" must be a list of variant names')
-        sections = [
-            {"label": v, "family": "censored-binomial", "variant": v}
-            for v in variants
-        ]
+        sections = [{"label": v, "family": "censored-binomial", "variant": v} for v in variants]
     if len(sections) < 2:
         raise ValidationError("compare needs at least two models")
     return sections
@@ -479,32 +448,23 @@ def cmd_compare(config: dict, config_dir: Path) -> int:
     for section in _model_sections(config):
         model = _build_model(section, data)
         models.append((model, _string('"label"', section.get("label", model.label))))
-    out_dir = _resolve_output_dir(config.get("output_dir", "censdev-out"))
+    out_dir = _output_dir(config.get("output_dir", "censdev-out"))
+    out_dir.mkdir(parents=True, exist_ok=True)
     dataset_id = dataset_fingerprint(data)
 
-    seed_pairs = _derive_run_seeds(chains.seed, len(models))
     reports = []
-    outputs = []
-    for (model, label), (seed_a, seed_b) in zip(models, seed_pairs):
-        batch = ChainBatch(tuple(
-            dataclasses.replace(chains, seed=seed) for seed in (seed_a, seed_b)
-        ))
-        samples_a, samples_b = run(model, data, LikelihoodMode.EXACT, batch)
-        report = make_selection_report(
-            label, model, data, samples_a, samples_b, dataset_id=dataset_id
-        )
+    for (model, label), seeds in zip(models, _derive_run_seeds(chains.seed, len(models))):
+        _, report = _paired_runs(model, data, label, chains, seeds, dataset_id)
         reports.append(report)
         print(f"fitted {label}: DIC={report.dic:.2f} PED={report.ped:.2f}"
               + ("  [overfit]" if report.overfit else ""))
 
     ranked = compare(reports)
-    table_lines = [",".join(REPORT_COLUMNS)] + [_report_row(r) for r in ranked]
-    (out_dir / "comparison.csv").write_text("\n".join(table_lines) + "\n", "utf-8")
-    _write_json(
-        out_dir / "comparison.json", {"ranked": [_report_json(r) for r in ranked]}
-    )
-    outputs += ["comparison.csv", "comparison.json"]
-    _write_manifest(out_dir, config, dataset_src, data, outputs + ["manifest.json"])
+    files = {
+        "comparison.csv": (REPORT_COLUMNS, map(_report_row, ranked)),
+        "comparison.json": {"ranked": [_report_json(r) for r in ranked]},
+    }
+    _write_artifacts(out_dir, files, config, dataset_src, dataset_id)
 
     print()
     print(_format_table(ranked))
@@ -516,15 +476,9 @@ def cmd_compare(config: dict, config_dir: Path) -> int:
 
 
 def _format_table(reports: list[SelectionReport]) -> str:
-    rows = [REPORT_COLUMNS] + [
-        (r.label, f"{r.dbar:.2f}", f"{r.pd:.2f}", f"{r.dic:.2f}",
-         f"{r.p_opt:.2f}", f"{r.ped:.2f}")
-        for r in reports
-    ]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(REPORT_COLUMNS))]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
-    )
+    rows = [REPORT_COLUMNS, *(_report_row(r, "{:.2f}".format) for r in reports)]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(map(str.rjust, row, widths)) for row in rows)
 
 
 def cmd_export_density(args) -> int:
@@ -544,73 +498,47 @@ def cmd_export_density(args) -> int:
     out = Path(args.out) if args.out else Path(args.trace).with_name(
         f"density_{args.param}.csv"
     )
-    _write_density_csv(out, grid, density)
+    _write_csv(out, *_density_file(grid, density))
     print(f"wrote {out}")
     return 0
 
 
-def _demo_chains(quick: bool, seed: int, survival: bool) -> ChainConfig:
-    if survival:
-        if quick:
-            return ChainConfig(n_chains=2, burn_in=500, n_keep=500, seed=seed)
-        return ChainConfig(n_chains=3, burn_in=30000, n_keep=10000, seed=seed)
-    if quick:
-        return ChainConfig(n_chains=2, burn_in=400, n_keep=400, seed=seed)
-    return ChainConfig(n_chains=2, burn_in=2000, n_keep=2000, seed=seed)
-
-
 def cmd_demo(which: str, output_dir: str | None, quick: bool = False) -> int:
-    seed = DEMO_SEEDS[which]
-    out_root = _resolve_output_dir(output_dir or f"censdev-demo-{which}")
-    if which == "survival":
-        return _demo_survival(out_root, seed, quick)
-    return _demo_ae(out_root, seed, quick)
-
-
-def _demo_survival(out_root: Path, seed: int, quick: bool) -> int:
-    data = aml_dataset()
-    dataset_id = dataset_fingerprint(data)
-    chains = _demo_chains(quick, seed, survival=True)
-    headline = {}
-    for mode in (LikelihoodMode.EXACT, LikelihoodMode.DINTERVAL):
-        model = Model(MODELS["survival-exponential"], data)
-        out_dir = out_root / f"survival-{mode.value}"
-        out_dir.mkdir(parents=True, exist_ok=True)
+    chains = DEMO_CHAINS[which][quick]
+    out_root = _output_dir(output_dir or f"censdev-demo-{which}")
+    if which == "ae-synthetic":
+        out_root.mkdir(parents=True, exist_ok=True)
+        dataset_path = (out_root / "ae_synthetic.csv").resolve()
+        dataset_path.write_text(serialize(synthetic_ae_dataset(seed=chains.seed)), "utf-8")
         config = {
-            "label": f"survival-{mode.value}",
+            "dataset": str(dataset_path),
+            "variants": list(AE_VARIANTS),
+            "chains": dataclasses.asdict(chains),
+            "output_dir": str(out_root.resolve()),
+        }
+        return cmd_compare(config, out_root)
+
+    headline = []
+    for mode in ("exact", "dinterval"):
+        out_dir = out_root / f"survival-{mode}"
+        config = {
+            "label": f"survival-{mode}",
             "dataset": "bundled:aml",
             "model": {"family": "survival-exponential"},
-            "mode": mode.value,
+            "mode": mode,
             "chains": dataclasses.asdict(chains),
             "output_dir": str(out_dir),
         }
-        result, outputs = _fit_one(
-            model, data, mode, chains, out_dir, config["label"], dataset_id
-        )
-        _write_manifest(out_dir, config, "bundled:aml", data,
-                        outputs + ["manifest.json"])
-        headline[mode] = result.dbar if isinstance(result, SelectionReport) else result
-    gap = headline[LikelihoodMode.EXACT] - headline[LikelihoodMode.DINTERVAL]
+        # out_dir already carries the output root, so _fit must not prefix it again.
+        report, _ = _fit(config, out_root, out_dir)
+        headline.append(report["Dbar"] if mode == "exact" else report["mean_monitored_deviance"])
+    exact, monitored = headline
     print()
-    print(f"exact-mode mean deviance:              {headline[LikelihoodMode.EXACT]:.3f}")
-    print(f"latent-imputation monitored deviance:  {headline[LikelihoodMode.DINTERVAL]:.3f}")
-    print(f"deviance understated by the default monitor: {gap:.3f}")
+    print(f"exact-mode mean deviance:              {exact:.3f}")
+    print(f"latent-imputation monitored deviance:  {monitored:.3f}")
+    print(f"deviance understated by the default monitor: {exact - monitored:.3f}")
     print(f"artifacts in {out_root}")
     return 0
-
-
-def _demo_ae(out_root: Path, seed: int, quick: bool) -> int:
-    data = synthetic_ae_dataset(seed=seed)
-    dataset_path = (out_root / "ae_synthetic.csv").resolve()
-    dataset_path.write_text(serialize(data), encoding="utf-8")
-    chains = _demo_chains(quick, seed, survival=False)
-    config = {
-        "dataset": str(dataset_path),
-        "variants": list(AE_VARIANTS),
-        "chains": dataclasses.asdict(chains),
-        "output_dir": str(out_root.resolve()),
-    }
-    return cmd_compare(config, out_root)
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +577,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "fit":
+        if args.command in ("fit", "compare"):
+            command = cmd_fit if args.command == "fit" else cmd_compare
             config_path = Path(args.config)
-            return cmd_fit(_load_config(config_path), config_path.parent)
-        if args.command == "compare":
-            config_path = Path(args.config)
-            return cmd_compare(_load_config(config_path), config_path.parent)
+            return command(_load_config(config_path), config_path.parent)
         if args.command == "export-density":
             return cmd_export_density(args)
         return cmd_demo(args.which, args.output_dir, args.quick)

@@ -23,7 +23,7 @@ valid basis for model comparison.
   the likelihood.  In the well-identified regime the penalty approaches
   2 * pD; for weakly identified rows (one parameter per observation) the
   reweighting inflates it sharply, which is the signature of overfitting.
-  A labeled ``2 * pD`` fallback is also available.  PED = Dbar + p_opt.
+  PED = Dbar + p_opt.
 
 The plug-in deviance and p_opt score all rows at once from the dataset's
 columns; p_opt runs over (draw pairs x rows) arrays in chunks of draws, so
@@ -55,7 +55,6 @@ from .models import Model
 __all__ = [
     "SelectionReport",
     "compute_dbar",
-    "compute_pd",
     "compute_popt_ped",
     "make_selection_report",
     "compare",
@@ -82,7 +81,6 @@ class SelectionReport:
     ped: float
     mode: LikelihoodMode
     dataset_id: str = ""
-    popt_method: str = "paired-kl"
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -131,16 +129,6 @@ def plugin_deviance(model: Model, data: CensoredDataset, draws: np.ndarray) -> f
     return value
 
 
-def compute_pd(
-    deviance_trace: np.ndarray,
-    draws: np.ndarray,
-    model: Model,
-    data: CensoredDataset,
-) -> float:
-    """Effective number of parameters: Dbar - D(theta_bar)."""
-    return compute_dbar(deviance_trace) - plugin_deviance(model, data, draws)
-
-
 def _penalty_terms(family, censored, params_a, params_b, contrib_a, contrib_b):
     """(symmetric predictive KL, log importance weight) per draw pair and row.
 
@@ -166,16 +154,12 @@ def compute_popt_ped(
 ) -> tuple[float, float]:
     """Optimism and penalized expected deviance from two independent runs.
 
-    ``paired-kl`` pairs draw t of run A with draw t of run B and averages
-    the summed per-row symmetric predictive divergences.  ``2pd`` is the
-    labeled normal-regime approximation and only needs run A.
+    Draw t of run A is paired with draw t of run B, and the summed per-row
+    symmetric predictive divergences are averaged over the pairs.
+    ``"paired-kl"`` is the only ``method``; the parameter stays because the
+    benchmark's tracer (``perfbench/tracing.py``) reads it by name.
     """
     _require_exact(samples_a)
-    if method == "2pd":
-        pd = compute_pd(samples_a.deviance_trace, samples_a.draws, model, data)
-        dbar = compute_dbar(samples_a.deviance_trace)
-        p_opt = 2.0 * pd
-        return p_opt, dbar + p_opt
     if method != "paired-kl":
         raise DataError(f"unknown optimism method {method!r}")
     if samples_b is None or samples_b is samples_a:
@@ -227,37 +211,25 @@ def make_selection_report(
     model: Model,
     data: CensoredDataset,
     samples_a: PosteriorSamples,
-    samples_b: Optional[PosteriorSamples] = None,
+    samples_b: PosteriorSamples,
     dataset_id: str = "",
-    popt_method: str = "paired-kl",
 ) -> SelectionReport:
-    """Assemble the full report for one fitted model.
+    """Assemble the full report for one model fitted as two independent runs.
 
-    Dbar and the plug-in pool both runs when two are supplied, so the DIC
-    and PED columns share one posterior-mean deviance.
+    Dbar and the plug-in pool both runs, so the DIC and PED columns share
+    one posterior-mean deviance.
     """
     _require_exact(samples_a)
+    _require_exact(samples_b)
     warnings: list[str] = []
-    if samples_b is not None:
-        _require_exact(samples_b)
-        trace = np.concatenate([samples_a.deviance_trace, samples_b.deviance_trace])
-        draws = np.vstack([samples_a.draws, samples_b.draws])
-    else:
-        trace = samples_a.deviance_trace
-        draws = samples_a.draws
-    dbar = compute_dbar(trace)
-    pd = float(dbar - plugin_deviance(model, data, draws))
+    dbar = compute_dbar(np.concatenate([samples_a.deviance_trace, samples_b.deviance_trace]))
+    pd = float(dbar - plugin_deviance(model, data, np.vstack([samples_a.draws, samples_b.draws])))
     if pd < 0.0:
         warnings.append(
             f"negative effective parameter count pd={pd:.3f}; "
             "reported unclamped (posterior mean may sit in a low-density region)"
         )
-    if popt_method == "paired-kl" and samples_b is not None:
-        p_opt, _ = compute_popt_ped(samples_a, samples_b, model, data, "paired-kl")
-    else:
-        p_opt = 2.0 * pd
-        popt_method = "2pd"
-        warnings.append("p_opt used the 2*pd fallback approximation")
+    p_opt, _ = compute_popt_ped(samples_a, samples_b, model, data)
     return SelectionReport(
         label=label,
         dbar=dbar,
@@ -267,7 +239,6 @@ def make_selection_report(
         ped=dbar + p_opt,
         mode=LikelihoodMode.EXACT,
         dataset_id=dataset_id,
-        popt_method=popt_method,
         warnings=tuple(warnings),
     )
 

@@ -2,6 +2,7 @@
 workflows with their exit codes and determinism guarantees."""
 
 import functools
+import inspect
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from censdev import MODELS, __version__, cli
+from censdev import MODELS, __version__, cli, datasets, distributions, mcmc, selection
 from censdev.cli import main
 from censdev.datasets import (
     aml_dataset,
@@ -363,6 +364,70 @@ class TestCliFit:
         else:
             assert printed == (f"[toy] mean monitored deviance "
                                f"{report['mean_monitored_deviance']:.3f} (dinterval mode)")
+
+
+    @pytest.mark.parametrize("edit", [
+        {"chains": {"n_chains": 1, "burn_in": 5, "n_keep": 1, "seed": 1}},
+        {"model": {"family": "survival-exponential",
+                   "hyperparameters": {"tau0": 1.7e308, "tau1": 1.7e308}}},
+    ], ids=["one-draw", "huge-prior-scale"])
+    def test_failed_fit_leaves_the_output_directory_untouched(self, fit_config, tmp_path,
+                                                              capsys, edit):
+        """A fit that fails after sampling writes no file: an earlier run's
+        artifacts keep describing that run, and a new directory stays empty."""
+        config_path, out_dir, config = fit_config
+        assert main(["fit", "--config", str(config_path)]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        config_path.write_text(json.dumps({**config, **edit}), encoding="utf-8")
+        assert main(["fit", "--config", str(config_path)]) == 3
+        assert "numeric error" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        fresh = tmp_path / "fresh"
+        config_path.write_text(json.dumps({**config, **edit, "output_dir": str(fresh)}),
+                               encoding="utf-8")
+        assert main(["fit", "--config", str(config_path)]) == 3
+        assert not list(fresh.iterdir())
+
+
+class TestBenchmarkTracerContract:
+    """``perfbench/tracing.py`` binds these functions' arguments by name,
+    patches these kernels on every ``Family`` subclass and rebinds these
+    names in ``censdev.cli``; a rename fails traced benchmark runs."""
+
+    def test_traced_parameter_names(self):
+        expected = {
+            mcmc.run: ("model", "data", "mode", "config"),
+            mcmc.export_density: ("trace", "grid_size"),
+            selection.compute_popt_ped: ("samples_a", "samples_b", "data", "method"),
+        }
+        for function, names in expected.items():
+            assert set(names) <= set(inspect.signature(function).parameters), function
+        families = distributions.Family.__subclasses__()
+        assert {cls.__name__ for cls in families} == {"Exponential", "Normal", "Binomial"}
+        for cls in families:
+            for name in ("log_pdf", "log_interval_prob", "sample_truncated"):
+                assert callable(getattr(cls, name, None)), (cls.__name__, name)
+
+    def test_cli_calls_traced_functions_through_its_module_names(self, fit_config,
+                                                                 monkeypatch, tmp_path):
+        names = ("run", "summarize", "export_density", "make_selection_report",
+                 "aml_dataset", "ingest", "dataset_fingerprint")
+        origins = (mcmc, mcmc, mcmc, selection, datasets, datasets, datasets)
+        called = set()
+        for name, origin in zip(names, origins):
+            assert getattr(cli, name) is getattr(origin, name), name
+
+            def wrapper(*args, _name=name, _fn=getattr(origin, name), **kwargs):
+                called.add(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        config_path, _, config = fit_config
+        assert main(["fit", "--config", str(config_path)]) == 0
+        config.update(dataset="bundled:aml", output_dir=str(tmp_path / "bundled"))
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["fit", "--config", str(config_path)]) == 0
+        assert called == set(names)
 
 
 class TestCliErrors:
@@ -1470,6 +1535,27 @@ class TestCliDemo:
                 if f.name == "manifest.json":
                     continue  # embeds the output path
                 assert f.read_bytes() == (out2 / sub / f.name).read_bytes(), f.name
+
+    def test_survival_demo_under_a_relative_output_root(self, tmp_path, monkeypatch, capsys):
+        """A relative $CENSDEV_OUTPUT_ROOT prefixes the demo directory once,
+        and a rerun reproduces every file, manifests included."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CENSDEV_OUTPUT_ROOT", "root")
+
+        def demo_files():
+            assert main(["demo", "survival", "--quick", "--output-dir", "demo"]) == 0
+            return {p.relative_to(tmp_path): p.read_bytes()
+                    for p in tmp_path.rglob("*") if p.is_file()}
+
+        first = demo_files()
+        assert f"artifacts in {Path('root', 'demo')}" in capsys.readouterr().out
+        assert {p.parts[:3] for p in first} == {
+            ("root", "demo", "survival-exact"), ("root", "demo", "survival-dinterval")
+        }
+        for mode in ("exact", "dinterval"):
+            manifest = json.loads(first[Path("root", "demo", f"survival-{mode}", "manifest.json")])
+            assert "report.json" in manifest["outputs"]
+        assert demo_files() == first
 
     def test_ae_demo_quick(self, tmp_path):
         out = tmp_path / "ae"

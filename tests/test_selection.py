@@ -21,18 +21,19 @@ from censdev.selection import (
     SelectionReport,
     compare,
     compute_dbar,
-    compute_pd,
     compute_popt_ped,
     make_selection_report,
+    plugin_deviance,
 )
 
 
-def _samples_from_draws(draws, deviances, mode=LikelihoodMode.EXACT, seed=0):
+def _samples_from_draws(draws, deviances, mode=LikelihoodMode.EXACT, seed=0,
+                        param_names=("p_pool",), supports=("unit",)):
     draws = np.asarray(draws, dtype=float).reshape(len(deviances), -1)
     config = ChainConfig(n_chains=1, burn_in=0, n_keep=len(deviances), seed=seed)
     return PosteriorSamples(
-        param_names=("p_pool",),
-        supports=("unit",),
+        param_names=param_names,
+        supports=supports,
         draws=draws,
         deviance_trace=np.asarray(deviances, dtype=float),
         chain_ids=np.zeros(len(deviances), dtype=int),
@@ -72,6 +73,8 @@ class TestDbar:
 
 
 class TestPd:
+    """pD is Dbar minus the plug-in deviance at the posterior mean."""
+
     def test_degenerate_posterior_gives_zero(self):
         """All draws identical: Dbar equals the plug-in deviance exactly."""
         data = make_dataset([("none", 7.0)], trials=[20])
@@ -85,11 +88,14 @@ class TestPd:
         )
         draws = np.full((50, 1), p)
         trace = np.full(50, dev)
-        assert compute_pd(trace, draws, model, data) == pytest.approx(0.0, abs=1e-9)
+        pd = compute_dbar(trace) - plugin_deviance(model, data, draws)
+        assert pd == pytest.approx(0.0, abs=1e-9)
 
     def test_single_parameter_posterior_pd_near_one(self, conjugate_multirow_runs):
         model, data, samples_a, _ = conjugate_multirow_runs
-        pd = compute_pd(samples_a.deviance_trace, samples_a.draws, model, data)
+        pd = compute_dbar(samples_a.deviance_trace) - plugin_deviance(
+            model, data, samples_a.draws
+        )
         assert 0.7 < pd < 1.3
 
 
@@ -111,16 +117,10 @@ class TestPopt:
         p_opt, _ = compute_popt_ped(samples_a, samples_b, model, data)
         assert 1.4 < p_opt < 2.8
 
-    def test_fallback_is_twice_pd(self, conjugate_multirow_runs):
-        model, data, samples_a, _ = conjugate_multirow_runs
-        pd = compute_pd(samples_a.deviance_trace, samples_a.draws, model, data)
-        p_opt, ped = compute_popt_ped(samples_a, None, model, data, method="2pd")
-        assert p_opt == pytest.approx(2.0 * pd, rel=1e-12)
-        assert ped == pytest.approx(compute_dbar(samples_a.deviance_trace) + p_opt)
-
-    def test_fallback_doubles_exactly(self):
-        # definition check on the stated example value
-        assert 2.0 * 4.61 == pytest.approx(9.22)
+    def test_twice_pd_is_not_a_method(self, conjugate_multirow_runs):
+        model, data, samples_a, samples_b = conjugate_multirow_runs
+        with pytest.raises(DataError):
+            compute_popt_ped(samples_a, samples_b, model, data, method="2pd")
 
     def test_single_run_rejected(self, conjugate_multirow_runs):
         model, data, samples_a, _ = conjugate_multirow_runs
@@ -155,7 +155,7 @@ class TestReports:
     def test_dinterval_trace_rejected(self, survival_runs, aml, survival_model):
         _, dint = survival_runs
         with pytest.raises(ComparabilityError):
-            make_selection_report("S", survival_model, aml, dint)
+            make_selection_report("S", survival_model, aml, dint, dint)
 
     def test_negative_pd_reported_with_warning(self):
         """Componentwise posterior means land off a ridge-shaped posterior,
@@ -191,20 +191,12 @@ class TestReports:
                 for theta in draws
             ]
         )
-        config = ChainConfig(n_chains=1, burn_in=0, n_keep=len(devs), seed=3)
-        samples = PosteriorSamples(
-            param_names=("a", "b"),
-            supports=("real", "real"),
-            draws=draws,
-            deviance_trace=devs,
-            chain_ids=np.zeros(len(devs), dtype=int),
-            acceptance_rates=np.full((1, 2), 0.44),
-            mode=LikelihoodMode.EXACT,
-            config=config,
+        run_a, run_b = (
+            _samples_from_draws(draws, devs, seed=seed, param_names=("a", "b"),
+                                supports=("real", "real"))
+            for seed in (3, 4)
         )
-        report = make_selection_report(
-            "neg", model, data, samples, popt_method="2pd"
-        )
+        report = make_selection_report("neg", model, data, run_a, run_b)
         assert report.pd < 0.0
         assert report.dic == report.dbar + report.pd
         assert any("negative" in w for w in report.warnings)
