@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -219,14 +218,13 @@ def _read_samples_csv(path: Path) -> tuple[list[str], np.ndarray]:
     uses, bit for bit.  It gets the split lines, not the text, as it takes a
     "\\x0b" line break for whitespace, and ``comments=None``, as it would cut
     "1#x" to 1.  A block it refuses goes through ``float()`` per cell, which
-    also takes "1_0" and non-ASCII digits.
+    also takes "1_0" and non-ASCII digits, and names the file's first bad
+    line.
     """
     text = read_utf8(path)
     if not text:
         raise ValidationError(f"{path}: empty samples file")
-    names = None
-    parts = []
-    start = 0
+    names, parts, start, first = None, [], 0, 2  # first: the file line of lines[0]
     while start < len(text):
         end = text.find("\n", start + _CSV_BLOCK) + 1 or len(text)
         lines = text[start:end].splitlines()
@@ -234,35 +232,40 @@ def _read_samples_csv(path: Path) -> tuple[list[str], np.ndarray]:
         if names is None:
             names = _samples_csv_header(path, lines.pop(0))
         rows = list(filter(None, lines))
-        if not rows:
-            continue
-        try:
-            block = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
-        except ValueError:  # a cell it refuses, or rows of unequal length
-            block = None
-        if block is None or block.shape != (len(rows), len(names)):
-            block = _parse_csv_block_per_cell(rows, len(names))
-            if block is None:
-                break
-        parts.append(block)
-    else:
-        if parts:
-            return names, np.concatenate(parts)
-    # A fault, or no draws: name the file's first bad line.
-    raise ValidationError(f"{path}: {_samples_csv_fault(names, text.splitlines())}")
+        if rows:
+            try:
+                block = np.loadtxt(rows, delimiter=",", comments=None, dtype=float, ndmin=2)
+            except ValueError:  # a cell it refuses, or rows of unequal length
+                block = None
+            if block is None or block.shape != (len(rows), len(names)):
+                block = _parse_csv_lines(path, lines, len(names), first)
+            parts.append(block)
+        first += len(lines)
+    if not parts:
+        raise ValidationError(f"{path}: no draws")
+    return names, np.concatenate(parts)
 
 
-def _parse_csv_block_per_cell(rows: list[str], width: int) -> np.ndarray | None:
-    """The (rows, width) matrix of a block's non-empty lines, parsed with
-    Python's ``float()`` on each cell, or None when a line is not ``width``
+def _parse_csv_lines(path: Path, lines: list[str], width: int, first: int) -> np.ndarray:
+    """The (rows, width) matrix of the non-empty ``lines``, the first of them
+    line ``first`` of the file, parsed with Python's ``float()`` on each
+    cell; raises ValidationError naming the first line that is not ``width``
     numbers."""
-    if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
-        return None
-    try:  # numpy parses each str cell with Python's float()
-        cells = np.array(",".join(rows).split(","), dtype=float)
-    except ValueError:  # a non-numeric cell
-        return None
-    return cells.reshape(len(rows), width)
+    values = []
+    for number, line in enumerate(lines, start=first):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValidationError(
+                f"{path}: line {number}: expected {width} fields, got {len(cells)}")
+        for cell in cells:
+            try:
+                values.append(float(cell))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {number}: expected a number, got {cell!r}") from None
+    return np.array(values).reshape(-1, width)
 
 
 def _samples_csv_header(path: Path, header: str) -> list[str]:
@@ -277,22 +280,6 @@ def _samples_csv_header(path: Path, header: str) -> list[str]:
     return names
 
 
-def _samples_csv_fault(names: list[str], lines: list[str]) -> str:
-    """Where and why a samples file failed to parse into a draws matrix."""
-    for number, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        cells = line.split(",")
-        if len(cells) != len(names):
-            return f"line {number}: expected {len(names)} fields, got {len(cells)}"
-        for cell in cells:
-            try:
-                float(cell)
-            except ValueError:
-                return f"line {number}: expected a number, got {cell!r}"
-    return "no draws"
-
-
 def _write_csv(path: Path, header, rows) -> None:
     """Write a header and rows, each a sequence of string cells."""
     lines = [",".join(header), *map(",".join, rows)]
@@ -302,7 +289,12 @@ def _write_csv(path: Path, header, rows) -> None:
 def _write_artifacts(out_dir: Path, files: dict, config: dict, dataset_src: str,
                      dataset_id: str) -> None:
     """Write ``files`` into ``out_dir`` (name -> a JSON payload, or a CSV
-    header and rows), then the manifest that lists them."""
+    header and rows), then the manifest that lists them, and remove the files
+    the directory's previous manifest lists and this one does not."""
+    try:
+        listed = json.loads((out_dir / "manifest.json").read_text("utf-8"))["outputs"]
+    except (OSError, ValueError, LookupError, TypeError):  # missing or unreadable
+        listed = []
     manifest = {
         "package": "censdev",
         "version": __version__,
@@ -318,6 +310,10 @@ def _write_artifacts(out_dir: Path, files: dict, config: dict, dataset_src: str,
             (out_dir / name).write_text(text, encoding="utf-8")
         else:
             _write_csv(out_dir / name, *content)
+    for name in listed if isinstance(listed, list) else ():
+        stale = out_dir / str(name)
+        if name not in manifest["outputs"] and stale.name == name and stale.is_file():
+            stale.unlink()
 
 
 def _samples_file(samples: PosteriorSamples) -> tuple:
@@ -342,7 +338,7 @@ def _report_row(report: SelectionReport, fmt=_fmt) -> list:
 def _report_json(report: SelectionReport) -> dict:
     return {
         **dict(zip(REPORT_COLUMNS, _report_row(report, float))),
-        "mode": report.mode.value,
+        "mode": "exact",
         "dataset_id": report.dataset_id,
         "popt_method": "paired-kl",
         "overfit": bool(report.overfit),

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,26 +100,22 @@ class DataColumns:
             self.trials[rows], self.covariates[rows], self.names,
         )
 
-    def codes(self, col: int, n_levels: Optional[int] = None) -> np.ndarray:
+    def codes(self, col: int, n_levels: int) -> np.ndarray:
         """Covariate ``col`` as integer category codes, validated on first use.
 
-        Every entry must be a whole number in [0, n_levels) (no upper
-        bound when ``n_levels`` is None); anything else raises
-        :class:`DataError` naming the first offending row.
+        Every entry must be a whole number in [0, n_levels); anything else
+        raises :class:`DataError` naming the first offending row.
         """
         key = ("codes", col, n_levels)
         if key not in self._checked:
             x = self.covariates[:, col]
-            bad = ~(np.isfinite(x) & (x == np.floor(x)) & (x >= 0))
-            if n_levels is not None:
-                bad |= x >= n_levels
+            bad = ~(np.isfinite(x) & (x == np.floor(x)) & (x >= 0) & (x < n_levels))
             if bad.any():
                 row = int(np.flatnonzero(bad)[0])
                 name = self.names[col] if col < len(self.names) else f"#{col}"
-                levels = "0, 1, 2, ..." if n_levels is None else f"0..{n_levels - 1}"
                 raise DataError(
                     f"covariate {name!r} must hold integer category codes "
-                    f"{levels}; row {row} has {x[row]!r}"
+                    f"0..{n_levels - 1}; row {row} has {x[row]!r}"
                 )
             self._checked[key] = x.astype(np.intp)
         return self._checked[key]

@@ -1,10 +1,11 @@
 """Adaptive random-walk Metropolis-within-Gibbs posterior sampler.
 
 Each parameter component is updated on an unbounded working scale (log for
-positive supports, logit for unit-interval supports) with a Jacobian
-correction, so one proposal mechanism serves every model.  Proposal scales
-adapt toward a 0.44 acceptance rate during burn-in and are frozen afterwards
-so the kept portion of each chain is Markov.
+positive supports, logit for unit-interval supports: the transforms of
+:mod:`censdev.models`) with a Jacobian correction, so one proposal mechanism
+serves every model.  Proposal scales adapt toward a 0.44 acceptance rate
+during burn-in and are frozen afterwards so the kept portion of each chain
+is Markov.
 
 Two likelihood bookkeeping modes are supported.  EXACT targets the censored
 log-likelihood directly and monitors the matching deviance.  DINTERVAL
@@ -51,7 +52,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import _special as special
 from .exceptions import (
     DataError,
     DegenerateDensityError,
@@ -61,7 +61,7 @@ from .exceptions import (
     SchemaError,
 )
 from .likelihood import KIND_OBSERVED, CensoredDataset, DataColumns, LikelihoodMode
-from .models import Model
+from .models import _TRANSFORMS, Model, _columnwise, to_natural
 
 __all__ = [
     "ChainConfig",
@@ -69,8 +69,6 @@ __all__ = [
     "PosteriorSamples",
     "ParamSummary",
     "run",
-    "to_unbounded",
-    "to_natural",
     "adapt_step_sizes",
     "summarize",
     "split_rhat",
@@ -150,7 +148,6 @@ class PosteriorSamples:
     """
 
     param_names: tuple[str, ...]
-    supports: tuple[str, ...]
     draws: np.ndarray
     deviance_trace: np.ndarray
     chain_ids: np.ndarray
@@ -168,56 +165,12 @@ class PosteriorSamples:
     def n_keep(self) -> int:
         return self.config.n_keep
 
-    def chain(self, c: int) -> np.ndarray:
-        return self.draws[self.chain_ids == c]
-
     def param(self, name: str) -> np.ndarray:
         return self.draws[:, self.param_names.index(name)]
 
 
-# ---------------------------------------------------------------------------
-# Working-scale transforms
-# ---------------------------------------------------------------------------
-
-
-# Per support: natural -> unbounded, unbounded -> natural, and the log
-# Jacobian log |dv/dx| of the latter.  Elementwise, so one set serves a single
-# component and whole columns of draws alike.
-_TRANSFORMS = {
-    "real": (lambda v: v, lambda x: x, lambda x: 0.0 * x),
-    "positive": (
-        np.log,
-        lambda x: np.exp(np.minimum(x, 700.0)),
-        lambda x: np.minimum(x, 700.0),
-    ),
-    # logistic: log v + log(1 - v), stable in both tails.  logit and expit
-    # are looked up per call, so importing this module does not load scipy.
-    "unit": (
-        lambda v: special.logit(v),
-        lambda x: special.expit(x),
-        lambda x: -np.logaddexp(0.0, -x) - np.logaddexp(0.0, x),
-    ),
-}
 # The real line's log Jacobian is 0: a Metropolis step on it skips it.
 _ZERO_JACOBIAN = _TRANSFORMS["real"][2]
-
-
-def _columnwise(which: int, values, supports) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    for j, support in enumerate(supports):
-        out[..., j] = _TRANSFORMS[support][which](values[..., j])
-    return out
-
-
-def to_unbounded(values, supports) -> np.ndarray:
-    """Natural-scale values, shape (..., n_params), on the working scale."""
-    return _columnwise(0, values, supports)
-
-
-def to_natural(x, supports) -> np.ndarray:
-    """Working-scale values, shape (..., n_params), on the natural scale."""
-    return _columnwise(1, x, supports)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +178,15 @@ def to_natural(x, supports) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def adapt_step_sizes(
-    scales: np.ndarray,
-    accept_rates: np.ndarray,
-    adapt_round: int,
-    target: float = TARGET_ACCEPTANCE,
-) -> np.ndarray:
-    """Robbins-Monro rescaling of proposal step sizes toward ``target``.
+def adapt_step_sizes(scales: np.ndarray, accept_rates: np.ndarray, adapt_round: int) -> np.ndarray:
+    """Robbins-Monro rescaling of proposal step sizes toward ``TARGET_ACCEPTANCE``.
 
     The gain decays as adapt_round^(-1/2) so adjustments vanish over a long
     burn-in; scales are left untouched when the observed rate hits the
     target exactly.
     """
     gain = min(0.5, float(adapt_round) ** -0.5)
-    return scales * np.exp(gain * (np.asarray(accept_rates) - target))
+    return scales * np.exp(gain * (np.asarray(accept_rates) - TARGET_ACCEPTANCE))
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +336,13 @@ class _ChainBatch:
 
     # -- initialization ------------------------------------------------------
     def initialize(self) -> None:
-        """Start every chain at the model's initial point; a chain whose
-        posterior is not finite there retries from jittered points drawn
-        from its own generator."""
-        x0 = to_unbounded(self.model.initial_theta(), self.supports)
+        """Start every chain at the working-scale origin, the natural values
+        0, 1 and 1/2 of the supports; a chain whose posterior is not finite
+        there retries from jittered points drawn from its own generator."""
         pending = np.arange(len(self.rngs))
         for attempt in range(MAX_INIT_RETRIES + 1):
-            if attempt == 0:
-                x = np.tile(x0, (len(pending), 1))
-            else:
-                x = x0 + np.array([self.rngs[c].normal(size=self.n_params) for c in pending])
+            x = (np.array([self.rngs[c].normal(size=self.n_params) for c in pending]) if attempt
+                 else np.zeros((len(pending), self.n_params)))
             pending = pending[~self._try_states(pending, x)]
             if not len(pending):
                 return
@@ -544,32 +489,23 @@ class _ChainBatch:
         shape = (n_chains, self.n_params)
         scales = np.full(shape, 0.5)
         window_accepts = np.zeros(shape)
-        window_count = 0
-        adapt_round = 0
-
         kept_accepts = np.zeros(shape)
-        kept_proposals = 0
-
-        kept = 0
         for sweep in range(config.total_iterations):
             in_burn = sweep < config.burn_in
             accepts = window_accepts if in_burn else kept_accepts
             for block in self.blocks:
                 accepts[:, block.comps] += self.update_block(block, scales[:, block.comps])
-            if not in_burn:
-                kept_proposals += 1
             if self.mode is LikelihoodMode.DINTERVAL:
                 self.refresh_latents(sweep)
 
             if in_burn:
-                window_count += 1
-                if window_count == config.adapt_window:
-                    adapt_round += 1
+                adapt_round, window_count = divmod(sweep + 1, config.adapt_window)
+                if window_count == 0:
                     rates = window_accepts / config.adapt_window
                     scales = adapt_step_sizes(scales, rates, adapt_round)
                     window_accepts[:] = 0.0
-                    window_count = 0
             elif (sweep - config.burn_in + 1) % config.thin == 0:
+                kept = (sweep - config.burn_in) // config.thin
                 dev = self.monitored_deviance()
                 finite = np.isfinite(dev)
                 if not finite.all():
@@ -581,9 +517,8 @@ class _ChainBatch:
                 devs[:, kept] = dev
                 if lat_trace is not None:
                     lat_trace[:, kept] = _take(self.values, self.censored_rows)
-                kept += 1
 
-        return kept_accepts / max(kept_proposals, 1)
+        return kept_accepts / (config.n_keep * config.thin)
 
 
 def _kept_arrays(batch: ChainBatch, n_params: int, n_latent: int | None):
@@ -636,7 +571,6 @@ def run(
         n_draws = cfg.n_chains * cfg.n_keep
         out.append(PosteriorSamples(
             param_names=model.param_names,
-            supports=model.supports,
             draws=draws[chains].reshape(n_draws, state.n_params),
             deviance_trace=devs[chains].reshape(n_draws),
             chain_ids=np.repeat(np.arange(cfg.n_chains), cfg.n_keep),

@@ -8,7 +8,8 @@ parameter layout and the accepted hyperparameters with their defaults.  One
 its entry, once, the surface the sampler and the selection layer drive:
 
 * ``params``, ``param_names`` and ``supports``: the ordered components with
-  their support descriptors ("real", "positive" or "unit");
+  their support descriptors ("real", "positive" or "unit"), each with its
+  working-scale transform (:func:`to_unbounded`, :func:`to_natural`);
 * ``prior_terms``: the log prior's factors beside the level terms, each a
   :class:`Term` naming the components it reads;
 * ``levels``, ``level_reads`` and ``level_log_prior(theta)``: a model with
@@ -27,8 +28,7 @@ its entry, once, the surface the sampler and the selection layer drive:
   parameter vector or a stack of draws;
 * ``rows_for_param(j, data)``: row indices whose likelihood terms depend on
   component ``j`` (None means all rows), which lets single-site Metropolis
-  updates skip untouched rows;
-* ``initial_theta()``: the sampler's starting point.
+  updates skip untouched rows.
 
 The entries:
 
@@ -73,7 +73,8 @@ from .distributions import (
 from .exceptions import DataError, SchemaError
 from .likelihood import KIND_INTERVAL, KIND_OBSERVED, CensoredDataset, DataColumns
 
-__all__ = ["Param", "ModelSpec", "MODELS", "AE_VARIANTS", "Term", "Model"]
+__all__ = ["Param", "ModelSpec", "MODELS", "AE_VARIANTS", "Term", "Model", "to_unbounded",
+           "to_natural"]
 
 _NEG_INF = float("-inf")
 
@@ -86,7 +87,44 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # The level priors' scales are -inf at or below this, as at zero: the
 # half-Cauchy prior puts mass below 1e-150 / half_cauchy_scale there.
 _MIN_SCALE = 1e-150
-_INITIAL = {"real": 0.0, "positive": 1.0, "unit": 0.5}
+
+# Per support: natural -> unbounded, unbounded -> natural, and the log
+# Jacobian log |dv/dx| of the latter.  Elementwise, so one set serves a single
+# component and whole columns of draws alike.  Each maps the working-scale
+# origin x = 0 to a neutral natural value: 0, 1 and 1/2.
+_TRANSFORMS = {
+    "real": (lambda v: v, lambda x: x, lambda x: 0.0 * x),
+    "positive": (
+        np.log,
+        lambda x: np.exp(np.minimum(x, 700.0)),
+        lambda x: np.minimum(x, 700.0),
+    ),
+    # logistic: log v + log(1 - v), stable in both tails.  logit and expit
+    # are looked up per call, so importing this module does not load scipy.
+    "unit": (
+        lambda v: sc.logit(v),
+        lambda x: sc.expit(x),
+        lambda x: -np.logaddexp(0.0, -x) - np.logaddexp(0.0, x),
+    ),
+}
+
+
+def _columnwise(which: int, values, supports) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    out = np.empty_like(values)
+    for j, support in enumerate(supports):
+        out[..., j] = _TRANSFORMS[support][which](values[..., j])
+    return out
+
+
+def to_unbounded(values, supports) -> np.ndarray:
+    """Natural-scale values, shape (..., n_params), on the working scale."""
+    return _columnwise(0, values, supports)
+
+
+def to_natural(x, supports) -> np.ndarray:
+    """Working-scale values, shape (..., n_params), on the natural scale."""
+    return _columnwise(1, x, supports)
 
 
 @dataclass(frozen=True)
@@ -97,7 +135,7 @@ class Param:
     support: str  # "real" | "positive" | "unit"
 
     def __post_init__(self):
-        if self.support not in _INITIAL:
+        if self.support not in _TRANSFORMS:
             raise SchemaError(f"unknown support {self.support!r} for {self.name!r}")
 
 
@@ -175,9 +213,9 @@ def _beta_log_prior(x, alpha, beta):
 
 
 def _half_cauchy_log_prior(x, scale):
-    """Half-Cauchy(scale) log density at ``x``, elementwise; -inf below 0."""
+    """Half-Cauchy(scale) log density at ``x``, elementwise; -inf at or below 0."""
     r = x / scale
-    return np.where(x >= 0.0, (math.log(2.0 / math.pi) - np.log(scale)) - np.log1p(r * r),
+    return np.where(x > 0.0, (math.log(2.0 / math.pi) - np.log(scale)) - np.log1p(r * r),
                     _NEG_INF)
 
 
@@ -230,7 +268,7 @@ class Model:
         self.level_reads = (() if not hyper_pooled
                             else (1,) if spec.link != "identity" else (0, 1))
 
-        self._scale = hyper.get("half_cauchy_scale")
+        scale = hyper.get("half_cauchy_scale")
         self._shapes = hyper.get("beta_shapes")
         last = len(self.params) - 1
         if spec.family is Exponential:
@@ -238,14 +276,14 @@ class Model:
             terms = [_term(j, _normal_log_prior, hyper[f"tau{j}"]) for j in (0, 1)]
             self._row_params = self._rate
         elif spec.family is Normal:
-            terms = [Term((last,), self._positive_scale)] + [
+            terms = [_term(last, _half_cauchy_log_prior, scale)] + [
                 _term(j, _normal_log_prior, hyper["coef_precision"]) for j in range(last)]
             self._row_params = self._normal_params
         else:  # A: the mean's term; B, G: level terms only; C, D/E/F: mean and scale
             mean = (_term(0, _normal_log_prior, hyper["mean_precision"])
                     if spec.pooling == "normal-hyper"
                     else _term(0, _beta_log_prior, *self._shapes))
-            terms = ([mean, _term(1, _half_cauchy_log_prior, self._scale)] if hyper_pooled
+            terms = ([mean, _term(1, _half_cauchy_log_prior, scale)] if hyper_pooled
                      else [] if spec.index else [mean])
             self._row_params = self._probability
         self.prior_terms = tuple(terms)
@@ -289,10 +327,6 @@ class Model:
             return np.empty(0, dtype=np.intp)
         return None
 
-    def initial_theta(self) -> np.ndarray:
-        """Starting point: neutral values of each support."""
-        return np.array([_INITIAL[s] for s in self.supports])
-
     # -- priors ------------------------------------------------------------
     def level_log_prior(self, theta) -> np.ndarray:
         """Prior term of each component in ``levels``, in that order on the
@@ -316,11 +350,6 @@ class Model:
         else:
             out = Normal.log_pdf_v(levels, 0.0, 1.0 / (scale * scale))
         return np.where(inside, out, _NEG_INF)
-
-    def _positive_scale(self, theta):
-        """The GLM's half-Cauchy term of its residual scale, -inf at <= 0."""
-        sigma = theta[..., -1]
-        return np.where(sigma > 0.0, _half_cauchy_log_prior(sigma, self._scale), _NEG_INF)
 
     # -- outcome parameters ----------------------------------------------------
     def _rate(self, theta, cols):

@@ -7,7 +7,7 @@ valid basis for model comparison.
 
 * ``Dbar`` is the posterior mean deviance.
 * ``pD`` is the classic plug-in Dbar - D(theta_bar), with theta_bar formed
-  by averaging draws on the sampler's unbounded working scale so the
+  by averaging draws on the models' unbounded working scale so the
   plug-in point always lies inside the parameter supports.
 * ``p_opt`` (optimism) is estimated by cross-evaluating paired draws from
   two independent runs.  For each row the penalty at a draw pair is the
@@ -25,12 +25,14 @@ valid basis for model comparison.
   reweighting inflates it sharply, which is the signature of overfitting.
   PED = Dbar + p_opt.
 
-The plug-in deviance and p_opt score all rows at once from the dataset's
-columns; p_opt runs over (draw pairs x rows) arrays in chunks of draws, so
-memory stays bounded however long the chains are.  Each of the two enters
+The plug-in deviance is -2 :func:`~censdev.likelihood.loglik_exact` at
+theta_bar.  p_opt scores all rows at once from the dataset's columns, over
+(draw pairs x rows) arrays in chunks of draws, so memory stays bounded
+however long the chains are.  Each of the two enters
 ``np.errstate(all="ignore")`` once around its kernel calls (extreme draws
 meet overflow and log(0) by design), so a report raises no floating-point
-warnings.
+warnings.  Dbar, DIC and PED are formed in :func:`make_selection_report`
+alone.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from .exceptions import (
     InsufficientReplicationError,
     PluginError,
 )
-from .likelihood import KIND_OBSERVED, CensoredDataset, LikelihoodMode
-from .mcmc import PosteriorSamples, to_natural, to_unbounded
-from .models import Model
+from .likelihood import KIND_OBSERVED, CensoredDataset, LikelihoodMode, deviance, loglik_exact
+from .mcmc import PosteriorSamples
+from .models import Model, to_natural, to_unbounded
 
 __all__ = [
     "SelectionReport",
@@ -71,7 +73,8 @@ POPT_CHUNK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """One model's deviance summary; dic and ped satisfy their identities exactly."""
+    """One model's exact-mode deviance summary; dic and ped satisfy their
+    identities exactly."""
 
     label: str
     dbar: float
@@ -79,7 +82,6 @@ class SelectionReport:
     dic: float
     p_opt: float
     ped: float
-    mode: LikelihoodMode
     dataset_id: str = ""
     warnings: tuple[str, ...] = ()
 
@@ -116,14 +118,9 @@ def plugin_deviance(model: Model, data: CensoredDataset, draws: np.ndarray) -> f
     """Exact deviance at the transformed-scale posterior mean."""
     supports = model.supports
     theta_bar = to_natural(to_unbounded(draws, supports).mean(axis=0), supports)
-    cols = data.columns
-    try:
-        with np.errstate(all="ignore"):
-            value = -2.0 * float(model.family.log_contrib(
-                cols, *model.row_params(theta_bar, cols)
-            ).sum())
-    except Exception as exc:  # parameter/domain failures at the plug-in point
-        raise PluginError(f"plug-in deviance failed at posterior mean: {exc}") from exc
+    with np.errstate(all="ignore"):
+        params = model.row_params(theta_bar, data.columns)
+        value = deviance(loglik_exact(data, model.family, params))
     if not math.isfinite(value):
         raise PluginError("plug-in deviance is non-finite at the posterior mean")
     return value
@@ -151,8 +148,8 @@ def compute_popt_ped(
     model: Model,
     data: CensoredDataset,
     method: str = "paired-kl",
-) -> tuple[float, float]:
-    """Optimism and penalized expected deviance from two independent runs.
+) -> float:
+    """Optimism p_opt from two independent runs.
 
     Draw t of run A is paired with draw t of run B, and the summed per-row
     symmetric predictive divergences are averaged over the pairs.
@@ -199,11 +196,7 @@ def compute_popt_ped(
             weight_sum = weight_sum * rescale + weights.sum(axis=0)
             penalty_sum = penalty_sum * rescale + (weights * ksym).sum(axis=0)
             log_w_max = new_max
-    p_opt = float((penalty_sum / weight_sum).sum())
-    dbar = compute_dbar(
-        np.concatenate([samples_a.deviance_trace[:n], samples_b.deviance_trace[:n]])
-    )
-    return p_opt, dbar + p_opt
+    return float((penalty_sum / weight_sum).sum())
 
 
 def make_selection_report(
@@ -229,7 +222,7 @@ def make_selection_report(
             f"negative effective parameter count pd={pd:.3f}; "
             "reported unclamped (posterior mean may sit in a low-density region)"
         )
-    p_opt, _ = compute_popt_ped(samples_a, samples_b, model, data)
+    p_opt = compute_popt_ped(samples_a, samples_b, model, data)
     return SelectionReport(
         label=label,
         dbar=dbar,
@@ -237,7 +230,6 @@ def make_selection_report(
         dic=dbar + pd,
         p_opt=p_opt,
         ped=dbar + p_opt,
-        mode=LikelihoodMode.EXACT,
         dataset_id=dataset_id,
         warnings=tuple(warnings),
     )

@@ -146,10 +146,6 @@ class DuckModel:
     def rows_for_param(self, j, data):
         return None
 
-    def initial_theta(self) -> np.ndarray:
-        defaults = {"real": 0.0, "positive": 1.0, "unit": 0.5}
-        return np.array([defaults[s] for s in self.supports])
-
 
 class GammaExponentialModel(DuckModel):
     """Exponential outcome with a Gamma(shape, rate) prior on its rate.

@@ -60,8 +60,8 @@ def _criterion(number, description, passed, detail=""):
 
 
 def _pooled_mcse(samples, name):
-    per_chain = [mcse(samples.chain(c)[:, samples.param_names.index(name)])
-                 for c in range(samples.n_chains)]
+    traces = samples.param(name).reshape(samples.n_chains, samples.n_keep)
+    per_chain = [mcse(trace) for trace in traces]
     return math.sqrt(sum(m * m for m in per_chain)) / samples.n_chains
 
 

@@ -388,6 +388,48 @@ class TestCliFit:
         assert main(["fit", "--config", str(config_path)]) == 3
         assert not list(fresh.iterdir())
 
+    def test_a_fit_removes_the_outputs_of_the_run_it_replaces(self, fit_config):
+        """An exact then a dinterval fit into one directory: it then holds
+        the second manifest's outputs and nothing else."""
+        config_path, out_dir, config = fit_config
+        assert main(["fit", "--config", str(config_path)]) == 0
+        assert (out_dir / "samples_b.csv").is_file()
+        config_path.write_text(json.dumps({**config, "mode": "dinterval"}), encoding="utf-8")
+        assert main(["fit", "--config", str(config_path)]) == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert sorted(p.name for p in out_dir.iterdir()) == manifest["outputs"]
+        assert not {"samples_b.csv", "report.csv", "density_exact_b0.csv"} & set(
+            manifest["outputs"])
+        assert json.loads((out_dir / "report.json").read_text())["mode"] == "dinterval"
+
+    @pytest.mark.parametrize("manifest", [
+        b"{not json", b"\xff\xfe", b"[1, 2]", b'"outputs"', b'{"outputs": 3}',
+        b'{"version": "0.1.0"}',
+    ])
+    def test_an_unreadable_manifest_removes_nothing(self, fit_config, manifest):
+        config_path, out_dir, _ = fit_config
+        out_dir.mkdir()
+        (out_dir / "manifest.json").write_bytes(manifest)
+        (out_dir / "notes.txt").write_text("kept", encoding="utf-8")
+        assert main(["fit", "--config", str(config_path)]) == 0
+        assert (out_dir / "notes.txt").read_text(encoding="utf-8") == "kept"
+
+    def test_only_plain_file_names_of_the_manifest_are_removed(self, fit_config, tmp_path):
+        """A listed name with a directory part, or that is not a file, stays;
+        so does every file the manifest does not list."""
+        config_path, out_dir, _ = fit_config
+        (out_dir / "sub").mkdir(parents=True)
+        for name in ("old.csv", "notes.txt", "sub/x.csv", "../outside.txt"):
+            (out_dir / name).write_text("x", encoding="utf-8")
+        listed = ["old.csv", "sub/x.csv", "sub", "../outside.txt", str(tmp_path / "outside.txt"),
+                  "", ".", "..", 7, None, ["old.csv"], {"a": 1}]
+        (out_dir / "manifest.json").write_text(json.dumps({"outputs": listed}),
+                                               encoding="utf-8")
+        assert main(["fit", "--config", str(config_path)]) == 0
+        assert not (out_dir / "old.csv").exists()
+        for path in (out_dir / "notes.txt", out_dir / "sub" / "x.csv", tmp_path / "outside.txt"):
+            assert path.read_text(encoding="utf-8") == "x", path
+
 
 class TestBenchmarkTracerContract:
     """``perfbench/tracing.py`` binds these functions' arguments by name,
@@ -976,6 +1018,27 @@ def _samples_files(draw, min_width=1, line_breaks=("\n",)):
     return "".join(map(str.__add__, lines, breaks))
 
 
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_fault(names, lines):
+    """Where and why the file's lines fail to give a draws matrix: its first
+    non-empty line after the header that does not hold one number per name."""
+    numbered = [(i + 1, line.split(",")) for i, line in enumerate(lines) if i and line]
+    for number, cells in numbered:
+        if len(cells) != len(names):
+            return f"line {number}: expected {len(names)} fields, got {len(cells)}"
+        bad = [cell for cell in cells if not _is_number(cell)]
+        if bad:
+            return f"line {number}: expected a number, got {bad[0]!r}"
+    return "no draws"
+
+
 def _per_cell_samples_csv(path, read=read_utf8):
     """Oracle: the samples reader that parses one cell at a time."""
     lines = read(path).splitlines()
@@ -988,7 +1051,7 @@ def _per_cell_samples_csv(path, read=read_utf8):
     except ValueError:  # a non-numeric cell, or rows of unequal length
         matrix = None
     if matrix is None or matrix.ndim != 2 or matrix.shape[1] != len(names):
-        raise ValidationError(f"{path}: {cli._samples_csv_fault(names, lines)}")
+        raise ValidationError(f"{path}: {_first_fault(names, lines)}")
     return names, matrix
 
 
@@ -1256,10 +1319,10 @@ class TestCliSamplesReader:
                  trace]
         want = [_per_cell_samples_csv(path) for path in paths]
 
-        def per_cell(rows, width):
+        def per_line(path, lines, width, first):
             raise AssertionError("numpy's reader refused a block")
 
-        monkeypatch.setattr(cli, "_parse_csv_block_per_cell", per_cell)
+        monkeypatch.setattr(cli, "_parse_csv_lines", per_line)
         monkeypatch.setattr(cli, "_CSV_BLOCK", 4096)  # several blocks a file
         for path, (names, matrix) in zip(paths, want):
             got_names, got = cli._read_samples_csv(path)

@@ -68,7 +68,7 @@ class TestConjugateOracles:
     def test_chain_exchangeability(self, conjugate_bb_runs):
         """Each chain's mean agrees with the pooled mean within 3 MCSE."""
         _, _, samples, _ = conjugate_bb_runs
-        chains = [samples.chain(c)[:, 0] for c in range(samples.n_chains)]
+        chains = samples.draws[:, 0].reshape(samples.n_chains, samples.n_keep)
         pooled = samples.param("p_pool")
         pooled_mean, pooled_mcse = pooled.mean(), mcse(pooled)
         for chain in chains:
@@ -581,7 +581,6 @@ def _manual_samples(values, n_chains=1):
     config = ChainConfig(n_chains=n_chains, burn_in=0, n_keep=n_keep, seed=0)
     return PosteriorSamples(
         param_names=("x",),
-        supports=("real",),
         draws=values.reshape(-1, 1),
         deviance_trace=np.zeros(values.shape[0]),
         chain_ids=np.repeat(np.arange(n_chains), n_keep),

@@ -18,7 +18,7 @@ from censdev.datasets import AE_COVARIATES, synthetic_ae_dataset
 from censdev.distributions import Exponential
 from censdev.exceptions import SchemaError
 from censdev.likelihood import exact_contributions
-from censdev.models import MODELS, Model
+from censdev.models import MODELS, Model, Param, _half_cauchy_log_prior, to_natural, to_unbounded
 from conftest import censored_rows, make_dataset, subset
 from oracle import log_posterior_unnorm, loglik_exact, outcome_families, outcome_family
 
@@ -61,6 +61,25 @@ def _survival(**hyperparameters):
     return _model("survival-exponential", aml_dataset(), **hyperparameters)
 
 
+class TestWorkingScale:
+    def test_origin_is_the_neutral_point_of_each_support(self):
+        """The sampler starts every chain at x = 0: the natural values 0, 1
+        and 1/2, exactly."""
+        supports = ("real", "positive", "unit")
+        assert to_natural(np.zeros(3), supports).tolist() == [0.0, 1.0, 0.5]
+        assert to_unbounded(np.array([0.0, 1.0, 0.5]), supports).tolist() == [0.0, 0.0, 0.0]
+
+    def test_round_trip_on_draws(self):
+        supports = ("real", "positive", "unit")
+        x = np.random.default_rng(4).normal(size=(50, 3))
+        np.testing.assert_allclose(to_unbounded(to_natural(x, supports), supports), x,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_a_parameter_needs_a_known_support(self):
+        with pytest.raises(SchemaError, match="unknown support 'simplex'"):
+            Param("w", "simplex")
+
+
 class TestPriors:
     def test_survival_prior_at_origin(self):
         model = _survival(tau0=0.01, tau1=0.01)
@@ -71,6 +90,27 @@ class TestPriors:
         model = _model("D", _ae_rows(n_drugs=2))
         theta = np.array([0.0, -0.5, 0.0, 0.0])  # sigma < 0
         assert model.log_prior(theta) == -math.inf
+
+    def test_half_cauchy_is_minus_inf_at_and_below_zero(self):
+        values = _half_cauchy_log_prior(np.array([-1.0, -0.0, 0.0, 1e-300]), 2.5)
+        assert values[:3].tolist() == [-math.inf] * 3
+        assert values[3] == pytest.approx(math.log(2.0 / (math.pi * 2.5)))
+        assert _half_cauchy_log_prior(0.0, 1.0) == -math.inf
+
+    @pytest.mark.parametrize("name", ["C", "D", "E", "F", "censored-normal-glm"])
+    def test_zero_scale_is_outside_the_prior(self, name):
+        """C's spread and D/E/F's or the GLM's sigma at exactly 0: the joint
+        log prior is -inf, as the level terms alone already make it for the
+        hierarchical entries."""
+        data = _glm_rows(2) if name == "censored-normal-glm" else _ae_rows(n_drugs=2)
+        model = _model(name, data)
+        theta = np.full(len(model.params), 0.5)
+        scale = model.param_names.index("sigma" if "sigma" in model.param_names else "spread")
+        theta[scale] = 0.0
+        assert model.log_prior(theta) == -math.inf
+        assert model.log_prior(np.stack([theta, theta])).tolist() == [-math.inf] * 2
+        if model.levels:
+            assert (model.level_log_prior(theta) == -math.inf).all()
 
     def test_uniform_beta_prior_is_flat(self):
         model = _model("A", _ae_rows(), beta_shapes=(1.0, 1.0))

@@ -6,15 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from censdev import ChainConfig, LikelihoodMode
+from censdev import ChainConfig, LikelihoodMode, aml_dataset
+from censdev.datasets import synthetic_ae_dataset
+from censdev.distributions import Normal
 from censdev.exceptions import (
     ComparabilityError,
     DataError,
     InsufficientReplicationError,
+    PluginError,
 )
-from censdev.likelihood import deviance
+from censdev.likelihood import deviance, loglik_exact
 from censdev.mcmc import PosteriorSamples
-from censdev.models import MODELS, Model
+from censdev.models import MODELS, Model, Param, to_natural, to_unbounded
 from conftest import DuckModel, make_dataset
 from oracle import outcome_families, outcome_family
 from censdev.selection import (
@@ -28,12 +31,11 @@ from censdev.selection import (
 
 
 def _samples_from_draws(draws, deviances, mode=LikelihoodMode.EXACT, seed=0,
-                        param_names=("p_pool",), supports=("unit",)):
+                        param_names=("p_pool",)):
     draws = np.asarray(draws, dtype=float).reshape(len(deviances), -1)
     config = ChainConfig(n_chains=1, burn_in=0, n_keep=len(deviances), seed=seed)
     return PosteriorSamples(
         param_names=param_names,
-        supports=supports,
         draws=draws,
         deviance_trace=np.asarray(deviances, dtype=float),
         chain_ids=np.zeros(len(deviances), dtype=int),
@@ -51,7 +53,6 @@ def _report(label, dbar, pd, p_opt, dataset_id="d0"):
         dic=dbar + pd,
         p_opt=p_opt,
         ped=dbar + p_opt,
-        mode=LikelihoodMode.EXACT,
         dataset_id=dataset_id,
     )
 
@@ -99,22 +100,71 @@ class TestPd:
         assert 0.7 < pd < 1.3
 
 
+class _RowParamsModel(DuckModel):
+    """One real parameter; ``row_params`` is the given function."""
+
+    family = Normal
+
+    def __init__(self, row_params):
+        self.params = (Param("a", "real"),)
+        self.row_params = row_params
+
+    def log_prior(self, theta):
+        return np.zeros(self.check_theta(theta).shape[:-1])
+
+
+class TestPluginDeviance:
+    @pytest.mark.parametrize("name", ["survival-exponential", "C", "D", "G"])
+    def test_is_the_exact_deviance_at_the_working_scale_mean(self, name):
+        """Bit for bit ``deviance(loglik_exact(...))`` at the mean taken on
+        the working scale, and the per-row kernel sum it replaced."""
+        data = aml_dataset() if name == "survival-exponential" else synthetic_ae_dataset(seed=5)
+        model = Model(MODELS[name], data)
+        rng = np.random.default_rng(8)
+        x = rng.normal(-1.0, 0.7, size=(60, len(model.params)))
+        draws = to_natural(x, model.supports)
+        theta_bar = to_natural(to_unbounded(draws, model.supports).mean(axis=0), model.supports)
+        params = model.row_params(theta_bar, data.columns)
+        got = plugin_deviance(model, data, draws)
+        assert got == deviance(loglik_exact(data, model.family, params))
+        assert got == -2.0 * float(model.family.log_contrib(data.columns, *params).sum())
+
+    def test_a_model_error_propagates(self):
+        def row_params(theta, cols):
+            raise KeyError("no such column")
+
+        data = make_dataset([("none", 1.0), ("left", 0.5)])
+        with pytest.raises(KeyError, match="no such column"):
+            plugin_deviance(_RowParamsModel(row_params), data, np.zeros((5, 1)))
+
+    def test_non_finite_deviance_raises_plugin_error(self):
+        def row_params(theta, cols):
+            return np.full(len(cols), np.nan), np.ones(len(cols))
+
+        data = make_dataset([("none", 1.0), ("left", 0.5)])
+        with pytest.raises(PluginError, match="non-finite"):
+            plugin_deviance(_RowParamsModel(row_params), data, np.zeros((5, 1)))
+
+
 class TestPopt:
     def test_degenerate_posterior_gives_zero(self):
+        """Identical draws: p_opt is 0, so the report's PED is its Dbar."""
         data = make_dataset([("none", 7.0)], trials=[20])
         model = Model(MODELS["A"], data)
         draws = np.full((40, 1), 0.35)
         trace = np.full(40, 1.0)
         a = _samples_from_draws(draws, trace, seed=1)
         b = _samples_from_draws(draws, trace, seed=2)
-        p_opt, ped = compute_popt_ped(a, b, model, data)
+        p_opt = compute_popt_ped(a, b, model, data)
         assert p_opt == pytest.approx(0.0, abs=1e-12)
-        assert ped == pytest.approx(1.0)
+        report = make_selection_report("A", model, data, a, b)
+        assert report.p_opt == p_opt
+        assert report.ped == pytest.approx(1.0)
 
     def test_conjugate_band(self, conjugate_multirow_runs):
         """Normal-approximation regime: p_opt close to 2 pd."""
         model, data, samples_a, samples_b = conjugate_multirow_runs
-        p_opt, _ = compute_popt_ped(samples_a, samples_b, model, data)
+        p_opt = compute_popt_ped(samples_a, samples_b, model, data)
         assert 1.4 < p_opt < 2.8
 
     def test_twice_pd_is_not_a_method(self, conjugate_multirow_runs):
@@ -147,10 +197,7 @@ class TestReports:
 
     def test_broken_identities_rejected(self):
         with pytest.raises(DataError):
-            SelectionReport(
-                label="X", dbar=10.0, pd=1.0, dic=11.5, p_opt=2.0, ped=12.0,
-                mode=LikelihoodMode.EXACT,
-            )
+            SelectionReport(label="X", dbar=10.0, pd=1.0, dic=11.5, p_opt=2.0, ped=12.0)
 
     def test_dinterval_trace_rejected(self, survival_runs, aml, survival_model):
         _, dint = survival_runs
@@ -192,8 +239,7 @@ class TestReports:
             ]
         )
         run_a, run_b = (
-            _samples_from_draws(draws, devs, seed=seed, param_names=("a", "b"),
-                                supports=("real", "real"))
+            _samples_from_draws(draws, devs, seed=seed, param_names=("a", "b"))
             for seed in (3, 4)
         )
         report = make_selection_report("neg", model, data, run_a, run_b)

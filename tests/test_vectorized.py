@@ -192,7 +192,6 @@ def _samples(draws, model, seed):
     n = draws.shape[0]
     return PosteriorSamples(
         param_names=model.param_names,
-        supports=model.supports,
         draws=draws,
         deviance_trace=np.zeros(n),
         chain_ids=np.zeros(n, dtype=int),
@@ -263,7 +262,7 @@ class TestPairedOptimism:
     def test_matches_scalar_reference(self, monkeypatch, chunk_elements, case):
         _, model, data, draws_a, draws_b = case
         monkeypatch.setattr(selection, "POPT_CHUNK_ELEMENTS", chunk_elements)
-        p_opt, _ = compute_popt_ped(_samples(draws_a, model, 1), _samples(draws_b, model, 2),
-                                    model, data)
+        p_opt = compute_popt_ped(_samples(draws_a, model, 1), _samples(draws_b, model, 2),
+                                 model, data)
         reference = _popt_reference(model, data, draws_a, draws_b)
         assert abs(p_opt - reference) <= POPT_RTOL * abs(reference)
