@@ -351,12 +351,19 @@ def _report_json(report: SelectionReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _paired_runs(model: Model, data: CensoredDataset, label: str, chains: ChainConfig,
-                 seeds: tuple[int, int], dataset_id: str):
-    """Exact-mode runs A and B, sampled as one batch, and their selection report."""
-    batch = ChainBatch(tuple(dataclasses.replace(chains, seed=seed) for seed in seeds))
-    samples = run(model, data, LikelihoodMode.EXACT, batch)
-    return samples, make_selection_report(label, model, data, *samples, dataset_id=dataset_id)
+def _paired_runs(group: list, data: CensoredDataset, chains: ChainConfig, dataset_id: str):
+    """Exact-mode runs A and B of each ``(model, label, seeds)`` of ``group``,
+    models that share a ``layout_key``, all sampled as one batch; returns
+    each one's (runs A and B, selection report), in order."""
+    batch = ChainBatch(
+        tuple(dataclasses.replace(chains, seed=seed) for _, _, seeds in group for seed in seeds),
+        tuple(model for model, _, seeds in group for _ in seeds),
+    )
+    samples = run(group[0][0], data, LikelihoodMode.EXACT, batch)
+    return [(samples[2 * k:2 * k + 2],
+             make_selection_report(label, model, data, *samples[2 * k:2 * k + 2],
+                                   dataset_id=dataset_id))
+            for k, (model, label, _) in enumerate(group)]
 
 
 def _fit(config: dict, config_dir: Path, out_dir: Path | None = None) -> tuple[dict, Path]:
@@ -383,7 +390,7 @@ def _fit(config: dict, config_dir: Path, out_dir: Path | None = None) -> tuple[d
 
     seeds = _derive_run_seeds(chains.seed, 1)[0]
     if mode is LikelihoodMode.EXACT:
-        samples, report = _paired_runs(model, data, label, chains, seeds, dataset_id)
+        [(samples, report)] = _paired_runs([(model, label, seeds)], data, chains, dataset_id)
     else:
         batch = ChainBatch((dataclasses.replace(chains, seed=seeds[0]),))
         samples = run(model, data, mode, batch)
@@ -440,19 +447,26 @@ def _model_sections(config: dict) -> list[dict]:
 def cmd_compare(config: dict, config_dir: Path) -> int:
     data, dataset_src = _load_dataset(config, config_dir)
     chains = _chain_config(config.get("chains", {}))
-    models = []
-    for section in _model_sections(config):
+    sections = _model_sections(config)
+    fits = []
+    for section, seeds in zip(sections, _derive_run_seeds(chains.seed, len(sections))):
         model = _build_model(section, data)
-        models.append((model, _string('"label"', section.get("label", model.label))))
+        fits.append((model, _string('"label"', section.get("label", model.label)), seeds))
     out_dir = _output_dir(config.get("output_dir", "censdev-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_id = dataset_fingerprint(data)
 
-    reports = []
-    for (model, label), seeds in zip(models, _derive_run_seeds(chains.seed, len(models))):
-        _, report = _paired_runs(model, data, label, chains, seeds, dataset_id)
-        reports.append(report)
-        print(f"fitted {label}: DIC={report.dic:.2f} PED={report.ped:.2f}"
+    # Models that differ only in row_params (D, E and F) share one chain batch.
+    groups = {}
+    for k, (model, _, _) in enumerate(fits):
+        groups.setdefault(model.layout_key, []).append(k)
+    reports = [None] * len(fits)
+    for members in groups.values():
+        paired = _paired_runs([fits[k] for k in members], data, chains, dataset_id)
+        for k, (_, report) in zip(members, paired):
+            reports[k] = report
+    for report in reports:
+        print(f"fitted {report.label}: DIC={report.dic:.2f} PED={report.ped:.2f}"
               + ("  [overfit]" if report.overfit else ""))
 
     ranked = compare(reports)

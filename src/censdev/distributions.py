@@ -301,14 +301,41 @@ class Binomial(Family):
         top = np.where(inside, np.floor(np.where(inside, hi, 0.0)).astype(np.int64), trials)
         log_cdf_lo, log_sf_lo = self._log_cdf_sf_v(below.astype(float), trials, prob)
         log_u = np.log(u) + log_mass
+
+        def over(k):  # P(first <= X <= k) > u P(first <= X <= last)
+            log_cdf, log_sf = self._log_cdf_sf_v(k.astype(float), trials, prob)
+            return _log_between(log_cdf, log_sf, log_cdf_lo, log_sf_lo) > log_u
+
+        # Start from a bracket around the normal approximation of k, not
+        # from the whole region (log2(trials) steps): an end of it whose
+        # check fails falls back to the region's end, so the search finds
+        # the same k.
+        start, end = self._bracket(below, top, log_cdf_lo, log_sf_lo, log_u)
+        below = np.where((start > below) & ~over(start), start, below)
+        top = np.where((end < top) & over(end), end, top)
         while True:
             left = top - 1 - below  # counts strictly between; never overflows
             if not (left > 0).any():
                 return top.astype(float)
             mid = below + 1 + left // 2
-            log_cdf, log_sf = self._log_cdf_sf_v(mid.astype(float), trials, prob)
-            over = _log_between(log_cdf, log_sf, log_cdf_lo, log_sf_lo) > log_u
-            top, below = np.where(over, mid, top), np.where(over, below, mid)
+            is_over = over(mid)
+            top, below = np.where(is_over, mid, top), np.where(is_over, below, mid)
+
+    def _bracket(self, below, top, log_cdf_lo, log_sf_lo, log_u):
+        """Whole numbers in [below, top] around the k whose CDF first exceeds
+        q = F(below) + u P(first <= X <= last): the normal quantile of q,
+        continuity-corrected, give or take 2 + z^2/4, which covers the
+        Cornish-Fisher skewness term |1 - 2p| (z^2 - 1) / 6.  The quantile
+        is taken from log q below the median and from log(1 - q) above it.
+        Where it is not finite an end is the region's end."""
+        trials, prob = self.params
+        log_q = np.logaddexp(log_cdf_lo, log_u)
+        log_1mq = log_sf_lo + np.log1p(-np.exp(log_u - log_sf_lo))
+        z = np.where(log_q <= _LOG_HALF, sc.ndtri_exp(log_q), -sc.ndtri_exp(log_1mq))
+        center = trials * prob + np.sqrt(trials * prob * (1.0 - prob)) * z - 0.5
+        margin = 2.0 + 0.25 * z * z
+        return tuple(np.fmin(np.fmax(bound, below), top).astype(np.int64)
+                     for bound in (np.floor(center - margin), np.ceil(center + margin)))
 
     @classmethod
     def _points(cls, cols, params):

@@ -278,12 +278,11 @@ def loglik_dinterval_style(data: CensoredDataset, family: type[Family], params,
     """Log-likelihood pair under latent-imputation bookkeeping.
 
     ``latent_values`` holds one imputed value per censored row, in row
-    order (the layout of ``PosteriorSamples.latent_trace``); each must lie
-    in its row's censoring region.  ``sampler_loglik`` sums log f over all
-    rows at observed or imputed values: the target a Gibbs sampler over
-    (parameters, latents) uses.  ``monitored_loglik`` sums over observed
-    rows only, which is what the deviance monitor reports when censored
-    rows contribute log 1 = 0.
+    order; each must lie in its row's censoring region.  ``sampler_loglik``
+    sums log f over all rows at observed or imputed values: the target a
+    Gibbs sampler over (parameters, latents) uses.  ``monitored_loglik``
+    sums over observed rows only, which is what the deviance monitor
+    reports when censored rows contribute log 1 = 0.
     """
     _check_params(data, params)
     cols = data.columns

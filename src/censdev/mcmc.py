@@ -33,13 +33,18 @@ of a fit, say) and keeps parameters, working-scale values, Jacobians and
 proposal scales as (chains, params) arrays, the prior term values as
 (chains, terms) and (chains, levels) arrays and the per-row contributions
 and latent values as (chains, rows) arrays, so each block scores every
-chain's proposal with one ``row_params``/``log_contrib`` call.  Chains stay
-independent: each owns a child generator spawned deterministically from its
-run's seed and draws its normals, its uniforms (only when a log ratio of
-its own is below 0), its jittered restarts and its latents from it in the
-order a chain run alone would, and its terms depend on its own row of the
-state only.  So a chain's draws are bit for bit the same whichever chains
-share its batch; ``TestBatching`` in ``tests/test_mcmc.py`` checks a batch
+chain's proposal with one ``log_contrib`` call.  A batch may also name one
+model per config, as long as the models share a ``layout_key``: they then
+differ only in ``row_params`` (D, E and F: one hierarchical model under
+three links), which each chain evaluates with its own model, while
+proposals, prior and level terms, the kernel, accept and commit run once
+over all chains.  Chains stay independent: each owns a child generator
+spawned deterministically from its run's seed and draws its normals, its
+uniforms (only when a log ratio of its own is below 0), its jittered
+restarts and its latents from it in the order a chain run alone would, and
+its terms depend on its own row of the state only.  So a chain's draws are
+bit for bit the same whichever chains, of whichever of those models, share
+its batch; ``TestBatching`` in ``tests/test_mcmc.py`` checks a batch
 against its configs run one at a time.  Every sampling call, batched or
 not, goes through ``run``.
 """
@@ -115,10 +120,14 @@ class ChainBatch:
 
     Their chains sweep in lockstep, so the configs must share burn-in, kept
     draws, thinning and adaptation window; chain counts and seeds may
-    differ.  ``n_chains`` counts the chains of every config.
+    differ.  ``models``, when given, names the model of each config (by
+    default each samples the model passed to ``run``); ``run`` requires
+    them to share that model's ``layout_key``.  ``n_chains`` counts the
+    chains of every config.
     """
 
     configs: tuple[ChainConfig, ...]
+    models: tuple[Model, ...] = ()
 
     def __post_init__(self):
         geometry = {(c.burn_in, c.n_keep, c.thin, c.adapt_window) for c in self.configs}
@@ -127,6 +136,9 @@ class ChainBatch:
                 "a chain batch needs configs that share burn_in, n_keep, thin "
                 f"and adapt_window; got {sorted(geometry)}"
             )
+        if self.models and len(self.models) != len(self.configs):
+            raise DataError(f"a chain batch names {len(self.models)} models "
+                            f"for {len(self.configs)} configs")
 
     @property
     def n_chains(self) -> int:
@@ -143,8 +155,7 @@ class PosteriorSamples:
 
     ``draws`` holds natural-scale values, chain-major: the first ``n_keep``
     rows belong to chain 0.  ``deviance_trace`` is the active mode's
-    monitored deviance per kept draw.  ``latent_trace`` (DINTERVAL only)
-    stores the imputed values for the rows listed in ``latent_rows``.
+    monitored deviance per kept draw.
     """
 
     param_names: tuple[str, ...]
@@ -154,8 +165,6 @@ class PosteriorSamples:
     acceptance_rates: np.ndarray  # [n_chains, n_params], kept phase
     mode: LikelihoodMode
     config: ChainConfig
-    latent_rows: tuple[int, ...] = ()
-    latent_trace: Optional[np.ndarray] = None
 
     @property
     def n_chains(self) -> int:
@@ -240,14 +249,22 @@ class _ChainBatch:
     are (chains, terms) and (chains, levels), and ``contribs`` and
     ``values`` (the observed outcomes, with the latents in the censored
     rows in DINTERVAL mode) are (chains, rows).  All stay in sync with the
-    current parameters and latents.  ``rngs`` holds one generator per chain.
-    ``blocks`` lists the Metropolis blocks of a sweep in component order:
-    the model's levels form one block at the position of the first level,
-    every other component is a block of its own.
+    current parameters and latents.  ``rngs`` holds one generator per chain
+    and ``chain_models`` (by default ``model`` throughout) the model whose
+    ``row_params`` each chain reads; everything else is read from
+    ``model``, whose ``layout_key`` they share.  ``blocks`` lists the
+    Metropolis blocks of a sweep in component order: the model's levels
+    form one block at the position of the first level, every other
+    component is a block of its own.
     """
 
-    def __init__(self, model, data, mode, rngs):
+    def __init__(self, model, data, mode, rngs, chain_models=None):
         self.model = model
+        # Each distinct model once, and per chain the position of its own.
+        chain_models = chain_models or [model] * len(rngs)
+        distinct = {id(m): m for m in chain_models}
+        self.models, ids = list(distinct.values()), list(distinct)
+        self.chain_model = np.array([ids.index(id(m)) for m in chain_models])
         self.family = model.family
         self.mode = mode
         self.rngs = rngs
@@ -316,13 +333,30 @@ class _ChainBatch:
         return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], rows, cols, owner, (), True)
 
     # -- contribution bookkeeping ------------------------------------------
-    def _row_params(self, theta, block) -> tuple[np.ndarray, ...]:
-        """Family parameters of ``block`` at each parameter row of ``theta``,
-        (chains, 1, rows) arrays (or broadcastable to them).  Each chain
-        enters ``row_params`` as a stack of one, so a model's matrix
+    def _row_params(self, theta, block, chains=slice(None)) -> tuple[np.ndarray, ...]:
+        """Family parameters of ``block`` at each row of ``theta``, the
+        parameters of ``chains`` (every chain by default), as
+        (chains, 1, rows) arrays (or broadcastable to them).  A chain's come
+        from its own model, looked up by its index in ``chains``.  Each
+        chain enters ``row_params`` as a stack of one, so a model's matrix
         products are matrix-vector products per chain and a chain's terms do
         not depend on which chains share the batch."""
-        return self.model.row_params(theta[:, None, :], block)
+        theta = theta[:, None, :]
+        if len(self.models) == 1:
+            return self.models[0].row_params(theta, block)
+        owner = self.chain_model[chains]
+        parts = [(owner == k, self.models[k].row_params(theta[owner == k], block))
+                 for k in np.unique(owner)]
+        out = []
+        for i, first in enumerate(parts[0][1]):
+            if all(params[i] is first for _, params in parts):  # data alone: the trials
+                out.append(first)
+            else:
+                field = np.empty((len(owner), *np.shape(first)[1:]))
+                for mine, params in parts:
+                    field[mine] = params[i]
+                out.append(field)
+        return tuple(out)
 
     def _contributions(self, params, rows, block, chains=slice(None)) -> np.ndarray:
         """(chains, rows) contributions of ``block`` from its ``params`` at
@@ -359,7 +393,7 @@ class _ChainBatch:
         if self.mode is LikelihoodMode.DINTERVAL and ok.any():
             live = np.flatnonzero(ok)
             block = self.censored_block
-            params = self._row_params(v[live], block)
+            params = self._row_params(v[live], block, chains[live])
             # One call per chain, so a degenerate region fails only its chain.
             for k, i in enumerate(live):
                 family = self.family(*(p[k] if np.ndim(p) > 1 else p for p in params))
@@ -372,7 +406,7 @@ class _ChainBatch:
         if ok.any():
             live = np.flatnonzero(ok)
             rows, cols = self.all_rows
-            params = self._row_params(v[live], cols)
+            params = self._row_params(v[live], cols, chains[live])
             contribs = self._contributions(params, rows, cols, chains[live])
             finite = np.isfinite(_row_sums(contribs))
             ok[live] = finite
@@ -477,13 +511,12 @@ class _ChainBatch:
         return -2.0 * _take(self.contribs, self.observed_rows).sum(axis=1)
 
     # -- sampling --------------------------------------------------------------
-    def sample(self, config: ChainConfig, draws, devs, lat_trace):
+    def sample(self, config: ChainConfig, draws, devs):
         """Burn-in with adaptation, then the kept sweeps, for every chain.
 
-        Fills the kept draws (chains, n_keep, params), deviances
-        (chains, n_keep) and, in DINTERVAL mode, the latent trace
-        (chains, n_keep, censored rows), as :func:`_kept_arrays` allocates
-        them; returns the kept-phase acceptance rates (chains, params).
+        Fills the kept draws (chains, n_keep, params) and deviances
+        (chains, n_keep), as :func:`_kept_arrays` allocates them; returns
+        the kept-phase acceptance rates (chains, params).
         """
         n_chains = len(self.rngs)
         shape = (n_chains, self.n_params)
@@ -515,20 +548,16 @@ class _ChainBatch:
                     )
                 draws[:, kept] = self.v
                 devs[:, kept] = dev
-                if lat_trace is not None:
-                    lat_trace[:, kept] = _take(self.values, self.censored_rows)
 
         return kept_accepts / (config.n_keep * config.thin)
 
 
-def _kept_arrays(batch: ChainBatch, n_params: int, n_latent: int | None):
-    """Empty kept draws (chains, n_keep, params), deviances (chains, n_keep)
-    and latent trace (chains, n_keep, n_latent), None when ``n_latent`` is.
-    Raises DataError when numpy refuses their size."""
+def _kept_arrays(batch: ChainBatch, n_params: int):
+    """Empty kept draws (chains, n_keep, params) and deviances
+    (chains, n_keep).  Raises DataError when numpy refuses their size."""
     shape = (batch.n_chains, batch.configs[0].n_keep)
     try:
-        return (np.empty((*shape, n_params)), np.empty(shape),
-                None if n_latent is None else np.empty((*shape, n_latent)))
+        return np.empty((*shape, n_params)), np.empty(shape)
     except (MemoryError, ValueError):  # more than memory, or than an array, holds
         raise DataError(f'"chains": {shape[0]} chains x {shape[1]} kept draws '
                         "are too many to allocate") from None
@@ -545,25 +574,30 @@ def run(
     ``config`` is one :class:`ChainConfig`, for which the result is its
     :class:`PosteriorSamples`, or a :class:`ChainBatch`, whose configs are
     sampled as one state, for which it is the list of their samples in
-    order.  Deterministic per config: chain c of a config uses the c-th
-    child of that config's seed sequence, and its results are bit for bit
-    those of that config run alone.
+    order.  The batch's configs sample their ``models`` where it names
+    them; a named model whose ``layout_key`` differs from ``model``'s
+    raises SchemaError.  Deterministic per config: chain c of a config uses
+    the c-th child of that config's seed sequence, and its results are bit
+    for bit those of that config, with its model, run alone.
     """
     batch = config if isinstance(config, ChainBatch) else ChainBatch((config,))
-    n_latent = (int(np.count_nonzero(data.columns.kind != KIND_OBSERVED))
-                if mode is LikelihoodMode.DINTERVAL else None)
-    draws, devs, lat_trace = _kept_arrays(batch, len(model.params), n_latent)
+    models = batch.models or (model,) * len(batch.configs)
+    for named in models:
+        if named is not model and named.layout_key != model.layout_key:
+            raise SchemaError(f"{named.label} and {model.label} differ in more than "
+                              "row_params, so they cannot share a chain batch")
+    draws, devs = _kept_arrays(batch, len(model.params))
     rngs = [
         np.random.default_rng(child)
         for cfg in batch.configs
         for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)
     ]
-    state = _ChainBatch(model, data, mode, rngs)
+    chain_models = [m for m, cfg in zip(models, batch.configs) for _ in range(cfg.n_chains)]
+    state = _ChainBatch(model, data, mode, rngs, chain_models)
     with np.errstate(all="ignore"):
         state.initialize()
-        rates = state.sample(batch.configs[0], draws, devs, lat_trace)
+        rates = state.sample(batch.configs[0], draws, devs)
 
-    latent_rows = tuple(int(r) for r in state.censored_rows)
     out, start = [], 0
     for cfg in batch.configs:
         chains = slice(start, start + cfg.n_chains)
@@ -577,9 +611,6 @@ def run(
             acceptance_rates=rates[chains],
             mode=mode,
             config=cfg,
-            latent_rows=latent_rows,
-            latent_trace=(None if lat_trace is None
-                          else lat_trace[chains].reshape(n_draws, len(latent_rows))),
         ))
     return out if batch is config else out[0]
 

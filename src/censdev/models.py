@@ -28,7 +28,12 @@ its entry, once, the surface the sampler and the selection layer drive:
   parameter vector or a stack of draws;
 * ``rows_for_param(j, data)``: row indices whose likelihood terms depend on
   component ``j`` (None means all rows), which lets single-site Metropolis
-  updates skip untouched rows.
+  updates skip untouched rows;
+* ``layout_key``: what the sampler reads of the model beside ``row_params``
+  (family, parameters and supports, levels and ``level_reads``, index
+  column, pooling and hyperparameters).  Models with equal keys, such as
+  D, E and F on one dataset, differ only in ``row_params``, so their chains
+  can share one sampler state.
 
 The entries:
 
@@ -287,6 +292,8 @@ class Model:
                      else [] if spec.index else [mean])
             self._row_params = self._probability
         self.prior_terms = tuple(terms)
+        self.layout_key = (spec.family, self.params, self.levels, self.level_reads,
+                           self.index_col, spec.pooling, tuple(sorted(hyper.items())))
 
     def check_theta(self, theta) -> np.ndarray:
         """``theta`` as floats: one parameter vector or a (K, n_params) stack."""

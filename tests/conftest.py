@@ -7,6 +7,7 @@ statistical acceptance checks and several invariant tests share it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from censdev.likelihood import (
     KIND_RIGHT,
     CensoredDataset,
 )
+from censdev.mcmc import _ChainBatch
 from censdev.models import Param, Term
 from oracle import Binomial, Exponential, Normal
 
@@ -100,14 +102,46 @@ def survival_model(aml):
     return Model(MODELS["survival-exponential"], aml)
 
 
+@contextlib.contextmanager
+def recorded_latents():
+    """Record the latents the sampler draws inside the block: yields a list
+    that gets, after every latent refresh, a copy of each chain's latents,
+    a (chains, censored rows) array in row order."""
+    refreshes = []
+    refresh = _ChainBatch.refresh_latents
+
+    def recording(self, sweep):
+        refresh(self, sweep)
+        refreshes.append(self.values[:, self.censored_rows])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ChainBatch, "refresh_latents", recording)
+        yield refreshes
+
+
 @pytest.fixture(scope="session")
-def survival_runs(aml, survival_model):
-    """Full-scale exact and latent-imputation runs on the bundled data."""
+def _survival_runs_and_latents(aml, survival_model):
     seed_a, _ = _derive_run_seeds(SURVIVAL_DEMO_SEED, 1)[0]
     config = ChainConfig(n_chains=3, burn_in=30000, n_keep=10000, thin=1, seed=seed_a)
     exact = run(survival_model, aml, LikelihoodMode.EXACT, config)
-    dinterval = run(survival_model, aml, LikelihoodMode.DINTERVAL, config)
-    return exact, dinterval
+    with recorded_latents() as refreshes:
+        dinterval = run(survival_model, aml, LikelihoodMode.DINTERVAL, config)
+    # The refreshes of the kept sweeps, chain-major like the draws.
+    kept = np.stack(refreshes[config.burn_in + config.thin - 1::config.thin])
+    return exact, dinterval, kept.transpose(1, 0, 2).reshape(len(dinterval.draws), -1)
+
+
+@pytest.fixture(scope="session")
+def survival_runs(_survival_runs_and_latents):
+    """Full-scale exact and latent-imputation runs on the bundled data."""
+    return _survival_runs_and_latents[:2]
+
+
+@pytest.fixture(scope="session")
+def survival_latents(_survival_runs_and_latents):
+    """The latents of each kept draw of ``survival_runs``' latent-imputation
+    run: one row per draw, one column per censored row in row order."""
+    return _survival_runs_and_latents[2]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from math import inf
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.stats import ks_2samp
@@ -229,6 +229,26 @@ def _round_trip_errors(family, lo, hi, draws, u):
     return np.abs(np.array(mass) - u)
 
 
+class _FullRegionBinomial(Binomial):
+    """A Binomial whose draws bisect the whole truncation region."""
+
+    def _bracket(self, below, top, *logs):
+        return below, top
+
+
+class _MovedBracketBinomial(Binomial):
+    """A Binomial whose bracket is moved by ``shift`` counts, within the
+    region, so that its end checks have to catch a bracket that misses."""
+
+    def __init__(self, trials, prob, shift):
+        super().__init__(trials, prob)
+        self.shift = shift
+
+    def _bracket(self, below, top, *logs):
+        return tuple(np.clip(end + self.shift, below, top)
+                     for end in super()._bracket(below, top, *logs))
+
+
 class TestTruncatedDraws:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            region=st.sampled_from(REGIONS))
@@ -278,6 +298,47 @@ class TestTruncatedDraws:
         for c, seed in enumerate((1, 2)):
             alone = Exponential(rate[c]).sample_truncated(lo, hi, np.random.default_rng(seed))
             assert together[c].tobytes() == alone.tobytes()
+
+    @given(log_trials=st.floats(0.0, 12.0), log_prob=st.floats(-12.0, -1e-3),
+           mirror=st.booleans(), kind=st.sampled_from(["right", "left", "interval"]),
+           ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           u=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           shift=st.integers(-50, 50))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_binomial_bracket_draws_as_the_full_region_bisection(
+        self, log_trials, log_prob, mirror, kind, ends, u, shift
+    ):
+        """The Binomial draw starts its bisection from a normal-approximation
+        bracket; whatever the trials (up to 10^12), probability and region,
+        it finds the count a bisection over the whole region finds, and so
+        it does from a bracket moved off the answer."""
+        trials = float(max(1, round(10.0**log_trials)))
+        prob = 1.0 - 10.0**log_prob if mirror else 10.0**log_prob
+        first = math.floor(ends[0] * trials)
+        lo = -inf if kind == "left" else float(first)
+        hi = inf if kind == "right" else float(first + math.floor(ends[1] * (trials - first)))
+        args = [np.array([x]) for x in (trials, prob)]
+        region = [np.array([x]) for x in (lo, hi)]
+        log_mass = Binomial(*args).log_interval_prob(*region)
+        assume(log_mass[0] >= math.log(1e-290))
+        with np.errstate(all="ignore"):
+            full = _FullRegionBinomial(*args)._draw(*region, np.array([u]), log_mass)
+            for family in (Binomial(*args), _MovedBracketBinomial(*args, shift)):
+                draw = family._draw(*region, np.array([u]), log_mass)
+                assert draw.tobytes() == full.tobytes(), (type(family), draw, full)
+
+    def test_binomial_draw_at_huge_trials_takes_a_few_steps(self, monkeypatch):
+        """At 10^12 trials a draw scores a handful of counts, not the 41 a
+        bisection over the whole region needs."""
+        counts = []
+        kernel = Binomial._log_cdf_sf_v.__func__
+        monkeypatch.setattr(Binomial, "_log_cdf_sf_v", classmethod(
+            lambda cls, y, *params: counts.append(y) or kernel(cls, y, *params)))
+        family = Binomial(np.full(50, 1e12), np.linspace(0.01, 0.99, 50))
+        draws = family.sample_truncated(np.full(50, 4.0), np.full(50, inf),
+                                        np.random.default_rng(8))
+        assert ((4.0 <= draws) & (draws <= 1e12)).all()
+        assert len(counts) <= 12, len(counts)
 
     def test_degenerate_region_raises_naming_it(self):
         rng = np.random.default_rng(3)

@@ -17,7 +17,7 @@ from scipy import integrate, stats
 
 from censdev import ChainConfig, LikelihoodMode, aml_dataset, cli, mcmc, run
 from censdev.cli import main
-from censdev.datasets import synthetic_ae_dataset
+from censdev.datasets import dataset_fingerprint, ingest, serialize, synthetic_ae_dataset
 from censdev.distributions import Binomial, Exponential, Normal
 from censdev.exceptions import (
     DataError,
@@ -27,7 +27,7 @@ from censdev.exceptions import (
     NumericError,
     SchemaError,
 )
-from censdev.likelihood import deviance
+from censdev.likelihood import KIND_OBSERVED, deviance
 from censdev.mcmc import (
     ChainBatch,
     PosteriorSamples,
@@ -40,7 +40,13 @@ from censdev.mcmc import (
 )
 from censdev.models import MODELS, Model, Param
 from censdev.selection import make_selection_report
-from conftest import DuckModel, make_dataset, single_binomial_dataset, tobit_dataset
+from conftest import (
+    DuckModel,
+    make_dataset,
+    recorded_latents,
+    single_binomial_dataset,
+    tobit_dataset,
+)
 from oracle import loglik_dinterval_style, loglik_exact, outcome_families
 
 
@@ -131,17 +137,78 @@ class TestBatching:
     )
     def test_batch_equals_separate_runs(self, case):
         model, data, mode = _batch_case(case)
-        configs = [ChainConfig(n_chains=2, seed=31, **self.GEOMETRY),
-                   ChainConfig(n_chains=1, seed=32, **self.GEOMETRY)]
-        batched = run(model, data, mode, ChainBatch(tuple(configs)))
-        for alone, together in zip([run(model, data, mode, c) for c in configs], batched):
+        configs = (ChainConfig(n_chains=2, seed=31, **self.GEOMETRY),
+                   ChainConfig(n_chains=1, seed=32, **self.GEOMETRY))
+        self._check_batch(model, (), configs, data, mode)
+
+    @pytest.mark.parametrize("mode", list(LikelihoodMode))
+    def test_link_variants_batch_equals_each_run_alone(self, mode):
+        """D, E and F share a layout key, so one batch may mix their configs,
+        in any order: each config's chains reproduce its variant run alone."""
+        data = synthetic_ae_dataset(seed=11)
+        d, e, f = (Model(MODELS[v], data) for v in "DEF")
+        configs = tuple(ChainConfig(n_chains=n, seed=seed, **self.GEOMETRY)
+                        for n, seed in ((2, 31), (1, 32), (2, 33), (1, 34)))
+        self._check_batch(e, (d, e, f, d), configs, data, mode)
+
+    @staticmethod
+    def _check_batch(model, models, configs, data, mode):
+        """``run(model, ...)`` of the batch of ``configs`` and ``models``
+        gives each config what it gives run alone with its own model: the
+        same draws, deviances, acceptance rates and chain ids, and in every
+        sweep the same latents."""
+        with recorded_latents() as batched_latents:
+            batched = run(model, data, mode, ChainBatch(configs, models))
+        separate_latents = []
+        for own, config, together in zip(models or [model] * len(configs), configs, batched):
+            with recorded_latents() as latents:
+                alone = run(own, data, mode, config)
+            separate_latents.append(latents)
+            assert together.param_names == alone.param_names
             for field in ("draws", "deviance_trace", "acceptance_rates", "chain_ids"):
                 assert np.array_equal(getattr(alone, field), getattr(together, field)), field
-            if mode is LikelihoodMode.DINTERVAL:
-                assert np.array_equal(alone.latent_trace, together.latent_trace)
-                assert alone.latent_rows == together.latent_rows
-            else:
-                assert alone.latent_trace is together.latent_trace is None
+        sweeps = configs[0].total_iterations
+        assert len(batched_latents) == sweeps * (mode is LikelihoodMode.DINTERVAL)
+        if batched_latents:  # each sweep's (chains, censored rows), the configs side by side
+            alone = np.concatenate([np.stack(latents) for latents in separate_latents], axis=1)
+            assert np.array_equal(np.stack(batched_latents), alone)
+
+    def test_row_params_of_a_chain_subset_come_from_each_chains_model(self):
+        data = synthetic_ae_dataset(seed=11)
+        d, e, f = (Model(MODELS[v], data) for v in "DEF")
+        chain_models = [d, e, f, d, f]
+        state = _ChainBatch(d, data, LikelihoodMode.EXACT,
+                            [np.random.default_rng(s) for s in range(5)], chain_models)
+        theta = np.random.default_rng(3).normal(size=(5, len(d.params)))
+        theta[:, 1] = np.abs(theta[:, 1])
+        chains = np.array([4, 1, 3, 2])
+        cols = data.columns
+        params = state._row_params(theta[chains], cols, chains)
+        for k, chain in enumerate(chains):
+            own = chain_models[chain].row_params(theta[chain], cols)
+            for got, want in zip(params, own):
+                got = np.broadcast_to(got, (len(chains), 1, len(cols)))[k, 0]
+                assert np.array_equal(got, want)
+        # E's and F's links give other probabilities from the same theta.
+        assert not np.array_equal(params[1][1, 0], d.row_params(theta[1], cols)[1])
+
+    def test_models_of_another_layout_cannot_share_a_batch(self):
+        data = synthetic_ae_dataset(seed=11)
+        d = Model(MODELS["D"], data)
+        configs = tuple(ChainConfig(n_chains=1, seed=s, **self.GEOMETRY) for s in (1, 2))
+        others = (Model(MODELS["C"], data), Model(MODELS["D"], data, half_cauchy_scale=2.0))
+        for other in others:
+            with pytest.raises(SchemaError, match="cannot share a chain batch"):
+                run(d, data, LikelihoodMode.EXACT, ChainBatch(configs, (d, other)))
+        with pytest.raises(DataError, match="names 1 models for 2 configs"):
+            ChainBatch(configs, (d,))
+
+    def test_layout_keys_equal_for_the_link_variants_alone(self):
+        data = synthetic_ae_dataset(seed=11)
+        keys = {v: Model(MODELS[v], data).layout_key for v in "ABCDEFG"}
+        assert keys["D"] == keys["E"] == keys["F"]
+        assert len(set(keys.values())) == 5
+        assert Model(MODELS["D"], data, mean_precision=0.1).layout_key != keys["D"]
 
     def test_batch_geometry_counts_every_chain(self):
         configs = (ChainConfig(n_chains=2, seed=31, **self.GEOMETRY),
@@ -150,12 +217,19 @@ class TestBatching:
         assert batch.n_chains == 3
         assert batch.total_iterations == configs[0].total_iterations
 
-    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("command, batches", [
+        ("fit", [["survival-exponential"] * 2]),
+        ("compare", [["survival-exponential"] * 2] * 2),
+        ("compare-ae", [["A"] * 2, ["B"] * 2, ["C"] * 2, ["D", "D", "E", "E", "F", "F"],
+                        ["G"] * 2]),
+    ], ids=["fit", "compare", "compare-ae"])
     def test_cli_samples_both_replicate_runs_in_one_run_call(
-        self, monkeypatch, tmp_path, command
+        self, monkeypatch, tmp_path, command, batches
     ):
-        """Fit and compare sample through ``run``, one call per model over
-        runs A and B."""
+        """Fit and compare sample through ``run``, one call per group of
+        models that share a layout key, over runs A and B of each: the two
+        survival models of another ``tau0`` apart, and of A-G, the link
+        variants D, E and F together."""
         calls = []
 
         def recording_run(model, data, mode, config):
@@ -170,19 +244,46 @@ class TestBatching:
         }
         if command == "fit":
             config["model"] = {"family": "survival-exponential"}
-        else:
+        elif command == "compare":
             config["models"] = [
                 {"label": label, "family": "survival-exponential",
                  "hyperparameters": {"tau0": tau0}}
                 for label, tau0 in (("wide", 1e-4), ("narrow", 1e-2))
             ]
+        else:
+            dataset = tmp_path / "ae.csv"
+            dataset.write_text(serialize(synthetic_ae_dataset(seed=11)), encoding="utf-8")
+            config["dataset"] = str(dataset)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        assert main([command, "--config", str(path)]) == 0
-        assert len(calls) == (1 if command == "fit" else 2)
-        for batch in calls:
-            assert isinstance(batch, ChainBatch) and len(batch.configs) == 2
-            assert batch.n_chains == 4
+        assert main([command.split("-")[0], "--config", str(path)]) == 0
+        assert [[m.label for m in batch.models] for batch in calls] == batches
+        for batch, labels in zip(calls, batches):
+            assert isinstance(batch, ChainBatch) and len(batch.configs) == len(labels)
+            assert batch.n_chains == 2 * len(labels)
+
+    def test_compare_reports_the_link_variants_as_each_sampled_alone(self, tmp_path):
+        """D, E and F share one batch in ``compare``; the report of each is
+        that of its variant sampled alone with its own seeds."""
+        dataset = tmp_path / "ae.csv"
+        dataset.write_text(serialize(synthetic_ae_dataset(seed=11)), encoding="utf-8")
+        chains = {"n_chains": 2, "burn_in": 20, "n_keep": 20, "seed": 4}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"dataset": str(dataset), "chains": chains,
+                                    "output_dir": str(tmp_path / "out")}), encoding="utf-8")
+        assert main(["compare", "--config", str(path)]) == 0
+        ranked = json.loads((tmp_path / "out" / "comparison.json").read_text("utf-8"))["ranked"]
+        data = ingest(dataset)
+        seeds = cli._derive_run_seeds(4, 7)
+        for variant in "DEF":
+            model = Model(MODELS[variant], data)
+            batch = ChainBatch(tuple(ChainConfig(**{**chains, "seed": s})
+                                     for s in seeds["ABCDEFG".index(variant)]))
+            alone = make_selection_report(variant, model, data,
+                                          *run(model, data, LikelihoodMode.EXACT, batch),
+                                          dataset_id=dataset_fingerprint(data))
+            (row,) = [r for r in ranked if r["model"] == variant]
+            assert (row["DIC"], row["PED"]) == (alone.dic, alone.ped)
 
     @pytest.mark.parametrize("field", ["burn_in", "n_keep", "thin", "adapt_window"])
     def test_configs_must_share_geometry(self, field):
@@ -352,12 +453,13 @@ class TestDevianceMonitor:
             )
 
     def test_dinterval_trace_matches_offline_monitored(self, aml, survival_model,
-                                                       survival_runs):
+                                                       survival_runs, survival_latents):
         _, dint = survival_runs
+        latent_rows = np.flatnonzero(aml.columns.kind != KIND_OBSERVED).tolist()
         idx = np.linspace(0, dint.draws.shape[0] - 1, 500).astype(int)
         for i in idx:
             theta = dint.draws[i]
-            latents = dict(zip(dint.latent_rows, dint.latent_trace[i]))
+            latents = dict(zip(latent_rows, survival_latents[i]))
             offline = loglik_dinterval_style(
                 aml, outcome_families(survival_model, theta, aml), latents
             ).monitored_loglik
@@ -375,16 +477,20 @@ class TestDevianceMonitor:
 
 
 class TestLatentImputation:
-    def test_every_kept_latent_in_its_region(self, aml, survival_runs):
+    def test_every_kept_latent_in_its_region(self, aml, survival_runs, survival_latents):
         _, dint = survival_runs
-        for k, row in enumerate(dint.latent_rows):
+        latent_rows = np.flatnonzero(aml.columns.kind != KIND_OBSERVED)
+        assert survival_latents.shape == (len(dint.draws), len(latent_rows))
+        for k, row in enumerate(latent_rows):
             lo, hi = aml.columns.lo[row], aml.columns.hi[row]
-            col = dint.latent_trace[:, k]
+            col = survival_latents[:, k]
             assert (col >= lo).all() and (col <= hi).all()
 
-    def test_exact_mode_has_no_latent_trace(self, survival_runs):
-        exact, _ = survival_runs
-        assert exact.latent_trace is None
+    def test_exact_mode_draws_no_latents(self, aml, survival_model):
+        with recorded_latents() as refreshes:
+            run(survival_model, aml, LikelihoodMode.EXACT,
+                ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=3))
+        assert refreshes == []
 
 
 class _HopelessModel(DuckModel):
@@ -559,8 +665,7 @@ class TestPriorTermCache:
         model, data = _entry_case(name)
         state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (5, 6)])
         config = ChainConfig(n_chains=2, burn_in=30, n_keep=20, adapt_window=10)
-        n_latent = len(state.censored_rows) if mode is LikelihoodMode.DINTERVAL else None
-        kept = mcmc._kept_arrays(ChainBatch((config,)), state.n_params, n_latent)
+        kept = mcmc._kept_arrays(ChainBatch((config,)), state.n_params)
         with np.errstate(all="ignore"):
             state.initialize()
             start = state.v.copy()

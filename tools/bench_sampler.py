@@ -12,10 +12,14 @@ It writes one JSON file with:
   spends per sweep when sampled at its benchmark workload's geometry (the
   inputs and chain settings ``perfbench/workloads.py`` writes for size
   "full", seed 1; both replicate runs as one ``ChainBatch``, as ``fit`` and
-  ``compare`` sample them).  Both checkouts' ``censdev`` are loaded into
-  one process and each repeat samples every entry once per checkout,
-  alternating which goes first, so both sides meet the same host speed;
-  the file keeps each side's median over 20 repeats (raw, not at reference
+  ``compare`` sample them).  One more entry, ``D+E+F/exact``, samples the
+  three link variants as each checkout's ``compare`` does: their six
+  replicate runs as one batch where ``ChainBatch`` can name a model per
+  config, else one batch per variant.  Both checkouts' ``censdev`` are
+  loaded into one process and each repeat samples every entry once per
+  checkout, alternating which goes first, so both sides meet the same host
+  speed; the file keeps each side's median over 20 repeats and, under
+  ``iqr``, its quartiles, which are also printed (raw, not at reference
   host speed: the ``perfbench/hostspeed.py`` slices come every 0.1 s, too
   seldom to rescale runs of 0.03-0.3 s; and not the minimum, which picks
   whichever side once met a fast phase of the host);
@@ -33,8 +37,7 @@ It writes one JSON file with:
   alternating from pair to pair: ``wall_s``, ``setup_s``, ``peak_rss_mb``,
   ``fail_rate`` and the artifact digests;
 * ``traced``: ``perfbench/run.py --trace 1`` for ae-compare at seed 1 in
-  both checkouts: ``models.log_prior_calls`` and
-  ``mcmc.us_per_sweep.exact``;
+  both checkouts: the per-layer metrics ``TRACED`` lists;
 * ``host``: CPU, core count and Python/numpy/scipy versions.
 
 The 68 perfbench runs take about 25 s each, about 30 minutes in all.
@@ -43,6 +46,7 @@ The 68 perfbench runs take about 25 s each, about 30 minutes in all.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import importlib
 import json
@@ -61,7 +65,8 @@ EXPORT_REPEATS = 30
 # Workload -> the seeds of its perfbench pairs.
 PAIRS = {"ae-compare": range(1, 11), "survival-aml": range(1, 11),
          "tobit-large": range(1, 4), "trace-export": range(1, 11)}
-TRACED = ("models.log_prior_calls", "mcmc.us_per_sweep.exact")
+TRACED = ("models.log_prior_calls", "mcmc.us_per_sweep.exact", "mcmc.run_calls",
+          "mcmc.sweeps", "mcmc.run_s")
 # The config file each workload's set-up writes beside its inputs.
 CONFIGS = {"survival-aml": "fit_exact.json", "ae-compare": "compare.json",
            "tobit-large": "fit.json"}
@@ -70,6 +75,7 @@ ENTRIES = {
     "survival-exponential/exact": "survival-aml",
     "survival-exponential/dinterval": "survival-aml",
     **{f"{v}/exact": "ae-compare" for v in "ABCDEFG"},
+    "D+E+F/exact": "ae-compare",
     "censored-normal-glm/exact": "tobit-large",
 }
 
@@ -97,14 +103,26 @@ def _samplers(censdev, workdir: Path) -> dict:
         config = json.loads((workdir / workload / CONFIGS[workload]).read_text(encoding="utf-8"))
         dataset = config["dataset"]
         data = aml_dataset() if dataset == "bundled:aml" else ingest(workdir / workload / dataset)
-        name, mode = entry.split("/")
-        model = censdev.Model(censdev.MODELS[name], data)
+        names, mode = entry.split("/")
+        mode = censdev.LikelihoodMode(mode)
+        models = [censdev.Model(censdev.MODELS[name], data) for name in names.split("+")]
         chains = {k: v for k, v in config["chains"].items() if k != "seed"}
-        batch = censdev.ChainBatch(tuple(censdev.ChainConfig(**chains, seed=s)
-                                         for s in _derive_run_seeds(1, 1)[0]))
-        sample = functools.partial(censdev.run, model, data, censdev.LikelihoodMode(mode), batch)
-        jobs[entry] = (sample, batch.n_chains * batch.total_iterations)
+        runs = [(model, tuple(censdev.ChainConfig(**chains, seed=s) for s in seeds))
+                for model, seeds in zip(models, _derive_run_seeds(1, len(models)))]
+        if "models" in {f.name for f in dataclasses.fields(censdev.ChainBatch)}:
+            batches = [(models[0], censdev.ChainBatch(
+                tuple(c for _, configs in runs for c in configs),
+                tuple(model for model, configs in runs for _ in configs)))]
+        else:
+            batches = [(model, censdev.ChainBatch(configs)) for model, configs in runs]
+        jobs[entry] = (functools.partial(_sample_all, censdev, data, mode, batches),
+                       sum(batch.n_chains * batch.total_iterations for _, batch in batches))
     return jobs
+
+
+def _sample_all(censdev, data, mode, batches) -> None:
+    for model, batch in batches:
+        censdev.run(model, data, mode, batch)
 
 
 def _export_ms(censdev, trace: Path, grid_size: int, params) -> tuple[float, float]:
@@ -122,24 +140,38 @@ def _export_ms(censdev, trace: Path, grid_size: int, params) -> tuple[float, flo
 
 def _export_medians(exporters: dict) -> dict:
     """Stage -> side -> median ms of ``EXPORT_REPEATS`` runs of each side's
-    ``_export_ms``, the sides back to back, alternating which goes first."""
+    ``_export_ms``, the sides back to back, alternating which goes first,
+    and under ``iqr`` each side's quartiles."""
     runs = {side: [] for side in exporters}
     for side in exporters:  # warm-up
         exporters[side]()
     for repeat in range(EXPORT_REPEATS):
         for side in list(exporters) if repeat % 2 == 0 else list(reversed(exporters)):
             runs[side].append(exporters[side]())
-    return {stage: {side: round(statistics.median(ms[i] for ms in runs[side]), 2)
-                    for side in runs}
+    return {stage: _summary(f"export-density {stage} (ms)",
+                            {side: [ms[i] for ms in runs[side]] for side in runs})
             for i, stage in enumerate(("reader", "kde"))}
+
+
+def _summary(name: str, runs: dict) -> dict:
+    """Side -> median of its ``runs``, and under ``iqr`` side -> quartiles;
+    printed as one line."""
+    out = {side: round(statistics.median(values), 2) for side, values in runs.items()}
+    out["iqr"] = {}
+    for side, values in runs.items():
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        out["iqr"][side] = [round(q1, 2), round(q3, 2)]
+    print(f"{name:32s}" + "".join(f"  {side} {out[side]:8.2f} [{q1:.2f}-{q3:.2f}]"
+                                  for side, (q1, q3) in out["iqr"].items()), flush=True)
+    return out
 
 
 def measure(trees: dict[str, Path]) -> tuple[dict, dict]:
     """µs per chain-sweep of every entry, and ms per export-density stage,
     under each tree's ``censdev``, all in this process: each repeat runs
     every job once per tree, alternating which tree goes first, so both
-    sides see the same host; each side keeps its median µs per sweep and
-    its median ms per stage."""
+    sides see the same host; each side keeps its median and quartiles of
+    µs per sweep and of ms per stage."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -168,8 +200,7 @@ def measure(trees: dict[str, Path]) -> tuple[dict, dict]:
                 start = time.perf_counter()
                 sample()
                 runs[entry][side].append(1e6 * (time.perf_counter() - start) / sweeps)
-    medians = {entry: {side: round(statistics.median(us), 2) for side, us in sides.items()}
-               for entry, sides in runs.items()}
+    medians = {entry: _summary(f"{entry} (us)", sides) for entry, sides in runs.items()}
     return medians, export
 
 
@@ -213,18 +244,24 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sampler.json")
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "change": ROOT}
-    sweeps, export = measure(trees)
 
+    # The benchmark runs come first: a child process starts with the peak
+    # resident size of this one (Linux carries ru_maxrss across fork and
+    # exec), which would mask their peak_rss_mb once ``measure`` has
+    # loaded both trees and sampled.
     pairs = {workload: [] for workload in PAIRS}
     for workload, seeds in PAIRS.items():
         for seed in seeds:
             order = list(trees) if len(pairs[workload]) % 2 == 0 else list(reversed(trees))
             pair = {side: _perfbench(trees[side], workload, seed, 0) for side in order}
             pairs[workload].append({"seed": seed, "first": order[0], **pair})
+            print(f"{workload} seed {seed} wall_s" + "".join(
+                f"  {side} {pair[side]['wall_s']:.3f}" for side in trees), flush=True)
     traced = {}
     for side, tree in trees.items():
         metrics = _perfbench(tree, "ae-compare", 1, 1)
         traced[side] = {name: metrics.get(name) for name in TRACED}
+    sweeps, export = measure(trees)
 
     report = {
         "base": args.base_rev,
