@@ -456,18 +456,22 @@ def cmd_compare(config: dict, config_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_id = dataset_fingerprint(data)
 
-    # Models that differ only in row_params (D, E and F) share one chain batch.
+    # Models that differ only in row_params (D, E and F) share one chain
+    # batch, sampled where its first model stands.  A model's line is
+    # printed once it and every model before it are fitted.
     groups = {}
     for k, (model, _, _) in enumerate(fits):
         groups.setdefault(model.layout_key, []).append(k)
-    reports = [None] * len(fits)
+    reports, printed = [None] * len(fits), 0
     for members in groups.values():
         paired = _paired_runs([fits[k] for k in members], data, chains, dataset_id)
         for k, (_, report) in zip(members, paired):
             reports[k] = report
-    for report in reports:
-        print(f"fitted {report.label}: DIC={report.dic:.2f} PED={report.ped:.2f}"
-              + ("  [overfit]" if report.overfit else ""))
+        while printed < len(reports) and reports[printed] is not None:
+            report = reports[printed]
+            print(f"fitted {report.label}: DIC={report.dic:.2f} PED={report.ped:.2f}"
+                  + ("  [overfit]" if report.overfit else ""))
+            printed += 1
 
     ranked = compare(reports)
     files = {

@@ -306,13 +306,20 @@ class Binomial(Family):
             log_cdf, log_sf = self._log_cdf_sf_v(k.astype(float), trials, prob)
             return _log_between(log_cdf, log_sf, log_cdf_lo, log_sf_lo) > log_u
 
-        # Start from a bracket around the normal approximation of k, not
-        # from the whole region (log2(trials) steps): an end of it whose
-        # check fails falls back to the region's end, so the search finds
-        # the same k.
-        start, end = self._bracket(below, top, log_cdf_lo, log_sf_lo, log_u)
-        below = np.where((start > below) & ~over(start), start, below)
-        top = np.where((end < top) & over(end), end, top)
+        # In a wide region, start from a bracket around the normal
+        # approximation of k, not from the whole region (log2(trials) steps
+        # at most): an end of it whose check fails falls back to the
+        # region's end, so the search finds the same k.  The two end checks
+        # cost two steps, so the bracket is only tried in regions over 16
+        # counts wide (at most 4 steps otherwise) and only taken where it
+        # is under a quarter of its region.
+        wide = top - below > 16
+        if wide.any():
+            start, end = self._bracket(below, top, log_cdf_lo, log_sf_lo, log_u)
+            narrows = wide & (top - below > 4 * (end - start))
+            if narrows.any():
+                below = np.where(narrows & (start > below) & ~over(start), start, below)
+                top = np.where(narrows & (end < top) & over(end), end, top)
         while True:
             left = top - 1 - below  # counts strictly between; never overflows
             if not (left > 0).any():

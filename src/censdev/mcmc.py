@@ -250,18 +250,16 @@ class _ChainBatch:
     ``values`` (the observed outcomes, with the latents in the censored
     rows in DINTERVAL mode) are (chains, rows).  All stay in sync with the
     current parameters and latents.  ``rngs`` holds one generator per chain
-    and ``chain_models`` (by default ``model`` throughout) the model whose
-    ``row_params`` each chain reads; everything else is read from
-    ``model``, whose ``layout_key`` they share.  ``blocks`` lists the
+    and ``chain_models`` the model whose ``row_params`` each chain reads;
+    everything else is read from ``model``, whose ``layout_key`` they share.  ``blocks`` lists the
     Metropolis blocks of a sweep in component order: the model's levels
     form one block at the position of the first level, every other
     component is a block of its own.
     """
 
-    def __init__(self, model, data, mode, rngs, chain_models=None):
+    def __init__(self, model, data, mode, rngs, chain_models):
         self.model = model
         # Each distinct model once, and per chain the position of its own.
-        chain_models = chain_models or [model] * len(rngs)
         distinct = {id(m): m for m in chain_models}
         self.models, ids = list(distinct.values()), list(distinct)
         self.chain_model = np.array([ids.index(id(m)) for m in chain_models])
@@ -348,14 +346,17 @@ class _ChainBatch:
         parts = [(owner == k, self.models[k].row_params(theta[owner == k], block))
                  for k in np.unique(owner)]
         out = []
-        for i, first in enumerate(parts[0][1]):
-            if all(params[i] is first for _, params in parts):  # data alone: the trials
-                out.append(first)
-            else:
-                field = np.empty((len(owner), *np.shape(first)[1:]))
-                for mine, params in parts:
-                    field[mine] = params[i]
-                out.append(field)
+        for fields in zip(*(params for _, params in parts)):
+            first = fields[0]
+            if all(np.ndim(f) < 3 and (f is first or np.array_equal(f, first)) for f in fields):
+                out.append(first)  # one value without a chain axis: data alone, the trials
+                continue
+            tails = [np.shape(f)[1:] if np.ndim(f) >= 3 else np.shape(f) for f in fields]
+            field = np.empty((len(owner), *np.broadcast_shapes((1, 1), *tails)),
+                             np.result_type(*fields))
+            for (mine, _), f in zip(parts, fields):
+                field[mine] = f
+            out.append(field)
         return tuple(out)
 
     def _contributions(self, params, rows, block, chains=slice(None)) -> np.ndarray:

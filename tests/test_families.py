@@ -340,6 +340,20 @@ class TestTruncatedDraws:
         assert ((4.0 <= draws) & (draws <= 1e12)).all()
         assert len(counts) <= 12, len(counts)
 
+    def test_binomial_draw_in_narrow_regions_skips_the_bracket(self, monkeypatch):
+        """Where no region holds over 16 counts, as in the AE data's
+        left-censored counts (below 5 of about 120 trials), the draw scores
+        the region's lower end and then one count per halving of its 16
+        counts: no bracket and no end checks."""
+        counts = []
+        kernel = Binomial._log_cdf_sf_v.__func__
+        monkeypatch.setattr(Binomial, "_log_cdf_sf_v", classmethod(
+            lambda cls, y, *params: counts.append(y) or kernel(cls, y, *params)))
+        family = Binomial(np.full(40, 120.0), np.linspace(0.001, 0.2, 40))
+        family.sample_truncated(np.full(40, -inf), np.tile([0.0, 2.0, 4.0, 15.0], 10),
+                                np.random.default_rng(5))
+        assert len(counts) == 1 + 4, len(counts)
+
     def test_degenerate_region_raises_naming_it(self):
         rng = np.random.default_rng(3)
         with pytest.raises(DegenerateRegionError, match=r"\[-4.0, -1.0\]"):

@@ -124,6 +124,13 @@ def _batch_case(name):
     return Model(MODELS[name[3]], ae), ae, mode
 
 
+class _FreshDataModel(Model):
+    """A Model whose row_params copies every field, data fields too."""
+
+    def row_params(self, theta, cols):
+        return tuple(np.array(p, copy=True) for p in super().row_params(theta, cols))
+
+
 class TestBatching:
     """Chains of a batch advance as one array state but never interact: each
     owns its generator, so a batch of configs reproduces the configs run
@@ -173,9 +180,13 @@ class TestBatching:
             alone = np.concatenate([np.stack(latents) for latents in separate_latents], axis=1)
             assert np.array_equal(np.stack(batched_latents), alone)
 
-    def test_row_params_of_a_chain_subset_come_from_each_chains_model(self):
+    @pytest.mark.parametrize("fresh", [False, True], ids=["cached-data", "fresh-data"])
+    def test_row_params_of_a_chain_subset_come_from_each_chains_model(self, fresh):
+        """Also when a model returns its data fields (the trials) as a new
+        array on each call, not the columns' cached one."""
         data = synthetic_ae_dataset(seed=11)
-        d, e, f = (Model(MODELS[v], data) for v in "DEF")
+        model = _FreshDataModel if fresh else Model
+        d, e, f = (model(MODELS[v], data) for v in "DEF")
         chain_models = [d, e, f, d, f]
         state = _ChainBatch(d, data, LikelihoodMode.EXACT,
                             [np.random.default_rng(s) for s in range(5)], chain_models)
@@ -261,6 +272,33 @@ class TestBatching:
         for batch, labels in zip(calls, batches):
             assert isinstance(batch, ChainBatch) and len(batch.configs) == len(labels)
             assert batch.n_chains == 2 * len(labels)
+
+    def test_compare_prints_each_fit_once_every_model_before_it_is_fitted(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """Of variants D, A, E, C, D and E share one batch, sampled first:
+        D's line comes before A is sampled, E's only after A's, and when
+        C's batch fails the lines of the models fitted before it stand."""
+        printed = []
+
+        def recording_run(model, data, mode, config):
+            printed.append(capsys.readouterr().out)
+            if model.label == "C":
+                raise NumericError("C fails")
+            return run(model, data, mode, config)
+
+        monkeypatch.setattr(cli, "run", recording_run)
+        dataset = tmp_path / "ae.csv"
+        dataset.write_text(serialize(synthetic_ae_dataset(seed=11)), encoding="utf-8")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "dataset": str(dataset), "variants": ["D", "A", "E", "C"],
+            "chains": {"n_chains": 2, "burn_in": 20, "n_keep": 20, "seed": 4},
+            "output_dir": str(tmp_path / "out")}), encoding="utf-8")
+        assert main(["compare", "--config", str(path)]) == 3
+        printed.append(capsys.readouterr().out)
+        lines = [[line.split(":")[0] for line in out.splitlines()] for out in printed]
+        assert lines == [[], ["fitted D"], ["fitted A", "fitted E"], []]
 
     def test_compare_reports_the_link_variants_as_each_sampled_alone(self, tmp_path):
         """D, E and F share one batch in ``compare``; the report of each is
@@ -569,7 +607,7 @@ class TestLevelBlocks:
         """One blocked step and the level-by-level single-site steps, fed the
         same increments and uniforms, take the same decisions and states."""
         model = Model(MODELS[variant], ae)
-        state = _ChainBatch(model, ae, LikelihoodMode.EXACT, [np.random.default_rng(3)])
+        state = _ChainBatch(model, ae, LikelihoodMode.EXACT, [np.random.default_rng(3)], [model])
         state.initialize()
         (block,) = [b for b in state.blocks if b.owner is not None]
         levels = model.levels
@@ -663,7 +701,8 @@ class TestPriorTermCache:
     ])
     def test_cached_terms_equal_a_fresh_evaluation(self, name, mode):
         model, data = _entry_case(name)
-        state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (5, 6)])
+        state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (5, 6)],
+                            [model] * 2)
         config = ChainConfig(n_chains=2, burn_in=30, n_keep=20, adapt_window=10)
         kept = mcmc._kept_arrays(ChainBatch((config,)), state.n_params)
         with np.errstate(all="ignore"):

@@ -15,9 +15,12 @@ It writes one JSON file with:
   ``compare`` sample them).  One more entry, ``D+E+F/exact``, samples the
   three link variants as each checkout's ``compare`` does: their six
   replicate runs as one batch where ``ChainBatch`` can name a model per
-  config, else one batch per variant.  Both checkouts' ``censdev`` are
-  loaded into one process and each repeat samples every entry once per
-  checkout, alternating which goes first, so both sides meet the same host
+  config, else one batch per variant.  ``A/dinterval`` imputes the AE
+  data's censored counts, regions of at most 5 counts, so it times the
+  Binomial truncated draw where a narrower start cannot pay.  Both
+  checkouts' ``censdev`` are loaded into one process and each repeat
+  samples every entry once per checkout, alternating which goes first, so
+  both sides meet the same host
   speed; the file keeps each side's median over 20 repeats and, under
   ``iqr``, its quartiles, which are also printed (raw, not at reference
   host speed: the ``perfbench/hostspeed.py`` slices come every 0.1 s, too
@@ -76,6 +79,7 @@ ENTRIES = {
     "survival-exponential/dinterval": "survival-aml",
     **{f"{v}/exact": "ae-compare" for v in "ABCDEFG"},
     "D+E+F/exact": "ae-compare",
+    "A/dinterval": "ae-compare",
     "censored-normal-glm/exact": "tobit-large",
 }
 
