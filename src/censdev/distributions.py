@@ -178,6 +178,15 @@ class Family:
                               u, log_mass)[()]
 
 
+def region_masks(lo, hi, censored=True):
+    """The branch masks ``below``, ``above`` and ``between`` of the ``censored``
+    rows (every row by default) of regions [lo, hi], as ``DataColumns`` holds them."""
+    below = censored & (lo == _NEG_INF)
+    above = censored & ~below & (hi == math.inf)
+    between = censored & ~(below | above)
+    return tuple(m if m.any() else None for m in (below, above, between))
+
+
 class _Region:
     """Censored rows [lo, hi] in the form ``Family.log_contrib`` reads a block
     of dataset columns: no row observed, the branch masks of the regions."""
@@ -186,10 +195,7 @@ class _Region:
 
     def __init__(self, lo, hi):
         self.value, self.lo, self.hi = lo, lo, hi  # no row is observed; _points reads value
-        below = lo == _NEG_INF
-        above = ~below & (hi == math.inf)
-        self.below, self.above, self.between = (
-            m if m.any() else None for m in (below, above, ~(below | above)))
+        self.below, self.above, self.between = region_masks(lo, hi)
 
     def memo(self, key, source, build):
         return build()

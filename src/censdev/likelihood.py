@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import Family, clamp_probability_v
+from .distributions import Family, clamp_probability_v, region_masks
 from .exceptions import BoundOrderError, DataError
 
 __all__ = [
@@ -82,12 +82,8 @@ class DataColumns:
         self.covariates = covariates
         self.names = tuple(names)
         observed = kind == KIND_OBSERVED
-        below = ~observed & (lo == _NEG_INF)
-        above = ~observed & ~below & (hi == math.inf)
-        between = ~(observed | below | above)
-        self.observed, self.below, self.above, self.between = (
-            mask if mask.any() else None for mask in (observed, below, above, between)
-        )
+        self.observed = observed if observed.any() else None
+        self.below, self.above, self.between = region_masks(lo, hi, ~observed)
         self._checked: dict = {}  # validated views, built on first use
 
     def __len__(self) -> int:
@@ -201,6 +197,11 @@ class CensoredDataset:
                             f"and names {names}")
         if len(set(names)) != len(names) or "" in names:
             raise DataError(f"covariate names must be distinct and non-empty, got {names}")
+        bad = np.argwhere(~np.isfinite(covariates))
+        if len(bad):
+            row, col = bad[0].tolist()
+            raise DataError(f"covariate {names[col] if names else f'#{col}'!r} must be "
+                            f"finite; row {row} has {covariates[row, col]!r}")
         self.columns = DataColumns(kind.astype(np.int8), lo, hi, value, counts, covariates,
                                    names)
 

@@ -28,25 +28,27 @@ block re-scores only the terms that read it and the rows it reaches.
 Acceptance rates, and so the adaptation, stay per component.
 
 All chains of a call advance together as one array state.  ``run`` takes
-one run config or a ``ChainBatch`` of several (the replicate runs A and B
-of a fit, say) and keeps parameters, working-scale values, Jacobians and
+a ``ChainBatch`` of run configs (one, or several: the replicate runs A and
+B of a fit, say) and keeps parameters, working-scale values, Jacobians and
 proposal scales as (chains, params) arrays, the prior term values as
 (chains, terms) and (chains, levels) arrays and the per-row contributions
 and latent values as (chains, rows) arrays, so each block scores every
-chain's proposal with one ``log_contrib`` call.  A batch may also name one
-model per config, as long as the models share a ``layout_key``: they then
-differ only in ``row_params`` (D, E and F: one hierarchical model under
-three links), which each chain evaluates with its own model, while
-proposals, prior and level terms, the kernel, accept and commit run once
-over all chains.  Chains stay independent: each owns a child generator
-spawned deterministically from its run's seed and draws its normals, its
-uniforms (only when a log ratio of its own is below 0), its jittered
-restarts and its latents from it in the order a chain run alone would, and
-its terms depend on its own row of the state only.  So a chain's draws are
+chain's proposal with one ``log_contrib`` call.  Start-up is a masked
+sweep: each attempt scores every chain and adopts the pending chains whose
+posterior is finite; the others restart from jittered points.  A batch may
+also name one model per config, as long as the models share a
+``layout_key``: they then differ only in ``row_params`` (D, E and F: one
+hierarchical model under three links), which each chain evaluates with its
+own model, while proposals, prior and level terms, the kernel, accept and
+commit run once over all chains.  Chains stay independent: each owns a
+child generator spawned deterministically from its run's seed and draws
+its normals, its uniforms (only when a log ratio of its own is below 0),
+its jittered restarts and its latents from it in the order a chain run
+alone would, and its terms depend on its own row of the state only.  So a chain's draws are
 bit for bit the same whichever chains, of whichever of those models, share
 its batch; ``TestBatching`` in ``tests/test_mcmc.py`` checks a batch
-against its configs run one at a time.  Every sampling call, batched or
-not, goes through ``run``.
+against its configs run one at a time.  Every sampling call goes through
+``run``.
 """
 
 from __future__ import annotations
@@ -250,19 +252,19 @@ class _ChainBatch:
     ``values`` (the observed outcomes, with the latents in the censored
     rows in DINTERVAL mode) are (chains, rows).  All stay in sync with the
     current parameters and latents.  ``rngs`` holds one generator per chain
-    and ``chain_models`` the model whose ``row_params`` each chain reads;
-    everything else is read from ``model``, whose ``layout_key`` they share.  ``blocks`` lists the
-    Metropolis blocks of a sweep in component order: the model's levels
-    form one block at the position of the first level, every other
+    and ``groups`` each distinct model of ``chain_models`` (whose
+    ``row_params`` each chain reads) with the mask of its chains; the rest
+    is read from ``model``, whose ``layout_key`` they share.  ``blocks``
+    lists the Metropolis blocks of a sweep in component order: the model's
+    levels form one block at the position of the first level, every other
     component is a block of its own.
     """
 
     def __init__(self, model, data, mode, rngs, chain_models):
         self.model = model
-        # Each distinct model once, and per chain the position of its own.
-        distinct = {id(m): m for m in chain_models}
-        self.models, ids = list(distinct.values()), list(distinct)
-        self.chain_model = np.array([ids.index(id(m)) for m in chain_models])
+        # Each distinct model once, with the mask of the chains that read it.
+        distinct = {id(m): m for m in chain_models}.values()
+        self.groups = [(m, np.array([c is m for c in chain_models])) for m in distinct]
         self.family = model.family
         self.mode = mode
         self.rngs = rngs
@@ -331,20 +333,17 @@ class _ChainBatch:
         return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], rows, cols, owner, (), True)
 
     # -- contribution bookkeeping ------------------------------------------
-    def _row_params(self, theta, block, chains=slice(None)) -> tuple[np.ndarray, ...]:
-        """Family parameters of ``block`` at each row of ``theta``, the
-        parameters of ``chains`` (every chain by default), as
-        (chains, 1, rows) arrays (or broadcastable to them).  A chain's come
-        from its own model, looked up by its index in ``chains``.  Each
-        chain enters ``row_params`` as a stack of one, so a model's matrix
-        products are matrix-vector products per chain and a chain's terms do
-        not depend on which chains share the batch."""
+    def _row_params(self, theta, block) -> tuple[np.ndarray, ...]:
+        """Family parameters of ``block`` at each chain's row of ``theta``,
+        as (chains, 1, rows) arrays (or broadcastable to them), a chain's
+        from its own model.  Each chain enters ``row_params`` as a stack of
+        one, so a model's matrix products are matrix-vector products per
+        chain and a chain's terms do not depend on which chains share the
+        batch."""
         theta = theta[:, None, :]
-        if len(self.models) == 1:
-            return self.models[0].row_params(theta, block)
-        owner = self.chain_model[chains]
-        parts = [(owner == k, self.models[k].row_params(theta[owner == k], block))
-                 for k in np.unique(owner)]
+        if len(self.groups) == 1:
+            return self.groups[0][0].row_params(theta, block)
+        parts = [(mine, model.row_params(theta[mine], block)) for model, mine in self.groups]
         out = []
         for fields in zip(*(params for _, params in parts)):
             first = fields[0]
@@ -352,74 +351,72 @@ class _ChainBatch:
                 out.append(first)  # one value without a chain axis: data alone, the trials
                 continue
             tails = [np.shape(f)[1:] if np.ndim(f) >= 3 else np.shape(f) for f in fields]
-            field = np.empty((len(owner), *np.broadcast_shapes((1, 1), *tails)),
+            field = np.empty((len(theta), *np.broadcast_shapes((1, 1), *tails)),
                              np.result_type(*fields))
             for (mine, _), f in zip(parts, fields):
                 field[mine] = f
             out.append(field)
         return tuple(out)
 
-    def _contributions(self, params, rows, block, chains=slice(None)) -> np.ndarray:
-        """(chains, rows) contributions of ``block`` from its ``params`` at
-        the current parameters of ``chains``."""
+    def _contributions(self, params, rows, block) -> np.ndarray:
+        """(chains, rows) contributions of ``block`` from its ``params``."""
         if self.mode is LikelihoodMode.EXACT:
             out = self.family.log_contrib(block, *params)
         else:
-            values = _take(self.values[chains], rows)
+            values = _take(self.values, rows)
             out = self.family.log_pdf_v(values[:, None, :], *params)
         return out[:, 0]
 
     # -- initialization ------------------------------------------------------
     def initialize(self) -> None:
         """Start every chain at the working-scale origin, the natural values
-        0, 1 and 1/2 of the supports; a chain whose posterior is not finite
-        there retries from jittered points drawn from its own generator."""
-        pending = np.arange(len(self.rngs))
+        0, 1 and 1/2 of the supports.  Each attempt scores every chain as a
+        sweep does and adopts the pending chains whose posterior is finite;
+        the others retry from jittered points, each drawn from its chain's
+        own generator."""
+        self.x[:] = 0.0
+        pending = np.ones(len(self.rngs), dtype=bool)
         for attempt in range(MAX_INIT_RETRIES + 1):
-            x = (np.array([self.rngs[c].normal(size=self.n_params) for c in pending]) if attempt
-                 else np.zeros((len(pending), self.n_params)))
-            pending = pending[~self._try_states(pending, x)]
-            if not len(pending):
+            if attempt:
+                for c in np.flatnonzero(pending):
+                    self.x[c] = self.rngs[c].normal(size=self.n_params)
+            pending &= ~self._try_states(pending)
+            if not pending.any():
                 return
         raise InitializationError(
             f"no finite posterior found after {MAX_INIT_RETRIES} jittered restarts"
         )
 
-    def _try_states(self, chains: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Adopt the working-scale points ``x`` for ``chains`` where the
-        posterior is finite; returns which were adopted."""
-        v = to_natural(x, self.supports)
-        lp = self.model.log_prior(v)
-        ok = np.isfinite(lp)
+    def _try_states(self, pending: np.ndarray) -> np.ndarray:
+        """Adopt each chain's working-scale point ``x`` for the ``pending``
+        chains whose prior and likelihood are finite there; returns the mask
+        of the chains adopted.  No likelihood is scored when no pending
+        chain's prior is finite."""
+        v = to_natural(self.x, self.supports)
+        ok = pending & np.isfinite(self.model.log_prior(v))
         if self.mode is LikelihoodMode.DINTERVAL and ok.any():
-            live = np.flatnonzero(ok)
             block = self.censored_block
-            params = self._row_params(v[live], block, chains[live])
+            params = self._row_params(v, block)
             # One call per chain, so a degenerate region fails only its chain.
-            for k, i in enumerate(live):
-                family = self.family(*(p[k] if np.ndim(p) > 1 else p for p in params))
+            for c in np.flatnonzero(ok):
+                family = self.family(*(p[c] if np.ndim(p) > 1 else p for p in params))
                 try:
-                    latents = family.sample_truncated(block.lo, block.hi, self.rngs[chains[i]])
+                    latents = family.sample_truncated(block.lo, block.hi, self.rngs[c])
                 except DegenerateRegionError:
-                    ok[i] = False
+                    ok[c] = False
                 else:
-                    self.values[chains[i], self.censored_rows] = latents
-        if ok.any():
-            live = np.flatnonzero(ok)
-            rows, cols = self.all_rows
-            params = self._row_params(v[live], cols, chains[live])
-            contribs = self._contributions(params, rows, cols, chains[live])
-            finite = np.isfinite(_row_sums(contribs))
-            ok[live] = finite
-            live, contribs = live[finite], contribs[finite]
-            adopted = chains[live]
-            self.x[adopted], self.v[adopted] = x[live], v[live]
-            self.contribs[adopted] = contribs
-            for k, term in enumerate(self.model.prior_terms):
-                self.terms[adopted, k] = term.log_density(v[live])
-            if self.model.levels:
-                self.level_terms[adopted] = self.model.level_log_prior(v[live])
-            self.jac[adopted] = _columnwise(2, x[live], self.supports)
+                    self.values[c, self.censored_rows] = latents
+        if not ok.any():
+            return ok
+        rows, cols = self.all_rows
+        contribs = self._contributions(self._row_params(v, cols), rows, cols)
+        ok &= np.isfinite(_row_sums(contribs))
+        self.v[ok], self.contribs[ok] = v[ok], contribs[ok]
+        for k, term in enumerate(self.model.prior_terms):
+            self.terms[ok, k] = term.log_density(v)[ok]
+        if self.model.levels:
+            self.level_terms[ok] = self.model.level_log_prior(v)[ok]
+        self.jac[ok] = _columnwise(2, self.x, self.supports)[ok]
         return ok
 
     # -- updates --------------------------------------------------------------
@@ -568,52 +565,46 @@ def run(
     model: Model,
     data: CensoredDataset,
     mode: LikelihoodMode,
-    config: ChainConfig | ChainBatch,
-):
+    config: ChainBatch,
+) -> list[PosteriorSamples]:
     """Sample the model's posterior on ``data`` under the given mode.
 
-    ``config`` is one :class:`ChainConfig`, for which the result is its
-    :class:`PosteriorSamples`, or a :class:`ChainBatch`, whose configs are
-    sampled as one state, for which it is the list of their samples in
-    order.  The batch's configs sample their ``models`` where it names
-    them; a named model whose ``layout_key`` differs from ``model``'s
-    raises SchemaError.  Deterministic per config: chain c of a config uses
-    the c-th child of that config's seed sequence, and its results are bit
-    for bit those of that config, with its model, run alone.
+    The configs of the :class:`ChainBatch` ``config`` are sampled as one
+    state; the result is the list of their samples in order.  They sample
+    the batch's ``models`` where it names them; a named model whose
+    ``layout_key`` differs from ``model``'s raises SchemaError.
+    Deterministic per config: chain c of a config uses the c-th child of
+    that config's seed sequence, and its results are bit for bit those of
+    that config, with its model, in a batch of its own.
     """
-    batch = config if isinstance(config, ChainBatch) else ChainBatch((config,))
-    models = batch.models or (model,) * len(batch.configs)
+    models = config.models or (model,) * len(config.configs)
     for named in models:
         if named is not model and named.layout_key != model.layout_key:
             raise SchemaError(f"{named.label} and {model.label} differ in more than "
                               "row_params, so they cannot share a chain batch")
-    draws, devs = _kept_arrays(batch, len(model.params))
+    draws, devs = _kept_arrays(config, len(model.params))
     rngs = [
         np.random.default_rng(child)
-        for cfg in batch.configs
+        for cfg in config.configs
         for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)
     ]
-    chain_models = [m for m, cfg in zip(models, batch.configs) for _ in range(cfg.n_chains)]
+    chain_models = [m for m, cfg in zip(models, config.configs) for _ in range(cfg.n_chains)]
     state = _ChainBatch(model, data, mode, rngs, chain_models)
     with np.errstate(all="ignore"):
         state.initialize()
-        rates = state.sample(batch.configs[0], draws, devs)
+        rates = state.sample(config.configs[0], draws, devs)
 
-    out, start = [], 0
-    for cfg in batch.configs:
-        chains = slice(start, start + cfg.n_chains)
-        start = chains.stop
-        n_draws = cfg.n_chains * cfg.n_keep
-        out.append(PosteriorSamples(
-            param_names=model.param_names,
-            draws=draws[chains].reshape(n_draws, state.n_params),
-            deviance_trace=devs[chains].reshape(n_draws),
-            chain_ids=np.repeat(np.arange(cfg.n_chains), cfg.n_keep),
-            acceptance_rates=rates[chains],
-            mode=mode,
-            config=cfg,
-        ))
-    return out if batch is config else out[0]
+    bounds = np.cumsum([cfg.n_chains for cfg in config.configs])[:-1]
+    parts = zip(config.configs, *(np.split(a, bounds) for a in (draws, devs, rates)))
+    return [PosteriorSamples(
+        param_names=model.param_names,
+        draws=chain_draws.reshape(-1, state.n_params),
+        deviance_trace=chain_devs.reshape(-1),
+        chain_ids=np.repeat(np.arange(cfg.n_chains), cfg.n_keep),
+        acceptance_rates=chain_rates,
+        mode=mode,
+        config=cfg,
+    ) for cfg, chain_draws, chain_devs, chain_rates in parts]
 
 
 # ---------------------------------------------------------------------------

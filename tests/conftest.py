@@ -15,6 +15,7 @@ import pytest
 
 from censdev import (
     MODELS,
+    ChainBatch,
     ChainConfig,
     LikelihoodMode,
     Model,
@@ -92,6 +93,12 @@ def assert_same_columns(a, b):
         assert x.tobytes() == y.tobytes(), field
 
 
+def run_one(model, data, mode, config):
+    """The samples of the one run ``config``, sampled as a batch of its own."""
+    (samples,) = run(model, data, mode, ChainBatch((config,)))
+    return samples
+
+
 @pytest.fixture(scope="session")
 def aml():
     return aml_dataset()
@@ -123,9 +130,9 @@ def recorded_latents():
 def _survival_runs_and_latents(aml, survival_model):
     seed_a, _ = _derive_run_seeds(SURVIVAL_DEMO_SEED, 1)[0]
     config = ChainConfig(n_chains=3, burn_in=30000, n_keep=10000, thin=1, seed=seed_a)
-    exact = run(survival_model, aml, LikelihoodMode.EXACT, config)
+    exact = run_one(survival_model, aml, LikelihoodMode.EXACT, config)
     with recorded_latents() as refreshes:
-        dinterval = run(survival_model, aml, LikelihoodMode.DINTERVAL, config)
+        dinterval = run_one(survival_model, aml, LikelihoodMode.DINTERVAL, config)
     # The refreshes of the kept sweeps, chain-major like the draws.
     kept = np.stack(refreshes[config.burn_in + config.thin - 1::config.thin])
     return exact, dinterval, kept.transpose(1, 0, 2).reshape(len(dinterval.draws), -1)
@@ -254,7 +261,7 @@ def conjugate_bb_runs():
     """Two independent runs of the single-row Beta-Binomial conjugate model."""
     data = single_binomial_dataset()
     model = Model(MODELS["A"], data, beta_shapes=(1.0, 1.0))
-    make = lambda seed: run(
+    make = lambda seed: run_one(
         model,
         data,
         LikelihoodMode.EXACT,
@@ -268,7 +275,7 @@ def conjugate_multirow_runs():
     """Two runs of a 20-row shared-incidence Binomial model (pd/p_opt bands)."""
     data = multirow_binomial_dataset()
     model = Model(MODELS["A"], data, beta_shapes=(1.0, 1.0))
-    make = lambda seed: run(
+    make = lambda seed: run_one(
         model,
         data,
         LikelihoodMode.EXACT,
@@ -281,7 +288,7 @@ def conjugate_multirow_runs():
 def conjugate_ge_run():
     data = exponential_dataset()
     model = GammaExponentialModel(shape=2.0, rate=1.0)
-    samples = run(
+    samples = run_one(
         model,
         data,
         LikelihoodMode.EXACT,

@@ -114,6 +114,15 @@ class TestDatasetStructure:
         with pytest.raises(DataError):
             make_dataset([("none", 1.0)], covariates=[(1.0, 2.0)], names=names)
 
+    @pytest.mark.parametrize("bad", [math.nan, inf, -inf])
+    @pytest.mark.parametrize("names, named", [(("x", "group"), "'group'"), ((), "'#1'")])
+    def test_non_finite_covariates_are_rejected(self, bad, names, named):
+        """A dataset built in code is checked as the file parser checks
+        cells, naming the row and the column."""
+        with pytest.raises(DataError, match=f"^covariate {named} must be finite; row 2 has "):
+            make_dataset([("none", 1.0), ("right", 2.0), ("none", 3.0)],
+                         covariates=[(0.5, 0.0), (1.5, 1.0), (2.5, bad)], names=names)
+
 
 class TestLoglikExact:
     @pytest.mark.parametrize("family,params,y", [

@@ -44,6 +44,7 @@ from conftest import (
     DuckModel,
     make_dataset,
     recorded_latents,
+    run_one,
     single_binomial_dataset,
     tobit_dataset,
 )
@@ -87,8 +88,8 @@ class TestDeterminism:
         data = single_binomial_dataset()
         model = Model(MODELS["A"], data)
         config = ChainConfig(n_chains=2, burn_in=200, n_keep=300, seed=77)
-        a = run(model, data, LikelihoodMode.EXACT, config)
-        b = run(model, data, LikelihoodMode.EXACT, config)
+        a = run_one(model, data, LikelihoodMode.EXACT, config)
+        b = run_one(model, data, LikelihoodMode.EXACT, config)
         assert np.array_equal(a.draws, b.draws)
         assert np.array_equal(a.deviance_trace, b.deviance_trace)
         assert np.array_equal(a.acceptance_rates, b.acceptance_rates)
@@ -96,17 +97,17 @@ class TestDeterminism:
     def test_different_seed_differs(self):
         data = single_binomial_dataset()
         model = Model(MODELS["A"], data)
-        a = run(model, data, LikelihoodMode.EXACT,
-                ChainConfig(n_chains=1, burn_in=100, n_keep=200, seed=1))
-        b = run(model, data, LikelihoodMode.EXACT,
-                ChainConfig(n_chains=1, burn_in=100, n_keep=200, seed=2))
+        a = run_one(model, data, LikelihoodMode.EXACT,
+                    ChainConfig(n_chains=1, burn_in=100, n_keep=200, seed=1))
+        b = run_one(model, data, LikelihoodMode.EXACT,
+                    ChainConfig(n_chains=1, burn_in=100, n_keep=200, seed=2))
         assert not np.array_equal(a.draws, b.draws)
 
     def test_thinning_geometry(self):
         data = single_binomial_dataset()
         model = Model(MODELS["A"], data)
         config = ChainConfig(n_chains=2, burn_in=50, n_keep=40, thin=5, seed=9)
-        samples = run(model, data, LikelihoodMode.EXACT, config)
+        samples = run_one(model, data, LikelihoodMode.EXACT, config)
         assert samples.draws.shape == (80, 1)
         assert config.total_iterations == 50 + 40 * 5
 
@@ -169,7 +170,7 @@ class TestBatching:
         separate_latents = []
         for own, config, together in zip(models or [model] * len(configs), configs, batched):
             with recorded_latents() as latents:
-                alone = run(own, data, mode, config)
+                alone = run_one(own, data, mode, config)
             separate_latents.append(latents)
             assert together.param_names == alone.param_names
             for field in ("draws", "deviance_trace", "acceptance_rates", "chain_ids"):
@@ -181,27 +182,57 @@ class TestBatching:
             assert np.array_equal(np.stack(batched_latents), alone)
 
     @pytest.mark.parametrize("fresh", [False, True], ids=["cached-data", "fresh-data"])
-    def test_row_params_of_a_chain_subset_come_from_each_chains_model(self, fresh):
+    def test_row_params_of_a_mixed_batch_come_from_each_chains_model(self, fresh):
         """Also when a model returns its data fields (the trials) as a new
         array on each call, not the columns' cached one."""
         data = synthetic_ae_dataset(seed=11)
         model = _FreshDataModel if fresh else Model
         d, e, f = (model(MODELS[v], data) for v in "DEF")
-        chain_models = [d, e, f, d, f]
+        chain_models = [f, d, e, d, f]
         state = _ChainBatch(d, data, LikelihoodMode.EXACT,
                             [np.random.default_rng(s) for s in range(5)], chain_models)
         theta = np.random.default_rng(3).normal(size=(5, len(d.params)))
         theta[:, 1] = np.abs(theta[:, 1])
-        chains = np.array([4, 1, 3, 2])
         cols = data.columns
-        params = state._row_params(theta[chains], cols, chains)
-        for k, chain in enumerate(chains):
-            own = chain_models[chain].row_params(theta[chain], cols)
+        params = state._row_params(theta, cols)
+        for chain, own_model in enumerate(chain_models):
+            own = own_model.row_params(theta[chain], cols)
             for got, want in zip(params, own):
-                got = np.broadcast_to(got, (len(chains), 1, len(cols)))[k, 0]
+                got = np.broadcast_to(got, (len(theta), 1, len(cols)))[chain, 0]
                 assert np.array_equal(got, want)
-        # E's and F's links give other probabilities from the same theta.
-        assert not np.array_equal(params[1][1, 0], d.row_params(theta[1], cols)[1])
+        # F's link gives other probabilities than D's from the same theta.
+        assert not np.array_equal(params[1][0, 0], d.row_params(theta[0], cols)[1])
+
+    @pytest.mark.parametrize("mode", list(LikelihoodMode))
+    def test_restarted_chains_of_a_batch_equal_each_run_alone(self, monkeypatch, aml, mode):
+        """No chain can start at the origin, so start-up restarts every
+        chain, some more often than others: the attempts mix adopted and
+        pending chains, and each config still reproduces its run alone."""
+        attempts = []
+        try_states = _ChainBatch._try_states
+
+        def recording(self, pending):
+            attempts.append(pending.copy())
+            return try_states(self, pending)
+
+        monkeypatch.setattr(_ChainBatch, "_try_states", recording)
+        configs = tuple(ChainConfig(n_chains=n, seed=seed, **self.GEOMETRY)
+                        for n, seed in ((2, 5), (1, 6), (2, 7)))
+        self._check_batch(_NoStartAtOrigin(), (), configs, aml, mode)
+        assert any(0 < pending.sum() < len(pending) for pending in attempts)
+
+    def test_a_degenerate_start_region_fails_only_its_chain(self, monkeypatch, aml,
+                                                            survival_model):
+        """Start-up draws each chain's latents with a call of its own: when
+        chain 1's call finds its region degenerate, chain 1 alone restarts, and
+        chains 0 and 2 keep the draws of an undisturbed run."""
+        config = ChainConfig(n_chains=3, seed=5, **self.GEOMETRY)
+        undisturbed = run_one(survival_model, aml, LikelihoodMode.DINTERVAL, config)
+        _degenerate_draws(monkeypatch, lambda call: call == 1)
+        disturbed = run_one(survival_model, aml, LikelihoodMode.DINTERVAL, config)
+        per_chain = [s.draws.reshape(3, config.n_keep, -1) for s in (undisturbed, disturbed)]
+        same = [np.array_equal(a, b) for a, b in zip(*per_chain)]
+        assert same == [True, False, True]
 
     def test_models_of_another_layout_cannot_share_a_batch(self):
         data = synthetic_ae_dataset(seed=11)
@@ -348,7 +379,7 @@ class TestBatching:
         monkeypatch.setattr(np.random, "SeedSequence", seeded)
         config = ChainConfig(n_chains=10**19, burn_in=0, n_keep=1, seed=1)
         with pytest.raises(DataError, match='"chains": 10000000000000000000 chains'):
-            run(survival_model, aml, mode, config)
+            run_one(survival_model, aml, mode, config)
 
     def test_failing_initialization_raises_initialization_error(self):
         data = make_dataset([("none", 1.0)])
@@ -357,7 +388,7 @@ class TestBatching:
             run(_HopelessModel(), data, LikelihoodMode.EXACT, ChainBatch(configs))
 
     def test_failing_latent_refresh_surfaces_as_numeric_error(self, monkeypatch, aml):
-        _degenerate_after(monkeypatch, 40)
+        _degenerate_draws(monkeypatch, lambda call: call >= 40)
         configs = tuple(ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=s) for s in (1, 2))
         with pytest.raises(NumericError, match="degenerate censoring region"):
             run(Model(MODELS["survival-exponential"], aml), aml, LikelihoodMode.DINTERVAL,
@@ -369,7 +400,7 @@ class TestBatching:
             monkeypatch.setattr(Model, "log_prior",
                                 lambda self, theta: np.full(len(theta), -math.inf))
         else:
-            _degenerate_after(monkeypatch, 40)
+            _degenerate_draws(monkeypatch, lambda call: call >= 40)
         config = {
             "dataset": "bundled:aml",
             "model": {"family": "survival-exponential"},
@@ -383,15 +414,15 @@ class TestBatching:
         assert capsys.readouterr().err.startswith("numeric error:")
 
 
-def _degenerate_after(monkeypatch, n_draws):
-    """Make every call of ``Exponential.sample_truncated`` after the first
-    ``n_draws`` find a region degenerate (the sampler makes one call per
-    chain at initialization and one per sweep after)."""
-    draws = itertools.count()
+def _degenerate_draws(monkeypatch, fails):
+    """Make the calls of ``Exponential.sample_truncated`` whose index (from
+    0) ``fails`` accepts find a region degenerate (the sampler makes one
+    call per chain at initialization and one per sweep after)."""
+    calls = itertools.count()
     original = Exponential.sample_truncated
 
     def sample_truncated(self, lower, upper, rng):
-        if next(draws) >= n_draws:
+        if fails(next(calls)):
             raise DegenerateRegionError("forced")
         return original(self, lower, upper, rng)
 
@@ -426,7 +457,7 @@ class TestFloatingPointState:
             warnings.simplefilter("error")
             samples_a, samples_b = run(model, data, LikelihoodMode.EXACT, ChainBatch(configs))
             make_selection_report(case, model, data, samples_a, samples_b)
-            run(model, data, LikelihoodMode.DINTERVAL, configs[0])
+            run_one(model, data, LikelihoodMode.DINTERVAL, configs[0])
 
     @pytest.mark.parametrize("case", ["h=1e-300", "h=1e3*sd", "cauchy"])
     def test_density_export_raises_no_floating_point_warning(self, case, tmp_path):
@@ -526,9 +557,26 @@ class TestLatentImputation:
 
     def test_exact_mode_draws_no_latents(self, aml, survival_model):
         with recorded_latents() as refreshes:
-            run(survival_model, aml, LikelihoodMode.EXACT,
-                ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=3))
+            run_one(survival_model, aml, LikelihoodMode.EXACT,
+                    ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=3))
         assert refreshes == []
+
+
+class _NoStartAtOrigin(DuckModel):
+    """Exponential outcomes of rate exp(x), whose prior is -inf for
+    |x| < 1: the working-scale origin is outside its support."""
+
+    family = Exponential
+
+    def __init__(self):
+        self.params = (Param("log_rate", "real"),)
+
+    def log_prior(self, theta):
+        x = self.check_theta(theta)[..., 0]
+        return np.where(np.abs(x) < 1.0, -math.inf, -0.5 * x * x)
+
+    def row_params(self, theta, cols):
+        return (np.exp(np.asarray(theta, dtype=float)[..., 0:1]),)
 
 
 class _HopelessModel(DuckModel):
@@ -547,11 +595,12 @@ class _HopelessModel(DuckModel):
 
 
 class TestInitialization:
-    def test_initialization_error_after_retries(self):
-        data = make_dataset([("none", 1.0)])
+    @pytest.mark.parametrize("mode", list(LikelihoodMode))
+    def test_initialization_error_after_retries(self, mode):
+        data = make_dataset([("none", 1.0), ("right", 2.0)])
         with pytest.raises(InitializationError):
-            run(_HopelessModel(), data, LikelihoodMode.EXACT,
-                ChainConfig(n_chains=1, burn_in=10, n_keep=10, seed=0))
+            run_one(_HopelessModel(), data, mode,
+                    ChainConfig(n_chains=1, burn_in=10, n_keep=10, seed=0))
 
 
 class _Feed:
@@ -638,8 +687,8 @@ class TestLevelBlocks:
         """G's study incidences against Beta(1+y, 1+n-y) on observed rows and
         the quadrature of Beta(1,1) x P(region) on censored rows."""
         model = Model(MODELS["G"], ae)
-        samples = run(model, ae, LikelihoodMode.EXACT,
-                      ChainConfig(n_chains=3, burn_in=1000, n_keep=5000, seed=404))
+        samples = run_one(model, ae, LikelihoodMode.EXACT,
+                          ChainConfig(n_chains=3, burn_in=1000, n_keep=5000, seed=404))
         cols = ae.columns
         for s in range(len(ae)):
             n = int(cols.trials[s])
@@ -660,16 +709,16 @@ class TestLevelBlocks:
     def test_levels_sharing_a_row_are_rejected(self):
         data = make_dataset([("none", 3.0)], trials=[10])
         with pytest.raises(SchemaError, match="^shared-levels: levels share rows"):
-            run(_SharedLevels(), data, LikelihoodMode.EXACT,
-                ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
+            run_one(_SharedLevels(), data, LikelihoodMode.EXACT,
+                    ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
 
     def test_levels_read_by_another_prior_term_are_rejected(self):
         """A joint term over the levels cannot be split into one change per
         level, so they cannot move as a block."""
         data = make_dataset([("none", 3.0)], trials=[10])
         with pytest.raises(SchemaError, match="^level-reader: a prior term beside the level"):
-            run(_LevelReader(), data, LikelihoodMode.EXACT,
-                ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
+            run_one(_LevelReader(), data, LikelihoodMode.EXACT,
+                    ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
 
 
 class _LevelReader(_SharedLevels):

@@ -13,13 +13,13 @@ from scipy import stats
 from scipy.stats import norm
 
 import oracle
-from censdev import ChainConfig, LikelihoodMode, aml_dataset, run
+from censdev import ChainConfig, LikelihoodMode, aml_dataset
 from censdev.datasets import AE_COVARIATES, synthetic_ae_dataset
 from censdev.distributions import Exponential
 from censdev.exceptions import SchemaError
 from censdev.likelihood import exact_contributions
 from censdev.models import MODELS, Model, Param, _half_cauchy_log_prior, to_natural, to_unbounded
-from conftest import censored_rows, make_dataset, subset
+from conftest import censored_rows, make_dataset, run_one, subset
 from oracle import log_posterior_unnorm, loglik_exact, outcome_families, outcome_family
 
 
@@ -438,7 +438,7 @@ class TestIdentifiability:
 
         model = _model("survival-exponential", data, tau0=1e-8, tau1=1e-8)
         config = ChainConfig(n_chains=1, burn_in=4000, n_keep=100_000, seed=11)
-        samples = run(model, data, LikelihoodMode.EXACT, config)
+        samples = run_one(model, data, LikelihoodMode.EXACT, config)
 
         log_post = np.array(
             [log_posterior_unnorm(model, theta, data) for theta in samples.draws]
@@ -455,7 +455,7 @@ class TestIdentifiability:
         )
         model = _model("D", data, half_cauchy_scale=1e-4)
         config = ChainConfig(n_chains=2, burn_in=2000, n_keep=2000, seed=3)
-        samples = run(model, data, LikelihoodMode.EXACT, config)
+        samples = run_one(model, data, LikelihoodMode.EXACT, config)
         mu = samples.param("mu")
         incidences = []
         for d in range(5):
@@ -475,6 +475,6 @@ class TestIdentifiability:
         data = make_dataset(outcomes, covariates=xs, names=("x",))
         model = _model("censored-normal-glm", data)
         config = ChainConfig(n_chains=1, burn_in=1500, n_keep=1500, seed=4)
-        samples = run(model, data, LikelihoodMode.EXACT, config)
+        samples = run_one(model, data, LikelihoodMode.EXACT, config)
         assert np.isfinite(samples.deviance_trace).all()
         assert abs(samples.param("beta0").mean() - 0.5) < 0.5
