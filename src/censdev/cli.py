@@ -409,6 +409,7 @@ def _fit(config: dict, config_dir: Path, out_dir: Path | None = None) -> tuple[d
             "mode": mode.value,
             "model": label,
             "mean_monitored_deviance": float(samples_a.deviance_trace.mean()),
+            "mean_exact_deviance": float(samples_a.exact_deviance_trace.mean()),
             "note": "latent-imputation monitor: censored rows contribute log(1)=0; "
                     "not usable for DIC/PED model selection",
         }

@@ -9,8 +9,10 @@ broadcast over any leading axis (draws, chains).  An instance binds the
 parameters of a block of rows, arrays or scalars, by position or keyword
 (``Exponential(rate=...)``, ``Normal(mean=..., precision=...)``,
 ``Binomial(trials=..., prob=...)``); its ``log_pdf``, ``log_interval_prob``
-and ``sample_truncated`` (one inverse-CDF draw per row: the latent refresh)
-run the same kernels elementwise.
+and ``sample_truncated`` (one inverse-CDF draw per row) check their
+arguments and run the same kernels elementwise.  The sampler's latent
+refresh calls the class kernels directly: ``log_contrib`` and the inverse
+CDF ``_draw(lo, hi, u, log_mass, *params)``.
 
 Regions follow P(a <= Y <= b) = F(b) - F(a^-), where F(a^-) is F(a - 1) on
 integer support and F(a) for continuous families; one-sided censoring has an
@@ -83,9 +85,10 @@ def _log_between(log_cdf_hi, log_sf_hi, log_cdf_lo, log_sf_lo):
 
 class Family:
     """An outcome family's array kernels, and as an instance the distribution
-    of a block of rows.  Subclasses provide the static kernels (parameters in
-    the constructor's order), an ``__init__`` that checks its parameters and
-    keeps them as ``params``, and ``_draw``, the inverse CDF of its draws."""
+    of a block of rows.  Subclasses provide the class kernels (parameters in
+    the constructor's order), ``_draw`` among them: the inverse CDF at ``u``
+    of regions [lo, hi] of log mass ``log_mass``; and an ``__init__`` that
+    checks its parameters and keeps them as ``params``."""
 
     is_discrete = False
 
@@ -158,24 +161,25 @@ class Family:
 
     def sample_truncated(self, lo, hi, rng):
         """One draw per row from the family restricted to [lo, hi] (integer
-        endpoints inclusive), the inverse CDF of one uniform each.  ``rng``
-        is a Generator, taking them in row order, or one per entry of the
-        result's first axis (the sampler's chains).  Raises BoundOrderError
-        for NaN or reversed bounds, DegenerateRegionError for a region of
-        probability below 1e-290 (lo = hi on continuous support)."""
+        endpoints inclusive), the inverse CDF of one uniform each from the
+        Generator ``rng``, in row order.  Raises BoundOrderError for NaN or
+        reversed bounds, DegenerateRegionError for a region of probability
+        below 1e-290 (lo = hi on continuous support)."""
         log_mass = self.log_interval_prob(lo, hi)
-        empty = log_mass < _LOG_MIN_MASS
-        if empty.any():
-            a, b = (np.broadcast_to(x, empty.shape)[empty][0] for x in (lo, hi))
-            raise DegenerateRegionError(f"truncation region [{a}, {b}] has zero probability")
-        shape = np.shape(log_mass)
-        if isinstance(rng, np.random.Generator):
-            u = rng.random(shape)
-        else:
-            u = np.array([g.random(shape[1:]) for g in rng]).reshape(shape)
+        require_mass(log_mass, lo, hi)
+        u = rng.random(np.shape(log_mass))
         with np.errstate(all="ignore"):
             return self._draw(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
-                              u, log_mass)[()]
+                              u, log_mass, *self.params)[()]
+
+
+def require_mass(log_mass, lo, hi) -> None:
+    """Raise DegenerateRegionError naming the first region [lo, hi] of log
+    mass ``log_mass`` below that of probability 1e-290: none to draw from."""
+    empty = log_mass < _LOG_MIN_MASS
+    if empty.any():
+        a, b = (np.broadcast_to(x, empty.shape)[empty][0] for x in (lo, hi))
+        raise DegenerateRegionError(f"truncation region [{a}, {b}] has zero probability")
 
 
 def region_masks(lo, hi, censored=True):
@@ -208,10 +212,10 @@ class Exponential(Family):
         _require(rate, np.isfinite(rate) & (rate > 0.0), "rate must be positive")
         self.params = (rate,)
 
-    def _draw(self, lo, hi, u, log_mass):
+    @staticmethod
+    def _draw(lo, hi, u, log_mass, rate):
         # Memoryless shift keeps the inverse CDF stable however far out the
         # region sits: Y = a + Exp(rate) conditioned on Y - a <= hi - a.
-        (rate,) = self.params
         a = np.maximum(lo, 0.0)
         return a - np.log1p(-u * -np.expm1(-rate * (hi - a))) / rate
 
@@ -243,12 +247,12 @@ class Normal(Family):
                  "precision must be positive")
         self.params = (mean, precision)
 
-    def _draw(self, lo, hi, u, log_mass):
+    @staticmethod
+    def _draw(lo, hi, u, log_mass, mean, precision):
         # Inverse CDF in log space from the lower tail, where log_ndtr keeps
         # its precision: a region centred above the mean is mirrored below
         # it.  u is the region's conditional mass between the draw and its
         # end nearer the mean, so every u in [0, 1) gives a finite draw.
-        mean, precision = self.params
         scale = np.sqrt(precision)
         z_lo, z_hi = (lo - mean) * scale, (hi - mean) * scale
         mirror = z_lo + z_hi > 0.0
@@ -296,20 +300,20 @@ class Binomial(Family):
         _require(prob, (prob >= 0.0) & (prob <= 1.0), "prob must lie in [0, 1]")
         self.params = (trials, prob)
 
-    def _draw(self, lo, hi, u, log_mass):
+    @classmethod
+    def _draw(cls, lo, hi, u, log_mass, trials, prob):
         # The smallest k of the region whose conditional CDF exceeds u, by
         # bisection on whole numbers: each step scores P(first <= X <= k) as
         # log_interval_prob would, so the support is never materialised.
         # Counts stay int64, exact up to the largest trials a dataset holds.
-        trials, prob = self.params
         below = np.ceil(np.maximum(lo, 0.0)).astype(np.int64) - 1
         inside = hi < trials
         top = np.where(inside, np.floor(np.where(inside, hi, 0.0)).astype(np.int64), trials)
-        log_cdf_lo, log_sf_lo = self._log_cdf_sf_v(below.astype(float), trials, prob)
+        log_cdf_lo, log_sf_lo = cls._log_cdf_sf_v(below.astype(float), trials, prob)
         log_u = np.log(u) + log_mass
 
         def over(k):  # P(first <= X <= k) > u P(first <= X <= last)
-            log_cdf, log_sf = self._log_cdf_sf_v(k.astype(float), trials, prob)
+            log_cdf, log_sf = cls._log_cdf_sf_v(k.astype(float), trials, prob)
             return _log_between(log_cdf, log_sf, log_cdf_lo, log_sf_lo) > log_u
 
         # In a wide region, start from a bracket around the normal
@@ -321,7 +325,7 @@ class Binomial(Family):
         # is under a quarter of its region.
         wide = top - below > 16
         if wide.any():
-            start, end = self._bracket(below, top, log_cdf_lo, log_sf_lo, log_u)
+            start, end = cls._bracket(below, top, log_cdf_lo, log_sf_lo, log_u, trials, prob)
             narrows = wide & (top - below > 4 * (end - start))
             if narrows.any():
                 below = np.where(narrows & (start > below) & ~over(start), start, below)
@@ -334,14 +338,14 @@ class Binomial(Family):
             is_over = over(mid)
             top, below = np.where(is_over, mid, top), np.where(is_over, below, mid)
 
-    def _bracket(self, below, top, log_cdf_lo, log_sf_lo, log_u):
+    @staticmethod
+    def _bracket(below, top, log_cdf_lo, log_sf_lo, log_u, trials, prob):
         """Whole numbers in [below, top] around the k whose CDF first exceeds
         q = F(below) + u P(first <= X <= last): the normal quantile of q,
         continuity-corrected, give or take 2 + z^2/4, which covers the
         Cornish-Fisher skewness term |1 - 2p| (z^2 - 1) / 6.  The quantile
         is taken from log q below the median and from log(1 - q) above it.
         Where it is not finite an end is the region's end."""
-        trials, prob = self.params
         log_q = np.logaddexp(log_cdf_lo, log_u)
         log_1mq = log_sf_lo + np.log1p(-np.exp(log_u - log_sf_lo))
         z = np.where(log_q <= _LOG_HALF, sc.ndtri_exp(log_q), -sc.ndtri_exp(log_1mq))

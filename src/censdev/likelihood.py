@@ -69,8 +69,9 @@ class DataColumns:
 
     The masks ``observed``, ``below`` (region (-inf, hi]), ``above``
     ((lo, inf)) and ``between`` (both bounds finite) split the rows by the
-    branch ``Family.log_interval_prob`` takes for them; a mask is None when
-    no row takes that branch, so kernels skip it.
+    branch ``Family.log_contrib`` takes for them; a mask is None when no
+    row takes that branch, so kernels skip it.  They are built with the
+    block, which the sampler's latent refresh reads every sweep.
     """
 
     def __init__(self, kind, lo, hi, value, trials, covariates, names=()):

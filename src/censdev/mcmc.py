@@ -13,6 +13,9 @@ emulates latent-imputation samplers: censored rows carry latent outcome
 values that are Gibbs-refreshed from their truncated outcome distribution
 every sweep, the parameter target conditions on those values, and the
 deviance monitor sums observed rows only (censored rows contribute log 1).
+The refresh runs the family's class kernels on the censored rows' block,
+checked once with the dataset; each region's log mass is also its row's
+exact contribution, so kept DINTERVAL draws carry their exact deviance.
 
 The likelihood is kept as a per-row contribution array and the prior as
 the values of the model's prior and level terms.  A sweep visits the
@@ -59,6 +62,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .distributions import require_mass
 from .exceptions import (
     DataError,
     DegenerateDensityError,
@@ -157,12 +161,15 @@ class PosteriorSamples:
 
     ``draws`` holds natural-scale values, chain-major: the first ``n_keep``
     rows belong to chain 0.  ``deviance_trace`` is the active mode's
-    monitored deviance per kept draw.
+    monitored deviance per kept draw and ``exact_deviance_trace`` the exact
+    deviance of the same draws, every censored row counted: in EXACT mode
+    the same values.
     """
 
     param_names: tuple[str, ...]
     draws: np.ndarray
     deviance_trace: np.ndarray
+    exact_deviance_trace: np.ndarray
     chain_ids: np.ndarray
     acceptance_rates: np.ndarray  # [n_chains, n_params], kept phase
     mode: LikelihoodMode
@@ -293,6 +300,7 @@ class _ChainBatch:
         self.contribs = np.empty((n_chains, len(cols)))
         self.terms = np.empty((n_chains, len(model.prior_terms)))
         self.level_terms = np.empty((n_chains, len(levels)))
+        self.censored_log_mass = np.zeros((n_chains, len(self.censored_rows)))
 
     def _single_block(self, j: int, data) -> _Block:
         rows = self.model.rows_for_param(j, data)
@@ -494,14 +502,24 @@ class _ChainBatch:
         ).reshape(n_chains, n_levels)
 
     def refresh_latents(self, sweep: int) -> None:
+        """Draw every chain's latents at its current parameters, one uniform
+        per censored row in row order from its generator: ``_draw`` of the
+        regions' log mass, which ``log_contrib`` gives on ``censored_block``
+        and ``censored_log_mass`` keeps as their exact contributions."""
         rows, block = self.censored_rows, self.censored_block
+        if not len(rows):
+            return
         params = self._row_params(self.v, block)
+        log_mass = self.family.log_contrib(block, *params)
         try:
-            latents = self.family(*params).sample_truncated(block.lo, block.hi, self.rngs)
+            require_mass(log_mass, block.lo, block.hi)
         except DegenerateRegionError as exc:
             raise NumericError(f"sweep {sweep}: degenerate censoring region: {exc}") from exc
+        u = np.array([rng.random((1, len(rows))) for rng in self.rngs])
+        latents = self.family._draw(block.lo, block.hi, u, log_mass, *params)
         self.values[:, rows] = latents[:, 0]
-        self.contribs[:, rows] = self._contributions(params, rows, block)
+        self.contribs[:, rows] = self.family.log_pdf_v(latents, *params)[:, 0]
+        self.censored_log_mass = log_mass[:, 0]
 
     def monitored_deviance(self) -> np.ndarray:
         if self.mode is LikelihoodMode.EXACT:
@@ -509,12 +527,14 @@ class _ChainBatch:
         return -2.0 * _take(self.contribs, self.observed_rows).sum(axis=1)
 
     # -- sampling --------------------------------------------------------------
-    def sample(self, config: ChainConfig, draws, devs):
+    def sample(self, config: ChainConfig, draws, devs, exact_devs=None):
         """Burn-in with adaptation, then the kept sweeps, for every chain.
 
         Fills the kept draws (chains, n_keep, params) and deviances
-        (chains, n_keep), as :func:`_kept_arrays` allocates them; returns
-        the kept-phase acceptance rates (chains, params).
+        (chains, n_keep), as :func:`_kept_arrays` allocates them, and
+        ``exact_devs``, when given, with the exact deviance of each kept
+        draw: the monitored one less twice the sum of ``censored_log_mass``.
+        Returns the kept-phase acceptance rates (chains, params).
         """
         n_chains = len(self.rngs)
         shape = (n_chains, self.n_params)
@@ -546,6 +566,8 @@ class _ChainBatch:
                     )
                 draws[:, kept] = self.v
                 devs[:, kept] = dev
+                if exact_devs is not None:
+                    exact_devs[:, kept] = dev - 2.0 * _row_sums(self.censored_log_mass)
 
         return kept_accepts / (config.n_keep * config.thin)
 
@@ -583,6 +605,8 @@ def run(
             raise SchemaError(f"{named.label} and {model.label} differ in more than "
                               "row_params, so they cannot share a chain batch")
     draws, devs = _kept_arrays(config, len(model.params))
+    # In EXACT mode the monitored deviance is the exact one.
+    exact_devs = np.empty_like(devs) if mode is LikelihoodMode.DINTERVAL else None
     rngs = [
         np.random.default_rng(child)
         for cfg in config.configs
@@ -592,19 +616,21 @@ def run(
     state = _ChainBatch(model, data, mode, rngs, chain_models)
     with np.errstate(all="ignore"):
         state.initialize()
-        rates = state.sample(config.configs[0], draws, devs)
+        rates = state.sample(config.configs[0], draws, devs, exact_devs)
 
     bounds = np.cumsum([cfg.n_chains for cfg in config.configs])[:-1]
-    parts = zip(config.configs, *(np.split(a, bounds) for a in (draws, devs, rates)))
+    arrays = (draws, devs, rates, devs if exact_devs is None else exact_devs)
+    parts = zip(config.configs, *(np.split(a, bounds) for a in arrays))
     return [PosteriorSamples(
         param_names=model.param_names,
         draws=chain_draws.reshape(-1, state.n_params),
         deviance_trace=chain_devs.reshape(-1),
+        exact_deviance_trace=chain_exact.reshape(-1),
         chain_ids=np.repeat(np.arange(cfg.n_chains), cfg.n_keep),
         acceptance_rates=chain_rates,
         mode=mode,
         config=cfg,
-    ) for cfg, chain_draws, chain_devs, chain_rates in parts]
+    ) for cfg, chain_draws, chain_devs, chain_rates, chain_exact in parts]
 
 
 # ---------------------------------------------------------------------------

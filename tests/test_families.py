@@ -232,21 +232,26 @@ def _round_trip_errors(family, lo, hi, draws, u):
 class _FullRegionBinomial(Binomial):
     """A Binomial whose draws bisect the whole truncation region."""
 
-    def _bracket(self, below, top, *logs):
+    @staticmethod
+    def _bracket(below, top, *logs_and_params):
         return below, top
 
 
 class _MovedBracketBinomial(Binomial):
     """A Binomial whose bracket is moved by ``shift`` counts, within the
-    region, so that its end checks have to catch a bracket that misses."""
+    region, so that its end checks have to catch a bracket that misses;
+    ``moved(shift)`` is the subclass of one shift."""
 
-    def __init__(self, trials, prob, shift):
-        super().__init__(trials, prob)
-        self.shift = shift
+    shift = 0
 
-    def _bracket(self, below, top, *logs):
-        return tuple(np.clip(end + self.shift, below, top)
-                     for end in super()._bracket(below, top, *logs))
+    @classmethod
+    def moved(cls, shift):
+        return type(cls.__name__, (cls,), {"shift": shift})
+
+    @classmethod
+    def _bracket(cls, below, top, *logs_and_params):
+        return tuple(np.clip(end + cls.shift, below, top)
+                     for end in Binomial._bracket(below, top, *logs_and_params))
 
 
 class TestTruncatedDraws:
@@ -289,12 +294,14 @@ class TestTruncatedDraws:
         assert (np.abs(draws - scalar) <= 4 * np.spacing(scalar)).all()
 
     def test_a_generator_per_chain_draws_as_each_alone(self):
-        """A sequence of generators, one per entry of the first axis, gives
-        each entry the draws a call with its own generator gives."""
+        """The class kernel on a stack of chains, each chain's uniforms from
+        its own generator (as the sampler's latent refresh draws them), gives
+        each chain the draws a call with its own generator gives."""
         lo, hi = np.array([0.5, 1.0, 2.0]), np.array([inf, 4.0, inf])
         rate = np.array([[[0.3, 1.0, 2.0]], [[0.7, 0.1, 5.0]]])
-        together = Exponential(rate).sample_truncated(
-            lo, hi, [np.random.default_rng(1), np.random.default_rng(2)])
+        log_mass = Exponential(rate).log_interval_prob(lo, hi)
+        u = np.array([np.random.default_rng(seed).random((1, 3)) for seed in (1, 2)])
+        together = Exponential._draw(lo, hi, u, log_mass, rate)
         for c, seed in enumerate((1, 2)):
             alone = Exponential(rate[c]).sample_truncated(lo, hi, np.random.default_rng(seed))
             assert together[c].tobytes() == alone.tobytes()
@@ -322,10 +329,10 @@ class TestTruncatedDraws:
         log_mass = Binomial(*args).log_interval_prob(*region)
         assume(log_mass[0] >= math.log(1e-290))
         with np.errstate(all="ignore"):
-            full = _FullRegionBinomial(*args)._draw(*region, np.array([u]), log_mass)
-            for family in (Binomial(*args), _MovedBracketBinomial(*args, shift)):
-                draw = family._draw(*region, np.array([u]), log_mass)
-                assert draw.tobytes() == full.tobytes(), (type(family), draw, full)
+            full = _FullRegionBinomial._draw(*region, np.array([u]), log_mass, *args)
+            for cls in (Binomial, _MovedBracketBinomial.moved(shift)):
+                draw = cls._draw(*region, np.array([u]), log_mass, *args)
+                assert draw.tobytes() == full.tobytes(), (cls, draw, full)
 
     def test_binomial_draw_at_huge_trials_takes_a_few_steps(self, monkeypatch):
         """At 10^12 trials a draw scores a handful of counts, not the 41 a

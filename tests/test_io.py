@@ -15,7 +15,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from censdev import MODELS, __version__, cli, datasets, distributions, mcmc, selection
+from censdev import (
+    MODELS,
+    Model,
+    __version__,
+    cli,
+    datasets,
+    distributions,
+    loglik_exact,
+    mcmc,
+    selection,
+)
 from censdev.cli import main
 from censdev.datasets import (
     aml_dataset,
@@ -346,6 +356,27 @@ class TestCliFit:
         assert report["mode"] == "dinterval"
         assert "DIC" not in report
         assert math.isfinite(report["mean_monitored_deviance"])
+
+    def test_dinterval_fit_reports_the_exact_deviance_of_its_draws(self, fit_config, tmp_path):
+        """``mean_exact_deviance`` is -2 loglik_exact averaged over the draws
+        of samples_a.csv, recomputed offline, and lies above the monitored
+        mean by the censored rows' terms."""
+        _, _, config = fit_config
+        config.update(mode="dinterval", output_dir=str(tmp_path / "out-dint"))
+        path = tmp_path / "fit_dint.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["fit", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out-dint" / "report.json").read_text())
+        names, matrix = cli._read_samples_csv(tmp_path / "out-dint" / "samples_a.csv")
+        data = aml_dataset()
+        model = Model(MODELS["survival-exponential"], data)
+        draws = matrix[:, [names.index(p) for p in model.param_names]]
+        offline = np.mean([
+            -2.0 * loglik_exact(data, model.family, model.row_params(theta, data.columns))
+            for theta in draws])
+        assert len(draws) == 300
+        assert abs(report["mean_exact_deviance"] - offline) <= 1e-9 * abs(offline)
+        assert report["mean_exact_deviance"] > report["mean_monitored_deviance"]
 
 
     @pytest.mark.parametrize("mode", ["exact", "dinterval"])

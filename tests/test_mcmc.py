@@ -22,7 +22,6 @@ from censdev.distributions import Binomial, Exponential, Normal
 from censdev.exceptions import (
     DataError,
     DegenerateDensityError,
-    DegenerateRegionError,
     InitializationError,
     NumericError,
     SchemaError,
@@ -38,7 +37,7 @@ from censdev.mcmc import (
     split_rhat,
     summarize,
 )
-from censdev.models import MODELS, Model, Param
+from censdev.models import MODELS, Model, Param, to_natural
 from censdev.selection import make_selection_report
 from conftest import (
     DuckModel,
@@ -228,7 +227,7 @@ class TestBatching:
         chains 0 and 2 keep the draws of an undisturbed run."""
         config = ChainConfig(n_chains=3, seed=5, **self.GEOMETRY)
         undisturbed = run_one(survival_model, aml, LikelihoodMode.DINTERVAL, config)
-        _degenerate_draws(monkeypatch, lambda call: call == 1)
+        _degenerate_regions(monkeypatch, lambda call: call == 1)
         disturbed = run_one(survival_model, aml, LikelihoodMode.DINTERVAL, config)
         per_chain = [s.draws.reshape(3, config.n_keep, -1) for s in (undisturbed, disturbed)]
         same = [np.array_equal(a, b) for a, b in zip(*per_chain)]
@@ -388,9 +387,14 @@ class TestBatching:
             run(_HopelessModel(), data, LikelihoodMode.EXACT, ChainBatch(configs))
 
     def test_failing_latent_refresh_surfaces_as_numeric_error(self, monkeypatch, aml):
-        _degenerate_draws(monkeypatch, lambda call: call >= 40)
+        """Four chains start with four calls, so call 40 is sweep 36's refresh;
+        the error names the sweep and the first censored row's region."""
+        _degenerate_regions(monkeypatch, lambda call: call >= 40)
         configs = tuple(ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=s) for s in (1, 2))
-        with pytest.raises(NumericError, match="degenerate censoring region"):
+        first = aml.columns.lo[aml.columns.kind != KIND_OBSERVED][0]
+        with pytest.raises(NumericError, match=(
+                rf"^sweep 36: degenerate censoring region: truncation region "
+                rf"\[{first}, inf\] has zero probability$")):
             run(Model(MODELS["survival-exponential"], aml), aml, LikelihoodMode.DINTERVAL,
                 ChainBatch(configs))
 
@@ -400,7 +404,7 @@ class TestBatching:
             monkeypatch.setattr(Model, "log_prior",
                                 lambda self, theta: np.full(len(theta), -math.inf))
         else:
-            _degenerate_draws(monkeypatch, lambda call: call >= 40)
+            _degenerate_regions(monkeypatch, lambda call: call >= 40)
         config = {
             "dataset": "bundled:aml",
             "model": {"family": "survival-exponential"},
@@ -414,19 +418,20 @@ class TestBatching:
         assert capsys.readouterr().err.startswith("numeric error:")
 
 
-def _degenerate_draws(monkeypatch, fails):
-    """Make the calls of ``Exponential.sample_truncated`` whose index (from
-    0) ``fails`` accepts find a region degenerate (the sampler makes one
-    call per chain at initialization and one per sweep after)."""
+def _degenerate_regions(monkeypatch, fails):
+    """Make the calls of ``Exponential.log_contrib`` whose index (from 0)
+    ``fails`` accepts give every row no mass.  In DINTERVAL mode the sampler
+    calls it on censoring regions alone: once per chain at initialization
+    (``sample_truncated`` scoring its regions) and once per sweep after (the
+    latent refresh)."""
     calls = itertools.count()
-    original = Exponential.sample_truncated
+    original = Exponential.log_contrib.__func__
 
-    def sample_truncated(self, lower, upper, rng):
-        if fails(next(calls)):
-            raise DegenerateRegionError("forced")
-        return original(self, lower, upper, rng)
+    def log_contrib(cls, cols, *params):
+        out = original(cls, cols, *params)
+        return np.full_like(out, -math.inf) if fails(next(calls)) else out
 
-    monkeypatch.setattr(Exponential, "sample_truncated", sample_truncated)
+    monkeypatch.setattr(Exponential, "log_contrib", classmethod(log_contrib))
 
 
 def _four_kind_survival_dataset():
@@ -739,6 +744,64 @@ def _entry_case(name: str):
     return Model(spec, data), data
 
 
+def _ae_regions_dataset():
+    """The synthetic AE rows with their counts censored in turn: observed,
+    left of 3 and [2, 4] (regions of at most 5 counts), right of 4 and
+    [1, 40] (regions over 16 counts wide)."""
+    cols = synthetic_ae_dataset(seed=11).columns
+    specs = (("none", 2.0), ("left", 3.0), ("right", 4.0), ("interval", 1.0, 40.0),
+             ("interval", 2.0, 4.0))
+    return make_dataset([specs[i % len(specs)] for i in range(len(cols))],
+                        covariates=cols.covariates, names=cols.names,
+                        trials=cols.trials.tolist())
+
+
+class TestLatentRefresh:
+    """The refresh draws through the class kernels on the censored block the
+    bytes ``sample_truncated`` draws from the same regions, parameters and
+    generators, for every censor kind of every family."""
+
+    CASES = {
+        "exponential": lambda: (MODELS["survival-exponential"],
+                                _four_kind_survival_dataset()),
+        "normal": lambda: (MODELS["censored-normal-glm"], tobit_dataset()),
+        "binomial": lambda: (MODELS["A"], _ae_regions_dataset()),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refresh_draws_as_sample_truncated(self, case):
+        spec, data = self.CASES[case]()
+        model = Model(spec, data)
+        seeds = (3, 4, 5)
+        state = _ChainBatch(model, data, LikelihoodMode.DINTERVAL,
+                            [np.random.default_rng(s) for s in seeds], [model] * len(seeds))
+        block, rows = state.censored_block, state.censored_rows
+        assert set(block.kind.tolist()) == {1, 2, 3} and (data.columns.kind == 0).any()
+        if case == "binomial":
+            width = np.minimum(block.hi, block.trials) - np.maximum(block.lo, 0.0)
+            assert (width <= 5).any() and (width > 16).any()
+        x = np.random.default_rng(9).normal(0.0, 0.3, state.x.shape)
+        state.v[:] = to_natural(x, model.supports)
+        with np.errstate(all="ignore"):
+            state.refresh_latents(0)
+            params = state._row_params(state.v, block)
+            chain_params = [[p[c] if np.ndim(p) > 1 else p for p in params]
+                            for c in range(len(seeds))]
+            latents = np.array([model.family(*p).sample_truncated(
+                block.lo, block.hi, np.random.default_rng(s)) for p, s in zip(chain_params, seeds)])
+            log_mass = np.array([model.family(*p).log_interval_prob(block.lo, block.hi)
+                                 for p in chain_params])
+            log_pdf = np.array([model.family(*p).log_pdf(y)
+                                for p, y in zip(chain_params, latents)])
+        assert state.values[:, rows].tobytes() == latents[:, 0].tobytes()
+        assert state.contribs[:, rows].tobytes() == log_pdf[:, 0].tobytes()
+        assert state.censored_log_mass.tobytes() == log_mass[:, 0].tobytes()
+        for c, seed in enumerate(seeds):  # each chain took one uniform per row
+            rng = np.random.default_rng(seed)
+            rng.random(len(rows))
+            assert state.rngs[c].random() == rng.random()
+
+
 class TestPriorTermCache:
     """The sampler keeps every chain's prior term values and re-scores only
     the terms a block reads; after any number of sweeps the cache must
@@ -776,6 +839,7 @@ def _manual_samples(values, n_chains=1):
         param_names=("x",),
         draws=values.reshape(-1, 1),
         deviance_trace=np.zeros(values.shape[0]),
+        exact_deviance_trace=np.zeros(values.shape[0]),
         chain_ids=np.repeat(np.arange(n_chains), n_keep),
         acceptance_rates=np.full((n_chains, 1), 0.44),
         mode=LikelihoodMode.EXACT,

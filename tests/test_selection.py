@@ -38,6 +38,7 @@ def _samples_from_draws(draws, deviances, mode=LikelihoodMode.EXACT, seed=0,
         param_names=param_names,
         draws=draws,
         deviance_trace=np.asarray(deviances, dtype=float),
+        exact_deviance_trace=np.asarray(deviances, dtype=float),
         chain_ids=np.zeros(len(deviances), dtype=int),
         acceptance_rates=np.full((1, draws.shape[1]), 0.44),
         mode=mode,

@@ -194,6 +194,7 @@ def _samples(draws, model, seed):
         param_names=model.param_names,
         draws=draws,
         deviance_trace=np.zeros(n),
+        exact_deviance_trace=np.zeros(n),
         chain_ids=np.zeros(n, dtype=int),
         acceptance_rates=np.full((1, draws.shape[1]), 0.44),
         mode=LikelihoodMode.EXACT,

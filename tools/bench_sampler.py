@@ -39,11 +39,13 @@ It writes one JSON file with:
   seeds 1-10, tobit-large at seeds 1-3), the side that runs first
   alternating from pair to pair: ``wall_s``, ``setup_s``, ``peak_rss_mb``,
   ``fail_rate`` and the artifact digests;
-* ``traced``: ``perfbench/run.py --trace 1`` for ae-compare at seed 1 in
-  both checkouts: the per-layer metrics ``TRACED`` lists;
+* ``traced``: ``perfbench/run.py --trace 1`` at seed 1 in both checkouts,
+  for each workload ``TRACED`` names: the per-layer metrics it lists
+  (ae-compare's exact sweeps; survival-aml's dinterval sweep cost and
+  the ``Family`` objects and truncated draws behind its latent refresh);
 * ``host``: CPU, core count and Python/numpy/scipy versions.
 
-The 68 perfbench runs take about 25 s each, about 30 minutes in all.
+The 70 perfbench runs take about 25 s each, about 30 minutes in all.
 """
 
 from __future__ import annotations
@@ -68,8 +70,13 @@ EXPORT_REPEATS = 30
 # Workload -> the seeds of its perfbench pairs.
 PAIRS = {"ae-compare": range(1, 11), "survival-aml": range(1, 11),
          "tobit-large": range(1, 4), "trace-export": range(1, 11)}
-TRACED = ("models.log_prior_calls", "mcmc.us_per_sweep.exact", "mcmc.run_calls",
-          "mcmc.sweeps", "mcmc.run_s")
+# Workload -> the per-layer metrics its traced runs record.
+TRACED = {
+    "ae-compare": ("models.log_prior_calls", "mcmc.us_per_sweep.exact", "mcmc.run_calls",
+                   "mcmc.sweeps", "mcmc.run_s"),
+    "survival-aml": ("mcmc.us_per_sweep.dinterval", "distributions.family_objects",
+                     "distributions.truncated_draws"),
+}
 # The config file each workload's set-up writes beside its inputs.
 CONFIGS = {"survival-aml": "fit_exact.json", "ae-compare": "compare.json",
            "tobit-large": "fit.json"}
@@ -261,10 +268,11 @@ def main(argv=None) -> int:
             pairs[workload].append({"seed": seed, "first": order[0], **pair})
             print(f"{workload} seed {seed} wall_s" + "".join(
                 f"  {side} {pair[side]['wall_s']:.3f}" for side in trees), flush=True)
-    traced = {}
-    for side, tree in trees.items():
-        metrics = _perfbench(tree, "ae-compare", 1, 1)
-        traced[side] = {name: metrics.get(name) for name in TRACED}
+    traced = {workload: {} for workload in TRACED}
+    for workload, names in TRACED.items():
+        for side, tree in trees.items():
+            metrics = _perfbench(tree, workload, 1, 1)
+            traced[workload][side] = {name: metrics.get(name) for name in names}
     sweeps, export = measure(trees)
 
     report = {
@@ -285,7 +293,7 @@ def main(argv=None) -> int:
             **export,
         },
         "perfbench": pairs,
-        "traced": {"workload": "ae-compare", "seed": 1, **traced},
+        "traced": {"seed": 1, **traced},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0
