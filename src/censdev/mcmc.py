@@ -25,10 +25,11 @@ one block: given the other components their priors factorize and their row
 sets are disjoint, so each level keeps its own Metropolis accept and the
 block has the stationary law of the level-by-level single-site updates it
 replaces (the chromatic Gibbs argument).  The block draws one proposal
-vector, scores the union of its rows with one vectorized kernel call and
-sums the change per level.  Every other component is a block of one.  A
-block re-scores only the terms that read it and the rows it reaches.
-Acceptance rates, and so the adaptation, stay per component.
+vector, scores every row with one vectorized kernel call and sums the
+change per level.  Every other component is a block of one.  A block
+re-scores the terms that read it and either every row or none: none for
+the components that only the level terms read (C's mu and spread, D/E/F's
+sigma).  Acceptance rates, and so the adaptation, stay per component.
 
 All chains of a call advance together as one array state.  ``run`` takes
 a ``ChainBatch`` of run configs (one, or several: the replicate runs A and
@@ -218,31 +219,20 @@ class _Block(NamedTuple):
     ``comps`` is a component index, for a block of one, or the slice of a
     model's levels; numpy indexing then hands the update a column or a
     (chains, levels) array alike.  ``transform`` is their support's
-    ``_TRANSFORMS`` entry.  ``rows`` are the rows they reach (a slice when
-    that is every row) and ``cols`` the columnar block of those rows, None
-    when there are none.  ``owner`` is None for a single component; for
-    levels it maps each row of the block to the position of its level in
-    ``comps``.  ``terms`` lists the model's prior terms that read the block
-    and ``levels`` says whether the level terms do.
+    ``_TRANSFORMS`` entry.  ``cols`` is the dataset's columns, every row,
+    or None for a component that reaches no row (one in the model's
+    ``level_reads``).  ``owner`` is None for a single component; for levels
+    it maps each row to the position of its level in ``comps``.  ``terms``
+    lists the model's prior terms that read the block and ``levels`` says
+    whether the level terms do.
     """
 
     comps: int | slice
     transform: tuple
-    rows: slice | np.ndarray
     cols: Optional[DataColumns]
     owner: Optional[np.ndarray]
     terms: tuple[int, ...]
     levels: bool
-
-
-def _take(a: np.ndarray, rows) -> np.ndarray:
-    """The (chains, rows) block of ``a``, C-contiguous.
-
-    A chain's row of a C-contiguous array sums in the order its own 1-D
-    array would (``a[:, index]`` comes out Fortran-ordered, and its row sums
-    would not).
-    """
-    return a[:, rows] if isinstance(rows, slice) else np.take(a, rows, axis=1)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -257,14 +247,15 @@ class _ChainBatch:
     ``level_terms`` (the values of the model's prior terms and level terms)
     are (chains, terms) and (chains, levels), and ``contribs`` and
     ``values`` (the observed outcomes, with the latents in the censored
-    rows in DINTERVAL mode) are (chains, rows).  All stay in sync with the
-    current parameters and latents.  ``rngs`` holds one generator per chain
-    and ``groups`` each distinct model of ``chain_models`` (whose
-    ``row_params`` each chain reads) with the mask of its chains; the rest
-    is read from ``model``, whose ``layout_key`` they share.  ``blocks``
-    lists the Metropolis blocks of a sweep in component order: the model's
-    levels form one block at the position of the first level, every other
-    component is a block of its own.
+    rows in DINTERVAL mode) are (chains, rows), over the dataset's columns
+    ``cols``.  All stay in sync with the current parameters and latents.
+    ``rngs`` holds one generator per chain and ``groups`` each distinct
+    model of ``chain_models`` (whose ``row_params`` each chain reads) with
+    the mask of its chains; the rest is read from ``model``, whose
+    ``layout_key`` they share.  ``blocks`` lists the Metropolis blocks of a
+    sweep in component order: the model's levels form one block at the
+    position of the first level, every other component is a block of its
+    own.
     """
 
     def __init__(self, model, data, mode, rngs, chain_models):
@@ -277,19 +268,18 @@ class _ChainBatch:
         self.rngs = rngs
         self.supports = model.supports
         self.n_params = len(model.params)
-        cols = data.columns
+        self.cols = cols = data.columns
         observed = cols.kind == KIND_OBSERVED
         self.observed_rows = np.flatnonzero(observed)
         self.censored_rows = np.flatnonzero(~observed)
         self.censored_block = cols.take(self.censored_rows)
-        self.all_rows = (slice(None), cols)
         levels = tuple(model.levels)
         self.blocks = []
         for j in range(self.n_params):
             if j not in levels:
-                self.blocks.append(self._single_block(j, data))
+                self.blocks.append(self._single_block(j))
             elif j == levels[0]:
-                self.blocks.append(self._level_block(levels, data))
+                self.blocks.append(self._level_block(levels))
 
         n_chains = len(rngs)
         self._chain_index = np.arange(n_chains)[:, None]
@@ -302,21 +292,19 @@ class _ChainBatch:
         self.level_terms = np.empty((n_chains, len(levels)))
         self.censored_log_mass = np.zeros((n_chains, len(self.censored_rows)))
 
-    def _single_block(self, j: int, data) -> _Block:
-        rows = self.model.rows_for_param(j, data)
-        if rows is None:
-            rows, cols = self.all_rows
-        else:
-            cols = data.columns.take(rows) if len(rows) else None
+    def _single_block(self, j: int) -> _Block:
+        cols = None if j in self.model.level_reads else self.cols
         terms = tuple(k for k, term in enumerate(self.model.prior_terms) if j in term.reads)
         levels = j in self.model.levels + self.model.level_reads
-        return _Block(j, _TRANSFORMS[self.supports[j]], rows, cols, None, terms, levels)
+        return _Block(j, _TRANSFORMS[self.supports[j]], cols, None, terms, levels)
 
-    def _level_block(self, levels: tuple[int, ...], data) -> _Block:
-        """One block for the model's levels.  Moving them together keeps the
-        target only if, given the other components, their priors factorize
-        (``level_log_prior``), no other prior term reads them and no row
-        depends on two of them."""
+    def _level_block(self, levels: tuple[int, ...]) -> _Block:
+        """One block for the model's levels, which reaches every row: row i
+        belongs to the level of its code in the model's index column.
+        Moving the levels together keeps the target only if, given the
+        other components, their priors factorize (``level_log_prior``) and
+        no other prior term reads them; a row has one code, so no row
+        depends on two levels."""
         name = self.model.label
         if levels != tuple(range(levels[0], levels[0] + len(levels))):
             raise SchemaError(f"{name}: levels must be consecutive components")
@@ -324,21 +312,9 @@ class _ChainBatch:
             raise SchemaError(f"{name}: levels must share one support")
         if any(set(term.reads) & set(levels) for term in self.model.prior_terms):
             raise SchemaError(f"{name}: a prior term beside the level terms reads the levels")
-        n_rows = len(data.columns)
-        level_rows = [self.model.rows_for_param(j, data) for j in levels]
-        level_rows = [np.arange(n_rows) if r is None else r for r in level_rows]
-        rows = np.concatenate(level_rows)
-        if len(np.unique(rows)) != len(rows):
-            raise SchemaError(f"{name}: levels share rows, so they cannot move as a block")
-        owner = np.repeat(np.arange(len(levels)), [len(r) for r in level_rows])
-        order = np.argsort(rows, kind="stable")  # each level's rows keep their order
-        rows, owner = rows[order], owner[order]
-        if len(rows) == n_rows:  # every row: update the contributions in place
-            rows, cols = self.all_rows
-        else:
-            cols = data.columns.take(rows) if len(rows) else None
+        owner = self.cols.codes(self.model.index_col, len(levels))
         comps = slice(levels[0], levels[0] + len(levels))
-        return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], rows, cols, owner, (), True)
+        return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], self.cols, owner, (), True)
 
     # -- contribution bookkeeping ------------------------------------------
     def _row_params(self, theta, block) -> tuple[np.ndarray, ...]:
@@ -354,25 +330,21 @@ class _ChainBatch:
         parts = [(mine, model.row_params(theta[mine], block)) for model, mine in self.groups]
         out = []
         for fields in zip(*(params for _, params in parts)):
-            first = fields[0]
-            if all(np.ndim(f) < 3 and (f is first or np.array_equal(f, first)) for f in fields):
-                out.append(first)  # one value without a chain axis: data alone, the trials
+            if all(f is fields[0] for f in fields):
+                out.append(fields[0])  # data alone: the columns' cached trials
                 continue
-            tails = [np.shape(f)[1:] if np.ndim(f) >= 3 else np.shape(f) for f in fields]
-            field = np.empty((len(theta), *np.broadcast_shapes((1, 1), *tails)),
-                             np.result_type(*fields))
+            field = np.empty((len(theta), 1, len(block)))
             for (mine, _), f in zip(parts, fields):
                 field[mine] = f
             out.append(field)
         return tuple(out)
 
-    def _contributions(self, params, rows, block) -> np.ndarray:
-        """(chains, rows) contributions of ``block`` from its ``params``."""
+    def _contributions(self, params) -> np.ndarray:
+        """(chains, rows) contributions of every row from its ``params``."""
         if self.mode is LikelihoodMode.EXACT:
-            out = self.family.log_contrib(block, *params)
+            out = self.family.log_contrib(self.cols, *params)
         else:
-            values = _take(self.values, rows)
-            out = self.family.log_pdf_v(values[:, None, :], *params)
+            out = self.family.log_pdf_v(self.values[:, None, :], *params)
         return out[:, 0]
 
     # -- initialization ------------------------------------------------------
@@ -416,8 +388,7 @@ class _ChainBatch:
                     self.values[c, self.censored_rows] = latents
         if not ok.any():
             return ok
-        rows, cols = self.all_rows
-        contribs = self._contributions(self._row_params(v, cols), rows, cols)
+        contribs = self._contributions(self._row_params(v, self.cols))
         ok &= np.isfinite(_row_sums(contribs))
         self.v[ok], self.contribs[ok] = v[ok], contribs[ok]
         for k, term in enumerate(self.model.prior_terms):
@@ -434,15 +405,15 @@ class _ChainBatch:
         flags, (chains,) for a single component, (chains, levels) for levels.
 
         A single component is scored by the change of the prior terms that
-        read it (the level terms summed) and of its rows' summed
-        contributions.  Levels are scored per level, from one proposal per
+        read it (the level terms summed) and, unless it reaches no row, of
+        the summed contributions.  Levels are scored per level, from one proposal per
         level and one likelihood call: the change of each level's term plus
         its rows' contributions summed by owner.  A chain draws its normals
         from its own generator, and its uniforms only when some log ratio of
         its own is below 0.  A proposal outside the prior's support has log
         ratio -inf (or NaN) and is rejected.
         """
-        comps, (_, to_nat, log_jac), rows, cols, owner, terms, levels = block
+        comps, (_, to_nat, log_jac), cols, owner, terms, levels = block
         size = None if owner is None else scales.shape[-1]
         z = np.array([rng.standard_normal(size) for rng in self.rngs])
         x_new = self.x[:, comps] + scales * z
@@ -458,9 +429,8 @@ class _ChainBatch:
             changes.append(change if owner is not None else _row_sums(change))
         log_ratio = sum(changes[1:], changes[0])
         if cols is not None:
-            new_contribs = self._contributions(self._row_params(theta_prop, cols), rows, cols)
-            old_contribs = _take(self.contribs, rows)
-            change = new_contribs - old_contribs
+            new_contribs = self._contributions(self._row_params(theta_prop, cols))
+            change = new_contribs - self.contribs
             if owner is None:
                 log_ratio = log_ratio + _row_sums(change)
             else:
@@ -486,10 +456,7 @@ class _ChainBatch:
             np.copyto(self.level_terms, levels_new, where=kept)
         if cols is not None:
             moved = kept if owner is None else accept[:, owner]
-            if isinstance(rows, slice):  # a view: write the moved chains in place
-                np.copyto(self.contribs[:, rows], new_contribs, where=moved)
-            else:
-                self.contribs[:, rows] = np.where(moved, new_contribs, old_contribs)
+            np.copyto(self.contribs, new_contribs, where=moved)
         return accept
 
     def _level_sums(self, owner, contribs, n_levels) -> np.ndarray:
@@ -524,16 +491,16 @@ class _ChainBatch:
     def monitored_deviance(self) -> np.ndarray:
         if self.mode is LikelihoodMode.EXACT:
             return -2.0 * _row_sums(self.contribs)
-        return -2.0 * _take(self.contribs, self.observed_rows).sum(axis=1)
+        return -2.0 * np.take(self.contribs, self.observed_rows, axis=1).sum(axis=1)
 
     # -- sampling --------------------------------------------------------------
-    def sample(self, config: ChainConfig, draws, devs, exact_devs=None):
+    def sample(self, config: ChainConfig, draws, devs, exact_devs):
         """Burn-in with adaptation, then the kept sweeps, for every chain.
 
-        Fills the kept draws (chains, n_keep, params) and deviances
-        (chains, n_keep), as :func:`_kept_arrays` allocates them, and
-        ``exact_devs``, when given, with the exact deviance of each kept
-        draw: the monitored one less twice the sum of ``censored_log_mass``.
+        Fills the kept draws (chains, n_keep, params), monitored deviances
+        and exact deviances (chains, n_keep), as :func:`_kept_arrays`
+        allocates them.  The exact deviance is the monitored one less twice
+        the sum of ``censored_log_mass``, which stays zero in EXACT mode.
         Returns the kept-phase acceptance rates (chains, params).
         """
         n_chains = len(self.rngs)
@@ -566,18 +533,18 @@ class _ChainBatch:
                     )
                 draws[:, kept] = self.v
                 devs[:, kept] = dev
-                if exact_devs is not None:
-                    exact_devs[:, kept] = dev - 2.0 * _row_sums(self.censored_log_mass)
+                exact_devs[:, kept] = dev - 2.0 * _row_sums(self.censored_log_mass)
 
         return kept_accepts / (config.n_keep * config.thin)
 
 
 def _kept_arrays(batch: ChainBatch, n_params: int):
-    """Empty kept draws (chains, n_keep, params) and deviances
-    (chains, n_keep).  Raises DataError when numpy refuses their size."""
+    """Empty kept draws (chains, n_keep, params) and monitored and exact
+    deviances (chains, n_keep).  Raises DataError when numpy refuses their
+    size."""
     shape = (batch.n_chains, batch.configs[0].n_keep)
     try:
-        return np.empty((*shape, n_params)), np.empty(shape)
+        return np.empty((*shape, n_params)), np.empty(shape), np.empty(shape)
     except (MemoryError, ValueError):  # more than memory, or than an array, holds
         raise DataError(f'"chains": {shape[0]} chains x {shape[1]} kept draws '
                         "are too many to allocate") from None
@@ -604,9 +571,7 @@ def run(
         if named is not model and named.layout_key != model.layout_key:
             raise SchemaError(f"{named.label} and {model.label} differ in more than "
                               "row_params, so they cannot share a chain batch")
-    draws, devs = _kept_arrays(config, len(model.params))
-    # In EXACT mode the monitored deviance is the exact one.
-    exact_devs = np.empty_like(devs) if mode is LikelihoodMode.DINTERVAL else None
+    draws, devs, exact_devs = _kept_arrays(config, len(model.params))
     rngs = [
         np.random.default_rng(child)
         for cfg in config.configs
@@ -619,7 +584,7 @@ def run(
         rates = state.sample(config.configs[0], draws, devs, exact_devs)
 
     bounds = np.cumsum([cfg.n_chains for cfg in config.configs])[:-1]
-    arrays = (draws, devs, rates, devs if exact_devs is None else exact_devs)
+    arrays = (draws, devs, rates, exact_devs)
     parts = zip(config.configs, *(np.split(a, bounds) for a in arrays))
     return [PosteriorSamples(
         param_names=model.param_names,

@@ -26,9 +26,9 @@ its entry, once, the surface the sampler and the selection layer drive:
 * ``row_params(theta, cols)``: that family's parameters for every row of a
   :class:`~censdev.likelihood.DataColumns` block, as arrays, for one
   parameter vector or a stack of draws;
-* ``rows_for_param(j, data)``: row indices whose likelihood terms depend on
-  component ``j`` (None means all rows), which lets single-site Metropolis
-  updates skip untouched rows;
+* ``index_col``: the covariate column whose code on a row names the level
+  that row reads; the levels aside, a component reaches every row, or none
+  if it is in ``level_reads``;
 * ``layout_key``: what the sampler reads of the model beside ``row_params``
   (family, parameters and supports, levels and ``level_reads``, index
   column, pooling and hyperparameters).  Models with equal keys, such as
@@ -325,14 +325,6 @@ class Model:
         proposal gives a valid family.
         """
         return self._row_params(np.asarray(theta, dtype=float), cols)
-
-    def rows_for_param(self, j: int, data: CensoredDataset) -> Optional[np.ndarray]:
-        if j in self.levels:
-            codes = data.columns.codes(self.index_col, self.n_levels)
-            return np.flatnonzero(codes == j - self._first_level)
-        if j in self.level_reads:
-            return np.empty(0, dtype=np.intp)
-        return None
 
     # -- priors ------------------------------------------------------------
     def level_log_prior(self, theta) -> np.ndarray:

@@ -160,8 +160,10 @@ class DuckModel:
     """The model surface the sampler and the selection layer drive, for
     hand-written test models: a subclass sets ``family`` and ``params`` and
     provides ``log_prior`` and ``row_params`` (and, with ``levels``,
-    ``level_log_prior``).  Its one default prior term is the whole
-    ``log_prior`` and reads every component."""
+    ``level_log_prior`` and the ``index_col`` whose codes name each row's
+    level).  Every component outside ``level_reads`` reaches every row.
+    Its one default prior term is the whole ``log_prior`` and reads every
+    component."""
 
     label = ""
     levels: tuple[int, ...] = ()
@@ -183,9 +185,6 @@ class DuckModel:
         theta = np.asarray(theta, dtype=float)
         assert theta.ndim in (1, 2) and theta.shape[-1] == len(self.params), theta.shape
         return theta
-
-    def rows_for_param(self, j, data):
-        return None
 
 
 class GammaExponentialModel(DuckModel):

@@ -629,11 +629,11 @@ class _Feed:
         return self._take(self.uniforms, size)
 
 
-class _SharedLevels(DuckModel):
-    """Two levels that both reach every row: not a valid block."""
+class _TwoLevels(DuckModel):
+    """Two levels with no prior term beside the level terms; the subclasses
+    break one condition of moving them as a block."""
 
     family = Binomial
-    label = "shared-levels"
     levels = (0, 1)
     prior_terms = ()
 
@@ -649,6 +649,25 @@ class _SharedLevels(DuckModel):
     def row_params(self, theta, cols):
         theta = np.asarray(theta, dtype=float)
         return cols.positive_trials(), theta[..., 0:1] * theta[..., 1:2]
+
+
+class _GappedLevels(_TwoLevels):
+    """Levels 0 and 2, with another component between them."""
+
+    label = "gapped-levels"
+    levels = (0, 2)
+
+    def __init__(self):
+        self.params = (Param("p0", "unit"), Param("x", "unit"), Param("p1", "unit"))
+
+
+class _MixedSupportLevels(_TwoLevels):
+    """A unit-interval level beside a positive one."""
+
+    label = "mixed-support-levels"
+
+    def __init__(self):
+        self.params = (Param("p0", "unit"), Param("p1", "positive"))
 
 
 class TestLevelBlocks:
@@ -678,7 +697,7 @@ class TestLevelBlocks:
         decisions = []
         for k, j in enumerate(levels):
             single.rngs = [_Feed([z[k]], [u[k]])]
-            (flag,) = single.update_block(single._single_block(j, ae), scales[j])
+            (flag,) = single.update_block(single._single_block(j), scales[j])
             decisions.append(bool(flag))
 
         assert accept.tolist() == decisions
@@ -711,12 +730,6 @@ class TestLevelBlocks:
             trace = samples.param(f"p_study{s}")
             assert abs(trace.mean() - oracle) < 5 * mcse(trace), s
 
-    def test_levels_sharing_a_row_are_rejected(self):
-        data = make_dataset([("none", 3.0)], trials=[10])
-        with pytest.raises(SchemaError, match="^shared-levels: levels share rows"):
-            run_one(_SharedLevels(), data, LikelihoodMode.EXACT,
-                    ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
-
     def test_levels_read_by_another_prior_term_are_rejected(self):
         """A joint term over the levels cannot be split into one change per
         level, so they cannot move as a block."""
@@ -725,8 +738,40 @@ class TestLevelBlocks:
             run_one(_LevelReader(), data, LikelihoodMode.EXACT,
                     ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
 
+    @pytest.mark.parametrize("model,message", [
+        (_GappedLevels, "^gapped-levels: levels must be consecutive components"),
+        (_MixedSupportLevels, "^mixed-support-levels: levels must share one support"),
+    ], ids=["not-consecutive", "two-supports"])
+    def test_levels_outside_one_slice_of_one_support_are_rejected(self, model, message):
+        """A level block moves one slice of components on one working
+        scale.  These models have no index column, so each check must
+        refuse them before the index codes are read."""
+        data = make_dataset([("none", 3.0)], trials=[10])
+        with pytest.raises(SchemaError, match=message):
+            run_one(model(), data, LikelihoodMode.EXACT,
+                    ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
 
-class _LevelReader(_SharedLevels):
+    @pytest.mark.parametrize("name", MODELS)
+    def test_every_block_reaches_every_row_or_none(self, name):
+        """A block scores the dataset's columns, or none for a component
+        that only the level terms read; the level block's rows belong to
+        the levels their index codes name."""
+        model, data = _entry_case(name)
+        state = _ChainBatch(model, data, LikelihoodMode.EXACT, [np.random.default_rng(1)],
+                            [model])
+        for block in state.blocks:
+            assert block.cols is data.columns or block.cols is None
+            comps = range(len(model.params))[block.comps]
+            reaches_none = isinstance(comps, int) and comps in model.level_reads
+            assert (block.cols is None) == reaches_none
+        level_blocks = [b for b in state.blocks if b.owner is not None]
+        assert len(level_blocks) == bool(model.levels)
+        for block in level_blocks:
+            codes = data.columns.codes(model.index_col, model.n_levels)
+            assert np.array_equal(block.owner, codes)
+
+
+class _LevelReader(_TwoLevels):
     """Levels that the default prior term, which reads every component,
     reads too."""
 
