@@ -112,41 +112,7 @@ def _chain_config(section: dict) -> ChainConfig:
     unknown = set(section) - known
     if unknown:
         raise ValidationError(f"unknown chain settings: {sorted(unknown)}")
-    for key, value in section.items():
-        # bool is an int subclass; 10.0 is not an iteration count.
-        if type(value) is not int:
-            raise ValidationError(
-                f"chain setting {key!r} must be an integer, got {value!r}"
-            )
     return ChainConfig(**section)
-
-
-def _positive_real(name: str, value) -> float:
-    # bool is an int subclass; NaN fails both comparisons.
-    if type(value) not in (int, float) or not 0.0 < value <= sys.float_info.max:
-        raise ValidationError(
-            f"hyperparameter {name!r} must be a finite positive number, got {value!r}"
-        )
-    return float(value)
-
-
-def _hyperparameters(section: dict) -> dict:
-    """The section's hyperparameters, their values validated, as model
-    keyword arguments; :class:`Model` rejects the keys its entry lacks."""
-    given = section.get("hyperparameters", {})
-    if not isinstance(given, dict):
-        raise ValidationError('"hyperparameters" must be a JSON object')
-    hyper = {}
-    for key, value in given.items():
-        if key == "beta_shapes":
-            if not isinstance(value, list) or len(value) != 2:
-                raise ValidationError(
-                    f"hyperparameter 'beta_shapes' must be a pair of numbers, got {value!r}"
-                )
-            hyper[key] = tuple(_positive_real(key, v) for v in value)
-        else:
-            hyper[key] = _positive_real(key, value)
-    return hyper
 
 
 def _string(name: str, value) -> str:
@@ -167,7 +133,7 @@ def _section_keys(family: str) -> tuple[str, ...]:
 
 def _build_model(section: dict, data: CensoredDataset) -> Model:
     """Validate a model section against its entries of the model table, then
-    build the model on ``data``."""
+    build the model on ``data``; :class:`Model` checks the hyperparameters."""
     if not isinstance(section, dict):
         raise ValidationError("a model section must be a JSON object")
     family = section.get("family")
@@ -192,7 +158,10 @@ def _build_model(section: dict, data: CensoredDataset) -> Model:
                     for name in named)
     if columns != named:
         spec = dataclasses.replace(spec, covariates=columns)
-    return Model(spec, data, **_hyperparameters(section))
+    hyperparameters = section.get("hyperparameters", {})
+    if not isinstance(hyperparameters, dict):
+        raise ValidationError('"hyperparameters" must be a JSON object')
+    return Model(spec, data, **hyperparameters)
 
 
 def _derive_run_seeds(seed: int, n_pairs: int) -> list[tuple[int, int]]:

@@ -58,7 +58,8 @@ against its configs run one at a time.  Every sampling call goes through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -99,7 +100,8 @@ MAX_INIT_RETRIES = 100
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Run geometry: chains, burn-in, kept draws, thinning, seed."""
+    """Run geometry: chains, burn-in, kept draws, thinning, seed; raises
+    DataError unless each is an integer (numpy's too, not a bool) in range."""
 
     n_chains: int = 3
     burn_in: int = 1000
@@ -109,6 +111,12 @@ class ChainConfig:
     adapt_window: int = 50
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # bool is an int subclass; 10.0 is not an iteration count.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DataError(
+                    f"chain setting {field.name!r} must be an integer, got {value!r}")
         if self.n_chains < 1 or self.n_keep < 1 or self.thin < 1:
             raise DataError("n_chains, n_keep and thin must be positive")
         if self.burn_in < 0 or self.adapt_window < 1:

@@ -51,16 +51,20 @@ The entries:
 * ``censored-normal-glm`` - mean linear in every covariate plus an
   intercept, Normal coefficient priors, half-Cauchy residual scale.
 
-Building a model checks the data against it and raises
-:class:`~censdev.exceptions.DataError` naming the row or column for a
-missing covariate column, category codes that are not whole numbers or skip
-a code below their maximum, an observed value outside the family's support
-and a censoring region that holds none of it.
+Building a model raises :class:`~censdev.exceptions.SchemaError` for a
+hyperparameter its entry lacks or that is not a finite positive real (for
+``beta_shapes``, a pair of them), so every prior is proper.  It checks the
+data against it and raises :class:`~censdev.exceptions.DataError` naming
+the row or column for a missing covariate column, category codes that are
+not whole numbers or skip a code below their maximum, an observed value
+outside the family's support and a censoring region that holds none of it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
@@ -237,15 +241,32 @@ def _term(j: int, log_pdf, *args) -> Term:
     return Term((j,), lambda theta: log_pdf(theta[..., j], *args))
 
 
+def _hyperparameter(key: str, value):
+    """``value`` as the prior terms take it: ``beta_shapes`` a list or tuple
+    of two floats, any other key a float; raises SchemaError unless each
+    number is a finite positive real (numpy scalars included, bools not)."""
+    pair = key == "beta_shapes"
+    if pair and (not isinstance(value, (list, tuple)) or len(value) != 2):
+        raise SchemaError(f"hyperparameter 'beta_shapes' must be a pair of numbers, got {value!r}")
+    for v in value if pair else (value,):
+        # bool is an int subclass; NaN fails both comparisons.
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not 0 < v <= sys.float_info.max):
+            raise SchemaError(
+                f"hyperparameter {key!r} must be a finite positive number, got {v!r}")
+    return tuple(map(float, value)) if pair else float(value)
+
+
 class Model:
-    """A table entry built against a dataset."""
+    """A table entry built against a dataset; raises SchemaError for a
+    hyperparameter its entry lacks or that is not a finite positive real."""
 
     def __init__(self, spec: ModelSpec, data: CensoredDataset, **hyperparameters):
         unknown = set(hyperparameters) - set(spec.hyperparameters)
         if unknown:
             raise SchemaError(f"unknown hyperparameters for {spec.name}: {sorted(unknown)}; "
                               f"allowed: {sorted(spec.hyperparameters)}")
-        hyper = {key: (tuple(map(float, value)) if key == "beta_shapes" else float(value))
+        hyper = {key: _hyperparameter(key, value)
                  for key, value in {**spec.hyperparameters, **hyperparameters}.items()}
         cols = data.columns
         self.spec = spec
@@ -269,9 +290,7 @@ class Model:
         self.levels = tuple(range(first, len(self.params))) if spec.index else ()
         # The components the level terms read beside the levels, which reach
         # no row: C's mu and spread, D/E/F's sigma.
-        hyper_pooled = spec.pooling.endswith("-hyper")
-        self.level_reads = (() if not hyper_pooled
-                            else (1,) if spec.link != "identity" else (0, 1))
+        self.level_reads = {"beta-hyper": (0, 1), "normal-hyper": (1,)}.get(spec.pooling, ())
 
         scale = hyper.get("half_cauchy_scale")
         self._shapes = hyper.get("beta_shapes")
@@ -288,7 +307,7 @@ class Model:
             mean = (_term(0, _normal_log_prior, hyper["mean_precision"])
                     if spec.pooling == "normal-hyper"
                     else _term(0, _beta_log_prior, *self._shapes))
-            terms = ([mean, _term(1, _half_cauchy_log_prior, scale)] if hyper_pooled
+            terms = ([mean, _term(1, _half_cauchy_log_prior, scale)] if self.level_reads
                      else [] if spec.index else [mean])
             self._row_params = self._probability
         self.prior_terms = tuple(terms)

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from censdev import (
     MODELS,
+    ChainConfig,
+    LikelihoodMode,
     Model,
     __version__,
     cli,
@@ -36,8 +38,14 @@ from censdev.datasets import (
     serialize,
     synthetic_ae_dataset,
 )
-from censdev.exceptions import ParseError, ValidationError
-from conftest import assert_same_columns, censored_rows, make_dataset, outcome_specs
+from censdev.exceptions import DataError, ParseError, SchemaError, ValidationError
+from conftest import (
+    assert_same_columns,
+    censored_rows,
+    make_dataset,
+    outcome_specs,
+    run_one,
+)
 
 HEADER = "outcome,censor,cut1,cut2,trials"
 
@@ -656,6 +664,24 @@ def _ae_fit_config(tmp_path, variant, edit_row):
     })
 
 
+# Values a config is refused for, which ``Model`` and ``ChainConfig``
+# refuse as well when given directly.
+BAD_SURVIVAL_HYPERPARAMETERS = [
+    {"tau0": "x"},
+    {"tau0": -1.0},
+    {"tau_0": 5},
+    {"tau1": float("nan")},
+    {"tau1": True},
+]
+BAD_BETA_SHAPES = [[1.0], [1.0, "a"], [0.0, 1.0], 2.0]
+BAD_CHAIN_SETTINGS = [
+    {"n_keep": 10.0},
+    {"burn_in": True},
+    {"seed": "1"},
+    {"seed": -1},
+]
+
+
 class TestCliConfigAndCodes:
     def test_drug_class_out_of_range_is_validation_error(self, tmp_path, capsys):
         # B takes its class count from the codes, so 3 leaves class 2 empty.
@@ -687,12 +713,7 @@ class TestCliConfigAndCodes:
         assert main([command, "--config", str(path)]) == 2
         assert "dataset" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("chains", [
-        {"n_keep": 10.0},
-        {"burn_in": True},
-        {"seed": "1"},
-        {"seed": -1},
-    ])
+    @pytest.mark.parametrize("chains", BAD_CHAIN_SETTINGS)
     def test_non_integer_chain_setting_is_validation_error(self, tmp_path, chains):
         path = _write_config(tmp_path, {
             "dataset": "bundled:aml",
@@ -701,6 +722,16 @@ class TestCliConfigAndCodes:
             "output_dir": str(tmp_path / "out"),
         })
         assert main(["fit", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("chains", [*BAD_CHAIN_SETTINGS, {"burn_in": 10.5}, {"thin": "2"}])
+    def test_chain_config_refuses_a_bad_setting(self, chains):
+        with pytest.raises(DataError):
+            ChainConfig(**chains)
+
+    def test_chain_config_message_names_the_setting(self):
+        with pytest.raises(DataError) as info:
+            ChainConfig(burn_in=10.5)
+        assert str(info.value) == "chain setting 'burn_in' must be an integer, got 10.5"
 
     def test_unknown_mode_is_validation_error(self, tmp_path):
         path = _write_config(tmp_path, {
@@ -714,13 +745,7 @@ class TestCliConfigAndCodes:
 
 
 class TestCliHyperparametersAndEntries:
-    @pytest.mark.parametrize("hyper", [
-        {"tau0": "x"},
-        {"tau0": -1.0},
-        {"tau_0": 5},
-        {"tau1": float("nan")},
-        {"tau1": True},
-    ])
+    @pytest.mark.parametrize("hyper", BAD_SURVIVAL_HYPERPARAMETERS)
     def test_bad_survival_hyperparameter_is_validation_error(self, tmp_path, capsys,
                                                              hyper):
         path = _write_config(tmp_path, {
@@ -733,13 +758,56 @@ class TestCliHyperparametersAndEntries:
         assert "hyperparameter" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("shapes", [[1.0], [1.0, "a"], [0.0, 1.0], 2.0])
+    @pytest.mark.parametrize("shapes", BAD_BETA_SHAPES)
     def test_beta_shapes_must_be_a_positive_pair(self, tmp_path, shapes):
         path = _ae_fit_config(tmp_path, "G", {})
         config = json.loads(path.read_text())
         config["model"]["hyperparameters"] = {"beta_shapes": shapes}
         path.write_text(json.dumps(config), encoding="utf-8")
         assert main(["fit", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("entry, hyper", [
+        *(("survival-exponential", hyper) for hyper in BAD_SURVIVAL_HYPERPARAMETERS),
+        *(("G", {"beta_shapes": shapes}) for shapes in [*BAD_BETA_SHAPES, (1.0, 1.0, 5.0)]),
+        ("C", {"beta_shapes": (-1.0, 1.0)}),
+        ("C", {"half_cauchy_scale": 0.0}),
+        ("C", {"half_cauchy_scale": math.inf}),
+        ("survival-exponential", {"tau0": math.inf}),
+    ])
+    def test_model_refuses_a_bad_hyperparameter(self, entry, hyper):
+        data = aml_dataset() if entry == "survival-exponential" else synthetic_ae_dataset(seed=6)
+        with pytest.raises(SchemaError, match="^(unknown )?hyperparameter"):
+            Model(MODELS[entry], data, **hyper)
+
+    @pytest.mark.parametrize("entry, hyper, message", [
+        ("survival-exponential", {"tau0": -1.0},
+         "hyperparameter 'tau0' must be a finite positive number, got -1.0"),
+        ("G", {"beta_shapes": (1, 1, 5)},
+         "hyperparameter 'beta_shapes' must be a pair of numbers, got (1, 1, 5)"),
+        # The unknown key is reported ahead of a bad value, and bad values
+        # in the order of the entry's defaults.
+        ("survival-exponential", {"tau_0": 5, "tau1": -1.0},
+         "unknown hyperparameters for survival-exponential: ['tau_0']; "
+         "allowed: ['tau0', 'tau1']"),
+        ("survival-exponential", {"tau1": -2.0, "tau0": -1.0},
+         "hyperparameter 'tau0' must be a finite positive number, got -1.0"),
+    ])
+    def test_model_message_names_the_hyperparameter(self, entry, hyper, message):
+        data = aml_dataset() if entry == "survival-exponential" else synthetic_ae_dataset(seed=6)
+        with pytest.raises(SchemaError) as info:
+            Model(MODELS[entry], data, **hyper)
+        assert str(info.value) == message
+
+    def test_numpy_scalars_are_accepted(self):
+        # np.float64 is a float, np.int64 is not an int; both are numbers.
+        data = aml_dataset()
+        spec = MODELS["survival-exponential"]
+        geometry = {"n_chains": 1, "burn_in": 20, "n_keep": 20, "seed": 4}
+        plain = run_one(Model(spec, data, tau0=0.5), data, LikelihoodMode.EXACT,
+                        ChainConfig(**geometry))
+        typed = run_one(Model(spec, data, tau0=np.float64(0.5)), data, LikelihoodMode.EXACT,
+                        ChainConfig(**{k: np.int64(v) for k, v in geometry.items()}))
+        assert np.array_equal(plain.draws, typed.draws)
 
     def test_known_hyperparameters_are_used(self, tmp_path):
         path = _write_config(tmp_path, {

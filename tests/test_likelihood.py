@@ -4,6 +4,7 @@ equivalence, the latent-imputation bookkeeping and its per-row deviance gap."""
 import math
 import re
 from math import inf
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,3 +305,19 @@ class TestDeviance:
         assert deviance(-1.0) == 2.0
         # scale check: a realistic posterior-mean log-likelihood
         assert deviance(-190.425) == pytest.approx(380.85, abs=1e-12)
+
+
+def test_readme_python_example_holds():
+    """The README's Python example runs, and its two claims hold: the
+    Bernoulli reform equals the exact likelihood, and the monitored
+    log-likelihood drops the censored rows' exact terms."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    namespace = {}
+    exec(code, namespace)
+    exact, pair = namespace["exact"], namespace["pair"]
+    censored = namespace["data"].columns.kind != KIND_OBSERVED
+    contributions = exact_contributions(namespace["data"], namespace["model"].family,
+                                        namespace["params"])
+    assert abs(namespace["reform"] - exact) <= 1e-12
+    assert abs(pair.monitored_loglik - (exact - contributions[censored].sum())) <= 1e-12

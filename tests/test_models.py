@@ -290,6 +290,11 @@ class TestPriorTerms:
     components move; a term that reads an undeclared component would bias
     the chains without any error."""
 
+    def test_level_reads_follow_the_pooling(self):
+        expected = {"C": (0, 1), "D": (1,), "E": (1,), "F": (1,)}
+        assert {name: _entry(name).level_reads for name in MODELS} == {
+            name: expected.get(name, ()) for name in MODELS}
+
     @pytest.mark.parametrize("name", list(MODELS))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

@@ -13,11 +13,10 @@ It writes one JSON file with:
   inputs and chain settings ``perfbench/workloads.py`` writes for size
   "full", seed 1; both replicate runs as one ``ChainBatch``, as ``fit`` and
   ``compare`` sample them).  One more entry, ``D+E+F/exact``, samples the
-  three link variants as each checkout's ``compare`` does: their six
-  replicate runs as one batch where ``ChainBatch`` can name a model per
-  config, else one batch per variant.  ``A/dinterval`` imputes the AE
-  data's censored counts, regions of at most 5 counts, so it times the
-  Binomial truncated draw where a narrower start cannot pay.  Both
+  three link variants as ``compare`` does: their six replicate runs as
+  one batch.  ``A/dinterval`` imputes the AE data's censored counts,
+  regions of at most 5 counts, so it times the Binomial truncated draw
+  where a narrower start cannot pay.  Both
   checkouts' ``censdev`` are loaded into one process and each repeat
   samples every entry once per checkout, alternating which goes first, so
   both sides meet the same host
@@ -51,7 +50,6 @@ The 70 perfbench runs take about 25 s each, about 30 minutes in all.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import importlib
 import json
@@ -120,20 +118,11 @@ def _samplers(censdev, workdir: Path) -> dict:
         chains = {k: v for k, v in config["chains"].items() if k != "seed"}
         runs = [(model, tuple(censdev.ChainConfig(**chains, seed=s) for s in seeds))
                 for model, seeds in zip(models, _derive_run_seeds(1, len(models)))]
-        if "models" in {f.name for f in dataclasses.fields(censdev.ChainBatch)}:
-            batches = [(models[0], censdev.ChainBatch(
-                tuple(c for _, configs in runs for c in configs),
-                tuple(model for model, configs in runs for _ in configs)))]
-        else:
-            batches = [(model, censdev.ChainBatch(configs)) for model, configs in runs]
-        jobs[entry] = (functools.partial(_sample_all, censdev, data, mode, batches),
-                       sum(batch.n_chains * batch.total_iterations for _, batch in batches))
+        batch = censdev.ChainBatch(tuple(c for _, configs in runs for c in configs),
+                                   tuple(model for model, configs in runs for _ in configs))
+        jobs[entry] = (functools.partial(censdev.run, models[0], data, mode, batch),
+                       batch.n_chains * batch.total_iterations)
     return jobs
-
-
-def _sample_all(censdev, data, mode, batches) -> None:
-    for model, batch in batches:
-        censdev.run(model, data, mode, batch)
 
 
 def _export_ms(censdev, trace: Path, grid_size: int, params) -> tuple[float, float]:
