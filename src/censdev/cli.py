@@ -34,7 +34,7 @@ from .exceptions import NumericError, ValidationError
 from .likelihood import CensoredDataset, LikelihoodMode
 from .mcmc import ChainBatch, ChainConfig, PosteriorSamples, export_density, run, summarize
 from .models import AE_VARIANTS, MODELS, Model
-from .selection import SelectionReport, compare, make_selection_report
+from .selection import OVERFIT_RATIO, SelectionReport, compare, make_selection_report
 
 __all__ = ["main", "cmd_fit", "cmd_compare", "cmd_export_density", "cmd_demo"]
 
@@ -108,8 +108,7 @@ def _load_dataset(config: dict, base_dir: Path) -> tuple[CensoredDataset, str]:
 def _chain_config(section: dict) -> ChainConfig:
     if not isinstance(section, dict):
         raise ValidationError('"chains" must be a JSON object')
-    known = {"n_chains", "burn_in", "n_keep", "thin", "seed", "adapt_window"}
-    unknown = set(section) - known
+    unknown = set(section) - {field.name for field in dataclasses.fields(ChainConfig)}
     if unknown:
         raise ValidationError(f"unknown chain settings: {sorted(unknown)}")
     return ChainConfig(**section)
@@ -255,11 +254,12 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_artifacts(out_dir: Path, files: dict, config: dict, dataset_src: str,
+def _write_artifacts(out_dir: Path, files: dict, config: dict, seed: int, dataset_src: str,
                      dataset_id: str) -> None:
     """Write ``files`` into ``out_dir`` (name -> a JSON payload, or a CSV
-    header and rows), then the manifest that lists them, and remove the files
-    the directory's previous manifest lists and this one does not."""
+    header and rows), then the manifest that lists them with ``seed``, the
+    config seed of the runs, and remove the files the directory's previous
+    manifest lists and this one does not."""
     try:
         listed = json.loads((out_dir / "manifest.json").read_text("utf-8"))["outputs"]
     except (OSError, ValueError, LookupError, TypeError):  # missing or unreadable
@@ -267,7 +267,7 @@ def _write_artifacts(out_dir: Path, files: dict, config: dict, dataset_src: str,
     manifest = {
         "package": "censdev",
         "version": __version__,
-        "seed": config.get("chains", {}).get("seed"),
+        "seed": seed,
         "config_sha256": _config_hash(config),
         "dataset": dataset_src,
         "dataset_fingerprint": dataset_id,
@@ -335,10 +335,10 @@ def _paired_runs(group: list, data: CensoredDataset, chains: ChainConfig, datase
             for k, (model, label, _) in enumerate(group)]
 
 
-def _fit(config: dict, config_dir: Path, out_dir: Path | None = None) -> tuple[dict, Path]:
-    """Fit the config's model and write its artifacts into ``out_dir``, by
-    default the config's "output_dir"; returns the report.json payload and
-    the directory.
+def _fit(config: dict, config_dir: Path) -> tuple[dict, Path]:
+    """Fit the config's model and write its artifacts into the config's
+    "output_dir" (see :func:`_output_dir`); returns the report.json payload
+    and the directory.
 
     The directory is made once the config validates.  Every result is
     computed before the first file is written, so a fit that fails writes
@@ -353,7 +353,7 @@ def _fit(config: dict, config_dir: Path, out_dir: Path | None = None) -> tuple[d
     mode = LikelihoodMode(config.get("mode", "exact"))
     chains = _chain_config(config.get("chains", {}))
     label = _string('"label"', section.get("label", config.get("label", model.label)))
-    out_dir = out_dir or _output_dir(config.get("output_dir", "censdev-out"))
+    out_dir = _output_dir(config.get("output_dir", "censdev-out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset_id = dataset_fingerprint(data)
 
@@ -383,7 +383,7 @@ def _fit(config: dict, config_dir: Path, out_dir: Path | None = None) -> tuple[d
                     "not usable for DIC/PED model selection",
         }
     files["report.json"] = payload
-    _write_artifacts(out_dir, files, config, dataset_src, dataset_id)
+    _write_artifacts(out_dir, files, config, chains.seed, dataset_src, dataset_id)
     return payload, out_dir
 
 
@@ -448,13 +448,13 @@ def cmd_compare(config: dict, config_dir: Path) -> int:
         "comparison.csv": (REPORT_COLUMNS, map(_report_row, ranked)),
         "comparison.json": {"ranked": [_report_json(r) for r in ranked]},
     }
-    _write_artifacts(out_dir, files, config, dataset_src, dataset_id)
+    _write_artifacts(out_dir, files, config, chains.seed, dataset_src, dataset_id)
 
     print()
     print(_format_table(ranked))
     overfit = [r.label for r in ranked if r.overfit]
     if overfit:
-        print(f"overfit flag (p_opt > 5*pD): {', '.join(overfit)}")
+        print(f"overfit flag (p_opt > {OVERFIT_RATIO:g}*pD): {', '.join(overfit)}")
     print(f"artifacts in {out_dir}")
     return 0
 
@@ -504,17 +504,15 @@ def cmd_demo(which: str, output_dir: str | None, quick: bool = False) -> int:
 
     headline = []
     for mode in ("exact", "dinterval"):
-        out_dir = out_root / f"survival-{mode}"
         config = {
             "label": f"survival-{mode}",
             "dataset": "bundled:aml",
             "model": {"family": "survival-exponential"},
             "mode": mode,
             "chains": dataclasses.asdict(chains),
-            "output_dir": str(out_dir),
+            "output_dir": str((out_root / f"survival-{mode}").resolve()),
         }
-        # out_dir already carries the output root, so _fit must not prefix it again.
-        report, _ = _fit(config, out_root, out_dir)
+        report, _ = _fit(config, out_root)
         headline.append(report["Dbar"] if mode == "exact" else report["mean_monitored_deviance"])
     exact, monitored = headline
     print()

@@ -112,7 +112,7 @@ class DataColumns:
                 name = self.names[col] if col < len(self.names) else f"#{col}"
                 raise DataError(
                     f"covariate {name!r} must hold integer category codes "
-                    f"0..{n_levels - 1}; row {row} has {x[row]!r}"
+                    f"0..{n_levels - 1}; row {row} has {x[row].item()!r}"
                 )
             self._checked[key] = x.astype(np.intp)
         return self._checked[key]
@@ -202,7 +202,7 @@ class CensoredDataset:
         if len(bad):
             row, col = bad[0].tolist()
             raise DataError(f"covariate {names[col] if names else f'#{col}'!r} must be "
-                            f"finite; row {row} has {covariates[row, col]!r}")
+                            f"finite; row {row} has {covariates[row, col].item()!r}")
         self.columns = DataColumns(kind.astype(np.int8), lo, hi, value, counts, covariates,
                                    names)
 

@@ -85,7 +85,6 @@ __all__ = [
     "adapt_step_sizes",
     "summarize",
     "split_rhat",
-    "mcse",
     "export_density",
 ]
 
@@ -309,17 +308,11 @@ class _ChainBatch:
     def _level_block(self, levels: tuple[int, ...]) -> _Block:
         """One block for the model's levels, which reaches every row: row i
         belongs to the level of its code in the model's index column.
-        Moving the levels together keeps the target only if, given the
-        other components, their priors factorize (``level_log_prior``) and
-        no other prior term reads them; a row has one code, so no row
-        depends on two levels."""
-        name = self.model.label
-        if levels != tuple(range(levels[0], levels[0] + len(levels))):
-            raise SchemaError(f"{name}: levels must be consecutive components")
-        if len({self.supports[j] for j in levels}) != 1:
-            raise SchemaError(f"{name}: levels must share one support")
-        if any(set(term.reads) & set(levels) for term in self.model.prior_terms):
-            raise SchemaError(f"{name}: a prior term beside the level terms reads the levels")
+        Moving the levels together keeps the target because, given the
+        other components, their priors factorize (``level_log_prior``), no
+        other prior term reads them and a row has one code, so no row
+        depends on two levels; ``Model`` builds table entries only, whose
+        levels are the trailing components on one support."""
         owner = self.cols.codes(self.model.index_col, len(levels))
         comps = slice(levels[0], levels[0] + len(levels))
         return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], self.cols, owner, (), True)
@@ -640,18 +633,6 @@ def split_rhat(traces: np.ndarray) -> float:
     b = half * seqs.mean(axis=1).var(ddof=1)
     var_plus = (half - 1.0) / half * w + b / half
     return float(math.sqrt(var_plus / w))
-
-
-def mcse(trace: np.ndarray) -> float:
-    """Monte Carlo standard error of the mean via batch means."""
-    trace = np.asarray(trace, dtype=float)
-    n = trace.size
-    if n < 4:
-        return float(trace.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    b = max(2, int(math.sqrt(n)))
-    m = n // b
-    batch_means = trace[: m * b].reshape(m, b).mean(axis=1)
-    return float(math.sqrt(batch_means.var(ddof=1) / m))
 
 
 def summarize(samples: PosteriorSamples) -> list[ParamSummary]:

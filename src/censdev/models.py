@@ -15,7 +15,9 @@ its entry, once, the surface the sampler and the selection layer drive:
 * ``levels``, ``level_reads`` and ``level_log_prior(theta)``: a model with
   an index column has one parameter per code of it (B: the class
   incidences, C: the drug incidences, D/E/F: the drug effects, G: the study
-  incidences).  Given the other components these are independent a priori
+  incidences).  They are the trailing components, the expansion of the
+  entry's last ``Param`` on one support, and no term of ``prior_terms``
+  reads them.  Given the other components they are independent a priori
   and reach disjoint rows, so the sampler moves them as one block;
   ``level_log_prior`` returns each level's term (on the last axis), which
   reads the level and ``level_reads`` (C's mu and spread, D/E/F's sigma);
@@ -51,13 +53,15 @@ The entries:
 * ``censored-normal-glm`` - mean linear in every covariate plus an
   intercept, Normal coefficient priors, half-Cauchy residual scale.
 
-Building a model raises :class:`~censdev.exceptions.SchemaError` for a
-hyperparameter its entry lacks or that is not a finite positive real (for
-``beta_shapes``, a pair of them), so every prior is proper.  It checks the
-data against it and raises :class:`~censdev.exceptions.DataError` naming
-the row or column for a missing covariate column, category codes that are
-not whole numbers or skip a code below their maximum, an observed value
-outside the family's support and a censoring region that holds none of it.
+Building a model raises :class:`~censdev.exceptions.SchemaError` for a spec
+that is not a table entry (re-pointed covariate columns aside), so the level
+layout above holds for every model, and for a hyperparameter its entry lacks
+or that is not a finite positive real (for ``beta_shapes``, a pair of them),
+so every prior is proper.  It checks the data against it and raises
+:class:`~censdev.exceptions.DataError` naming the row or column for a
+missing covariate column, category codes that are not whole numbers or skip
+a code below their maximum, an observed value outside the family's support
+and a censoring region that holds none of it.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -258,10 +262,17 @@ def _hyperparameter(key: str, value):
 
 
 class Model:
-    """A table entry built against a dataset; raises SchemaError for a
-    hyperparameter its entry lacks or that is not a finite positive real."""
+    """A table entry built against a dataset; raises SchemaError for any
+    other spec and for a hyperparameter its entry lacks or that is not a
+    finite positive real."""
 
     def __init__(self, spec: ModelSpec, data: CensoredDataset, **hyperparameters):
+        entry = MODELS.get(spec.name)
+        # An entry may name other covariate columns, one for each of its own.
+        if entry is None or replace(spec, covariates=entry.covariates) != entry or (
+                np.shape(spec.covariates) != np.shape(entry.covariates)):
+            raise SchemaError(f"model {spec.name!r} is not an entry of the model table, "
+                              f"up to its covariate columns; entries: {list(MODELS)}")
         unknown = set(hyperparameters) - set(spec.hyperparameters)
         if unknown:
             raise SchemaError(f"unknown hyperparameters for {spec.name}: {sorted(unknown)}; "
@@ -441,9 +452,9 @@ def _check_support(family: type[Family], cols: DataColumns) -> None:
         return
     row = int(np.flatnonzero(bad)[0])
     if observed[row]:
-        where = f"column 'outcome': {value[row]!r} is outside"
+        where = f"column 'outcome': {value[row].item()!r} is outside"
     else:
         columns = "'cut1', 'cut2'" if cols.kind[row] == KIND_INTERVAL else "'cut1'"
-        where = (f"column {columns}: the censoring region [{cols.lo[row]!r}, "
-                 f"{cols.hi[row]!r}] holds no point of")
+        where = (f"column {columns}: the censoring region [{cols.lo[row].item()!r}, "
+                 f"{cols.hi[row].item()!r}] holds no point of")
     raise DataError(f"row {row}, {where} the {family.__name__} support, {support}")

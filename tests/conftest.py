@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled data, full-scale survival runs, randomized datasets.
+"""Shared fixtures: bundled data, full-scale survival runs, randomized datasets,
+and the batch-means MCSE the statistical checks bound their errors by.
 
 The survival fixture reproduces the demo geometry (3 chains, 30000 burn-in,
 10000 kept draws per chain, both likelihood modes) once per session; the
@@ -36,6 +37,18 @@ from censdev.models import Param, Term
 from oracle import Binomial, Exponential, Normal
 
 SURVIVAL_DEMO_SEED = 20260810
+
+
+def mcse(trace: np.ndarray) -> float:
+    """Monte Carlo standard error of the mean via batch means."""
+    trace = np.asarray(trace, dtype=float)
+    n = trace.size
+    if n < 4:
+        return float(trace.std(ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
+    b = max(2, int(math.sqrt(n)))
+    m = n // b
+    batch_means = trace[: m * b].reshape(m, b).mean(axis=1)
+    return float(math.sqrt(batch_means.var(ddof=1) / m))
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +172,10 @@ def survival_latents(_survival_runs_and_latents):
 class DuckModel:
     """The model surface the sampler and the selection layer drive, for
     hand-written test models: a subclass sets ``family`` and ``params`` and
-    provides ``log_prior`` and ``row_params`` (and, with ``levels``,
-    ``level_log_prior`` and the ``index_col`` whose codes name each row's
-    level).  Every component outside ``level_reads`` reaches every row.
-    Its one default prior term is the whole ``log_prior`` and reads every
-    component."""
+    provides ``log_prior`` and ``row_params``.  It has no levels, whose
+    layout only the model table's entries guarantee, so every component
+    reaches every row.  Its one default prior term is the whole
+    ``log_prior`` and reads every component."""
 
     label = ""
     levels: tuple[int, ...] = ()

@@ -30,8 +30,8 @@ from censdev import (
 from censdev.cli import main
 from censdev.datasets import serialize, synthetic_ae_dataset
 from censdev.likelihood import KIND_OBSERVED
-from censdev.mcmc import mcse, summarize
-from conftest import censored_rows, family_params, outcome_specs, random_dataset
+from censdev.mcmc import summarize
+from conftest import censored_rows, family_params, mcse, outcome_specs, random_dataset
 
 # Expected exact-minus-monitored mean deviance gap on the bundled survival
 # data, derived independently of the sampler: with near-flat coefficient

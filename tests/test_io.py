@@ -1,6 +1,7 @@
 """Dataset file format, bundled data, synthetic generation, and the CLI
 workflows with their exit codes and determinism guarantees."""
 
+import dataclasses
 import functools
 import inspect
 import json
@@ -329,6 +330,20 @@ class TestCliFit:
         assert len(manifest["config_sha256"]) == 64
         assert manifest["dataset_fingerprint"] == dataset_fingerprint(aml_dataset())
         assert "samples_a.csv" in manifest["outputs"]
+
+    def test_manifest_records_the_seed_the_runs_used(self, tmp_path, fit_config):
+        """A config without a chain seed runs at ChainConfig's default, 0,
+        and the manifest says so."""
+        config_path, out_dir, config = fit_config
+        del config["chains"]["seed"]
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["fit", "--config", str(config_path)]) == 0
+        assert json.loads((out_dir / "manifest.json").read_text())["seed"] == 0
+        config["chains"]["seed"] = 0
+        explicit = _write_config(tmp_path, {**config, "output_dir": str(tmp_path / "seed0")})
+        assert main(["fit", "--config", str(explicit)]) == 0
+        assert ((tmp_path / "seed0" / "samples_a.csv").read_bytes()
+                == (out_dir / "samples_a.csv").read_bytes())
 
     @pytest.mark.parametrize("name", list(MODELS))
     def test_rerun_byte_identical(self, tmp_path, name):
@@ -977,6 +992,31 @@ class TestCliModelSections:
 class TestCliOutOfSupport:
     """Rows no parameter value can explain exit 2 in both modes, naming the
     row and the column, instead of failing the sampler's initialization."""
+
+    def test_message_prints_the_value_as_a_plain_number(self, tmp_path, capsys):
+        dataset = _edited_dataset(tmp_path, aml_dataset(), 0, {"outcome": "-5"})
+        path = _write_config(tmp_path, {
+            "dataset": str(dataset),
+            "model": {"family": "survival-exponential"},
+            "chains": {"n_chains": 1, "burn_in": 10, "n_keep": 10, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: row 0, column 'outcome': -5.0 is outside the Exponential support, "
+            "[0, inf)\n")
+
+    def test_category_code_message_prints_a_plain_number(self, tmp_path, capsys):
+        lines = serialize(synthetic_ae_dataset(n_studies=10, seed=6)).splitlines()
+        index = lines[0].split(",").index("drug")
+        fields = lines[2].split(",")
+        fields[index] = "2.5"
+        lines[2] = ",".join(fields)
+        path = _entry_fit_config(tmp_path, "C")
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["fit", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: covariate 'drug' must hold integer category codes 0..9; row 1 has 2.5\n")
 
     @pytest.mark.parametrize("mode", ["exact", "dinterval"])
     @pytest.mark.parametrize("cells,column", [
@@ -1718,6 +1758,32 @@ class TestCliDemo:
             manifest = json.loads(first[Path("root", "demo", f"survival-{mode}", "manifest.json")])
             assert "report.json" in manifest["outputs"]
         assert demo_files() == first
+
+    def test_survival_demo_records_the_directory_it_writes(self, tmp_path, monkeypatch):
+        """The demo's configs name the resolved output directory, so a
+        relative --output-dir under a relative $CENSDEV_OUTPUT_ROOT and the
+        absolute path of the same directory write the same bytes, manifests
+        included."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("CENSDEV_OUTPUT_ROOT", "root")
+        out = tmp_path / "root" / "demo"
+
+        def demo_files(output_dir):
+            assert main(["demo", "survival", "--quick", "--output-dir", output_dir]) == 0
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        relative = demo_files("demo")
+        assert demo_files(str(out)) == relative
+        manifest = json.loads(relative[Path("survival-exact", "manifest.json")])
+        config = {
+            "label": "survival-exact",
+            "dataset": "bundled:aml",
+            "model": {"family": "survival-exponential"},
+            "mode": "exact",
+            "chains": dataclasses.asdict(cli.DEMO_CHAINS["survival"][1]),
+            "output_dir": str(out / "survival-exact"),
+        }
+        assert manifest["config_sha256"] == cli._config_hash(config)
 
     def test_ae_demo_quick(self, tmp_path):
         out = tmp_path / "ae"

@@ -33,7 +33,6 @@ from censdev.mcmc import (
     _ChainBatch,
     adapt_step_sizes,
     export_density,
-    mcse,
     split_rhat,
     summarize,
 )
@@ -42,6 +41,7 @@ from censdev.selection import make_selection_report
 from conftest import (
     DuckModel,
     make_dataset,
+    mcse,
     recorded_latents,
     run_one,
     single_binomial_dataset,
@@ -629,47 +629,6 @@ class _Feed:
         return self._take(self.uniforms, size)
 
 
-class _TwoLevels(DuckModel):
-    """Two levels with no prior term beside the level terms; the subclasses
-    break one condition of moving them as a block."""
-
-    family = Binomial
-    levels = (0, 1)
-    prior_terms = ()
-
-    def __init__(self):
-        self.params = (Param("p0", "unit"), Param("p1", "unit"))
-
-    def log_prior(self, theta):
-        return np.zeros(self.check_theta(theta).shape[:-1])
-
-    def level_log_prior(self, theta):
-        return np.zeros(np.shape(theta))
-
-    def row_params(self, theta, cols):
-        theta = np.asarray(theta, dtype=float)
-        return cols.positive_trials(), theta[..., 0:1] * theta[..., 1:2]
-
-
-class _GappedLevels(_TwoLevels):
-    """Levels 0 and 2, with another component between them."""
-
-    label = "gapped-levels"
-    levels = (0, 2)
-
-    def __init__(self):
-        self.params = (Param("p0", "unit"), Param("x", "unit"), Param("p1", "unit"))
-
-
-class _MixedSupportLevels(_TwoLevels):
-    """A unit-interval level beside a positive one."""
-
-    label = "mixed-support-levels"
-
-    def __init__(self):
-        self.params = (Param("p0", "unit"), Param("p1", "positive"))
-
-
 class TestLevelBlocks:
     @pytest.fixture(scope="class")
     def ae(self):
@@ -730,27 +689,6 @@ class TestLevelBlocks:
             trace = samples.param(f"p_study{s}")
             assert abs(trace.mean() - oracle) < 5 * mcse(trace), s
 
-    def test_levels_read_by_another_prior_term_are_rejected(self):
-        """A joint term over the levels cannot be split into one change per
-        level, so they cannot move as a block."""
-        data = make_dataset([("none", 3.0)], trials=[10])
-        with pytest.raises(SchemaError, match="^level-reader: a prior term beside the level"):
-            run_one(_LevelReader(), data, LikelihoodMode.EXACT,
-                    ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
-
-    @pytest.mark.parametrize("model,message", [
-        (_GappedLevels, "^gapped-levels: levels must be consecutive components"),
-        (_MixedSupportLevels, "^mixed-support-levels: levels must share one support"),
-    ], ids=["not-consecutive", "two-supports"])
-    def test_levels_outside_one_slice_of_one_support_are_rejected(self, model, message):
-        """A level block moves one slice of components on one working
-        scale.  These models have no index column, so each check must
-        refuse them before the index codes are read."""
-        data = make_dataset([("none", 3.0)], trials=[10])
-        with pytest.raises(SchemaError, match=message):
-            run_one(model(), data, LikelihoodMode.EXACT,
-                    ChainConfig(n_chains=1, burn_in=1, n_keep=1, seed=0))
-
     @pytest.mark.parametrize("name", MODELS)
     def test_every_block_reaches_every_row_or_none(self, name):
         """A block scores the dataset's columns, or none for a component
@@ -769,14 +707,6 @@ class TestLevelBlocks:
         for block in level_blocks:
             codes = data.columns.codes(model.index_col, model.n_levels)
             assert np.array_equal(block.owner, codes)
-
-
-class _LevelReader(_TwoLevels):
-    """Levels that the default prior term, which reads every component,
-    reads too."""
-
-    label = "level-reader"
-    prior_terms = DuckModel.prior_terms
 
 
 def _entry_case(name: str):

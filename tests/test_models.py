@@ -2,6 +2,7 @@
 composition, and the slower identifiability properties (MLE recovery with
 flat priors, hierarchical collapse when the spread prior vanishes)."""
 
+import dataclasses
 import math
 import warnings
 
@@ -15,10 +16,18 @@ from scipy.stats import norm
 import oracle
 from censdev import ChainConfig, LikelihoodMode, aml_dataset
 from censdev.datasets import AE_COVARIATES, synthetic_ae_dataset
-from censdev.distributions import Exponential
+from censdev.distributions import Binomial, Exponential
 from censdev.exceptions import SchemaError
 from censdev.likelihood import exact_contributions
-from censdev.models import MODELS, Model, Param, _half_cauchy_log_prior, to_natural, to_unbounded
+from censdev.models import (
+    MODELS,
+    Model,
+    ModelSpec,
+    Param,
+    _half_cauchy_log_prior,
+    to_natural,
+    to_unbounded,
+)
 from conftest import censored_rows, make_dataset, run_one, subset
 from oracle import log_posterior_unnorm, loglik_exact, outcome_families, outcome_family
 
@@ -375,6 +384,53 @@ class TestSchemas:
     def test_variant_aliases(self):
         labels = [_model(v, _ae_rows(n_studies=4)).label for v in "ABCDEFG"]
         assert labels == list("ABCDEFG")
+
+
+# A per-level parameter ahead of the pooled one: no table entry is laid out
+# so, and building it would move mu with the levels and leave p_drug0 out.
+_LEVELS_FIRST = ModelSpec("bad", "censored-binomial", Binomial, "identity",
+                          (Param("p_drug{}", "unit"), Param("mu", "unit")),
+                          {"beta_shapes": (1.0, 1.0)}, index="drug", pooling="beta")
+
+
+class TestTableEntriesOnly:
+    """A model is an entry of the model table, up to its covariate columns;
+    the sampler relies on the entries' level layout without checking it."""
+
+    @pytest.mark.parametrize("spec", [
+        _LEVELS_FIRST,
+        dataclasses.replace(MODELS["C"], name="H"),
+        dataclasses.replace(MODELS["C"], params=(Param("mu", "positive"),)
+                            + MODELS["C"].params[1:]),
+        dataclasses.replace(MODELS["A"], hyperparameters={"beta_shapes": (2.0, 2.0)}),
+        dataclasses.replace(MODELS["survival-exponential"], covariates=()),
+        dataclasses.replace(MODELS["censored-normal-glm"], covariates=("x",)),
+    ], ids=["levels-first", "unknown-name", "C-mu-positive", "A-other-defaults",
+            "survival-no-covariate", "glm-named-covariates"])
+    def test_other_specs_are_refused_at_build_time(self, spec):
+        with pytest.raises(SchemaError, match="is not an entry of the model table"):
+            Model(spec, _ae_rows())
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_every_entry_builds(self, name):
+        assert _entry(name).spec == MODELS[name]
+
+    def test_covariate_columns_may_be_re_pointed(self):
+        data = make_dataset([("none", 1.0), ("right", 2.0)],
+                            covariates=[(0.0, 1.0), (1.0, 0.0)], names=("group", "arm"))
+        spec = dataclasses.replace(MODELS["survival-exponential"], covariates=("arm",))
+        rates = Model(spec, data).row_params(np.array([0.0, 1.0]), data.columns)[0]
+        np.testing.assert_allclose(rates, [math.e, 1.0])
+
+    @pytest.mark.parametrize("name", [n for n, spec in MODELS.items() if spec.index])
+    def test_levels_are_one_trailing_block_no_other_term_reads(self, name):
+        """The layout that lets the sampler move the levels as one block:
+        the trailing components, one support, read by no prior term."""
+        model = _entry(name)
+        n_levels = model.n_levels
+        assert model.levels == tuple(range(len(model.params) - n_levels, len(model.params)))
+        assert {model.supports[j] for j in model.levels} == {MODELS[name].params[-1].support}
+        assert not any(set(term.reads) & set(model.levels) for term in model.prior_terms)
 
 
 class TestLogPosterior:
