@@ -3,9 +3,11 @@
 Each parameter component is updated on an unbounded working scale (log for
 positive supports, logit for unit-interval supports: the transforms of
 :mod:`censdev.models`) with a Jacobian correction, so one proposal mechanism
-serves every model.  Proposal scales adapt toward a 0.44 acceptance rate
-during burn-in and are frozen afterwards so the kept portion of each chain
-is Markov.
+serves every model.  Proposal scales adapt during burn-in, toward a 0.44
+acceptance rate for a step that moves one component and 0.234 for one that
+moves several at once (Roberts, Gelman & Gilks 1997), and are frozen
+afterwards, with every other adapted quantity, so the kept portion of each
+chain comes from one fixed Markov kernel (Roberts & Rosenthal 2009).
 
 Two likelihood bookkeeping modes are supported.  EXACT targets the censored
 log-likelihood directly and monitors the matching deviance.  DINTERVAL
@@ -26,17 +28,32 @@ sets are disjoint, so each level keeps its own Metropolis accept and the
 block has the stationary law of the level-by-level single-site updates it
 replaces (the chromatic Gibbs argument).  The block draws one proposal
 vector, scores every row with one vectorized kernel call and sums the
-change per level.  Every other component is a block of one.  A block
-re-scores the terms that read it and either every row or none: none for
-the components that only the level terms read (C's mu and spread, D/E/F's
-sigma).  Acceptance rates, and so the adaptation, stay per component.
+change per level.  The other components that reach the rows (survival's b0
+and b1; the GLM's intercept, coefficients and sigma) move as one block, so
+a sweep scores the rows once for them: a joint block when they are two or
+more, a block of one otherwise (A's p_pool, D/E/F's mu).  The components
+that only the level terms read (C's mu and spread, D/E/F's sigma) are
+blocks of one that re-score those terms and no row.
+
+A joint block of d components is adaptive Metropolis (Haario, Saksman &
+Tamminen 2001): chain c proposes x + scale_c * L_c z_c from one standard
+normal d-vector z_c, and accepts or rejects the whole step.  L_c starts at
+the identity; at each adaptation-window end of the burn-in in which the
+chain moved, it becomes the Cholesky factor of 2.38^2 / d times the
+window's working-scale covariance, from running sums over the window,
+blended with the previous estimate by the scale adaptation's gain
+(``_proposal_factor``).  Its components share one scale and one accept,
+so their acceptance columns are equal.  A block of one keeps the plain
+step scale_c * z_c.  Acceptance rates, and so the scale adaptation, stay
+per component.
 
 All chains of a call advance together as one array state.  ``run`` takes
 a ``ChainBatch`` of run configs (one, or several: the replicate runs A and
 B of a fit, say) and keeps parameters, working-scale values, Jacobians and
-proposal scales as (chains, params) arrays, the prior term values as
-(chains, terms) and (chains, levels) arrays and the per-row contributions
-and latent values as (chains, rows) arrays, so each block scores every
+proposal scales as (chains, params) arrays, a joint block's factors as a
+(chains, d, d) array, the prior term values as (chains, terms) and
+(chains, levels) arrays and the per-row contributions and latent values
+as (chains, rows) arrays, so each block scores every
 chain's proposal with one ``log_contrib`` call.  Start-up is a masked
 sweep: each attempt scores every chain and adopts the pending chains whose
 posterior is finite; the others restart from jittered points.  A batch may
@@ -48,11 +65,11 @@ commit run once over all chains.  Chains stay independent: each owns a
 child generator spawned deterministically from its run's seed and draws
 its normals, its uniforms (only when a log ratio of its own is below 0),
 its jittered restarts and its latents from it in the order a chain run
-alone would, and its terms depend on its own row of the state only.  So a chain's draws are
-bit for bit the same whichever chains, of whichever of those models, share
-its batch; ``TestBatching`` in ``tests/test_mcmc.py`` checks a batch
-against its configs run one at a time.  Every sampling call goes through
-``run``.
+alone would, and its terms and factor depend on its own row of the state
+only.  So a chain's draws are bit for bit the same whichever chains, of
+whichever of those models, share its batch; ``TestBatching`` in
+``tests/test_mcmc.py`` checks a batch against its configs run one at a
+time.  Every sampling call goes through ``run``.
 """
 
 from __future__ import annotations
@@ -74,7 +91,7 @@ from .exceptions import (
     SchemaError,
 )
 from .likelihood import KIND_OBSERVED, CensoredDataset, DataColumns, LikelihoodMode
-from .models import _TRANSFORMS, Model, _columnwise, to_natural
+from .models import _TRANSFORMS, Model, _columnwise, _plain, to_natural
 
 __all__ = [
     "ChainConfig",
@@ -94,6 +111,9 @@ _KDE_REACH = 38.61
 # Kernel terms evaluated per chunk of density grid rows (2 MiB of float64).
 _KDE_CHUNK = 1 << 18
 TARGET_ACCEPTANCE = 0.44
+# The optimal acceptance rate of a random-walk step that moves several
+# components at once (Roberts, Gelman & Gilks 1997).
+JOINT_TARGET_ACCEPTANCE = 0.234
 MAX_INIT_RETRIES = 100
 
 
@@ -115,7 +135,7 @@ class ChainConfig:
             # bool is an int subclass; 10.0 is not an iteration count.
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DataError(
-                    f"chain setting {field.name!r} must be an integer, got {value!r}")
+                    f"chain setting {field.name!r} must be an integer, got {_plain(value)!r}")
         if self.n_chains < 1 or self.n_keep < 1 or self.thin < 1:
             raise DataError("n_chains, n_keep and thin must be positive")
         if self.burn_in < 0 or self.adapt_window < 1:
@@ -204,15 +224,43 @@ _ZERO_JACOBIAN = _TRANSFORMS["real"][2]
 # ---------------------------------------------------------------------------
 
 
-def adapt_step_sizes(scales: np.ndarray, accept_rates: np.ndarray, adapt_round: int) -> np.ndarray:
-    """Robbins-Monro rescaling of proposal step sizes toward ``TARGET_ACCEPTANCE``.
+def _gain(adapt_round: int) -> float:
+    """The adaptation's Robbins-Monro gain at round ``adapt_round``: it decays
+    as adapt_round^(-1/2), so adjustments vanish over a long burn-in."""
+    return min(0.5, float(adapt_round) ** -0.5)
 
-    The gain decays as adapt_round^(-1/2) so adjustments vanish over a long
-    burn-in; scales are left untouched when the observed rate hits the
-    target exactly.
+
+def adapt_step_sizes(scales: np.ndarray, accept_rates: np.ndarray, adapt_round: int,
+                     target=TARGET_ACCEPTANCE) -> np.ndarray:
+    """Robbins-Monro rescaling of proposal step sizes toward ``target``
+    (a rate, or one per column of ``scales``), by the round's ``_gain``;
+    scales are left untouched when the observed rate hits the target
+    exactly.
     """
-    gain = min(0.5, float(adapt_round) ** -0.5)
-    return scales * np.exp(gain * (np.asarray(accept_rates) - TARGET_ACCEPTANCE))
+    return scales * np.exp(_gain(adapt_round) * (np.asarray(accept_rates) - target))
+
+
+def _proposal_factor(chol: np.ndarray, sums: np.ndarray, outer: np.ndarray, n: int,
+                     adapt_round: int) -> np.ndarray:
+    """A chain's joint-block factor after adaptation window ``adapt_round``
+    of ``n`` sweeps whose working-scale positions have sums ``sums`` (d,)
+    and outer-product sums ``outer`` (d, d): the Cholesky factor of
+    2.38^2 / d times a covariance moved from the one the current factor
+    ``chol`` stands for toward the window's by the round's ``_gain``.  The
+    blend stays positive definite when the window's moves span fewer than
+    d directions, lets the burn-in's first windows, far from the posterior,
+    fade, and remembers more windows as the burn-in goes on.  ``chol``
+    itself if the factorization fails.
+    """
+    scale = 2.38 ** 2 / len(sums)
+    gain = _gain(adapt_round)
+    mean = sums / n
+    window = outer / n - mean[:, None] * mean[None, :]
+    cov = gain * window + (1.0 - gain) / scale * (chol @ chol.T)
+    try:
+        return math.sqrt(scale) * np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return chol
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +269,21 @@ def adapt_step_sizes(scales: np.ndarray, accept_rates: np.ndarray, adapt_round: 
 
 
 class _Block(NamedTuple):
-    """Components that one Metropolis step moves, each with its own accept.
+    """Components that one Metropolis step moves.
 
-    ``comps`` is a component index, for a block of one, or the slice of a
-    model's levels; numpy indexing then hands the update a column or a
-    (chains, levels) array alike.  ``transform`` is their support's
-    ``_TRANSFORMS`` entry.  ``cols`` is the dataset's columns, every row,
-    or None for a component that reaches no row (one in the model's
-    ``level_reads``).  ``owner`` is None for a single component; for levels
-    it maps each row to the position of its level in ``comps``.  ``terms``
-    lists the model's prior terms that read the block and ``levels`` says
-    whether the level terms do.
+    ``comps`` is a component index, for a block of one, or a slice: of a
+    model's levels, each with its own accept, or of a joint block's
+    components, which share one accept; numpy indexing then hands the
+    update a column or a (chains, components) array alike.  ``transform``
+    is their support's ``_TRANSFORMS`` entry, or for a joint block on
+    several supports the same three maps applied column by column.
+    ``cols`` is the dataset's columns, every row, or None for a component
+    that reaches no row (one in the model's ``level_reads``).  ``owner`` is
+    None but for levels, where it maps each row to the position of its
+    level in ``comps``.  ``terms`` lists the model's prior terms that read
+    the block and ``levels`` says whether the level terms do.  ``chol`` is
+    None but for a joint block: each chain's (d, d) proposal factor,
+    updated in place while it adapts.
     """
 
     comps: int | slice
@@ -240,6 +292,7 @@ class _Block(NamedTuple):
     owner: Optional[np.ndarray]
     terms: tuple[int, ...]
     levels: bool
+    chol: Optional[np.ndarray] = None
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -261,8 +314,10 @@ class _ChainBatch:
     the mask of its chains; the rest is read from ``model``, whose
     ``layout_key`` they share.  ``blocks`` lists the Metropolis blocks of a
     sweep in component order: the model's levels form one block at the
-    position of the first level, every other component is a block of its
-    own.
+    position of the first level, the other components that reach the rows
+    one block at the position of the first of them (a joint block when
+    they are two or more), and each component in ``level_reads`` a block
+    of its own.
     """
 
     def __init__(self, model, data, mode, rngs, chain_models):
@@ -281,12 +336,16 @@ class _ChainBatch:
         self.censored_rows = np.flatnonzero(~observed)
         self.censored_block = cols.take(self.censored_rows)
         levels = tuple(model.levels)
+        reaching = [j for j in range(self.n_params) if j not in levels + model.level_reads]
         self.blocks = []
         for j in range(self.n_params):
-            if j not in levels:
+            if j in levels:
+                if j == levels[0]:
+                    self.blocks.append(self._level_block(levels))
+            elif j not in reaching:
                 self.blocks.append(self._single_block(j))
-            elif j == levels[0]:
-                self.blocks.append(self._level_block(levels))
+            elif j == reaching[0]:
+                self.blocks.append(self._reaching_block(reaching))
 
         n_chains = len(rngs)
         self._chain_index = np.arange(n_chains)[:, None]
@@ -304,6 +363,29 @@ class _ChainBatch:
         terms = tuple(k for k, term in enumerate(self.model.prior_terms) if j in term.reads)
         levels = j in self.model.levels + self.model.level_reads
         return _Block(j, _TRANSFORMS[self.supports[j]], cols, None, terms, levels)
+
+    def _reaching_block(self, comps: list[int]) -> _Block:
+        """One block for the components beside the levels that reach every
+        row, so a sweep scores the rows for them once: a block of one for a
+        single component, else a joint block.  Its components share one
+        proposal and accept: the log ratio sums the prior terms that read
+        any of them and each one's log Jacobian.  Each chain's proposal
+        factor starts at the identity."""
+        if len(comps) == 1:
+            return self._single_block(comps[0])
+        supports = [self.supports[j] for j in comps]
+        if set(supports) == {"real"}:
+            transform = _TRANSFORMS["real"]
+        else:
+            transform = (None, lambda x: _columnwise(1, x, supports),
+                         lambda x: _columnwise(2, x, supports))
+        terms = tuple(k for k, term in enumerate(self.model.prior_terms)
+                      if set(term.reads) & set(comps))
+        chol = np.tile(np.eye(len(comps)), (len(self.rngs), 1, 1))
+        # Two or more reach the rows only without level_reads: then they are
+        # every component before the levels.
+        comps = slice(comps[0], comps[-1] + 1)
+        return _Block(comps, transform, self.cols, None, terms, False, chol)
 
     def _level_block(self, levels: tuple[int, ...]) -> _Block:
         """One block for the model's levels, which reaches every row: row i
@@ -401,22 +483,29 @@ class _ChainBatch:
 
     # -- updates --------------------------------------------------------------
     def update_block(self, block: _Block, scales):
-        """One random-walk Metropolis step of every chain for each component
-        of ``block``, accepted or rejected on its own; returns the accept
-        flags, (chains,) for a single component, (chains, levels) for levels.
+        """One random-walk Metropolis step of every chain for ``block``;
+        returns the accept flag of each component: (chains,) for a single
+        component, (chains, levels) for levels and (chains, 1) for a joint
+        block.
 
-        A single component is scored by the change of the prior terms that
-        read it (the level terms summed) and, unless it reaches no row, of
-        the summed contributions.  Levels are scored per level, from one proposal per
-        level and one likelihood call: the change of each level's term plus
-        its rows' contributions summed by owner.  A chain draws its normals
-        from its own generator, and its uniforms only when some log ratio of
-        its own is below 0.  A proposal outside the prior's support has log
+        A single component or a joint block is scored by the change of the
+        prior terms that read it (the level terms summed) and, unless it
+        reaches no row, of the summed contributions.  Levels are scored per
+        level, from one proposal per level and one likelihood call: the
+        change of each level's term plus its rows' contributions summed by
+        owner.  A joint block proposes ``scales * (chol_c @ z_c)`` from one
+        standard normal d-vector ``z_c``.  A chain draws its normals from
+        its own generator, and its uniforms only when some log ratio of its
+        own is below 0.  A proposal outside the prior's support has log
         ratio -inf (or NaN) and is rejected.
         """
-        comps, (_, to_nat, log_jac), cols, owner, terms, levels = block
+        comps, (_, to_nat, log_jac), cols, owner, terms, levels, chol = block
         size = None if owner is None else scales.shape[-1]
-        z = np.array([rng.standard_normal(size) for rng in self.rngs])
+        if chol is None:
+            z = np.array([rng.standard_normal(size) for rng in self.rngs])
+        else:  # elementwise products, so a chain's step is its own alone
+            z = np.array([rng.standard_normal(chol.shape[-1]) for rng in self.rngs])
+            z = (chol * z[:, None, :]).sum(axis=2)
         x_new = self.x[:, comps] + scales * z
         v_new = to_nat(x_new)
 
@@ -438,7 +527,8 @@ class _ChainBatch:
                 log_ratio = log_ratio + self._level_sums(owner, change, size)
         if log_jac is not _ZERO_JACOBIAN:
             jac_new = log_jac(x_new)
-            log_ratio = log_ratio + (jac_new - self.jac[:, comps])
+            change = jac_new - self.jac[:, comps]
+            log_ratio = log_ratio + (change if chol is None else _row_sums(change))
 
         accept = log_ratio >= 0.0
         undecided = np.flatnonzero(~accept if owner is None else ~accept.all(axis=1))
@@ -446,10 +536,11 @@ class _ChainBatch:
             # log u < 0 <= log_ratio keeps every level accepted above.
             u = np.array([self.rngs[c].random(size) for c in undecided])
             accept[undecided] = np.log(u) < log_ratio[undecided]
-        np.copyto(self.x[:, comps], x_new, where=accept)
-        np.copyto(self.v[:, comps], v_new, where=accept)
+        flags = accept if chol is None else accept[:, None]
+        np.copyto(self.x[:, comps], x_new, where=flags)
+        np.copyto(self.v[:, comps], v_new, where=flags)
         if log_jac is not _ZERO_JACOBIAN:
-            np.copyto(self.jac[:, comps], jac_new, where=accept)
+            np.copyto(self.jac[:, comps], jac_new, where=flags)
         for k, new in zip(terms, terms_new):
             np.copyto(self.terms[:, k], new, where=accept)
         kept = accept[:, None] if owner is None else accept
@@ -458,7 +549,7 @@ class _ChainBatch:
         if cols is not None:
             moved = kept if owner is None else accept[:, owner]
             np.copyto(self.contribs, new_contribs, where=moved)
-        return accept
+        return flags
 
     def _level_sums(self, owner, contribs, n_levels) -> np.ndarray:
         """(chains, levels) sums of each chain's contributions by owner level,
@@ -503,12 +594,23 @@ class _ChainBatch:
         allocates them.  The exact deviance is the monitored one less twice
         the sum of ``censored_log_mass``, which stays zero in EXACT mode.
         Returns the kept-phase acceptance rates (chains, params).
+
+        A joint block's scale adapts toward ``JOINT_TARGET_ACCEPTANCE``, the
+        rest toward ``TARGET_ACCEPTANCE``.  At each window end of the
+        burn-in, each chain that moved in the window re-estimates its factor
+        from running sums of its positions over the window
+        (``_proposal_factor``); the factor is frozen after burn-in.
         """
         n_chains = len(self.rngs)
         shape = (n_chains, self.n_params)
         scales = np.full(shape, 0.5)
         window_accepts = np.zeros(shape)
         kept_accepts = np.zeros(shape)
+        target = np.full(self.n_params, TARGET_ACCEPTANCE)
+        joint = next((b for b in self.blocks if b.chol is not None), None)
+        if joint is not None:
+            target[joint.comps] = JOINT_TARGET_ACCEPTANCE
+            sums, outer = np.zeros(joint.chol.shape[:2]), np.zeros_like(joint.chol)
         for sweep in range(config.total_iterations):
             in_burn = sweep < config.burn_in
             accepts = window_accepts if in_burn else kept_accepts
@@ -518,10 +620,19 @@ class _ChainBatch:
                 self.refresh_latents(sweep)
 
             if in_burn:
+                if joint is not None:
+                    at = self.x[:, joint.comps]
+                    sums += at
+                    outer += at[:, :, None] * at[:, None, :]
                 adapt_round, window_count = divmod(sweep + 1, config.adapt_window)
                 if window_count == 0:
                     rates = window_accepts / config.adapt_window
-                    scales = adapt_step_sizes(scales, rates, adapt_round)
+                    scales = adapt_step_sizes(scales, rates, adapt_round, target)
+                    if joint is not None:
+                        for c in np.flatnonzero(window_accepts[:, joint.comps.start]):
+                            joint.chol[c] = _proposal_factor(joint.chol[c], sums[c], outer[c],
+                                                             config.adapt_window, adapt_round)
+                        sums[:], outer[:] = 0.0, 0.0
                     window_accepts[:] = 0.0
             elif (sweep - config.burn_in + 1) % config.thin == 0:
                 kept = (sweep - config.burn_in) // config.thin

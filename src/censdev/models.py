@@ -245,6 +245,12 @@ def _term(j: int, log_pdf, *args) -> Term:
     return Term((j,), lambda theta: log_pdf(theta[..., j], *args))
 
 
+def _plain(value):
+    """A numpy scalar as the Python number it holds, so messages print
+    ``-1.0``, not ``np.float64(-1.0)``; anything else as it is."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _hyperparameter(key: str, value):
     """``value`` as the prior terms take it: ``beta_shapes`` a list or tuple
     of two floats, any other key a float; raises SchemaError unless each
@@ -257,7 +263,7 @@ def _hyperparameter(key: str, value):
         if (isinstance(v, bool) or not isinstance(v, numbers.Real)
                 or not 0 < v <= sys.float_info.max):
             raise SchemaError(
-                f"hyperparameter {key!r} must be a finite positive number, got {v!r}")
+                f"hyperparameter {key!r} must be a finite positive number, got {_plain(v)!r}")
     return tuple(map(float, value)) if pair else float(value)
 
 

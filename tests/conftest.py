@@ -230,14 +230,14 @@ class GammaExponentialModel(DuckModel):
         return (np.maximum(np.asarray(theta, dtype=float)[..., 0:1], 1e-300),)
 
 
-def tobit_dataset(n=40, seed=8):
-    """Censored normal regression rows (intercept 1, slopes 0.8 and -0.5,
+def tobit_dataset(n=40, seed=8, slopes=(0.8, -0.5)):
+    """Censored normal regression rows (intercept 1, one covariate per slope,
     sd 1.2) with every censor kind: the lowest and highest fifths left- and
     right-censored at their quantile cutoffs, every third middle row coarsened
     to a half-unit interval, the rest observed."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 2))
-    y = 1.0 + x @ np.array([0.8, -0.5]) + 1.2 * rng.standard_normal(n)
+    x = rng.standard_normal((n, len(slopes)))
+    y = 1.0 + x @ np.array(slopes) + 1.2 * rng.standard_normal(n)
     lo_cut, hi_cut = np.quantile(y, [0.2, 0.8])
     outcomes = []
     for i in range(n):

@@ -748,6 +748,11 @@ class TestCliConfigAndCodes:
             ChainConfig(burn_in=10.5)
         assert str(info.value) == "chain setting 'burn_in' must be an integer, got 10.5"
 
+    def test_chain_config_message_prints_a_numpy_scalar_as_a_plain_number(self):
+        with pytest.raises(DataError) as info:
+            ChainConfig(n_chains=np.float64(2))
+        assert str(info.value) == "chain setting 'n_chains' must be an integer, got 2.0"
+
     def test_unknown_mode_is_validation_error(self, tmp_path):
         path = _write_config(tmp_path, {
             "dataset": "bundled:aml",
@@ -812,6 +817,12 @@ class TestCliHyperparametersAndEntries:
         with pytest.raises(SchemaError) as info:
             Model(MODELS[entry], data, **hyper)
         assert str(info.value) == message
+
+    def test_model_message_prints_a_numpy_scalar_as_a_plain_number(self):
+        with pytest.raises(SchemaError) as info:
+            Model(MODELS["survival-exponential"], aml_dataset(), tau0=np.float64(-1))
+        assert str(info.value) == (
+            "hyperparameter 'tau0' must be a finite positive number, got -1.0")
 
     def test_numpy_scalars_are_accepted(self):
         # np.float64 is a float, np.int64 is not an int; both are numbers.

@@ -118,7 +118,8 @@ def _batch_case(name):
         aml = aml_dataset()
         return Model(MODELS["survival-exponential"], aml), aml, mode
     if name.startswith("glm"):
-        tobit = tobit_dataset()
+        small = name.startswith("glm-small")
+        tobit = tobit_dataset(20, slopes=(0.8,)) if small else tobit_dataset()
         return Model(MODELS["censored-normal-glm"], tobit), tobit, mode
     ae = synthetic_ae_dataset(seed=11)
     return Model(MODELS[name[3]], ae), ae, mode
@@ -139,8 +140,8 @@ class TestBatching:
     GEOMETRY = {"burn_in": 60, "n_keep": 40, "adapt_window": 20}
 
     @pytest.mark.parametrize(
-        "case", ["survival-exact", "survival-dinterval", "glm", "glm-dinterval", "ae-D", "ae-G",
-                 "ae-G-dinterval"]
+        "case", ["survival-exact", "survival-dinterval", "glm", "glm-dinterval", "glm-small",
+                 "ae-D", "ae-G", "ae-G-dinterval"]
     )
     def test_batch_equals_separate_runs(self, case):
         model, data, mode = _batch_case(case)
@@ -692,21 +693,199 @@ class TestLevelBlocks:
     @pytest.mark.parametrize("name", MODELS)
     def test_every_block_reaches_every_row_or_none(self, name):
         """A block scores the dataset's columns, or none for a component
-        that only the level terms read; the level block's rows belong to
-        the levels their index codes name."""
+        that only the level terms read; the other components beside the
+        levels form one block, joint when they are two or more; the level
+        block's rows belong to the levels their index codes name.  Every
+        component is in one block, in component order."""
         model, data = _entry_case(name)
         state = _ChainBatch(model, data, LikelihoodMode.EXACT, [np.random.default_rng(1)],
                             [model])
+        n = len(model.params)
+        reaching = [j for j in range(n) if j not in model.levels + model.level_reads]
+        layout = []
         for block in state.blocks:
+            comps = np.atleast_1d(np.arange(n)[block.comps]).tolist()
+            layout.append(comps)
             assert block.cols is data.columns or block.cols is None
-            comps = range(len(model.params))[block.comps]
-            reaches_none = isinstance(comps, int) and comps in model.level_reads
-            assert (block.cols is None) == reaches_none
+            assert (block.cols is None) == (len(comps) == 1 and comps[0] in model.level_reads)
+            if block.chol is not None:
+                assert comps == reaching and len(comps) >= 2
+                assert np.array_equal(block.chol, np.eye(len(comps))[None])
+        assert sum(layout, []) == list(range(n))
+        assert [comps for comps in layout if comps[0] not in model.levels + model.level_reads] \
+            == ([reaching] if reaching else [])
+        assert sum(b.chol is not None for b in state.blocks) == (len(reaching) >= 2)
         level_blocks = [b for b in state.blocks if b.owner is not None]
         assert len(level_blocks) == bool(model.levels)
         for block in level_blocks:
             codes = data.columns.codes(model.index_col, model.n_levels)
             assert np.array_equal(block.owner, codes)
+
+    def test_joint_blocks_of_the_table(self):
+        """Survival's b0 and b1 and all four GLM components are joint
+        blocks; every other entry keeps blocks of one beside its levels."""
+        joint = {}
+        for name in MODELS:
+            model, data = _entry_case(name)
+            state = _ChainBatch(model, data, LikelihoodMode.EXACT,
+                                [np.random.default_rng(1)], [model])
+            joint[name] = [model.param_names[b.comps] for b in state.blocks
+                           if b.chol is not None]
+        assert joint.pop("survival-exponential") == [("b0", "b1")]
+        assert joint.pop("censored-normal-glm") == [("intercept", "beta0", "beta1", "sigma")]
+        assert all(blocks == [] for blocks in joint.values())
+
+
+def _glm_log_posterior(data, intercept, slope, log_sigma):
+    """Exact log posterior density of the one-covariate GLM on (intercept,
+    slope, log sigma), with scipy's normal kernels: Normal(0, 100)
+    coefficient priors, a half-Cauchy(1) prior on sigma and its log
+    Jacobian.  The grids broadcast against each other."""
+    cols = data.columns
+    sigma = np.exp(log_sigma)
+    mean = intercept[..., None] + slope[..., None] * cols.covariates[:, 0]
+    sd = sigma[..., None]
+    lo = (cols.lo - mean) / sd
+    hi = (cols.hi - mean) / sd
+    with np.errstate(divide="ignore"):  # far out on the grid an interval has no mass
+        interval = np.log(stats.norm.cdf(hi) - stats.norm.cdf(lo))
+    rows = np.where(cols.kind == KIND_OBSERVED, stats.norm.logpdf(cols.value, mean, sd),
+                    np.where(np.isinf(cols.lo), stats.norm.logcdf(hi),
+                             np.where(np.isinf(cols.hi), stats.norm.logsf(lo), interval)))
+    prior = (stats.norm.logpdf(intercept, 0.0, 10.0) + stats.norm.logpdf(slope, 0.0, 10.0)
+             + stats.halfcauchy.logpdf(sigma) + log_sigma)
+    return rows.sum(axis=-1) + prior
+
+
+def _grid_means(log_density, axes):
+    """Posterior means of each axis's natural value under ``log_density``
+    on the product grid of ``axes`` (value grid, natural map); asserts the
+    grid's faces hold no visible mass."""
+    grids = np.meshgrid(*(grid for grid, _ in axes), indexing="ij")
+    # One slice of the first axis at a time keeps the (grid, rows) terms small.
+    log_w = np.array([log_density(*(g[i] for g in grids)) for i in range(len(axes[0][0]))])
+    w = np.exp(log_w - log_w.max())
+    for axis in range(len(axes)):
+        for face in (0, -1):
+            assert np.take(w, face, axis=axis).max() < 1e-6
+    return [float((w * to_nat(g)).sum() / w.sum()) for g, (_, to_nat) in zip(grids, axes)]
+
+
+def _box(trace, to_working, points):
+    """A grid over ``trace``'s working-scale mean +- 12 sds."""
+    x = to_working(trace)
+    return np.linspace(x.mean() - 12 * x.std(), x.mean() + 12 * x.std(), points)
+
+
+class TestJointBlock:
+    """The components beside the levels that reach the rows move as one
+    adaptive-Metropolis block: their posterior means agree with quadrature
+    of the exact log posterior, and the proposal factor is frozen after
+    burn-in."""
+
+    def test_glm_posterior_means_match_quadrature(self):
+        data = tobit_dataset(20, slopes=(0.8,))
+        assert set(data.columns.kind.tolist()) == {0, 1, 2, 3}
+        model = Model(MODELS["censored-normal-glm"], data)
+        assert model.param_names == ("intercept", "beta0", "sigma")
+        samples = run_one(model, data, LikelihoodMode.EXACT,
+                          ChainConfig(n_chains=3, burn_in=2000, n_keep=10000, seed=606))
+        names = model.param_names
+        axes = [(_box(samples.param(n), f, 61), g) for n, f, g in zip(
+            names, (lambda v: v, lambda v: v, np.log), (lambda x: x, lambda x: x, np.exp))]
+        oracle = _grid_means(lambda a, b, u: _glm_log_posterior(data, a, b, u), axes)
+        for name, want in zip(names, oracle):
+            trace = samples.param(name)
+            assert abs(trace.mean() - want) < 5 * mcse(trace), (name, trace.mean(), want)
+
+    def test_survival_posterior_means_match_quadrature(self, aml, survival_runs):
+        """b0 and b1 of the criteria's exact run against a 2-D quadrature:
+        Exponential(exp(b0 + b1 * group)) rows, observed or right-censored,
+        Normal(0, 100) priors."""
+        exact, _ = survival_runs
+        cols = aml.columns
+        observed = cols.kind == KIND_OBSERVED
+        time = np.where(observed, cols.value, cols.lo)
+        group = cols.covariates[:, 0]
+
+        def log_density(b0, b1):
+            log_rate = b0[..., None] + b1[..., None] * group
+            rows = np.where(observed, log_rate, 0.0) - np.exp(log_rate) * time
+            return (rows.sum(axis=-1) + stats.norm.logpdf(b0, 0.0, 10.0)
+                    + stats.norm.logpdf(b1, 0.0, 10.0))
+
+        assert set(cols.kind.tolist()) == {0, 2}
+        identity = lambda v: v
+        axes = [(_box(exact.param(n), identity, 401), identity) for n in ("b0", "b1")]
+        for name, want in zip(("b0", "b1"), _grid_means(log_density, axes)):
+            trace = exact.param(name)
+            assert abs(trace.mean() - want) < 5 * mcse(trace), (name, trace.mean(), want)
+
+    @pytest.mark.parametrize("adapt_round, gain", [(1, 0.5), (4, 0.5), (9, 1 / 3), (400, 0.05)])
+    def test_factor_blends_the_window_covariance_by_the_gain(self, adapt_round, gain):
+        """The window's covariance moves the current one by the gain of the
+        scale adaptation, min(0.5, round^(-1/2))."""
+        rng = np.random.default_rng(4)
+        points = rng.standard_normal((50, 2)) @ np.array([[1.0, 0.5], [0.0, 0.2]])
+        chol = np.array([[1.0, 0.0], [0.3, 0.8]])
+        got = mcmc._proposal_factor(chol, points.sum(axis=0), points.T @ points, 50,
+                                    adapt_round)
+        scale = 2.38 ** 2 / 2
+        want = (gain * scale * np.cov(points.T, bias=True) + (1 - gain) * chol @ chol.T)
+        np.testing.assert_allclose(got @ got.T, want, rtol=1e-10)
+        assert np.array_equal(got, np.tril(got)) and (np.diag(got) > 0).all()
+
+    def test_a_chain_that_never_moves_keeps_its_factor(self):
+        """Chain 1's normals put every proposal far out of reach, so it
+        rejects every step: its factor stays the identity while chain 0's
+        is learned."""
+
+        class Stuck:
+            def standard_normal(self, size=None):
+                return np.full(size, 1e3)
+
+            def random(self, size=None):
+                return 0.5
+
+        model, data, mode = _batch_case("survival-exact")
+        state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (3, 4)],
+                            [model] * 2)
+        config = ChainConfig(n_chains=2, burn_in=60, n_keep=10, adapt_window=20)
+        kept = mcmc._kept_arrays(ChainBatch((config,)), state.n_params)
+        with np.errstate(all="ignore"):
+            state.initialize()
+            state.rngs[1] = Stuck()
+            rates = state.sample(config, *kept)
+        (joint,) = [b for b in state.blocks if b.chol is not None]
+        assert np.array_equal(joint.chol[1], np.eye(2))
+        assert not np.array_equal(joint.chol[0], np.eye(2))
+        assert rates[1].tolist() == [0.0, 0.0] and rates[0].min() > 0.0
+
+    @pytest.mark.parametrize("case", ["survival-exact", "glm"])
+    def test_factor_is_frozen_after_burn_in(self, monkeypatch, case):
+        """Each chain's factor is learned at the burn-in's window ends and
+        the kept sweeps all propose with the one it had then."""
+        model, data, mode = _batch_case(case)
+        factors = []
+        update_block = _ChainBatch.update_block
+
+        def recording(self, block, scales):
+            if block.chol is not None:
+                factors.append(block.chol.copy())
+            return update_block(self, block, scales)
+
+        monkeypatch.setattr(_ChainBatch, "update_block", recording)
+        config = ChainConfig(n_chains=2, burn_in=60, n_keep=40, adapt_window=20, seed=8)
+        run_one(model, data, mode, config)
+        assert len(factors) == config.total_iterations
+        start, end_of_burn_in, last = factors[0], factors[config.burn_in], factors[-1]
+        assert np.array_equal(start, np.tile(np.eye(start.shape[-1]), (2, 1, 1)))
+        assert not np.array_equal(end_of_burn_in[0], start[0])
+        assert not np.array_equal(end_of_burn_in[1], start[1])
+        assert np.array_equal(factors[config.burn_in - 1], factors[config.burn_in - 20])
+        for kept in factors[config.burn_in:]:
+            assert np.array_equal(kept, end_of_burn_in)
+        assert np.array_equal(last, end_of_burn_in)
 
 
 def _entry_case(name: str):

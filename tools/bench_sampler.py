@@ -21,10 +21,20 @@ It writes one JSON file with:
   samples every entry once per checkout, alternating which goes first, so
   both sides meet the same host
   speed; the file keeps each side's median over 20 repeats and, under
-  ``iqr``, its quartiles, which are also printed (raw, not at reference
-  host speed: the ``perfbench/hostspeed.py`` slices come every 0.1 s, too
-  seldom to rescale runs of 0.03-0.3 s; and not the minimum, which picks
-  whichever side once met a fast phase of the host);
+  ``iqr``, its quartiles, which are also printed.  Each timed call is
+  bracketed by two ``reference_slice`` calls of ``perfbench/hostspeed.py``
+  (imported, not changed) and reported at reference host speed: divided by
+  their slowdown, the mean slice time over ``REFERENCE_SLICE_S``;
+* ``ess``: for survival exact, survival dinterval and GLM exact, the
+  rank-normalized bulk ESS of each parameter (Vehtari, Gelman, Simpson,
+  Carpenter & Buerkner 2021: split chains, ranks through the normal
+  quantile, Geyer's initial monotone sequence over the multi-chain
+  autocorrelation) and the minimum over parameters per second (at
+  reference host speed), each side's median over seeds 1-10.  Each entry
+  samples its workload's inputs with both replicate runs as one batch and
+  ``ESS_KEEP`` kept draws per chain, under two burn-ins: its workload's
+  ("workload") and ``ChainConfig``'s defaults, 1000 sweeps in windows of
+  50 ("long").  The sides alternate which goes first from seed to seed;
 * ``export_density_ms``: the milliseconds one ``export-density`` command of
   the trace-export workload (size "full", seed 1) spends in each stage:
   ``reader``, the samples-CSV reader, and ``kde``, the density of one
@@ -34,17 +44,16 @@ It writes one JSON file with:
   (this host's speed shifts between phases 1.5x apart, and a minimum
   picks whichever side once met a fast phase);
 * ``perfbench``: ``perfbench/run.py --trace 0`` in both checkouts, one
-  pair per workload and seed (ae-compare, survival-aml and trace-export at
-  seeds 1-10, tobit-large at seeds 1-3), the side that runs first
-  alternating from pair to pair: ``wall_s``, ``setup_s``, ``peak_rss_mb``,
-  ``fail_rate`` and the artifact digests;
+  pair per workload and seed (every workload at seeds 1-10), the side that
+  runs first alternating from pair to pair: ``wall_s``, ``setup_s``,
+  ``peak_rss_mb``, ``fail_rate`` and the artifact digests;
 * ``traced``: ``perfbench/run.py --trace 1`` at seed 1 in both checkouts,
   for each workload ``TRACED`` names: the per-layer metrics it lists
-  (ae-compare's exact sweeps; survival-aml's dinterval sweep cost and
-  the ``Family`` objects and truncated draws behind its latent refresh);
+  (sampling time, sweeps and µs per sweep of ae-compare, survival-aml and
+  tobit-large);
 * ``host``: CPU, core count and Python/numpy/scipy versions.
 
-The 70 perfbench runs take about 25 s each, about 30 minutes in all.
+The 86 perfbench runs take about 25 s each, about 36 minutes in all.
 """
 
 from __future__ import annotations
@@ -53,6 +62,7 @@ import argparse
 import functools
 import importlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -62,18 +72,23 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import hostspeed  # noqa: E402  (the benchmark's reference slice, used as it is)
+import workloads  # noqa: E402
 REPEATS = 20
 EXPORT_REPEATS = 30
 # Workload -> the seeds of its perfbench pairs.
-PAIRS = {"ae-compare": range(1, 11), "survival-aml": range(1, 11),
-         "tobit-large": range(1, 4), "trace-export": range(1, 11)}
+PAIRS = {workload: range(1, 11)
+         for workload in ("ae-compare", "survival-aml", "tobit-large", "trace-export")}
 # Workload -> the per-layer metrics its traced runs record.
 TRACED = {
-    "ae-compare": ("models.log_prior_calls", "mcmc.us_per_sweep.exact", "mcmc.run_calls",
-                   "mcmc.sweeps", "mcmc.run_s"),
-    "survival-aml": ("mcmc.us_per_sweep.dinterval", "distributions.family_objects",
-                     "distributions.truncated_draws"),
+    "ae-compare": ("mcmc.us_per_sweep.exact", "mcmc.run_calls", "mcmc.sweeps", "mcmc.run_s"),
+    "survival-aml": ("mcmc.us_per_sweep.exact", "mcmc.us_per_sweep.dinterval", "mcmc.sweeps",
+                     "mcmc.run_s"),
+    "tobit-large": ("mcmc.us_per_sweep.exact", "mcmc.sweeps", "mcmc.run_s"),
 }
 # The config file each workload's set-up writes beside its inputs.
 CONFIGS = {"survival-aml": "fit_exact.json", "ae-compare": "compare.json",
@@ -87,6 +102,12 @@ ENTRIES = {
     "A/dinterval": "ae-compare",
     "censored-normal-glm/exact": "tobit-large",
 }
+ESS_ENTRIES = ("survival-exponential/exact", "survival-exponential/dinterval",
+               "censored-normal-glm/exact")
+ESS_SEEDS = range(1, 11)
+ESS_KEEP = 2000
+# Burn-in geometry -> the chain settings it overrides.
+ESS_GEOMETRIES = {"workload": {}, "long": {"burn_in": 1000, "adapt_window": 50}}
 
 
 def _load(tree: Path):
@@ -102,27 +123,121 @@ def _load(tree: Path):
         sys.path.pop(0)
 
 
+def _job(censdev, workdir: Path, entry: str, seed: int = 1, **chains):
+    """(a call sampling ``entry`` on its workload's inputs, chain-sweeps per
+    call): both replicate runs of a fit at ``seed`` as one batch (for
+    ``D+E+F``, the six of ``compare``), with the workload's chain settings
+    but those ``chains`` names."""
+    datasets = censdev.datasets
+    workload = ENTRIES[entry]
+    config = json.loads((workdir / workload / CONFIGS[workload]).read_text(encoding="utf-8"))
+    dataset = config["dataset"]
+    data = (datasets.aml_dataset() if dataset == "bundled:aml"
+            else datasets.ingest(workdir / workload / dataset))
+    names, mode = entry.split("/")
+    mode = censdev.LikelihoodMode(mode)
+    models = [censdev.Model(censdev.MODELS[name], data) for name in names.split("+")]
+    chains = {**{k: v for k, v in config["chains"].items() if k != "seed"}, **chains}
+    runs = [(model, tuple(censdev.ChainConfig(**chains, seed=s) for s in seeds))
+            for model, seeds in zip(models, censdev.cli._derive_run_seeds(seed, len(models)))]
+    batch = censdev.ChainBatch(tuple(c for _, configs in runs for c in configs),
+                               tuple(model for model, configs in runs for _ in configs))
+    return (functools.partial(censdev.run, models[0], data, mode, batch),
+            batch.n_chains * batch.total_iterations)
+
+
 def _samplers(censdev, workdir: Path) -> dict:
     """Entry -> (a call sampling it at benchmark geometry, chain-sweeps per call)."""
-    from censdev.cli import _derive_run_seeds
-    from censdev.datasets import aml_dataset, ingest
+    return {entry: _job(censdev, workdir, entry) for entry in ENTRIES}
 
-    jobs = {}
-    for entry, workload in ENTRIES.items():
-        config = json.loads((workdir / workload / CONFIGS[workload]).read_text(encoding="utf-8"))
-        dataset = config["dataset"]
-        data = aml_dataset() if dataset == "bundled:aml" else ingest(workdir / workload / dataset)
-        names, mode = entry.split("/")
-        mode = censdev.LikelihoodMode(mode)
-        models = [censdev.Model(censdev.MODELS[name], data) for name in names.split("+")]
-        chains = {k: v for k, v in config["chains"].items() if k != "seed"}
-        runs = [(model, tuple(censdev.ChainConfig(**chains, seed=s) for s in seeds))
-                for model, seeds in zip(models, _derive_run_seeds(1, len(models)))]
-        batch = censdev.ChainBatch(tuple(c for _, configs in runs for c in configs),
-                                   tuple(model for model, configs in runs for _ in configs))
-        jobs[entry] = (functools.partial(censdev.run, models[0], data, mode, batch),
-                       batch.n_chains * batch.total_iterations)
-    return jobs
+
+def _at_reference_speed(call):
+    """``call()``'s result and its wall seconds at reference host speed: divided
+    by the slowdown of the ``reference_slice`` calls timed right before and
+    after it."""
+    start = time.perf_counter()
+    hostspeed.reference_slice()
+    begin = time.perf_counter()
+    result = call()
+    end = time.perf_counter()
+    hostspeed.reference_slice()
+    slices = (begin - start) + (time.perf_counter() - end)
+    return result, (end - begin) / hostspeed.slowdown(slices, 2)
+
+
+def _autocovariance(x: np.ndarray) -> np.ndarray:
+    """Autocovariance of each row of ``x`` at every lag, over n (by FFT)."""
+    n = x.shape[-1]
+    f = np.fft.rfft(x - x.mean(axis=-1, keepdims=True), n=2 * n)
+    return np.fft.irfft(f * np.conj(f), n=2 * n)[..., :n] / n
+
+
+def bulk_ess(chains: np.ndarray) -> float:
+    """Rank-normalized bulk ESS of (chains, draws): the chains split in
+    halves, all draws ranked together and mapped through the normal
+    quantile, then Geyer's initial monotone sequence over the multi-chain
+    autocorrelation (Vehtari et al. 2021)."""
+    from scipy import special, stats
+
+    n = chains.shape[1] // 2
+    split = np.vstack([chains[:, :n], chains[:, -n:]])
+    ranks = stats.rankdata(split, method="average").reshape(split.shape)
+    z = special.ndtri((ranks - 0.375) / (split.size + 0.25))
+    m = len(z)
+    acov = _autocovariance(z)
+    within = acov[:, 0].mean() * n / (n - 1)
+    var_plus = within * (n - 1) / n + z.mean(axis=1).var(ddof=1)
+    rho = 1.0 - (within - acov.mean(axis=0)) / var_plus
+    rho[0] = 1.0
+    total, previous = 0.0, math.inf
+    for pair in rho[: n - n % 2].reshape(-1, 2).sum(axis=1):
+        if pair <= 0.0:
+            break
+        previous = min(pair, previous)
+        total += previous
+    tau = max(-1.0 + 2.0 * total, 1.0 / math.log10(m * n))
+    return m * n / tau
+
+
+def measure_ess(trees: dict[str, Path]) -> dict:
+    """Geometry -> entry -> side: the median over ``ESS_SEEDS`` of each
+    parameter's bulk ESS, of the minimum over parameters, and of that
+    minimum per second at reference host speed, all in this process with
+    the sides alternating which goes first."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in {ENTRIES[entry] for entry in ESS_ENTRIES}:
+            workloads.prepare(workload, 1, "full", Path(tmp) / workload)
+        modules = {side: _load(tree) for side, tree in trees.items()}
+        for geometry, chains in ESS_GEOMETRIES.items():
+            out[geometry] = {}
+            for entry in ESS_ENTRIES:
+                runs = {side: [] for side in trees}
+                for seed in ESS_SEEDS:
+                    order = list(trees) if seed % 2 else list(reversed(trees))
+                    for side in order:
+                        sample, _ = _job(modules[side], Path(tmp), entry, seed,
+                                         n_keep=ESS_KEEP, **chains)
+                        samples, seconds = _at_reference_speed(sample)
+                        draws = np.concatenate([s.draws.reshape(s.n_chains, s.n_keep, -1)
+                                                for s in samples])
+                        ess = [bulk_ess(draws[:, :, j]) for j in range(draws.shape[2])]
+                        runs[side].append((samples[0].param_names, ess, seconds))
+                out[geometry][entry] = record = {}
+                for side, results in runs.items():
+                    names = results[0][0]
+                    lowest = [min(ess) for _, ess, _ in results]
+                    record[side] = {
+                        "bulk_ess": {name: round(statistics.median(r[1][j] for r in results), 1)
+                                     for j, name in enumerate(names)},
+                        "min_ess": round(statistics.median(lowest), 1),
+                        "min_ess_per_s": round(statistics.median(
+                            low / seconds for low, (_, _, seconds) in zip(lowest, results)), 1),
+                    }
+                print(f"ESS {geometry:8s} {entry:32s}" + "".join(
+                    f"  {side} min {r['min_ess']:7.1f} per s {r['min_ess_per_s']:8.1f}"
+                    for side, r in record.items()), flush=True)
+    return out
 
 
 def _export_ms(censdev, trace: Path, grid_size: int, params) -> tuple[float, float]:
@@ -172,9 +287,6 @@ def measure(trees: dict[str, Path]) -> tuple[dict, dict]:
     every job once per tree, alternating which tree goes first, so both
     sides see the same host; each side keeps its median and quartiles of
     µs per sweep and of ms per stage."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
     jobs, exporters = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         for side, tree in trees.items():
@@ -197,9 +309,8 @@ def measure(trees: dict[str, Path]) -> tuple[dict, dict]:
         for entry in ENTRIES:
             for side in order:
                 sample, sweeps = jobs[side][entry]
-                start = time.perf_counter()
-                sample()
-                runs[entry][side].append(1e6 * (time.perf_counter() - start) / sweeps)
+                _, seconds = _at_reference_speed(sample)
+                runs[entry][side].append(1e6 * seconds / sweeps)
     medians = {entry: _summary(f"{entry} (us)", sides) for entry, sides in runs.items()}
     return medians, export
 
@@ -263,6 +374,7 @@ def main(argv=None) -> int:
             metrics = _perfbench(tree, workload, 1, 1)
             traced[workload][side] = {name: metrics.get(name) for name in names}
     sweeps, export = measure(trees)
+    ess = measure_ess(trees)
 
     report = {
         "base": args.base_rev,
@@ -270,9 +382,18 @@ def main(argv=None) -> int:
         "us_per_chain_sweep": {
             "geometry": "each entry on its benchmark workload's inputs (size full, seed 1), "
                         "both replicate runs as one batch; both trees in one process, "
-                        "alternating; median wall time over the repeats",
+                        "alternating; median wall time over the repeats, at reference "
+                        "host speed",
             "repeats": REPEATS,
             "entries": sweeps,
+        },
+        "ess": {
+            "geometry": "each entry on its benchmark workload's inputs (size full, seed 1), "
+                        "both replicate runs as one batch at each of the seeds, "
+                        f"{ESS_KEEP} kept draws per chain; burn-in and adaptation window "
+                        "per geometry: " + json.dumps(ESS_GEOMETRIES),
+            "seeds": [ESS_SEEDS.start, ESS_SEEDS.stop - 1],
+            **ess,
         },
         "export_density_ms": {
             "input": "the trace-export workload's trace.csv (size full, seed 1) and "
