@@ -47,6 +47,16 @@ so their acceptance columns are equal.  A block of one keeps the plain
 step scale_c * z_c.  Acceptance rates, and so the scale adaptation, stay
 per component.
 
+A d-dimensional random-walk step moves each component less per scoring
+than d single-site steps do, so where the components are nearly
+independent (the GLM's) it alone loses effective draws per second.  The
+kept phase therefore alternates it with an independence Metropolis step
+(adaptive independence Metropolis-Hastings: Holden, Hauge & Holden 2009),
+whose proposal is fixed at the end of burn-in: Student t draws on 5
+degrees of freedom, centred on the chain's mean position over the
+burn-in's second half, on 1.3 times the posterior scale that the adapted
+random walk implies.  Both steps keep the target, so their cycle does.
+
 All chains of a call advance together as one array state.  ``run`` takes
 a ``ChainBatch`` of run configs (one, or several: the replicate runs A and
 B of a fit, say) and keeps parameters, working-scale values, Jacobians and
@@ -115,6 +125,11 @@ TARGET_ACCEPTANCE = 0.44
 # components at once (Roberts, Gelman & Gilks 1997).
 JOINT_TARGET_ACCEPTANCE = 0.234
 MAX_INIT_RETRIES = 100
+# The kept phase's independence step for a joint block draws Student t
+# components with this many degrees of freedom, on a scale this many times
+# the posterior scale the burn-in learned.
+_T_DF = 5.0
+_T_INFLATE = 1.3
 
 
 @dataclass(frozen=True)
@@ -293,6 +308,21 @@ class _Block(NamedTuple):
     terms: tuple[int, ...]
     levels: bool
     chol: Optional[np.ndarray] = None
+
+
+def _log_t_kernel(t: np.ndarray) -> np.ndarray:
+    """Log density, up to a constant, of standard Student t components."""
+    return -0.5 * (_T_DF + 1.0) * np.log1p(t * t / _T_DF)
+
+
+def _independence_proposal(chol: np.ndarray, scale: np.ndarray, center: np.ndarray):
+    """(center, factor, inverse) of each chain's independence proposal for
+    a joint block with factors ``chol`` (chains, d, d) and scales ``scale``
+    (chains,): centred on ``center`` (chains, d), with the posterior scale
+    that the adapted random walk implies, scale_c L_c sqrt(d) / 2.38 (its
+    step is 2.38 / sqrt(d) posterior scales), inflated by ``_T_INFLATE``."""
+    factor = _T_INFLATE * math.sqrt(chol.shape[-1]) / 2.38 * scale[:, None, None] * chol
+    return center, factor, np.linalg.inv(factor)
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
@@ -482,7 +512,7 @@ class _ChainBatch:
         return ok
 
     # -- updates --------------------------------------------------------------
-    def update_block(self, block: _Block, scales):
+    def update_block(self, block: _Block, scales, proposal=None):
         """One random-walk Metropolis step of every chain for ``block``;
         returns the accept flag of each component: (chains,) for a single
         component, (chains, levels) for levels and (chains, 1) for a joint
@@ -494,19 +524,28 @@ class _ChainBatch:
         level, from one proposal per level and one likelihood call: the
         change of each level's term plus its rows' contributions summed by
         owner.  A joint block proposes ``scales * (chol_c @ z_c)`` from one
-        standard normal d-vector ``z_c``.  A chain draws its normals from
-        its own generator, and its uniforms only when some log ratio of its
-        own is below 0.  A proposal outside the prior's support has log
-        ratio -inf (or NaN) and is rejected.
+        standard normal d-vector ``z_c``; given an independence ``proposal``
+        (center, factor, inverse), it proposes center_c + factor_c t_c from
+        d Student t draws t_c instead, and its log ratio gains log q(x) -
+        log q(y) of that fixed proposal density q.  A chain draws its
+        normals (or t draws) from its own generator, and its uniforms only
+        when some log ratio of its own is below 0.  A proposal outside the
+        prior's support has log ratio -inf (or NaN) and is rejected.
         """
         comps, (_, to_nat, log_jac), cols, owner, terms, levels, chol = block
         size = None if owner is None else scales.shape[-1]
         if chol is None:
             z = np.array([rng.standard_normal(size) for rng in self.rngs])
-        else:  # elementwise products, so a chain's step is its own alone
+            x_new = self.x[:, comps] + scales * z
+        elif proposal is None:  # elementwise products, so a chain's step is its own alone
             z = np.array([rng.standard_normal(chol.shape[-1]) for rng in self.rngs])
-            z = (chol * z[:, None, :]).sum(axis=2)
-        x_new = self.x[:, comps] + scales * z
+            x_new = self.x[:, comps] + scales * (chol * z[:, None, :]).sum(axis=2)
+        else:
+            center, factor, inverse = proposal
+            t = np.array([rng.standard_t(_T_DF, chol.shape[-1]) for rng in self.rngs])
+            x_new = center + (factor * t[:, None, :]).sum(axis=2)
+            u = (inverse * (self.x[:, comps] - center)[:, None, :]).sum(axis=2)
+            q_ratio = _row_sums(_log_t_kernel(u) - _log_t_kernel(t))
         v_new = to_nat(x_new)
 
         theta_prop = self.v.copy()
@@ -529,6 +568,9 @@ class _ChainBatch:
             jac_new = log_jac(x_new)
             change = jac_new - self.jac[:, comps]
             log_ratio = log_ratio + (change if chol is None else _row_sums(change))
+
+        if proposal is not None:
+            log_ratio = log_ratio + q_ratio
 
         accept = log_ratio >= 0.0
         undecided = np.flatnonzero(~accept if owner is None else ~accept.all(axis=1))
@@ -599,7 +641,11 @@ class _ChainBatch:
         rest toward ``TARGET_ACCEPTANCE``.  At each window end of the
         burn-in, each chain that moved in the window re-estimates its factor
         from running sums of its positions over the window
-        (``_proposal_factor``); the factor is frozen after burn-in.
+        (``_proposal_factor``); the factor is frozen after burn-in.  Every
+        second kept sweep moves the joint block by an independence step
+        instead (``_independence_proposal``), centred on the chain's mean
+        position over the burn-in's second half (its current position when
+        there is no burn-in) and built once, at the first kept sweep.
         """
         n_chains = len(self.rngs)
         shape = (n_chains, self.n_params)
@@ -611,11 +657,22 @@ class _ChainBatch:
         if joint is not None:
             target[joint.comps] = JOINT_TARGET_ACCEPTANCE
             sums, outer = np.zeros(joint.chol.shape[:2]), np.zeros_like(joint.chol)
+            late_sums = np.zeros(joint.chol.shape[:2])
+        late = config.burn_in // 2
+        proposal = None
         for sweep in range(config.total_iterations):
             in_burn = sweep < config.burn_in
             accepts = window_accepts if in_burn else kept_accepts
+            if joint is not None and sweep == config.burn_in:
+                center = (late_sums / (config.burn_in - late) if config.burn_in
+                          else self.x[:, joint.comps].copy())
+                proposal = _independence_proposal(joint.chol, scales[:, joint.comps.start],
+                                                  center)
+            independent = proposal is not None and (sweep - config.burn_in) % 2
             for block in self.blocks:
-                accepts[:, block.comps] += self.update_block(block, scales[:, block.comps])
+                accepts[:, block.comps] += self.update_block(
+                    block, scales[:, block.comps], proposal if block is joint and independent
+                    else None)
             if self.mode is LikelihoodMode.DINTERVAL:
                 self.refresh_latents(sweep)
 
@@ -624,6 +681,8 @@ class _ChainBatch:
                     at = self.x[:, joint.comps]
                     sums += at
                     outer += at[:, :, None] * at[:, None, :]
+                    if sweep >= late:
+                        late_sums += at
                 adapt_round, window_count = divmod(sweep + 1, config.adapt_window)
                 if window_count == 0:
                     rates = window_accepts / config.adapt_window

@@ -836,12 +836,15 @@ class TestJointBlock:
         assert np.array_equal(got, np.tril(got)) and (np.diag(got) > 0).all()
 
     def test_a_chain_that_never_moves_keeps_its_factor(self):
-        """Chain 1's normals put every proposal far out of reach, so it
-        rejects every step: its factor stays the identity while chain 0's
-        is learned."""
+        """Chain 1's normals and t draws put every proposal far out of
+        reach, so it rejects every step: its factor stays the identity
+        while chain 0's is learned."""
 
         class Stuck:
             def standard_normal(self, size=None):
+                return np.full(size, 1e3)
+
+            def standard_t(self, df, size=None):
                 return np.full(size, 1e3)
 
             def random(self, size=None):
@@ -864,15 +867,18 @@ class TestJointBlock:
     @pytest.mark.parametrize("case", ["survival-exact", "glm"])
     def test_factor_is_frozen_after_burn_in(self, monkeypatch, case):
         """Each chain's factor is learned at the burn-in's window ends and
-        the kept sweeps all propose with the one it had then."""
+        the kept sweeps all propose with the one it had then; every other
+        kept sweep takes the independence step, from one proposal built
+        once, at the first of them."""
         model, data, mode = _batch_case(case)
-        factors = []
+        factors, proposals = [], []
         update_block = _ChainBatch.update_block
 
-        def recording(self, block, scales):
+        def recording(self, block, scales, proposal=None):
             if block.chol is not None:
                 factors.append(block.chol.copy())
-            return update_block(self, block, scales)
+                proposals.append(proposal)
+            return update_block(self, block, scales, proposal)
 
         monkeypatch.setattr(_ChainBatch, "update_block", recording)
         config = ChainConfig(n_chains=2, burn_in=60, n_keep=40, adapt_window=20, seed=8)
@@ -886,6 +892,13 @@ class TestJointBlock:
         for kept in factors[config.burn_in:]:
             assert np.array_equal(kept, end_of_burn_in)
         assert np.array_equal(last, end_of_burn_in)
+        independent = proposals[config.burn_in + 1::2]
+        assert proposals[:config.burn_in + 1] == [None] * (config.burn_in + 1)
+        assert proposals[config.burn_in::2] == [None] * (config.n_keep // 2)
+        assert all(p is independent[0] for p in independent)
+        center, factor, inverse = independent[0]
+        np.testing.assert_allclose(factor @ inverse, np.tile(np.eye(factor.shape[-1]), (2, 1, 1)),
+                                   atol=1e-12)
 
 
 def _entry_case(name: str):
