@@ -471,6 +471,9 @@ def cmd_export_density(args) -> int:
         raise ValidationError(
             f"trace has no column {args.param!r}; available: {names}"
         )
+    if not args.out and ("/" in args.param or "\0" in args.param):  # no file name holds these
+        raise ValidationError(f"column {args.param!r} cannot name the density file "
+                              "beside the trace; give --out")
     trace = matrix[:, names.index(args.param)]
     bandwidth = args.bandwidth
     try:

@@ -115,9 +115,11 @@ __all__ = [
     "export_density",
 ]
 
-# exp(-z * z / 2) rounds to exactly 0.0 in binary64 for |z| > 38.604; the
-# density window reaches a little further.
+# exp(-z * z / 2) rounds to exactly 0.0 in binary64 for |z| > 38.604; no
+# density window reaches further than a little past that.
 _KDE_REACH = 38.61
+# A density window leaves out kernel terms totalling under this share of its sum.
+_KDE_EPS = 2.0 ** -52
 # Kernel terms evaluated per chunk of density grid rows (2 MiB of float64).
 _KDE_CHUNK = 1 << 18
 TARGET_ACCEPTANCE = 0.44
@@ -827,6 +829,19 @@ def summarize(samples: PosteriorSamples) -> list[ParamSummary]:
     return out
 
 
+def _kde_windows(xs: np.ndarray, grid: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index bounds [lo, hi) of the sorted draws ``xs`` in each grid point's
+    window of :func:`export_density`, for bandwidth ``h``."""
+    nearest = np.searchsorted(xs, grid)
+    below = np.abs(grid - xs[np.maximum(nearest - 1, 0)])
+    above = np.abs(xs[np.minimum(nearest, xs.size - 1)] - grid)
+    with np.errstate(over="ignore"):  # a far draw or a window past +-max: the cap holds
+        d = np.minimum(below, above) / h
+        reach = np.minimum(np.sqrt(d * d + 2.0 * math.log(xs.size / _KDE_EPS)), _KDE_REACH) * h
+        return (np.searchsorted(xs, grid - reach, side="left"),
+                np.searchsorted(xs, grid + reach, side="right"))
+
+
 def export_density(
     trace: np.ndarray,
     grid_size: int = 512,
@@ -837,16 +852,21 @@ def export_density(
     The grid spans [min - 3h, max + 3h]; the trapezoid integral of the
     result is 1 within 1e-3 for any non-degenerate trace.
 
-    The density is the exact kernel sum, taken over exact-support windows:
-    exp(-z * z / 2) with z = (g - x) / h is exactly 0.0 in binary64 once
-    |z| > 38.61, so each grid point g sums only the draws of the sorted
-    trace within ``_KDE_REACH`` = 38.61 bandwidths of it, found by
-    ``searchsorted``.  Each term it sums is bit for bit the one a full
-    grid-by-draws matrix would hold; only the summation order differs.
-    Grid rows are evaluated in chunks of at most ``_KDE_CHUNK`` = 2^18
-    terms (a single row longer than that is its own chunk) in one reused
-    buffer, so memory does not grow with the grid, and no term is formed
-    outside a window, so none overflows whatever the bandwidth.
+    Each grid point g sums the kernel terms exp(-z * z / 2), z = (g - x) / h,
+    of the draws x of the sorted trace within its window (:func:`_kde_windows`):
+    r = sqrt(d^2 + 2 ln(n / eps)) bandwidths of g, where d is the distance
+    from g to its nearest draw in bandwidths, n the trace length and eps =
+    ``_KDE_EPS`` = 2^-52, capped at ``_KDE_REACH`` = 38.61, past which every
+    term is exactly 0.0 in binary64.  Fewer than n terms are left out and
+    each is below exp(-r^2 / 2) = (eps / n) exp(-d^2 / 2), while the nearest
+    draw, kept, alone adds exp(-d^2 / 2): the left-out terms total less than
+    eps times the kept sum.  Where d > 38.61 the density is exactly 0.0.
+    Each term summed is bit for bit the one a full grid-by-draws matrix
+    would hold; only the summation order differs.  Grid rows are evaluated
+    in chunks of at most ``_KDE_CHUNK`` = 2^18 terms (a single row longer
+    than that is its own chunk) in one reused buffer, so memory does not
+    grow with the grid, and no term is formed outside a window, so none
+    overflows whatever the bandwidth.
 
     Raises DataError for an empty trace, a non-finite draw, a grid_size
     below 2 or too large to allocate, an unknown rule, a bandwidth that is
@@ -888,9 +908,7 @@ def export_density(
         raise DataError(f"bandwidth {h!r} is too narrow: the density overflows")
     try:  # the arrays and lists of this block are grid-sized
         grid = np.linspace(start, stop, grid_size)
-        with np.errstate(over="ignore"):  # a window reaching past +-max is unbounded
-            lo = np.searchsorted(xs, grid - _KDE_REACH * h, side="left")
-            hi = np.searchsorted(xs, grid + _KDE_REACH * h, side="right")
+        lo, hi = _kde_windows(xs, grid, h)
         counts = hi - lo
         ends = np.cumsum(counts)
         points, lo, hi = grid.tolist(), lo.tolist(), hi.tolist()

@@ -208,14 +208,16 @@ MODELS: dict[str, ModelSpec] = {spec.name: spec for spec in (
 AE_VARIANTS = tuple(name for name, spec in MODELS.items() if spec.section == "censored-binomial")
 
 
-def _normal_log_prior(x, precision):
-    """Normal(0, 1/precision) log density at ``x``, elementwise.
+def _normal_log_prior(precision):
+    """Normal(0, 1/precision) log density of ``x``, elementwise, as a
+    function of ``x``; its constant is computed here, once.
 
     The arithmetic of the scalar normal priors, precision * x^2, which
     rounds differently from :meth:`Normal.log_pdf_v`'s (x sqrt(precision))^2;
     the survival, GLM and D/E/F mean priors keep it.
     """
-    return 0.5 * (np.log(precision) - _LOG_2PI) - 0.5 * precision * (x * x)
+    const = 0.5 * (np.log(precision) - _LOG_2PI)
+    return lambda x: const - 0.5 * precision * (x * x)
 
 
 def _beta_log_prior(x, alpha, beta):
@@ -225,11 +227,15 @@ def _beta_log_prior(x, alpha, beta):
     return np.where(inside, out, _NEG_INF)
 
 
-def _half_cauchy_log_prior(x, scale):
-    """Half-Cauchy(scale) log density at ``x``, elementwise; -inf at or below 0."""
-    r = x / scale
-    return np.where(x > 0.0, (math.log(2.0 / math.pi) - np.log(scale)) - np.log1p(r * r),
-                    _NEG_INF)
+def _half_cauchy_log_prior(scale):
+    """Half-Cauchy(scale) log density of ``x``, elementwise, as a function of
+    ``x``; -inf at or below 0.  Its constant is computed here, once."""
+    const = math.log(2.0 / math.pi) - np.log(scale)
+
+    def log_pdf(x):
+        r = x / scale
+        return np.where(x > 0.0, const - np.log1p(r * r), _NEG_INF)
+    return log_pdf
 
 
 class Term(NamedTuple):
@@ -314,17 +320,17 @@ class Model:
         last = len(self.params) - 1
         if spec.family is Exponential:
             self._group_col = self.covariate_cols[0]
-            terms = [_term(j, _normal_log_prior, hyper[f"tau{j}"]) for j in (0, 1)]
+            terms = [_term(j, _normal_log_prior(hyper[f"tau{j}"])) for j in (0, 1)]
             self._row_params = self._rate
         elif spec.family is Normal:
-            terms = [_term(last, _half_cauchy_log_prior, scale)] + [
-                _term(j, _normal_log_prior, hyper["coef_precision"]) for j in range(last)]
+            terms = [_term(last, _half_cauchy_log_prior(scale))] + [
+                _term(j, _normal_log_prior(hyper["coef_precision"])) for j in range(last)]
             self._row_params = self._normal_params
         else:  # A: the mean's term; B, G: level terms only; C, D/E/F: mean and scale
-            mean = (_term(0, _normal_log_prior, hyper["mean_precision"])
+            mean = (_term(0, _normal_log_prior(hyper["mean_precision"]))
                     if spec.pooling == "normal-hyper"
                     else _term(0, _beta_log_prior, *self._shapes))
-            terms = ([mean, _term(1, _half_cauchy_log_prior, scale)] if self.level_reads
+            terms = ([mean, _term(1, _half_cauchy_log_prior(scale))] if self.level_reads
                      else [] if spec.index else [mean])
             self._row_params = self._probability
         self.prior_terms = tuple(terms)

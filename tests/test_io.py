@@ -1568,6 +1568,30 @@ class TestCliExportDensityContract:
         assert "too narrow" in capsys.readouterr().err
         assert not out.exists()
 
+    def _rename_column(self, trace, column):
+        text = trace.read_text(encoding="utf-8")
+        trace.write_text(text.replace("alpha", column, 1), encoding="utf-8")
+
+    @pytest.mark.parametrize("column", ["a/b", "/", "a\0b"])
+    def test_column_that_cannot_name_the_default_file(self, trace, capsys, column):
+        """The default output is density_<column>.csv beside the trace; a
+        column no file name can hold asks for --out, which then works."""
+        self._rename_column(trace, column)
+        code = main(["export-density", "--trace", str(trace), "--param", column])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert repr(column) in err and "--out" in err
+        assert [p.name for p in trace.parent.iterdir()] == ["trace.csv"]
+        out = trace.with_name("density.csv")
+        assert main(["export-density", "--trace", str(trace), "--param", column,
+                     "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_dot_dot_column_writes_beside_the_trace(self, trace):
+        self._rename_column(trace, "..")
+        assert main(["export-density", "--trace", str(trace), "--param", ".."]) == 0
+        assert sorted(p.name for p in trace.parent.iterdir()) == ["density_...csv", "trace.csv"]
+
 
 @pytest.fixture()
 def address_space_cap():

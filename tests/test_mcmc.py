@@ -1047,17 +1047,20 @@ class TestSummaries:
         assert est == pytest.approx(1.0 / math.sqrt(40000), rel=0.3)
 
 
+def _kde_bandwidth(trace, bandwidth_rule):
+    if not isinstance(bandwidth_rule, str):
+        return float(bandwidth_rule)
+    sd = float(trace.std(ddof=1))
+    iqr = float(np.subtract(*np.percentile(trace, [75, 25])))
+    spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
+    factor = {"scott": 1.06, "silverman": 0.9}[bandwidth_rule]
+    return factor * spread * trace.size ** -0.2
+
+
 def _full_matrix_density(trace, grid_size=512, bandwidth_rule="scott"):
     """Oracle: the Gaussian KDE summed over the whole grid-by-draws matrix."""
     trace = np.asarray(trace, dtype=float)
-    sd = float(trace.std(ddof=1))
-    if isinstance(bandwidth_rule, str):
-        iqr = float(np.subtract(*np.percentile(trace, [75, 25])))
-        spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
-        factor = {"scott": 1.06, "silverman": 0.9}[bandwidth_rule]
-        h = factor * spread * trace.size ** -0.2
-    else:
-        h = float(bandwidth_rule)
+    h = _kde_bandwidth(trace, bandwidth_rule)
     grid = np.linspace(trace.min() - 3.0 * h, trace.max() + 3.0 * h, grid_size)
     density = np.empty(grid_size)
     norm = 1.0 / (trace.size * h * math.sqrt(2.0 * math.pi))
@@ -1111,6 +1114,40 @@ class TestExportDensity:
         np.testing.assert_allclose(density, density_ref, rtol=1e-12, atol=0.0)
         if kind == "two-point":
             assert (density == 0.0).sum() > 60
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @example(kind="cauchy", n=50_000, grid_size=64, rule="scott", seed=1)
+    @example(kind="normal", n=50_000, grid_size=64, rule=1e-3, seed=2)
+    @example(kind="two-point", n=2, grid_size=64, rule=10.0, seed=3)
+    @given(kind=st.sampled_from(["normal", "cauchy", "ties", "two-point"]),
+           n=st.one_of(st.integers(2, 2000), st.integers(2, 50000)),
+           grid_size=st.integers(2, 64),
+           rule=st.sampled_from([1e-3, "scott", 10.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_left_out_terms_total_under_eps_of_the_kept(self, kind, n, grid_size, rule, seed):
+        """At every grid point the kernel terms outside the window sum to at
+        most 2^-52 of those inside it, both summed exactly."""
+        trace = _kde_trace(kind, n, seed)
+        h = _kde_bandwidth(trace, rule)
+        xs = np.sort(trace)
+        grid = np.linspace(xs[0] - 3.0 * h, xs[-1] + 3.0 * h, grid_size)
+        lo, hi = mcmc._kde_windows(xs, grid, h)
+        with np.errstate(over="ignore"):
+            for g, first, stop in zip(grid, lo, hi):
+                z = (g - xs) / h
+                terms = np.exp(z * z * -0.5)
+                left = np.concatenate([terms[:first], terms[stop:]])
+                kept = math.fsum(terms[first:stop])
+                assert math.ldexp(math.fsum(left[left > 0.0]), 52) <= kept, (g, first, stop)
+
+    def test_windows_hold_under_a_third_of_the_fixed_reach_terms(self):
+        xs = np.sort(np.random.default_rng(11).standard_normal(40_000))
+        h = _kde_bandwidth(xs, "scott")
+        grid = np.linspace(xs[0] - 3.0 * h, xs[-1] + 3.0 * h, 400)
+        lo, hi = mcmc._kde_windows(xs, grid, h)
+        fixed = (np.searchsorted(xs, grid + mcmc._KDE_REACH * h, side="right")
+                 - np.searchsorted(xs, grid - mcmc._KDE_REACH * h, side="left"))
+        assert 3 * (hi - lo).sum() <= fixed.sum()
 
     def test_memory_stays_flat_in_the_trace_length(self):
         trace = np.random.default_rng(9).standard_normal(100_000)

@@ -25,6 +25,7 @@ from censdev.models import (
     ModelSpec,
     Param,
     _half_cauchy_log_prior,
+    _normal_log_prior,
     to_natural,
     to_unbounded,
 )
@@ -101,10 +102,33 @@ class TestPriors:
         assert model.log_prior(theta) == -math.inf
 
     def test_half_cauchy_is_minus_inf_at_and_below_zero(self):
-        values = _half_cauchy_log_prior(np.array([-1.0, -0.0, 0.0, 1e-300]), 2.5)
+        values = _half_cauchy_log_prior(2.5)(np.array([-1.0, -0.0, 0.0, 1e-300]))
         assert values[:3].tolist() == [-math.inf] * 3
         assert values[3] == pytest.approx(math.log(2.0 / (math.pi * 2.5)))
-        assert _half_cauchy_log_prior(0.0, 1.0) == -math.inf
+        assert _half_cauchy_log_prior(1.0)(0.0) == -math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(hyper=st.one_of(st.floats(1e-300, 1e300), st.sampled_from([0.01, 1.0, 2.5, 5e-324])),
+           x=st.lists(st.one_of(st.floats(allow_nan=False),
+                                st.sampled_from([0.0, -0.0, 5e-324, -1.0])), min_size=1))
+    def test_terms_match_the_per_call_formulas_bit_for_bit(self, hyper, x):
+        """Each term's constant, computed once when the model builds it, is
+        the one the old per-call formulas computed on every call."""
+        def normal_per_call(x, precision):
+            return 0.5 * (np.log(precision) - math.log(2.0 * math.pi)) - 0.5 * precision * (x * x)
+
+        def half_cauchy_per_call(x, scale):
+            r = x / scale
+            return np.where(x > 0.0, (math.log(2.0 / math.pi) - np.log(scale)) - np.log1p(r * r),
+                            -math.inf)
+
+        with np.errstate(all="ignore"):
+            for value in (np.array(x), np.float64(x[0])):
+                pairs = [(_normal_log_prior(hyper)(value), normal_per_call(value, hyper)),
+                         (_half_cauchy_log_prior(hyper)(value), half_cauchy_per_call(value, hyper))]
+                for new, old in pairs:
+                    assert np.shape(new) == np.shape(old)
+                    assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
 
     @pytest.mark.parametrize("name", ["C", "D", "E", "F", "censored-normal-glm"])
     def test_zero_scale_is_outside_the_prior(self, name):
