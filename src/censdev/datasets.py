@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import _special
 from .exceptions import ParseError
 from .likelihood import KIND_LEFT, KIND_OBSERVED, KIND_RIGHT, CensoredDataset
 
@@ -232,11 +231,16 @@ def synthetic_ae_dataset(
     only when the count reaches its cutoff; smaller counts appear as
     left-censored at cutoff - 1, the non-ignorable pattern of rare-event
     reporting.
+
+    The incidences are 1 / (1 + exp(-x)), computed with numpy so that
+    making the dataset does not load ``scipy.special``.  For the default
+    ``base_incidence`` and ``drug_effects`` they equal scipy's ``expit``
+    bit for bit; about 2% of other inputs differ from it in the last bit.
     """
     rng = np.random.default_rng(seed)
     n_drugs = len(drug_effects)
     base = math.log(base_incidence) - math.log1p(-base_incidence)
-    incidences = _special.expit(base + np.asarray(drug_effects))
+    incidences = 1.0 / (1.0 + np.exp(-(base + np.asarray(drug_effects))))
 
     kind, hi, value, trials, covariates = [], [], [], [], []
     for study in range(n_studies):

@@ -22,6 +22,7 @@ complements, so log(1 - F) survives far into them.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -356,12 +357,19 @@ class Binomial(Family):
 
     @classmethod
     def _points(cls, cols, params):
-        # The data-only terms at the block's points are built once per block.
+        # The data-only terms at the block's points are built once per block,
+        # with 0 (in every Binomial support) on the rows whose branch does not
+        # read a point, so NaN outcomes of censored rows and infinite bounds
+        # of observed ones leave the kernels no support masks to apply.
         trials = params[0]
+
+        def points(y, *branches):
+            reads = functools.reduce(np.logical_or, [m for m in branches if m is not None], False)
+            return _BinomialPoints(np.where(reads, y, 0.0), trials)
         return cols.memo(cls, trials, lambda: (
-            _BinomialPoints(cols.value, trials),
-            _BinomialPoints(cols.hi, trials),
-            _BinomialPoints(np.ceil(cols.lo) - 1.0, trials),
+            points(cols.value, cols.observed),
+            points(cols.hi, cols.below, cols.between),
+            points(np.ceil(cols.lo) - 1.0, cols.above, cols.between),
         ))
 
     @classmethod

@@ -252,8 +252,9 @@ def loglik_bernoulli_reform(data: CensoredDataset, family: type[Family], params)
     An observed row contributes log f(y), a left-censored row
     Bernoulli(1; F(cut)), a right-censored row Bernoulli(0; F(cut^-)) and an
     interval row Bernoulli(1; F(cut2) - F(cut1^-)), each success probability
-    clamped to the standard band.  Agrees with :func:`loglik_exact` up to
-    floating-point rounding.
+    clamped to the standard band; an interval row with an infinite end counts
+    as the one-sided row it equals, the branch of ``log_contrib``.  Agrees
+    with :func:`loglik_exact` up to floating-point rounding.
     """
     _check_params(data, params)
     cols = data.columns
@@ -261,8 +262,9 @@ def loglik_bernoulli_reform(data: CensoredDataset, family: type[Family], params)
         value, hi, lo_left = family._points(cols, params)
         p_hi = np.exp(family._log_cdf_v(hi, *params))
         p_lo = np.exp(family._log_cdf_v(lo_left, *params))
+        none = np.zeros(len(cols), dtype=bool)
         terms = np.select(
-            [cols.kind == KIND_OBSERVED, cols.kind == KIND_LEFT, cols.kind == KIND_RIGHT],
+            [none if mask is None else mask for mask in (cols.observed, cols.below, cols.above)],
             [family.log_pdf_v(value, *params), np.log(clamp_probability_v(p_hi)),
              np.log1p(-clamp_probability_v(p_lo))],
             np.log(clamp_probability_v(p_hi - p_lo)),

@@ -21,19 +21,22 @@ exact contribution, so kept DINTERVAL draws carry their exact deviance.
 
 The likelihood is kept as a per-row contribution array and the prior as
 the values of the model's prior and level terms.  A sweep visits the
-components in order, in Metropolis blocks.  A model's levels (one parameter
-per level of a categorical index column, e.g. one incidence per study) form
-one block: given the other components their priors factorize and their row
-sets are disjoint, so each level keeps its own Metropolis accept and the
-block has the stationary law of the level-by-level single-site updates it
-replaces (the chromatic Gibbs argument).  The block draws one proposal
-vector, scores every row with one vectorized kernel call and sums the
-change per level.  The other components that reach the rows (survival's b0
-and b1; the GLM's intercept, coefficients and sigma) move as one block, so
-a sweep scores the rows once for them: a joint block when they are two or
-more, a block of one otherwise (A's p_pool, D/E/F's mu).  The components
-that only the level terms read (C's mu and spread, D/E/F's sigma) are
-blocks of one that re-score those terms and no row.
+components in order, in Metropolis blocks, each a step built once with the
+state, which fixes what it re-scores, which of its columns leave the real
+line and its draw buffers.  A model's levels (one parameter per level of a
+categorical index column, e.g. one incidence per study) form a level step:
+given the other components their priors factorize and their row sets are
+disjoint, so each level keeps its own Metropolis accept and the block has
+the stationary law of the level-by-level single-site updates it replaces
+(the chromatic Gibbs argument).  It draws one proposal vector, scores every
+row with one vectorized kernel call and sums the change per level.  The
+other components that reach the rows (survival's b0 and b1; the GLM's
+intercept, coefficients and sigma) form one group step, with one accept,
+so a sweep scores the rows once for them: a joint block when they are two
+or more, a group of one otherwise (A's p_pool, D/E/F's mu).  Each
+component that only the level terms read (C's mu and spread, D/E/F's
+sigma) is a hyper step, a group of one that re-scores those terms and no
+row.
 
 A joint block of d components is adaptive Metropolis (Haario, Saksman &
 Tamminen 2001): chain c proposes x + scale_c * L_c z_c from one standard
@@ -43,7 +46,7 @@ chain moved, it becomes the Cholesky factor of 2.38^2 / d times the
 window's working-scale covariance, from running sums over the window,
 blended with the previous estimate by the scale adaptation's gain
 (``_proposal_factor``).  Its components share one scale and one accept,
-so their acceptance columns are equal.  A block of one keeps the plain
+so their acceptance columns are equal.  A group of one keeps the plain
 step scale_c * z_c.  Acceptance rates, and so the scale adaptation, stay
 per component.
 
@@ -68,10 +71,11 @@ chain's proposal with one ``log_contrib`` call.  Start-up is a masked
 sweep: each attempt scores every chain and adopts the pending chains whose
 posterior is finite; the others restart from jittered points.  A batch may
 also name one model per config, as long as the models share a
-``layout_key``: they then differ only in ``row_params`` (D, E and F: one
-hierarchical model under three links), which each chain evaluates with its
-own model, while proposals, prior and level terms, the kernel, accept and
-commit run once over all chains.  Chains stay independent: each owns a
+``layout_key``: they then differ only in their link (D, E and F: one
+hierarchical model under three links), so the batch computes their linear
+predictor once and each chain's link on its own values, while proposals,
+prior and level terms, the kernel, accept and commit run once over all
+chains.  Chains stay independent: each owns a
 child generator spawned deterministically from its run's seed and draws
 its normals, its uniforms (only when a log ratio of its own is below 0),
 its jittered restarts and its latents from it in the order a chain run
@@ -87,11 +91,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import require_mass
+from .distributions import link_invert_v, require_mass
 from .exceptions import (
     DataError,
     DegenerateDensityError,
@@ -100,7 +103,7 @@ from .exceptions import (
     NumericError,
     SchemaError,
 )
-from .likelihood import KIND_OBSERVED, CensoredDataset, DataColumns, LikelihoodMode
+from .likelihood import KIND_OBSERVED, CensoredDataset, LikelihoodMode
 from .models import _TRANSFORMS, Model, _columnwise, _plain, to_natural
 
 __all__ = [
@@ -232,10 +235,6 @@ class PosteriorSamples:
         return self.draws[:, self.param_names.index(name)]
 
 
-# The real line's log Jacobian is 0: a Metropolis step on it skips it.
-_ZERO_JACOBIAN = _TRANSFORMS["real"][2]
-
-
 # ---------------------------------------------------------------------------
 # Adaptation
 # ---------------------------------------------------------------------------
@@ -285,33 +284,6 @@ def _proposal_factor(chol: np.ndarray, sums: np.ndarray, outer: np.ndarray, n: i
 # ---------------------------------------------------------------------------
 
 
-class _Block(NamedTuple):
-    """Components that one Metropolis step moves.
-
-    ``comps`` is a component index, for a block of one, or a slice: of a
-    model's levels, each with its own accept, or of a joint block's
-    components, which share one accept; numpy indexing then hands the
-    update a column or a (chains, components) array alike.  ``transform``
-    is their support's ``_TRANSFORMS`` entry, or for a joint block on
-    several supports the same three maps applied column by column.
-    ``cols`` is the dataset's columns, every row, or None for a component
-    that reaches no row (one in the model's ``level_reads``).  ``owner`` is
-    None but for levels, where it maps each row to the position of its
-    level in ``comps``.  ``terms`` lists the model's prior terms that read
-    the block and ``levels`` says whether the level terms do.  ``chol`` is
-    None but for a joint block: each chain's (d, d) proposal factor,
-    updated in place while it adapts.
-    """
-
-    comps: int | slice
-    transform: tuple
-    cols: Optional[DataColumns]
-    owner: Optional[np.ndarray]
-    terms: tuple[int, ...]
-    levels: bool
-    chol: Optional[np.ndarray] = None
-
-
 def _log_t_kernel(t: np.ndarray) -> np.ndarray:
     """Log density, up to a constant, of standard Student t components."""
     return -0.5 * (_T_DF + 1.0) * np.log1p(t * t / _T_DF)
@@ -332,6 +304,161 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).sum(axis=1)
 
 
+class _Step:
+    """One Metropolis step of every chain of a batch for the components
+    ``comps`` (a slice), built once with the batch's state, which fixes the
+    prior terms that read them (``terms``: index and function) and a buffer
+    ``z`` that each chain's generator fills with its normals, in the order
+    and number a chain run alone draws them.  ``update(state, scales,
+    proposal)`` moves every chain and returns its accept flags, (chains,
+    levels) for levels and (chains, 1) otherwise; a proposal outside the
+    prior's support has log ratio -inf (or NaN) and is rejected.  ``cols``
+    is the dataset's columns, or None for a step that reaches no row;
+    ``owner`` is None but for levels, ``chol`` None but for a joint block.
+    """
+
+    owner = None
+    chol = None
+
+    def __init__(self, state, comps: slice, cols):
+        self.comps, self.cols = comps, cols
+        reads = set(range(comps.start, comps.stop))
+        self.terms = [(k, term.log_density) for k, term in enumerate(state.model.prior_terms)
+                      if reads & set(term.reads)]
+        self.z = np.empty((len(state.rngs), comps.stop - comps.start))
+
+    def _normals(self, state) -> np.ndarray:
+        for c, rng in enumerate(state.rngs):
+            rng.standard_normal(out=self.z[c])
+        return self.z
+
+    def _proposed(self, state, v_new) -> np.ndarray:
+        theta = state.v.copy()
+        theta[:, self.comps] = v_new
+        return theta
+
+    def _commit(self, state, flags, x_new, v_new) -> None:
+        np.copyto(state.x[:, self.comps], x_new, where=flags)
+        np.copyto(state.v[:, self.comps], v_new, where=flags)
+
+
+class _LevelStep(_Step):
+    """A model's levels, each with its own accept, scored per level by the
+    change of its level term plus its rows' contributions, summed by owner
+    (``owner`` maps each row to its level, ``bins`` is owner + levels *
+    chain for one ``np.bincount`` of every chain).  ``Model`` builds table
+    entries only, whose levels are the trailing components on one support:
+    ``transform`` is its maps to the natural scale and log Jacobian, None
+    on the real line.  ``u`` is each chain's buffer of one uniform a level."""
+
+    def __init__(self, state, comps: slice):
+        super().__init__(state, comps, state.cols)
+        n_chains, n_levels = self.z.shape
+        self.owner = state.cols.codes(state.model.index_col, n_levels)
+        self.bins = (self.owner + n_levels * np.arange(n_chains)[:, None]).ravel()
+        support = state.supports[comps.start]
+        self.transform = None if support == "real" else _TRANSFORMS[support][1:]
+        self.u = np.empty_like(self.z)
+
+    def update(self, state, scales, proposal=None):
+        z = self._normals(state)
+        x_new = state.x[:, self.comps] + scales * z
+        v_new = x_new if self.transform is None else self.transform[0](x_new)
+        theta = self._proposed(state, v_new)
+        levels_new = state.model.level_log_prior(theta)
+        contribs = state._contributions(state._row_params(theta, self.cols))
+        change = np.bincount(self.bins, (contribs - state.contribs).ravel(), z.size)
+        log_ratio = levels_new - state.level_terms + change.reshape(z.shape)
+        if self.transform is not None:
+            jac = self.transform[1](x_new)
+            log_ratio = log_ratio + (jac - state.jac[:, self.comps])
+        accept = log_ratio >= 0.0
+        undecided = (~accept.all(axis=1)).nonzero()[0]
+        if len(undecided):
+            # log u < 0 <= log_ratio keeps every level accepted above.
+            u = self.u[:len(undecided)]
+            for row, c in zip(u, undecided):
+                state.rngs[c].random(out=row)
+            accept[undecided] = np.log(u) < log_ratio[undecided]
+        self._commit(state, accept, x_new, v_new)
+        if self.transform is not None:
+            np.copyto(state.jac[:, self.comps], jac, where=accept)
+        np.copyto(state.level_terms, levels_new, where=accept)
+        np.copyto(state.contribs, contribs, where=accept[:, self.owner])
+        return accept
+
+
+class _GroupStep(_Step):
+    """d >= 1 components beside the levels with one accept per chain, scored
+    by the change of the prior terms that read any of them, of each one's
+    log Jacobian and, when ``rows``, of the summed contributions, else (a
+    hyper step) of the summed level terms.  A random walk proposes
+    ``scales * z_c``, times the chain's factor ``chol_c`` in a ``joint``
+    block (starting at the identity); given an independence ``proposal``
+    (center, factor, inverse) it proposes center_c + factor_c t_c from d
+    Student t draws t_c instead, and its log ratio gains log q(x) - log q(y)
+    of that fixed proposal density q.  ``maps`` lists each component off the
+    real line (a real one is its own natural value, with log Jacobian 0) by
+    its column in the block and in the state, with its two maps; ``whole``
+    says one map serves every column."""
+
+    def __init__(self, state, comps: slice, rows=True, joint=False):
+        super().__init__(state, comps, state.cols if rows else None)
+        supports = state.supports[comps]
+        self.maps = [(i, comps.start + i, *_TRANSFORMS[support][1:])
+                     for i, support in enumerate(supports) if support != "real"]
+        self.whole = len(set(supports)) == 1 and bool(self.maps)
+        if joint:
+            self.chol = np.tile(np.eye(len(supports)), (len(state.rngs), 1, 1))
+
+    def update(self, state, scales, proposal=None):
+        x = state.x[:, self.comps]
+        if proposal is None:
+            z = self._normals(state)
+            if self.chol is not None:  # elementwise products, so a chain's step is its own alone
+                z = (self.chol * z[:, None, :]).sum(axis=2)
+            x_new = x + scales * z
+        else:
+            center, factor, inverse = proposal
+            t = np.array([rng.standard_t(_T_DF, self.z.shape[1]) for rng in state.rngs])
+            x_new = center + (factor * t[:, None, :]).sum(axis=2)
+            u = (inverse * (x - center)[:, None, :]).sum(axis=2)
+            q_ratio = _row_sums(_log_t_kernel(u) - _log_t_kernel(t))
+        if self.whole:
+            v_new = self.maps[0][2](x_new)
+        else:
+            v_new = x_new.copy() if self.maps else x_new
+            for i, _, to_nat, _ in self.maps:
+                v_new[:, i] = to_nat(x_new[:, i])
+        jacs = [log_jac(x_new[:, i]) for i, _, _, log_jac in self.maps]
+        theta = self._proposed(state, v_new)
+        terms_new = [log_density(theta) for _, log_density in self.terms]
+        if self.cols is None:
+            new, cached = state.model.level_log_prior(theta), state.level_terms
+        else:
+            new, cached = state._contributions(state._row_params(theta, self.cols)), state.contribs
+        changes = [t - state.terms[:, k] for (k, _), t in zip(self.terms, terms_new)]
+        changes.append(_row_sums(new - cached))
+        log_ratio = sum(changes[1:], changes[0])
+        for (_, j, _, _), jac in zip(self.maps, jacs):
+            log_ratio = log_ratio + (jac - state.jac[:, j])
+        if proposal is not None:
+            log_ratio = log_ratio + q_ratio
+        accept = log_ratio >= 0.0
+        undecided = (~accept).nonzero()[0]
+        if len(undecided):
+            u = np.array([state.rngs[c].random() for c in undecided])
+            accept[undecided] = np.log(u) < log_ratio[undecided]
+        flags = accept[:, None]
+        self._commit(state, flags, x_new, v_new)
+        for (_, j, _, _), jac in zip(self.maps, jacs):
+            np.copyto(state.jac[:, j], jac, where=accept)
+        for (k, _), t in zip(self.terms, terms_new):
+            np.copyto(state.terms[:, k], t, where=accept)
+        np.copyto(cached, new, where=flags)
+        return flags
+
+
 class _ChainBatch:
     """Mutable sampler state of every chain of a batch, as arrays.
 
@@ -341,22 +468,26 @@ class _ChainBatch:
     ``values`` (the observed outcomes, with the latents in the censored
     rows in DINTERVAL mode) are (chains, rows), over the dataset's columns
     ``cols``.  All stay in sync with the current parameters and latents.
-    ``rngs`` holds one generator per chain and ``groups`` each distinct
-    model of ``chain_models`` (whose ``row_params`` each chain reads) with
-    the mask of its chains; the rest is read from ``model``, whose
-    ``layout_key`` they share.  ``blocks`` lists the Metropolis blocks of a
-    sweep in component order: the model's levels form one block at the
+    ``rngs`` holds one generator per chain.  ``model`` and ``chain_models``
+    (the model of each chain) share a ``layout_key``, so they differ at
+    most in their link: ``links`` is None when every chain's row
+    parameters are those of ``chain_models[0]``, else the chains of each
+    link.  ``blocks`` lists the Metropolis steps of a sweep in component
+    order, each built once: the model's levels as a ``_LevelStep`` at the
     position of the first level, the other components that reach the rows
-    one block at the position of the first of them (a joint block when
-    they are two or more), and each component in ``level_reads`` a block
-    of its own.
+    as one ``_GroupStep`` at the position of the first of them (a joint
+    block when they are two or more) and each component in ``level_reads``
+    as a hyper step, a ``_GroupStep`` that reaches no row.
     """
 
     def __init__(self, model, data, mode, rngs, chain_models):
         self.model = model
-        # Each distinct model once, with the mask of the chains that read it.
-        distinct = {id(m): m for m in chain_models}.values()
-        self.groups = [(m, np.array([c is m for c in chain_models])) for m in distinct]
+        self.row_model = chain_models[0]
+        by_link = {}
+        if any(m is not self.row_model for m in chain_models):
+            for c, m in enumerate(chain_models):
+                by_link.setdefault(m.link, []).append(c)
+        self.links = list(by_link.items()) if len(by_link) > 1 else None
         self.family = model.family
         self.mode = mode
         self.rngs = rngs
@@ -373,14 +504,16 @@ class _ChainBatch:
         for j in range(self.n_params):
             if j in levels:
                 if j == levels[0]:
-                    self.blocks.append(self._level_block(levels))
+                    self.blocks.append(_LevelStep(self, slice(j, levels[-1] + 1)))
             elif j not in reaching:
-                self.blocks.append(self._single_block(j))
+                self.blocks.append(_GroupStep(self, slice(j, j + 1), rows=False))
             elif j == reaching[0]:
-                self.blocks.append(self._reaching_block(reaching))
+                # Two or more reach the rows only without level_reads: then
+                # they are every component before the levels.
+                self.blocks.append(_GroupStep(self, slice(j, reaching[-1] + 1),
+                                              joint=len(reaching) > 1))
 
         n_chains = len(rngs)
-        self._chain_index = np.arange(n_chains)[:, None]
         self.values = np.tile(cols.value, (n_chains, 1))
         self.x = np.empty((n_chains, self.n_params))
         self.v = np.empty((n_chains, self.n_params))
@@ -390,47 +523,6 @@ class _ChainBatch:
         self.level_terms = np.empty((n_chains, len(levels)))
         self.censored_log_mass = np.zeros((n_chains, len(self.censored_rows)))
 
-    def _single_block(self, j: int) -> _Block:
-        cols = None if j in self.model.level_reads else self.cols
-        terms = tuple(k for k, term in enumerate(self.model.prior_terms) if j in term.reads)
-        levels = j in self.model.levels + self.model.level_reads
-        return _Block(j, _TRANSFORMS[self.supports[j]], cols, None, terms, levels)
-
-    def _reaching_block(self, comps: list[int]) -> _Block:
-        """One block for the components beside the levels that reach every
-        row, so a sweep scores the rows for them once: a block of one for a
-        single component, else a joint block.  Its components share one
-        proposal and accept: the log ratio sums the prior terms that read
-        any of them and each one's log Jacobian.  Each chain's proposal
-        factor starts at the identity."""
-        if len(comps) == 1:
-            return self._single_block(comps[0])
-        supports = [self.supports[j] for j in comps]
-        if set(supports) == {"real"}:
-            transform = _TRANSFORMS["real"]
-        else:
-            transform = (None, lambda x: _columnwise(1, x, supports),
-                         lambda x: _columnwise(2, x, supports))
-        terms = tuple(k for k, term in enumerate(self.model.prior_terms)
-                      if set(term.reads) & set(comps))
-        chol = np.tile(np.eye(len(comps)), (len(self.rngs), 1, 1))
-        # Two or more reach the rows only without level_reads: then they are
-        # every component before the levels.
-        comps = slice(comps[0], comps[-1] + 1)
-        return _Block(comps, transform, self.cols, None, terms, False, chol)
-
-    def _level_block(self, levels: tuple[int, ...]) -> _Block:
-        """One block for the model's levels, which reaches every row: row i
-        belongs to the level of its code in the model's index column.
-        Moving the levels together keeps the target because, given the
-        other components, their priors factorize (``level_log_prior``), no
-        other prior term reads them and a row has one code, so no row
-        depends on two levels; ``Model`` builds table entries only, whose
-        levels are the trailing components on one support."""
-        owner = self.cols.codes(self.model.index_col, len(levels))
-        comps = slice(levels[0], levels[0] + len(levels))
-        return _Block(comps, _TRANSFORMS[self.supports[levels[0]]], self.cols, owner, (), True)
-
     # -- contribution bookkeeping ------------------------------------------
     def _row_params(self, theta, block) -> tuple[np.ndarray, ...]:
         """Family parameters of ``block`` at each chain's row of ``theta``,
@@ -438,21 +530,16 @@ class _ChainBatch:
         from its own model.  Each chain enters ``row_params`` as a stack of
         one, so a model's matrix products are matrix-vector products per
         chain and a chain's terms do not depend on which chains share the
-        batch."""
+        batch.  Link variants compute their ``linear_predictor`` once, then
+        each chain's link: elementwise, so a chain's values are its own."""
         theta = theta[:, None, :]
-        if len(self.groups) == 1:
-            return self.groups[0][0].row_params(theta, block)
-        parts = [(mine, model.row_params(theta[mine], block)) for model, mine in self.groups]
-        out = []
-        for fields in zip(*(params for _, params in parts)):
-            if all(f is fields[0] for f in fields):
-                out.append(fields[0])  # data alone: the columns' cached trials
-                continue
-            field = np.empty((len(theta), 1, len(block)))
-            for (mine, _), f in zip(parts, fields):
-                field[mine] = f
-            out.append(field)
-        return tuple(out)
+        if self.links is None:
+            return self.row_model.row_params(theta, block)
+        trials, eta = self.model.linear_predictor(theta, block)
+        prob = np.empty(eta.shape)
+        for link, chains in self.links:
+            prob[chains] = link_invert_v(link, eta[chains])
+        return trials, prob
 
     def _contributions(self, params) -> np.ndarray:
         """(chains, rows) contributions of every row from its ``params``."""
@@ -513,97 +600,6 @@ class _ChainBatch:
         self.jac[ok] = _columnwise(2, self.x, self.supports)[ok]
         return ok
 
-    # -- updates --------------------------------------------------------------
-    def update_block(self, block: _Block, scales, proposal=None):
-        """One random-walk Metropolis step of every chain for ``block``;
-        returns the accept flag of each component: (chains,) for a single
-        component, (chains, levels) for levels and (chains, 1) for a joint
-        block.
-
-        A single component or a joint block is scored by the change of the
-        prior terms that read it (the level terms summed) and, unless it
-        reaches no row, of the summed contributions.  Levels are scored per
-        level, from one proposal per level and one likelihood call: the
-        change of each level's term plus its rows' contributions summed by
-        owner.  A joint block proposes ``scales * (chol_c @ z_c)`` from one
-        standard normal d-vector ``z_c``; given an independence ``proposal``
-        (center, factor, inverse), it proposes center_c + factor_c t_c from
-        d Student t draws t_c instead, and its log ratio gains log q(x) -
-        log q(y) of that fixed proposal density q.  A chain draws its
-        normals (or t draws) from its own generator, and its uniforms only
-        when some log ratio of its own is below 0.  A proposal outside the
-        prior's support has log ratio -inf (or NaN) and is rejected.
-        """
-        comps, (_, to_nat, log_jac), cols, owner, terms, levels, chol = block
-        size = None if owner is None else scales.shape[-1]
-        if chol is None:
-            z = np.array([rng.standard_normal(size) for rng in self.rngs])
-            x_new = self.x[:, comps] + scales * z
-        elif proposal is None:  # elementwise products, so a chain's step is its own alone
-            z = np.array([rng.standard_normal(chol.shape[-1]) for rng in self.rngs])
-            x_new = self.x[:, comps] + scales * (chol * z[:, None, :]).sum(axis=2)
-        else:
-            center, factor, inverse = proposal
-            t = np.array([rng.standard_t(_T_DF, chol.shape[-1]) for rng in self.rngs])
-            x_new = center + (factor * t[:, None, :]).sum(axis=2)
-            u = (inverse * (self.x[:, comps] - center)[:, None, :]).sum(axis=2)
-            q_ratio = _row_sums(_log_t_kernel(u) - _log_t_kernel(t))
-        v_new = to_nat(x_new)
-
-        theta_prop = self.v.copy()
-        theta_prop[:, comps] = v_new
-        terms_new = [self.model.prior_terms[k].log_density(theta_prop) for k in terms]
-        changes = [new - self.terms[:, k] for k, new in zip(terms, terms_new)]
-        if levels:
-            levels_new = self.model.level_log_prior(theta_prop)
-            change = levels_new - self.level_terms
-            changes.append(change if owner is not None else _row_sums(change))
-        log_ratio = sum(changes[1:], changes[0])
-        if cols is not None:
-            new_contribs = self._contributions(self._row_params(theta_prop, cols))
-            change = new_contribs - self.contribs
-            if owner is None:
-                log_ratio = log_ratio + _row_sums(change)
-            else:
-                log_ratio = log_ratio + self._level_sums(owner, change, size)
-        if log_jac is not _ZERO_JACOBIAN:
-            jac_new = log_jac(x_new)
-            change = jac_new - self.jac[:, comps]
-            log_ratio = log_ratio + (change if chol is None else _row_sums(change))
-
-        if proposal is not None:
-            log_ratio = log_ratio + q_ratio
-
-        accept = log_ratio >= 0.0
-        undecided = np.flatnonzero(~accept if owner is None else ~accept.all(axis=1))
-        if len(undecided):
-            # log u < 0 <= log_ratio keeps every level accepted above.
-            u = np.array([self.rngs[c].random(size) for c in undecided])
-            accept[undecided] = np.log(u) < log_ratio[undecided]
-        flags = accept if chol is None else accept[:, None]
-        np.copyto(self.x[:, comps], x_new, where=flags)
-        np.copyto(self.v[:, comps], v_new, where=flags)
-        if log_jac is not _ZERO_JACOBIAN:
-            np.copyto(self.jac[:, comps], jac_new, where=flags)
-        for k, new in zip(terms, terms_new):
-            np.copyto(self.terms[:, k], new, where=accept)
-        kept = accept[:, None] if owner is None else accept
-        if levels:
-            np.copyto(self.level_terms, levels_new, where=kept)
-        if cols is not None:
-            moved = kept if owner is None else accept[:, owner]
-            np.copyto(self.contribs, new_contribs, where=moved)
-        return flags
-
-    def _level_sums(self, owner, contribs, n_levels) -> np.ndarray:
-        """(chains, levels) sums of each chain's contributions by owner level,
-        each bin added in row order as in a one-chain ``np.bincount``."""
-        n_chains = len(self.rngs)
-        bins = owner + n_levels * self._chain_index
-        return np.bincount(
-            bins.ravel(), contribs.ravel(), n_chains * n_levels
-        ).reshape(n_chains, n_levels)
-
     def refresh_latents(self, sweep: int) -> None:
         """Draw every chain's latents at its current parameters, one uniform
         per censored row in row order from its generator: ``_draw`` of the
@@ -636,7 +632,7 @@ class _ChainBatch:
         Fills the kept draws (chains, n_keep, params), monitored deviances
         and exact deviances (chains, n_keep), as :func:`_kept_arrays`
         allocates them.  The exact deviance is the monitored one less twice
-        the sum of ``censored_log_mass``, which stays zero in EXACT mode.
+        the sum of ``censored_log_mass``: in EXACT mode the monitored one.
         Returns the kept-phase acceptance rates (chains, params).
 
         A joint block's scale adapts toward ``JOINT_TARGET_ACCEPTANCE``, the
@@ -671,9 +667,9 @@ class _ChainBatch:
                 proposal = _independence_proposal(joint.chol, scales[:, joint.comps.start],
                                                   center)
             independent = proposal is not None and (sweep - config.burn_in) % 2
-            for block in self.blocks:
-                accepts[:, block.comps] += self.update_block(
-                    block, scales[:, block.comps], proposal if block is joint and independent
+            for step in self.blocks:
+                accepts[:, step.comps] += step.update(
+                    self, scales[:, step.comps], proposal if step is joint and independent
                     else None)
             if self.mode is LikelihoodMode.DINTERVAL:
                 self.refresh_latents(sweep)
@@ -706,8 +702,10 @@ class _ChainBatch:
                     )
                 draws[:, kept] = self.v
                 devs[:, kept] = dev
-                exact_devs[:, kept] = dev - 2.0 * _row_sums(self.censored_log_mass)
-
+                if self.mode is LikelihoodMode.DINTERVAL:
+                    exact_devs[:, kept] = dev - 2.0 * _row_sums(self.censored_log_mass)
+        if self.mode is LikelihoodMode.EXACT:
+            exact_devs[:] = devs
         return kept_accepts / (config.n_keep * config.thin)
 
 
@@ -743,7 +741,7 @@ def run(
     for named in models:
         if named is not model and named.layout_key != model.layout_key:
             raise SchemaError(f"{named.label} and {model.label} differ in more than "
-                              "row_params, so they cannot share a chain batch")
+                              "their link, so they cannot share a chain batch")
     draws, devs, exact_devs = _kept_arrays(config, len(model.params))
     rngs = [
         np.random.default_rng(child)

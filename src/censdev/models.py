@@ -31,11 +31,12 @@ its entry, once, the surface the sampler and the selection layer drive:
 * ``index_col``: the covariate column whose code on a row names the level
   that row reads; the levels aside, a component reaches every row, or none
   if it is in ``level_reads``;
-* ``layout_key``: what the sampler reads of the model beside ``row_params``
-  (family, parameters and supports, levels and ``level_reads``, index
-  column, pooling and hyperparameters).  Models with equal keys, such as
-  D, E and F on one dataset, differ only in ``row_params``, so their chains
-  can share one sampler state.
+* ``layout_key``: all of the model but its link (family, parameters and
+  supports, levels and ``level_reads``, index and covariate columns,
+  pooling and hyperparameters).  Models with equal keys, such as D, E and
+  F on one dataset, differ only in the link of ``row_params``, so their
+  chains can share one sampler state, which computes their
+  ``linear_predictor`` once.
 
 The entries:
 
@@ -220,10 +221,12 @@ def _normal_log_prior(precision):
     return lambda x: const - 0.5 * precision * (x * x)
 
 
-def _beta_log_prior(x, alpha, beta):
-    """Beta(alpha, beta) log density at ``x``, elementwise; -inf off (0, 1)."""
+def _beta_log_prior(x, alpha, beta, log_norm=None):
+    """Beta(alpha, beta) log density at ``x``, elementwise; -inf off (0, 1).
+    Fixed shapes pass their ``log_norm``, log B(alpha, beta), computed once."""
     inside = (x > 0.0) & (x < 1.0)
-    out = sc.xlogy(alpha - 1.0, x) + sc.xlog1py(beta - 1.0, -x) - sc.betaln(alpha, beta)
+    log_norm = sc.betaln(alpha, beta) if log_norm is None else log_norm
+    out = sc.xlogy(alpha - 1.0, x) + sc.xlog1py(beta - 1.0, -x) - log_norm
     return np.where(inside, out, _NEG_INF)
 
 
@@ -316,7 +319,9 @@ class Model:
         self.level_reads = {"beta-hyper": (0, 1), "normal-hyper": (1,)}.get(spec.pooling, ())
 
         scale = hyper.get("half_cauchy_scale")
-        self._shapes = hyper.get("beta_shapes")
+        # The Beta prior's shapes and their log B, computed once.
+        shapes = hyper.get("beta_shapes")
+        self._beta = None if shapes is None else (*shapes, sc.betaln(*shapes))
         last = len(self.params) - 1
         if spec.family is Exponential:
             self._group_col = self.covariate_cols[0]
@@ -329,13 +334,14 @@ class Model:
         else:  # A: the mean's term; B, G: level terms only; C, D/E/F: mean and scale
             mean = (_term(0, _normal_log_prior(hyper["mean_precision"]))
                     if spec.pooling == "normal-hyper"
-                    else _term(0, _beta_log_prior, *self._shapes))
+                    else _term(0, _beta_log_prior, *self._beta))
             terms = ([mean, _term(1, _half_cauchy_log_prior(scale))] if self.level_reads
                      else [] if spec.index else [mean])
             self._row_params = self._probability
         self.prior_terms = tuple(terms)
         self.layout_key = (spec.family, self.params, self.levels, self.level_reads,
-                           self.index_col, spec.pooling, tuple(sorted(hyper.items())))
+                           self.index_col, self.covariate_cols, spec.pooling,
+                           tuple(sorted(hyper.items())))
 
     def check_theta(self, theta) -> np.ndarray:
         """``theta`` as floats: one parameter vector or a (K, n_params) stack."""
@@ -377,7 +383,7 @@ class Model:
         _MIN_SCALE)."""
         levels = theta[..., self._first_level:]
         if not self.level_reads:
-            return _beta_log_prior(levels, *self._shapes)
+            return _beta_log_prior(levels, *self._beta)
         mu, scale = theta[..., 0:1], theta[..., 1:2]
         # At or below _MIN_SCALE, 1/scale^2 is 1e300 or more (inf at zero or
         # when the square underflows) and the terms can turn NaN; a stand-in
@@ -405,13 +411,18 @@ class Model:
         return mean, 1.0 / (sigma * sigma)
 
     def _probability(self, theta, cols):
-        if self.index_col is None:
-            p = theta[..., 0:1]
-        else:
-            p = theta[..., self._first_level:][..., cols.codes(self.index_col, self.n_levels)]
+        trials, p = self.linear_predictor(theta, cols)
         if self.link != "identity":  # link_invert_v applies the same clamp
-            return cols.positive_trials(), link_invert_v(self.link, theta[..., 0:1] + p)
-        return cols.positive_trials(), clamp_probability_v(p)
+            return trials, link_invert_v(self.link, p)
+        return trials, clamp_probability_v(p)
+
+    def linear_predictor(self, theta, cols):
+        """(trials, predictor) of every row of ``cols``: a Binomial model's
+        ``row_params`` before its link, mu + delta_code under a link other
+        than the identity, the same for every model of its ``layout_key``."""
+        p = (theta[..., 0:1] if self.index_col is None
+             else theta[..., self._first_level:][..., cols.codes(self.index_col, self.n_levels)])
+        return cols.positive_trials(), p if self.link == "identity" else theta[..., 0:1] + p
 
 
 # ---------------------------------------------------------------------------

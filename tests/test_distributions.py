@@ -6,15 +6,20 @@ are checked against these references elsewhere."""
 
 import math
 from math import comb, inf, log
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 from scipy.stats import kstest
 
+from censdev.datasets import synthetic_ae_dataset
+from censdev.distributions import PROB_CLAMP, _TAIL_FLOOR, _log_beta_tail, _log_between
+from censdev.distributions import Binomial as BinomialKernels
 from censdev.exceptions import BoundOrderError, DegenerateRegionError, ParameterError
+from conftest import make_dataset
 from oracle import (
     BoundaryError,
     Binomial,
@@ -321,3 +326,91 @@ class TestKL:
         assert bernoulli_log_prob(0, 0.25) == pytest.approx(log(0.75))
         assert bernoulli_kl(0.3, 0.3) == 0.0
         assert bernoulli_kl(0.3, 0.6) > 0.0
+
+
+def _masked_points(y, n):
+    """The data-only terms of the Binomial kernels at points ``y`` taken as
+    they stand: NaN outcomes of censored rows and infinite bounds included."""
+    with np.errstate(all="ignore"):
+        m = np.floor(y)
+        return SimpleNamespace(
+            y=y, n=n, m=m, n_minus_y=n - y,
+            log_comb=special.gammaln(n + 1) - special.gammaln(y + 1) - special.gammaln(n - y + 1),
+            support=(y == m) & (y >= 0) & (y <= n), inside=(m >= 0) & (m < n))
+
+
+def _masked_tail(pts, prob_tail, below_value, above_value, prob, lower):
+    out = np.where(pts.inside, np.log(np.minimum(prob_tail, 1.0)),
+                   np.where(pts.m < 0, below_value, above_value))
+    tail = (prob_tail <= _TAIL_FLOOR) & pts.inside
+    if tail.any():
+        out = np.array(out, dtype=float)
+        m, n, p = (np.broadcast_to(x, out.shape)[tail] for x in (pts.m, pts.n, prob))
+        out[tail] = (_log_beta_tail(n - m, m + 1.0, 1.0 - p, np.log1p(-p), np.log(p)) if lower
+                     else _log_beta_tail(m + 1.0, n - m, p, np.log(p), np.log1p(-p)))
+    return out
+
+
+def _masked_log_contrib(cols, trials, prob):
+    """``Binomial.log_contrib`` as it was before its point memo held 0 on the
+    rows that do not read a point: every point as it stands, and the rows
+    outside the support masked in each kernel."""
+    value, hi, lo = (_masked_points(y, trials) for y in (cols.value, cols.hi,
+                                                         np.ceil(cols.lo) - 1.0))
+
+    def log_cdf(pts):
+        cdf = special.betainc(pts.n - pts.m, pts.m + 1, 1.0 - prob)
+        return _masked_tail(pts, cdf, -inf, 0.0, prob, lower=True)
+
+    def log_sf(pts):
+        sf = special.betainc(pts.m + 1, pts.n - pts.m, prob)
+        return _masked_tail(pts, sf, 0.0, -inf, prob, lower=False)
+
+    log_pmf = (value.log_comb + special.xlogy(value.y, prob)
+               + special.xlog1py(value.n_minus_y, -prob))
+    out = np.where(value.support, log_pmf, -inf)
+    out = np.where(cols.below, log_cdf(hi), out)
+    out = np.where(cols.above, log_sf(lo), out)
+    return np.where(cols.between, _log_between(log_cdf(hi), log_sf(hi), log_cdf(lo), log_sf(lo)),
+                    out)
+
+
+class TestBinomialPointMemo:
+    """``Binomial.log_contrib`` evaluates its kernels on points that hold 0
+    on the rows whose branch does not read them, without support masks
+    where every row that reads a point is inside the support; each row's
+    value stays bit for bit that of the masked formula."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_log_contrib_equals_the_masked_formula_bit_for_bit(self, seed):
+        """Blocks of all four censor kinds, some bounds outside [0, trials),
+        trials up to 800, p from 1e-12 to 1 - 1e-12 (far enough out that the
+        log-space tail runs) and a leading chain axis."""
+        rng = np.random.default_rng(seed)
+        trials = rng.integers(1, 801, 80)
+        specs = []
+        for n, kind in zip(trials.tolist(), rng.integers(0, 4, len(trials)).tolist()):
+            a, b = sorted(rng.integers(-3, n + 4, 2).tolist())
+            specs.append([("none", float(rng.integers(0, n + 1))), ("left", float(b)),
+                          ("right", float(a)), ("interval", float(a), b + 1.0)][kind])
+        cols = make_dataset(specs, trials=trials.tolist()).columns
+        assert all(mask is not None for mask in (cols.observed, cols.below, cols.above,
+                                                 cols.between))
+        log_q = math.log(PROB_CLAMP) * rng.uniform(size=(3, 1, len(trials)))
+        prob = np.where(rng.uniform(size=log_q.shape) < 0.5, np.exp(log_q), -np.expm1(log_q))
+        with np.errstate(all="ignore"):
+            got = BinomialKernels.log_contrib(cols, cols.positive_trials(), prob)
+            want = _masked_log_contrib(cols, cols.trials, prob)
+        assert got.shape == (3, 1, len(trials))
+        assert got.tobytes() == want.tobytes()
+        assert (want < math.log(_TAIL_FLOOR)).any()
+        # Rows that read a bound outside the support still need the masks.
+        _, hi, lo_left = BinomialKernels._points(cols, (cols.positive_trials(),))
+        assert not hi.all_inside and not lo_left.all_inside
+
+    def test_the_ae_block_needs_no_mask(self):
+        """On the synthetic AE data (observed counts and left-censored ones
+        below their cutoffs) every point a row reads is in the support."""
+        cols = synthetic_ae_dataset(seed=1).columns
+        points = BinomialKernels._points(cols, (cols.positive_trials(),))
+        assert points[0].all_support and points[1].all_inside

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from censdev import ChainConfig, LikelihoodMode, aml_dataset, cli, mcmc, run
+from censdev import ChainConfig, LikelihoodMode, aml_dataset, cli, mcmc, models, run
 from censdev.cli import main
 from censdev.datasets import dataset_fingerprint, ingest, serialize, synthetic_ae_dataset
 from censdev.distributions import Binomial, Exponential, Normal
@@ -36,7 +36,7 @@ from censdev.mcmc import (
     split_rhat,
     summarize,
 )
-from censdev.models import MODELS, Model, Param, to_natural
+from censdev.models import MODELS, Model, Param, _columnwise, to_natural
 from censdev.selection import make_selection_report
 from conftest import (
     DuckModel,
@@ -617,17 +617,20 @@ class _Feed:
         self.uniforms = list(uniforms)
 
     @staticmethod
-    def _take(pool, size):
+    def _take(pool, size, out):
+        if out is not None:  # a buffer: as many as it holds, written into it
+            out[...] = _Feed._take(pool, out.size, None)
+            return out
         if size is None:
             return pool.pop(0)
         drawn, pool[:size] = np.array(pool[:size]), []
         return drawn
 
-    def standard_normal(self, size=None):
-        return self._take(self.normals, size)
+    def standard_normal(self, size=None, out=None):
+        return self._take(self.normals, size, out)
 
-    def random(self, size=None):
-        return self._take(self.uniforms, size)
+    def random(self, size=None, out=None):
+        return self._take(self.uniforms, size, out)
 
 
 class TestLevelBlocks:
@@ -637,8 +640,10 @@ class TestLevelBlocks:
 
     @pytest.mark.parametrize("variant", ["D", "G"])
     def test_block_step_equals_single_site_steps(self, ae, variant):
-        """One blocked step and the level-by-level single-site steps, fed the
-        same increments and uniforms, take the same decisions and states."""
+        """One blocked step and the level-by-level single-site Metropolis
+        steps on the log posterior, fed the same increments and uniforms,
+        take the same decisions and reach the same state, whose cached
+        terms and contributions are those of its parameters."""
         model = Model(MODELS[variant], ae)
         state = _ChainBatch(model, ae, LikelihoodMode.EXACT, [np.random.default_rng(3)], [model])
         state.initialize()
@@ -651,21 +656,35 @@ class TestLevelBlocks:
 
         blocked = copy.deepcopy(state)
         blocked.rngs = [_Feed(z, u)]
-        (accept,) = blocked.update_block(block, scales[block.comps])
+        (accept,) = block.update(blocked, scales[block.comps])
 
-        single = copy.deepcopy(state)
+        cols, supports = ae.columns, model.supports
+
+        def log_posterior(x):
+            v = to_natural(x, supports)
+            contribs = model.family.log_contrib(cols, *model.row_params(v, cols))
+            return model.log_prior(v) + contribs.sum() + _columnwise(2, x, supports).sum()
+
+        x = state.x[0].copy()
         decisions = []
-        for k, j in enumerate(levels):
-            single.rngs = [_Feed([z[k]], [u[k]])]
-            (flag,) = single.update_block(single._single_block(j), scales[j])
-            decisions.append(bool(flag))
+        with np.errstate(all="ignore"):
+            for k, j in enumerate(levels):
+                proposal = x.copy()
+                proposal[j] += scales[j] * z[k]
+                log_ratio = log_posterior(proposal) - log_posterior(x)
+                decisions.append(bool(log_ratio >= 0.0 or math.log(u[k]) < log_ratio))
+                if decisions[-1]:
+                    x = proposal
+            v = to_natural(x, supports)
+            contribs = model.family.log_contrib(cols, *model.row_params(v, cols))
 
         assert accept.tolist() == decisions
         assert 0 < sum(decisions) < len(levels)
-        for name in ("x", "v", "jac", "contribs", "terms", "level_terms"):
-            np.testing.assert_allclose(
-                getattr(blocked, name), getattr(single, name), rtol=1e-12, err_msg=name
-            )
+        for name, want in (("x", x), ("v", v), ("jac", _columnwise(2, x, supports)),
+                           ("contribs", contribs),
+                           ("terms", [term.log_density(v) for term in model.prior_terms]),
+                           ("level_terms", model.level_log_prior(v))):
+            np.testing.assert_allclose(getattr(blocked, name)[0], want, rtol=1e-12, err_msg=name)
 
     def test_saturated_posterior_means_match_closed_form(self, ae):
         """G's study incidences against Beta(1+y, 1+n-y) on observed rows and
@@ -734,6 +753,45 @@ class TestLevelBlocks:
         assert joint.pop("survival-exponential") == [("b0", "b1")]
         assert joint.pop("censored-normal-glm") == [("intercept", "beta0", "beta1", "sigma")]
         assert all(blocks == [] for blocks in joint.values())
+
+    STEP_KINDS = {
+        "survival-exponential": [("joint", "b0")],
+        "A": [("group", "p_pool")],
+        "B": [("levels", "p_class0")],
+        "C": [("hyper", "mu"), ("hyper", "spread"), ("levels", "p_drug0")],
+        **{v: [("group", "mu"), ("hyper", "sigma"), ("levels", "delta_drug0")] for v in "DEF"},
+        "G": [("levels", "p_study0")],
+        "censored-normal-glm": [("joint", "intercept")],
+    }
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_each_block_is_built_as_its_step_kind(self, name):
+        """Levels are a level step, a component in ``level_reads`` a hyper
+        step (a group step that reaches no row), and the other components
+        one group step, joint when they are two or more.  Each step
+        re-scores the prior terms that read its components, and maps to the
+        natural scale only those off the real line (the GLM's intercept,
+        beta0 and beta1 are not mapped)."""
+        model, data = _entry_case(name)
+        state = _ChainBatch(model, data, LikelihoodMode.EXACT, [np.random.default_rng(1)],
+                            [model])
+        got = []
+        for step in state.blocks:
+            kind = ("levels" if type(step) is mcmc._LevelStep
+                    else "group" if step.cols is not None else "hyper")
+            comps = list(range(len(model.params)))[step.comps]
+            got.append(("joint" if step.chol is not None else kind, model.param_names[comps[0]]))
+            assert (step.cols is None) == (kind == "hyper")
+            assert (step.owner is not None) == (kind == "levels")
+            assert [k for k, _ in step.terms] == [
+                k for k, term in enumerate(model.prior_terms) if set(term.reads) & set(comps)]
+            if kind == "levels":
+                assert step.transform == (None if model.supports[comps[0]] == "real"
+                                          else models._TRANSFORMS[model.supports[comps[0]]][1:])
+            else:
+                assert [j for _, j, _, _ in step.maps] == [
+                    j for j in comps if model.supports[j] != "real"]
+        assert got == self.STEP_KINDS[name]
 
 
 def _glm_log_posterior(data, intercept, slope, log_sigma):
@@ -841,7 +899,10 @@ class TestJointBlock:
         while chain 0's is learned."""
 
         class Stuck:
-            def standard_normal(self, size=None):
+            def standard_normal(self, size=None, out=None):
+                if out is not None:
+                    out[...] = 1e3
+                    return out
                 return np.full(size, 1e3)
 
             def standard_t(self, df, size=None):
@@ -872,15 +933,15 @@ class TestJointBlock:
         once, at the first of them."""
         model, data, mode = _batch_case(case)
         factors, proposals = [], []
-        update_block = _ChainBatch.update_block
+        update = mcmc._GroupStep.update
 
-        def recording(self, block, scales, proposal=None):
-            if block.chol is not None:
-                factors.append(block.chol.copy())
+        def recording(self, state, scales, proposal=None):
+            if self.chol is not None:
+                factors.append(self.chol.copy())
                 proposals.append(proposal)
-            return update_block(self, block, scales, proposal)
+            return update(self, state, scales, proposal)
 
-        monkeypatch.setattr(_ChainBatch, "update_block", recording)
+        monkeypatch.setattr(mcmc._GroupStep, "update", recording)
         config = ChainConfig(n_chains=2, burn_in=60, n_keep=40, adapt_window=20, seed=8)
         run_one(model, data, mode, config)
         assert len(factors) == config.total_iterations

@@ -140,3 +140,25 @@ def test_kernels_load_it_on_first_use_and_match_scipy_bit_for_bit(fresh):
     assert fresh["normal_loads"]
     assert fresh["normal_bit_equal"]
     assert fresh["binomial_bit_equal"]
+
+
+AE_SCRIPT = r"""
+import sys
+import censdev.cli
+from censdev.datasets import serialize, synthetic_ae_dataset
+
+text = serialize(synthetic_ae_dataset(seed=1))
+assert text.startswith("outcome,"), text[:40]
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_writing_the_ae_dataset_never_imports_scipy():
+    """The ``ae-compare`` benchmark's set-up: import the CLI, then write the
+    synthetic AE dataset; no scipy module is loaded."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])))
+    proc = subprocess.run([sys.executable, "-c", AE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
