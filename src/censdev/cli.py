@@ -55,6 +55,10 @@ DEMO_CHAINS = {
 # Characters of samples-CSV text parsed per block (a few thousand rows).
 _CSV_BLOCK = 1 << 18
 
+# The keys a config of each command may hold.
+FIT_KEYS = ("dataset", "model", "mode", "chains", "label", "output_dir")
+COMPARE_KEYS = ("dataset", "models", "variants", "chains", "output_dir")
+
 
 def _fmt(x) -> str:
     return repr(float(x))
@@ -86,6 +90,8 @@ def _output_dir(value) -> Path:
     relative."""
     root = os.environ.get(OUTPUT_ROOT_ENV)
     path = Path(_string('"output_dir"', value))
+    if "\0" in value:  # no file name holds one
+        raise ValidationError(f'"output_dir" cannot name a directory: {value!r} holds a NUL')
     if root and not path.is_absolute():
         path = Path(root) / path
     return path
@@ -93,9 +99,9 @@ def _output_dir(value) -> Path:
 
 def _load_dataset(config: dict, base_dir: Path) -> tuple[CensoredDataset, str]:
     spec = config.get("dataset")
-    if not isinstance(spec, str) or not spec:
+    if not isinstance(spec, str) or not spec or "\0" in spec:
         raise ValidationError(
-            'config needs a "dataset": a file path or "bundled:aml"'
+            'config needs a "dataset": a file path, which holds no NUL, or "bundled:aml"'
         )
     if spec == "bundled:aml":
         return aml_dataset(), spec
@@ -105,12 +111,18 @@ def _load_dataset(config: dict, base_dir: Path) -> tuple[CensoredDataset, str]:
     return ingest(path), str(path)
 
 
+def _check_keys(where: str, obj: dict, allowed) -> None:
+    """Raise ValidationError naming the keys of ``obj`` outside ``allowed``."""
+    unknown = set(obj) - set(allowed)
+    if unknown:
+        raise ValidationError(
+            f"unknown keys in {where}: {sorted(unknown)}; allowed: {sorted(allowed)}")
+
+
 def _chain_config(section: dict) -> ChainConfig:
     if not isinstance(section, dict):
         raise ValidationError('"chains" must be a JSON object')
-    unknown = set(section) - {field.name for field in dataclasses.fields(ChainConfig)}
-    if unknown:
-        raise ValidationError(f"unknown chain settings: {sorted(unknown)}")
+    _check_keys('"chains"', section, [field.name for field in dataclasses.fields(ChainConfig)])
     return ChainConfig(**section)
 
 
@@ -140,13 +152,8 @@ def _build_model(section: dict, data: CensoredDataset) -> Model:
     if not specs:
         raise ValidationError(f"unknown model family {family!r}")
     spec = next(iter(specs.values()))
-    allowed = {"family", "label", "hyperparameters", *_section_keys(family)}
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValidationError(
-            f"unknown keys in a {family} model section: {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
+    _check_keys(f"a {family} model section", section,
+                {"family", "label", "hyperparameters", *_section_keys(family)})
     if len(specs) > 1:
         variant = _string('"variant"', section.get("variant", spec.name)).upper()
         if variant not in specs:
@@ -344,6 +351,7 @@ def _fit(config: dict, config_dir: Path) -> tuple[dict, Path]:
     computed before the first file is written, so a fit that fails writes
     no file.
     """
+    _check_keys("a fit config", config, FIT_KEYS)
     data, dataset_src = _load_dataset(config, config_dir)
     section = config.get("model", {})
     model = _build_model(section, data)
@@ -415,6 +423,7 @@ def _model_sections(config: dict) -> list[dict]:
 
 
 def cmd_compare(config: dict, config_dir: Path) -> int:
+    _check_keys("a compare config", config, COMPARE_KEYS)
     data, dataset_src = _load_dataset(config, config_dir)
     chains = _chain_config(config.get("chains", {}))
     sections = _model_sections(config)

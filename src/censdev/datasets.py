@@ -49,6 +49,10 @@ CENSOR_KINDS = ("none", "left", "right", "interval")
 AE_COVARIATES = ("drug", "drug_class", "study")
 # Five drugs in two mechanism classes (two in class 0, three in class 1).
 DRUG_CLASSES = (0, 0, 1, 1, 1)
+# The synthetic AE data's incidence of a drug with no effect, and each
+# drug's effect on the logit scale.
+BASE_INCIDENCE = 0.025
+DRUG_EFFECTS = (-0.9, 0.7, -0.6, 0.2, 1.0)
 
 
 def _num(cell: str, line: int, column: str) -> float:
@@ -218,29 +222,23 @@ def aml_dataset() -> CensoredDataset:
     return parse_dataset(text)
 
 
-def synthetic_ae_dataset(
-    n_studies: int = 25,
-    seed: int = 20260801,
-    base_incidence: float = 0.025,
-    drug_effects: tuple[float, ...] = (-0.9, 0.7, -0.6, 0.2, 1.0),
-) -> CensoredDataset:
+def synthetic_ae_dataset(n_studies: int = 25, seed: int = 20260801) -> CensoredDataset:
     """Synthetic study-level adverse-event counts with reporting cutoffs.
 
     Each study tests one of five drugs; the true incidence sits on the logit
-    scale at logit(base_incidence) + drug effect.  A study reports its count
-    only when the count reaches its cutoff; smaller counts appear as
-    left-censored at cutoff - 1, the non-ignorable pattern of rare-event
-    reporting.
+    scale at logit(BASE_INCIDENCE) + the drug's entry of DRUG_EFFECTS.  A
+    study reports its count only when the count reaches its cutoff; smaller
+    counts appear as left-censored at cutoff - 1, the non-ignorable pattern
+    of rare-event reporting.
 
     The incidences are 1 / (1 + exp(-x)), computed with numpy so that
-    making the dataset does not load ``scipy.special``.  For the default
-    ``base_incidence`` and ``drug_effects`` they equal scipy's ``expit``
-    bit for bit; about 2% of other inputs differ from it in the last bit.
+    making the dataset does not load ``scipy.special``; they equal scipy's
+    ``expit`` bit for bit.
     """
     rng = np.random.default_rng(seed)
-    n_drugs = len(drug_effects)
-    base = math.log(base_incidence) - math.log1p(-base_incidence)
-    incidences = 1.0 / (1.0 + np.exp(-(base + np.asarray(drug_effects))))
+    n_drugs = len(DRUG_EFFECTS)
+    base = math.log(BASE_INCIDENCE) - math.log1p(-BASE_INCIDENCE)
+    incidences = 1.0 / (1.0 + np.exp(-(base + np.asarray(DRUG_EFFECTS))))
 
     kind, hi, value, trials, covariates = [], [], [], [], []
     for study in range(n_studies):

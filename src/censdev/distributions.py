@@ -333,8 +333,8 @@ class Binomial(Family):
                 top = np.where(narrows & (end < top) & over(end), end, top)
         while True:
             left = top - 1 - below  # counts strictly between; never overflows
-            if not (left > 0).any():
-                return top.astype(float)
+            if not (left > 0).any():  # in the draws' shape, though no step was taken
+                return np.broadcast_to(top, np.shape(log_u)).astype(float)
             mid = below + 1 + left // 2
             is_over = over(mid)
             top, below = np.where(is_over, mid, top), np.where(is_over, below, mid)
@@ -483,13 +483,13 @@ _LINKS = ("identity", "logit", "cloglog", "probit")
 
 
 def link_invert_v(link: LinkFunction, eta):
-    """Map a linear predictor back to a probability in (0, 1), elementwise;
-    the non-identity links clamp to the probability band, where saturation
-    would give exactly 0 or 1 for |eta| beyond about 37."""
+    """Map a linear predictor back to a probability in (0, 1), elementwise,
+    clamped to the probability band: saturation would give exactly 0 or 1
+    for |eta| beyond about 37, and an identity predictor may leave (0, 1)."""
     if link not in _LINKS:
         raise ParameterError(f"unknown link {link!r}; expected one of {_LINKS}")
     if link == "identity":
-        return eta
+        return clamp_probability_v(eta)
     if link == "logit":
         return clamp_probability_v(sc.expit(eta))
     if link == "cloglog":

@@ -67,11 +67,12 @@ class DataColumns:
     trial count, 0 where a row has none; ``covariates`` one row per
     observation.
 
-    The masks ``observed``, ``below`` (region (-inf, hi]), ``above``
-    ((lo, inf)) and ``between`` (both bounds finite) split the rows by the
-    branch ``Family.log_contrib`` takes for them; a mask is None when no
-    row takes that branch, so kernels skip it.  They are built with the
-    block, which the sampler's latent refresh reads every sweep.
+    ``censored`` marks the rows that are not observed.  The masks
+    ``observed``, ``below`` (region (-inf, hi]), ``above`` ((lo, inf)) and
+    ``between`` (both bounds finite) split the rows by the branch
+    ``Family.log_contrib`` takes for them; a mask is None when no row takes
+    that branch, so kernels skip it.  They are built with the block, which
+    the sampler's latent refresh reads every sweep.
     """
 
     def __init__(self, kind, lo, hi, value, trials, covariates, names=()):
@@ -82,9 +83,9 @@ class DataColumns:
         self.trials = trials
         self.covariates = covariates
         self.names = tuple(names)
-        observed = kind == KIND_OBSERVED
-        self.observed = observed if observed.any() else None
-        self.below, self.above, self.between = region_masks(lo, hi, ~observed)
+        self.censored = kind != KIND_OBSERVED
+        self.observed = None if self.censored.all() else ~self.censored
+        self.below, self.above, self.between = region_masks(lo, hi, self.censored)
         self._checked: dict = {}  # validated views, built on first use
 
     def __len__(self) -> int:
@@ -290,8 +291,7 @@ def loglik_dinterval_style(data: CensoredDataset, family: type[Family], params,
     """
     _check_params(data, params)
     cols = data.columns
-    observed = cols.kind == KIND_OBSERVED
-    rows = np.flatnonzero(~observed)
+    rows = np.flatnonzero(cols.censored)
     latents = np.asarray(latent_values, dtype=float)
     if latents.shape != rows.shape:
         raise DataError(f"{latents.shape} latent values for {len(rows)} censored rows")
@@ -306,7 +306,7 @@ def loglik_dinterval_style(data: CensoredDataset, family: type[Family], params,
     with np.errstate(all="ignore"):
         terms = family.log_pdf_v(values, *params)
     return DIntervalLogLik(sampler_loglik=float(terms.sum()),
-                           monitored_loglik=float(terms[observed].sum()))
+                           monitored_loglik=float(terms[~cols.censored].sum()))
 
 
 def deviance(loglik: float) -> float:

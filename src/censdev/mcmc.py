@@ -103,7 +103,7 @@ from .exceptions import (
     NumericError,
     SchemaError,
 )
-from .likelihood import KIND_OBSERVED, CensoredDataset, LikelihoodMode
+from .likelihood import CensoredDataset, LikelihoodMode
 from .models import _TRANSFORMS, Model, _columnwise, _plain, to_natural
 
 __all__ = [
@@ -315,6 +315,10 @@ class _Step:
     prior's support has log ratio -inf (or NaN) and is rejected.  ``cols``
     is the dataset's columns, or None for a step that reaches no row;
     ``owner`` is None but for levels, ``chol`` None but for a joint block.
+    ``maps`` lists each component off the real line (a real one is its own
+    natural value, with log Jacobian 0) by its column in the block and in
+    the state, with its two maps; ``whole`` says one map serves every
+    column.
     """
 
     owner = None
@@ -326,6 +330,10 @@ class _Step:
         self.terms = [(k, term.log_density) for k, term in enumerate(state.model.prior_terms)
                       if reads & set(term.reads)]
         self.z = np.empty((len(state.rngs), comps.stop - comps.start))
+        supports = state.supports[comps]
+        self.maps = [(i, comps.start + i, *_TRANSFORMS[support][1:])
+                     for i, support in enumerate(supports) if support != "real"]
+        self.whole = len(set(supports)) == 1 and bool(self.maps)
 
     def _normals(self, state) -> np.ndarray:
         for c, rng in enumerate(state.rngs):
@@ -346,31 +354,28 @@ class _LevelStep(_Step):
     """A model's levels, each with its own accept, scored per level by the
     change of its level term plus its rows' contributions, summed by owner
     (``owner`` maps each row to its level, ``bins`` is owner + levels *
-    chain for one ``np.bincount`` of every chain).  ``Model`` builds table
-    entries only, whose levels are the trailing components on one support:
-    ``transform`` is its maps to the natural scale and log Jacobian, None
-    on the real line.  ``u`` is each chain's buffer of one uniform a level."""
+    chain for one ``np.bincount`` of every chain).  The levels share one
+    support, so ``whole`` holds whenever they leave the real line.  ``u`` is
+    each chain's buffer of one uniform a level."""
 
     def __init__(self, state, comps: slice):
         super().__init__(state, comps, state.cols)
         n_chains, n_levels = self.z.shape
         self.owner = state.cols.codes(state.model.index_col, n_levels)
         self.bins = (self.owner + n_levels * np.arange(n_chains)[:, None]).ravel()
-        support = state.supports[comps.start]
-        self.transform = None if support == "real" else _TRANSFORMS[support][1:]
         self.u = np.empty_like(self.z)
 
     def update(self, state, scales, proposal=None):
         z = self._normals(state)
         x_new = state.x[:, self.comps] + scales * z
-        v_new = x_new if self.transform is None else self.transform[0](x_new)
+        v_new = self.maps[0][2](x_new) if self.whole else x_new
         theta = self._proposed(state, v_new)
         levels_new = state.model.level_log_prior(theta)
         contribs = state._contributions(state._row_params(theta, self.cols))
         change = np.bincount(self.bins, (contribs - state.contribs).ravel(), z.size)
         log_ratio = levels_new - state.level_terms + change.reshape(z.shape)
-        if self.transform is not None:
-            jac = self.transform[1](x_new)
+        if self.whole:
+            jac = self.maps[0][3](x_new)
             log_ratio = log_ratio + (jac - state.jac[:, self.comps])
         accept = log_ratio >= 0.0
         undecided = (~accept.all(axis=1)).nonzero()[0]
@@ -381,7 +386,7 @@ class _LevelStep(_Step):
                 state.rngs[c].random(out=row)
             accept[undecided] = np.log(u) < log_ratio[undecided]
         self._commit(state, accept, x_new, v_new)
-        if self.transform is not None:
+        if self.whole:
             np.copyto(state.jac[:, self.comps], jac, where=accept)
         np.copyto(state.level_terms, levels_new, where=accept)
         np.copyto(state.contribs, contribs, where=accept[:, self.owner])
@@ -397,19 +402,12 @@ class _GroupStep(_Step):
     block (starting at the identity); given an independence ``proposal``
     (center, factor, inverse) it proposes center_c + factor_c t_c from d
     Student t draws t_c instead, and its log ratio gains log q(x) - log q(y)
-    of that fixed proposal density q.  ``maps`` lists each component off the
-    real line (a real one is its own natural value, with log Jacobian 0) by
-    its column in the block and in the state, with its two maps; ``whole``
-    says one map serves every column."""
+    of that fixed proposal density q."""
 
     def __init__(self, state, comps: slice, rows=True, joint=False):
         super().__init__(state, comps, state.cols if rows else None)
-        supports = state.supports[comps]
-        self.maps = [(i, comps.start + i, *_TRANSFORMS[support][1:])
-                     for i, support in enumerate(supports) if support != "real"]
-        self.whole = len(set(supports)) == 1 and bool(self.maps)
         if joint:
-            self.chol = np.tile(np.eye(len(supports)), (len(state.rngs), 1, 1))
+            self.chol = np.tile(np.eye(self.z.shape[1]), (len(state.rngs), 1, 1))
 
     def update(self, state, scales, proposal=None):
         x = state.x[:, self.comps]
@@ -473,11 +471,11 @@ class _ChainBatch:
     most in their link: ``links`` is None when every chain's row
     parameters are those of ``chain_models[0]``, else the chains of each
     link.  ``blocks`` lists the Metropolis steps of a sweep in component
-    order, each built once: the model's levels as a ``_LevelStep`` at the
-    position of the first level, the other components that reach the rows
-    as one ``_GroupStep`` at the position of the first of them (a joint
-    block when they are two or more) and each component in ``level_reads``
-    as a hyper step, a ``_GroupStep`` that reaches no row.
+    order, each built once.  A table entry lays its components out as those
+    that reach the rows, then ``level_reads``, then the levels, so the steps
+    are one ``_GroupStep`` for the first (a joint block when they are two or
+    more), a hyper step (a ``_GroupStep`` that reaches no row) for each
+    component in ``level_reads`` and a ``_LevelStep`` for the levels.
     """
 
     def __init__(self, model, data, mode, rngs, chain_models):
@@ -494,24 +492,15 @@ class _ChainBatch:
         self.supports = model.supports
         self.n_params = len(model.params)
         self.cols = cols = data.columns
-        observed = cols.kind == KIND_OBSERVED
-        self.observed_rows = np.flatnonzero(observed)
-        self.censored_rows = np.flatnonzero(~observed)
+        self.observed_rows = np.flatnonzero(~cols.censored)
+        self.censored_rows = np.flatnonzero(cols.censored)
         self.censored_block = cols.take(self.censored_rows)
-        levels = tuple(model.levels)
-        reaching = [j for j in range(self.n_params) if j not in levels + model.level_reads]
-        self.blocks = []
-        for j in range(self.n_params):
-            if j in levels:
-                if j == levels[0]:
-                    self.blocks.append(_LevelStep(self, slice(j, levels[-1] + 1)))
-            elif j not in reaching:
-                self.blocks.append(_GroupStep(self, slice(j, j + 1), rows=False))
-            elif j == reaching[0]:
-                # Two or more reach the rows only without level_reads: then
-                # they are every component before the levels.
-                self.blocks.append(_GroupStep(self, slice(j, reaching[-1] + 1),
-                                              joint=len(reaching) > 1))
+        levels = model.levels
+        n_group = self.n_params - len(levels) - len(model.level_reads)
+        self.blocks = [_GroupStep(self, slice(0, n_group), joint=n_group > 1)] if n_group else []
+        self.blocks += [_GroupStep(self, slice(j, j + 1), rows=False) for j in model.level_reads]
+        if levels:
+            self.blocks.append(_LevelStep(self, slice(levels[0], self.n_params)))
 
         n_chains = len(rngs)
         self.values = np.tile(cols.value, (n_chains, 1))

@@ -16,7 +16,8 @@ its entry, once, the surface the sampler and the selection layer drive:
   an index column has one parameter per code of it (B: the class
   incidences, C: the drug incidences, D/E/F: the drug effects, G: the study
   incidences).  They are the trailing components, the expansion of the
-  entry's last ``Param`` on one support, and no term of ``prior_terms``
+  entry's last ``Param`` on one support, after ``level_reads``, which come
+  after the components that reach the rows, and no term of ``prior_terms``
   reads them.  Given the other components they are independent a priori
   and reach disjoint rows, so the sampler moves them as one block;
   ``level_log_prior`` returns each level's term (on the last axis), which
@@ -81,11 +82,10 @@ from .distributions import (
     Exponential,
     Family,
     Normal,
-    clamp_probability_v,
     link_invert_v,
 )
 from .exceptions import DataError, SchemaError
-from .likelihood import KIND_INTERVAL, KIND_OBSERVED, CensoredDataset, DataColumns
+from .likelihood import KIND_INTERVAL, CensoredDataset, DataColumns
 
 __all__ = ["Param", "ModelSpec", "MODELS", "AE_VARIANTS", "Term", "Model", "to_unbounded",
            "to_natural"]
@@ -412,9 +412,7 @@ class Model:
 
     def _probability(self, theta, cols):
         trials, p = self.linear_predictor(theta, cols)
-        if self.link != "identity":  # link_invert_v applies the same clamp
-            return trials, link_invert_v(self.link, p)
-        return trials, clamp_probability_v(p)
+        return trials, link_invert_v(self.link, p)
 
     def linear_predictor(self, theta, cols):
         """(trials, predictor) of every row of ``cols``: a Binomial model's
@@ -462,19 +460,19 @@ def _check_support(family: type[Family], cols: DataColumns) -> None:
         return
     discrete = family.is_discrete
     top = cols.positive_trials() if discrete else math.inf
-    value, observed = cols.value, cols.kind == KIND_OBSERVED
+    value, censored = cols.value, cols.censored
     lo, hi = np.maximum(cols.lo, 0.0), np.minimum(cols.hi, top)
     if discrete:
-        bad = np.where(observed, (value != np.floor(value)) | (value < 0) | (value > top),
-                       np.ceil(lo) > np.floor(hi))
+        bad = np.where(censored, np.ceil(lo) > np.floor(hi),
+                       (value != np.floor(value)) | (value < 0) | (value > top))
         support = "whole numbers from 0 to the row's trials"
     else:
-        bad = np.where(observed, value < 0.0, lo >= hi)
+        bad = np.where(censored, lo >= hi, value < 0.0)
         support = "[0, inf)"
     if not bad.any():
         return
     row = int(np.flatnonzero(bad)[0])
-    if observed[row]:
+    if not censored[row]:
         where = f"column 'outcome': {value[row].item()!r} is outside"
     else:
         columns = "'cut1', 'cut2'" if cols.kind[row] == KIND_INTERVAL else "'cut1'"

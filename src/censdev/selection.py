@@ -50,7 +50,7 @@ from .exceptions import (
     InsufficientReplicationError,
     PluginError,
 )
-from .likelihood import KIND_OBSERVED, CensoredDataset, LikelihoodMode, deviance, loglik_exact
+from .likelihood import CensoredDataset, LikelihoodMode, deviance, loglik_exact
 from .mcmc import PosteriorSamples
 from .models import Model, to_natural, to_unbounded
 
@@ -173,7 +173,6 @@ def compute_popt_ped(
         raise InsufficientReplicationError("no draws to pair")
     cols = data.columns
     family = model.family
-    censored = cols.kind != KIND_OBSERVED
     # Per row, over the pairs seen so far: the largest log weight, and the
     # sums of weights and of weighted penalties scaled by its exponential.
     log_w_max = np.full(len(cols), -np.inf)
@@ -188,7 +187,7 @@ def compute_popt_ped(
             contrib_a = family.log_contrib(cols, *params_a)
             contrib_b = family.log_contrib(cols, *params_b)
             ksym, log_w = _penalty_terms(
-                family, censored, params_a, params_b, contrib_a, contrib_b
+                family, cols.censored, params_a, params_b, contrib_a, contrib_b
             )
             new_max = np.maximum(log_w_max, log_w.max(axis=0))
             rescale = np.exp(log_w_max - new_max)

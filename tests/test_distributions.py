@@ -17,6 +17,7 @@ from scipy.stats import kstest
 
 from censdev.datasets import synthetic_ae_dataset
 from censdev.distributions import PROB_CLAMP, _TAIL_FLOOR, _log_beta_tail, _log_between
+from censdev.distributions import clamp_probability_v, link_invert_v
 from censdev.distributions import Binomial as BinomialKernels
 from censdev.exceptions import BoundOrderError, DegenerateRegionError, ParameterError
 from conftest import make_dataset
@@ -283,6 +284,14 @@ class TestLinks:
     def test_inverse_maps_reals_into_open_unit_interval(self, eta, link):
         p = link_invert(link, eta)
         assert 0.0 < p < 1.0
+
+    def test_vector_inverse_clamps_every_link(self):
+        """The identity too: its predictor may leave (0, 1)."""
+        eta = np.array([-200.0, -1.0, 0.0, 0.3, 1.0, 200.0])
+        for link in LINKS:
+            p = link_invert_v(link, eta)
+            assert ((PROB_CLAMP <= p) & (p <= 1.0 - PROB_CLAMP)).all(), link
+        assert np.array_equal(link_invert_v("identity", eta), clamp_probability_v(eta))
 
     def test_boundary_raises(self):
         for link in LINKS:

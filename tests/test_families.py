@@ -306,6 +306,18 @@ class TestTruncatedDraws:
             alone = Exponential(rate[c]).sample_truncated(lo, hi, np.random.default_rng(seed))
             assert together[c].tobytes() == alone.tobytes()
 
+    def test_binomial_draw_in_one_count_regions_has_the_draws_shape(self):
+        """Where every region holds one count (left at 0, an interval [1.5,
+        2], right at the trials) the search takes no step; each chain still
+        draws those counts, in the shape of its uniforms."""
+        lo, hi = np.array([-inf, 1.5, 10.0]), np.array([0.0, 2.0, inf])
+        trials, prob = np.full(3, 10), np.array([[[0.2, 0.5, 0.9]], [[0.1, 0.3, 0.6]]])
+        log_mass = Binomial(trials, prob).log_interval_prob(lo, hi)
+        u = np.random.default_rng(1).random((2, 1, 3))
+        with np.errstate(all="ignore"):
+            draws = Binomial._draw(lo, hi, u, log_mass, trials, prob)
+        assert draws.shape == u.shape and (draws == [0.0, 2.0, 10.0]).all()
+
     @given(log_trials=st.floats(0.0, 12.0), log_prob=st.floats(-12.0, -1e-3),
            mirror=st.booleans(), kind=st.sampled_from(["right", "left", "interval"]),
            ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),

@@ -763,6 +763,49 @@ class TestCliConfigAndCodes:
         })
         assert main(["fit", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("command,key", [
+        ("fit", "chians"), ("fit", "mdoe"), ("fit", "variants"),
+        ("compare", "mode"), ("compare", "label"), ("compare", "model"),
+    ])
+    def test_unknown_top_level_key_is_validation_error(self, tmp_path, capsys, command,
+                                                        key):
+        """A misspelt or misplaced key is refused, not run with the
+        defaults it was meant to change."""
+        config = {"dataset": "bundled:aml", "chains": {"n_chains": 1, "burn_in": 4,
+                                                       "n_keep": 4, "seed": 1},
+                  "output_dir": str(tmp_path / "out"), key: "dinterval"}
+        if command == "fit":
+            config["model"] = {"family": "survival-exponential"}
+        path = _write_config(tmp_path, config)
+        assert main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        allowed = sorted(cli.FIT_KEYS if command == "fit" else cli.COMPARE_KEYS)
+        assert f"[{key!r}]; allowed: {allowed}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_configs_hold_only_their_command_keys(self):
+        """The README's fit and compare configs pass the key rule."""
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        configs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+        assert sorted("model" in config for config in configs) == [False, True]
+        for config in configs:
+            assert set(config) <= set(cli.FIT_KEYS if "model" in config else cli.COMPARE_KEYS)
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("key,value", [("output_dir", "a\0b"), ("dataset", "x\0")])
+    def test_nul_in_a_path_is_validation_error(self, tmp_path, capsys, command, key, value):
+        dataset = tmp_path / "ae.csv"
+        dataset.write_text(serialize(synthetic_ae_dataset(n_studies=10, seed=6)),
+                           encoding="utf-8")
+        config = {"dataset": str(dataset), "chains": {"n_chains": 1, "burn_in": 4,
+                                                      "n_keep": 4, "seed": 1},
+                  "output_dir": str(tmp_path / "out"), key: value}
+        if command == "fit":
+            config["model"] = {"family": "censored-binomial", "variant": "A"}
+        path = _write_config(tmp_path, config)
+        assert main([command, "--config", str(path)]) == 2
+        assert f'"{key}"' in capsys.readouterr().err and not (tmp_path / "out").exists()
+
 
 class TestCliHyperparametersAndEntries:
     @pytest.mark.parametrize("hyper", BAD_SURVIVAL_HYPERPARAMETERS)
@@ -1109,7 +1152,7 @@ def _section(family, variant):
 
 
 _ODD = [None, True, -1, 0, 1, 2.5, float("nan"), float("inf"), 1e308, 1e-300,
-        10**400, "", "x", "A", "dinterval", [], [1, 2], ["A", "B"], [0.5, "a"],
+        10**400, "", "x", "A", "dinterval", "a\x00b", [], [1, 2], ["A", "B"], [0.5, "a"],
         [1.0, 2.0], {}, {"a": 1}]
 # Chain settings stay small: a huge iteration count is valid input, not a fault.
 _ODD_CHAIN = [None, True, -1, 0, 1, 2, 2.5, "x", [], {}]
@@ -1671,6 +1714,25 @@ class TestCliOversizedSizes:
         assert main(["fit", "--config", str(path)]) == 0
         samples = np.loadtxt(tmp_path / "out" / "samples_a.csv", delimiter=",", skiprows=1)
         assert samples.shape == (20, 3) and ((0.0 < samples[:, 1]) & (samples[:, 1] < 1.0)).all()
+
+    @pytest.mark.parametrize("variant", ["A", "G"])
+    def test_latent_draws_of_one_count_regions(self, tmp_path, variant):
+        """Censored rows whose regions each hold one count (left at 0, an
+        interval [1.5, 2], right at the row's trials) in dinterval mode: the
+        draw's search takes no step, and the fit completes."""
+        dataset = tmp_path / "ae.csv"
+        dataset.write_text("outcome,censor,cut1,cut2,trials,drug,study\n0,none,,,10,0,0\n"
+                           ",left,0,,10,0,1\n,interval,1.5,2,10,0,2\n,right,10,,10,0,3\n"
+                           "0,none,,,10,0,0\n", encoding="utf-8")
+        path = _write_config(tmp_path, {
+            "dataset": str(dataset),
+            "model": {"family": "censored-binomial", "variant": variant},
+            "mode": "dinterval",
+            "chains": {"n_chains": 2, "burn_in": 20, "n_keep": 20, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["fit", "--config", str(path)]) == 0
+        assert (tmp_path / "out" / "samples_a.csv").is_file()
 
 
 class TestCliCompareAndDensity:

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from censdev import ChainConfig, LikelihoodMode, aml_dataset, cli, mcmc, models, run
+from censdev import ChainConfig, LikelihoodMode, aml_dataset, cli, mcmc, run
 from censdev.cli import main
 from censdev.datasets import dataset_fingerprint, ingest, serialize, synthetic_ae_dataset
 from censdev.distributions import Binomial, Exponential, Normal
@@ -715,12 +715,15 @@ class TestLevelBlocks:
         that only the level terms read; the other components beside the
         levels form one block, joint when they are two or more; the level
         block's rows belong to the levels their index codes name.  Every
-        component is in one block, in component order."""
+        component is in one block, in component order, and the entry lays
+        out those that reach the rows first, then ``level_reads``, then the
+        levels."""
         model, data = _entry_case(name)
         state = _ChainBatch(model, data, LikelihoodMode.EXACT, [np.random.default_rng(1)],
                             [model])
         n = len(model.params)
         reaching = [j for j in range(n) if j not in model.levels + model.level_reads]
+        assert reaching + list(model.level_reads) + list(model.levels) == list(range(n))
         layout = []
         for block in state.blocks:
             comps = np.atleast_1d(np.arange(n)[block.comps]).tolist()
@@ -771,7 +774,7 @@ class TestLevelBlocks:
         one group step, joint when they are two or more.  Each step
         re-scores the prior terms that read its components, and maps to the
         natural scale only those off the real line (the GLM's intercept,
-        beta0 and beta1 are not mapped)."""
+        beta0 and beta1 are not mapped), with one map when they share it."""
         model, data = _entry_case(name)
         state = _ChainBatch(model, data, LikelihoodMode.EXACT, [np.random.default_rng(1)],
                             [model])
@@ -785,12 +788,10 @@ class TestLevelBlocks:
             assert (step.owner is not None) == (kind == "levels")
             assert [k for k, _ in step.terms] == [
                 k for k, term in enumerate(model.prior_terms) if set(term.reads) & set(comps)]
-            if kind == "levels":
-                assert step.transform == (None if model.supports[comps[0]] == "real"
-                                          else models._TRANSFORMS[model.supports[comps[0]]][1:])
-            else:
-                assert [j for _, j, _, _ in step.maps] == [
-                    j for j in comps if model.supports[j] != "real"]
+            assert [j for _, j, _, _ in step.maps] == [
+                j for j in comps if model.supports[j] != "real"]
+            assert step.whole == (len({model.supports[j] for j in comps}) == 1
+                                  and bool(step.maps))
         assert got == self.STEP_KINDS[name]
 
 

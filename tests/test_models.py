@@ -14,7 +14,7 @@ from scipy import stats
 from scipy.stats import norm
 
 import oracle
-from censdev import ChainConfig, LikelihoodMode, aml_dataset
+from censdev import ChainConfig, LikelihoodMode, aml_dataset, datasets
 from censdev.datasets import AE_COVARIATES, synthetic_ae_dataset
 from censdev.distributions import Binomial, Exponential
 from censdev.exceptions import SchemaError
@@ -540,12 +540,11 @@ class TestIdentifiability:
         assert math.exp(b0_star) == pytest.approx(mle[0.0], rel=0.02)
         assert math.exp(b0_star + b1_star) == pytest.approx(mle[1.0], rel=0.02)
 
-    def test_link_models_collapse_when_spread_prior_vanishes(self):
+    def test_link_models_collapse_when_spread_prior_vanishes(self, monkeypatch):
         """Spread prior concentrated at zero on homogeneous data: the fitted
         drug-specific incidences agree within Monte Carlo error."""
-        data = synthetic_ae_dataset(
-            n_studies=15, seed=5, drug_effects=(0.0, 0.0, 0.0, 0.0, 0.0)
-        )
+        monkeypatch.setattr(datasets, "DRUG_EFFECTS", (0.0, 0.0, 0.0, 0.0, 0.0))
+        data = synthetic_ae_dataset(n_studies=15, seed=5)
         model = _model("D", data, half_cauchy_scale=1e-4)
         config = ChainConfig(n_chains=2, burn_in=2000, n_keep=2000, seed=3)
         samples = run_one(model, data, LikelihoodMode.EXACT, config)
