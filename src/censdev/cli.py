@@ -293,16 +293,17 @@ def _write_artifacts(out_dir: Path, files: dict, config: dict, seed: int, datase
 
 
 def _samples_file(samples: PosteriorSamples) -> tuple:
-    """Header and rows of a samples CSV; the rows are formatted as written."""
+    """Header and rows of a samples CSV; the rows are formatted as written,
+    from Python floats and ints (``repr`` of the same doubles)."""
     rows = (
-        [str(int(chain)), *map(_fmt, draw), _fmt(dev)]
-        for chain, draw, dev in zip(samples.chain_ids, samples.draws, samples.deviance_trace)
+        [str(chain), *map(repr, draw), repr(dev)] for chain, draw, dev in zip(
+            samples.chain_ids.tolist(), samples.draws.tolist(), samples.deviance_trace.tolist())
     )
     return ("chain", *samples.param_names, "deviance"), rows
 
 
 def _density_file(grid: np.ndarray, density: np.ndarray) -> tuple:
-    return ("grid", "density"), zip(map(_fmt, grid), map(_fmt, density))
+    return ("grid", "density"), zip(map(repr, grid.tolist()), map(repr, density.tolist()))
 
 
 def _report_row(report: SelectionReport, fmt=_fmt) -> list:
@@ -571,6 +572,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for option in ("config", "trace", "out"):  # no file name holds a NUL
+            if "\0" in (value := getattr(args, option, None) or ""):
+                raise ValidationError(f"--{option} cannot name a file: {value!r} holds a NUL")
         if args.command in ("fit", "compare"):
             command = cmd_fit if args.command == "fit" else cmd_compare
             config_path = Path(args.config)

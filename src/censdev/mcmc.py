@@ -76,14 +76,18 @@ hierarchical model under three links), so the batch computes their linear
 predictor once and each chain's link on its own values, while proposals,
 prior and level terms, the kernel, accept and commit run once over all
 chains.  Chains stay independent: each owns a
-child generator spawned deterministically from its run's seed and draws
-its normals, its uniforms (only when a log ratio of its own is below 0),
-its jittered restarts and its latents from it in the order a chain run
-alone would, and its terms and factor depend on its own row of the state
-only.  So a chain's draws are bit for bit the same whichever chains, of
-whichever of those models, share its batch; ``TestBatching`` in
-``tests/test_mcmc.py`` checks a batch against its configs run one at a
-time.  Every sampling call goes through ``run``.
+child generator spawned deterministically from its run's seed, for its
+jittered restarts and start latents, and three streams spawned from it:
+proposal normals, accept and latent uniforms, and independence t draws.
+Each draws one distribution a fixed number of times per sweep, in sweep
+order, so a chunk of sweeps (as many as ``_DRAW_CHUNK`` buffered floats
+allow) takes one call per chain and stream, every accept is one
+comparison log u < log ratio, and the chunk length changes no draw.  A
+chain's terms and factor depend on its own row of the state only.  So a
+chain's draws are bit for bit the same whichever chains, of whichever of
+those models, share its batch; ``TestBatching`` and ``TestDrawChunks`` in
+``tests/test_mcmc.py`` check that.  Every sampling call goes through
+``run``.
 """
 
 from __future__ import annotations
@@ -125,6 +129,8 @@ _KDE_REACH = 38.61
 _KDE_EPS = 2.0 ** -52
 # Kernel terms evaluated per chunk of density grid rows (2 MiB of float64).
 _KDE_CHUNK = 1 << 18
+# Draws buffered per chunk of sweeps, over every chain and kind (1 MiB of float64).
+_DRAW_CHUNK = 1 << 17
 TARGET_ACCEPTANCE = 0.44
 # The optimal acceptance rate of a random-walk step that moves several
 # components at once (Roberts, Gelman & Gilks 1997).
@@ -307,12 +313,13 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 class _Step:
     """One Metropolis step of every chain of a batch for the components
     ``comps`` (a slice), built once with the batch's state, which fixes the
-    prior terms that read them (``terms``: index and function) and a buffer
-    ``z`` that each chain's generator fills with its normals, in the order
-    and number a chain run alone draws them.  ``update(state, scales,
-    proposal)`` moves every chain and returns its accept flags, (chains,
-    levels) for levels and (chains, 1) otherwise; a proposal outside the
-    prior's support has log ratio -inf (or NaN) and is rejected.  ``cols``
+    prior terms that read them (``terms``: index and function) and its
+    components' columns of the draw chunk, normals ``z`` and log uniforms
+    ``log_u``.  ``update(state, scales, proposal)`` moves every chain by
+    the chunk's row ``state.at`` and returns its accept flags, (chains,
+    levels) for levels and (chains, 1) otherwise; it accepts where log u <
+    log ratio, never at -inf or NaN (a proposal outside the prior's
+    support).  ``cols``
     is the dataset's columns, or None for a step that reaches no row;
     ``owner`` is None but for levels, ``chol`` None but for a joint block.
     ``maps`` lists each component off the real line (a real one is its own
@@ -329,16 +336,11 @@ class _Step:
         reads = set(range(comps.start, comps.stop))
         self.terms = [(k, term.log_density) for k, term in enumerate(state.model.prior_terms)
                       if reads & set(term.reads)]
-        self.z = np.empty((len(state.rngs), comps.stop - comps.start))
+        self.z, self.log_u = state.normals[:, :, comps], state.uniforms[:, :, comps]
         supports = state.supports[comps]
         self.maps = [(i, comps.start + i, *_TRANSFORMS[support][1:])
                      for i, support in enumerate(supports) if support != "real"]
         self.whole = len(set(supports)) == 1 and bool(self.maps)
-
-    def _normals(self, state) -> np.ndarray:
-        for c, rng in enumerate(state.rngs):
-            rng.standard_normal(out=self.z[c])
-        return self.z
 
     def _proposed(self, state, v_new) -> np.ndarray:
         theta = state.v.copy()
@@ -355,18 +357,16 @@ class _LevelStep(_Step):
     change of its level term plus its rows' contributions, summed by owner
     (``owner`` maps each row to its level, ``bins`` is owner + levels *
     chain for one ``np.bincount`` of every chain).  The levels share one
-    support, so ``whole`` holds whenever they leave the real line.  ``u`` is
-    each chain's buffer of one uniform a level."""
+    support, so ``whole`` holds whenever they leave the real line."""
 
     def __init__(self, state, comps: slice):
         super().__init__(state, comps, state.cols)
-        n_chains, n_levels = self.z.shape
+        n_chains, _, n_levels = self.z.shape
         self.owner = state.cols.codes(state.model.index_col, n_levels)
         self.bins = (self.owner + n_levels * np.arange(n_chains)[:, None]).ravel()
-        self.u = np.empty_like(self.z)
 
     def update(self, state, scales, proposal=None):
-        z = self._normals(state)
+        z = self.z[:, state.at]
         x_new = state.x[:, self.comps] + scales * z
         v_new = self.maps[0][2](x_new) if self.whole else x_new
         theta = self._proposed(state, v_new)
@@ -377,14 +377,7 @@ class _LevelStep(_Step):
         if self.whole:
             jac = self.maps[0][3](x_new)
             log_ratio = log_ratio + (jac - state.jac[:, self.comps])
-        accept = log_ratio >= 0.0
-        undecided = (~accept.all(axis=1)).nonzero()[0]
-        if len(undecided):
-            # log u < 0 <= log_ratio keeps every level accepted above.
-            u = self.u[:len(undecided)]
-            for row, c in zip(u, undecided):
-                state.rngs[c].random(out=row)
-            accept[undecided] = np.log(u) < log_ratio[undecided]
+        accept = self.log_u[:, state.at] < log_ratio
         self._commit(state, accept, x_new, v_new)
         if self.whole:
             np.copyto(state.jac[:, self.comps], jac, where=accept)
@@ -402,23 +395,24 @@ class _GroupStep(_Step):
     block (starting at the identity); given an independence ``proposal``
     (center, factor, inverse) it proposes center_c + factor_c t_c from d
     Student t draws t_c instead, and its log ratio gains log q(x) - log q(y)
-    of that fixed proposal density q."""
+    of that fixed proposal density q.  Its accept reads its first
+    component's uniform."""
 
     def __init__(self, state, comps: slice, rows=True, joint=False):
         super().__init__(state, comps, state.cols if rows else None)
         if joint:
-            self.chol = np.tile(np.eye(self.z.shape[1]), (len(state.rngs), 1, 1))
+            self.chol = np.tile(np.eye(self.z.shape[2]), (len(state.rngs), 1, 1))
 
     def update(self, state, scales, proposal=None):
         x = state.x[:, self.comps]
         if proposal is None:
-            z = self._normals(state)
+            z = self.z[:, state.at]
             if self.chol is not None:  # elementwise products, so a chain's step is its own alone
                 z = (self.chol * z[:, None, :]).sum(axis=2)
             x_new = x + scales * z
         else:
             center, factor, inverse = proposal
-            t = np.array([rng.standard_t(_T_DF, self.z.shape[1]) for rng in state.rngs])
+            t = state.t[:, state.at]
             x_new = center + (factor * t[:, None, :]).sum(axis=2)
             u = (inverse * (x - center)[:, None, :]).sum(axis=2)
             q_ratio = _row_sums(_log_t_kernel(u) - _log_t_kernel(t))
@@ -442,11 +436,7 @@ class _GroupStep(_Step):
             log_ratio = log_ratio + (jac - state.jac[:, j])
         if proposal is not None:
             log_ratio = log_ratio + q_ratio
-        accept = log_ratio >= 0.0
-        undecided = (~accept).nonzero()[0]
-        if len(undecided):
-            u = np.array([state.rngs[c].random() for c in undecided])
-            accept[undecided] = np.log(u) < log_ratio[undecided]
+        accept = self.log_u[:, state.at, 0] < log_ratio
         flags = accept[:, None]
         self._commit(state, flags, x_new, v_new)
         for (_, j, _, _), jac in zip(self.maps, jacs):
@@ -466,7 +456,12 @@ class _ChainBatch:
     ``values`` (the observed outcomes, with the latents in the censored
     rows in DINTERVAL mode) are (chains, rows), over the dataset's columns
     ``cols``.  All stay in sync with the current parameters and latents.
-    ``rngs`` holds one generator per chain.  ``model`` and ``chain_models``
+    ``rngs`` holds each chain's start-up generator, ``streams`` the three
+    spawned from it, and ``normals``, ``uniforms`` and ``t`` their (chains,
+    chunk, draws a sweep) blocks, ``at`` the current sweep's row: a sweep
+    takes a normal and an accept uniform (kept as its log) per component,
+    then a uniform per latent, and d t draws in an independence sweep of a
+    d-component joint block.  ``model`` and ``chain_models``
     (the model of each chain) share a ``layout_key``, so they differ at
     most in their link: ``links`` is None when every chain's row
     parameters are those of ``chain_models[0]``, else the chains of each
@@ -497,12 +492,20 @@ class _ChainBatch:
         self.censored_block = cols.take(self.censored_rows)
         levels = model.levels
         n_group = self.n_params - len(levels) - len(model.level_reads)
+        n_chains = len(rngs)
+        n_latent = len(self.censored_rows) if mode is LikelihoodMode.DINTERVAL else 0
+        n_t = n_group if n_group > 1 else 0
+        chunk = max(1, _DRAW_CHUNK // (n_chains * (2 * self.n_params + n_latent + n_t)))
+        self.streams = [rng.spawn(3) for rng in rngs]
+        self.normals = np.empty((n_chains, chunk, self.n_params))
+        self.uniforms = np.empty((n_chains, chunk, self.n_params + n_latent))
+        self.t = np.empty((n_chains, chunk, n_t))
+        self.at = 0
         self.blocks = [_GroupStep(self, slice(0, n_group), joint=n_group > 1)] if n_group else []
         self.blocks += [_GroupStep(self, slice(j, j + 1), rows=False) for j in model.level_reads]
         if levels:
             self.blocks.append(_LevelStep(self, slice(levels[0], self.n_params)))
 
-        n_chains = len(rngs)
         self.values = np.tile(cols.value, (n_chains, 1))
         self.x = np.empty((n_chains, self.n_params))
         self.v = np.empty((n_chains, self.n_params))
@@ -590,10 +593,10 @@ class _ChainBatch:
         return ok
 
     def refresh_latents(self, sweep: int) -> None:
-        """Draw every chain's latents at its current parameters, one uniform
-        per censored row in row order from its generator: ``_draw`` of the
-        regions' log mass, which ``log_contrib`` gives on ``censored_block``
-        and ``censored_log_mass`` keeps as their exact contributions."""
+        """Draw every chain's latents at its current parameters from its
+        latent uniforms in the chunk's row ``at``: ``_draw`` of the regions'
+        log mass, which ``log_contrib`` gives on ``censored_block`` and
+        ``censored_log_mass`` keeps as their exact contributions."""
         rows, block = self.censored_rows, self.censored_block
         if not len(rows):
             return
@@ -603,7 +606,7 @@ class _ChainBatch:
             require_mass(log_mass, block.lo, block.hi)
         except DegenerateRegionError as exc:
             raise NumericError(f"sweep {sweep}: degenerate censoring region: {exc}") from exc
-        u = np.array([rng.random((1, len(rows))) for rng in self.rngs])
+        u = self.uniforms[:, self.at, None, self.n_params:]
         latents = self.family._draw(block.lo, block.hi, u, log_mass, *params)
         self.values[:, rows] = latents[:, 0]
         self.contribs[:, rows] = self.family.log_pdf_v(latents, *params)[:, 0]
@@ -615,6 +618,21 @@ class _ChainBatch:
         return -2.0 * np.take(self.contribs, self.observed_rows, axis=1).sum(axis=1)
 
     # -- sampling --------------------------------------------------------------
+    def _draw_chunk(self, sweep: int, config: ChainConfig) -> None:
+        """Fill the draw blocks for the chunk of sweeps from ``sweep``, one
+        call per chain and stream, t draws in the kept phase's odd (the
+        independence) sweeps, and take the accept uniforms' logs in place."""
+        n = min(self.normals.shape[1], config.total_iterations - sweep)
+        kept = np.arange(sweep, sweep + n) - config.burn_in
+        independent = np.flatnonzero((kept > 0) & (kept % 2 == 1))
+        for (normal, uniform, student), z, u, t in zip(self.streams, self.normals,
+                                                        self.uniforms, self.t):
+            normal.standard_normal(out=z[:n])
+            uniform.random(out=u[:n])
+            t[independent] = student.standard_t(_T_DF, (len(independent), t.shape[1]))
+        accept = self.uniforms[:, :n, :self.n_params]
+        np.log(accept, out=accept)
+
     def sample(self, config: ChainConfig, draws, devs, exact_devs):
         """Burn-in with adaptation, then the kept sweeps, for every chain.
 
@@ -648,6 +666,9 @@ class _ChainBatch:
         late = config.burn_in // 2
         proposal = None
         for sweep in range(config.total_iterations):
+            self.at = sweep % self.normals.shape[1]
+            if self.at == 0:
+                self._draw_chunk(sweep, config)
             in_burn = sweep < config.burn_in
             accepts = window_accepts if in_burn else kept_accepts
             if joint is not None and sweep == config.burn_in:
@@ -722,9 +743,10 @@ def run(
     state; the result is the list of their samples in order.  They sample
     the batch's ``models`` where it names them; a named model whose
     ``layout_key`` differs from ``model``'s raises SchemaError.
-    Deterministic per config: chain c of a config uses the c-th child of
-    that config's seed sequence, and its results are bit for bit those of
-    that config, with its model, in a batch of its own.
+    Deterministic per config: chain c of a config starts from the c-th
+    child of that config's seed sequence and sweeps on the three streams
+    spawned from it, and its results are bit for bit those of that config,
+    with its model, in a batch of its own, whatever the chunk length.
     """
     models = config.models or (model,) * len(config.configs)
     for named in models:

@@ -806,6 +806,25 @@ class TestCliConfigAndCodes:
         assert main([command, "--config", str(path)]) == 2
         assert f'"{key}"' in capsys.readouterr().err and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--config", "a\0b"],
+        ["compare", "--config", "a\0b"],
+        ["export-density", "--trace", "a\0b", "--param", "alpha"],
+        ["export-density", "--trace", "{trace}", "--param", "alpha", "--out", "{dir}/d\0.csv"],
+    ], ids=["fit-config", "compare-config", "export-trace", "export-out"])
+    def test_nul_in_a_cli_path_is_validation_error(self, tmp_path, capsys, argv):
+        """No file name holds a NUL: a path option that holds one exits 2
+        with a one-line error naming the option, and nothing is written."""
+        trace = tmp_path / "trace.csv"
+        trace.write_text("chain,alpha\n0,1.0\n0,2.0\n0,4.0\n", encoding="utf-8")
+        argv = [a.format(trace=trace, dir=tmp_path) for a in argv]
+        option = next(a for a in argv if "\0" in a)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {argv[argv.index(option) - 1]} cannot name a file: "
+                       f"{option!r} holds a NUL\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
 
 class TestCliHyperparametersAndEntries:
     @pytest.mark.parametrize("hyper", BAD_SURVIVAL_HYPERPARAMETERS)

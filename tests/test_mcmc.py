@@ -134,7 +134,7 @@ class _FreshDataModel(Model):
 
 class TestBatching:
     """Chains of a batch advance as one array state but never interact: each
-    owns its generator, so a batch of configs reproduces the configs run
+    owns its generators, so a batch of configs reproduces the configs run
     one by one, bit for bit."""
 
     GEOMETRY = {"burn_in": 60, "n_keep": 40, "adapt_window": 20}
@@ -445,6 +445,94 @@ def _four_kind_survival_dataset():
                         names=("group",))
 
 
+class TestDrawChunks:
+    """Each chain draws its proposal normals, accept and latent uniforms and
+    independence t draws from a stream of its own per kind, a chunk of
+    sweeps at a time; each stream draws one distribution a fixed number of
+    times per sweep, in sweep order, so the chunk length changes no draw."""
+
+    # 101 sweeps: a chunk of 7 ends inside the burn-in and between the
+    # kept sweeps' alternating random-walk and independence steps.
+    GEOMETRY = {"burn_in": 60, "n_keep": 41, "adapt_window": 20}
+
+    @pytest.mark.parametrize("case", ["survival-exact", "survival-dinterval", "ae-C",
+                                      "D+E+F", "ae-A-dinterval"])
+    def test_draws_equal_at_every_chunk_length(self, monkeypatch, case):
+        """A chunk of 1 sweep, of 7, the default and the whole run give the
+        same draws, deviances, acceptance rates and latents, byte for byte."""
+        if case == "D+E+F":
+            data = synthetic_ae_dataset(seed=11)
+            models = tuple(Model(MODELS[v], data) for v in "DEF")
+            mode = LikelihoodMode.EXACT
+        else:
+            model, data, mode = _batch_case(case)
+            models = (model,) * 3
+        configs = tuple(ChainConfig(n_chains=n, seed=seed, **self.GEOMETRY)
+                        for n, seed in ((2, 31), (1, 32), (2, 33)))
+        batch = ChainBatch(configs, models)
+        chunks, floats = [], []
+        draw_chunk = _ChainBatch._draw_chunk
+
+        def recording(self, sweep, config):
+            chunks.append(self.normals.shape[1])
+            floats.append(sum(a[0, 0].size for a in (self.normals, self.uniforms, self.t)))
+            draw_chunk(self, sweep, config)
+
+        monkeypatch.setattr(_ChainBatch, "_draw_chunk", recording)
+        sweeps = batch.total_iterations
+        outputs = {}
+        for length in ("default", 1, 7, sweeps):
+            if length != "default":  # the budget of ``length`` sweeps of every chain
+                monkeypatch.setattr(mcmc, "_DRAW_CHUNK", length * batch.n_chains * floats[0])
+            chunks.clear()
+            with recorded_latents() as latents:
+                samples = run(models[0], data, mode, batch)
+            if length == "default":  # it buffers this short run whole
+                assert len(chunks) == 1 and chunks[0] >= sweeps
+            else:
+                assert chunks == [length] * -(-sweeps // length)
+            assert len(latents) == sweeps * (mode is LikelihoodMode.DINTERVAL)
+            outputs[length] = [np.stack(latents).tobytes() if latents else b""] + [
+                getattr(s, field).tobytes() for s in samples
+                for field in ("draws", "deviance_trace", "exact_deviance_trace",
+                              "acceptance_rates")]
+        first, *others = outputs.values()
+        assert all(other == first for other in others)
+
+    @settings(max_examples=200, deadline=None)
+    @given(u=st.floats(0.0, 1.0, exclude_max=True),
+           log_ratio=st.floats(min_value=0.0, allow_infinity=True))
+    @example(u=0.0, log_ratio=0.0)
+    @example(u=float(np.nextafter(1.0, 0.0)), log_ratio=0.0)
+    def test_accept_rule_takes_every_log_ratio_from_zero_up(self, u, log_ratio):
+        """A step accepts where log u < log ratio.  A uniform lies in [0, 1),
+        so log u < 0: every log ratio >= 0 is accepted, -inf (a proposal
+        outside the prior's support) and NaN never."""
+        with np.errstate(divide="ignore"):
+            log_u = np.log(np.array([u]))
+        assert (log_u < log_ratio).all()
+        assert not (log_u < -math.inf).any() and not (log_u < math.nan).any()
+
+    def test_accept_columns_hold_the_logs_of_the_uniforms(self):
+        """The chunk keeps each sweep's accept uniforms as their logs, all
+        below 0, and the latent uniforms as drawn."""
+        model, data, mode = _batch_case("survival-dinterval")
+        state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (3, 4)],
+                            [model] * 2)
+        config = ChainConfig(n_chains=2, burn_in=60, n_keep=40)
+        state._draw_chunk(0, config)
+        sweeps = min(state.uniforms.shape[1], config.total_iterations)
+        n = state.n_params
+        assert state.uniforms.shape[2] == n + len(state.censored_rows)
+        # Each chain's second stream, spawned from its start-up generator.
+        uniforms = np.array([np.random.default_rng(s).spawn(3)[1].random(
+            (sweeps, state.uniforms.shape[2])) for s in (3, 4)])
+        got = state.uniforms[:, :sweeps]
+        assert np.array_equal(got[..., n:], uniforms[..., n:])
+        assert np.array_equal(got[..., :n], np.log(uniforms[..., :n]))
+        assert (got[..., :n] < 0.0).all()
+
+
 class TestFloatingPointState:
     """The kernels meet overflow and log(0) at some rows and proposals by
     design; the sampler and the selection layer own the error state, so no
@@ -609,30 +697,6 @@ class TestInitialization:
                     ChainConfig(n_chains=1, burn_in=10, n_keep=10, seed=0))
 
 
-class _Feed:
-    """Stand-in generator that hands out preset normals and uniforms."""
-
-    def __init__(self, normals, uniforms):
-        self.normals = list(normals)
-        self.uniforms = list(uniforms)
-
-    @staticmethod
-    def _take(pool, size, out):
-        if out is not None:  # a buffer: as many as it holds, written into it
-            out[...] = _Feed._take(pool, out.size, None)
-            return out
-        if size is None:
-            return pool.pop(0)
-        drawn, pool[:size] = np.array(pool[:size]), []
-        return drawn
-
-    def standard_normal(self, size=None, out=None):
-        return self._take(self.normals, size, out)
-
-    def random(self, size=None, out=None):
-        return self._take(self.uniforms, size, out)
-
-
 class TestLevelBlocks:
     @pytest.fixture(scope="class")
     def ae(self):
@@ -655,7 +719,8 @@ class TestLevelBlocks:
         scales = rng.uniform(0.2, 1.5, size=len(model.params))
 
         blocked = copy.deepcopy(state)
-        blocked.rngs = [_Feed(z, u)]
+        # The step reads its columns of the state's draw chunk at row ``at``.
+        block.z[0, blocked.at], block.log_u[0, blocked.at] = z, np.log(u)
         (accept,) = block.update(blocked, scales[block.comps])
 
         cols, supports = ae.columns, model.supports
@@ -894,24 +959,17 @@ class TestJointBlock:
         np.testing.assert_allclose(got @ got.T, want, rtol=1e-10)
         assert np.array_equal(got, np.tril(got)) and (np.diag(got) > 0).all()
 
-    def test_a_chain_that_never_moves_keeps_its_factor(self):
-        """Chain 1's normals and t draws put every proposal far out of
-        reach, so it rejects every step: its factor stays the identity
-        while chain 0's is learned."""
+    def test_a_chain_that_never_moves_keeps_its_factor(self, monkeypatch):
+        """Chain 1's normals and t draws in every draw chunk put every
+        proposal far out of reach, so it rejects every step: its factor
+        stays the identity while chain 0's is learned."""
+        draw_chunk = _ChainBatch._draw_chunk
 
-        class Stuck:
-            def standard_normal(self, size=None, out=None):
-                if out is not None:
-                    out[...] = 1e3
-                    return out
-                return np.full(size, 1e3)
+        def stuck(self, sweep, config):
+            draw_chunk(self, sweep, config)
+            self.normals[1], self.t[1], self.uniforms[1] = 1e3, 1e3, math.log(0.5)
 
-            def standard_t(self, df, size=None):
-                return np.full(size, 1e3)
-
-            def random(self, size=None):
-                return 0.5
-
+        monkeypatch.setattr(_ChainBatch, "_draw_chunk", stuck)
         model, data, mode = _batch_case("survival-exact")
         state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (3, 4)],
                             [model] * 2)
@@ -919,7 +977,6 @@ class TestJointBlock:
         kept = mcmc._kept_arrays(ChainBatch((config,)), state.n_params)
         with np.errstate(all="ignore"):
             state.initialize()
-            state.rngs[1] = Stuck()
             rates = state.sample(config, *kept)
         (joint,) = [b for b in state.blocks if b.chol is not None]
         assert np.array_equal(joint.chol[1], np.eye(2))
@@ -988,7 +1045,7 @@ def _ae_regions_dataset():
 class TestLatentRefresh:
     """The refresh draws through the class kernels on the censored block the
     bytes ``sample_truncated`` draws from the same regions, parameters and
-    generators, for every censor kind of every family."""
+    uniforms, for every censor kind of every family."""
 
     CASES = {
         "exponential": lambda: (MODELS["survival-exponential"],
@@ -1011,6 +1068,13 @@ class TestLatentRefresh:
             assert (width <= 5).any() and (width > 16).any()
         x = np.random.default_rng(9).normal(0.0, 0.3, state.x.shape)
         state.v[:] = to_natural(x, model.supports)
+        # Each chain's uniforms of its censored rows in the chunk's row 1,
+        # as many as ``sample_truncated`` takes from the generator; NaN
+        # elsewhere, so a latent drawn from any other cell would be NaN.
+        state.uniforms[:] = np.nan
+        state.at = 1
+        for c, seed in enumerate(seeds):
+            state.uniforms[c, 1, state.n_params:] = np.random.default_rng(seed).random(len(rows))
         with np.errstate(all="ignore"):
             state.refresh_latents(0)
             params = state._row_params(state.v, block)
@@ -1025,10 +1089,6 @@ class TestLatentRefresh:
         assert state.values[:, rows].tobytes() == latents[:, 0].tobytes()
         assert state.contribs[:, rows].tobytes() == log_pdf[:, 0].tobytes()
         assert state.censored_log_mass.tobytes() == log_mass[:, 0].tobytes()
-        for c, seed in enumerate(seeds):  # each chain took one uniform per row
-            rng = np.random.default_rng(seed)
-            rng.random(len(rows))
-            assert state.rngs[c].random() == rng.random()
 
 
 class TestPriorTermCache:

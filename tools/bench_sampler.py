@@ -25,6 +25,14 @@ It writes one JSON file with:
   bracketed by two ``reference_slice`` calls of ``perfbench/hostspeed.py``
   (imported, not changed) and reported at reference host speed: divided by
   their slowdown, the mean slice time over ``REFERENCE_SLICE_S``;
+* ``chain_scaling``: for survival exact, survival dinterval and D exact,
+  the microseconds one chain spends per sweep in batches of 2, 8, 32 and
+  128 chains (both replicate runs of a fit, half the chains each) at
+  ``SCALING_SWEEPS`` burn-in and as many kept sweeps, on the same inputs
+  as ``us_per_chain_sweep``, at reference host speed; each side's median
+  and quartiles over ``SCALING_REPEATS`` repeats, the sides alternating
+  which goes first.  It shows how far a sweep's cost is a fixed cost per
+  block that extra chains share;
 * ``ess``: for survival exact, survival dinterval and GLM exact, the
   rank-normalized bulk ESS of each parameter (Vehtari, Gelman, Simpson,
   Carpenter & Buerkner 2021: split chains, ranks through the normal
@@ -53,7 +61,8 @@ It writes one JSON file with:
   tobit-large);
 * ``host``: CPU, core count and Python/numpy/scipy versions.
 
-The 86 perfbench runs take about 25 s each, about 36 minutes in all.
+The 86 perfbench runs take about 25 s each, about 36 minutes in all;
+the chain-scaling section takes about a minute.
 """
 
 from __future__ import annotations
@@ -102,6 +111,10 @@ ENTRIES = {
     "A/dinterval": "ae-compare",
     "censored-normal-glm/exact": "tobit-large",
 }
+SCALING_ENTRIES = ("survival-exponential/exact", "survival-exponential/dinterval", "D/exact")
+SCALING_CHAINS = (2, 8, 32, 128)
+SCALING_SWEEPS = 300
+SCALING_REPEATS = 10
 ESS_ENTRIES = ("survival-exponential/exact", "survival-exponential/dinterval",
                "censored-normal-glm/exact")
 ESS_SEEDS = range(1, 11)
@@ -300,19 +313,49 @@ def measure(trees: dict[str, Path]) -> tuple[dict, dict]:
             jobs[side] = _samplers(censdev, Path(tmp))
             exporters[side] = functools.partial(_export_ms, censdev, *export_args)
         export = _export_medians(exporters)
-    runs = {entry: {side: [] for side in trees} for entry in ENTRIES}
-    for side in trees:  # warm-up
-        for sample, _ in jobs[side].values():
-            sample()
-    for repeat in range(REPEATS):
-        order = list(trees) if repeat % 2 == 0 else list(reversed(trees))
-        for entry in ENTRIES:
-            for side in order:
-                sample, sweeps = jobs[side][entry]
-                _, seconds = _at_reference_speed(sample)
-                runs[entry][side].append(1e6 * seconds / sweeps)
+    runs = _timed_repeats(jobs, REPEATS)
     medians = {entry: _summary(f"{entry} (us)", sides) for entry, sides in runs.items()}
     return medians, export
+
+
+def _timed_repeats(jobs: dict, repeats: int) -> dict:
+    """Job -> side -> µs per chain-sweep of ``repeats`` runs of each side's
+    job (``jobs``: side -> job -> (call, chain-sweeps per call)), after one
+    warm-up run of every job; each repeat runs every job once per side,
+    alternating which side goes first."""
+    sides = list(jobs)
+    runs = {key: {side: [] for side in sides} for key in jobs[sides[0]]}
+    for side in sides:  # warm-up
+        for sample, _ in jobs[side].values():
+            sample()
+    for repeat in range(repeats):
+        order = sides if repeat % 2 == 0 else sides[::-1]
+        for key in runs:
+            for side in order:
+                sample, sweeps = jobs[side][key]
+                _, seconds = _at_reference_speed(sample)
+                runs[key][side].append(1e6 * seconds / sweeps)
+    return runs
+
+
+def measure_scaling(trees: dict[str, Path]) -> dict:
+    """Entry -> chain count -> side: median µs per chain-sweep (and under
+    ``iqr`` the quartiles) of each ``SCALING_ENTRIES`` entry sampled with
+    ``SCALING_CHAINS`` chains, all in this process, each repeat running
+    every job once per tree, alternating which tree goes first."""
+    jobs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for side, tree in trees.items():
+            censdev = _load(tree)
+            if not jobs:  # the inputs, written once with the first tree's censdev
+                for workload in {ENTRIES[entry] for entry in SCALING_ENTRIES}:
+                    workloads.prepare(workload, 1, "full", Path(tmp) / workload)
+            jobs[side] = {(entry, n): _job(censdev, Path(tmp), entry, n_chains=n // 2,
+                                           burn_in=SCALING_SWEEPS, n_keep=SCALING_SWEEPS)
+                          for entry in SCALING_ENTRIES for n in SCALING_CHAINS}
+    runs = _timed_repeats(jobs, SCALING_REPEATS)
+    return {entry: {str(n): _summary(f"{entry} x{n} (us)", runs[entry, n])
+                    for n in SCALING_CHAINS} for entry in SCALING_ENTRIES}
 
 
 def _perfbench(tree: Path, workload: str, seed: int, trace: int) -> dict:
@@ -374,6 +417,7 @@ def main(argv=None) -> int:
             metrics = _perfbench(tree, workload, 1, 1)
             traced[workload][side] = {name: metrics.get(name) for name in names}
     sweeps, export = measure(trees)
+    scaling = measure_scaling(trees)
     ess = measure_ess(trees)
 
     report = {
@@ -386,6 +430,15 @@ def main(argv=None) -> int:
                         "host speed",
             "repeats": REPEATS,
             "entries": sweeps,
+        },
+        "chain_scaling": {
+            "geometry": "each entry on its benchmark workload's inputs (size full, seed 1), "
+                        "both replicate runs as one batch of the named chain count, "
+                        f"{SCALING_SWEEPS} burn-in + {SCALING_SWEEPS} kept sweeps; both "
+                        "trees in one process, alternating; median wall time over the "
+                        "repeats, at reference host speed",
+            "repeats": SCALING_REPEATS,
+            "entries": scaling,
         },
         "ess": {
             "geometry": "each entry on its benchmark workload's inputs (size full, seed 1), "
