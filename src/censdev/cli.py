@@ -85,13 +85,17 @@ def _config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _file_name(what: str, value: str) -> str:
+    if "\0" in value:  # no file name holds one
+        raise ValidationError(f"{what} cannot name a file: {value!r} holds a NUL")
+    return value
+
+
 def _output_dir(value) -> Path:
     """The output directory ``value`` names, under $CENSDEV_OUTPUT_ROOT when
     relative."""
     root = os.environ.get(OUTPUT_ROOT_ENV)
-    path = Path(_string('"output_dir"', value))
-    if "\0" in value:  # no file name holds one
-        raise ValidationError(f'"output_dir" cannot name a directory: {value!r} holds a NUL')
+    path = Path(_file_name('"output_dir"', _string('"output_dir"', value)))
     if root and not path.is_absolute():
         path = Path(root) / path
     return path
@@ -99,13 +103,13 @@ def _output_dir(value) -> Path:
 
 def _load_dataset(config: dict, base_dir: Path) -> tuple[CensoredDataset, str]:
     spec = config.get("dataset")
-    if not isinstance(spec, str) or not spec or "\0" in spec:
+    if not isinstance(spec, str) or not spec:
         raise ValidationError(
             'config needs a "dataset": a file path, which holds no NUL, or "bundled:aml"'
         )
     if spec == "bundled:aml":
         return aml_dataset(), spec
-    path = Path(spec)
+    path = Path(_file_name('"dataset"', spec))
     if not path.is_absolute():
         path = base_dir / path
     return ingest(path), str(path)
@@ -572,9 +576,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        for option in ("config", "trace", "out"):  # no file name holds a NUL
-            if "\0" in (value := getattr(args, option, None) or ""):
-                raise ValidationError(f"--{option} cannot name a file: {value!r} holds a NUL")
+        for option in ("config", "trace", "out"):
+            _file_name(f"--{option}", getattr(args, option, None) or "")
         if args.command in ("fit", "compare"):
             command = cmd_fit if args.command == "fit" else cmd_compare
             config_path = Path(args.config)

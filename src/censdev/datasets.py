@@ -190,11 +190,10 @@ def ingest(path: str | Path) -> CensoredDataset:
 
 def serialize(data: CensoredDataset) -> str:
     """Render a dataset in the file format; re-ingesting reproduces it exactly."""
-    cols = data.columns
     lines = [",".join(FIXED_COLUMNS + data.covariate_names)]
     for kind, lo, hi, value, trials, covariates in zip(
-        cols.kind.tolist(), cols.lo.tolist(), cols.hi.tolist(), cols.value.tolist(),
-        cols.trials.tolist(), cols.covariates.tolist(),
+        data.kind.tolist(), data.lo.tolist(), data.hi.tolist(), data.value.tolist(),
+        data.trials.tolist(), data.covariates.tolist(),
     ):
         if kind == KIND_OBSERVED:
             outcome, cut1, cut2 = repr(value), "", ""

@@ -4,15 +4,15 @@ Each outcome family (``Exponential``, ``Normal``, ``Binomial``) is one set of
 array kernels on its class: ``log_pdf_v``, the log CDF and survival function
 ``_log_cdf_v``/``_log_sf_v``, the closed-form KL divergence ``kl_v`` and
 ``log_contrib``, which scores the rows of a
-:class:`~censdev.likelihood.DataColumns` block from per-row parameter arrays
-broadcast over any leading axis (draws, chains).  An instance binds the
-parameters of a block of rows, arrays or scalars, by position or keyword
-(``Exponential(rate=...)``, ``Normal(mean=..., precision=...)``,
-``Binomial(trials=..., prob=...)``); its ``log_pdf``, ``log_interval_prob``
-and ``sample_truncated`` (one inverse-CDF draw per row) check their
-arguments and run the same kernels elementwise.  The sampler's latent
-refresh calls the class kernels directly: ``log_contrib`` and the inverse
-CDF ``_draw(lo, hi, u, log_mass, *params)``.
+:class:`~censdev.likelihood.CensoredDataset`, or a block of its rows, from
+per-row parameter arrays broadcast over any leading axis (draws, chains).
+An instance binds the parameters of a block of rows, arrays or scalars, by
+position or keyword (``Exponential(rate=...)``, ``Normal(mean=...,
+precision=...)``, ``Binomial(trials=..., prob=...)``); its ``log_pdf``,
+``log_interval_prob`` and ``sample_truncated`` (one inverse-CDF draw per
+row) check their arguments and run the same kernels elementwise.  The
+sampler's latent refresh calls the class kernels directly: ``log_contrib``
+and the inverse CDF ``_draw(lo, hi, u, log_mass, *params)``.
 
 Regions follow P(a <= Y <= b) = F(b) - F(a^-), where F(a^-) is F(a - 1) on
 integer support and F(a) for continuous families; one-sided censoring has an
@@ -95,9 +95,9 @@ class Family:
 
     # -- class kernels -----------------------------------------------------
     @classmethod
-    def _points(cls, cols, params):
+    def _points(cls, data, params):
         """Where ``log_contrib`` evaluates: values, upper bounds, lower left limits."""
-        return cols.value, cols.hi, cols.lo
+        return data.value, data.hi, data.lo
 
     @classmethod
     def _log_cdf_sf_v(cls, y, *params):
@@ -105,8 +105,8 @@ class Family:
         return cls._log_cdf_v(y, *params), cls._log_sf_v(y, *params)
 
     @classmethod
-    def log_contrib(cls, cols, *params) -> np.ndarray:
-        """Exact log-likelihood contribution of every row of ``cols``, from
+    def log_contrib(cls, data, *params) -> np.ndarray:
+        """Exact log-likelihood contribution of every row of ``data``, from
         ``params`` whose last axis runs over its rows (leading axes
         broadcast): an observed row's log density, a censored row's log
         region probability.  Only terms some row needs are evaluated.
@@ -114,26 +114,29 @@ class Family:
         Callers own the floating-point error state: the kernels meet
         overflow, log(0) and inf - inf at extreme parameters by design, so
         the sampler and the selection layer enter ``np.errstate(all="ignore")``
-        once around their work rather than once per call here.
+        once around their work rather than once per call here.  A block of
+        no rows scores an empty array.
         """
-        value, hi, lo_left = cls._points(cols, params)
+        if data.observed is data.below is data.above is data.between is None:  # no rows
+            return np.zeros(np.broadcast(data.lo, data.hi, *params).shape)
+        value, hi, lo_left = cls._points(data, params)
         terms = []
-        if cols.observed is not None:
-            terms.append((cols.observed, cls.log_pdf_v(value, *params)))
-        if cols.between is not None:
+        if data.observed is not None:
+            terms.append((data.observed, cls.log_pdf_v(value, *params)))
+        if data.between is not None:
             log_cdf_hi, log_sf_hi = cls._log_cdf_sf_v(hi, *params)
             log_cdf_lo, log_sf_lo = cls._log_cdf_sf_v(lo_left, *params)
-            terms.append((cols.between,
+            terms.append((data.between,
                           _log_between(log_cdf_hi, log_sf_hi, log_cdf_lo, log_sf_lo)))
         else:
-            if cols.below is not None:
+            if data.below is not None:
                 log_cdf_hi = cls._log_cdf_v(hi, *params)
-            if cols.above is not None:
+            if data.above is not None:
                 log_sf_lo = cls._log_sf_v(lo_left, *params)
-        if cols.below is not None:
-            terms.append((cols.below, log_cdf_hi))
-        if cols.above is not None:
-            terms.append((cols.above, log_sf_lo))
+        if data.below is not None:
+            terms.append((data.below, log_cdf_hi))
+        if data.above is not None:
+            terms.append((data.above, log_sf_lo))
         out = terms[0][1]
         for mask, term in terms[1:]:
             out = np.where(mask, term, out)
@@ -154,11 +157,8 @@ class Family:
         if not ordered.all():
             a, b = (np.broadcast_to(x, ordered.shape)[~ordered][0] for x in (lo, hi))
             raise BoundOrderError(f"interval bounds must be ordered numbers, got [{a}, {b}]")
-        region = _Region(lo, hi)
-        if region.below is region.above is region.between is None:  # no rows
-            return np.zeros(np.broadcast(lo, hi, *self.params).shape)
         with np.errstate(all="ignore"):
-            return self.log_contrib(region, *self.params)[()]
+            return self.log_contrib(_Region(lo, hi), *self.params)[()]
 
     def sample_truncated(self, lo, hi, rng):
         """One draw per row from the family restricted to [lo, hi] (integer
@@ -185,7 +185,7 @@ def require_mass(log_mass, lo, hi) -> None:
 
 def region_masks(lo, hi, censored=True):
     """The branch masks ``below``, ``above`` and ``between`` of the ``censored``
-    rows (every row by default) of regions [lo, hi], as ``DataColumns`` holds them."""
+    rows (every row by default) of regions [lo, hi], as a dataset holds them."""
     below = censored & (lo == _NEG_INF)
     above = censored & ~below & (hi == math.inf)
     between = censored & ~(below | above)
@@ -193,8 +193,8 @@ def region_masks(lo, hi, censored=True):
 
 
 class _Region:
-    """Censored rows [lo, hi] in the form ``Family.log_contrib`` reads a block
-    of dataset columns: no row observed, the branch masks of the regions."""
+    """Censored rows [lo, hi] in the form ``Family.log_contrib`` reads a
+    dataset: no row observed, the branch masks of the regions."""
 
     observed = None
 
@@ -356,7 +356,7 @@ class Binomial(Family):
                      for bound in (np.floor(center - margin), np.ceil(center + margin)))
 
     @classmethod
-    def _points(cls, cols, params):
+    def _points(cls, data, params):
         # The data-only terms at the block's points are built once per block,
         # with 0 (in every Binomial support) on the rows whose branch does not
         # read a point, so NaN outcomes of censored rows and infinite bounds
@@ -366,10 +366,10 @@ class Binomial(Family):
         def points(y, *branches):
             reads = functools.reduce(np.logical_or, [m for m in branches if m is not None], False)
             return _BinomialPoints(np.where(reads, y, 0.0), trials)
-        return cols.memo(cls, trials, lambda: (
-            points(cols.value, cols.observed),
-            points(cols.hi, cols.below, cols.between),
-            points(np.ceil(cols.lo) - 1.0, cols.above, cols.between),
+        return data.memo(cls, trials, lambda: (
+            points(data.value, data.observed),
+            points(data.hi, data.below, data.between),
+            points(np.ceil(data.lo) - 1.0, data.above, data.between),
         ))
 
     @classmethod

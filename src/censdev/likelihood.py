@@ -21,10 +21,10 @@ contributes a constant likelihood of one.  The monitored total is therefore
 biased low by exactly the censored terms above; ``exact_contributions``
 exposes the per-row terms so that gap can be audited row by row.
 
-A :class:`CensoredDataset` is its columns (:class:`DataColumns`), checked
-once when it is built.  Every likelihood function takes the dataset, the
-outcome :class:`~censdev.distributions.Family` class and that family's
-per-row parameters as ``Model.row_params(theta, data.columns)`` returns them
+A :class:`CensoredDataset` is its columns, checked once when it is built;
+a block of its rows is one too.  Every likelihood function takes the
+dataset, the outcome :class:`~censdev.distributions.Family` class and that
+family's per-row parameters as ``Model.row_params(theta, data)`` returns them
 for one parameter vector, and scores all rows at once with the family's
 vectorized kernels, as the sampler and the selection layer do.
 """
@@ -42,7 +42,6 @@ from .exceptions import BoundOrderError, DataError
 
 __all__ = [
     "CensoredDataset",
-    "DataColumns",
     "LikelihoodMode",
     "exact_contributions",
     "loglik_exact",
@@ -54,18 +53,25 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 
-# Censor-kind codes of DataColumns.kind.
+# Censor-kind codes of CensoredDataset.kind.
 KIND_OBSERVED, KIND_LEFT, KIND_RIGHT, KIND_INTERVAL = 0, 1, 2, 3
 
 
-class DataColumns:
-    """A dataset's rows, or a subset of them, as arrays.
+class CensoredDataset:
+    """A dataset's rows, or a block of them, as arrays, checked when built.
 
     ``kind`` holds the censor-kind codes; ``lo``/``hi`` the censoring
     region, ``-inf``/``inf`` on its open side and on observed rows;
     ``value`` the observed outcome, NaN on censored rows; ``trials`` the
     trial count, 0 where a row has none; ``covariates`` one row per
-    observation.
+    observation, its columns named by ``covariate_names`` or left unnamed.
+    The constructor takes ``trials`` as a count >= 1 per row, or None where
+    a row has none (None alone: no row has one), and ``covariates`` as an
+    (n, width) matrix (None: no covariates).  It raises
+    :class:`BoundOrderError` for a censored row without lo < hi and
+    :class:`DataError` for anything else off that layout, or no rows.
+    ``take`` builds a block of rows already checked without checking them
+    again; a block may be empty.
 
     ``censored`` marks the rows that are not observed.  The masks
     ``observed``, ``below`` (region (-inf, hi]), ``above`` ((lo, inf)) and
@@ -73,87 +79,6 @@ class DataColumns:
     ``Family.log_contrib`` takes for them; a mask is None when no row takes
     that branch, so kernels skip it.  They are built with the block, which
     the sampler's latent refresh reads every sweep.
-    """
-
-    def __init__(self, kind, lo, hi, value, trials, covariates, names=()):
-        self.kind = kind
-        self.lo = lo
-        self.hi = hi
-        self.value = value
-        self.trials = trials
-        self.covariates = covariates
-        self.names = tuple(names)
-        self.censored = kind != KIND_OBSERVED
-        self.observed = None if self.censored.all() else ~self.censored
-        self.below, self.above, self.between = region_masks(lo, hi, self.censored)
-        self._checked: dict = {}  # validated views, built on first use
-
-    def __len__(self) -> int:
-        return self.kind.shape[0]
-
-    def take(self, rows) -> "DataColumns":
-        """The block of the given rows, in the given order."""
-        return DataColumns(
-            self.kind[rows], self.lo[rows], self.hi[rows], self.value[rows],
-            self.trials[rows], self.covariates[rows], self.names,
-        )
-
-    def codes(self, col: int, n_levels: int) -> np.ndarray:
-        """Covariate ``col`` as integer category codes, validated on first use.
-
-        Every entry must be a whole number in [0, n_levels); anything else
-        raises :class:`DataError` naming the first offending row.
-        """
-        key = ("codes", col, n_levels)
-        if key not in self._checked:
-            x = self.covariates[:, col]
-            bad = ~(np.isfinite(x) & (x == np.floor(x)) & (x >= 0) & (x < n_levels))
-            if bad.any():
-                row = int(np.flatnonzero(bad)[0])
-                name = self.names[col] if col < len(self.names) else f"#{col}"
-                raise DataError(
-                    f"covariate {name!r} must hold integer category codes "
-                    f"0..{n_levels - 1}; row {row} has {x[row].item()!r}"
-                )
-            self._checked[key] = x.astype(np.intp)
-        return self._checked[key]
-
-    def memo(self, key, source, build):
-        """``build()``, cached with this block under ``key`` for as long as
-        the array it derives from is ``source`` (kernels keep data-only terms
-        here)."""
-        entry = self._checked.get(key)
-        if entry is None or entry[0] is not source:
-            entry = (source, build())
-            self._checked[key] = entry
-        return entry[1]
-
-    def positive_trials(self) -> np.ndarray:
-        """The trials column, validated on first use: every row needs a count."""
-        if "trials" not in self._checked:
-            if not self.trials.all():
-                row = int(np.flatnonzero(self.trials == 0)[0])
-                raise DataError(f"binomial outcomes need a trials count on every row; "
-                                f"row {row} has none")
-            self._checked["trials"] = self.trials
-        return self._checked["trials"]
-
-
-class CensoredDataset:
-    """A dataset: its rows as one :class:`DataColumns` (``columns``), checked
-    when it is built.
-
-    ``kind``, ``lo``, ``hi`` and ``value`` are laid out as
-    :class:`DataColumns` holds them: an observed row has its outcome in
-    ``value`` and the region (-inf, inf); a censored row has NaN in
-    ``value`` and its region in ``lo``/``hi``, ``lo`` -inf if it is
-    left-censored and ``hi`` inf if it is right-censored.  ``trials`` holds
-    a count >= 1 per row, or None where a row has none (None alone: no row
-    has one); ``covariates`` is an (n, width) matrix (None: no covariates)
-    whose columns ``covariate_names`` names, or leaves unnamed.
-
-    Raises :class:`BoundOrderError` for a censored row without lo < hi and
-    :class:`DataError` for anything else off that layout, or no rows.
     """
 
     def __init__(self, kind, lo, hi, value, trials=None, covariates=None,
@@ -204,15 +129,68 @@ class CensoredDataset:
             row, col = bad[0].tolist()
             raise DataError(f"covariate {names[col] if names else f'#{col}'!r} must be "
                             f"finite; row {row} has {covariates[row, col].item()!r}")
-        self.columns = DataColumns(kind.astype(np.int8), lo, hi, value, counts, covariates,
-                                   names)
+        self._hold(kind.astype(np.int8), lo, hi, value, counts, covariates, names)
 
-    @property
-    def covariate_names(self) -> tuple[str, ...]:
-        return self.columns.names
+    def _hold(self, kind, lo, hi, value, trials, covariates, covariate_names):
+        """Keep checked columns and build their masks; returns the dataset."""
+        self.kind, self.lo, self.hi, self.value = kind, lo, hi, value
+        self.trials, self.covariates, self.covariate_names = trials, covariates, covariate_names
+        self.censored = kind != KIND_OBSERVED
+        self.observed = None if self.censored.all() else ~self.censored
+        self.below, self.above, self.between = region_masks(lo, hi, self.censored)
+        self._checked: dict = {}  # validated views, built on first use
+        return self
 
     def __len__(self) -> int:
-        return len(self.columns)
+        return self.kind.shape[0]
+
+    def take(self, rows) -> "CensoredDataset":
+        """The block of the given rows, in the given order."""
+        return CensoredDataset.__new__(CensoredDataset)._hold(
+            self.kind[rows], self.lo[rows], self.hi[rows], self.value[rows],
+            self.trials[rows], self.covariates[rows], self.covariate_names,
+        )
+
+    def codes(self, col: int, n_levels: int) -> np.ndarray:
+        """Covariate ``col`` as integer category codes, validated on first use.
+
+        Every entry must be a whole number in [0, n_levels); anything else
+        raises :class:`DataError` naming the first offending row.
+        """
+        key = ("codes", col, n_levels)
+        if key not in self._checked:
+            x = self.covariates[:, col]
+            bad = ~(np.isfinite(x) & (x == np.floor(x)) & (x >= 0) & (x < n_levels))
+            if bad.any():
+                row = int(np.flatnonzero(bad)[0])
+                names = self.covariate_names
+                name = names[col] if col < len(names) else f"#{col}"
+                raise DataError(
+                    f"covariate {name!r} must hold integer category codes "
+                    f"0..{n_levels - 1}; row {row} has {x[row].item()!r}"
+                )
+            self._checked[key] = x.astype(np.intp)
+        return self._checked[key]
+
+    def memo(self, key, source, build):
+        """``build()``, cached with this block under ``key`` for as long as
+        the array it derives from is ``source`` (kernels keep data-only terms
+        here)."""
+        entry = self._checked.get(key)
+        if entry is None or entry[0] is not source:
+            entry = (source, build())
+            self._checked[key] = entry
+        return entry[1]
+
+    def positive_trials(self) -> np.ndarray:
+        """The trials column, validated on first use: every row needs a count."""
+        if "trials" not in self._checked:
+            if not self.trials.all():
+                row = int(np.flatnonzero(self.trials == 0)[0])
+                raise DataError(f"binomial outcomes need a trials count on every row; "
+                                f"row {row} has none")
+            self._checked["trials"] = self.trials
+        return self._checked["trials"]
 
 
 class LikelihoodMode(Enum):
@@ -239,7 +217,7 @@ def exact_contributions(data: CensoredDataset, family: type[Family], params) -> 
     """
     _check_params(data, params)
     with np.errstate(all="ignore"):
-        return family.log_contrib(data.columns, *params)
+        return family.log_contrib(data, *params)
 
 
 def loglik_exact(data: CensoredDataset, family: type[Family], params) -> float:
@@ -258,14 +236,13 @@ def loglik_bernoulli_reform(data: CensoredDataset, family: type[Family], params)
     with :func:`loglik_exact` up to floating-point rounding.
     """
     _check_params(data, params)
-    cols = data.columns
     with np.errstate(all="ignore"):
-        value, hi, lo_left = family._points(cols, params)
+        value, hi, lo_left = family._points(data, params)
         p_hi = np.exp(family._log_cdf_v(hi, *params))
         p_lo = np.exp(family._log_cdf_v(lo_left, *params))
-        none = np.zeros(len(cols), dtype=bool)
+        none = np.zeros(len(data), dtype=bool)
         terms = np.select(
-            [none if mask is None else mask for mask in (cols.observed, cols.below, cols.above)],
+            [none if mask is None else mask for mask in (data.observed, data.below, data.above)],
             [family.log_pdf_v(value, *params), np.log(clamp_probability_v(p_hi)),
              np.log1p(-clamp_probability_v(p_lo))],
             np.log(clamp_probability_v(p_hi - p_lo)),
@@ -290,23 +267,22 @@ def loglik_dinterval_style(data: CensoredDataset, family: type[Family], params,
     reports when censored rows contribute log 1 = 0.
     """
     _check_params(data, params)
-    cols = data.columns
-    rows = np.flatnonzero(cols.censored)
+    rows = np.flatnonzero(data.censored)
     latents = np.asarray(latent_values, dtype=float)
     if latents.shape != rows.shape:
         raise DataError(f"{latents.shape} latent values for {len(rows)} censored rows")
-    lo, hi = cols.lo[rows], cols.hi[rows]
+    lo, hi = data.lo[rows], data.hi[rows]
     outside = np.flatnonzero(~((lo <= latents) & (latents <= hi)))
     if outside.size:
         k = outside[0]
         raise DataError(f"row {rows[k]}: latent value {latents[k]} outside censoring "
                         f"region [{lo[k]}, {hi[k]}]")
-    values = cols.value.copy()
+    values = data.value.copy()
     values[rows] = latents
     with np.errstate(all="ignore"):
         terms = family.log_pdf_v(values, *params)
     return DIntervalLogLik(sampler_loglik=float(terms.sum()),
-                           monitored_loglik=float(terms[~cols.censored].sum()))
+                           monitored_loglik=float(terms[~data.censored].sum()))
 
 
 def deviance(loglik: float) -> float:

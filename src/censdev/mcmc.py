@@ -319,9 +319,8 @@ class _Step:
     the chunk's row ``state.at`` and returns its accept flags, (chains,
     levels) for levels and (chains, 1) otherwise; it accepts where log u <
     log ratio, never at -inf or NaN (a proposal outside the prior's
-    support).  ``cols``
-    is the dataset's columns, or None for a step that reaches no row;
-    ``owner`` is None but for levels, ``chol`` None but for a joint block.
+    support).  ``cols`` is the dataset, or None for a step that reaches no
+    row; ``owner`` is None but for levels, ``chol`` None but for a joint block.
     ``maps`` lists each component off the real line (a real one is its own
     natural value, with log Jacobian 0) by its column in the block and in
     the state, with its two maps; ``whole`` says one map serves every
@@ -360,9 +359,9 @@ class _LevelStep(_Step):
     support, so ``whole`` holds whenever they leave the real line."""
 
     def __init__(self, state, comps: slice):
-        super().__init__(state, comps, state.cols)
+        super().__init__(state, comps, state.data)
         n_chains, _, n_levels = self.z.shape
-        self.owner = state.cols.codes(state.model.index_col, n_levels)
+        self.owner = state.data.codes(state.model.index_col, n_levels)
         self.bins = (self.owner + n_levels * np.arange(n_chains)[:, None]).ravel()
 
     def update(self, state, scales, proposal=None):
@@ -399,7 +398,7 @@ class _GroupStep(_Step):
     component's uniform."""
 
     def __init__(self, state, comps: slice, rows=True, joint=False):
-        super().__init__(state, comps, state.cols if rows else None)
+        super().__init__(state, comps, state.data if rows else None)
         if joint:
             self.chol = np.tile(np.eye(self.z.shape[2]), (len(state.rngs), 1, 1))
 
@@ -454,17 +453,17 @@ class _ChainBatch:
     ``level_terms`` (the values of the model's prior terms and level terms)
     are (chains, terms) and (chains, levels), and ``contribs`` and
     ``values`` (the observed outcomes, with the latents in the censored
-    rows in DINTERVAL mode) are (chains, rows), over the dataset's columns
-    ``cols``.  All stay in sync with the current parameters and latents.
-    ``rngs`` holds each chain's start-up generator, ``streams`` the three
-    spawned from it, and ``normals``, ``uniforms`` and ``t`` their (chains,
-    chunk, draws a sweep) blocks, ``at`` the current sweep's row: a sweep
-    takes a normal and an accept uniform (kept as its log) per component,
-    then a uniform per latent, and d t draws in an independence sweep of a
-    d-component joint block.  ``model`` and ``chain_models``
-    (the model of each chain) share a ``layout_key``, so they differ at
-    most in their link: ``links`` is None when every chain's row
-    parameters are those of ``chain_models[0]``, else the chains of each
+    rows in DINTERVAL mode) are (chains, rows), over the rows of the
+    dataset ``data``.  All stay in sync with the current parameters and
+    latents.  ``rngs`` holds each chain's start-up generator, ``streams``
+    the three spawned from it, and ``normals``, ``uniforms`` and ``t``
+    their (chains, chunk, draws a sweep) blocks, ``at`` the current sweep's
+    row: a sweep takes a normal and an accept uniform (kept as its log) per
+    component, then a uniform per latent, and d t draws in an independence
+    sweep of a d-component joint block.  ``chain_models`` (the model of
+    each chain) share a ``layout_key``, so they differ at most in their
+    link: ``model``, the first, gives the layout, and ``links`` is None
+    when every chain's row parameters are its, else the chains of each
     link.  ``blocks`` lists the Metropolis steps of a sweep in component
     order, each built once.  A table entry lays its components out as those
     that reach the rows, then ``level_reads``, then the levels, so the steps
@@ -473,11 +472,10 @@ class _ChainBatch:
     component in ``level_reads`` and a ``_LevelStep`` for the levels.
     """
 
-    def __init__(self, model, data, mode, rngs, chain_models):
-        self.model = model
-        self.row_model = chain_models[0]
+    def __init__(self, data, mode, rngs, chain_models):
+        self.model = model = chain_models[0]
         by_link = {}
-        if any(m is not self.row_model for m in chain_models):
+        if any(m is not model for m in chain_models):
             for c, m in enumerate(chain_models):
                 by_link.setdefault(m.link, []).append(c)
         self.links = list(by_link.items()) if len(by_link) > 1 else None
@@ -486,10 +484,10 @@ class _ChainBatch:
         self.rngs = rngs
         self.supports = model.supports
         self.n_params = len(model.params)
-        self.cols = cols = data.columns
-        self.observed_rows = np.flatnonzero(~cols.censored)
-        self.censored_rows = np.flatnonzero(cols.censored)
-        self.censored_block = cols.take(self.censored_rows)
+        self.data = data
+        self.observed_rows = np.flatnonzero(~data.censored)
+        self.censored_rows = np.flatnonzero(data.censored)
+        self.censored_block = data.take(self.censored_rows)
         levels = model.levels
         n_group = self.n_params - len(levels) - len(model.level_reads)
         n_chains = len(rngs)
@@ -506,11 +504,11 @@ class _ChainBatch:
         if levels:
             self.blocks.append(_LevelStep(self, slice(levels[0], self.n_params)))
 
-        self.values = np.tile(cols.value, (n_chains, 1))
+        self.values = np.tile(data.value, (n_chains, 1))
         self.x = np.empty((n_chains, self.n_params))
         self.v = np.empty((n_chains, self.n_params))
         self.jac = np.empty((n_chains, self.n_params))
-        self.contribs = np.empty((n_chains, len(cols)))
+        self.contribs = np.empty((n_chains, len(data)))
         self.terms = np.empty((n_chains, len(model.prior_terms)))
         self.level_terms = np.empty((n_chains, len(levels)))
         self.censored_log_mass = np.zeros((n_chains, len(self.censored_rows)))
@@ -526,7 +524,7 @@ class _ChainBatch:
         each chain's link: elementwise, so a chain's values are its own."""
         theta = theta[:, None, :]
         if self.links is None:
-            return self.row_model.row_params(theta, block)
+            return self.model.row_params(theta, block)
         trials, eta = self.model.linear_predictor(theta, block)
         prob = np.empty(eta.shape)
         for link, chains in self.links:
@@ -536,7 +534,7 @@ class _ChainBatch:
     def _contributions(self, params) -> np.ndarray:
         """(chains, rows) contributions of every row from its ``params``."""
         if self.mode is LikelihoodMode.EXACT:
-            out = self.family.log_contrib(self.cols, *params)
+            out = self.family.log_contrib(self.data, *params)
         else:
             out = self.family.log_pdf_v(self.values[:, None, :], *params)
         return out[:, 0]
@@ -582,7 +580,7 @@ class _ChainBatch:
                     self.values[c, self.censored_rows] = latents
         if not ok.any():
             return ok
-        contribs = self._contributions(self._row_params(v, self.cols))
+        contribs = self._contributions(self._row_params(v, self.data))
         ok &= np.isfinite(_row_sums(contribs))
         self.v[ok], self.contribs[ok] = v[ok], contribs[ok]
         for k, term in enumerate(self.model.prior_terms):
@@ -760,7 +758,7 @@ def run(
         for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)
     ]
     chain_models = [m for m, cfg in zip(models, config.configs) for _ in range(cfg.n_chains)]
-    state = _ChainBatch(model, data, mode, rngs, chain_models)
+    state = _ChainBatch(data, mode, rngs, chain_models)
     with np.errstate(all="ignore"):
         state.initialize()
         rates = state.sample(config.configs[0], draws, devs, exact_devs)

@@ -26,9 +26,9 @@ its entry, once, the surface the sampler and the selection layer drive:
   of one parameter vector (a float) or of each row of a (K, n_params)
   stack (an array of K), by the same float operations either way;
 * ``family``: the outcome :class:`~censdev.distributions.Family` class;
-* ``row_params(theta, cols)``: that family's parameters for every row of a
-  :class:`~censdev.likelihood.DataColumns` block, as arrays, for one
-  parameter vector or a stack of draws;
+* ``row_params(theta, data)``: that family's parameters for every row of a
+  :class:`~censdev.likelihood.CensoredDataset` or a block of its rows, as
+  arrays, for one parameter vector or a stack of draws;
 * ``index_col``: the covariate column whose code on a row names the level
   that row reads; the levels aside, a component reaches every row, or none
   if it is in ``level_reads``;
@@ -85,7 +85,7 @@ from .distributions import (
     link_invert_v,
 )
 from .exceptions import DataError, SchemaError
-from .likelihood import KIND_INTERVAL, CensoredDataset, DataColumns
+from .likelihood import KIND_INTERVAL, CensoredDataset
 
 __all__ = ["Param", "ModelSpec", "MODELS", "AE_VARIANTS", "Term", "Model", "to_unbounded",
            "to_natural"]
@@ -294,16 +294,15 @@ class Model:
                               f"allowed: {sorted(spec.hyperparameters)}")
         hyper = {key: _hyperparameter(key, value)
                  for key, value in {**spec.hyperparameters, **hyperparameters}.items()}
-        cols = data.columns
         self.spec = spec
         self.label = spec.name
         self.family = spec.family
         self.link = spec.link
-        self.covariate_cols = (tuple(range(cols.covariates.shape[1])) if spec.covariates is None
+        self.covariate_cols = (tuple(range(data.covariates.shape[1])) if spec.covariates is None
                                else tuple(_column(data, name) for name in spec.covariates))
         self.index_col = None if spec.index is None else _column(data, spec.index)
-        self.n_levels = 0 if spec.index is None else _level_count(cols, self.index_col)
-        _check_support(spec.family, cols)
+        self.n_levels = 0 if spec.index is None else _level_count(data, self.index_col)
+        _check_support(spec.family, data)
 
         count = self.n_levels if spec.index else len(self.covariate_cols)
         self.params = tuple(
@@ -363,8 +362,8 @@ class Model:
         total = sum(values[1:], values[0])
         return float(total) if np.ndim(total) == 0 else total
 
-    def row_params(self, theta, cols: DataColumns) -> tuple[np.ndarray, ...]:
-        """Outcome-family parameters of every row of ``cols``.
+    def row_params(self, theta, data: CensoredDataset) -> tuple[np.ndarray, ...]:
+        """Outcome-family parameters of every row of ``data``.
 
         ``theta`` is one parameter vector or a stack of draws, shape
         ``(..., n_params)``.  The arrays come in the family's field order,
@@ -372,7 +371,7 @@ class Model:
         axes of ``theta``; rates and probabilities are clamped so every
         proposal gives a valid family.
         """
-        return self._row_params(np.asarray(theta, dtype=float), cols)
+        return self._row_params(np.asarray(theta, dtype=float), data)
 
     # -- priors ------------------------------------------------------------
     def level_log_prior(self, theta) -> np.ndarray:
@@ -399,28 +398,28 @@ class Model:
         return np.where(inside, out, _NEG_INF)
 
     # -- outcome parameters ----------------------------------------------------
-    def _rate(self, theta, cols):
-        eta = theta[..., 0:1] + theta[..., 1:2] * cols.covariates[:, self._group_col]
+    def _rate(self, theta, data):
+        eta = theta[..., 0:1] + theta[..., 1:2] * data.covariates[:, self._group_col]
         rate = np.exp(np.minimum(eta, _LOG_MAX_RATE))
         return (np.maximum(rate, _MIN_RATE),)
 
     @staticmethod
-    def _normal_params(theta, cols):
-        mean = theta[..., 0:1] + theta[..., 1:-1] @ cols.covariates.T
+    def _normal_params(theta, data):
+        mean = theta[..., 0:1] + theta[..., 1:-1] @ data.covariates.T
         sigma = np.maximum(theta[..., -1:], _MIN_RATE)
         return mean, 1.0 / (sigma * sigma)
 
-    def _probability(self, theta, cols):
-        trials, p = self.linear_predictor(theta, cols)
+    def _probability(self, theta, data):
+        trials, p = self.linear_predictor(theta, data)
         return trials, link_invert_v(self.link, p)
 
-    def linear_predictor(self, theta, cols):
-        """(trials, predictor) of every row of ``cols``: a Binomial model's
+    def linear_predictor(self, theta, data):
+        """(trials, predictor) of every row of ``data``: a Binomial model's
         ``row_params`` before its link, mu + delta_code under a link other
         than the identity, the same for every model of its ``layout_key``."""
         p = (theta[..., 0:1] if self.index_col is None
-             else theta[..., self._first_level:][..., cols.codes(self.index_col, self.n_levels)])
-        return cols.positive_trials(), p if self.link == "identity" else theta[..., 0:1] + p
+             else theta[..., self._first_level:][..., data.codes(self.index_col, self.n_levels)])
+        return data.positive_trials(), p if self.link == "identity" else theta[..., 0:1] + p
 
 
 # ---------------------------------------------------------------------------
@@ -437,31 +436,31 @@ def _column(data: CensoredDataset, name: str) -> int:
     return data.covariate_names.index(name)
 
 
-def _level_count(cols: DataColumns, col: int) -> int:
+def _level_count(data: CensoredDataset, col: int) -> int:
     """The levels of category column ``col``: its codes must run 0..max.
 
     Gap-free codes stay below the row count, so that bounds them before
     they are cast and counted.
     """
-    seen = np.bincount(cols.codes(col, len(cols)))
+    seen = np.bincount(data.codes(col, len(data)))
     if not seen.all():
         raise DataError(
-            f"covariate {cols.names[col]!r} has category codes up to {len(seen) - 1} "
+            f"covariate {data.covariate_names[col]!r} has category codes up to {len(seen) - 1} "
             f"but none equal to {int(np.flatnonzero(seen == 0)[0])}; "
             f"every code from 0 to the largest must occur"
         )
     return len(seen)
 
 
-def _check_support(family: type[Family], cols: DataColumns) -> None:
+def _check_support(family: type[Family], data: CensoredDataset) -> None:
     """Reject rows no parameter value can explain: an observed value outside
     the family's support, or a censoring region that holds none of it."""
     if family is Normal:
         return
     discrete = family.is_discrete
-    top = cols.positive_trials() if discrete else math.inf
-    value, censored = cols.value, cols.censored
-    lo, hi = np.maximum(cols.lo, 0.0), np.minimum(cols.hi, top)
+    top = data.positive_trials() if discrete else math.inf
+    value, censored = data.value, data.censored
+    lo, hi = np.maximum(data.lo, 0.0), np.minimum(data.hi, top)
     if discrete:
         bad = np.where(censored, np.ceil(lo) > np.floor(hi),
                        (value != np.floor(value)) | (value < 0) | (value > top))
@@ -475,7 +474,7 @@ def _check_support(family: type[Family], cols: DataColumns) -> None:
     if not censored[row]:
         where = f"column 'outcome': {value[row].item()!r} is outside"
     else:
-        columns = "'cut1', 'cut2'" if cols.kind[row] == KIND_INTERVAL else "'cut1'"
-        where = (f"column {columns}: the censoring region [{cols.lo[row].item()!r}, "
-                 f"{cols.hi[row].item()!r}] holds no point of")
+        columns = "'cut1', 'cut2'" if data.kind[row] == KIND_INTERVAL else "'cut1'"
+        where = (f"column {columns}: the censoring region [{data.lo[row].item()!r}, "
+                 f"{data.hi[row].item()!r}] holds no point of")
     raise DataError(f"row {row}, {where} the {family.__name__} support, {support}")

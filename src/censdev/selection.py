@@ -119,7 +119,7 @@ def plugin_deviance(model: Model, data: CensoredDataset, draws: np.ndarray) -> f
     supports = model.supports
     theta_bar = to_natural(to_unbounded(draws, supports).mean(axis=0), supports)
     with np.errstate(all="ignore"):
-        params = model.row_params(theta_bar, data.columns)
+        params = model.row_params(theta_bar, data)
         value = deviance(loglik_exact(data, model.family, params))
     if not math.isfinite(value):
         raise PluginError("plug-in deviance is non-finite at the posterior mean")
@@ -171,23 +171,22 @@ def compute_popt_ped(
     n = min(samples_a.draws.shape[0], samples_b.draws.shape[0])
     if n == 0:
         raise InsufficientReplicationError("no draws to pair")
-    cols = data.columns
     family = model.family
     # Per row, over the pairs seen so far: the largest log weight, and the
     # sums of weights and of weighted penalties scaled by its exponential.
-    log_w_max = np.full(len(cols), -np.inf)
-    weight_sum = np.zeros(len(cols))
-    penalty_sum = np.zeros(len(cols))
-    chunk = max(1, POPT_CHUNK_ELEMENTS // len(cols))
+    log_w_max = np.full(len(data), -np.inf)
+    weight_sum = np.zeros(len(data))
+    penalty_sum = np.zeros(len(data))
+    chunk = max(1, POPT_CHUNK_ELEMENTS // len(data))
     with np.errstate(all="ignore"):
         for start in range(0, n, chunk):
             stop = min(n, start + chunk)
-            params_a = model.row_params(samples_a.draws[start:stop], cols)
-            params_b = model.row_params(samples_b.draws[start:stop], cols)
-            contrib_a = family.log_contrib(cols, *params_a)
-            contrib_b = family.log_contrib(cols, *params_b)
+            params_a = model.row_params(samples_a.draws[start:stop], data)
+            params_b = model.row_params(samples_b.draws[start:stop], data)
+            contrib_a = family.log_contrib(data, *params_a)
+            contrib_b = family.log_contrib(data, *params_b)
             ksym, log_w = _penalty_terms(
-                family, cols.censored, params_a, params_b, contrib_a, contrib_b
+                family, data.censored, params_a, params_b, contrib_a, contrib_b
             )
             new_max = np.maximum(log_w_max, log_w.max(axis=0))
             rescale = np.exp(log_w_max - new_max)

@@ -75,10 +75,9 @@ def make_dataset(outcomes, covariates=None, trials=None, names=()):
 
 def outcome_specs(data) -> list[tuple]:
     """Every row's outcome spec, the inverse of :func:`make_dataset`'s."""
-    cols = data.columns
     specs = []
-    for kind, lo, hi, value in zip(cols.kind.tolist(), cols.lo.tolist(), cols.hi.tolist(),
-                                   cols.value.tolist()):
+    for kind, lo, hi, value in zip(data.kind.tolist(), data.lo.tolist(), data.hi.tolist(),
+                                   data.value.tolist()):
         specs.append((("none", value), ("left", hi), ("right", lo),
                       ("interval", lo, hi))[kind])
     return specs
@@ -86,22 +85,21 @@ def outcome_specs(data) -> list[tuple]:
 
 def subset(data, rows):
     """The dataset of the given rows of ``data``, in that order."""
-    cols = data.columns.take(rows)
-    return CensoredDataset(cols.kind, cols.lo, cols.hi, cols.value,
-                           [t or None for t in cols.trials.tolist()], cols.covariates,
-                           cols.names)
+    block = data.take(rows)
+    return CensoredDataset(block.kind, block.lo, block.hi, block.value,
+                           [t or None for t in block.trials.tolist()], block.covariates,
+                           block.covariate_names)
 
 
 def censored_rows(data) -> np.ndarray:
-    return np.flatnonzero(data.columns.kind != KIND_OBSERVED)
+    return np.flatnonzero(data.kind != KIND_OBSERVED)
 
 
 def assert_same_columns(a, b):
     """Two datasets hold bit-equal arrays (NaN in the same places) and names."""
-    ca, cb = a.columns, b.columns
-    assert ca.names == cb.names
+    assert a.covariate_names == b.covariate_names
     for field in ("kind", "lo", "hi", "value", "trials", "covariates"):
-        x, y = getattr(ca, field), getattr(cb, field)
+        x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype and x.shape == y.shape, field
         assert x.tobytes() == y.tobytes(), field
 

@@ -12,9 +12,10 @@ array kernels are checked against them; ``kernel`` names each one's
 ``clamp_probability`` are the scalar links and probability clamp.
 
 ``outcome_family(model, theta, cols, i)`` builds the outcome distribution of
-row ``i`` of a :class:`~censdev.likelihood.DataColumns` block by each
-entry's scalar arithmetic, the reference that ``Model.row_params`` is
-checked against; ``outcome_families`` lists it for every row of a dataset.
+row ``i`` of a :class:`~censdev.likelihood.CensoredDataset`, or a block of
+its rows, by each entry's scalar arithmetic, the reference that
+``Model.row_params`` is checked against; ``outcome_families`` lists it for
+every row of a dataset.
 
 ``exact_contribution(s)``, ``loglik_exact``, ``loglik_bernoulli_reform`` and
 ``loglik_dinterval_style`` are the per-row versions of the columnar
@@ -534,7 +535,7 @@ def outcome_family(model, theta, cols, i: int) -> Family:
 
 def outcome_families(model, theta, data: CensoredDataset) -> list[Family]:
     """Per-row outcome distributions at a fixed parameter vector."""
-    return [outcome_family(model, theta, data.columns, i) for i in range(len(data))]
+    return [outcome_family(model, theta, data, i) for i in range(len(data))]
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +563,7 @@ def exact_contributions(
     """Vector of per-row exact log-likelihood contributions."""
     _check_alignment(data, outcome_dists)
     return np.array(
-        [exact_contribution(fam, data.columns, i) for i, fam in enumerate(outcome_dists)]
+        [exact_contribution(fam, data, i) for i, fam in enumerate(outcome_dists)]
     )
 
 
@@ -579,12 +580,11 @@ def loglik_bernoulli_reform(
     Bernoulli(0; F(cut^-)) for right- and Bernoulli(1; F(cut2) - F(cut1^-))
     for interval-censored rows."""
     _check_alignment(data, outcome_dists)
-    cols = data.columns
     total = 0.0
     for i, fam in enumerate(outcome_dists):
-        kind, lo, hi = cols.kind[i], float(cols.lo[i]), float(cols.hi[i])
+        kind, lo, hi = data.kind[i], float(data.lo[i]), float(data.hi[i])
         if kind == KIND_OBSERVED:
-            total += fam.log_pdf(float(cols.value[i]))
+            total += fam.log_pdf(float(data.value[i]))
         elif kind == KIND_LEFT:
             total += bernoulli_log_prob(1, math.exp(fam.log_cdf(hi)))
         elif kind == KIND_RIGHT:
@@ -603,19 +603,18 @@ def loglik_dinterval_style(
     """Log-likelihood pair under latent-imputation bookkeeping, row by row;
     ``latent_values`` maps each censored row to its imputed value."""
     _check_alignment(data, outcome_dists)
-    cols = data.columns
     sampler = 0.0
     monitored = 0.0
     for i, fam in enumerate(outcome_dists):
-        if cols.kind[i] == KIND_OBSERVED:
-            term = fam.log_pdf(float(cols.value[i]))
+        if data.kind[i] == KIND_OBSERVED:
+            term = fam.log_pdf(float(data.value[i]))
             sampler += term
             monitored += term
             continue
         if i not in latent_values:
             raise DataError(f"row {i}: censored row missing a latent value")
         value = latent_values[i]
-        lo, hi = float(cols.lo[i]), float(cols.hi[i])
+        lo, hi = float(data.lo[i]), float(data.hi[i])
         if not lo <= value <= hi:
             raise DataError(
                 f"row {i}: latent value {value} outside censoring region [{lo}, {hi}]"

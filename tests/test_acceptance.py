@@ -103,13 +103,12 @@ class TestCriterion2GapAccounting:
             data, fams = random_dataset(rng)
             family, params = family_params(fams)
             contribs = exact_contributions(data, family, params)
-            cols = data.columns
             rows = censored_rows(data)
             latents = []
             ok = True
             for i in rows:
                 try:
-                    latents.append(fams[i].sample_truncated(cols.lo[i], cols.hi[i], rng))
+                    latents.append(fams[i].sample_truncated(data.lo[i], data.hi[i], rng))
                 except Exception:
                     ok = False
             if not ok or not np.isfinite(contribs.sum()):
@@ -119,15 +118,15 @@ class TestCriterion2GapAccounting:
             expected = -2.0 * (-contribs[rows].sum())
             max_err = max(max_err, abs(gap - expected))
             # The monitor reads the observed rows' exact terms, bit for bit.
-            assert monitored == contribs[cols.kind == KIND_OBSERVED].sum()
+            assert monitored == contribs[data.kind == KIND_OBSERVED].sum()
         # and on the bundled survival data at a fixed parameter point
         theta = np.array([-3.1, -0.9])
-        params = survival_model.row_params(theta, aml.columns)
+        params = survival_model.row_params(theta, aml)
         contribs = exact_contributions(aml, survival_model.family, params)
         rows = censored_rows(aml)
         censored_sum = contribs[rows].sum()
         monitored = loglik_dinterval_style(
-            aml, survival_model.family, params, aml.columns.lo[rows]).monitored_loglik
+            aml, survival_model.family, params, aml.lo[rows]).monitored_loglik
         aml_err = abs(
             (deviance(monitored) - deviance(contribs.sum())) - 2.0 * censored_sum
         )
@@ -184,7 +183,7 @@ class TestCriterion5ConjugateOracles:
         bb_oracle = 8.0 / 22.0
         bb_ok = abs(bb_trace.mean() - bb_oracle) < 3 * mcse(bb_trace)
 
-        total = sum(ge_data.columns.value.tolist())
+        total = sum(ge_data.value.tolist())
         ge_oracle = (ge_model.shape + len(ge_data)) / (ge_model.rate + total)
         ge_trace = ge.param("lambda")
         ge_ok = abs(ge_trace.mean() - ge_oracle) < 3 * mcse(ge_trace)

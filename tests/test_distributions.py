@@ -402,7 +402,7 @@ class TestBinomialPointMemo:
             a, b = sorted(rng.integers(-3, n + 4, 2).tolist())
             specs.append([("none", float(rng.integers(0, n + 1))), ("left", float(b)),
                           ("right", float(a)), ("interval", float(a), b + 1.0)][kind])
-        cols = make_dataset(specs, trials=trials.tolist()).columns
+        cols = make_dataset(specs, trials=trials.tolist())
         assert all(mask is not None for mask in (cols.observed, cols.below, cols.above,
                                                  cols.between))
         log_q = math.log(PROB_CLAMP) * rng.uniform(size=(3, 1, len(trials)))
@@ -420,6 +420,6 @@ class TestBinomialPointMemo:
     def test_the_ae_block_needs_no_mask(self):
         """On the synthetic AE data (observed counts and left-censored ones
         below their cutoffs) every point a row reads is in the support."""
-        cols = synthetic_ae_dataset(seed=1).columns
+        cols = synthetic_ae_dataset(seed=1)
         points = BinomialKernels._points(cols, (cols.positive_trials(),))
         assert points[0].all_support and points[1].all_inside

@@ -70,14 +70,14 @@ class TestParsing:
 
     def test_covariates_and_trials(self):
         data = _parse_rows("3,none,,,25,1,0.5", header=HEADER + ",drug,dose")
-        assert data.columns.trials.tolist() == [25]
-        assert data.columns.covariates.tolist() == [[1.0, 0.5]]
+        assert data.trials.tolist() == [25]
+        assert data.covariates.tolist() == [[1.0, 0.5]]
         assert data.covariate_names == ("drug", "dose")
 
     @pytest.mark.parametrize("trials", [2**53 + 1, 2**63 - 1])
     def test_large_trial_counts_are_read_exactly(self, trials):
         data = _parse_rows(f"3,none,,,{trials},")
-        assert data.columns.trials.tolist() == [trials]
+        assert data.trials.tolist() == [trials]
 
     @pytest.mark.parametrize(
         "row,fragment",
@@ -166,18 +166,17 @@ class TestBundledAml:
 
     def test_group_composition(self):
         data = aml_dataset()
-        groups = data.columns.covariates[:, 0].tolist()
+        groups = data.covariates[:, 0].tolist()
         assert data.covariate_names == ("group",)
         assert groups.count(1.0) == 11 and groups.count(0.0) == 12
-        censored_groups = data.columns.covariates[censored_rows(data), 0].tolist()
+        censored_groups = data.covariates[censored_rows(data), 0].tolist()
         assert censored_groups.count(1.0) == 4 and censored_groups.count(0.0) == 1
 
     def test_exposure_totals(self):
         """Events and total follow-up per arm drive every closed-form check."""
         data = aml_dataset()
-        cols = data.columns
-        value = np.where(np.isnan(cols.value), cols.lo, cols.value).tolist()
-        group = cols.covariates[:, 0].tolist()
+        value = np.where(np.isnan(data.value), data.lo, data.value).tolist()
+        group = data.covariates[:, 0].tolist()
         maintained = [v for v, g in zip(value, group) if g == 1.0]
         control = [v for v, g in zip(value, group) if g == 0.0]
         assert sum(maintained) == 423.0
@@ -255,9 +254,9 @@ class TestSyntheticAe:
         data = synthetic_ae_dataset(n_studies=25, seed=7)
         assert len(data) == 25
         assert data.covariate_names == ("drug", "drug_class", "study")
-        drugs = set(data.columns.covariates[:, 0].tolist())
+        drugs = set(data.covariates[:, 0].tolist())
         assert drugs == {0.0, 1.0, 2.0, 3.0, 4.0}
-        assert all(trials >= 30 for trials in data.columns.trials.tolist())
+        assert all(trials >= 30 for trials in data.trials.tolist())
 
     def test_censoring_encoding(self):
         data = synthetic_ae_dataset(n_studies=60, seed=7)
@@ -395,7 +394,7 @@ class TestCliFit:
         model = Model(MODELS["survival-exponential"], data)
         draws = matrix[:, [names.index(p) for p in model.param_names]]
         offline = np.mean([
-            -2.0 * loglik_exact(data, model.family, model.row_params(theta, data.columns))
+            -2.0 * loglik_exact(data, model.family, model.row_params(theta, data))
             for theta in draws])
         assert len(draws) == 300
         assert abs(report["mean_exact_deviance"] - offline) <= 1e-9 * abs(offline)
@@ -1122,7 +1121,7 @@ class TestCliOutOfSupport:
     ])
     def test_binomial(self, tmp_path, capsys, mode, cells, column):
         data = synthetic_ae_dataset(n_studies=10, seed=6)
-        above = repr(float(data.columns.trials[4] + 1))
+        above = repr(float(data.trials[4] + 1))
         cells = {k: v.replace("{trials_plus_1}", above) for k, v in cells.items()}
         dataset = _edited_dataset(tmp_path, data, 4, cells)
         path = _write_config(tmp_path, {

@@ -72,19 +72,17 @@ class TestDatasetStructure:
             ("interval", 1.0, 4.0),
             ("none", 2.5),
         )
-        cols = data.columns
-        masks = [m for m in (cols.observed, cols.below, cols.above, cols.between)
+        masks = [m for m in (data.observed, data.below, data.above, data.between)
                  if m is not None]
         assert (np.sum(masks, axis=0) == 1).all()
-        assert list(cols.kind) == [KIND_OBSERVED, KIND_LEFT, KIND_RIGHT, KIND_INTERVAL,
+        assert list(data.kind) == [KIND_OBSERVED, KIND_LEFT, KIND_RIGHT, KIND_INTERVAL,
                                    KIND_OBSERVED]
 
     def test_censoring_regions(self):
         data = _ds(("left", 2.0), ("right", 2.0), ("interval", 1.0, 3.0), ("none", 1.0))
-        cols = data.columns
-        assert list(zip(cols.lo, cols.hi)) == [(-inf, 2.0), (2.0, inf), (1.0, 3.0),
+        assert list(zip(data.lo, data.hi)) == [(-inf, 2.0), (2.0, inf), (1.0, 3.0),
                                                (-inf, inf)]
-        assert np.isnan(cols.value[:3]).all() and cols.value[3] == 1.0
+        assert np.isnan(data.value[:3]).all() and data.value[3] == 1.0
         assert outcome_specs(data) == [("left", 2.0), ("right", 2.0),
                                        ("interval", 1.0, 3.0), ("none", 1.0)]
 
@@ -108,7 +106,7 @@ class TestDatasetStructure:
 
     def test_missing_trials_are_none(self):
         data = make_dataset([("none", 1.0), ("none", 2.0)], trials=[None, 4])
-        assert data.columns.trials.tolist() == [0, 4]
+        assert data.trials.tolist() == [0, 4]
 
     @pytest.mark.parametrize("names", [("a",), ("a", "a"), ("a", "")])
     def test_covariate_names_must_fit_the_columns(self, names):
@@ -123,6 +121,25 @@ class TestDatasetStructure:
         with pytest.raises(DataError, match=f"^covariate {named} must be finite; row 2 has "):
             make_dataset([("none", 1.0), ("right", 2.0), ("none", 3.0)],
                          covariates=[(0.5, 0.0), (1.5, 1.0), (2.5, bad)], names=names)
+
+
+    @pytest.mark.parametrize("family,params", [
+        (Exponential, (0.7,)),
+        (Normal, (0.0, 2.0)),
+        (Binomial, (9, 0.4)),
+    ])
+    def test_an_empty_block_scores_no_rows(self, family, params):
+        """``take`` builds a block without checking it, and the censored
+        block of an all-observed dataset is empty: it scores no rows."""
+        data = make_dataset([("none", 1.0), ("none", 2.0)], trials=[9, 9])
+        block = data.take(np.flatnonzero(data.censored))
+        assert type(block) is CensoredDataset and len(block) == 0
+        stacked = tuple(np.full((3, 1, 1), p) for p in params)
+        assert family.log_contrib(block, *stacked).shape == (3, 1, 0)
+        assert exact_contributions(block, family, params).shape == (0,)
+        assert loglik_exact(block, family, params) == 0.0
+        assert loglik_bernoulli_reform(block, family, params) == 0.0
+        assert loglik_dinterval_style(block, family, params, []) == (0.0, 0.0)
 
 
 class TestLoglikExact:
@@ -260,9 +277,8 @@ class TestDIntervalStyle:
         rng = np.random.default_rng(seed)
         data, fams = random_dataset(rng)
         family, params = family_params(fams)
-        cols = data.columns
         rows = censored_rows(data)
-        latents = [fams[i].sample_truncated(cols.lo[i], cols.hi[i], rng) for i in rows]
+        latents = [fams[i].sample_truncated(data.lo[i], data.hi[i], rng) for i in rows]
         contribs = exact_contributions(data, family, params)
         result = loglik_dinterval_style(data, family, params, latents)
         monitored = result.monitored_loglik
@@ -270,7 +286,7 @@ class TestDIntervalStyle:
             loglik_exact(data, family, params) - contribs[rows].sum(), rel=1e-10, abs=1e-10
         )
         # The monitor reads the observed rows' exact terms, bit for bit.
-        assert monitored == contribs[cols.kind == KIND_OBSERVED].sum()
+        assert monitored == contribs[data.kind == KIND_OBSERVED].sum()
         reference = oracle.loglik_dinterval_style(data, fams, dict(zip(rows, latents)))
         assert _close(monitored, reference.monitored_loglik, ORACLE_RTOL)
         assert _close(result.sampler_loglik, reference.sampler_loglik, ORACLE_RTOL)
@@ -282,7 +298,7 @@ class TestRowParamShapes:
         if name == "loglik_dinterval_style":
             rows = censored_rows(data)
             return loglik_dinterval_style(data, Exponential, params,
-                                          data.columns.lo[rows] + 1.0)
+                                          data.lo[rows] + 1.0)
         return globals()[name](data, Exponential, params)
 
     @pytest.mark.parametrize("name", ["exact_contributions", "loglik_exact",
@@ -316,7 +332,7 @@ def test_readme_python_example_holds():
     namespace = {}
     exec(code, namespace)
     exact, pair = namespace["exact"], namespace["pair"]
-    censored = namespace["data"].columns.kind != KIND_OBSERVED
+    censored = namespace["data"].kind != KIND_OBSERVED
     contributions = exact_contributions(namespace["data"], namespace["model"].family,
                                         namespace["params"])
     assert abs(namespace["reform"] - exact) <= 1e-12

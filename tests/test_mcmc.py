@@ -45,6 +45,7 @@ from conftest import (
     recorded_latents,
     run_one,
     single_binomial_dataset,
+    subset,
     tobit_dataset,
 )
 from oracle import loglik_dinterval_style, loglik_exact, outcome_families
@@ -61,7 +62,7 @@ class TestConjugateOracles:
     def test_gamma_exponential_posterior_mean(self, conjugate_ge_run):
         """Gamma(a,b) prior: posterior mean (a+N)/(b+sum y)."""
         model, data, samples = conjugate_ge_run
-        total = sum(data.columns.value.tolist())
+        total = sum(data.value.tolist())
         oracle = (model.shape + len(data)) / (model.rate + total)
         trace = samples.param("lambda")
         assert abs(trace.mean() - oracle) < 3 * mcse(trace)
@@ -189,19 +190,18 @@ class TestBatching:
         model = _FreshDataModel if fresh else Model
         d, e, f = (model(MODELS[v], data) for v in "DEF")
         chain_models = [f, d, e, d, f]
-        state = _ChainBatch(d, data, LikelihoodMode.EXACT,
+        state = _ChainBatch(data, LikelihoodMode.EXACT,
                             [np.random.default_rng(s) for s in range(5)], chain_models)
         theta = np.random.default_rng(3).normal(size=(5, len(d.params)))
         theta[:, 1] = np.abs(theta[:, 1])
-        cols = data.columns
-        params = state._row_params(theta, cols)
+        params = state._row_params(theta, data)
         for chain, own_model in enumerate(chain_models):
-            own = own_model.row_params(theta[chain], cols)
+            own = own_model.row_params(theta[chain], data)
             for got, want in zip(params, own):
-                got = np.broadcast_to(got, (len(theta), 1, len(cols)))[chain, 0]
+                got = np.broadcast_to(got, (len(theta), 1, len(data)))[chain, 0]
                 assert np.array_equal(got, want)
         # F's link gives other probabilities than D's from the same theta.
-        assert not np.array_equal(params[1][0, 0], d.row_params(theta[0], cols)[1])
+        assert not np.array_equal(params[1][0, 0], d.row_params(theta[0], data)[1])
 
     @pytest.mark.parametrize("mode", list(LikelihoodMode))
     def test_restarted_chains_of_a_batch_equal_each_run_alone(self, monkeypatch, aml, mode):
@@ -392,7 +392,7 @@ class TestBatching:
         the error names the sweep and the first censored row's region."""
         _degenerate_regions(monkeypatch, lambda call: call >= 40)
         configs = tuple(ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=s) for s in (1, 2))
-        first = aml.columns.lo[aml.columns.kind != KIND_OBSERVED][0]
+        first = aml.lo[aml.kind != KIND_OBSERVED][0]
         with pytest.raises(NumericError, match=(
                 rf"^sweep 36: degenerate censoring region: truncation region "
                 rf"\[{first}, inf\] has zero probability$")):
@@ -517,7 +517,7 @@ class TestDrawChunks:
         """The chunk keeps each sweep's accept uniforms as their logs, all
         below 0, and the latent uniforms as drawn."""
         model, data, mode = _batch_case("survival-dinterval")
-        state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (3, 4)],
+        state = _ChainBatch(data, mode, [np.random.default_rng(s) for s in (3, 4)],
                             [model] * 2)
         config = ChainConfig(n_chains=2, burn_in=60, n_keep=40)
         state._draw_chunk(0, config)
@@ -618,7 +618,7 @@ class TestDevianceMonitor:
     def test_dinterval_trace_matches_offline_monitored(self, aml, survival_model,
                                                        survival_runs, survival_latents):
         _, dint = survival_runs
-        latent_rows = np.flatnonzero(aml.columns.kind != KIND_OBSERVED).tolist()
+        latent_rows = np.flatnonzero(aml.kind != KIND_OBSERVED).tolist()
         idx = np.linspace(0, dint.draws.shape[0] - 1, 500).astype(int)
         for i in idx:
             theta = dint.draws[i]
@@ -642,10 +642,10 @@ class TestDevianceMonitor:
 class TestLatentImputation:
     def test_every_kept_latent_in_its_region(self, aml, survival_runs, survival_latents):
         _, dint = survival_runs
-        latent_rows = np.flatnonzero(aml.columns.kind != KIND_OBSERVED)
+        latent_rows = np.flatnonzero(aml.kind != KIND_OBSERVED)
         assert survival_latents.shape == (len(dint.draws), len(latent_rows))
         for k, row in enumerate(latent_rows):
-            lo, hi = aml.columns.lo[row], aml.columns.hi[row]
+            lo, hi = aml.lo[row], aml.hi[row]
             col = survival_latents[:, k]
             assert (col >= lo).all() and (col <= hi).all()
 
@@ -654,6 +654,34 @@ class TestLatentImputation:
             run_one(survival_model, aml, LikelihoodMode.EXACT,
                     ChainConfig(n_chains=2, burn_in=20, n_keep=20, seed=3))
         assert refreshes == []
+
+    EDGE_CONFIG = ChainConfig(n_chains=2, burn_in=200, n_keep=200, seed=5)
+
+    def _both_modes(self, data):
+        model = Model(MODELS["survival-exponential"], data)
+        return [run_one(model, data, mode, self.EDGE_CONFIG) for mode in LikelihoodMode]
+
+    def test_all_observed_rows_give_the_exact_run_in_dinterval_mode(self, aml):
+        """With no censored row the latent block is empty: a dinterval run
+        draws no latents and is the exact run bit for bit."""
+        data = subset(aml, np.flatnonzero(~aml.censored))
+        with recorded_latents() as refreshes:
+            exact, dint = self._both_modes(data)
+        assert len(data.take(np.flatnonzero(data.censored))) == 0
+        assert refreshes and all(latents.size == 0 for latents in refreshes)
+        for field in ("draws", "deviance_trace", "exact_deviance_trace", "acceptance_rates"):
+            assert getattr(exact, field).tobytes() == getattr(dint, field).tobytes(), field
+
+    def test_all_right_censored_rows_run_in_both_modes(self, aml):
+        """With no observed row the dinterval monitor sees nothing, so its
+        deviance is exactly 0, while every exact deviance stays finite."""
+        data = make_dataset([("right", t) for t in np.fmax(aml.value, aml.lo).tolist()],
+                            covariates=aml.covariates, names=aml.covariate_names)
+        exact, dint = self._both_modes(data)
+        assert (dint.deviance_trace == 0.0).all()
+        for samples in (exact, dint):
+            assert np.isfinite(samples.exact_deviance_trace).all()
+        assert exact.deviance_trace.tobytes() == exact.exact_deviance_trace.tobytes()
 
 
 class _NoStartAtOrigin(DuckModel):
@@ -709,7 +737,7 @@ class TestLevelBlocks:
         take the same decisions and reach the same state, whose cached
         terms and contributions are those of its parameters."""
         model = Model(MODELS[variant], ae)
-        state = _ChainBatch(model, ae, LikelihoodMode.EXACT, [np.random.default_rng(3)], [model])
+        state = _ChainBatch(ae, LikelihoodMode.EXACT, [np.random.default_rng(3)], [model])
         state.initialize()
         (block,) = [b for b in state.blocks if b.owner is not None]
         levels = model.levels
@@ -723,7 +751,7 @@ class TestLevelBlocks:
         block.z[0, blocked.at], block.log_u[0, blocked.at] = z, np.log(u)
         (accept,) = block.update(blocked, scales[block.comps])
 
-        cols, supports = ae.columns, model.supports
+        cols, supports = ae, model.supports
 
         def log_posterior(x):
             v = to_natural(x, supports)
@@ -757,14 +785,13 @@ class TestLevelBlocks:
         model = Model(MODELS["G"], ae)
         samples = run_one(model, ae, LikelihoodMode.EXACT,
                           ChainConfig(n_chains=3, burn_in=1000, n_keep=5000, seed=404))
-        cols = ae.columns
         for s in range(len(ae)):
-            n = int(cols.trials[s])
-            if np.isfinite(cols.value[s]):
-                y = cols.value[s]
+            n = int(ae.trials[s])
+            if np.isfinite(ae.value[s]):
+                y = ae.value[s]
                 oracle = (1.0 + y) / (2.0 + n)
             else:
-                lo, hi = cols.lo[s], cols.hi[s]
+                lo, hi = ae.lo[s], ae.hi[s]
                 region = lambda p: (stats.binom.cdf(hi, n, p)
                                     - stats.binom.cdf(np.ceil(lo) - 1.0, n, p))
                 mass = integrate.quad(region, 0.0, 1.0, epsabs=0, epsrel=1e-10)[0]
@@ -784,7 +811,7 @@ class TestLevelBlocks:
         out those that reach the rows first, then ``level_reads``, then the
         levels."""
         model, data = _entry_case(name)
-        state = _ChainBatch(model, data, LikelihoodMode.EXACT, [np.random.default_rng(1)],
+        state = _ChainBatch(data, LikelihoodMode.EXACT, [np.random.default_rng(1)],
                             [model])
         n = len(model.params)
         reaching = [j for j in range(n) if j not in model.levels + model.level_reads]
@@ -793,7 +820,7 @@ class TestLevelBlocks:
         for block in state.blocks:
             comps = np.atleast_1d(np.arange(n)[block.comps]).tolist()
             layout.append(comps)
-            assert block.cols is data.columns or block.cols is None
+            assert block.cols is data or block.cols is None
             assert (block.cols is None) == (len(comps) == 1 and comps[0] in model.level_reads)
             if block.chol is not None:
                 assert comps == reaching and len(comps) >= 2
@@ -805,7 +832,7 @@ class TestLevelBlocks:
         level_blocks = [b for b in state.blocks if b.owner is not None]
         assert len(level_blocks) == bool(model.levels)
         for block in level_blocks:
-            codes = data.columns.codes(model.index_col, model.n_levels)
+            codes = data.codes(model.index_col, model.n_levels)
             assert np.array_equal(block.owner, codes)
 
     def test_joint_blocks_of_the_table(self):
@@ -814,7 +841,7 @@ class TestLevelBlocks:
         joint = {}
         for name in MODELS:
             model, data = _entry_case(name)
-            state = _ChainBatch(model, data, LikelihoodMode.EXACT,
+            state = _ChainBatch(data, LikelihoodMode.EXACT,
                                 [np.random.default_rng(1)], [model])
             joint[name] = [model.param_names[b.comps] for b in state.blocks
                            if b.chol is not None]
@@ -841,7 +868,7 @@ class TestLevelBlocks:
         natural scale only those off the real line (the GLM's intercept,
         beta0 and beta1 are not mapped), with one map when they share it."""
         model, data = _entry_case(name)
-        state = _ChainBatch(model, data, LikelihoodMode.EXACT, [np.random.default_rng(1)],
+        state = _ChainBatch(data, LikelihoodMode.EXACT, [np.random.default_rng(1)],
                             [model])
         got = []
         for step in state.blocks:
@@ -865,17 +892,16 @@ def _glm_log_posterior(data, intercept, slope, log_sigma):
     slope, log sigma), with scipy's normal kernels: Normal(0, 100)
     coefficient priors, a half-Cauchy(1) prior on sigma and its log
     Jacobian.  The grids broadcast against each other."""
-    cols = data.columns
     sigma = np.exp(log_sigma)
-    mean = intercept[..., None] + slope[..., None] * cols.covariates[:, 0]
+    mean = intercept[..., None] + slope[..., None] * data.covariates[:, 0]
     sd = sigma[..., None]
-    lo = (cols.lo - mean) / sd
-    hi = (cols.hi - mean) / sd
+    lo = (data.lo - mean) / sd
+    hi = (data.hi - mean) / sd
     with np.errstate(divide="ignore"):  # far out on the grid an interval has no mass
         interval = np.log(stats.norm.cdf(hi) - stats.norm.cdf(lo))
-    rows = np.where(cols.kind == KIND_OBSERVED, stats.norm.logpdf(cols.value, mean, sd),
-                    np.where(np.isinf(cols.lo), stats.norm.logcdf(hi),
-                             np.where(np.isinf(cols.hi), stats.norm.logsf(lo), interval)))
+    rows = np.where(data.kind == KIND_OBSERVED, stats.norm.logpdf(data.value, mean, sd),
+                    np.where(np.isinf(data.lo), stats.norm.logcdf(hi),
+                             np.where(np.isinf(data.hi), stats.norm.logsf(lo), interval)))
     prior = (stats.norm.logpdf(intercept, 0.0, 10.0) + stats.norm.logpdf(slope, 0.0, 10.0)
              + stats.halfcauchy.logpdf(sigma) + log_sigma)
     return rows.sum(axis=-1) + prior
@@ -909,7 +935,7 @@ class TestJointBlock:
 
     def test_glm_posterior_means_match_quadrature(self):
         data = tobit_dataset(20, slopes=(0.8,))
-        assert set(data.columns.kind.tolist()) == {0, 1, 2, 3}
+        assert set(data.kind.tolist()) == {0, 1, 2, 3}
         model = Model(MODELS["censored-normal-glm"], data)
         assert model.param_names == ("intercept", "beta0", "sigma")
         samples = run_one(model, data, LikelihoodMode.EXACT,
@@ -927,10 +953,9 @@ class TestJointBlock:
         Exponential(exp(b0 + b1 * group)) rows, observed or right-censored,
         Normal(0, 100) priors."""
         exact, _ = survival_runs
-        cols = aml.columns
-        observed = cols.kind == KIND_OBSERVED
-        time = np.where(observed, cols.value, cols.lo)
-        group = cols.covariates[:, 0]
+        observed = aml.kind == KIND_OBSERVED
+        time = np.where(observed, aml.value, aml.lo)
+        group = aml.covariates[:, 0]
 
         def log_density(b0, b1):
             log_rate = b0[..., None] + b1[..., None] * group
@@ -938,7 +963,7 @@ class TestJointBlock:
             return (rows.sum(axis=-1) + stats.norm.logpdf(b0, 0.0, 10.0)
                     + stats.norm.logpdf(b1, 0.0, 10.0))
 
-        assert set(cols.kind.tolist()) == {0, 2}
+        assert set(aml.kind.tolist()) == {0, 2}
         identity = lambda v: v
         axes = [(_box(exact.param(n), identity, 401), identity) for n in ("b0", "b1")]
         for name, want in zip(("b0", "b1"), _grid_means(log_density, axes)):
@@ -971,7 +996,7 @@ class TestJointBlock:
 
         monkeypatch.setattr(_ChainBatch, "_draw_chunk", stuck)
         model, data, mode = _batch_case("survival-exact")
-        state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (3, 4)],
+        state = _ChainBatch(data, mode, [np.random.default_rng(s) for s in (3, 4)],
                             [model] * 2)
         config = ChainConfig(n_chains=2, burn_in=60, n_keep=10, adapt_window=20)
         kept = mcmc._kept_arrays(ChainBatch((config,)), state.n_params)
@@ -1034,11 +1059,11 @@ def _ae_regions_dataset():
     """The synthetic AE rows with their counts censored in turn: observed,
     left of 3 and [2, 4] (regions of at most 5 counts), right of 4 and
     [1, 40] (regions over 16 counts wide)."""
-    cols = synthetic_ae_dataset(seed=11).columns
+    cols = synthetic_ae_dataset(seed=11)
     specs = (("none", 2.0), ("left", 3.0), ("right", 4.0), ("interval", 1.0, 40.0),
              ("interval", 2.0, 4.0))
     return make_dataset([specs[i % len(specs)] for i in range(len(cols))],
-                        covariates=cols.covariates, names=cols.names,
+                        covariates=cols.covariates, names=cols.covariate_names,
                         trials=cols.trials.tolist())
 
 
@@ -1059,10 +1084,10 @@ class TestLatentRefresh:
         spec, data = self.CASES[case]()
         model = Model(spec, data)
         seeds = (3, 4, 5)
-        state = _ChainBatch(model, data, LikelihoodMode.DINTERVAL,
+        state = _ChainBatch(data, LikelihoodMode.DINTERVAL,
                             [np.random.default_rng(s) for s in seeds], [model] * len(seeds))
         block, rows = state.censored_block, state.censored_rows
-        assert set(block.kind.tolist()) == {1, 2, 3} and (data.columns.kind == 0).any()
+        assert set(block.kind.tolist()) == {1, 2, 3} and (data.kind == 0).any()
         if case == "binomial":
             width = np.minimum(block.hi, block.trials) - np.maximum(block.lo, 0.0)
             assert (width <= 5).any() and (width > 16).any()
@@ -1102,7 +1127,7 @@ class TestPriorTermCache:
     ])
     def test_cached_terms_equal_a_fresh_evaluation(self, name, mode):
         model, data = _entry_case(name)
-        state = _ChainBatch(model, data, mode, [np.random.default_rng(s) for s in (5, 6)],
+        state = _ChainBatch(data, mode, [np.random.default_rng(s) for s in (5, 6)],
                             [model] * 2)
         config = ChainConfig(n_chains=2, burn_in=30, n_keep=20, adapt_window=10)
         kept = mcmc._kept_arrays(ChainBatch((config,)), state.n_params)

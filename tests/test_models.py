@@ -362,14 +362,14 @@ class TestPriorTerms:
 class TestOutcomeConstruction:
     def test_survival_identity_rate(self):
         model = _survival()
-        cols = make_dataset([("none", 1.0)], covariates=[(1.0,)]).columns
+        cols = make_dataset([("none", 1.0)], covariates=[(1.0,)])
         fam = outcome_family(model, np.zeros(2), cols, 0)
         assert isinstance(fam, oracle.Exponential)
         assert fam.rate == pytest.approx(1.0)
 
     def test_survival_group_rate(self):
         model = _survival()
-        cols = make_dataset([("none", 1.0)], covariates=[(1.0,)]).columns
+        cols = make_dataset([("none", 1.0)], covariates=[(1.0,)])
         fam = outcome_family(model, np.array([0.3, -1.2]), cols, 0)
         assert fam.rate == pytest.approx(math.exp(0.3 - 1.2), rel=1e-12)
 
@@ -377,7 +377,7 @@ class TestOutcomeConstruction:
     def test_zero_linear_predictor_gives_half(self, variant):
         model = _model(variant, _ae_rows())
         theta = np.zeros(len(model.params))
-        cols = _binomial_row(3, 20, drug=2, study=0).columns
+        cols = _binomial_row(3, 20, drug=2, study=0)
         fam = outcome_family(model, theta, cols, 0)
         assert isinstance(fam, oracle.Binomial)
         assert fam.prob == pytest.approx(0.5)
@@ -385,12 +385,12 @@ class TestOutcomeConstruction:
     def test_cloglog_variant_uses_its_link(self):
         model = _model("E", _ae_rows())
         theta = np.zeros(len(model.params))
-        fam = outcome_family(model, theta, _binomial_row(3, 20, 1, 0).columns, 0)
+        fam = outcome_family(model, theta, _binomial_row(3, 20, 1, 0), 0)
         assert fam.prob == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
 
     def test_normal_glm_mean(self):
         model = _model("censored-normal-glm", _glm_rows(2))
-        cols = make_dataset([("none", 0.0)], covariates=[(2.0, -1.0)]).columns
+        cols = make_dataset([("none", 0.0)], covariates=[(2.0, -1.0)])
         fam = outcome_family(model, np.array([0.5, 1.0, 2.0, 0.5]), cols, 0)
         assert isinstance(fam, oracle.Normal)
         assert fam.mean == pytest.approx(0.5 + 2.0 - 2.0)
@@ -443,7 +443,7 @@ class TestTableEntriesOnly:
         data = make_dataset([("none", 1.0), ("right", 2.0)],
                             covariates=[(0.0, 1.0), (1.0, 0.0)], names=("group", "arm"))
         spec = dataclasses.replace(MODELS["survival-exponential"], covariates=("arm",))
-        rates = Model(spec, data).row_params(np.array([0.0, 1.0]), data.columns)[0]
+        rates = Model(spec, data).row_params(np.array([0.0, 1.0]), data)[0]
         np.testing.assert_allclose(rates, [math.e, 1.0])
 
     @pytest.mark.parametrize("name", [n for n, spec in MODELS.items() if spec.index])
@@ -486,9 +486,9 @@ class TestLogPosterior:
         theta = np.array([-3.1, -0.9])
         dists = outcome_families(model, theta, aml)
         contribs = exact_contributions(aml, model.family,
-                                       model.row_params(theta, aml.columns))
+                                       model.row_params(theta, aml))
         rows = censored_rows(aml)
-        latents = {i: aml.columns.lo[i] for i in rows}
+        latents = {i: aml.lo[i] for i in rows}
         exact = log_posterior_unnorm(model, theta, aml, LikelihoodMode.EXACT)
         dint = log_posterior_unnorm(
             model, theta, aml, LikelihoodMode.DINTERVAL, latents
@@ -514,9 +514,9 @@ class TestIdentifiability:
         the posterior mode matches events / total time within 2% at 1e5
         draws.  The mode is estimated by the highest-posterior kept draw,
         which converges much faster than a smoothed-density peak."""
-        data = subset(aml, np.flatnonzero(~np.isnan(aml.columns.value)))
-        groups = data.columns.covariates[:, 0]
-        times = data.columns.value
+        data = subset(aml, np.flatnonzero(~np.isnan(aml.value)))
+        groups = data.covariates[:, 0]
+        times = data.value
         mle = {
             g: (groups == g).sum() / times[groups == g].sum() for g in (0.0, 1.0)
         }
@@ -527,10 +527,9 @@ class TestIdentifiability:
 
         # The stack is scored in chunks with the columnar kernels; the scalar
         # oracle checks the chosen draw's score.
-        cols = data.columns
         log_post = np.concatenate([
             model.log_prior(chunk)
-            + model.family.log_contrib(cols, *model.row_params(chunk, cols)).sum(axis=-1)
+            + model.family.log_contrib(data, *model.row_params(chunk, data)).sum(axis=-1)
             for chunk in np.array_split(samples.draws, 10)
         ])
         best = int(np.argmax(log_post))

@@ -85,7 +85,7 @@ class TestPd:
         dev = deviance(
             sum(
                 f.log_pdf(y)
-                for f, y in zip(outcome_families(model, [p], data), data.columns.value)
+                for f, y in zip(outcome_families(model, [p], data), data.value)
             )
         )
         draws = np.full((50, 1), p)
@@ -125,10 +125,10 @@ class TestPluginDeviance:
         x = rng.normal(-1.0, 0.7, size=(60, len(model.params)))
         draws = to_natural(x, model.supports)
         theta_bar = to_natural(to_unbounded(draws, model.supports).mean(axis=0), model.supports)
-        params = model.row_params(theta_bar, data.columns)
+        params = model.row_params(theta_bar, data)
         got = plugin_deviance(model, data, draws)
         assert got == deviance(loglik_exact(data, model.family, params))
-        assert got == -2.0 * float(model.family.log_contrib(data.columns, *params).sum())
+        assert got == -2.0 * float(model.family.log_contrib(data, *params).sum())
 
     def test_a_model_error_propagates(self):
         def row_params(theta, cols):
@@ -269,7 +269,7 @@ class TestMonotoneDataEffect:
                     sum(
                         f.log_pdf(y)
                         for f, y in zip(outcome_families(model, [p], data),
-                                        data.columns.value)
+                                        data.value)
                     )
                 )
                 for p in draws
@@ -277,7 +277,7 @@ class TestMonotoneDataEffect:
             return compute_dbar(np.array(devs))
 
         def pointwise_new(p):
-            fam = outcome_family(model, [p], extended.columns, 3)
+            fam = outcome_family(model, [p], extended, 3)
             return deviance(fam.log_pdf(4.0))
 
         added = np.mean([pointwise_new(p) for p in draws])

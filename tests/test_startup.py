@@ -79,13 +79,13 @@ from censdev.likelihood import CensoredDataset
 
 inf = float("inf")
 hi = np.array([-1.5, 0.2, 3.0])
-left = CensoredDataset([1, 1, 1], [-inf] * 3, hi, [np.nan] * 3).columns
+left = CensoredDataset([1, 1, 1], [-inf] * 3, hi, [np.nan] * 3)
 mean, precision = np.array([0.3, -0.4, 1.1]), np.array([0.5, 2.0, 4.0])
 normal = Normal.log_contrib(left, mean, precision)
 normal_loads = "scipy.special" in sys.modules
 
 y = np.array([1.0, 3.0, 7.0])
-counts = CensoredDataset([0, 0, 0], [-inf] * 3, [inf] * 3, y, trials=[10, 12, 9]).columns
+counts = CensoredDataset([0, 0, 0], [-inf] * 3, [inf] * 3, y, trials=[10, 12, 9])
 prob = np.array([0.2, 0.5, 0.9])
 binomial = Binomial.log_contrib(counts, counts.trials, prob)
 

@@ -57,12 +57,12 @@ class TestLogContribMatchesScalarKernels:
         rng = np.random.default_rng(seed)
         data, fams = random_dataset(rng, max_rows=12)
         cls, params = family_params(fams)
-        scalar = [exact_contribution(f, data.columns, i) for i, f in enumerate(fams)]
-        vector = cls.log_contrib(data.columns, *params)
+        scalar = [exact_contribution(f, data, i) for i, f in enumerate(fams)]
+        vector = cls.log_contrib(data, *params)
         _assert_close(vector, scalar, KERNEL_RTOL)
         # A block taken in another order scores the same rows the same way.
         order = rng.permutation(len(fams))
-        block = data.columns.take(order)
+        block = data.take(order)
         _assert_close(cls.log_contrib(block, *(p[order] for p in params)),
                       np.array(scalar)[order], KERNEL_RTOL)
 
@@ -80,10 +80,10 @@ class TestLogContribMatchesScalarKernels:
         data = make_dataset([("none", 1.5), ("left", 0.2), ("right", 2.0),
                              ("interval", 0.5, 3.0)])
         rates = np.array([[0.3], [1.0], [4.0]])
-        vector = Exponential.log_contrib(data.columns, rates)
+        vector = Exponential.log_contrib(data, rates)
         assert vector.shape == (3, 4)
         for d, rate in enumerate(rates[:, 0]):
-            scalar = [exact_contribution(oracle.Exponential(rate), data.columns, i)
+            scalar = [exact_contribution(oracle.Exponential(rate), data, i)
                       for i in range(len(data))]
             _assert_close(vector[d], scalar, KERNEL_RTOL)
 
@@ -113,17 +113,16 @@ def _ae_dataset():
 
 
 def _check_model_at(model, data, theta):
-    cols = data.columns
-    params = np.broadcast_arrays(*model.row_params(theta, cols), cols.lo)[:-1]
+    params = np.broadcast_arrays(*model.row_params(theta, data), data.lo)[:-1]
     scalar_contribs = []
     for i in range(len(data)):
-        family = outcome_family(model, np.asarray(theta, dtype=float), cols, i)
+        family = outcome_family(model, np.asarray(theta, dtype=float), data, i)
         assert type(family).kernel is model.family
         fields = FIELDS[type(family)]
         for name, array in zip(fields, params):
             _assert_close(array[i], getattr(family, name), KERNEL_RTOL)
-        scalar_contribs.append(exact_contribution(family, cols, i))
-    vector = model.family.log_contrib(cols, *model.row_params(theta, cols))
+        scalar_contribs.append(exact_contribution(family, data, i))
+    vector = model.family.log_contrib(data, *model.row_params(theta, data))
     _assert_close(vector, scalar_contribs, KERNEL_RTOL)
 
 
@@ -171,12 +170,11 @@ class TestParameterMapsAtExtremes:
     def test_deep_tail_fallback_is_exercised(self):
         data = _ae_dataset()
         model = Model(MODELS["A"], data)
-        cols = data.columns
-        censored = np.flatnonzero(cols.kind != KIND_OBSERVED)
+        censored = np.flatnonzero(data.kind != KIND_OBSERVED)
         for p in (1e-12, 1.0 - 1e-12):
             # At least one censored row sits beyond betainc's range.
             assert any(
-                exact_contribution(outcome_family(model, np.array([p]), cols, i), cols, i)
+                exact_contribution(outcome_family(model, np.array([p]), data, i), data, i)
                 < math.log(1e-290)
                 for i in censored
             )
@@ -204,21 +202,20 @@ def _samples(draws, model, seed):
 
 def _popt_reference(model, data, draws_a, draws_b):
     p_opt = 0.0
-    cols = data.columns
     for i in range(len(data)):
         ksym, log_w = [], []
         for theta_a, theta_b in zip(draws_a, draws_b):
-            fam_a = outcome_family(model, theta_a, cols, i)
-            fam_b = outcome_family(model, theta_b, cols, i)
-            if cols.kind[i] == KIND_OBSERVED:
+            fam_a = outcome_family(model, theta_a, data, i)
+            fam_b = outcome_family(model, theta_b, data, i)
+            if data.kind[i] == KIND_OBSERVED:
                 ksym.append(kl_divergence(fam_a, fam_b) + kl_divergence(fam_b, fam_a))
             else:
-                lo, hi = float(cols.lo[i]), float(cols.hi[i])
+                lo, hi = float(data.lo[i]), float(data.hi[i])
                 p_a = math.exp(fam_a.log_interval_prob(lo, hi))
                 p_b = math.exp(fam_b.log_interval_prob(lo, hi))
                 ksym.append(bernoulli_kl(p_a, p_b) + bernoulli_kl(p_b, p_a))
-            log_w.append(-(exact_contribution(fam_a, cols, i)
-                           + exact_contribution(fam_b, cols, i)))
+            log_w.append(-(exact_contribution(fam_a, data, i)
+                           + exact_contribution(fam_b, data, i)))
         log_w = np.array(log_w)
         weights = np.exp(log_w - log_w.max())
         p_opt += float(weights @ np.array(ksym) / weights.sum())
