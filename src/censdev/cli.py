@@ -413,11 +413,14 @@ def cmd_fit(config: dict, config_dir: Path) -> int:
 
 
 def _model_sections(config: dict) -> list[dict]:
-    """The compare config's model sections: "models", else one per variant."""
-    sections = config.get("models", [])
-    if not isinstance(sections, list) or not all(isinstance(s, dict) for s in sections):
-        raise ValidationError('"models" must be a list of model objects')
-    if not sections:
+    """The compare config's model sections: "models", or one per variant."""
+    if "models" in config:
+        sections = config["models"]
+        if "variants" in config:
+            raise ValidationError('a compare config holds "models" or "variants", not both')
+        if not isinstance(sections, list) or not all(isinstance(s, dict) for s in sections):
+            raise ValidationError('"models" must be a list of model objects')
+    else:
         variants = config.get("variants", list(AE_VARIANTS))
         if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
             raise ValidationError('"variants" must be a list of variant names')

@@ -21,16 +21,18 @@ exact contribution, so kept DINTERVAL draws carry their exact deviance.
 
 The likelihood is kept as a per-row contribution array and the prior as
 the values of the model's prior and level terms.  A sweep visits the
-components in order, in Metropolis blocks, each a step built once with the
-state, which fixes what it re-scores, which of its columns leave the real
-line and its draw buffers.  A model's levels (one parameter per level of a
-categorical index column, e.g. one incidence per study) form a level step:
-given the other components their priors factorize and their row sets are
-disjoint, so each level keeps its own Metropolis accept and the block has
-the stationary law of the level-by-level single-site updates it replaces
-(the chromatic Gibbs argument).  It draws one proposal vector, scores every
-row with one vectorized kernel call and sums the change per level.  The
-other components that reach the rows (survival's b0 and b1; the GLM's
+components in order, in Metropolis blocks, each a step of one class built
+once with the state, which fixes its accept unit (a level, or a chain),
+what it re-scores, which of its columns leave the real line and its draw
+buffers, so one update serves every kind.  A model's levels (one
+parameter per level of a categorical index column, e.g. one incidence per
+study) form a level step: given the other components their priors
+factorize and their row sets are disjoint, so each level keeps its own
+Metropolis accept and the block has the stationary law of the
+level-by-level single-site updates it replaces (the chromatic Gibbs
+argument).  It draws one proposal vector, scores every row with one
+vectorized kernel call and sums the change per level.  The other
+components that reach the rows (survival's b0 and b1; the GLM's
 intercept, coefficients and sigma) form one group step, with one accept,
 so a sweep scores the rows once for them: a joint block when they are two
 or more, a group of one otherwise (A's p_pool, D/E/F's mu).  Each
@@ -312,95 +314,56 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 class _Step:
     """One Metropolis step of every chain of a batch for the components
-    ``comps`` (a slice), built once with the batch's state, which fixes the
-    prior terms that read them (``terms``: index and function) and its
-    components' columns of the draw chunk, normals ``z`` and log uniforms
-    ``log_u``.  ``update(state, scales, proposal)`` moves every chain by
-    the chunk's row ``state.at`` and returns its accept flags, (chains,
-    levels) for levels and (chains, 1) otherwise; it accepts where log u <
-    log ratio, never at -inf or NaN (a proposal outside the prior's
-    support).  ``cols`` is the dataset, or None for a step that reaches no
-    row; ``owner`` is None but for levels, ``chol`` None but for a joint block.
-    ``maps`` lists each component off the real line (a real one is its own
-    natural value, with log Jacobian 0) by its column in the block and in
-    the state, with its two maps; ``whole`` says one map serves every
-    column.
+    ``comps`` (a slice), built once with the batch's state, which fixes its
+    accept unit and what it re-scores.  A ``levels`` step has one accept
+    per level: its log uniforms ``log_u`` are every level's column of the
+    draw chunk, and ``owner`` maps each row to its level (``bins`` is owner
+    + levels * chain, for one ``np.bincount`` of every chain).  Any other
+    step has one accept per chain, read from its first component's column,
+    and ``owner`` None.  A step re-scores the prior terms that read its
+    components (``terms``: index and function), the level terms if it is a
+    level step or a hyper step (one without ``rows``), and the rows if it
+    has ``rows`` (``cols`` is then the dataset, else None).  ``chol`` is
+    None but for a ``joint`` step.  ``maps`` lists each component off the
+    real line (a real one is its own natural value, with log Jacobian 0) by
+    its column in the step and in the state, with its two maps; ``whole``
+    says one map serves every column, as for levels, which share a support.
+
+    ``update(state, scales, proposal)`` moves every chain by the chunk's
+    row ``state.at`` and returns its accept flags, (chains, units).  A
+    random walk proposes ``scales * z_c``, times the chain's factor
+    ``chol_c`` in a joint step (starting at the identity); given an
+    independence ``proposal`` (center, factor, inverse) it proposes
+    center_c + factor_c t_c from d Student t draws t_c instead, and its log
+    ratio gains log q(x) - log q(y) of that fixed proposal density q.  The
+    log ratio adds, in this order, the changes of the prior terms, the
+    level terms, the rows' contributions (summed by owner in a level step)
+    and the log Jacobians, each as (chains, units): a level step keeps its
+    per-level changes, any other step sums each change per chain.  It
+    accepts where log u < log ratio, never at -inf or NaN (a proposal
+    outside the prior's support).
     """
 
-    owner = None
-    chol = None
-
-    def __init__(self, state, comps: slice, cols):
-        self.comps, self.cols = comps, cols
+    def __init__(self, state, comps: slice, rows=True, levels=False, joint=False):
+        self.comps, self.cols = comps, state.data if rows else None
+        self.rescores_levels = levels or not rows
         reads = set(range(comps.start, comps.stop))
         self.terms = [(k, term.log_density) for k, term in enumerate(state.model.prior_terms)
                       if reads & set(term.reads)]
-        self.z, self.log_u = state.normals[:, :, comps], state.uniforms[:, :, comps]
+        self.z = state.normals[:, :, comps]
+        n_chains, _, width = self.z.shape
+        accepts = comps if levels else slice(comps.start, comps.start + 1)
+        self.log_u = state.uniforms[:, :, accepts]
         supports = state.supports[comps]
         self.maps = [(i, comps.start + i, *_TRANSFORMS[support][1:])
                      for i, support in enumerate(supports) if support != "real"]
         self.whole = len(set(supports)) == 1 and bool(self.maps)
-
-    def _proposed(self, state, v_new) -> np.ndarray:
-        theta = state.v.copy()
-        theta[:, self.comps] = v_new
-        return theta
-
-    def _commit(self, state, flags, x_new, v_new) -> None:
-        np.copyto(state.x[:, self.comps], x_new, where=flags)
-        np.copyto(state.v[:, self.comps], v_new, where=flags)
-
-
-class _LevelStep(_Step):
-    """A model's levels, each with its own accept, scored per level by the
-    change of its level term plus its rows' contributions, summed by owner
-    (``owner`` maps each row to its level, ``bins`` is owner + levels *
-    chain for one ``np.bincount`` of every chain).  The levels share one
-    support, so ``whole`` holds whenever they leave the real line."""
-
-    def __init__(self, state, comps: slice):
-        super().__init__(state, comps, state.data)
-        n_chains, _, n_levels = self.z.shape
-        self.owner = state.data.codes(state.model.index_col, n_levels)
-        self.bins = (self.owner + n_levels * np.arange(n_chains)[:, None]).ravel()
-
-    def update(self, state, scales, proposal=None):
-        z = self.z[:, state.at]
-        x_new = state.x[:, self.comps] + scales * z
-        v_new = self.maps[0][2](x_new) if self.whole else x_new
-        theta = self._proposed(state, v_new)
-        levels_new = state.model.level_log_prior(theta)
-        contribs = state._contributions(state._row_params(theta, self.cols))
-        change = np.bincount(self.bins, (contribs - state.contribs).ravel(), z.size)
-        log_ratio = levels_new - state.level_terms + change.reshape(z.shape)
-        if self.whole:
-            jac = self.maps[0][3](x_new)
-            log_ratio = log_ratio + (jac - state.jac[:, self.comps])
-        accept = self.log_u[:, state.at] < log_ratio
-        self._commit(state, accept, x_new, v_new)
-        if self.whole:
-            np.copyto(state.jac[:, self.comps], jac, where=accept)
-        np.copyto(state.level_terms, levels_new, where=accept)
-        np.copyto(state.contribs, contribs, where=accept[:, self.owner])
-        return accept
-
-
-class _GroupStep(_Step):
-    """d >= 1 components beside the levels with one accept per chain, scored
-    by the change of the prior terms that read any of them, of each one's
-    log Jacobian and, when ``rows``, of the summed contributions, else (a
-    hyper step) of the summed level terms.  A random walk proposes
-    ``scales * z_c``, times the chain's factor ``chol_c`` in a ``joint``
-    block (starting at the identity); given an independence ``proposal``
-    (center, factor, inverse) it proposes center_c + factor_c t_c from d
-    Student t draws t_c instead, and its log ratio gains log q(x) - log q(y)
-    of that fixed proposal density q.  Its accept reads its first
-    component's uniform."""
-
-    def __init__(self, state, comps: slice, rows=True, joint=False):
-        super().__init__(state, comps, state.data if rows else None)
+        self.owner = self.chol = None
+        if levels:
+            self.owner = state.data.codes(state.model.index_col, width)
+            self.bins = (self.owner + width * np.arange(n_chains)[:, None]).ravel()
         if joint:
-            self.chol = np.tile(np.eye(self.z.shape[2]), (len(state.rngs), 1, 1))
+            self.chol = np.tile(np.eye(width), (n_chains, 1, 1))
 
     def update(self, state, scales, proposal=None):
         x = state.x[:, self.comps]
@@ -414,36 +377,51 @@ class _GroupStep(_Step):
             t = state.t[:, state.at]
             x_new = center + (factor * t[:, None, :]).sum(axis=2)
             u = (inverse * (x - center)[:, None, :]).sum(axis=2)
-            q_ratio = _row_sums(_log_t_kernel(u) - _log_t_kernel(t))
+            q_ratio = _row_sums(_log_t_kernel(u) - _log_t_kernel(t))[:, None]
         if self.whole:
             v_new = self.maps[0][2](x_new)
+            jacs = [(self.comps, self.maps[0][3](x_new))]
         else:
             v_new = x_new.copy() if self.maps else x_new
-            for i, _, to_nat, _ in self.maps:
+            jacs = []
+            for i, j, to_nat, log_jac in self.maps:
                 v_new[:, i] = to_nat(x_new[:, i])
-        jacs = [log_jac(x_new[:, i]) for i, _, _, log_jac in self.maps]
-        theta = self._proposed(state, v_new)
-        terms_new = [log_density(theta) for _, log_density in self.terms]
-        if self.cols is None:
-            new, cached = state.model.level_log_prior(theta), state.level_terms
-        else:
-            new, cached = state._contributions(state._row_params(theta, self.cols)), state.contribs
-        changes = [t - state.terms[:, k] for (k, _), t in zip(self.terms, terms_new)]
-        changes.append(_row_sums(new - cached))
-        log_ratio = sum(changes[1:], changes[0])
-        for (_, j, _, _), jac in zip(self.maps, jacs):
-            log_ratio = log_ratio + (jac - state.jac[:, j])
+                jacs.append((slice(j, j + 1), log_jac(x_new[:, i, None])))
+        theta = state.v.copy()
+        theta[:, self.comps] = v_new
+        changes, terms_new = [], []
+        for k, log_density in self.terms:
+            terms_new.append(log_density(theta)[:, None])
+            changes.append(terms_new[-1] - state.terms[:, k, None])
+        by_level = self.owner is not None
+        if self.rescores_levels:
+            levels_new = state.model.level_log_prior(theta)
+            change = levels_new - state.level_terms
+            changes.append(change if by_level else _row_sums(change)[:, None])
+        if self.cols is not None:
+            contribs = state._contributions(state._row_params(theta, self.cols))
+            change = contribs - state.contribs
+            changes.append(np.bincount(self.bins, change.ravel(), levels_new.size).reshape(
+                levels_new.shape) if by_level else _row_sums(change)[:, None])
+        for cols, jac in jacs:  # one map over d > 1 columns of a chain's accept: their sum
+            change = jac - state.jac[:, cols]
+            changes.append(change if by_level or change.shape[1] == 1
+                           else _row_sums(change)[:, None])
         if proposal is not None:
-            log_ratio = log_ratio + q_ratio
-        accept = self.log_u[:, state.at, 0] < log_ratio
-        flags = accept[:, None]
-        self._commit(state, flags, x_new, v_new)
-        for (_, j, _, _), jac in zip(self.maps, jacs):
-            np.copyto(state.jac[:, j], jac, where=accept)
+            changes.append(q_ratio)
+        log_ratio = sum(changes[1:], changes[0])
+        accept = self.log_u[:, state.at] < log_ratio
+        np.copyto(state.x[:, self.comps], x_new, where=accept)
+        np.copyto(state.v[:, self.comps], v_new, where=accept)
+        for cols, jac in jacs:
+            np.copyto(state.jac[:, cols], jac, where=accept)
         for (k, _), t in zip(self.terms, terms_new):
-            np.copyto(state.terms[:, k], t, where=accept)
-        np.copyto(cached, new, where=flags)
-        return flags
+            np.copyto(state.terms[:, k, None], t, where=accept)
+        if self.rescores_levels:
+            np.copyto(state.level_terms, levels_new, where=accept)
+        if self.cols is not None:
+            np.copyto(state.contribs, contribs, where=accept[:, self.owner] if by_level else accept)
+        return accept
 
 
 class _ChainBatch:
@@ -465,11 +443,11 @@ class _ChainBatch:
     link: ``model``, the first, gives the layout, and ``links`` is None
     when every chain's row parameters are its, else the chains of each
     link.  ``blocks`` lists the Metropolis steps of a sweep in component
-    order, each built once.  A table entry lays its components out as those
-    that reach the rows, then ``level_reads``, then the levels, so the steps
-    are one ``_GroupStep`` for the first (a joint block when they are two or
-    more), a hyper step (a ``_GroupStep`` that reaches no row) for each
-    component in ``level_reads`` and a ``_LevelStep`` for the levels.
+    order, each a ``_Step`` built once.  A table entry lays its components
+    out as those that reach the rows, then ``level_reads``, then the levels,
+    so the steps are one group step for the first (a joint block when they
+    are two or more), a hyper step (one that reaches no row) for each
+    component in ``level_reads`` and a level step for the levels.
     """
 
     def __init__(self, data, mode, rngs, chain_models):
@@ -499,10 +477,10 @@ class _ChainBatch:
         self.uniforms = np.empty((n_chains, chunk, self.n_params + n_latent))
         self.t = np.empty((n_chains, chunk, n_t))
         self.at = 0
-        self.blocks = [_GroupStep(self, slice(0, n_group), joint=n_group > 1)] if n_group else []
-        self.blocks += [_GroupStep(self, slice(j, j + 1), rows=False) for j in model.level_reads]
+        self.blocks = [_Step(self, slice(0, n_group), joint=n_group > 1)] if n_group else []
+        self.blocks += [_Step(self, slice(j, j + 1), rows=False) for j in model.level_reads]
         if levels:
-            self.blocks.append(_LevelStep(self, slice(levels[0], self.n_params)))
+            self.blocks.append(_Step(self, slice(levels[0], self.n_params), levels=True))
 
         self.values = np.tile(data.value, (n_chains, 1))
         self.x = np.empty((n_chains, self.n_params))

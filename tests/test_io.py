@@ -933,6 +933,28 @@ class TestCliHyperparametersAndEntries:
         })
         assert main(["compare", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("entries, message", [
+        ({"models": [{"family": "censored-binomial", "variant": "A"},
+                     {"family": "censored-binomial", "variant": "B"}],
+          "variants": ["C", "G"]},
+         'a compare config holds "models" or "variants", not both'),
+        ({"models": []}, "compare needs at least two models"),
+    ])
+    def test_compare_takes_models_or_variants(self, tmp_path, capsys, entries, message):
+        """Both "models" and "variants", or an empty "models", exit 2 with
+        one line, before any model is fitted and without the default
+        variants' trials error on data that has no trials column."""
+        path = _write_config(tmp_path, {
+            "dataset": "bundled:aml",
+            **entries,
+            "chains": {"n_chains": 1, "burn_in": 10, "n_keep": 10, "seed": 1},
+            "output_dir": str(tmp_path / "out"),
+        })
+        assert main(["compare", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        assert out == "" and not (tmp_path / "out").exists()
+
 
 def _readme_model_families():
     """Family -> (section keys, {entry: {hyperparameter: default}}) from the

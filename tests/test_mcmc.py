@@ -499,6 +499,37 @@ class TestDrawChunks:
         first, *others = outputs.values()
         assert all(other == first for other in others)
 
+    @pytest.mark.parametrize("case", ["survival-exact", "survival-dinterval", "glm",
+                                      "glm-dinterval"])
+    def test_each_step_reads_only_its_own_accept_columns(self, monkeypatch, case):
+        """A step of several components accepts on its first component's
+        uniform alone: NaN in every chunk's accept columns of the others
+        (survival's b1, the GLM's betas and sigma) changes no draw,
+        deviance, acceptance rate or latent, while NaN in the first
+        component's column, which that step reads, rejects its every move."""
+        model, data, mode = _batch_case(case)
+        n_group = len(model.params) - len(model.levels) - len(model.level_reads)
+        assert n_group >= 2
+        config = ChainConfig(n_chains=2, seed=41, **self.GEOMETRY)
+        draw_chunk = _ChainBatch._draw_chunk
+        outputs = []
+        for unread in (None, slice(1, n_group), slice(0, 1)):
+            def masked(self, sweep, config, unread=unread):
+                draw_chunk(self, sweep, config)
+                if unread is not None:
+                    self.uniforms[:, :, unread] = np.nan
+
+            monkeypatch.setattr(_ChainBatch, "_draw_chunk", masked)
+            with recorded_latents() as latents:
+                samples = run_one(model, data, mode, config)
+            outputs.append((samples, [np.stack(latents).tobytes() if latents else b""] + [
+                getattr(samples, field).tobytes()
+                for field in ("draws", "deviance_trace", "exact_deviance_trace",
+                              "acceptance_rates")]))
+        (_, plain), (_, others), (read, _) = outputs
+        assert others == plain
+        assert (read.acceptance_rates[:, :n_group] == 0.0).all()
+
     @settings(max_examples=200, deadline=None)
     @given(u=st.floats(0.0, 1.0, exclude_max=True),
            log_ratio=st.floats(min_value=0.0, allow_infinity=True))
@@ -701,6 +732,26 @@ class _NoStartAtOrigin(DuckModel):
         return (np.exp(np.asarray(theta, dtype=float)[..., 0:1]),)
 
 
+class _TwoRatesModel(DuckModel):
+    """Exponential outcomes of rate a * b under Gamma(2, 1) priors on a and
+    b: its one step moves two positive components through one map."""
+
+    family = Exponential
+
+    def __init__(self):
+        self.params = (Param("a", "positive"), Param("b", "positive"))
+
+    def log_prior(self, theta):
+        theta = self.check_theta(theta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_density = (np.log(theta) - theta).sum(axis=-1)
+        return np.where((theta > 0.0).all(axis=-1), log_density, -math.inf)
+
+    def row_params(self, theta, cols):
+        theta = np.asarray(theta, dtype=float)
+        return (theta[..., 0:1] * theta[..., 1:2],)
+
+
 class _HopelessModel(DuckModel):
     """Prior is -inf everywhere; initialization must give up cleanly."""
 
@@ -730,54 +781,67 @@ class TestLevelBlocks:
     def ae(self):
         return synthetic_ae_dataset(seed=11)
 
-    @pytest.mark.parametrize("variant", ["D", "G"])
-    def test_block_step_equals_single_site_steps(self, ae, variant):
-        """One blocked step and the level-by-level single-site Metropolis
-        steps on the log posterior, fed the same increments and uniforms,
-        take the same decisions and reach the same state, whose cached
-        terms and contributions are those of its parameters."""
-        model = Model(MODELS[variant], ae)
-        state = _ChainBatch(ae, LikelihoodMode.EXACT, [np.random.default_rng(3)], [model])
+    @pytest.mark.parametrize("name", [*MODELS, "two-rates"])
+    def test_block_step_equals_single_site_steps(self, name):
+        """Every step of a table entry, and the one step of a hand-written
+        model whose two positive components share one map (no entry's
+        step of one accept does), fed one increment per component and
+        one uniform per accept, takes the decisions and reaches the state of
+        a random-walk Metropolis move on the log posterior (log prior, summed
+        ``log_contrib`` and log Jacobians): a level step those of the
+        level-by-level single-site moves, any other step that of one move of
+        all its components, for each chain.  The uniforms sit just below or
+        above each move's log ratio, so the decisions alternate over chains
+        and levels and a log ratio off by more than 1e-6 changes one.  The
+        state's cached terms and contributions are those of its parameters
+        after the step."""
+        model, data = (_TwoRatesModel(), aml_dataset()) if name == "two-rates" \
+            else _entry_case(name)
+        state = _ChainBatch(data, LikelihoodMode.EXACT,
+                            [np.random.default_rng(s) for s in (3, 4)], [model] * 2)
         state.initialize()
-        (block,) = [b for b in state.blocks if b.owner is not None]
-        levels = model.levels
-        rng = np.random.default_rng(21)
-        z = rng.standard_normal(len(levels))
-        u = rng.uniform(size=len(levels))
-        scales = rng.uniform(0.2, 1.5, size=len(model.params))
-
-        blocked = copy.deepcopy(state)
-        # The step reads its columns of the state's draw chunk at row ``at``.
-        block.z[0, blocked.at], block.log_u[0, blocked.at] = z, np.log(u)
-        (accept,) = block.update(blocked, scales[block.comps])
-
-        cols, supports = ae, model.supports
+        supports, n = model.supports, len(model.params)
 
         def log_posterior(x):
             v = to_natural(x, supports)
-            contribs = model.family.log_contrib(cols, *model.row_params(v, cols))
+            contribs = model.family.log_contrib(data, *model.row_params(v, data))
             return model.log_prior(v) + contribs.sum() + _columnwise(2, x, supports).sum()
 
-        x = state.x[0].copy()
-        decisions = []
-        with np.errstate(all="ignore"):
-            for k, j in enumerate(levels):
-                proposal = x.copy()
-                proposal[j] += scales[j] * z[k]
-                log_ratio = log_posterior(proposal) - log_posterior(x)
-                decisions.append(bool(log_ratio >= 0.0 or math.log(u[k]) < log_ratio))
-                if decisions[-1]:
-                    x = proposal
-            v = to_natural(x, supports)
-            contribs = model.family.log_contrib(cols, *model.row_params(v, cols))
-
-        assert accept.tolist() == decisions
-        assert 0 < sum(decisions) < len(levels)
-        for name, want in (("x", x), ("v", v), ("jac", _columnwise(2, x, supports)),
-                           ("contribs", contribs),
-                           ("terms", [term.log_density(v) for term in model.prior_terms]),
-                           ("level_terms", model.level_log_prior(v))):
-            np.testing.assert_allclose(getattr(blocked, name)[0], want, rtol=1e-12, err_msg=name)
+        rng = np.random.default_rng(21)
+        scales = np.tile(rng.uniform(0.2, 1.5, size=n), (2, 1))
+        for step in state.blocks:
+            comps = list(range(n))[step.comps]
+            units = [[j] for j in comps] if step.owner is not None else [comps]
+            z = rng.standard_normal(len(comps))
+            log_u = np.empty((2, len(units)))
+            x_want = state.x.copy()
+            with np.errstate(all="ignore"):
+                for c, (k, unit) in itertools.product(range(2), enumerate(units)):
+                    proposal = x_want[c].copy()
+                    proposal[unit] += scales[c, unit] * z[[comps.index(j) for j in unit]]
+                    log_ratio = log_posterior(proposal) - log_posterior(x_want[c])
+                    assert np.isfinite(log_ratio)
+                    accept = (c + k) % 2 == 0
+                    log_u[c, k] = log_ratio - 1e-6 if accept else log_ratio + 1e-6
+                    if accept:
+                        x_want[c] = proposal
+            moved = copy.deepcopy(state)
+            # The step reads its columns of the state's draw chunk at row ``at``.
+            step.z[:, moved.at], step.log_u[:, moved.at] = z, log_u
+            with np.errstate(all="ignore"):
+                accept = step.update(moved, scales[:, step.comps])
+            assert accept.tolist() == [[(c + k) % 2 == 0 for k in range(len(units))]
+                                       for c in range(2)], step.comps
+            for c in range(2):
+                v = to_natural(x_want[c], supports)
+                contribs = model.family.log_contrib(data, *model.row_params(v, data))
+                for field, want in (
+                        ("x", x_want[c]), ("v", v), ("jac", _columnwise(2, x_want[c], supports)),
+                        ("contribs", contribs),
+                        ("terms", [term.log_density(v) for term in model.prior_terms]),
+                        ("level_terms", model.level_log_prior(v) if model.levels else [])):
+                    np.testing.assert_allclose(getattr(moved, field)[c], want, rtol=1e-12,
+                                               err_msg=(step.comps, c, field))
 
     def test_saturated_posterior_means_match_closed_form(self, ae):
         """G's study incidences against Beta(1+y, 1+n-y) on observed rows and
@@ -861,9 +925,11 @@ class TestLevelBlocks:
 
     @pytest.mark.parametrize("name", MODELS)
     def test_each_block_is_built_as_its_step_kind(self, name):
-        """Levels are a level step, a component in ``level_reads`` a hyper
-        step (a group step that reaches no row), and the other components
-        one group step, joint when they are two or more.  Each step
+        """Levels are a level step, which reads one accept column per
+        level, a component in ``level_reads`` a hyper step (a step that
+        reaches no row), and the other components one group step, joint when
+        they are two or more; a step that is not a level step reads one
+        accept column.  Each step
         re-scores the prior terms that read its components, and maps to the
         natural scale only those off the real line (the GLM's intercept,
         beta0 and beta1 are not mapped), with one map when they share it."""
@@ -872,12 +938,12 @@ class TestLevelBlocks:
                             [model])
         got = []
         for step in state.blocks:
-            kind = ("levels" if type(step) is mcmc._LevelStep
+            kind = ("levels" if step.owner is not None
                     else "group" if step.cols is not None else "hyper")
             comps = list(range(len(model.params)))[step.comps]
             got.append(("joint" if step.chol is not None else kind, model.param_names[comps[0]]))
             assert (step.cols is None) == (kind == "hyper")
-            assert (step.owner is not None) == (kind == "levels")
+            assert step.log_u.shape[2] == (len(comps) if kind == "levels" else 1)
             assert [k for k, _ in step.terms] == [
                 k for k, term in enumerate(model.prior_terms) if set(term.reads) & set(comps)]
             assert [j for _, j, _, _ in step.maps] == [
@@ -1016,7 +1082,7 @@ class TestJointBlock:
         once, at the first of them."""
         model, data, mode = _batch_case(case)
         factors, proposals = [], []
-        update = mcmc._GroupStep.update
+        update = mcmc._Step.update
 
         def recording(self, state, scales, proposal=None):
             if self.chol is not None:
@@ -1024,7 +1090,7 @@ class TestJointBlock:
                 proposals.append(proposal)
             return update(self, state, scales, proposal)
 
-        monkeypatch.setattr(mcmc._GroupStep, "update", recording)
+        monkeypatch.setattr(mcmc._Step, "update", recording)
         config = ChainConfig(n_chains=2, burn_in=60, n_keep=40, adapt_window=20, seed=8)
         run_one(model, data, mode, config)
         assert len(factors) == config.total_iterations
